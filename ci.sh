@@ -7,21 +7,33 @@ cargo test -q --workspace
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The bench targets must keep compiling (they are not timed in CI).
-cargo bench --no-run --workspace
-
-# Bench regression gate: the committed hot-path report must not record
-# any benchmark below its before-baseline. Deterministic — it audits the
-# merged JSON's recorded ratios, so CI never depends on wall-clock noise.
-cargo run --release -p locality-repro --bin bench -- \
-    --check BENCH_hotpath.json --fail-under 1.0
+# The benchmark (BENCHMARK.json) is a package of its own that reaches
+# the crates only through their public items: hold it to the same gates,
+# then run every workload for a second. Host numbers are ignored here
+# (wall-clock stays out of CI); the run only has to be correct, so a
+# crate API change that breaks the benchmark fails CI instead of the
+# next measurement.
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+for workload in repro_small policy_paper mem_direct mem_assoc sched_switch; do
+    last=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+    *'"correct": true, '*'"failed": 0, '*) ;;
+    *)
+        echo "benchmark workload $workload did not run correctly: $last" >&2
+        exit 1
+        ;;
+    esac
+done
 
 # Smoke the full repro suite through the parallel cached runner, then
 # hold every artifact to the committed golden hashes: the small-scale
 # CSVs are byte-identical across machines, --jobs values, and the
 # dense-slot refactors (results/golden_small.sha256).
 SMOKE_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro-all -- \
+cargo run --release -p locality-repro --bin repro -- all \
     --scale small --jobs 2 --out "$SMOKE_OUT"
 GOLDEN="$PWD/results/golden_small.sha256"
 (cd "$SMOKE_OUT" && sha256sum -c "$GOLDEN")
@@ -33,9 +45,9 @@ rm -rf "$SMOKE_OUT"
 # new RunKind).
 GEOM_A=$(mktemp -d)
 GEOM_B=$(mktemp -d)
-cargo run --release -p locality-repro --bin geometry -- \
+cargo run --release -p locality-repro --bin repro -- geometry \
     --scale small --jobs 1 --out "$GEOM_A"
-cargo run --release -p locality-repro --bin geometry -- \
+cargo run --release -p locality-repro --bin repro -- geometry \
     --scale small --jobs 4 --out "$GEOM_B"
 cmp "$GEOM_A/geometry.csv" "$GEOM_B/geometry.csv"
 rm -rf "$GEOM_A" "$GEOM_B"
@@ -45,12 +57,12 @@ rm -rf "$GEOM_A" "$GEOM_B"
 # ablation table. Chaos cells never contaminate the golden artifacts —
 # the table only exists when --chaos is passed.
 CHAOS_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin ablation -- \
+cargo run --release -p locality-repro --bin repro -- ablation \
     --scale small --chaos all --out "$CHAOS_OUT"
 test -s "$CHAOS_OUT/ablation_chaos.csv"
 rm -rf "$CHAOS_OUT"
 
-# Crash safety: a repro-all SIGKILLed mid-run must, on rerun, resume
+# Crash safety: a `repro all` SIGKILLed mid-run must, on rerun, resume
 # from the on-disk cache to artifacts byte-identical to an
 # uninterrupted run (and to the committed golden hashes). The test is
 # #[ignore]d in the default suite because it runs the full small suite
@@ -60,9 +72,9 @@ cargo test --release -p locality-repro --test kill_resume -- --ignored
 # Analyzer: the clean fixture must pass, the racy fixture must be flagged
 # (nonzero exit with a confirmed race).
 ANALYZE_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin analyze -- \
+cargo run --release -p locality-repro --bin repro -- analyze \
     --scale small --workload clean --out "$ANALYZE_OUT"
-if cargo run --release -p locality-repro --bin analyze -- \
+if cargo run --release -p locality-repro --bin repro -- analyze \
     --scale small --workload racy --out "$ANALYZE_OUT"; then
     echo "analyze failed to flag the racy workload" >&2
     exit 1
@@ -75,21 +87,21 @@ rm -rf "$ANALYZE_OUT"
 # counterexample must round-trip through --replay to the same violation
 # (replay reproducing a violation also exits nonzero).
 MC_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin modelcheck -- \
+cargo run --release -p locality-repro --bin repro -- modelcheck \
     --workload clean --out "$MC_OUT"
-if cargo run --release -p locality-repro --bin modelcheck -- \
+if cargo run --release -p locality-repro --bin repro -- modelcheck \
     --workload racy --out "$MC_OUT"; then
     echo "modelcheck failed to flag the racy workload" >&2
     exit 1
 fi
-if cargo run --release -p locality-repro --bin modelcheck -- \
+if cargo run --release -p locality-repro --bin repro -- modelcheck \
     --workload deadlock --out "$MC_OUT"; then
     echo "modelcheck failed to flag the deadlock workload" >&2
     exit 1
 fi
 test -s "$MC_OUT/counterexample_racy.txt"
 test -s "$MC_OUT/counterexample_deadlock.txt"
-if cargo run --release -p locality-repro --bin modelcheck -- \
+if cargo run --release -p locality-repro --bin repro -- modelcheck \
     --replay "$MC_OUT/counterexample_deadlock.txt"; then
     echo "modelcheck replay failed to reproduce the deadlock" >&2
     exit 1
@@ -101,22 +113,20 @@ rm -rf "$MC_OUT"
 # the checked runs actually execute).
 INVARIANT_OUT=$(mktemp -d)
 cargo build --release -p locality-repro --features invariant-checks
-cargo run --release -p locality-repro --features invariant-checks --bin fig5 -- \
+cargo run --release -p locality-repro --features invariant-checks --bin repro -- fig5 \
     --scale small --jobs 2 --out "$INVARIANT_OUT"
 rm -rf "$INVARIANT_OUT"
 
 # Observability layer (locality-trace): the workspace must stay green
-# with the trace feature on, a small traced run must export cleanly, and
-# the overhead bench must pass in both build modes (zero recorded events
-# when the feature is off, < 5% overhead when on).
+# with the trace feature on (its tests pin the hot path's events per
+# interval; the default build's prove the emission points compile out),
+# and a small traced run must export cleanly.
 cargo test -q --workspace --features trace
 cargo clippy --workspace --all-targets --features trace -- -D warnings
 TRACE_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --features trace --bin trace -- \
+cargo run --release -p locality-repro --features trace --bin repro -- trace \
     --scale small --jobs 2 --out "$TRACE_OUT"
 test -s "$TRACE_OUT/trace_merge.chrome.json"
 test -s "$TRACE_OUT/trace_merge.jsonl"
 test -s "$TRACE_OUT/trace_metrics.csv"
 rm -rf "$TRACE_OUT"
-cargo run --release -p locality-repro --features trace --bin trace-bench
-cargo run --release -p locality-repro --bin trace-bench

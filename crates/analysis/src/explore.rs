@@ -742,11 +742,6 @@ pub struct ExploreSummary {
 }
 
 impl ExploreSummary {
-    /// Whether any property was violated.
-    pub fn has_violations(&self) -> bool {
-        !self.violations.is_empty()
-    }
-
     /// The count of violations of one kind (0 or 1 after dedup).
     pub fn count_of(&self, kind: ViolationKind) -> u64 {
         self.violations.iter().filter(|v| v.kind == kind).count() as u64

@@ -1,4 +1,4 @@
-//! The `analyze` binary's driver: run the deterministic racy/clean
+//! The `repro analyze` driver: run the deterministic racy/clean
 //! workload fixtures with engine observation enabled, feed the logs to
 //! `locality-analyze`, and report the diagnostics.
 //!
@@ -181,24 +181,6 @@ pub fn run_analyze(args: &Args) -> Result<bool, ReproError> {
         any_races |= races > 0;
     }
     Ok(any_races)
-}
-
-/// The analyze binary's `main`: exit 0 when no races, 1 when races were
-/// confirmed, 2 on usage errors.
-pub fn main_analyze() {
-    let args = Args::from_env();
-    match run_analyze(&args) {
-        Ok(false) => {}
-        Ok(true) => std::process::exit(1),
-        Err(ReproError::Usage(msg)) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,10 @@
-//! Minimal command-line handling shared by the repro binaries.
+//! Minimal command-line handling shared by the `repro` subcommands.
 
 use std::path::PathBuf;
 
-/// Usage text printed for `--help` and on argument errors.
-pub const USAGE: &str = "usage: [--scale paper|small] [--out DIR] [--jobs N] [--no-cache] \
-     [--fault SCENARIO|all] [--chaos SCENARIO|all] [--workload NAME|all] [--policy fcfs|lff|crt] \
-     [--depth-bound N] [--max-schedules N] [--preempt-bound K] [--replay FILE] \
-     [--geometry SxW] [--page-size BYTES]
-
-options:
+/// The flags half of the `--help` text; every subcommand accepts the
+/// same flat set. [`suite`](crate::suite) prints its name table above it.
+pub(crate) const FLAGS_HELP: &str = "flags:
   --scale paper|small  workload scale (default: paper)
   --out DIR            output directory for CSV files (default: results)
   --jobs N             worker threads for independent runs
@@ -62,44 +58,44 @@ pub struct Args {
     /// Output directory for CSV files.
     pub out: PathBuf,
     /// Counter-fault scenario keyword (`--fault <scenario>|all`), used
-    /// by the ablation binary's robustness runs.
+    /// by `repro ablation`'s robustness runs.
     pub fault: Option<String>,
     /// Thread-lifecycle chaos scenario keyword (`--chaos
-    /// <scenario>|all`), used by the ablation binary's chaos table;
+    /// <scenario>|all`), used by `repro ablation`'s chaos table;
     /// validated in [`ChaosScenario::parse`](crate::ChaosScenario).
     pub chaos: Option<String>,
-    /// Workload keyword (`--workload NAME|all`), used by the analyze
-    /// binary (clean/racy fixtures) and the trace binary (monitored
+    /// Workload keyword (`--workload NAME|all`), used by `repro
+    /// analyze` (clean/racy fixtures) and `repro trace` (monitored
     /// app); validated there so bad values surface as usage errors
     /// through [`ReproError::Usage`](crate::ReproError).
     pub workload: Option<String>,
-    /// Scheduling-policy keyword (`--policy fcfs|lff|crt`), used by the
-    /// trace binary; validated there so bad values surface as usage
+    /// Scheduling-policy keyword (`--policy fcfs|lff|crt`), used by
+    /// `repro trace`; validated there so bad values surface as usage
     /// errors through [`ReproError::Usage`](crate::ReproError).
     pub policy: Option<String>,
     /// Worker threads used by the experiment runner (`--jobs N`).
     pub jobs: usize,
     /// Disable the on-disk result cache (`--no-cache`).
     pub no_cache: bool,
-    /// Schedule depth bound for the modelcheck binary
-    /// (`--depth-bound N`); `None` uses the binary's default.
+    /// Schedule depth bound for `repro modelcheck`
+    /// (`--depth-bound N`); `None` uses its default.
     pub depth_bound: Option<u64>,
-    /// Exploration schedule cap for the modelcheck binary
-    /// (`--max-schedules N`); `None` uses the binary's default.
+    /// Exploration schedule cap for `repro modelcheck`
+    /// (`--max-schedules N`); `None` uses its default.
     pub max_schedules: Option<u64>,
-    /// Preemption bound for the modelcheck binary
+    /// Preemption bound for `repro modelcheck`
     /// (`--preempt-bound K`); `None` explores without a bound.
     pub preempt_bound: Option<u64>,
-    /// Counterexample file to re-execute (`--replay FILE`), used by the
-    /// modelcheck binary.
+    /// Counterexample file to re-execute (`--replay FILE`), used by
+    /// `repro modelcheck`.
     pub replay: Option<PathBuf>,
-    /// L2 geometry override (`--geometry SxW`), used by the geometry
-    /// binary to restrict the sweep to one `(sets, ways)` cell. Both
+    /// L2 geometry override (`--geometry SxW`), used by `repro
+    /// geometry` to restrict the sweep to one `(sets, ways)` cell. Both
     /// components are validated as positive powers of two at parse
     /// time.
     pub geometry: Option<(u64, u64)>,
     /// TLB page size override in bytes (`--page-size BYTES`), used by
-    /// the geometry binary; validated as a positive power of two at
+    /// `repro geometry`; validated as a positive power of two at
     /// parse time.
     pub page_size: Option<u64>,
 }
@@ -111,8 +107,8 @@ pub struct Args {
 pub enum Parsed {
     /// Normal invocation.
     Run(Box<Args>),
-    /// `--help`/`-h` was requested; the caller should print [`USAGE`]
-    /// to stdout and exit successfully.
+    /// `--help`/`-h` was requested; the caller should print the usage
+    /// text to stdout and exit successfully.
     Help,
 }
 
@@ -253,24 +249,6 @@ impl Args {
             }
         }
         Ok(Parsed::Run(Box::new(out)))
-    }
-
-    /// Parses the process arguments. `--help`/`-h` prints usage to
-    /// stdout and exits 0; malformed arguments print to stderr and
-    /// exit 2.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(Parsed::Run(args)) => *args,
-            Ok(Parsed::Help) => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Creates the output directory and returns the path for `name`.

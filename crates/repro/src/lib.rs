@@ -1,8 +1,10 @@
 //! # locality-repro
 //!
-//! The experiment harness: one binary per table and figure of the paper.
+//! The experiment harness: one binary, `repro <subcommand> [flags]`, with
+//! one subcommand per table and figure of the paper. The name table is
+//! [`suite::SUBCOMMANDS`]; `repro --help` prints it.
 //!
-//! | binary | regenerates |
+//! | subcommand | regenerates |
 //! |---|---|
 //! | `table1` | Table 1 — simulated UltraSPARC-1 memory hierarchy |
 //! | `table2` | Table 2 — simulated workloads |
@@ -16,28 +18,29 @@
 //! | `fig8` | Figure 8 — locality scheduling on the 1-cpu Ultra-1 |
 //! | `fig9` | Figure 9 — locality scheduling on the 8-cpu Enterprise 5000 |
 //! | `ablation` | §5 extras: annotation ablation, threshold sweep, page placement, invalidation effects; `--fault <scenario>` runs the counter-fault robustness table, `--chaos <scenario>\|all` the thread-lifecycle chaos table |
-//! | `repro-all` | everything above through one shared runner (cross-figure runs execute once) |
+//! | `geometry` | model vs simulator across L2 geometries of equal capacity (`--geometry SxW`, `--page-size BYTES`; not part of `all`) |
+//! | `all` | `table1`–`table5`, `fig4`–`fig9` and `ablation` through one shared runner (cross-figure runs execute once) |
 //! | `analyze` | race detection, lock-order cycles, and annotation lints over the deterministic racy/clean fixture pair (exit 1 on confirmed races; `--workload clean\|racy\|all`) |
 //! | `modelcheck` | stateless model checking: exhaustive DPOR schedule exploration of the fixture workloads, with replayable counterexamples (exit 1 on violations; `--workload clean\|racy\|deadlock\|lostwake\|all`, `--replay FILE`) |
 //! | `trace` | locality-trace observability: JSONL + Chrome `trace_event` exports and aggregated trace-metrics CSVs for a monitored app (`--workload APP\|all`, `--policy fcfs\|lff\|crt`; needs the `trace` feature) |
-//! | `trace-bench` | tracing-overhead bench: asserts the sink stays under its overhead budget (instrumented builds) or that instrumentation is fully compiled out (default builds) |
-//! | `bench` | offline hot-path microbenchmarks mirroring the criterion groups (`--save FILE` for flat medians, `--merge BEFORE AFTER` to assemble `BENCH_hotpath.json`) |
 //!
-//! Every binary prints aligned text tables and writes CSV files under
+//! Every subcommand prints aligned text tables and writes CSV files under
 //! `results/` (change with `--out DIR`). `--scale small` runs scaled-down
 //! workloads for a quick smoke pass; the default `--scale paper` uses the
 //! paper's parameters.
 //!
-//! All binaries drive the shared [runner]: figures are lists of
+//! All subcommands drive the shared [runner]: figures are lists of
 //! independent seeded run descriptors executed across `--jobs` worker
 //! threads and cached under `<out>/.cache` (disable with `--no-cache`).
 //! CSV artifacts are byte-identical for every `--jobs` value and across
-//! cache hits; only the printed wall-time stats vary.
+//! cache hits; only the printed wall-time stats vary. Host time is
+//! measured in one place, outside this crate: `benchmark/`
+//! (`BENCHMARK.json`).
 //!
 //! The pipeline is crash-safe: cache entries are checksummed and written
 //! atomically (corrupt entries are quarantined and recomputed), CSVs are
 //! written via temp-file + rename, and every run executes behind a panic
-//! isolation boundary with a seeded watchdog — a killed `repro-all`
+//! isolation boundary with a seeded watchdog — a killed `repro all`
 //! resumes from its per-run cache to byte-identical artifacts.
 
 #![forbid(unsafe_code)]
@@ -49,11 +52,6 @@
 
 pub mod analyze;
 pub mod args;
-// The bench harness measures, it doesn't reproduce figures: setup
-// failures there should abort loudly rather than thread Results through
-// timing loops.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-pub mod bench;
 pub mod chaos;
 pub mod digest;
 pub mod error;

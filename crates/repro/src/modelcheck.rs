@@ -1,4 +1,4 @@
-//! The `modelcheck` binary's driver: exhaustively explore the schedule
+//! The `repro modelcheck` driver: exhaustively explore the schedule
 //! space of the small fixture workloads with the `locality-analyze`
 //! stateless model checker (DPOR + sleep sets), report violations as
 //! replayable counterexamples, and measure the DPOR reduction factor
@@ -332,24 +332,6 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
         any |= v > 0;
     }
     Ok(any)
-}
-
-/// The modelcheck binary's `main`: exit 0 when no violation was found,
-/// 1 when a violation was found (or replayed), 2 on usage errors.
-pub fn main_modelcheck() {
-    let args = Args::from_env();
-    match run_modelcheck(&args) {
-        Ok(false) => {}
-        Ok(true) => std::process::exit(1),
-        Err(ReproError::Usage(msg)) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -109,37 +109,14 @@ impl EngineHook for MonitorHook {
 /// under the (single-thread-equivalent) LFF scheduler and returns the
 /// sampled trace.
 ///
-/// The machine uses the paper's own careful page mapping (Kessler & Hill
-/// bin hopping) by default; [`monitor_app_with_placement`] lets the
-/// accuracy study bracket the VM's influence (a naive mapping makes
-/// clustered applications *collide*, flipping the model's deviation from
-/// slight under- to over-prediction — see EXPERIMENTS.md).
-///
-/// # Errors
-///
-/// Returns the engine's [`RuntimeError`] if the monitored run cannot
-/// complete.
-pub fn monitor_app(app: App) -> Result<MonitorTrace, RuntimeError> {
-    monitor_app_with_placement(app, locality_sim::PagePlacement::bin_hopping())
-}
-
-/// [`monitor_app`] under an explicit page-placement policy.
-///
-/// # Errors
-///
-/// Returns the engine's [`RuntimeError`] if the monitored run cannot
-/// complete.
-pub fn monitor_app_with_placement(
-    app: App,
-    placement: locality_sim::PagePlacement,
-) -> Result<MonitorTrace, RuntimeError> {
-    monitor_app_seeded(app, placement, app.default_seed())
-}
-
-/// [`monitor_app_with_placement`] with an explicit RNG seed for the
-/// monitored workload, so every run is fully described by its
-/// `(app, placement, seed)` descriptor and no two runs share state —
-/// the invariant the parallel experiment runner relies on.
+/// The paper's own careful page mapping is Kessler & Hill bin hopping;
+/// the explicit `placement` lets the accuracy study bracket the VM's
+/// influence (a naive mapping makes clustered applications *collide*,
+/// flipping the model's deviation from slight under- to over-prediction
+/// — see EXPERIMENTS.md). The explicit RNG `seed` means every run is
+/// fully described by its `(app, placement, seed)` descriptor and no
+/// two runs share state — the invariant the parallel experiment runner
+/// relies on.
 ///
 /// # Errors
 ///

@@ -7,9 +7,8 @@
 //! workload, seeds), each run builds all of its state privately, and
 //! callers format output only after `run_all` returns results in
 //! descriptor order — so CSV artifacts are **byte-identical** for every
-//! `--jobs` value. Wall-clock measurements (the per-run stats below and
-//! Table 3's ns/update column) are the only nondeterministic outputs
-//! and are confined to stdout.
+//! `--jobs` value. The per-run wall-clock stats below are the only
+//! nondeterministic output and are confined to stdout.
 //!
 //! Cache entries are keyed by an FNV-1a hash of the canonical
 //! descriptor string, which embeds the crate version and wire-format
@@ -23,7 +22,7 @@
 //! Runs execute behind a guard ([`GuardPolicy`]): panics are caught per
 //! descriptor (`catch_unwind`), a watchdog times out hung runs, and
 //! both are retried with bounded backoff before the typed error
-//! surfaces. Combined with the cache, this makes `repro-all` resumable:
+//! surfaces. Combined with the cache, this makes `repro all` resumable:
 //! a killed invocation re-runs only the descriptors whose entries never
 //! landed, and the reassembled artifacts are byte-identical.
 
@@ -51,11 +50,11 @@ use std::time::{Duration, Instant};
 
 /// Bumped whenever the wire encoding of [`RunOutput`] changes, so stale
 /// cache entries miss instead of misparsing.
-const WIRE_FORMAT: u32 = 2;
+const WIRE_FORMAT: u32 = 3;
 
 /// Serializable page-placement selector mirroring
 /// [`locality_sim::PagePlacement`] (descriptors avoid embedded seeds by
-/// using the default-seeded arbitrary policy, like the binaries always
+/// using the default-seeded arbitrary policy, like the figures always
 /// have).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
@@ -197,7 +196,7 @@ pub enum RunKind {
         /// The thread class.
         case: CostCase,
     },
-    /// A stateless-model-checking cell (the `modelcheck` binary): one
+    /// A stateless-model-checking cell (`repro modelcheck`): one
     /// exhaustive schedule exploration of a fixture workload.
     ModelCheck {
         /// The explored workload.
@@ -211,8 +210,8 @@ pub enum RunKind {
         /// Optional preemption bound.
         preempt_bound: Option<u64>,
     },
-    /// A traced monitored-application run's aggregated metrics (the
-    /// `trace` binary). Only executable in builds with the `trace`
+    /// A traced monitored-application run's aggregated metrics (`repro
+    /// trace`). Only executable in builds with the `trace`
     /// feature; see [`crate::trace::trace_metrics_cell`].
     TraceMetrics {
         /// The monitored application.
@@ -268,15 +267,12 @@ pub enum RunOutput {
         /// What the counter-driven model still predicts.
         predicted: u64,
     },
-    /// A priority-update cost measurement.
+    /// A priority-update cost cell.
     UpdateCost {
         /// Floating-point operations per update.
         flops: u64,
         /// Table lookups per update.
         lookups: u64,
-        /// Measured wall-clock nanoseconds per update (stdout only —
-        /// never written to CSV, to keep artifacts deterministic).
-        ns_per_op: f64,
     },
     /// A traced run's aggregated trace metrics (boxed: the histograms
     /// make it by far the largest payload).
@@ -337,8 +333,8 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
             Ok(RunOutput::ChaosCell(experiments::chaos_cell(policy.to_sched(), scenario, scale)?))
         }
         RunKind::UpdateCost { policy, case } => {
-            let (flops, lookups, ns_per_op) = experiments::update_cost_cell(policy, case);
-            Ok(RunOutput::UpdateCost { flops, lookups, ns_per_op })
+            let (flops, lookups) = experiments::update_cost_cell(policy, case);
+            Ok(RunOutput::UpdateCost { flops, lookups })
         }
         RunKind::TraceMetrics { app, policy, seed } => Ok(RunOutput::TraceSummary(Box::new(
             crate::trace::trace_metrics_cell(app, policy, seed)?,
@@ -477,8 +473,8 @@ fn encode(out: &RunOutput) -> String {
         RunOutput::Invalidation { observed, predicted } => {
             s.push_str(&format!("inval {observed} {predicted}\n"));
         }
-        RunOutput::UpdateCost { flops, lookups, ns_per_op } => {
-            s.push_str(&format!("cost {flops} {lookups} {}\n", enc_f64(*ns_per_op)));
+        RunOutput::UpdateCost { flops, lookups } => {
+            s.push_str(&format!("cost {flops} {lookups}\n"));
         }
         RunOutput::TraceSummary(t) => {
             s.push_str(&format!(
@@ -615,7 +611,6 @@ fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
             Some(RunOutput::UpdateCost {
                 flops: it.next()?.parse().ok()?,
                 lookups: it.next()?.parse().ok()?,
-                ns_per_op: dec_f64(it.next()?)?,
             })
         }
         RunKind::TraceMetrics { .. } => {
@@ -1139,7 +1134,7 @@ mod tests {
             ),
             (
                 RunKind::UpdateCost { policy: PolicyKind::Lff, case: CostCase::Blocking },
-                RunOutput::UpdateCost { flops: 5, lookups: 1, ns_per_op: 12.75 },
+                RunOutput::UpdateCost { flops: 5, lookups: 1 },
             ),
             (
                 RunKind::TraceMetrics { app: App::Merge, policy: PolicyId::Lff, seed: 12 },
@@ -1340,6 +1335,31 @@ mod tests {
         assert_eq!(runner.fresh_runs(), 1);
         assert_eq!(encode(&outs[0]), encode(&outs2[0]));
         assert!(path.exists(), "fresh entry stored after quarantine");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wire_2_cost_entry_is_a_clean_miss_not_a_quarantine() {
+        let dir = std::env::temp_dir().join(format!("repro-wire2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir cache");
+        let cache = DiskCache { dir: dir.clone() };
+        let kind = RunKind::UpdateCost { policy: PolicyKind::Lff, case: CostCase::Blocking };
+        let key = cache_key(&kind);
+        // What the previous build stored: its own key, and a payload
+        // that still carries the ns/update reading.
+        let old_key = key.replace(&format!("wire {WIRE_FORMAT}"), "wire 2");
+        assert_ne!(old_key, key);
+        let payload = format!("cost 5 2 {}\n", enc_f64(12.75));
+        let entry = format!("{old_key}\nsha256 {}\n{payload}", digest::hex(payload.as_bytes()));
+        // Under its own file name, and under the new key's (where only
+        // an FNV collision could put it): the header decides either way.
+        for path in [cache.entry_path(&old_key), cache.entry_path(&key)] {
+            std::fs::write(&path, &entry).expect("plant old entry");
+            assert!(matches!(cache.load(&key, &kind), Ok(None)), "old entry must miss cleanly");
+            assert!(path.exists(), "a valid old entry is left alone");
+            assert!(!path.with_extension("quarantine").exists(), "not treated as corrupt");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

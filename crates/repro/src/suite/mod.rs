@@ -5,10 +5,13 @@
 //! after all runs finish and strictly in descriptor order, so artifacts
 //! are byte-identical for any `--jobs` value.
 //!
-//! The umbrella `repro-all` binary runs every figure through one runner,
-//! so runs shared between figures (e.g. the monitored traces behind
-//! Figures 5, 6, and 7, or the FCFS/CRT cells behind Figures 8/9 and
-//! Table 5) execute exactly once.
+//! `repro all` runs every figure through one runner, so runs shared
+//! between figures (e.g. the monitored traces behind Figures 5, 6, and
+//! 7, or the FCFS/CRT cells behind Figures 8/9 and Table 5) execute
+//! exactly once.
+//!
+//! This module also owns the `repro` binary's surface: the
+//! [`SUBCOMMANDS`] name table and the [`main`] that dispatches on it.
 
 mod ablation;
 mod fig4;
@@ -18,15 +21,17 @@ mod perf_figs;
 mod static_tables;
 mod table3;
 
-use crate::args::Args;
+use crate::args::{Args, Parsed, FLAGS_HELP};
 use crate::error::ReproError;
 use crate::experiments::{ChaosCell, FaultCell};
 use crate::geometry::GeometryPoint;
 use crate::microbench::WalkPoint;
 use crate::monitor::MonitorTrace;
 use crate::runner::{cache_key, RunKind, RunOutput, RunRequest, Runner};
+use crate::{analyze, modelcheck, trace};
 use active_threads::RunReport;
 use std::collections::HashMap;
+use std::process::ExitCode;
 
 /// One reproducible figure or table of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +61,12 @@ pub enum Figure {
     /// §5/§3 ablations (or the `--fault` robustness table).
     Ablation,
     /// Geometry validation — model vs simulator across L2 geometries
-    /// (the `geometry` binary; not part of `repro-all`).
+    /// (`repro geometry`; not part of `repro all`).
     Geometry,
 }
 
 impl Figure {
-    /// Every figure, in the order `repro-all` regenerates them.
+    /// Every figure, in the order `repro all` regenerates them.
     pub const ALL: [Figure; 12] = [
         Figure::Table1,
         Figure::Table2,
@@ -230,17 +235,14 @@ impl ResultSet {
         }
     }
 
-    /// The `(flops, lookups, ns/op)` of a [`RunKind::UpdateCost`]
-    /// descriptor.
+    /// The `(flops, lookups)` of a [`RunKind::UpdateCost`] descriptor.
     ///
     /// # Errors
     ///
     /// Returns [`ReproError::MissingResult`] if absent or mistyped.
-    pub fn update_cost(&self, kind: &RunKind) -> Result<(u64, u64, f64), ReproError> {
+    pub fn update_cost(&self, kind: &RunKind) -> Result<(u64, u64), ReproError> {
         match self.get(kind)? {
-            RunOutput::UpdateCost { flops, lookups, ns_per_op } => {
-                Ok((*flops, *lookups, *ns_per_op))
-            }
+            RunOutput::UpdateCost { flops, lookups } => Ok((*flops, *lookups)),
             _ => Err(Self::mismatch(kind)),
         }
     }
@@ -282,29 +284,124 @@ pub fn run_figures(args: &Args, figures: &[Figure]) -> Result<SuiteReport, Repro
     Ok(SuiteReport { fresh_runs: runner.fresh_runs(), cached_runs: runner.cached_runs() })
 }
 
-/// A single-figure binary's `main`: parse args, run, exit nonzero with a
-/// message on failure (2 for usage errors, 1 otherwise).
-pub fn main_for(figure: Figure) {
-    let args = Args::from_env();
-    exit_on_error(run_figures(&args, &[figure]));
+/// What a `repro` subcommand runs.
+enum Target {
+    /// Figures through one shared runner, so descriptors shared between
+    /// them (monitored traces, FCFS/CRT policy cells) execute once.
+    Figures(&'static [Figure]),
+    /// [`analyze::run_analyze`].
+    Analyze,
+    /// [`modelcheck::run_modelcheck`].
+    Modelcheck,
+    /// [`trace::run_trace`].
+    Trace,
 }
 
-/// The `repro-all` umbrella `main`: every figure through one runner.
-pub fn main_all() {
-    let args = Args::from_env();
-    exit_on_error(run_figures(&args, &Figure::ALL));
+/// One row of the `repro` name table.
+pub struct Subcommand {
+    /// The word after `repro`.
+    pub name: &'static str,
+    /// What it regenerates or checks, for `--help`.
+    pub about: &'static str,
+    target: Target,
 }
 
-fn exit_on_error(res: Result<SuiteReport, ReproError>) {
-    match res {
-        Ok(_) => {}
+const fn sub(name: &'static str, target: Target, about: &'static str) -> Subcommand {
+    Subcommand { name, about, target }
+}
+
+/// Every `repro` subcommand: the one name table behind dispatch,
+/// `--help`, and the unknown-subcommand message.
+pub const SUBCOMMANDS: [Subcommand; 17] = [
+    sub("table1", Target::Figures(&[Figure::Table1]), "Table 1: simulated UltraSPARC-1 hierarchy"),
+    sub("table2", Target::Figures(&[Figure::Table2]), "Table 2: simulated workloads"),
+    sub("table3", Target::Figures(&[Figure::Table3]), "Table 3: costs of priority updates"),
+    sub("table4", Target::Figures(&[Figure::Table4]), "Table 4: input parameters of the runs"),
+    sub("table5", Target::Figures(&[Figure::Table5]), "Table 5: CRT relative to FCFS"),
+    sub("fig4", Target::Figures(&[Figure::Fig4]), "Figure 4: random-walk model validation"),
+    sub("fig5", Target::Figures(&[Figure::Fig5]), "Figure 5: observed vs predicted footprints"),
+    sub("fig6", Target::Figures(&[Figure::Fig6]), "Figure 6: E-cache misses per 1000 instructions"),
+    sub("fig7", Target::Figures(&[Figure::Fig7]), "Figure 7: overestimated footprints"),
+    sub("fig8", Target::Figures(&[Figure::Fig8]), "Figure 8: locality scheduling, 1-cpu Ultra-1"),
+    sub("fig9", Target::Figures(&[Figure::Fig9]), "Figure 9: locality scheduling, 8-cpu E5000"),
+    sub(
+        "ablation",
+        Target::Figures(&[Figure::Ablation]),
+        "ablations; --fault or --chaos runs only that robustness table",
+    ),
+    sub(
+        "geometry",
+        Target::Figures(&[Figure::Geometry]),
+        "model vs simulator across L2 geometries (not part of 'all')",
+    ),
+    sub("all", Target::Figures(&Figure::ALL), "table1-5, fig4-9 and ablation through one runner"),
+    sub("analyze", Target::Analyze, "race, lock-order and annotation checks (exit 1 on a race)"),
+    sub("modelcheck", Target::Modelcheck, "DPOR schedule exploration (exit 1 on a violation)"),
+    sub("trace", Target::Trace, "event-stream exports of a monitored app (needs --features trace)"),
+];
+
+impl Subcommand {
+    /// Runs the subcommand; `Ok(true)` means it found what it looks for
+    /// (a race, a violation) and the process should exit 1.
+    fn run(&self, args: &Args) -> Result<bool, ReproError> {
+        match self.target {
+            Target::Figures(figures) => run_figures(args, figures).map(|_| false),
+            Target::Analyze => analyze::run_analyze(args),
+            Target::Modelcheck => modelcheck::run_modelcheck(args),
+            Target::Trace => trace::run_trace(args).map(|()| false),
+        }
+    }
+}
+
+/// The `--help` text: the name table, then the shared flags.
+fn usage() -> String {
+    let mut s = String::from("usage: repro <subcommand> [flags]\n\nsubcommands:\n");
+    for sub in &SUBCOMMANDS {
+        s.push_str(&format!("  {:<12} {}\n", sub.name, sub.about));
+    }
+    s.push('\n');
+    s.push_str(FLAGS_HELP);
+    s
+}
+
+/// The `repro` binary's `main`: `repro <subcommand> [flags]`. Exit 0 on
+/// success (and for `--help`, printed to stdout), 1 on a run error or
+/// when `analyze`/`modelcheck` found a violation, 2 on usage errors
+/// (no or unknown subcommand, bad flags), with the reason on stderr.
+pub fn main() -> ExitCode {
+    let usage_error = |msg: &str| {
+        eprintln!("{msg}\n{}", usage());
+        ExitCode::from(2)
+    };
+    let help = || {
+        println!("{}", usage());
+        ExitCode::SUCCESS
+    };
+    let mut argv = std::env::args().skip(1);
+    let Some(name) = argv.next() else {
+        return usage_error("missing subcommand");
+    };
+    if name == "--help" || name == "-h" {
+        return help();
+    }
+    let Some(sub) = SUBCOMMANDS.iter().find(|sub| sub.name == name) else {
+        return usage_error(&format!("unknown subcommand '{name}'"));
+    };
+    let args = match Args::parse(argv) {
+        Ok(Parsed::Run(args)) => args,
+        Ok(Parsed::Help) => return help(),
+        Err(msg) => return usage_error(&msg),
+    };
+    match sub.run(&args) {
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::from(1),
         Err(ReproError::Usage(msg)) => {
             eprintln!("{msg}");
-            std::process::exit(2);
+            ExitCode::from(2)
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            ExitCode::from(1)
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Figures 5, 6, and 7: the monitored-application traces. One descriptor
 //! per `(app, placement)` pair; the three figures share the bin-hopping
-//! traces, so `repro-all` runs each application once.
+//! traces, so `repro all` runs each application once.
 
 use crate::args::Args;
 use crate::error::ReproError;

@@ -1,7 +1,7 @@
-//! Table 3: the costs of priority updates. Operation counts are
-//! deterministic and go to CSV; the measured wall-clock ns/update column
-//! is printed only (keeping CSV artifacts byte-identical across runs,
-//! `--jobs` values, and cache hits).
+//! Table 3: the costs of priority updates, in floating-point operations
+//! and table lookups per thread, for LFF and CRT across the three thread
+//! classes. The counts are deterministic; what an update costs the host
+//! is the benchmark's `core.prio_update_ns.*` probes.
 
 use crate::args::Args;
 use crate::error::ReproError;
@@ -30,24 +30,12 @@ pub(super) fn requests() -> Vec<RunRequest> {
 pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     let mut t = Table::new(
         "Table 3 — costs of priority updates (per thread, at a context switch)",
-        &["policy", "thread class", "fp ops", "table lookups", "measured ns/update"],
-    );
-    let mut csv = Table::new(
-        "Table 3 — costs of priority updates (per thread, at a context switch)",
         &["policy", "thread class", "fp ops", "table lookups"],
     );
     for policy in POLICIES {
         for case in CostCase::ALL {
-            let (flops, lookups, ns) =
-                results.update_cost(&RunKind::UpdateCost { policy, case })?;
+            let (flops, lookups) = results.update_cost(&RunKind::UpdateCost { policy, case })?;
             t.row(&[
-                policy.name().to_uppercase(),
-                case.name().to_string(),
-                flops.to_string(),
-                lookups.to_string(),
-                format!("{ns:.1}"),
-            ])?;
-            csv.row(&[
                 policy.name().to_uppercase(),
                 case.name().to_string(),
                 flops.to_string(),
@@ -58,9 +46,8 @@ pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     t.print();
     println!(
         "independent threads cost zero operations by construction (the paper's key property);\n\
-         blocking-thread CRT updates need fewer fp ops than LFF (no log lookup), as in the paper.\n\
-         (measured ns/update is wall-clock and appears here only, never in the CSV.)"
+         blocking-thread CRT updates need fewer fp ops than LFF (no log lookup), as in the paper."
     );
-    csv.write_csv(&args.csv_path("table3.csv")?)?;
+    t.write_csv(&args.csv_path("table3.csv")?)?;
     Ok(())
 }

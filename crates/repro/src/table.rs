@@ -160,7 +160,7 @@ impl Table {
     /// Writes the CSV form to `path` atomically: the bytes land in a
     /// sibling temp file first and are renamed into place, so a crash
     /// mid-write never leaves a truncated artifact where a complete one
-    /// is expected (the kill-and-resume guarantee for `repro-all`).
+    /// is expected (the kill-and-resume guarantee for `repro all`).
     ///
     /// # Errors
     ///

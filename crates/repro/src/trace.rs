@@ -1,4 +1,4 @@
-//! The `trace` binary's driver: run a monitored application with the
+//! The `repro trace` driver: run a monitored application with the
 //! locality-trace sink installed, export the event stream (JSONL and
 //! Chrome `trace_event`), and write the aggregated trace metrics as CSV
 //! through the shared runner cache.
@@ -20,9 +20,6 @@
 //! Requires a build with the `trace` cargo feature; without it the
 //! driver exits with a usage error *before* touching the runner, so a
 //! feature-less build can never poison the cache with empty summaries.
-//! The `trace-bench` binary measures the sink's overhead (enabled
-//! builds) and proves the instrumentation is compiled out (disabled
-//! builds).
 
 use crate::args::{Args, Scale};
 use crate::error::ReproError;
@@ -333,151 +330,6 @@ pub fn run_trace(args: &Args) -> Result<(), ReproError> {
     Ok(())
 }
 
-/// The trace binary's `main`: exit 0 on success, 1 on run errors, 2 on
-/// usage errors (including a build without the `trace` feature).
-pub fn main_trace() {
-    let args = Args::from_env();
-    match run_trace(&args) {
-        Ok(()) => {}
-        Err(ReproError::Usage(msg)) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The overhead bench (the `trace-bench` binary).
-
-/// What the overhead bench concluded.
-#[derive(Debug, Clone, Copy)]
-pub enum BenchVerdict {
-    /// Feature-less build: instrumentation is compiled out; an installed
-    /// sink recorded exactly zero events.
-    DisabledZeroEvents,
-    /// Instrumented build: tracing overhead vs the same build without a
-    /// sink, as a fraction (median of interleaved pairs).
-    Enabled {
-        /// Median run time without a sink installed, seconds.
-        baseline_secs: f64,
-        /// Median run time with a sink installed, seconds.
-        traced_secs: f64,
-        /// `(traced - baseline) / baseline`.
-        overhead: f64,
-        /// Events recorded by the final traced run.
-        events: u64,
-    },
-}
-
-/// Tracing overhead above this fraction fails the bench.
-pub const OVERHEAD_BUDGET: f64 = 0.05;
-
-fn bench_once(app: App, with_sink: bool) -> Result<(f64, u64), ReproError> {
-    let config = MachineConfig::ultra1().with_placement(locality_sim::PagePlacement::bin_hopping());
-    let mut engine = Engine::new(config, PolicyId::Lff.to_sched(), EngineConfig::default())?;
-    app.spawn_single_seeded(&mut engine, app.default_seed());
-    if with_sink {
-        locality_trace::install(locality_trace::sink::DEFAULT_CAPACITY);
-    }
-    let start = std::time::Instant::now();
-    let run = engine.run();
-    let secs = start.elapsed().as_secs_f64();
-    let events = locality_trace::take().map_or(0, |s| s.events_emitted());
-    run?;
-    Ok((secs, events))
-}
-
-/// Noise-robust cost estimate for a timed run: the fastest of the
-/// samples. Contention from other processes only ever slows a run
-/// down, so the minimum is the best estimate of the inherent cost.
-fn min_secs(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Runs the overhead bench on the mergesort worker.
-///
-/// In a feature-less build this proves the zero-cost claim directly: a
-/// sink is installed, a run executes, and the sink must come back with
-/// zero events (the emission points are compiled out, so the run is the
-/// un-instrumented hot path — its regression vs an untraced binary is
-/// zero by construction). In an instrumented build, five interleaved
-/// A/B pairs (no sink installed vs sink installed) are timed and the
-/// per-side minima compared against [`OVERHEAD_BUDGET`] — the minimum
-/// estimates each side's inherent cost and discards transient machine
-/// load, which only ever adds time. The bench measures the
-/// engine/scheduler/simulator emission points themselves; the optional
-/// [`PredictionSampler`] ground-truth hook is not installed, since its
-/// E-cache scan is the same cost the fig5 monitor protocol already pays
-/// with or without tracing.
-///
-/// # Errors
-///
-/// Returns the engine's error if a bench run cannot complete.
-pub fn run_bench() -> Result<BenchVerdict, ReproError> {
-    let app = App::Merge;
-    if !locality_trace::ENABLED {
-        let (_, events) = bench_once(app, true)?;
-        assert_eq!(events, 0, "disabled build recorded events — emission points are live");
-        return Ok(BenchVerdict::DisabledZeroEvents);
-    }
-    // Warm-up pair, then five interleaved measured pairs.
-    bench_once(app, false)?;
-    bench_once(app, true)?;
-    let mut baseline = Vec::new();
-    let mut traced = Vec::new();
-    let mut events = 0;
-    for _ in 0..5 {
-        baseline.push(bench_once(app, false)?.0);
-        let (secs, n) = bench_once(app, true)?;
-        traced.push(secs);
-        events = n;
-    }
-    let baseline_secs = min_secs(&baseline);
-    let traced_secs = min_secs(&traced);
-    let overhead = (traced_secs - baseline_secs) / baseline_secs;
-    Ok(BenchVerdict::Enabled { baseline_secs, traced_secs, overhead, events })
-}
-
-/// The trace-bench binary's `main`: exit 0 when the overhead budget
-/// holds (or the build is feature-less and recorded zero events), 1
-/// otherwise.
-pub fn main_bench() {
-    match run_bench() {
-        Ok(BenchVerdict::DisabledZeroEvents) => {
-            println!(
-                "trace feature disabled: emission points compiled out, \
-                 0 events recorded (zero overhead by construction)"
-            );
-        }
-        Ok(BenchVerdict::Enabled { baseline_secs, traced_secs, overhead, events }) => {
-            println!(
-                "trace feature enabled: baseline {:.1} ms, traced {:.1} ms, \
-                 overhead {:+.2}% ({events} events)",
-                baseline_secs * 1e3,
-                traced_secs * 1e3,
-                overhead * 100.0
-            );
-            assert!(events > 0, "instrumented run recorded no events");
-            if overhead >= OVERHEAD_BUDGET {
-                eprintln!(
-                    "tracing overhead {:.2}% exceeds the {:.0}% budget",
-                    overhead * 100.0,
-                    OVERHEAD_BUDGET * 100.0
-                );
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,9 +362,28 @@ mod tests {
         assert!(matches!(apps(Some("doom"), Scale::Paper), Err(ReproError::Usage(_))));
     }
 
+    /// The seeded merge worker under LFF with a sink installed and no
+    /// [`PredictionSampler`]: what the emission points inside the
+    /// engine, the scheduler and the simulator record on their own.
+    fn merge_with_sink() -> locality_trace::TraceSink {
+        let config =
+            MachineConfig::ultra1().with_placement(locality_sim::PagePlacement::bin_hopping());
+        let mut engine =
+            Engine::new(config, PolicyId::Lff.to_sched(), EngineConfig::default()).unwrap();
+        App::Merge.spawn_single_seeded(&mut engine, App::Merge.default_seed());
+        locality_trace::install(locality_trace::sink::DEFAULT_CAPACITY);
+        let run = engine.run();
+        let sink = locality_trace::take().expect("sink installed above");
+        run.unwrap();
+        sink
+    }
+
+    #[cfg(not(feature = "trace"))]
     #[test]
-    fn min_secs_discards_load_outliers() {
-        assert_eq!(min_secs(&[2.5, 100.0, 2.0, 3.0]), 2.0);
+    fn featureless_build_emits_nothing_into_an_installed_sink() {
+        // The compile-out proof: the emission points are gone, so the
+        // run is the un-instrumented hot path.
+        assert_eq!(merge_with_sink().events_emitted(), 0);
     }
 
     #[cfg(not(feature = "trace"))]
@@ -579,6 +450,22 @@ mod tests {
                 assert!(r.clock >= prev, "clock went backwards");
                 prev = r.clock;
             }
+        }
+
+        #[test]
+        fn hot_path_events_per_interval_stay_within_budget() {
+            // The tracing budget as a work counter: this run emits 3904
+            // events over 488 intervals, eight a scheduling interval and
+            // none per reference. An emission point that fires per
+            // probe or per reference multiplies this integer.
+            let sink = merge_with_sink();
+            let (events, intervals) = (sink.events_emitted(), sink.summary(None).intervals);
+            assert!(intervals > 0, "the run recorded no intervals");
+            assert!(events > 0, "the instrumented run recorded no events");
+            assert!(
+                events <= 8 * intervals,
+                "{events} events over {intervals} intervals exceeds 8 per interval"
+            );
         }
 
         #[test]

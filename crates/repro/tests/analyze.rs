@@ -1,11 +1,18 @@
-//! End-to-end tests of the `analyze` binary: exit codes, help/usage
-//! behaviour, and verdict determinism across reruns and `--jobs` values.
+//! End-to-end tests of the `repro` dispatcher and its `analyze`
+//! subcommand: exit codes, help/usage behaviour, and verdict determinism
+//! across reruns and `--jobs` values.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// `repro <args>`.
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro")
+}
+
+/// `repro analyze <args>`.
 fn run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_analyze")).args(args).output().expect("spawn analyze")
+    repro(&[&["analyze"], args].concat())
 }
 
 fn tmp_out(label: &str) -> PathBuf {
@@ -22,11 +29,38 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn help_prints_usage_to_stdout_and_exits_zero() {
-    for flag in ["--help", "-h"] {
-        let out = run(&[flag]);
-        assert_eq!(out.status.code(), Some(0), "{flag}");
-        assert!(stdout(&out).contains("usage:"), "{flag}: {}", stdout(&out));
-        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["analyze", "--help"],
+        &["analyze", "-h"],
+        &["modelcheck", "--help"],
+        &["fig5", "--help"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(stdout(&out).contains("usage: repro <subcommand>"), "{args:?}: {}", stdout(&out));
+        // The help lists the name table.
+        assert!(stdout(&out).contains("\n  modelcheck "), "{args:?}: {}", stdout(&out));
+        assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
+    }
+}
+
+#[test]
+fn missing_or_unknown_subcommand_exits_two_naming_the_valid_ones() {
+    for (args, reason) in [
+        (&[][..], "missing subcommand"),
+        (&["bogus"], "unknown subcommand 'bogus'"),
+        (&["--scale", "small"], "unknown subcommand '--scale'"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(reason), "{args:?}: {err}");
+        for name in ["table1", "fig9", "ablation", "geometry", "all", "analyze", "trace"] {
+            assert!(err.contains(&format!("\n  {name} ")), "{args:?} does not name {name}: {err}");
+        }
     }
 }
 

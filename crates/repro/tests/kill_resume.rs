@@ -1,4 +1,4 @@
-//! Crash-safety gate for the experiment pipeline: a `repro-all` process
+//! Crash-safety gate for the experiment pipeline: a `repro all` process
 //! killed mid-run must, on rerun into the same output directory, resume
 //! from the on-disk result cache and finish with artifacts that are
 //! byte-identical to an uninterrupted run. This is the end-to-end check
@@ -19,35 +19,35 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-const BIN: &str = env!("CARGO_BIN_EXE_repro-all");
+const BIN: &str = env!("CARGO_BIN_EXE_repro");
 
-/// Runs `repro-all --scale small` to completion into `out`.
+/// Runs `repro all --scale small` to completion into `out`.
 fn run_to_completion(out: &Path) {
     let status = Command::new(BIN)
-        .args(["--scale", "small", "--jobs", "2", "--out"])
+        .args(["all", "--scale", "small", "--jobs", "2", "--out"])
         .arg(out)
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .status()
-        .expect("spawn repro-all");
-    assert!(status.success(), "repro-all exited with {status}");
+        .expect("spawn repro all");
+    assert!(status.success(), "repro all exited with {status}");
 }
 
-/// Starts `repro-all`, waits until the cache shows committed progress
+/// Starts `repro all`, waits until the cache shows committed progress
 /// (so the kill lands mid-run, after real work), then SIGKILLs it.
 /// Returns how many cache entries had landed when the axe fell.
 fn run_and_kill(out: &Path) -> usize {
     let mut child = Command::new(BIN)
-        .args(["--scale", "small", "--jobs", "2", "--out"])
+        .args(["all", "--scale", "small", "--jobs", "2", "--out"])
         .arg(out)
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()
-        .expect("spawn repro-all");
+        .expect("spawn repro all");
     let cache = out.join(".cache");
     let deadline = Instant::now() + Duration::from_secs(300);
     let committed = loop {
-        if let Some(status) = child.try_wait().expect("poll repro-all") {
+        if let Some(status) = child.try_wait().expect("poll repro all") {
             // The run outpaced the poll; that still exercises the
             // resume path (everything served from cache), but flag it
             // so a suspiciously fast binary is noticed.
@@ -56,8 +56,8 @@ fn run_and_kill(out: &Path) -> usize {
         }
         let n = cache_entries(&cache);
         if n >= 5 {
-            child.kill().expect("SIGKILL repro-all");
-            child.wait().expect("reap repro-all");
+            child.kill().expect("SIGKILL repro all");
+            child.wait().expect("reap repro all");
             break n;
         }
         assert!(Instant::now() < deadline, "no cache progress within 300s");

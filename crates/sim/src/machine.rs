@@ -794,13 +794,6 @@ impl Machine {
         self.tlb_vpn[cpu] = u64::MAX;
     }
 
-    /// Flushes every processor's caches.
-    pub fn flush_all(&mut self) {
-        for cpu in 0..self.cpu_count() {
-            self.flush_cpu(cpu);
-        }
-    }
-
     /// Page faults taken so far.
     pub fn page_faults(&self) -> u64 {
         self.page_table.faults()

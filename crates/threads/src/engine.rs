@@ -322,11 +322,6 @@ impl<S: Scheduler> Engine<S> {
         self.hooks.push(hook);
     }
 
-    /// Removes and returns all hooks (to read results after a run).
-    pub fn take_hooks(&mut self) -> Vec<Box<dyn EngineHook>> {
-        std::mem::take(&mut self.hooks)
-    }
-
     /// Number of context switches so far.
     pub fn switches(&self) -> u64 {
         self.switches

@@ -69,15 +69,6 @@ impl LineToucher {
         }
     }
 
-    /// Writes every line covering `[start, start+bytes)` as one batched
-    /// run; see [`read_span`](Self::read_span).
-    pub fn write_span(&mut self, ctx: &mut BatchCtx<'_>, start: VAddr, bytes: u64) {
-        if let Some((first, count, last)) = self.span_lines(start, bytes) {
-            ctx.write_run_points(VAddr(first * LINE), LINE, count);
-            self.last_line = Some(last);
-        }
-    }
-
     /// The `(first_line, count, last_line)` of the lines still to touch
     /// for a span, after deduplicating the leading line; `None` if the
     /// whole span collapses into the previously-touched line.
