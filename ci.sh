@@ -108,14 +108,24 @@ if cargo run --release -p locality-repro --bin repro -- modelcheck \
 fi
 rm -rf "$MC_OUT"
 
-# Differential scheduler invariant checks: build the feature once and run
-# it over the fig5 monitored traces (a fresh out dir defeats the cache so
-# the checked runs actually execute).
+# Differential invariant checks: build the feature once and run it over
+# the fig5 and fig7 monitored traces (a fresh out dir defeats the cache
+# so the checked runs actually execute). Besides the scheduler's shadow
+# recompute, the monitor hook of this build scans the E-cache at every
+# sample and fails the run if the tracked footprint differs — all eight
+# apps, typechecker and raytrace (the two the model gets wrong) included.
 INVARIANT_OUT=$(mktemp -d)
 cargo build --release -p locality-repro --features invariant-checks
-cargo run --release -p locality-repro --features invariant-checks --bin repro -- fig5 \
-    --scale small --jobs 2 --out "$INVARIANT_OUT"
+for fig in fig5 fig7; do
+    cargo run --release -p locality-repro --features invariant-checks --bin repro -- "$fig" \
+        --scale small --jobs 2 --out "$INVARIANT_OUT"
+done
 rm -rf "$INVARIANT_OUT"
+
+# The same tracked == scanned cross-check from outside the crates, at
+# all 10 974 samples of the sixteen monitored cells. #[ignore]d in the
+# default suite (two minutes unoptimised); seconds in release.
+cargo test --release --test footprint_tracking -- --ignored
 
 # Observability layer (locality-trace): the workspace must stay green
 # with the trace feature on (its tests pin the hot path's events per

@@ -86,7 +86,7 @@ struct CpuState {
     /// Eagerly-recomputed footprints (naive `O(threads)` per switch),
     /// maintained purely to cross-check the incremental path.
     #[cfg(feature = "invariant-checks")]
-    shadow: HashMap<ThreadId, f64>,
+    shadow: std::collections::BTreeMap<ThreadId, f64>,
 }
 
 /// Online estimator of every thread's expected footprint in every

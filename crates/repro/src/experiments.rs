@@ -266,9 +266,17 @@ impl PredictionProbe {
 
 struct PredictionHook {
     probe: Rc<RefCell<PredictionProbe>>,
-    /// Reused across samples so the per-switch E-cache scan stays
-    /// allocation-free once warmed up.
-    scratch: locality_sim::FootprintScratch,
+}
+
+impl PredictionHook {
+    /// Switches the machine's footprint tracking on (one counter read
+    /// per switch instead of an E-cache scan) and installs the hook.
+    fn install(engine: &mut Engine) -> Rc<RefCell<PredictionProbe>> {
+        engine.machine_mut().track_footprints();
+        let probe = Rc::new(RefCell::new(PredictionProbe::default()));
+        engine.add_hook(Box::new(PredictionHook { probe: probe.clone() }));
+        probe
+    }
 }
 
 impl EngineHook for PredictionHook {
@@ -276,8 +284,7 @@ impl EngineHook for PredictionHook {
         let Some(predicted) = view.sched.expected_footprint(event.cpu, event.tid) else {
             return;
         };
-        view.machine.l2_footprints_into(event.cpu, &mut self.scratch);
-        let observed = self.scratch.lines(event.tid) as f64;
+        let observed = view.machine.l2_footprint_lines(event.cpu, event.tid) as f64;
         let mut p = self.probe.borrow_mut();
         p.sum_abs_err += (predicted - observed).abs();
         p.sum_observed += observed;
@@ -321,8 +328,7 @@ pub fn fault_cell(
     if let Some(config) = scenario.config(0xFA11) {
         engine.machine_mut().install_fault(config);
     }
-    let probe = Rc::new(RefCell::new(PredictionProbe::default()));
-    engine.add_hook(Box::new(PredictionHook { probe: probe.clone(), scratch: Default::default() }));
+    let probe = PredictionHook::install(&mut engine);
     tasks::spawn_parallel(&mut engine, &params);
     let report = engine.run()?;
     let recovered = report.degraded_intervals > 0 && !engine.scheduler().is_degraded();
@@ -446,8 +452,7 @@ pub fn chaos_cell(
     };
     let config = EngineConfig { chaos: scenario.config(CHAOS_SEED), ..EngineConfig::default() };
     let mut engine = Engine::new(MachineConfig::enterprise5000(4), policy, config)?;
-    let probe = Rc::new(RefCell::new(PredictionProbe::default()));
-    engine.add_hook(Box::new(PredictionHook { probe: probe.clone(), scratch: Default::default() }));
+    let probe = PredictionHook::install(&mut engine);
     tasks::spawn_parallel(&mut engine, &tasks_params);
     lockstep::spawn(&mut engine, &lock_params);
     let report = engine.run()?;

@@ -8,7 +8,10 @@
 //! scheduling-event hook samples at every context switch:
 //!
 //! * the **observed** footprint — resident E-cache lines belonging to the
-//!   thread's registered state (the simulator-only ground truth);
+//!   thread's registered state (the simulator-only ground truth, read
+//!   from the machine's incrementally tracked counters; the
+//!   `invariant-checks` build also runs the full E-cache scan at every
+//!   sample and fails the run if the two ever differ);
 //! * the **predicted** footprint — the LFF estimator's expected value,
 //!   driven purely by the performance counters (and annotations, were
 //!   there any);
@@ -77,13 +80,42 @@ impl MonitorTrace {
     }
 }
 
+/// What a [`MonitorHook`] leaves behind.
+#[derive(Debug, Default)]
+struct MonitorLog {
+    samples: Vec<Sample>,
+    /// First sample at which the tracked footprint differed from the
+    /// scan (only ever set by the `invariant-checks` build).
+    mismatch: Option<String>,
+}
+
+impl MonitorLog {
+    /// The samples, or the recorded tracker/scan disagreement as a typed
+    /// error: a wrong footprint must never reach a CSV.
+    fn into_samples(self) -> Result<Vec<Sample>, RuntimeError> {
+        match self.mismatch {
+            Some(what) => Err(RuntimeError::Internal { what }),
+            None => Ok(self.samples),
+        }
+    }
+}
+
 struct MonitorHook {
     tid: ThreadId,
-    out: Rc<RefCell<Vec<Sample>>>,
+    out: Rc<RefCell<MonitorLog>>,
     cum_misses: u64,
-    /// Reused across samples so the per-switch E-cache scan stays
-    /// allocation-free once warmed up.
-    scratch: locality_sim::FootprintScratch,
+}
+
+impl MonitorHook {
+    /// Switches the machine's footprint tracking on (the hook reads one
+    /// counter per sample instead of scanning the E-cache) and installs
+    /// a hook monitoring `tid`; returns where its samples land.
+    fn install(engine: &mut Engine, tid: ThreadId) -> Rc<RefCell<MonitorLog>> {
+        engine.machine_mut().track_footprints();
+        let out = Rc::new(RefCell::new(MonitorLog::default()));
+        engine.add_hook(Box::new(MonitorHook { tid, out: out.clone(), cum_misses: 0 }));
+        out
+    }
 }
 
 impl EngineHook for MonitorHook {
@@ -92,14 +124,25 @@ impl EngineHook for MonitorHook {
             return;
         }
         self.cum_misses += ev.delta.misses;
-        view.machine.l2_footprints_into(ev.cpu, &mut self.scratch);
-        let observed = self.scratch.lines(self.tid) as f64;
+        let lines = view.machine.l2_footprint_lines(ev.cpu, self.tid);
         let predicted = view.sched.expected_footprint(ev.cpu, self.tid).unwrap_or(0.0);
         let instructions = view.machine.cpu_stats(ev.cpu).instructions;
-        self.out.borrow_mut().push(Sample {
+        let mut out = self.out.borrow_mut();
+        #[cfg(feature = "invariant-checks")]
+        {
+            let scanned = view.machine.l2_footprints(ev.cpu).get(&self.tid).copied().unwrap_or(0);
+            if scanned != lines && out.mismatch.is_none() {
+                out.mismatch = Some(format!(
+                    "invariant-checks: tracked footprint of {} on cpu{} is {lines} lines, \
+                     the E-cache scan counts {scanned} (switch {})",
+                    self.tid, ev.cpu, ev.switch_index
+                ));
+            }
+        }
+        out.samples.push(Sample {
             misses: self.cum_misses,
             instructions,
-            observed,
+            observed: lines as f64,
             predicted,
         });
     }
@@ -130,15 +173,9 @@ pub fn monitor_app_seeded(
     let config = MachineConfig::ultra1().with_placement(placement);
     let mut engine = Engine::new(config, SchedPolicy::Lff, EngineConfig::default())?;
     let tid = app.spawn_single_seeded(&mut engine, seed);
-    let out = Rc::new(RefCell::new(Vec::new()));
-    engine.add_hook(Box::new(MonitorHook {
-        tid,
-        out: out.clone(),
-        cum_misses: 0,
-        scratch: Default::default(),
-    }));
+    let out = MonitorHook::install(&mut engine, tid);
     engine.run()?;
-    let samples = out.borrow().clone();
+    let samples = out.take().into_samples()?;
     Ok(MonitorTrace { app: app.name(), samples })
 }
 
@@ -204,19 +241,26 @@ mod tests {
             &mut engine,
             &locality_workloads::merge::MergeParams::small(),
         );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        engine.add_hook(Box::new(MonitorHook {
-            tid,
-            out: out.clone(),
-            cum_misses: 0,
-            scratch: Default::default(),
-        }));
+        let out = MonitorHook::install(&mut engine, tid);
         engine.run().unwrap();
-        let samples = out.borrow();
+        let samples = out.take().into_samples().unwrap();
         assert!(samples.len() > 3);
         // Footprints grow from cold.
         assert!(samples.last().unwrap().observed > samples[0].observed);
         // Predictions are live.
         assert!(samples.last().unwrap().predicted > 0.0);
+    }
+
+    #[test]
+    fn footprint_mismatch_is_a_typed_error() {
+        let log = MonitorLog {
+            samples: vec![Sample { misses: 1, instructions: 1, observed: 1.0, predicted: 1.0 }],
+            mismatch: Some("tracked 1, scanned 2".into()),
+        };
+        match log.into_samples() {
+            Err(RuntimeError::Internal { what }) => assert!(what.contains("scanned 2")),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        assert!(MonitorLog::default().into_samples().unwrap().is_empty());
     }
 }

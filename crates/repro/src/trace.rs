@@ -99,19 +99,19 @@ fn feature_gate() -> Result<(), ReproError> {
 }
 
 /// A scheduling-event hook that emits [`PredictionSample`] trace events
-/// for the monitored thread: observed (ground-truth E-cache scan) vs
-/// predicted (the estimator's expected footprint) at every context
-/// switch, exactly the fig5 `MonitorHook` measurement. The scan is far
-/// too expensive for the engine's unconditional hot path, so it is an
-/// opt-in hook here — trace runs pay the same monitoring cost fig5
-/// already does, while plainly-traced engine runs stay cheap.
+/// for the monitored thread: observed (the machine's tracked
+/// ground-truth footprint) vs predicted (the estimator's expected
+/// footprint) at every context switch, exactly the fig5 `MonitorHook`
+/// measurement. Each sample is one counter read, but keeping the
+/// counters current costs a region lookup per E-cache fill and
+/// eviction, so it is an opt-in hook here — whoever installs it
+/// switches [`Machine::track_footprints`] on, and plainly-traced
+/// engine runs pay nothing.
 ///
 /// [`PredictionSample`]: locality_trace::TraceEvent::PredictionSample
+/// [`Machine::track_footprints`]: locality_sim::Machine::track_footprints
 struct PredictionSampler {
     tid: ThreadId,
-    /// Reused across samples so the per-switch E-cache scan stays
-    /// allocation-free once warmed up.
-    scratch: locality_sim::FootprintScratch,
 }
 
 impl EngineHook for PredictionSampler {
@@ -119,15 +119,11 @@ impl EngineHook for PredictionSampler {
         if ev.tid != self.tid {
             return;
         }
-        let scratch = &mut self.scratch;
-        locality_trace::emit_with(|| {
-            view.machine.l2_footprints_into(ev.cpu, scratch);
-            locality_trace::TraceEvent::PredictionSample {
-                cpu: ev.cpu as u32,
-                tid: self.tid.0,
-                observed: scratch.lines(self.tid) as f64,
-                predicted: view.sched.expected_footprint(ev.cpu, self.tid).unwrap_or(0.0),
-            }
+        locality_trace::emit_with(|| locality_trace::TraceEvent::PredictionSample {
+            cpu: ev.cpu as u32,
+            tid: self.tid.0,
+            observed: view.machine.l2_footprint_lines(ev.cpu, self.tid) as f64,
+            predicted: view.sched.expected_footprint(ev.cpu, self.tid).unwrap_or(0.0),
         });
     }
 }
@@ -145,10 +141,8 @@ pub fn traced_run(app: App, policy: PolicyId, seed: u64) -> Result<TracedRun, Re
     let config = MachineConfig::ultra1().with_placement(locality_sim::PagePlacement::bin_hopping());
     let mut engine = Engine::new(config, policy.to_sched(), EngineConfig::default())?;
     let tid = app.spawn_single_seeded(&mut engine, seed);
-    engine.add_hook(Box::new(PredictionSampler {
-        tid,
-        scratch: locality_sim::FootprintScratch::new(),
-    }));
+    engine.machine_mut().track_footprints();
+    engine.add_hook(Box::new(PredictionSampler { tid }));
     locality_trace::install(locality_trace::sink::DEFAULT_CAPACITY);
     let run = engine.run();
     let Some(sink) = locality_trace::take() else {

@@ -1,13 +1,33 @@
-//! Reusable, slot-indexed scratch for ground-truth footprint scans.
+//! Ground-truth footprints: the scan and the incremental tracker.
 //!
-//! [`Machine::l2_footprints`](crate::machine::Machine::l2_footprints)
-//! returns a fresh `BTreeMap` and allocates an owner list per resident
-//! line — fine for tests, too heavy for monitoring hooks that scan the
-//! E-cache at **every context switch**. [`FootprintScratch`] is the
-//! steady-state-allocation-free alternative: owner thread ids are
-//! interned into dense slots (a scratch-local
-//! [`ThreadSlots`](locality_core::ThreadSlots) registry), counts live in
-//! a slot-indexed `Vec`, and every buffer is reused across scans.
+//! The machine answers "how many of `cpu`'s resident E-cache lines belong
+//! to thread `t`" two ways:
+//!
+//! * **The scan** ([`Machine::l2_footprints_into`] into a reusable
+//!   [`FootprintScratch`]): walk every resident line, translate it back
+//!   to its virtual address and ask the region table who owns it. One
+//!   walk is 8192 reverse translations and B-tree probes, so it is the
+//!   slow, obviously-right **oracle** — what tests, the
+//!   `invariant-checks` build and one-off queries call — and far too
+//!   heavy to repeat at every context switch.
+//! * **The tracker** ([`FootprintTracker`], switched on by
+//!   [`Machine::track_footprints`]): per-cpu, per-thread counters kept
+//!   current *as residency changes* — the way the paper's Shade-based
+//!   simulator follows the reference stream (§3). With it on,
+//!   [`Machine::l2_footprint_lines`] is an O(1) counter read, which is
+//!   what per-switch observers use.
+//!
+//! The tracker's invariant, for every cpu and thread:
+//!
+//! ```text
+//! counter[cpu][tid] = |{ resident lines on cpu whose 64 B span touches a region of tid }|
+//! ```
+//!
+//! It is re-established at each place either side of that equation can
+//! change: a fill, an eviction or a remote write-invalidation in either
+//! access path, `flush_cpu`, a region registration, a thread's
+//! retirement. The scan computes the right-hand side from nothing, so
+//! `tracked == scanned` is checkable at any instant.
 //!
 //! ```
 //! use locality_sim::{FootprintScratch, Machine, MachineConfig};
@@ -15,17 +35,27 @@
 //! use locality_core::ThreadId;
 //!
 //! let mut m = Machine::try_new(MachineConfig::ultra1())?;
+//! m.track_footprints();
 //! let a = m.alloc(4096, 64);
 //! m.register_region(ThreadId(1), a, 4096);
 //! for i in (0..4096u64).step_by(64) {
 //!     m.access(0, a.offset(i), AccessKind::Read);
 //! }
+//! // The counter read and the oracle agree.
+//! assert_eq!(m.l2_footprint_lines(0, ThreadId(1)), 64);
 //! let mut scratch = FootprintScratch::new();
 //! m.l2_footprints_into(0, &mut scratch);
 //! assert_eq!(scratch.lines(ThreadId(1)), 64);
 //! # Ok::<(), locality_sim::SimError>(())
 //! ```
+//!
+//! [`Machine::l2_footprints_into`]: crate::machine::Machine::l2_footprints_into
+//! [`Machine::l2_footprint_lines`]: crate::machine::Machine::l2_footprint_lines
+//! [`Machine::track_footprints`]: crate::machine::Machine::track_footprints
 
+use crate::addr::PAddr;
+use crate::paging::PageTable;
+use crate::regions::RegionTable;
 use locality_core::{ThreadId, ThreadSlots};
 
 /// Reusable output buffer for [`Machine::l2_footprints_into`].
@@ -112,6 +142,139 @@ impl FootprintScratch {
                 self.touched.push((i as u32, tid));
             }
             self.counts[i] += 1;
+        }
+    }
+}
+
+/// One residency change of a physical E-cache line, logged by the run
+/// access path and applied after the run (see
+/// [`FootprintTracker::apply_logged`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LineChange {
+    pub cpu: u32,
+    pub pline: u64,
+    /// `true` for a fill, `false` for an eviction or invalidation.
+    pub gained: bool,
+}
+
+/// Incrementally maintained per-cpu, per-thread resident-line counters
+/// (module docs give the invariant and the update sites).
+///
+/// Owner ids are interned into a tracker-local slot registry on first
+/// credit — a region may be registered for a thread that has never run,
+/// so the machine's statistics slots cannot be reused — and released
+/// when the thread's regions are dropped.
+#[derive(Debug, Clone)]
+pub(crate) struct FootprintTracker {
+    cpus: usize,
+    slots: ThreadSlots,
+    /// Slot-major counters: `counts[slot * cpus + cpu]`.
+    counts: Vec<u64>,
+    /// Reused owner list of the line being credited or debited.
+    owners: Vec<ThreadId>,
+    /// Changes logged by the current [`access_run`], in order.
+    ///
+    /// [`access_run`]: crate::machine::Machine::access_run
+    log: Vec<LineChange>,
+}
+
+impl FootprintTracker {
+    /// An all-zero tracker for a machine of `cpus` processors.
+    pub fn new(cpus: usize) -> Self {
+        FootprintTracker {
+            cpus,
+            slots: ThreadSlots::new(),
+            counts: Vec::new(),
+            owners: Vec::new(),
+            log: Vec::new(),
+        }
+    }
+
+    /// Resident lines of `tid` on `cpu`.
+    pub fn lines(&self, cpu: usize, tid: ThreadId) -> u64 {
+        match self.slots.lookup(tid) {
+            Some(slot) => self.counts[slot.index() * self.cpus + cpu],
+            None => 0,
+        }
+    }
+
+    /// Adds `lines` resident lines on `cpu` to `tid`'s counter.
+    pub fn credit(&mut self, cpu: usize, tid: ThreadId, lines: u64) {
+        let slot = match self.slots.lookup_cached(tid) {
+            Some(slot) => slot,
+            None => self.slots.bind(tid),
+        };
+        let base = slot.index() * self.cpus;
+        if base + self.cpus > self.counts.len() {
+            self.counts.resize(base + self.cpus, 0);
+        }
+        self.counts[base + cpu] += lines;
+    }
+
+    fn debit(&mut self, cpu: usize, tid: ThreadId) {
+        // An owner of a resident line was credited when the line came in
+        // (or when the region was registered), so the slot exists and the
+        // counter is positive; a violated invariant must not underflow.
+        if let Some(slot) = self.slots.lookup_cached(tid) {
+            let count = &mut self.counts[slot.index() * self.cpus + cpu];
+            debug_assert!(*count > 0, "footprint counter of {tid} on cpu{cpu} underflows");
+            *count = count.saturating_sub(1);
+        }
+    }
+
+    /// Physical line `pline` became resident on (`gained`) or left
+    /// `cpu`: credit or debit every thread whose regions touch its span.
+    pub fn line_changed(
+        &mut self,
+        regions: &RegionTable,
+        page_table: &PageTable,
+        line_bytes: u64,
+        change: LineChange,
+    ) {
+        let Some(va) = page_table.reverse(PAddr(change.pline * line_bytes)) else {
+            return;
+        };
+        let mut owners = std::mem::take(&mut self.owners);
+        regions.owners_in_range_into(va, line_bytes, &mut owners);
+        for &tid in &owners {
+            if change.gained {
+                self.credit(change.cpu as usize, tid, 1);
+            } else {
+                self.debit(change.cpu as usize, tid);
+            }
+        }
+        self.owners = owners;
+    }
+
+    /// The run path's change log (filled inside the element loop).
+    pub fn log_mut(&mut self) -> &mut Vec<LineChange> {
+        &mut self.log
+    }
+
+    /// Applies, in order, the changes a run logged. Deferring them to
+    /// the end of the run is sound because nothing the counters depend
+    /// on besides residency can change inside one: regions are only
+    /// registered and dropped between batches, and a frame, once mapped,
+    /// keeps its page.
+    pub fn apply_logged(&mut self, regions: &RegionTable, page_table: &PageTable, line_bytes: u64) {
+        for i in 0..self.log.len() {
+            self.line_changed(regions, page_table, line_bytes, self.log[i]);
+        }
+        self.log.clear();
+    }
+
+    /// Zeroes `tid` on every cpu and recycles its slot (regions dropped).
+    pub fn forget(&mut self, tid: ThreadId) {
+        if let Some(slot) = self.slots.release(tid) {
+            let base = slot.index() * self.cpus;
+            self.counts[base..base + self.cpus].fill(0);
+        }
+    }
+
+    /// Zeroes every thread on `cpu` (cache flushed).
+    pub fn clear_cpu(&mut self, cpu: usize) {
+        for count in self.counts.iter_mut().skip(cpu).step_by(self.cpus) {
+            *count = 0;
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::config::MachineConfig;
 use crate::counters::{Pic, PicDelta};
 use crate::error::SimError;
 use crate::faults::{FaultConfig, FaultInjector};
-use crate::footprint::FootprintScratch;
+use crate::footprint::{FootprintScratch, FootprintTracker, LineChange};
 use crate::hierarchy::{AccessOutcome, CpuCache, HierAccess};
 use crate::paging::PageTable;
 use crate::regions::RegionTable;
@@ -87,6 +87,9 @@ pub struct Machine {
     /// stays byte-identical (counters included) to the all-scalar one.
     tlb_vpn: Vec<u64>,
     tlb_frame: Vec<u64>,
+    /// Incremental footprint counters (None until
+    /// [`track_footprints`](Self::track_footprints)).
+    tracker: Option<FootprintTracker>,
 }
 
 impl Machine {
@@ -123,6 +126,7 @@ impl Machine {
             tracer: None,
             cml: None,
             faults: None,
+            tracker: None,
             config,
         })
     }
@@ -144,6 +148,43 @@ impl Machine {
     /// their virtual page numbers.
     pub fn enable_cml(&mut self, entries: usize) {
         self.cml = Some((0..self.cpu_count()).map(|_| Cml::new(entries)).collect());
+    }
+
+    /// Starts keeping per-cpu, per-thread resident-line counters current
+    /// as lines are filled, evicted and invalidated and as regions come
+    /// and go (see [`crate::footprint`]), seeded by one scan so it can be
+    /// switched on at any point. From then on
+    /// [`l2_footprint_lines`](Self::l2_footprint_lines) is a counter read
+    /// instead of an E-cache scan — what an observer sampling at every
+    /// context switch needs. Observes only: no counter, cycle or
+    /// replacement decision depends on it. Idempotent.
+    pub fn track_footprints(&mut self) {
+        if self.tracker.is_some() {
+            return;
+        }
+        let mut tracker = FootprintTracker::new(self.cpu_count());
+        let mut scratch = FootprintScratch::new();
+        for cpu in 0..self.cpu_count() {
+            self.l2_footprints_into(cpu, &mut scratch);
+            for (tid, lines) in scratch.to_sorted() {
+                tracker.credit(cpu, tid, lines);
+            }
+        }
+        self.tracker = Some(tracker);
+    }
+
+    /// Tells the tracker, if on, that `pline` became resident on
+    /// (`gained`) or left `cpu`.
+    #[inline]
+    fn note_line(&mut self, cpu: usize, pline: u64, gained: bool) {
+        if let Some(tracker) = &mut self.tracker {
+            tracker.line_changed(
+                &self.regions,
+                &self.page_table,
+                self.config.hierarchy.l2.line,
+                LineChange { cpu: cpu as u32, pline, gained },
+            );
+        }
     }
 
     /// Drains `cpu`'s CML (empty if no device is attached).
@@ -189,7 +230,36 @@ impl Machine {
     /// Registers `[start, start+bytes)` as part of `tid`'s state (ground
     /// truth for footprints and exact sharing coefficients).
     pub fn register_region(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
+        self.credit_gained_lines(tid, start, bytes);
         self.regions.register(tid, start, bytes);
+    }
+
+    /// With tracking on, credits `tid` — before the registration lands —
+    /// with the resident lines of `[start, start+bytes)` it is about to
+    /// gain: those whose span does not yet touch one of its regions.
+    fn credit_gained_lines(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
+        let Some(tracker) = &mut self.tracker else {
+            return;
+        };
+        // A periodic re-registration gains nothing: skip the per-line pass.
+        if self.regions.covers(tid, start, bytes) {
+            return;
+        }
+        let line = self.config.hierarchy.l2.line;
+        for lv in ((start.0 & !(line - 1))..start.0 + bytes).step_by(line as usize) {
+            if self.regions.range_touches(tid, VAddr(lv), line) {
+                continue;
+            }
+            let Some(pa) = self.page_table.translate_existing(VAddr(lv)) else {
+                continue;
+            };
+            let pline = (pa.0 >> self.l2_shift) as usize;
+            let mut holders = self.directory.get(pline).copied().unwrap_or(0);
+            while holders != 0 {
+                tracker.credit(holders.trailing_zeros() as usize, tid, 1);
+                holders &= holders - 1;
+            }
+        }
     }
 
     /// The region table (exact sharing coefficients, state sizes, …).
@@ -200,6 +270,9 @@ impl Machine {
     /// Drops `tid` from the region table (thread exit).
     pub fn remove_thread_regions(&mut self, tid: ThreadId) {
         self.regions.remove_thread(tid);
+        if let Some(tracker) = &mut self.tracker {
+            tracker.forget(tid);
+        }
     }
 
     /// Retires `tid` from every hot-path table: regions are dropped,
@@ -293,9 +366,11 @@ impl Machine {
         // Directory maintenance for this processor's fill/eviction.
         if let Some(ev) = outcome.change.evicted {
             self.directory_clear(ev.pline, cpu);
+            self.note_line(cpu, ev.pline, false);
         }
         if let Some(fill) = outcome.change.filled {
             self.directory_set(fill, me);
+            self.note_line(cpu, fill, true);
         }
 
         // Write-invalidate coherence: a store purges every other copy.
@@ -307,6 +382,7 @@ impl Machine {
                         self.cpus[other].invalidate_line(pline2);
                         self.cpu_stats[other].invalidations += 1;
                         self.directory_clear(pline2, other);
+                        self.note_line(other, pline2, false);
                     }
                 }
             }
@@ -431,12 +507,17 @@ impl Machine {
             tlbs,
             tlb_vpn,
             tlb_frame,
+            tracker,
+            regions,
             ..
         } = self;
         let cpu_count = cpus.len();
         let mut cml_dev = cml.as_mut().map(|devices| &mut devices[cpu]);
         let tlb = &mut tlbs[cpu];
         let walk_cost = tlb.walk_cycles();
+        // Residency changes are logged here and applied to the footprint
+        // tracker once, after the element loop.
+        let mut log = tracker.as_mut().map(FootprintTracker::log_mut);
 
         let mut cycles_total = 0u64;
         let mut l1_misses = 0u64;
@@ -462,6 +543,7 @@ impl Machine {
             l2_shift: u32,
             hier: HierAccess,
             me: u64,
+            log: Option<&mut Vec<LineChange>>,
         ) -> (AccessOutcome, bool) {
             let pline2 = pa >> l2_shift;
             let outcome = cache.access_quiet(pa, hier);
@@ -479,6 +561,16 @@ impl Machine {
                     directory.resize(index + 1, 0);
                 }
                 directory[index] |= me;
+            }
+            if let Some(log) = log {
+                // Eviction before fill, as the scalar path applies them.
+                let cpu = me.trailing_zeros();
+                if let Some(ev) = outcome.change.evicted {
+                    log.push(LineChange { cpu, pline: ev.pline, gained: false });
+                }
+                if let Some(pline) = outcome.change.filled {
+                    log.push(LineChange { cpu, pline, gained: true });
+                }
             }
             (outcome, remote)
         }
@@ -535,7 +627,15 @@ impl Machine {
         }
         if is_write {
             element_loop!(|va, pa| {
-                let out = run_element(&mut cpus[cpu], directory, pa, l2_shift, hier, me);
+                let out = run_element(
+                    &mut cpus[cpu],
+                    directory,
+                    pa,
+                    l2_shift,
+                    hier,
+                    me,
+                    log.as_deref_mut(),
+                );
                 let pline2 = pa >> l2_shift;
                 let holders = directory.get(pline2 as usize).copied().unwrap_or(0) & !me;
                 if holders != 0 {
@@ -546,6 +646,13 @@ impl Machine {
                             if let Some(mask) = directory.get_mut(pline2 as usize) {
                                 *mask &= !(1u64 << other);
                             }
+                            if let Some(log) = log.as_deref_mut() {
+                                log.push(LineChange {
+                                    cpu: other as u32,
+                                    pline: pline2,
+                                    gained: false,
+                                });
+                            }
                         }
                     }
                 }
@@ -555,7 +662,18 @@ impl Machine {
             // Reads never invalidate other cpus, so the cache borrow can
             // be hoisted out of the loop (no per-element slice index).
             let cache = &mut cpus[cpu];
-            element_loop!(|va, pa| run_element(cache, directory, pa, l2_shift, hier, me));
+            element_loop!(|va, pa| run_element(
+                cache,
+                directory,
+                pa,
+                l2_shift,
+                hier,
+                me,
+                log.as_deref_mut()
+            ));
+        }
+        if let Some(tracker) = tracker {
+            tracker.apply_logged(regions, page_table, 1 << l2_shift);
         }
 
         // The next access on this cpu resumes from this run's last page.
@@ -739,8 +857,13 @@ impl Machine {
 
     /// **Ground truth**: number of resident L2 lines on `cpu` that belong
     /// to `tid`'s registered state — the thread's observed footprint
-    /// (paper §3's per-thread line association).
+    /// (paper §3's per-thread line association). A counter read once
+    /// [`track_footprints`](Self::track_footprints) is on; otherwise a
+    /// scan of the E-cache filtered to `tid`.
     pub fn l2_footprint_lines(&self, cpu: usize, tid: ThreadId) -> u64 {
+        if let Some(tracker) = &self.tracker {
+            return tracker.lines(cpu, tid);
+        }
         let line = self.config.hierarchy.l2.line;
         self.cpus[cpu]
             .l2()
@@ -762,8 +885,11 @@ impl Machine {
 
     /// [`l2_footprints`](Self::l2_footprints) into a reusable
     /// [`FootprintScratch`]: the same full E-cache scan, but slot-indexed
-    /// and allocation-free once the scratch has warmed up — cheap enough
-    /// for monitoring hooks that sample at every context switch.
+    /// and allocation-free once the scratch has warmed up. Always the
+    /// scan, whether or not footprints are tracked: it is the oracle the
+    /// tracked counters are checked against, and too slow (a reverse
+    /// translation and a region probe per resident line) to call at
+    /// every context switch.
     pub fn l2_footprints_into(&self, cpu: usize, out: &mut FootprintScratch) {
         let line = self.config.hierarchy.l2.line;
         out.begin();
@@ -788,6 +914,9 @@ impl Machine {
         let resident: Vec<u64> = self.cpus[cpu].l2().iter_resident().collect();
         for pl in resident {
             self.directory_clear(pl, cpu);
+        }
+        if let Some(tracker) = &mut self.tracker {
+            tracker.clear_cpu(cpu);
         }
         self.cpus[cpu].flush();
         self.tlbs[cpu].flush();
@@ -1106,6 +1235,36 @@ mod tests {
         m.l2_footprints_into(0, &mut scratch);
         assert_eq!(scratch.thread_count(), 0);
         assert_eq!(scratch.lines(t(1)), 0);
+    }
+
+    #[test]
+    fn tracked_footprints_follow_residency_and_ownership() {
+        let mut m = Machine::try_new(MachineConfig::enterprise5000(2)).unwrap();
+        let a = m.alloc(64 * 8, 64);
+        m.register_region(t(1), a, 64 * 8);
+        for i in 0..8u64 {
+            m.access(0, a.offset(i * 64), AccessKind::Read);
+        }
+        // Switched on mid-history: seeded from what is already resident.
+        m.track_footprints();
+        assert_eq!(m.l2_footprint_lines(0, t(1)), 8);
+        // A thread that never ran gains the resident lines it registers,
+        // once: the unaligned range touches lines 2..=4, and registering
+        // it again (or a sub-range) credits nothing more.
+        m.register_region(t(2), a.offset(2 * 64 + 8), 2 * 64);
+        m.register_region(t(2), a.offset(2 * 64 + 8), 2 * 64);
+        m.register_region(t(2), a.offset(3 * 64), 64);
+        assert_eq!(m.l2_footprint_lines(0, t(2)), 3);
+        // A remote write moves both owners' lines to the other cache.
+        m.access_run(1, a.offset(4 * 64), 64, 4, AccessKind::Write);
+        assert_eq!((m.l2_footprint_lines(0, t(1)), m.l2_footprint_lines(1, t(1))), (4, 4));
+        assert_eq!((m.l2_footprint_lines(0, t(2)), m.l2_footprint_lines(1, t(2))), (2, 1));
+        assert_eq!(m.l2_footprints(0).get(&t(2)), Some(&2), "the scan agrees");
+        // Retirement zeroes the thread; a flush zeroes the processor.
+        m.retire_thread(t(2));
+        assert_eq!(m.l2_footprint_lines(0, t(2)), 0);
+        m.flush_cpu(0);
+        assert_eq!((m.l2_footprint_lines(0, t(1)), m.l2_footprint_lines(1, t(1))), (0, 4));
     }
 
     #[test]

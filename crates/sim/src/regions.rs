@@ -25,6 +25,12 @@ struct Segment {
     owners: Vec<ThreadId>,
 }
 
+impl Segment {
+    fn owned_by(&self, tid: ThreadId) -> bool {
+        self.owners.binary_search(&tid).is_ok()
+    }
+}
+
 /// A table of (possibly shared) thread state regions over virtual
 /// addresses.
 #[derive(Debug, Clone, Default)]
@@ -49,12 +55,10 @@ impl RegionTable {
         let (s, e) = (start.0, start.0 + bytes);
 
         // Fast path: periodic workloads re-register the same region every
-        // batch. If one existing segment covers the range exactly and
-        // already lists `tid`, the general walk below would be a no-op.
-        if let Some(seg) = self.segments.get(&s) {
-            if seg.end == e && seg.owners.binary_search(&tid).is_ok() {
-                return;
-            }
+        // batch, however many segments their neighbours' overlaps have
+        // since split it into.
+        if self.covers(tid, start, bytes) {
+            return;
         }
 
         // If a segment begins before `s` and spills into the range, split
@@ -109,6 +113,34 @@ impl RegionTable {
         }
     }
 
+    /// Whether every byte of `[start, start+bytes)` already belongs to
+    /// `tid` — exactly when [`register`](Self::register) with the same
+    /// arguments leaves the table as it is. Read-only: one walk over the
+    /// contiguous segments from `start`, returning at the first gap or
+    /// the first segment that does not list `tid`.
+    pub fn covers(&self, tid: ThreadId, start: VAddr, bytes: u64) -> bool {
+        if bytes == 0 {
+            return true;
+        }
+        let (s, e) = (start.0, start.0 + bytes);
+        // The segment holding `s` may begin before it; every later one
+        // must begin where its predecessor ended.
+        let mut cursor = match self.segments.range(..=s).next_back() {
+            Some((_, seg)) if seg.end > s && seg.owned_by(tid) => seg.end,
+            _ => return false,
+        };
+        if cursor >= e {
+            return true;
+        }
+        for (&ss, seg) in self.segments.range(cursor..e) {
+            if ss != cursor || !seg.owned_by(tid) {
+                return false;
+            }
+            cursor = seg.end;
+        }
+        cursor >= e
+    }
+
     /// The owners of the byte at `addr` (sorted); empty if unregistered.
     pub fn owners_of(&self, addr: VAddr) -> &[ThreadId] {
         match self.segments.range(..=addr.0).next_back() {
@@ -125,14 +157,11 @@ impl RegionTable {
         let (s, e) = (start.0, start.0 + bytes);
         // Segment covering s, if any.
         if let Some((_, seg)) = self.segments.range(..=s).next_back() {
-            if seg.end > s && seg.owners.binary_search(&tid).is_ok() {
+            if seg.end > s && seg.owned_by(tid) {
                 return true;
             }
         }
-        self.segments
-            .range(s..e)
-            .skip_while(|(&ss, _)| ss < s)
-            .any(|(_, seg)| seg.owners.binary_search(&tid).is_ok())
+        self.segments.range(s..e).any(|(_, seg)| seg.owned_by(tid))
     }
 
     /// The union of owners over `[start, start+bytes)`, sorted.
@@ -169,20 +198,14 @@ impl RegionTable {
 
     /// Total registered state of `tid`, in bytes.
     pub fn state_bytes(&self, tid: ThreadId) -> u64 {
-        self.segments
-            .iter()
-            .filter(|(_, seg)| seg.owners.binary_search(&tid).is_ok())
-            .map(|(&s, seg)| seg.end - s)
-            .sum()
+        self.segments.iter().filter(|(_, seg)| seg.owned_by(tid)).map(|(&s, seg)| seg.end - s).sum()
     }
 
     /// Bytes shared between the states of `a` and `b`.
     pub fn shared_bytes(&self, a: ThreadId, b: ThreadId) -> u64 {
         self.segments
             .iter()
-            .filter(|(_, seg)| {
-                seg.owners.binary_search(&a).is_ok() && seg.owners.binary_search(&b).is_ok()
-            })
+            .filter(|(_, seg)| seg.owned_by(a) && seg.owned_by(b))
             .map(|(&s, seg)| seg.end - s)
             .sum()
     }
@@ -304,6 +327,29 @@ mod tests {
         r.register(t(1), VAddr(0), 100);
         assert_eq!(r.state_bytes(t(1)), 100);
         assert_eq!(r.owners_of(VAddr(0)), &[t(1)]);
+    }
+
+    #[test]
+    fn covers_walks_split_segments() {
+        let mut r = RegionTable::new();
+        r.register(t(1), VAddr(0), 100);
+        assert!(r.covers(t(1), VAddr(0), 100));
+        // Neighbours' overlaps split t1's range into three segments.
+        r.register(t(2), VAddr(50), 100);
+        r.register(t(3), VAddr(20), 10);
+        let segments = r.segment_count();
+        assert!(segments >= 4);
+        assert!(r.covers(t(1), VAddr(0), 100), "still owned end to end");
+        assert!(r.covers(t(1), VAddr(10), 50), "sub-range, boundaries inside segments");
+        r.register(t(1), VAddr(0), 100);
+        assert_eq!(r.segment_count(), segments, "re-registration changes nothing");
+        // One byte past the end, a gap, or a foreign segment breaks it.
+        assert!(!r.covers(t(1), VAddr(0), 101));
+        assert!(!r.covers(t(2), VAddr(40), 20));
+        assert!(!r.covers(t(1), VAddr(200), 1));
+        r.register(t(1), VAddr(160), 10);
+        assert!(!r.covers(t(1), VAddr(90), 80), "gap at [150, 160)");
+        assert!(r.covers(t(1), VAddr(5), 0), "an empty range registers nothing");
     }
 
     #[test]

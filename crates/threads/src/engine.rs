@@ -820,10 +820,12 @@ impl<S: Scheduler> Engine<S> {
         // Trace the finished interval *after* the model updates — the
         // same post-update state the hooks (and the Figure 5/7 monitors)
         // observe. Prediction-vs-ground-truth sampling is NOT done here:
-        // the observed footprint is a full E-cache scan, far too
-        // expensive for the unconditional hot path, so drivers that want
-        // `PredictionSample` events install a scheduling-event hook that
-        // emits them (hooks run below, under the same trace clock).
+        // the observed footprint is an O(1) read only once the machine
+        // tracks footprints (`Machine::track_footprints`, which costs a
+        // region lookup per E-cache fill and eviction) and a full
+        // E-cache scan otherwise, so drivers that want `PredictionSample`
+        // events switch tracking on and install a scheduling-event hook
+        // that emits them (hooks run below, under the same trace clock).
         set_clock(self.clocks[cpu]);
         emit_with(|| TraceEvent::IntervalEnd {
             cpu: cpu as u32,

@@ -214,6 +214,51 @@ proptest! {
         }
     }
 
+    /// Re-registration is free: registering the same range twice — after
+    /// arbitrary other registrations have split it into many segments —
+    /// leaves every observable of the table as it was, and the read-only
+    /// `covers` predicate is true exactly when a `register` of the same
+    /// arguments would be such a no-op.
+    #[test]
+    fn reregistration_is_a_noop_exactly_when_covered(
+        first in (0u64..4, 0u64..200, 0u64..60),
+        others in proptest::collection::vec((0u64..4, 0u64..260, 0u64..60), 0..20),
+        probes in proptest::collection::vec((0u64..4, 0u64..260, 0u64..60), 1..20),
+    ) {
+        // Everything a caller can see: the segment count, every state
+        // size, every pairwise overlap, the owners of every byte.
+        fn observe(t: &RegionTable) -> (usize, Vec<u64>, Vec<u64>, Vec<Vec<ThreadId>>) {
+            (
+                t.segment_count(),
+                (0..4).map(|a| t.state_bytes(ThreadId(a))).collect(),
+                (0..16).map(|p| t.shared_bytes(ThreadId(p / 4), ThreadId(p % 4))).collect(),
+                (0..340).map(|b| t.owners_of(VAddr(b)).to_vec()).collect(),
+            )
+        }
+        let mut table = RegionTable::new();
+        table.register(ThreadId(first.0), VAddr(first.1), first.2);
+        for &(tid, start, len) in &others {
+            table.register(ThreadId(tid), VAddr(start), len);
+        }
+        let before = observe(&table);
+        prop_assert!(table.covers(ThreadId(first.0), VAddr(first.1), first.2));
+        table.register(ThreadId(first.0), VAddr(first.1), first.2);
+        prop_assert_eq!(&observe(&table), &before, "second register of {:?} changed the table", first);
+
+        for &(tid, start, len) in &probes {
+            let covered = table.covers(ThreadId(tid), VAddr(start), len);
+            let owns_every_byte =
+                (start..start + len).all(|b| table.owners_of(VAddr(b)).contains(&ThreadId(tid)));
+            prop_assert_eq!(covered, owns_every_byte, "covers({}, {}, {})", tid, start, len);
+            let mut again = table.clone();
+            again.register(ThreadId(tid), VAddr(start), len);
+            prop_assert_eq!(
+                observe(&again) == before, covered,
+                "register({}, {}, {}) a no-op vs covers", tid, start, len
+            );
+        }
+    }
+
     /// Sharing coefficients are symmetric in the numerator:
     /// q_ab·|a| == q_ba·|b| (both equal |a ∩ b|).
     #[test]

@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use thread_locality::core::{
     CounterSanitizer, SanitizerConfig, SharingGraph, SlotId, ThreadId, ThreadSlots,
 };
-use thread_locality::sim::{AccessKind, CacheGeometry, Machine, MachineConfig, TlbConfig, VAddr};
+use thread_locality::sim::{
+    AccessKind, CacheGeometry, FootprintScratch, Machine, MachineConfig, TlbConfig, VAddr,
+};
 use thread_locality::threads::{
     BatchCtx, ChaosConfig, Control, Engine, EngineConfig, MutexId, Program, SchedPolicy,
 };
@@ -138,6 +140,78 @@ proptest! {
                 m.l2_footprint_lines(0, u), 0,
                 "successor inherited resident lines it never touched"
             );
+        }
+    }
+
+    /// Footprint tracker: after every step of a random history — scalar
+    /// accesses and runs (reads and writes on two cpus so invalidations
+    /// happen, strides below and above a line, runs crossing pages),
+    /// unaligned overlapping repeated registrations (also for threads
+    /// that never ran), retirements with a later thread recycling the
+    /// slot, flushes — the O(1) tracked count equals the full E-cache
+    /// scan for every cpu and every thread ever seen, whenever tracking
+    /// was switched on, for a direct-mapped and a 4-way E-cache.
+    #[test]
+    fn tracked_footprints_equal_the_scan(
+        steps in proptest::collection::vec(
+            (0u8..12, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..48,
+        ),
+        track_at in 0usize..48,
+        four_way in 0u8..2,
+    ) {
+        const ARENA: u64 = 1 << 20;
+        const STRIDES: [u64; 6] = [8, 24, 64, 128, 200, 8192 + 64];
+        let geometry = if four_way == 1 {
+            CacheGeometry { sets: 2048, ways: 4, line: 64 }
+        } else {
+            CacheGeometry { sets: 8192, ways: 1, line: 64 }
+        };
+        let mut m =
+            Machine::try_new(MachineConfig::enterprise5000(2).with_l2_geometry(geometry)).unwrap();
+        let arena = m.alloc(ARENA, 8192);
+        // Four logical threads; retiring one hands its place to a fresh id.
+        let mut current: Vec<ThreadId> = (1..=4).map(ThreadId).collect();
+        let mut seen = current.clone();
+        let mut scratch = FootprintScratch::new();
+        for (i, &(op, a, b, c)) in steps.iter().enumerate() {
+            if i == track_at {
+                m.track_footprints();
+            }
+            let cpu = (a % 2) as usize;
+            let who = (a >> 8) as usize % current.len();
+            let kind = if c % 2 == 0 { AccessKind::Read } else { AccessKind::Write };
+            match op {
+                0..=2 => {
+                    m.set_running(cpu, Some(current[who]));
+                    m.access(cpu, arena.offset(b % ARENA), kind);
+                }
+                3..=6 => {
+                    let stride = STRIDES[(c >> 8) as usize % STRIDES.len()];
+                    let count = ((c >> 16) % 4096 + 1).min((ARENA - b % ARENA) / stride);
+                    m.access_run(cpu, arena.offset(b % ARENA), stride, count, kind);
+                }
+                7..=9 => {
+                    let bytes = (c % (96 * 1024)).min(ARENA - b % ARENA);
+                    m.register_region(current[who], arena.offset(b % ARENA), bytes);
+                }
+                10 => {
+                    m.retire_thread(current[who]);
+                    current[who] = ThreadId(seen.len() as u64 + 1);
+                    seen.push(current[who]);
+                }
+                _ => m.flush_cpu(cpu),
+            }
+            for cpu in 0..2 {
+                m.l2_footprints_into(cpu, &mut scratch);
+                for &t in &seen {
+                    prop_assert_eq!(
+                        m.l2_footprint_lines(cpu, t), scratch.lines(t),
+                        "step {} ({:?}): {} on cpu{} (tracking from step {})",
+                        i, steps[i], t, cpu, track_at
+                    );
+                }
+            }
         }
     }
 
