@@ -114,9 +114,12 @@ rm -rf "$MC_OUT"
 # recompute, the monitor hook of this build scans the E-cache at every
 # sample and fails the run if the tracked footprint differs — all eight
 # apps, typechecker and raytrace (the two the model gets wrong) included.
+# Those cells never recycle a thread slot; fig9's merge and tsp cells
+# spawn and exit threads while they run, so the shadow recompute there
+# also sees estimator rows that were rebound to a younger thread.
 INVARIANT_OUT=$(mktemp -d)
 cargo build --release -p locality-repro --features invariant-checks
-for fig in fig5 fig7; do
+for fig in fig5 fig7 fig9; do
     cargo run --release -p locality-repro --features invariant-checks --bin repro -- "$fig" \
         --scale small --jobs 2 --out "$INVARIANT_OUT"
 done

@@ -10,9 +10,9 @@
 
 use crate::graph::SharingGraph;
 use crate::priority::{FootprintEntry, PolicyKind, PrioritySchemes, PriorityUpdate};
+use crate::slots::{SlotId, ThreadSlots};
 use crate::tables::PrecomputedTables;
 use crate::{CpuId, ModelParams, ThreadId};
-use std::collections::HashMap;
 
 /// The seam between the schedulers and a footprint model.
 ///
@@ -30,14 +30,15 @@ pub trait FootprintEstimator {
 
     /// Records the end of `tid`'s interval on `cpu` with `n` misses and
     /// returns the priority updates to apply to run queues — the blocking
-    /// thread first, its `graph` dependents after.
+    /// thread first, its `graph` dependents after. The slice is a buffer
+    /// the estimator reuses: it holds until the next call.
     fn on_miss(
         &mut self,
         cpu: CpuId,
         tid: ThreadId,
         n: u64,
         graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate>;
+    ) -> &[PriorityUpdate];
 
     /// Current expected footprint of `tid` in `cpu`'s cache, in lines
     /// (0 if the thread has no state there).
@@ -46,6 +47,28 @@ pub trait FootprintEstimator {
     /// Current scheduling priority of `tid` on `cpu`. Must order threads
     /// identically to [`estimate`](Self::estimate) on any one processor.
     fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64;
+
+    /// Calls `visit(cpu, priority)`, in ascending processor order, for
+    /// each of the first `cpus` processors where `tid`'s
+    /// [`estimate`](Self::estimate) is at least `threshold_lines`: the
+    /// heaps a thread that just became ready belongs in. The default asks
+    /// every processor; an implementation that knows where a thread has
+    /// state may skip the others, as long as the visits are the same.
+    fn for_each_cpu_at_least<F: FnMut(CpuId, f64)>(
+        &self,
+        tid: ThreadId,
+        cpus: usize,
+        threshold_lines: f64,
+        mut visit: F,
+    ) where
+        Self: Sized,
+    {
+        for cpu in (0..cpus).map(CpuId) {
+            if self.estimate(cpu, tid) >= threshold_lines {
+                visit(cpu, self.priority(cpu, tid));
+            }
+        }
+    }
 
     /// Forgets `tid` on every processor (thread exit).
     fn retire(&mut self, tid: ThreadId);
@@ -64,7 +87,7 @@ pub struct EstimatorConfig {
     pub policy: PolicyKind,
     /// The cache model parameters (one secondary cache per processor).
     pub params: ModelParams,
-    /// Number of processors.
+    /// Number of processors (at most 64).
     pub cpus: usize,
     /// Optional override of the `kⁿ` table length.
     pub kpow_entries: Option<usize>,
@@ -77,20 +100,82 @@ impl EstimatorConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct CpuState {
-    /// Total secondary-cache misses on this processor since program start.
-    m: u64,
-    /// Footprint entries for threads with (expected) state in this cache.
-    entries: HashMap<ThreadId, FootprintEntry>,
-    /// Eagerly-recomputed footprints (naive `O(threads)` per switch),
-    /// maintained purely to cross-check the incremental path.
-    #[cfg(feature = "invariant-checks")]
-    shadow: std::collections::BTreeMap<ThreadId, f64>,
+/// The footprint entries, thread-major: `entries[slot * cpus + cpu]`,
+/// with a per-slot bitmask of the processors where the thread has one.
+///
+/// An entry means something only where its mask bit is set. Setting a
+/// bit writes the cold entry first and [`clear`](Self::clear), run when a
+/// slot is bound, zeroes the mask, so a thread in a recycled slot is cold
+/// on every processor whatever the previous tenant left behind.
+#[derive(Debug)]
+struct Rows {
+    cpus: usize,
+    masks: Vec<u64>,
+    entries: Vec<FootprintEntry>,
+}
+
+impl Rows {
+    /// Forgets the slot's entries on every processor, growing the table
+    /// to hold the slot first if it is new.
+    fn clear(&mut self, slot: SlotId) {
+        if slot.index() >= self.masks.len() {
+            self.masks.resize(slot.index() + 1, 0);
+            self.entries.resize(self.masks.len() * self.cpus, FootprintEntry::cold());
+        }
+        self.masks[slot.index()] = 0;
+    }
+
+    /// Bitmask of the processors where the slot's thread has an entry.
+    fn mask(&self, slot: SlotId) -> u64 {
+        self.masks[slot.index()]
+    }
+
+    /// `cpu`'s bit in a mask; the range check every entry access shares.
+    fn bit(&self, cpu: CpuId) -> u64 {
+        assert!(cpu.0 < self.cpus, "cpu{} out of range ({} processors)", cpu.0, self.cpus);
+        1 << cpu.0
+    }
+
+    fn get(&self, slot: SlotId, cpu: CpuId) -> Option<&FootprintEntry> {
+        (self.mask(slot) & self.bit(cpu) != 0)
+            .then(|| &self.entries[slot.index() * self.cpus + cpu.0])
+    }
+
+    /// The entry on `cpu`, created cold if the thread had none there.
+    fn get_or_cold(&mut self, slot: SlotId, cpu: CpuId) -> &mut FootprintEntry {
+        let bit = self.bit(cpu);
+        let entry = &mut self.entries[slot.index() * self.cpus + cpu.0];
+        let mask = &mut self.masks[slot.index()];
+        if *mask & bit == 0 {
+            *mask |= bit;
+            *entry = FootprintEntry::cold();
+        }
+        entry
+    }
+
+    fn remove(&mut self, slot: SlotId, cpu: CpuId) {
+        let bit = self.bit(cpu);
+        self.masks[slot.index()] &= !bit;
+    }
+}
+
+/// The processors named by a bitmask, ascending.
+fn cpus_in(mut mask: u64) -> impl Iterator<Item = CpuId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let cpu = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            CpuId(cpu)
+        })
+    })
 }
 
 /// Online estimator of every thread's expected footprint in every
 /// processor's cache, with incremental priority maintenance.
+///
+/// Threads are interned into dense slots on first sight and released by
+/// [`remove_thread`](Self::remove_thread); every by-[`ThreadId`] method
+/// resolves its thread once and indexes the entry table from there.
 ///
 /// ```
 /// use locality_core::{
@@ -111,23 +196,42 @@ struct CpuState {
 #[derive(Debug)]
 pub struct LocalityEstimator {
     schemes: PrioritySchemes,
-    cpus: Vec<CpuState>,
+    /// Total secondary-cache misses per processor since program start
+    /// (`m_p(t)`).
+    misses: Vec<u64>,
+    slots: ThreadSlots,
+    rows: Rows,
+    /// The buffer [`on_interval_end`](Self::on_interval_end) hands out.
+    updates: Vec<PriorityUpdate>,
+    /// Per processor, eagerly-recomputed footprints (naive `O(threads)`
+    /// per switch), maintained purely to cross-check the incremental path.
+    #[cfg(feature = "invariant-checks")]
+    shadow: Vec<std::collections::BTreeMap<ThreadId, f64>>,
     #[cfg(feature = "invariant-checks")]
     checks: u64,
 }
 
 impl LocalityEstimator {
     /// Creates an estimator for `config.cpus` processors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cpus > 64`: the processors where a thread has
+    /// state are a `u64` bitmask, like the scheduler's heap membership.
     pub fn new(config: EstimatorConfig) -> Self {
+        assert!(config.cpus <= 64, "at most 64 processors, got {}", config.cpus);
         let tables = match config.kpow_entries {
             Some(entries) => PrecomputedTables::with_kpow_entries(config.params, entries),
             None => PrecomputedTables::new(config.params),
         };
-        let schemes = PrioritySchemes::with_tables(config.policy, tables);
-        let cpus = (0..config.cpus).map(|_| CpuState::default()).collect();
         LocalityEstimator {
-            schemes,
-            cpus,
+            schemes: PrioritySchemes::with_tables(config.policy, tables),
+            misses: vec![0; config.cpus],
+            slots: ThreadSlots::new(),
+            rows: Rows { cpus: config.cpus, masks: Vec::new(), entries: Vec::new() },
+            updates: Vec::new(),
+            #[cfg(feature = "invariant-checks")]
+            shadow: vec![Default::default(); config.cpus],
             #[cfg(feature = "invariant-checks")]
             checks: 0,
         }
@@ -150,7 +254,7 @@ impl LocalityEstimator {
 
     /// Number of processors.
     pub fn cpu_count(&self) -> usize {
-        self.cpus.len()
+        self.misses.len()
     }
 
     /// Total secondary-cache misses recorded for `cpu` so far (`m_p(t)`).
@@ -159,7 +263,18 @@ impl LocalityEstimator {
     ///
     /// Panics if `cpu` is out of range.
     pub fn misses(&self, cpu: CpuId) -> u64 {
-        self.cpus[cpu.0].m
+        self.misses[cpu.0]
+    }
+
+    /// The slot of `tid`, interning the thread (cold everywhere) on
+    /// first sight.
+    fn intern(&mut self, tid: ThreadId) -> SlotId {
+        if let Some(slot) = self.slots.lookup(tid) {
+            return slot;
+        }
+        let slot = self.slots.bind(tid);
+        self.rows.clear(slot);
+        slot
     }
 
     /// Records that `tid` was dispatched on `cpu`: snapshots its footprint
@@ -169,12 +284,11 @@ impl LocalityEstimator {
     ///
     /// Panics if `cpu` is out of range.
     pub fn on_dispatch(&mut self, cpu: CpuId, tid: ThreadId) {
-        let state = &mut self.cpus[cpu.0];
-        let m_now = state.m;
-        let entry = state.entries.entry(tid).or_insert_with(FootprintEntry::cold);
-        self.schemes.on_dispatch(entry, m_now);
+        let m_now = self.misses[cpu.0];
+        let slot = self.intern(tid);
+        self.schemes.on_dispatch(self.rows.get_or_cold(slot, cpu), m_now);
         #[cfg(feature = "invariant-checks")]
-        state.shadow.entry(tid).or_insert(0.0);
+        self.shadow[cpu.0].entry(tid).or_insert(0.0);
     }
 
     /// Records the end of `tid`'s scheduling interval on `cpu` with `n`
@@ -185,7 +299,8 @@ impl LocalityEstimator {
     /// * case 2 (nothing!) to everyone else.
     ///
     /// Returns the priority updates to apply to run queues, the blocking
-    /// thread first, dependents after in thread-id order.
+    /// thread first, dependents after in thread-id order, in a buffer
+    /// that is reused: the slice holds until the next call.
     ///
     /// # Panics
     ///
@@ -196,7 +311,7 @@ impl LocalityEstimator {
         tid: ThreadId,
         n: u64,
         graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate> {
+    ) -> &[PriorityUpdate] {
         // Differential check, step 1: the naive O(threads) recompute. Every
         // tracked thread gets the exact case-1/2/3 formula applied eagerly;
         // the incremental path below touches only the blocker and its
@@ -205,13 +320,12 @@ impl LocalityEstimator {
         {
             let nn = self.schemes.params().n();
             let kn = self.schemes.tables().k_pow(n);
-            let state = &mut self.cpus[cpu.0];
-            state.shadow.entry(tid).or_insert(0.0);
-            let deps: Vec<ThreadId> = graph.dependents_of(tid).map(|(t, _)| t).collect();
-            for dep in deps {
-                state.shadow.entry(dep).or_insert(0.0);
+            let shadow = &mut self.shadow[cpu.0];
+            shadow.entry(tid).or_insert(0.0);
+            for (dep, _) in graph.dependents_of(tid) {
+                shadow.entry(dep).or_insert(0.0);
             }
-            for (&x, f) in state.shadow.iter_mut() {
+            for (&x, f) in shadow.iter_mut() {
                 if x == tid {
                     // Case 1: the blocker grows toward N.
                     *f = nn - (nn - *f) * kn;
@@ -229,37 +343,40 @@ impl LocalityEstimator {
             }
         }
 
-        let state = &mut self.cpus[cpu.0];
-        let m_t0 = state.m;
+        let m_t0 = self.misses[cpu.0];
         let m_new = m_t0 + n;
-        let mut updates = Vec::with_capacity(1 + graph.out_degree(tid));
+        self.updates.clear();
 
-        let entry = state.entries.entry(tid).or_insert_with(FootprintEntry::cold);
-        let prio = self.schemes.on_block_self(entry, n, m_new);
-        updates.push(PriorityUpdate { thread: tid, prio });
+        let slot = self.intern(tid);
+        let prio = self.schemes.on_block_self(self.rows.get_or_cold(slot, cpu), n, m_new);
+        self.updates.push(PriorityUpdate { thread: tid, prio });
 
         for (dep, q) in graph.dependents_of(tid) {
-            let entry = state.entries.entry(dep).or_insert_with(FootprintEntry::cold);
-            let prio = self.schemes.on_dependent(entry, q, n, m_t0);
-            updates.push(PriorityUpdate { thread: dep, prio });
+            let slot = self.intern(dep);
+            let prio = self.schemes.on_dependent(self.rows.get_or_cold(slot, cpu), q, n, m_t0);
+            self.updates.push(PriorityUpdate { thread: dep, prio });
         }
         self.schemes.on_independent(); // case 2: all other threads, zero work
 
-        state.m = m_new;
+        self.misses[cpu.0] = m_new;
         #[cfg(feature = "invariant-checks")]
         self.verify_invariants(cpu, tid);
         locality_trace::emit_with(|| locality_trace::TraceEvent::PriorityUpdates {
             tid: tid.0,
-            fanout: updates.len() as u32,
+            fanout: self.updates.len() as u32,
         });
-        updates
+        &self.updates
     }
 
     /// Differential check, step 2: after the incremental updates, every
     /// tracked entry's lazily-decayed footprint must match the naive eager
     /// recompute, stay within `[0, N]`, and its stored log-space priority
     /// must be reconstructible from the current footprint (the paper's
-    /// invariance-under-independent-decay property, §4.1).
+    /// invariance-under-independent-decay property, §4.1). The shadow is
+    /// keyed by thread id and ordered, so the walk does not depend on
+    /// which slots the threads happen to hold; both directions are
+    /// checked, so an entry a recycled slot inherited shows up as a
+    /// thread the shadow never saw.
     ///
     /// # Panics
     ///
@@ -268,15 +385,23 @@ impl LocalityEstimator {
     #[cfg(feature = "invariant-checks")]
     fn verify_invariants(&mut self, cpu: CpuId, blocker: ThreadId) {
         use crate::priority::PolicyKind;
-        let state = &self.cpus[cpu.0];
         let nn = self.schemes.params().n();
-        let m_now = state.m;
+        let m_now = self.misses[cpu.0];
         let tables = self.schemes.tables();
-        for (&x, entry) in &state.entries {
+        let tracked = self.tracked_on(cpu);
+        assert_eq!(
+            tracked,
+            self.shadow[cpu.0].len(),
+            "invariant-checks: cpu{} tracks {tracked} threads, the shadow {}",
+            cpu.0,
+            self.shadow[cpu.0].len()
+        );
+        for (&x, &naive) in &self.shadow[cpu.0] {
+            let entry =
+                self.slots.lookup(x).and_then(|slot| self.rows.get(slot, cpu)).unwrap_or_else(
+                    || panic!("invariant-checks: {x} in cpu{}'s shadow but not tracked", cpu.0),
+                );
             let lazy = self.schemes.expected_footprint(entry, m_now);
-            let naive = *state.shadow.get(&x).unwrap_or_else(|| {
-                panic!("invariant-checks: {x} tracked on cpu{} but absent from shadow", cpu.0)
-            });
             // The lazy path composes decays in one k^(Δm) jump (clamped to
             // 0 past the table) while the shadow multiplies per-interval
             // factors; allow only floating-point noise between them.
@@ -326,6 +451,11 @@ impl LocalityEstimator {
         self.checks
     }
 
+    /// `tid`'s entry on `cpu`, if the thread is known and has one there.
+    fn entry(&self, cpu: CpuId, tid: ThreadId) -> Option<&FootprintEntry> {
+        self.rows.get(self.slots.lookup(tid)?, cpu)
+    }
+
     /// Current priority of `tid` on `cpu` (the cold priority if the thread
     /// has no state there).
     ///
@@ -333,10 +463,9 @@ impl LocalityEstimator {
     ///
     /// Panics if `cpu` is out of range.
     pub fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        let state = &self.cpus[cpu.0];
-        match state.entries.get(&tid) {
+        match self.entry(cpu, tid) {
             Some(e) => e.prio,
-            None => self.schemes.cold_priority(state.m),
+            None => self.schemes.cold_priority(self.misses[cpu.0]),
         }
     }
 
@@ -346,45 +475,46 @@ impl LocalityEstimator {
     ///
     /// Panics if `cpu` is out of range.
     pub fn expected_footprint(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        let state = &self.cpus[cpu.0];
-        match state.entries.get(&tid) {
-            Some(e) => self.schemes.expected_footprint(e, state.m),
-            None => 0.0,
-        }
+        let m_now = self.misses[cpu.0];
+        self.entry(cpu, tid).map_or(0.0, |e| self.schemes.expected_footprint(e, m_now))
     }
 
     /// Drops `tid`'s entry on `cpu` (e.g. after threshold eviction from
     /// that processor's heap).
     pub fn remove_on_cpu(&mut self, cpu: CpuId, tid: ThreadId) {
-        self.cpus[cpu.0].entries.remove(&tid);
-        #[cfg(feature = "invariant-checks")]
-        self.cpus[cpu.0].shadow.remove(&tid);
-    }
-
-    /// Drops `tid` everywhere (thread exit).
-    pub fn remove_thread(&mut self, tid: ThreadId) {
-        for cpu in &mut self.cpus {
-            cpu.entries.remove(&tid);
-            #[cfg(feature = "invariant-checks")]
-            cpu.shadow.remove(&tid);
+        if let Some(slot) = self.slots.lookup(tid) {
+            self.rows.remove(slot, cpu);
         }
+        #[cfg(feature = "invariant-checks")]
+        self.shadow[cpu.0].remove(&tid);
     }
 
-    /// Number of tracked entries on `cpu` (for bounding heap sizes).
+    /// Drops `tid` everywhere (thread exit) and frees its slot.
+    pub fn remove_thread(&mut self, tid: ThreadId) {
+        #[cfg(feature = "invariant-checks")]
+        for cpu in cpus_in(self.slots.lookup(tid).map_or(0, |slot| self.rows.mask(slot))) {
+            self.shadow[cpu.0].remove(&tid);
+        }
+        // The entries stay where they are: nothing resolves to a released
+        // slot, and binding it again clears its mask.
+        self.slots.release(tid);
+    }
+
+    /// Number of tracked entries on `cpu` (diagnostics; walks the slots).
     pub fn tracked_on(&self, cpu: CpuId) -> usize {
-        self.cpus[cpu.0].entries.len()
+        self.slots.iter_live().filter(|&(slot, _)| self.rows.get(slot, cpu).is_some()).count()
     }
 
     /// The processor (if any) where `tid`'s expected footprint is largest,
     /// with that footprint. Useful for wake-up placement hints.
     pub fn best_cpu(&self, tid: ThreadId) -> Option<(CpuId, f64)> {
+        let slot = self.slots.lookup(tid)?;
         let mut best: Option<(CpuId, f64)> = None;
-        for (i, state) in self.cpus.iter().enumerate() {
-            if let Some(e) = state.entries.get(&tid) {
-                let f = self.schemes.expected_footprint(e, state.m);
-                if best.is_none_or(|(_, bf)| f > bf) {
-                    best = Some((CpuId(i), f));
-                }
+        for cpu in cpus_in(self.rows.mask(slot)) {
+            let Some(e) = self.rows.get(slot, cpu) else { continue };
+            let f = self.schemes.expected_footprint(e, self.misses[cpu.0]);
+            if best.is_none_or(|(_, bf)| f > bf) {
+                best = Some((cpu, f));
             }
         }
         best
@@ -402,7 +532,7 @@ impl FootprintEstimator for LocalityEstimator {
         tid: ThreadId,
         n: u64,
         graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate> {
+    ) -> &[PriorityUpdate] {
         self.on_interval_end(cpu, tid, n, graph)
     }
 
@@ -412,6 +542,32 @@ impl FootprintEstimator for LocalityEstimator {
 
     fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
         LocalityEstimator::priority(self, cpu, tid)
+    }
+
+    /// One resolution, then only the processors where the thread has an
+    /// entry. On any other processor the estimate is exactly `0.0`, so
+    /// skipping it changes nothing unless `0.0` itself clears the
+    /// threshold (`threshold_lines <= 0`), in which case every processor
+    /// is visited, the cold ones with the cold priority.
+    fn for_each_cpu_at_least<F: FnMut(CpuId, f64)>(
+        &self,
+        tid: ThreadId,
+        cpus: usize,
+        threshold_lines: f64,
+        mut visit: F,
+    ) {
+        let slot = self.slots.lookup(tid);
+        let warm = slot.map_or(0, |slot| self.rows.mask(slot));
+        let all = if cpus >= 64 { u64::MAX } else { (1 << cpus) - 1 };
+        let candidates = if 0.0 >= threshold_lines { all } else { warm & all };
+        for cpu in cpus_in(candidates) {
+            let m_now = self.misses[cpu.0];
+            let entry = slot.and_then(|slot| self.rows.get(slot, cpu));
+            let estimate = entry.map_or(0.0, |e| self.schemes.expected_footprint(e, m_now));
+            if estimate >= threshold_lines {
+                visit(cpu, entry.map_or_else(|| self.schemes.cold_priority(m_now), |e| e.prio));
+            }
+        }
     }
 
     fn retire(&mut self, tid: ThreadId) {
@@ -546,6 +702,51 @@ mod tests {
         est.remove_on_cpu(CpuId(0), t(1));
         assert_eq!(est.expected_footprint(CpuId(0), t(1)), 0.0);
         assert!(est.expected_footprint(CpuId(1), t(1)) > 0.0);
+    }
+
+    #[test]
+    fn recycled_slot_starts_cold_everywhere() {
+        let mut est = estimator(PolicyKind::Lff, 2);
+        let g = SharingGraph::new();
+        for cpu in 0..2 {
+            est.on_dispatch(CpuId(cpu), t(1));
+            est.on_interval_end(CpuId(cpu), t(1), 300, &g);
+        }
+        est.remove_thread(t(1));
+        // t2 takes over t1's slot and has only been dispatched on cpu0.
+        est.on_dispatch(CpuId(0), t(2));
+        assert_eq!(est.expected_footprint(CpuId(0), t(2)), 0.0);
+        assert_eq!(est.expected_footprint(CpuId(1), t(2)), 0.0);
+        assert_eq!(est.priority(CpuId(1), t(2)), est.schemes().cold_priority(300));
+        assert_eq!(est.tracked_on(CpuId(0)), 1);
+        assert_eq!(est.tracked_on(CpuId(1)), 0);
+        assert_eq!(est.best_cpu(t(2)).map(|(cpu, _)| cpu), Some(CpuId(0)));
+    }
+
+    #[test]
+    fn ready_visit_skips_cold_cpus_only_when_they_cannot_qualify() {
+        let mut est = estimator(PolicyKind::Lff, 4);
+        let g = SharingGraph::new();
+        est.on_dispatch(CpuId(2), t(1));
+        est.on_interval_end(CpuId(2), t(1), 500, &g);
+        let visits = |tid, threshold| {
+            let mut seen = Vec::new();
+            est.for_each_cpu_at_least(tid, 4, threshold, |cpu, prio| seen.push((cpu, prio)));
+            seen
+        };
+        // A positive threshold: only where the thread has state.
+        assert_eq!(visits(t(1), 8.0), vec![(CpuId(2), est.priority(CpuId(2), t(1)))]);
+        assert!(visits(t(1), 1000.0).is_empty());
+        // Zero lines clear a zero threshold: every cpu, cold ones included,
+        // and a thread the estimator has never seen likewise.
+        for tid in [t(1), t(9)] {
+            let all = visits(tid, 0.0);
+            assert_eq!(all.len(), 4);
+            for (cpu, prio) in all {
+                assert_eq!(prio, est.priority(cpu, tid));
+            }
+        }
+        assert!(visits(t(1), f64::NAN).is_empty(), "nothing is >= NaN");
     }
 
     #[test]

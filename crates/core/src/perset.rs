@@ -159,6 +159,8 @@ pub struct PerSetEstimator {
     n_lines: f64,
     ways: f64,
     cpus: Vec<PerSetCpu>,
+    /// The buffer `on_miss` hands out.
+    updates: Vec<PriorityUpdate>,
 }
 
 impl PerSetEstimator {
@@ -179,6 +181,7 @@ impl PerSetEstimator {
             n_lines: lines as f64,
             ways: ways as f64,
             cpus: vec![PerSetCpu::default(); cpus],
+            updates: Vec::new(),
         })
     }
 
@@ -209,7 +212,7 @@ impl FootprintEstimator for PerSetEstimator {
         tid: ThreadId,
         n: u64,
         graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate> {
+    ) -> &[PriorityUpdate] {
         let state = &mut self.cpus[cpu.0];
         state.m += n;
         state.footprints.entry(tid).or_insert(0.0);
@@ -235,14 +238,14 @@ impl FootprintEstimator for PerSetEstimator {
         state.total = total_next;
         // Same update contract as the Markov estimator: blocker first,
         // then dependents in graph order.
-        let mut updates = Vec::with_capacity(1 + graph.out_degree(tid));
-        updates.push(PriorityUpdate { thread: tid, prio: state.footprints[&tid] });
+        self.updates.clear();
+        self.updates.push(PriorityUpdate { thread: tid, prio: state.footprints[&tid] });
         for (dep, _) in graph.dependents_of(tid) {
             if let Some(&f) = state.footprints.get(&dep) {
-                updates.push(PriorityUpdate { thread: dep, prio: f });
+                self.updates.push(PriorityUpdate { thread: dep, prio: f });
             }
         }
-        updates
+        &self.updates
     }
 
     fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64 {

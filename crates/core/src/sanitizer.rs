@@ -126,7 +126,7 @@ impl CounterSanitizer {
     /// The dense state index for `tid`, binding (and zeroing) a slot on
     /// first sight.
     fn state_index(&mut self, tid: ThreadId) -> usize {
-        if let Some(slot) = self.slots.lookup_cached(tid) {
+        if let Some(slot) = self.slots.lookup(tid) {
             return slot.index();
         }
         let index = self.slots.bind(tid).index();

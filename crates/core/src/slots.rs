@@ -3,10 +3,24 @@
 //! Thread ids ([`ThreadId`]) are sparse, monotonically allocated, and
 //! never reused within a run — perfect keys for exports and reports,
 //! but poor indices for the per-access and per-switch hot paths: a
-//! `HashMap<ThreadId, _>` lookup costs a hash and a probe where the
-//! paper budgets "only several instructions". The [`ThreadSlots`]
-//! registry maps each live thread to a small dense **slot index**, so
-//! hot per-thread state lives in plain `Vec`s indexed by slot.
+//! `HashMap<ThreadId, _>` per table costs a hash and a probe per table
+//! where the paper budgets "only several instructions". The
+//! [`ThreadSlots`] registry maps each live thread to a small dense
+//! **slot index**, so hot per-thread state lives in plain `Vec`s indexed
+//! by slot and a component pays one resolution, not one per table.
+//!
+//! That resolution is a `ThreadId -> SlotId` hash map under an in-tree
+//! integer hasher (one multiply and an xor, then one group probe: about
+//! 4 ns where std's SipHash took ~20). Each component that keeps
+//! slot-indexed state owns a registry, and the interfaces between them
+//! speak `ThreadId`, so a context switch still resolves the thread it
+//! is about once per component and entry point: the engine at dispatch
+//! (the slot then rides in `current` and in the sleeper heap), the
+//! scheduler in `on_ready` and `on_dispatch`, the estimator in each
+//! by-`ThreadId` call, the sanitizer in `sanitize`, the machine in
+//! `set_running`, plus one each in scheduler and estimator per
+//! annotation dependent of the thread that blocked. Past that one step
+//! everything is an index.
 //!
 //! Slots are recycled when threads exit, which is exactly why the
 //! handle is *generational*: a [`SlotId`] pairs the index with the
@@ -23,6 +37,46 @@
 use crate::ThreadId;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The hasher of the `ThreadId -> slot` map: one widening multiply,
+/// folded.
+///
+/// Thread ids are `u64`s the runtime allocates sequentially, not input
+/// an attacker picks, so the map does not need SipHash's collision
+/// resistance, and ten to twenty-five SipHash probes were most of what
+/// a context switch cost. The id is multiplied by 2⁶⁴/φ (odd) into 128
+/// bits and the two halves are xored: the low half carries every input
+/// bit upward, the high half carries the high input bits back down, so
+/// both ends of the result depend on all of the id. The table takes its
+/// bucket index from the low bits and its 7-bit control tag from the
+/// top; sequential ids, strided ids and ids that differ only in their
+/// high bits spread over both (the tests below count).
+#[derive(Debug, Clone, Copy, Default)]
+struct TidHasher(u64);
+
+impl Hasher for TidHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let wide = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+
+    /// Only `ThreadId` (one `write_u64`) is ever hashed; any other key
+    /// shape is folded in eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A generational handle to a dense thread slot.
 ///
@@ -63,25 +117,20 @@ impl fmt::Display for SlotId {
 /// * [`lookup`](Self::lookup) / [`tid_of`](Self::tid_of) translate in
 ///   both directions, with stale handles rejected by generation.
 ///
-/// The registry itself keeps a `ThreadId -> slot` map for the control
-/// path (spawn, exit, external queries); hot paths hold on to the
-/// [`SlotId`] and never hash.
+/// [`lookup`](Self::lookup) is the one hashing step (see the module
+/// docs for what it costs and who pays it per switch); whoever holds a
+/// [`SlotId`] indexes from there.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadSlots {
     /// Slot -> bound thread (None = free).
     tids: Vec<Option<ThreadId>>,
     /// Slot -> generation of the current (or last) binding.
     generations: Vec<u32>,
-    /// Control-path reverse map; not used on hot paths.
-    by_tid: HashMap<ThreadId, u32>,
+    /// Thread -> its live handle, under [`TidHasher`]. The generation is
+    /// stored with the index so a lookup reads nothing else.
+    by_tid: HashMap<ThreadId, SlotId, BuildHasherDefault<TidHasher>>,
     /// Free slot indices, reused LIFO.
     free: Vec<u32>,
-    /// One-entry MRU cache for [`lookup_cached`](Self::lookup_cached):
-    /// the per-batch engine path resolves the *same* running thread
-    /// several times per step, and each plain `lookup` pays a hash.
-    /// Invalidated on `release` (tids are never rebound, so a cached
-    /// binding can only die by being released).
-    hot: Option<(ThreadId, SlotId)>,
 }
 
 impl ThreadSlots {
@@ -93,8 +142,8 @@ impl ThreadSlots {
     /// Binds `tid` to a slot and returns its handle. Rebinding an
     /// already-bound thread returns the existing handle.
     pub fn bind(&mut self, tid: ThreadId) -> SlotId {
-        if let Some(&index) = self.by_tid.get(&tid) {
-            return SlotId { index, generation: self.generations[index as usize] };
+        if let Some(slot) = self.lookup(tid) {
+            return slot;
         }
         let index = match self.free.pop() {
             Some(i) => {
@@ -109,50 +158,37 @@ impl ThreadSlots {
                 i
             }
         };
-        self.by_tid.insert(tid, index);
-        SlotId { index, generation: self.generations[index as usize] }
+        let slot = SlotId { index, generation: self.generations[index as usize] };
+        self.by_tid.insert(tid, slot);
+        slot
     }
 
     /// Releases `tid`'s slot for reuse; returns the freed handle, or
     /// `None` if the thread was not bound.
     pub fn release(&mut self, tid: ThreadId) -> Option<SlotId> {
-        if matches!(self.hot, Some((t, _)) if t == tid) {
-            self.hot = None;
-        }
-        let index = self.by_tid.remove(&tid)?;
-        self.tids[index as usize] = None;
-        self.free.push(index);
-        Some(SlotId { index, generation: self.generations[index as usize] })
+        let slot = self.by_tid.remove(&tid)?;
+        self.tids[slot.index()] = None;
+        self.free.push(slot.index);
+        Some(slot)
     }
 
     /// The live handle for `tid`, if bound.
+    #[inline]
     pub fn lookup(&self, tid: ThreadId) -> Option<SlotId> {
-        if let Some((t, s)) = self.hot {
-            if t == tid {
-                return Some(s);
-            }
-        }
-        let &index = self.by_tid.get(&tid)?;
-        Some(SlotId { index, generation: self.generations[index as usize] })
+        self.by_tid.get(&tid).copied()
     }
 
-    /// [`lookup`](Self::lookup), but a hit is remembered so immediately
-    /// repeated resolutions of the same thread (the per-batch engine
-    /// sequence: step, control, switch-out) skip the hash probe.
+    /// [`lookup`](Self::lookup), under the name it had while a one-entry
+    /// cache in front of the SipHash map made a `&mut self` twin worth
+    /// having. Only `locality-sim` still calls it.
+    #[inline]
     pub fn lookup_cached(&mut self, tid: ThreadId) -> Option<SlotId> {
-        if let Some((t, s)) = self.hot {
-            if t == tid {
-                return Some(s);
-            }
-        }
-        let &index = self.by_tid.get(&tid)?;
-        let slot = SlotId { index, generation: self.generations[index as usize] };
-        self.hot = Some((tid, slot));
-        Some(slot)
+        self.lookup(tid)
     }
 
     /// Resolves a handle back to its thread; `None` if the slot was
     /// released or rebound since the handle was issued.
+    #[inline]
     pub fn tid_of(&self, slot: SlotId) -> Option<ThreadId> {
         if self.generations.get(slot.index())? != &slot.generation {
             return None;
@@ -161,6 +197,7 @@ impl ThreadSlots {
     }
 
     /// Whether `slot` still refers to the binding it was issued under.
+    #[inline]
     pub fn is_live(&self, slot: SlotId) -> bool {
         self.tid_of(slot).is_some()
     }
@@ -265,5 +302,75 @@ mod tests {
         s.release(t(1));
         let b = s.bind(t(2));
         assert_eq!(b.to_string(), "s0g1");
+    }
+
+    /// What the table does with a hash: the bucket index is its low
+    /// bits (a table sized for `n` keys at 7/8 load), the control tag
+    /// its top seven. Every bit of both must take both values over the
+    /// key set, and no bucket or tag may collect far more than its
+    /// share: a constant bit halves the table, a crowded bucket turns
+    /// a probe into a scan.
+    fn assert_spreads(name: &str, keys: impl Iterator<Item = u64>) {
+        use std::hash::BuildHasher;
+        let hashes: Vec<u64> =
+            keys.map(|k| BuildHasherDefault::<TidHasher>::default().hash_one(t(k))).collect();
+        let n = hashes.len();
+        let index_bits = (n * 8 / 7).next_power_of_two().trailing_zeros();
+        for bit in (0..index_bits).chain(57..64) {
+            let ones = hashes.iter().filter(|&&h| h >> bit & 1 == 1).count();
+            assert!(
+                ones * 4 > n && ones * 4 < n * 3,
+                "{name}: bit {bit} is set in {ones} of {n} hashes"
+            );
+        }
+        let mut buckets = vec![0u32; 1 << index_bits];
+        let mut tags = [0usize; 128];
+        for &h in &hashes {
+            buckets[(h & ((1 << index_bits) - 1)) as usize] += 1;
+            tags[(h >> 57) as usize] += 1;
+        }
+        let fullest = buckets.iter().max().unwrap();
+        assert!(*fullest <= 8, "{name}: {fullest} keys share a bucket");
+        let commonest = tags.iter().max().unwrap();
+        assert!(*commonest * 128 <= n * 2, "{name}: {commonest} of {n} keys share a tag");
+    }
+
+    #[test]
+    fn hasher_spreads_sequential_ids() {
+        assert_spreads("1..=65536", 1..=65536);
+    }
+
+    #[test]
+    fn hasher_spreads_strided_ids() {
+        for stride in [8, 64, 4096, 1 << 20] {
+            assert_spreads(&format!("stride {stride}"), (0..4096).map(|i| i * stride));
+        }
+    }
+
+    #[test]
+    fn hasher_spreads_ids_that_differ_only_in_high_bits() {
+        for shift in [32, 40, 48] {
+            assert_spreads(&format!("7 + (i << {shift})"), (0..4096).map(|i| 7 + (i << shift)));
+        }
+    }
+
+    #[test]
+    fn any_u64_is_a_valid_thread_id() {
+        // The engine allocates from 1, `repro` and the sim tests use 0, 1
+        // and 2, and the public API takes any `u64`.
+        let mut s = ThreadSlots::new();
+        let ids = [0, 1, 2, u64::MAX, u64::MAX - 1, 1 << 63];
+        let handles: Vec<SlotId> = ids.iter().map(|&i| s.bind(t(i))).collect();
+        for (&i, &h) in ids.iter().zip(&handles) {
+            assert_eq!(s.lookup(t(i)), Some(h));
+            assert_eq!(s.tid_of(h), Some(t(i)));
+        }
+        assert_eq!(s.release(t(u64::MAX)), Some(handles[3]));
+        assert_eq!(s.lookup(t(u64::MAX)), None);
+        assert_eq!(s.lookup(t(0)), Some(handles[0]));
+        let again = s.bind(t(u64::MAX));
+        assert_eq!(again.index(), handles[3].index());
+        assert_ne!(again.generation(), handles[3].generation());
+        assert_eq!(s.live(), ids.len());
     }
 }

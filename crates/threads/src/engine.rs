@@ -27,7 +27,8 @@ use crate::sched::{self, SchedPolicy, Scheduler};
 use crate::sync::{BarrierId, CondId, MutexId, SemId, SyncTables};
 use crate::thread::{Tcb, ThreadState};
 use locality_core::{
-    CounterSanitizer, SanitizedInterval, SanitizerConfig, SharingGraph, ThreadId, ThreadSlots,
+    CounterSanitizer, SanitizedInterval, SanitizerConfig, SharingGraph, SlotId, ThreadId,
+    ThreadSlots,
 };
 use locality_sim::{CacheGeometry, Machine, MachineConfig, SimError, TlbConfig};
 use locality_trace::{emit_with, set_clock, TraceEvent};
@@ -131,9 +132,15 @@ pub struct Engine<S: Scheduler = Box<dyn Scheduler>> {
     sync: SyncTables,
     graph: SharingGraph,
     clocks: Vec<u64>,
-    current: Vec<Option<ThreadId>>,
+    /// The thread on each processor with its slot, resolved once at
+    /// dispatch: stepping it and switching it out index the slab.
+    current: Vec<Option<(ThreadId, SlotId)>>,
     run_start: Vec<u64>,
-    sleepers: BinaryHeap<Reverse<(u64, ThreadId)>>,
+    /// `(wake time, thread, its slot)`. The slot rides along so a wake-up
+    /// needs no lookup; a sleeper killed meanwhile leaves an entry whose
+    /// slot is no longer live (released, or rebound under a younger
+    /// generation).
+    sleepers: BinaryHeap<Reverse<(u64, ThreadId, SlotId)>>,
     inference: Option<SharingInference>,
     sanitizer: CounterSanitizer,
     chaos: Option<ChaosState>,
@@ -284,13 +291,21 @@ impl<S: Scheduler> Engine<S> {
         self.corrected_intervals
     }
 
-    /// Looks up a live thread's TCB in the slab, surfacing a typed error
+    /// Resolves a live thread to its slot, surfacing a typed error
     /// instead of panicking when the runtime's tables are inconsistent.
+    fn slot_of(&self, tid: ThreadId) -> Result<SlotId, RuntimeError> {
+        self.slots.lookup(tid).ok_or(RuntimeError::UnknownThread { thread: tid })
+    }
+
+    /// The TCB of the live thread `tid` bound to `slot`.
+    fn tcb_at(&mut self, tid: ThreadId, slot: SlotId) -> Result<&mut Tcb, RuntimeError> {
+        self.tcbs[slot.index()].as_mut().ok_or(RuntimeError::UnknownThread { thread: tid })
+    }
+
+    /// [`tcb_at`](Self::tcb_at) for callers that hold only the thread id.
     fn tcb_mut(&mut self, tid: ThreadId) -> Result<&mut Tcb, RuntimeError> {
-        self.slots
-            .lookup_cached(tid)
-            .and_then(|slot| self.tcbs[slot.index()].as_mut())
-            .ok_or(RuntimeError::UnknownThread { thread: tid })
+        let slot = self.slot_of(tid)?;
+        self.tcb_at(tid, slot)
     }
 
     /// The synchronization tables (pre-creating objects before a run).
@@ -389,7 +404,7 @@ impl<S: Scheduler> Engine<S> {
             self.process_wakeups()?;
             let cpu = self.min_clock_cpu();
             match self.current[cpu] {
-                Some(tid) => self.step_thread(cpu, tid)?,
+                Some((tid, slot)) => self.step_thread(cpu, tid, slot)?,
                 None => {
                     if !self.dispatch(cpu)? {
                         self.advance_idle(cpu)?;
@@ -434,25 +449,31 @@ impl<S: Scheduler> Engine<S> {
 
     fn process_wakeups(&mut self) -> Result<(), RuntimeError> {
         let frontier = self.clocks.iter().copied().min().unwrap_or(0);
-        while let Some(&Reverse((wake, tid))) = self.sleepers.peek() {
+        while let Some(&Reverse((wake, tid, slot))) = self.sleepers.peek() {
             if wake > frontier {
                 break;
             }
             self.sleepers.pop();
             // A sleeper killed by fault injection leaves a stale heap
             // entry behind (the binary heap has no random removal); it is
-            // discarded lazily here. Tids are never reused, so a failed
-            // slot lookup can only mean the thread is gone.
-            if self.slots.lookup(tid).is_none() {
+            // discarded lazily here. Its slot was released and any later
+            // tenant holds a younger generation, so a handle that is no
+            // longer live can only mean the thread is gone.
+            if !self.slots.is_live(slot) {
                 continue;
             }
-            self.make_ready(tid)?;
+            self.make_ready_at(tid, slot)?;
         }
         Ok(())
     }
 
     fn make_ready(&mut self, tid: ThreadId) -> Result<(), RuntimeError> {
-        let tcb = self.tcb_mut(tid)?;
+        let slot = self.slot_of(tid)?;
+        self.make_ready_at(tid, slot)
+    }
+
+    fn make_ready_at(&mut self, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
+        let tcb = self.tcb_at(tid, slot)?;
         debug_assert!(
             matches!(tcb.state, ThreadState::Blocked | ThreadState::Sleeping),
             "{tid} woken in state {:?}",
@@ -468,10 +489,11 @@ impl<S: Scheduler> Engine<S> {
         // decisions) with this processor's clock.
         set_clock(self.clocks[cpu]);
         let Some(tid) = self.sched.pick(cpu) else { return Ok(false) };
-        let tcb = self.tcb_mut(tid)?;
+        let slot = self.slot_of(tid)?;
+        let tcb = self.tcb_at(tid, slot)?;
         debug_assert_eq!(tcb.state, ThreadState::Ready);
         tcb.state = ThreadState::Running;
-        self.current[cpu] = Some(tid);
+        self.current[cpu] = Some((tid, slot));
         self.run_start[cpu] = self.clocks[cpu];
         self.machine.set_running(cpu, Some(tid));
         self.sched.on_dispatch(cpu, tid);
@@ -496,7 +518,7 @@ impl<S: Scheduler> Engine<S> {
             .filter(|&(i, _)| self.current[i].is_some())
             .map(|(_, &c)| c)
             .min();
-        let wake_min = self.sleepers.peek().map(|&Reverse((w, _))| w);
+        let wake_min = self.sleepers.peek().map(|&Reverse((w, _, _))| w);
         let candidate = match (busy_min, wake_min) {
             (Some(b), Some(w)) => b.min(w),
             (Some(b), None) => b,
@@ -525,10 +547,10 @@ impl<S: Scheduler> Engine<S> {
         Ok(())
     }
 
-    fn step_thread(&mut self, cpu: usize, tid: ThreadId) -> Result<(), RuntimeError> {
+    fn step_thread(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
         let obs_start = self.obs.as_ref().map_or(0, ObsLog::len);
         let mut program = {
-            let tcb = self.tcb_mut(tid)?;
+            let tcb = self.tcb_at(tid, slot)?;
             tcb.batches += 1;
             tcb.program.take().ok_or_else(|| RuntimeError::Internal {
                 what: format!("{tid} stepped while its program was checked out"),
@@ -551,7 +573,7 @@ impl<S: Scheduler> Engine<S> {
         let accesses = ctx.accesses.take();
         let spawns = std::mem::take(&mut ctx.spawns);
         drop(ctx);
-        self.tcb_mut(tid)?.program = Some(program);
+        self.tcb_at(tid, slot)?.program = Some(program);
         self.clocks[cpu] += cycles;
         if self.config.schedule_points {
             let point = SchedulePoint {
@@ -571,10 +593,10 @@ impl<S: Scheduler> Engine<S> {
         // *before* its control takes effect — a lock it was about to
         // release stays held (and is reclaimed by the abort), a sync op
         // it was about to issue never happens.
-        if self.maybe_abort_running(cpu, tid)? {
+        if self.maybe_abort_running(cpu, tid, slot)? {
             return Ok(());
         }
-        self.handle_control(cpu, tid, control)?;
+        self.handle_control(cpu, tid, slot, control)?;
         if self.config.schedule_points {
             let obs_end = self.obs.as_ref().map_or(0, ObsLog::len);
             if let Some(point) = self.points.last_mut() {
@@ -583,16 +605,18 @@ impl<S: Scheduler> Engine<S> {
         }
         // Time-slice preemption applies only if the thread kept running.
         if let Some(slice) = self.config.time_slice {
-            if self.current[cpu] == Some(tid) && self.clocks[cpu] - self.run_start[cpu] >= slice {
-                self.switch_out(cpu, tid, SwitchReason::Preempted)?;
+            if self.current[cpu] == Some((tid, slot))
+                && self.clocks[cpu] - self.run_start[cpu] >= slice
+            {
+                self.switch_out(cpu, tid, slot, SwitchReason::Preempted)?;
             }
         }
         // Controlled scheduling: every visible operation is a decision
         // point, so a thread that would continue on-processor (an
         // uncontended lock, a post, an immediate join) is preempted and
         // must be re-picked before its next batch.
-        if self.config.schedule_points && self.current[cpu] == Some(tid) {
-            self.switch_out(cpu, tid, SwitchReason::Preempted)?;
+        if self.config.schedule_points && self.current[cpu] == Some((tid, slot)) {
+            self.switch_out(cpu, tid, slot, SwitchReason::Preempted)?;
         }
         Ok(())
     }
@@ -601,18 +625,19 @@ impl<S: Scheduler> Engine<S> {
         &mut self,
         cpu: usize,
         tid: ThreadId,
+        slot: SlotId,
         control: Control,
     ) -> Result<(), RuntimeError> {
         match control {
-            Control::Yield => self.switch_out(cpu, tid, SwitchReason::Yield)?,
+            Control::Yield => self.switch_out(cpu, tid, slot, SwitchReason::Yield)?,
             Control::Sleep(dur) => {
                 let wake = self.clocks[cpu] + dur;
-                self.tcb_mut(tid)?.state = ThreadState::Sleeping;
-                self.sleepers.push(Reverse((wake, tid)));
-                self.switch_out(cpu, tid, SwitchReason::Sleeping)?;
+                self.tcb_at(tid, slot)?.state = ThreadState::Sleeping;
+                self.sleepers.push(Reverse((wake, tid, slot)));
+                self.switch_out(cpu, tid, slot, SwitchReason::Sleeping)?;
             }
             Control::Exit => {
-                self.switch_out(cpu, tid, SwitchReason::Exited)?;
+                self.switch_out(cpu, tid, slot, SwitchReason::Exited)?;
                 self.finish_thread(tid)?;
             }
             Control::Lock(m) => {
@@ -626,7 +651,7 @@ impl<S: Scheduler> Engine<S> {
                     // a non-recursive pthread mutex. The acquire event is
                     // recorded when the unlock hands the mutex over.
                     mx.waiters.push_back(tid);
-                    self.block(cpu, tid)?;
+                    self.block(cpu, tid, slot)?;
                 }
             }
             Control::Unlock(m) => {
@@ -641,7 +666,7 @@ impl<S: Scheduler> Engine<S> {
                     self.continue_running(cpu);
                 } else {
                     sem.waiters.push_back(tid);
-                    self.block(cpu, tid)?;
+                    self.block(cpu, tid, slot)?;
                 }
             }
             Control::SemPost(s) => {
@@ -673,13 +698,13 @@ impl<S: Scheduler> Engine<S> {
                     }
                     self.continue_running(cpu);
                 } else {
-                    self.block(cpu, tid)?;
+                    self.block(cpu, tid, slot)?;
                 }
             }
             Control::CondWait(c, m) => {
                 self.unlock_mutex(m, tid)?;
                 self.sync.cond(c)?.waiters.push_back((tid, m));
-                self.block(cpu, tid)?;
+                self.block(cpu, tid, slot)?;
             }
             Control::CondSignal(c) => {
                 if let Some((w, m)) = self.sync.cond(c)?.waiters.pop_front() {
@@ -717,7 +742,7 @@ impl<S: Scheduler> Engine<S> {
                     self.note(ObsEvent::JoinWake { waiter: tid, target });
                     self.continue_running(cpu);
                 } else {
-                    self.block(cpu, tid)?;
+                    self.block(cpu, tid, slot)?;
                 }
             }
         }
@@ -759,18 +784,19 @@ impl<S: Scheduler> Engine<S> {
         self.clocks[cpu] += self.config.sync_op_cycles;
     }
 
-    fn block(&mut self, cpu: usize, tid: ThreadId) -> Result<(), RuntimeError> {
-        let tcb = self.tcb_mut(tid)?;
+    fn block(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
+        let tcb = self.tcb_at(tid, slot)?;
         if tcb.state == ThreadState::Running {
             tcb.state = ThreadState::Blocked;
         }
-        self.switch_out(cpu, tid, SwitchReason::Blocked)
+        self.switch_out(cpu, tid, slot, SwitchReason::Blocked)
     }
 
     fn switch_out(
         &mut self,
         cpu: usize,
         tid: ThreadId,
+        slot: SlotId,
         reason: SwitchReason,
     ) -> Result<(), RuntimeError> {
         set_clock(self.clocks[cpu]);
@@ -804,7 +830,7 @@ impl<S: Scheduler> Engine<S> {
         self.clocks[cpu] += self.config.switch_cost_cycles + self.config.pic_read_cycles;
         self.switches += 1;
         {
-            let tcb = self.tcb_mut(tid)?;
+            let tcb = self.tcb_at(tid, slot)?;
             tcb.switches += 1;
             match reason {
                 SwitchReason::Exited => tcb.state = ThreadState::Exited,
@@ -861,7 +887,7 @@ impl<S: Scheduler> Engine<S> {
             self.hooks = hooks;
         }
         if matches!(reason, SwitchReason::Yield | SwitchReason::Preempted) {
-            let tcb = self.tcb_mut(tid)?;
+            let tcb = self.tcb_at(tid, slot)?;
             tcb.state = ThreadState::Ready;
             self.sched.on_ready(tid);
         }
@@ -903,7 +929,12 @@ impl<S: Scheduler> Engine<S> {
     /// Chaos decision point for the thread that just finished a batch on
     /// `cpu`. Returns `true` when the thread was aborted (its control
     /// must then be discarded).
-    fn maybe_abort_running(&mut self, cpu: usize, tid: ThreadId) -> Result<bool, RuntimeError> {
+    fn maybe_abort_running(
+        &mut self,
+        cpu: usize,
+        tid: ThreadId,
+        slot: SlotId,
+    ) -> Result<bool, RuntimeError> {
         let Some(cfg) = self.config.chaos else { return Ok(false) };
         let Some(st) = self.chaos.as_mut() else { return Ok(false) };
         if st.faults() >= cfg.max_faults
@@ -921,7 +952,7 @@ impl<S: Scheduler> Engine<S> {
         // The dying thread's final partial interval is still read and
         // sanitized — the scheduler sees a short interval, exactly what a
         // real abort at an arbitrary PC would produce.
-        self.switch_out(cpu, tid, SwitchReason::Aborted)?;
+        self.switch_out(cpu, tid, slot, SwitchReason::Aborted)?;
         self.abort_thread(tid)
     }
 

@@ -23,7 +23,13 @@
 //! membership bitmask, queue epochs — lives in one slot-indexed
 //! `Vec<Option<SlotState>>`, and the per-processor heaps are
 //! slot-indexed too, so everything past the single `ThreadId → slot`
-//! lookup at each entry point is plain vector indexing. The global and
+//! lookup at each entry point is plain vector indexing. The estimator
+//! keeps a registry of its own behind the same by-`ThreadId` interface,
+//! and a thread that becomes ready asks it once which heaps it belongs
+//! in (`FootprintEstimator::for_each_cpu_at_least`: only the processors
+//! where the thread has state, unless cold threads qualify too). The
+//! vectors a context switch fills (the estimator's updates, a sweep's
+//! demotions, the degraded-mode preference list) are reused. The global and
 //! arrival FIFOs use **lazy deletion**: dequeuing from the middle just
 //! flips the slot's flag (bumping an epoch on re-enqueue defeats ABA),
 //! and stale entries are skipped at pop time or swept out when a queue
@@ -57,7 +63,7 @@ use crate::heap::PrioHeap;
 use crate::RuntimeError;
 use locality_core::{
     CpuId, EstimatorConfig, FootprintEstimator, LocalityEstimator, ModelParams, PolicyKind,
-    SanitizedInterval, SharingGraph, SlotId, ThreadId, ThreadSlots,
+    PriorityUpdate, SanitizedInterval, SharingGraph, SlotId, ThreadId, ThreadSlots,
 };
 use locality_trace::{emit_with, TraceEvent};
 use std::collections::VecDeque;
@@ -163,6 +169,13 @@ pub struct LocalityScheduler<E: FootprintEstimator = LocalityEstimator> {
     /// descending share weight (degraded-mode preference list).
     preferred: Vec<VecDeque<ThreadId>>,
     empty_graph: SharingGraph,
+    /// Scratch reused across calls, so a context switch allocates
+    /// nothing: the estimator's updates (copied out so the queues can be
+    /// edited while walking them), the entries a sweep demotes, and the
+    /// blocker's dependents by weight in degraded mode.
+    updates: Vec<PriorityUpdate>,
+    demoted: Vec<(ThreadId, SlotId)>,
+    by_weight: Vec<(ThreadId, f64)>,
     mode: SchedMode,
     /// Monotonic enqueue counter feeding both FIFO epochs.
     epoch: u64,
@@ -228,6 +241,9 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
             arrival: VecDeque::new(),
             preferred: (0..cpus).map(|_| VecDeque::new()).collect(),
             empty_graph: SharingGraph::new(),
+            updates: Vec::new(),
+            demoted: Vec::new(),
+            by_weight: Vec::new(),
             mode: SchedMode::Normal,
             epoch: 0,
             ready_members: 0,
@@ -287,22 +303,23 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         slot
     }
 
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.slots
-            .lookup(tid)
-            .and_then(|slot| self.states[slot.index()].as_ref())
-            .is_some_and(|st| st.ready)
+    fn is_ready(&self, slot: SlotId) -> bool {
+        self.states[slot.index()].as_ref().is_some_and(|st| st.ready)
     }
 
     fn enqueue_ready(&mut self, tid: ThreadId, slot: SlotId) {
-        debug_assert!(!self.is_ready(tid), "{tid} enqueued twice");
+        debug_assert!(!self.is_ready(slot), "{tid} enqueued twice");
         let mut mask = 0u64;
-        for cpu in 0..self.heaps.len() {
-            if self.est.estimate(CpuId(cpu), tid) >= self.config.threshold_lines {
-                self.heaps[cpu].push(tid, slot, self.est.priority(CpuId(cpu), tid));
-                mask |= 1 << cpu;
-            }
-        }
+        let heaps = &mut self.heaps;
+        self.est.for_each_cpu_at_least(
+            tid,
+            heaps.len(),
+            self.config.threshold_lines,
+            |cpu, prio| {
+                heaps[cpu.0].push(tid, slot, prio);
+                mask |= 1 << cpu.0;
+            },
+        );
         let i = slot.index();
         self.epoch += 1;
         let arrival_epoch = self.epoch;
@@ -323,13 +340,6 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         st.global_epoch = global_epoch;
         self.ready_members += 1;
         self.maybe_compact();
-    }
-
-    /// Removes `tid` from every ready structure.
-    fn remove_everywhere(&mut self, tid: ThreadId) {
-        if let Some(slot) = self.slots.lookup(tid) {
-            self.remove_slot(slot);
-        }
     }
 
     /// Removes a slot's thread from every ready structure: heaps
@@ -421,15 +431,21 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
     }
 
     fn sweep(&mut self, cpu: usize) {
-        let mut demote: Vec<(ThreadId, SlotId)> = self.heaps[cpu]
-            .iter()
-            .filter(|&(tid, _, _)| self.est.estimate(CpuId(cpu), tid) < self.config.threshold_lines)
-            .map(|(tid, slot, _)| (tid, slot))
-            .collect();
-        demote.sort_unstable_by_key(|&(tid, _)| tid);
-        for (tid, slot) in demote {
+        let mut demoted = std::mem::take(&mut self.demoted);
+        demoted.clear();
+        demoted.extend(
+            self.heaps[cpu]
+                .iter()
+                .filter(|&(tid, _, _)| {
+                    self.est.estimate(CpuId(cpu), tid) < self.config.threshold_lines
+                })
+                .map(|(tid, slot, _)| (tid, slot)),
+        );
+        demoted.sort_unstable_by_key(|&(tid, _)| tid);
+        for &(tid, slot) in &demoted {
             self.demote(cpu, tid, slot);
         }
+        self.demoted = demoted;
     }
 
     /// Folds one confidence sample into the EWMA and runs the streak
@@ -483,9 +499,9 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
     /// blocker first, then plain arrival-order FIFO.
     fn pick_degraded(&mut self, cpu: usize) -> Option<ThreadId> {
         while let Some(tid) = self.preferred[cpu].pop_front() {
-            if self.is_ready(tid) {
-                self.remove_everywhere(tid);
-                self.trace_dispatch(cpu, tid, f64::NAN, f64::NAN);
+            if let Some(slot) = self.slots.lookup(tid).filter(|&slot| self.is_ready(slot)) {
+                self.remove_slot(slot);
+                self.trace_dispatch(cpu, tid, || f64::NAN, f64::NAN);
                 return Some(tid);
             }
         }
@@ -496,7 +512,7 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
                 let slot = self.states[i].as_ref().expect("live entry has state").slot;
                 self.arrival.pop_front();
                 self.remove_slot(slot);
-                self.trace_dispatch(cpu, tid, f64::NAN, f64::NAN);
+                self.trace_dispatch(cpu, tid, || f64::NAN, f64::NAN);
                 return Some(tid);
             }
             // Lazily-deleted entry: discard and keep looking.
@@ -505,12 +521,20 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         None
     }
 
-    /// Emits the dispatch trace point (compiled out without `trace`).
-    fn trace_dispatch(&self, cpu: usize, tid: ThreadId, priority: f64, margin: f64) {
+    /// Emits the dispatch trace point (compiled out without `trace`,
+    /// and `priority` with it: a pick from the global queue would
+    /// otherwise ask the estimator for a number nobody reads).
+    fn trace_dispatch(
+        &self,
+        cpu: usize,
+        tid: ThreadId,
+        priority: impl FnOnce() -> f64,
+        margin: f64,
+    ) {
         emit_with(|| TraceEvent::Dispatch {
             cpu: cpu as u32,
             tid: tid.0,
-            priority,
+            priority: priority(),
             margin,
             degraded: self.mode == SchedMode::Degraded,
         });
@@ -529,7 +553,9 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
     }
 
     fn on_dispatch(&mut self, cpu: usize, tid: ThreadId) {
-        self.remove_everywhere(tid);
+        if let Some(slot) = self.slots.lookup(tid) {
+            self.remove_slot(slot);
+        }
         self.est.on_switch(CpuId(cpu), tid);
     }
 
@@ -544,8 +570,10 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
         // The estimator always consumes the (sanitized, bounded) interval,
         // even in degraded mode: keeping footprint state warm makes the
         // switch back to Normal seamless once confidence recovers.
-        let updates = self.est.on_miss(CpuId(cpu), tid, interval.misses, model_graph);
-        for u in updates {
+        let mut updates = std::mem::take(&mut self.updates);
+        updates.clear();
+        updates.extend_from_slice(self.est.on_miss(CpuId(cpu), tid, interval.misses, model_graph));
+        for &u in &updates {
             if u.thread == tid {
                 // The blocker is still Running from the scheduler's point
                 // of view; the engine re-enqueues it (or not) afterwards.
@@ -561,6 +589,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
                 self.demote(cpu, u.thread, slot);
             }
         }
+        self.updates = updates;
         self.interval_ends += 1;
         if self.config.sweep_interval > 0
             && self.interval_ends.is_multiple_of(self.config.sweep_interval)
@@ -573,12 +602,14 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             if self.config.use_annotations {
                 // Cache the blocker's annotation dependents for the
                 // annotations-only picks (pick() has no graph access).
-                let mut deps: Vec<(ThreadId, f64)> = graph.dependents_of(tid).collect();
+                self.by_weight.clear();
+                self.by_weight.extend(graph.dependents_of(tid));
                 // total_cmp keeps the order deterministic even for NaN
                 // weights (partial_cmp would silently leave them wherever
                 // the sort happened to visit them).
-                deps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                self.preferred[cpu] = deps.into_iter().map(|(dep, _)| dep).collect();
+                self.by_weight.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                self.preferred[cpu].clear();
+                self.preferred[cpu].extend(self.by_weight.iter().map(|&(dep, _)| dep));
             }
         }
     }
@@ -606,7 +637,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             // Margin over the runner-up still queued on this cpu (NaN
             // when the heap emptied).
             let margin = self.heaps[cpu].peek_max().map_or(f64::NAN, |(_, _, p)| prio - p);
-            self.trace_dispatch(cpu, tid, prio, margin);
+            self.trace_dispatch(cpu, tid, || prio, margin);
             return Some(tid);
         }
         // Global queue of footprint-less threads, skipping (and thereby
@@ -619,7 +650,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             }
             let slot = self.states[i].as_ref().expect("live entry has state").slot;
             self.remove_slot(slot);
-            self.trace_dispatch(cpu, tid, self.est.priority(CpuId(cpu), tid), f64::NAN);
+            self.trace_dispatch(cpu, tid, || self.est.priority(CpuId(cpu), tid), f64::NAN);
             return Some(tid);
         }
         // Steal the lowest-priority thread from the fullest neighbour.
@@ -629,16 +660,16 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
         let (tid, slot, prio) = self.heaps[victim_cpu].min_entry()?;
         self.remove_slot(slot);
         self.steals += 1;
-        self.trace_dispatch(cpu, tid, prio, f64::NAN);
+        self.trace_dispatch(cpu, tid, || prio, f64::NAN);
         Some(tid)
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
-        self.remove_everywhere(tid);
-        self.est.retire(tid);
         if let Some(slot) = self.slots.release(tid) {
+            self.remove_slot(slot);
             self.states[slot.index()] = None;
         }
+        self.est.retire(tid);
     }
 
     fn expected_footprint(&self, cpu: usize, tid: ThreadId) -> Option<f64> {
@@ -681,6 +712,15 @@ mod tests {
 
     fn t(i: u64) -> ThreadId {
         ThreadId(i)
+    }
+
+    impl<E: FootprintEstimator> LocalityScheduler<E> {
+        /// Takes `tid` off every ready structure, as a `pick` would have.
+        fn remove_everywhere(&mut self, tid: ThreadId) {
+            if let Some(slot) = self.slots.lookup(tid) {
+                self.remove_slot(slot);
+            }
+        }
     }
 
     fn sched(cpus: usize) -> LocalityScheduler {

@@ -1,19 +1,24 @@
 //! Property tests of slot recycling: a thread spawned into a recycled
 //! dense slot must never inherit the previous occupant's state — not the
 //! sanitizer's EWMAs or confidence, not the machine's per-thread counter
-//! deltas or cache-line ownership, and not sharing-graph edges. Each
-//! property drives random spawn/exit sequences against one slot-indexed
-//! consumer and asserts the fresh-on-rebind invariant.
+//! deltas or cache-line ownership, not the estimator's footprint rows,
+//! and not sharing-graph edges. Each property drives random spawn/exit
+//! sequences against one slot-indexed consumer and asserts the
+//! fresh-on-rebind invariant.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use thread_locality::core::{
-    CounterSanitizer, SanitizerConfig, SharingGraph, SlotId, ThreadId, ThreadSlots,
+    CounterSanitizer, CpuId, EstimatorConfig, FootprintEntry, FootprintEstimator,
+    LocalityEstimator, ModelParams, PolicyKind, PrioritySchemes, PriorityUpdate, SanitizedInterval,
+    SanitizerConfig, SharingGraph, SlotId, ThreadId, ThreadSlots,
 };
 use thread_locality::sim::{
     AccessKind, CacheGeometry, FootprintScratch, Machine, MachineConfig, TlbConfig, VAddr,
 };
+use thread_locality::threads::sched::{LocalityConfig, LocalityScheduler};
 use thread_locality::threads::{
-    BatchCtx, ChaosConfig, Control, Engine, EngineConfig, MutexId, Program, SchedPolicy,
+    BatchCtx, ChaosConfig, Control, Engine, EngineConfig, MutexId, Program, SchedPolicy, Scheduler,
 };
 
 /// One step of a random lifecycle schedule over a small tid universe.
@@ -246,6 +251,260 @@ proptest! {
                     model.iter().filter(|&&(s, _)| s == t).map(|&(_, d)| d).collect();
                 prop_assert_eq!(outs, want, "dependents of t{} diverged", t);
             }
+        }
+    }
+}
+
+/// The estimator as it was before it had slots: one [`FootprintEntry`]
+/// per `(cpu, thread)` in a map keyed by thread id, driven through the
+/// same public [`PrioritySchemes`] calls. Nothing in it can be recycled,
+/// so whatever the slot-indexed rows inherit shows up as a difference.
+struct KeyedEstimator {
+    schemes: PrioritySchemes,
+    misses: Vec<u64>,
+    entries: BTreeMap<(usize, ThreadId), FootprintEntry>,
+}
+
+impl KeyedEstimator {
+    fn new(policy: PolicyKind, params: ModelParams, cpus: usize) -> Self {
+        KeyedEstimator {
+            schemes: PrioritySchemes::new(policy, params),
+            misses: vec![0; cpus],
+            entries: BTreeMap::new(),
+        }
+    }
+
+    fn on_dispatch(&mut self, cpu: usize, tid: ThreadId) {
+        let entry = self.entries.entry((cpu, tid)).or_insert_with(FootprintEntry::cold);
+        self.schemes.on_dispatch(entry, self.misses[cpu]);
+    }
+
+    fn on_interval_end(
+        &mut self,
+        cpu: usize,
+        tid: ThreadId,
+        n: u64,
+        graph: &SharingGraph,
+    ) -> Vec<PriorityUpdate> {
+        let m_t0 = self.misses[cpu];
+        let entry = self.entries.entry((cpu, tid)).or_insert_with(FootprintEntry::cold);
+        let prio = self.schemes.on_block_self(entry, n, m_t0 + n);
+        let mut updates = vec![PriorityUpdate { thread: tid, prio }];
+        for (dep, q) in graph.dependents_of(tid) {
+            let entry = self.entries.entry((cpu, dep)).or_insert_with(FootprintEntry::cold);
+            let prio = self.schemes.on_dependent(entry, q, n, m_t0);
+            updates.push(PriorityUpdate { thread: dep, prio });
+        }
+        self.misses[cpu] = m_t0 + n;
+        updates
+    }
+
+    fn estimate(&self, cpu: usize, tid: ThreadId) -> f64 {
+        self.entries
+            .get(&(cpu, tid))
+            .map_or(0.0, |e| self.schemes.expected_footprint(e, self.misses[cpu]))
+    }
+
+    fn priority(&self, cpu: usize, tid: ThreadId) -> f64 {
+        self.entries
+            .get(&(cpu, tid))
+            .map_or_else(|| self.schemes.cold_priority(self.misses[cpu]), |e| e.prio)
+    }
+
+    fn retire(&mut self, tid: ThreadId) {
+        self.entries.retain(|&(_, t), _| t != tid);
+    }
+}
+
+/// The default estimator behind the trait's default
+/// `for_each_cpu_at_least`: every processor is asked for its estimate
+/// and its priority, as `enqueue_ready` did before the estimator knew
+/// where a thread has state.
+struct AllCpus(LocalityEstimator);
+
+impl FootprintEstimator for AllCpus {
+    fn on_switch(&mut self, cpu: CpuId, tid: ThreadId) {
+        self.0.on_switch(cpu, tid);
+    }
+    fn on_miss(
+        &mut self,
+        cpu: CpuId,
+        tid: ThreadId,
+        n: u64,
+        graph: &SharingGraph,
+    ) -> &[PriorityUpdate] {
+        self.0.on_miss(cpu, tid, n, graph)
+    }
+    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64 {
+        self.0.estimate(cpu, tid)
+    }
+    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
+        FootprintEstimator::priority(&self.0, cpu, tid)
+    }
+    fn retire(&mut self, tid: ThreadId) {
+        self.0.retire(tid);
+    }
+}
+
+proptest! {
+    /// Estimator: random spawn / dispatch / interval-end (with and
+    /// without dependents) / exit sequences with enough churn to recycle
+    /// slots. After every step the estimate and the priority of every
+    /// `(cpu, thread)` ever seen equal, bit for bit, those of a
+    /// reference keyed by thread id, and a thread that has just been
+    /// spawned (into a fresh or a recycled slot) is cold on every cpu.
+    #[test]
+    fn estimator_rows_die_with_the_thread(
+        steps in proptest::collection::vec((0u8..10, 0u64..u64::MAX, 0u64..3000), 1..160),
+        cpus in 1usize..5,
+        crt in 0u8..2,
+    ) {
+        let policy = if crt == 1 { PolicyKind::Crt } else { PolicyKind::Lff };
+        let params = ModelParams::new(1024).unwrap();
+        let mut est = LocalityEstimator::new(EstimatorConfig::new(policy, params, cpus));
+        let mut reference = KeyedEstimator::new(policy, params, cpus);
+        let mut live: Vec<ThreadId> = Vec::new();
+        let mut seen: Vec<ThreadId> = Vec::new();
+        for &(op, pick, n) in &steps {
+            let cpu = (pick >> 8) as usize % cpus;
+            let who = live.get((pick >> 16) as usize % live.len().max(1)).copied();
+            match (op, who) {
+                // Spawn (always, while nothing is live): ids are never
+                // reused, slots are.
+                (0..=1, _) | (_, None) => {
+                    let tid = ThreadId(seen.len() as u64 + 1);
+                    live.push(tid);
+                    seen.push(tid);
+                    for c in 0..cpus {
+                        prop_assert_eq!(est.estimate(CpuId(c), tid), 0.0);
+                        prop_assert_eq!(
+                            FootprintEstimator::priority(&est, CpuId(c), tid).to_bits(),
+                            reference.schemes.cold_priority(reference.misses[c]).to_bits(),
+                            "{} starts warm on cpu{}", tid, c
+                        );
+                    }
+                }
+                (2..=3, Some(tid)) => {
+                    est.on_switch(CpuId(cpu), tid);
+                    reference.on_dispatch(cpu, tid);
+                }
+                (4..=7, Some(tid)) => {
+                    // Half the interval ends fan out to up to two
+                    // dependents, which need not have run anywhere yet.
+                    let mut graph = SharingGraph::new();
+                    if op >= 6 {
+                        for (k, &dep) in live.iter().filter(|&&t| t != tid).take(2).enumerate() {
+                            graph.set(tid, dep, 0.25 + 0.5 * k as f64).unwrap();
+                        }
+                    }
+                    let got = est.on_miss(CpuId(cpu), tid, n, &graph).to_vec();
+                    let want = reference.on_interval_end(cpu, tid, n, &graph);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(g.thread, w.thread);
+                        prop_assert_eq!(g.prio.to_bits(), w.prio.to_bits());
+                    }
+                }
+                (_, Some(tid)) => {
+                    est.retire(tid);
+                    reference.retire(tid);
+                    live.retain(|&t| t != tid);
+                }
+            }
+            for c in 0..cpus {
+                prop_assert_eq!(est.misses(CpuId(c)), reference.misses[c]);
+                for &t in &seen {
+                    prop_assert_eq!(
+                        est.estimate(CpuId(c), t).to_bits(),
+                        reference.estimate(c, t).to_bits(),
+                        "estimate of {} on cpu{} after {:?}", t, c, (op, pick, n)
+                    );
+                    prop_assert_eq!(
+                        FootprintEstimator::priority(&est, CpuId(c), t).to_bits(),
+                        reference.priority(c, t).to_bits(),
+                        "priority of {} on cpu{} after {:?}", t, c, (op, pick, n)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Scheduler: `enqueue_ready` asks the estimator only for the cpus
+    /// where the thread has state. Driven by the same random
+    /// pick / run / wake / exit sequence, it hands out the same threads
+    /// in the same order, and keeps the same heaps, as a scheduler whose
+    /// estimator is asked about every cpu, for a threshold cold entries
+    /// pass (0) and one they do not (8), on 1 and 8 cpus.
+    #[test]
+    fn ready_threads_join_the_same_heaps_as_an_all_cpus_loop(
+        steps in proptest::collection::vec((0u8..8, 0u64..u64::MAX, 0u64..600), 1..200),
+        eight in 0u8..2,
+        zero_threshold in 0u8..2,
+        crt in 0u8..2,
+    ) {
+        let cpus = if eight == 1 { 8 } else { 1 };
+        let config = LocalityConfig {
+            threshold_lines: if zero_threshold == 1 { 0.0 } else { 8.0 },
+            ..LocalityConfig::new(if crt == 1 { PolicyKind::Crt } else { PolicyKind::Lff })
+        };
+        let params = ModelParams::new(1024).unwrap();
+        let all = AllCpus(LocalityEstimator::new(EstimatorConfig::new(config.policy, params, cpus)));
+        let mut masked = LocalityScheduler::new(config, 1024, cpus).unwrap();
+        let mut looped = LocalityScheduler::with_estimator(config, all, cpus).unwrap();
+        let mut graph = SharingGraph::new();
+        let mut spawned = 0u64;
+        // Threads that were picked and have not been made ready again.
+        let mut off_queue: Vec<ThreadId> = Vec::new();
+        for &(op, pick, misses) in &steps {
+            let cpu = (pick >> 8) as usize % cpus;
+            match op {
+                0..=1 => {
+                    spawned += 1;
+                    let tid = ThreadId(spawned);
+                    if spawned > 1 && pick % 2 == 0 {
+                        graph.set(ThreadId(spawned - 1), tid, 0.5).unwrap();
+                    }
+                    masked.on_spawn(tid);
+                    looped.on_spawn(tid);
+                }
+                2..=5 => {
+                    let picked = masked.pick(cpu);
+                    prop_assert_eq!(picked, looped.pick(cpu), "pick on cpu{}", cpu);
+                    if let Some(tid) = picked {
+                        let interval = SanitizedInterval {
+                            refs: misses, hits: 0, misses, confidence: 1.0, corrected: false,
+                        };
+                        for s in [&mut masked as &mut dyn Scheduler, &mut looped] {
+                            s.on_dispatch(cpu, tid);
+                            s.on_interval_end(cpu, tid, interval, &graph);
+                        }
+                        off_queue.push(tid);
+                    }
+                }
+                6 => {
+                    if !off_queue.is_empty() {
+                        let tid = off_queue.swap_remove(pick as usize % off_queue.len());
+                        masked.on_ready(tid);
+                        looped.on_ready(tid);
+                    }
+                }
+                _ => {
+                    if !off_queue.is_empty() {
+                        let tid = off_queue.swap_remove(pick as usize % off_queue.len());
+                        graph.remove_thread(tid);
+                        masked.on_exit(tid);
+                        looped.on_exit(tid);
+                    }
+                }
+            }
+            prop_assert_eq!(masked.ready_count(), looped.ready_count());
+            for c in 0..cpus {
+                prop_assert_eq!(masked.heap_len(c), looped.heap_len(c), "heap of cpu{}", c);
+            }
+        }
+        // Drain: what is left comes out in the same order too.
+        for c in (0..cpus).cycle().take(4 * cpus + 2 * spawned as usize) {
+            prop_assert_eq!(masked.pick(c), looped.pick(c), "draining cpu{}", c);
         }
     }
 }
