@@ -62,6 +62,19 @@ cargo run --release -p locality-repro --bin repro -- ablation \
 test -s "$CHAOS_OUT/ablation_chaos.csv"
 rm -rf "$CHAOS_OUT"
 
+# Counter faults: every scenario must run through the sanitizer and the
+# degraded mode to a finished table, byte-identical across --jobs values
+# like every other runner artifact.
+FAULT_A=$(mktemp -d)
+FAULT_B=$(mktemp -d)
+cargo run --release -p locality-repro --bin repro -- ablation \
+    --scale small --fault all --jobs 1 --out "$FAULT_A"
+cargo run --release -p locality-repro --bin repro -- ablation \
+    --scale small --fault all --jobs 4 --out "$FAULT_B"
+test -s "$FAULT_A/ablation_faults.csv"
+cmp "$FAULT_A/ablation_faults.csv" "$FAULT_B/ablation_faults.csv"
+rm -rf "$FAULT_A" "$FAULT_B"
+
 # Crash safety: a `repro all` SIGKILLed mid-run must, on rerun, resume
 # from the on-disk cache to artifacts byte-identical to an
 # uninterrupted run (and to the committed golden hashes). The test is
@@ -118,6 +131,7 @@ rm -rf "$MC_OUT"
 # spawn and exit threads while they run, so the shadow recompute there
 # also sees estimator rows that were rebound to a younger thread.
 INVARIANT_OUT=$(mktemp -d)
+cargo clippy --workspace --all-targets --features invariant-checks -- -D warnings
 cargo build --release -p locality-repro --features invariant-checks
 for fig in fig5 fig7 fig9; do
     cargo run --release -p locality-repro --features invariant-checks --bin repro -- "$fig" \

@@ -26,15 +26,17 @@
 //! violation.
 
 use crate::fixtures;
+use crate::hb::HbClocks;
 use crate::race::RaceDetector;
 use crate::vclock::VClock;
 use active_threads::{
-    BlockedOn, Engine, EngineConfig, ObsEvent, ObsLog, Program, RuntimeError, SchedulePoint,
-    Scheduler,
+    BlockedOn, Engine, EngineConfig, ObsLog, Program, RuntimeError, SchedulePoint, Scheduler,
 };
 use locality_core::{SanitizedInterval, SharingGraph, ThreadId};
 use locality_sim::MachineConfig;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Workloads.
@@ -128,6 +130,31 @@ pub struct SleepEntry {
     pub sig: SchedulePoint,
 }
 
+/// What one execution's scheduler leaves behind. The scheduler runs
+/// inside the engine as a `Box<dyn Scheduler>`; [`run_schedule`] keeps
+/// a second handle to this record and reads it back after the run.
+#[derive(Debug, Default)]
+pub struct ScheduleLog {
+    /// The decisions taken so far, in order.
+    pub decisions: Vec<Decision>,
+    /// Whether the execution was cut off by the depth bound.
+    pub hit_bound: bool,
+    /// Whether the execution stopped because every enabled thread was
+    /// asleep (a sleep-set prune: the continuation is provably
+    /// equivalent to an already-explored one).
+    pub sleep_blocked: bool,
+    /// Whether a scripted choice named a thread that was not enabled —
+    /// an internal-consistency failure (the engine is deterministic, so
+    /// a prefix recorded from one run must replay on the next).
+    pub diverged: bool,
+}
+
+impl ScheduleLog {
+    fn stopped(&self) -> bool {
+        self.hit_bound || self.sleep_blocked || self.diverged
+    }
+}
+
 /// A scheduler that drives the engine down one prescribed interleaving:
 /// scripted choices first, then a deterministic default (prefer the
 /// previously-running thread, else the smallest ready thread not in the
@@ -138,12 +165,9 @@ pub struct ExploringScheduler {
     script: VecDeque<ThreadId>,
     sleep_init: BTreeMap<usize, Vec<(ThreadId, SchedulePoint)>>,
     sleep: BTreeMap<ThreadId, SchedulePoint>,
-    decisions: Vec<Decision>,
     last: Option<ThreadId>,
     depth_bound: usize,
-    hit_bound: bool,
-    sleep_blocked: bool,
-    diverged: bool,
+    log: Rc<RefCell<ScheduleLog>>,
 }
 
 impl ExploringScheduler {
@@ -158,37 +182,16 @@ impl ExploringScheduler {
             script: script.iter().copied().collect(),
             sleep_init,
             sleep: BTreeMap::new(),
-            decisions: Vec::new(),
             last: None,
             depth_bound,
-            hit_bound: false,
-            sleep_blocked: false,
-            diverged: false,
+            log: Rc::default(),
         }
     }
 
-    /// The decisions taken so far, in order.
-    pub fn decisions(&self) -> &[Decision] {
-        &self.decisions
-    }
-
-    /// Whether the execution was cut off by the depth bound.
-    pub fn hit_bound(&self) -> bool {
-        self.hit_bound
-    }
-
-    /// Whether the execution stopped because every enabled thread was
-    /// asleep (a sleep-set prune: the continuation is provably
-    /// equivalent to an already-explored one).
-    pub fn sleep_blocked(&self) -> bool {
-        self.sleep_blocked
-    }
-
-    /// Whether a scripted choice named a thread that was not enabled —
-    /// an internal-consistency failure (the engine is deterministic, so
-    /// a prefix recorded from one run must replay on the next).
-    pub fn diverged(&self) -> bool {
-        self.diverged
+    /// A handle to the record this scheduler writes, to keep while the
+    /// engine owns the scheduler.
+    pub fn log(&self) -> Rc<RefCell<ScheduleLog>> {
+        self.log.clone()
     }
 }
 
@@ -213,14 +216,15 @@ impl Scheduler for ExploringScheduler {
     }
 
     fn pick(&mut self, _cpu: usize) -> Option<ThreadId> {
-        if self.ready.is_empty() || self.hit_bound || self.sleep_blocked || self.diverged {
+        let mut log = self.log.borrow_mut();
+        if self.ready.is_empty() || log.stopped() {
             return None;
         }
-        if self.decisions.len() >= self.depth_bound {
-            self.hit_bound = true;
+        if log.decisions.len() >= self.depth_bound {
+            log.hit_bound = true;
             return None;
         }
-        if let Some(entries) = self.sleep_init.remove(&self.decisions.len()) {
+        if let Some(entries) = self.sleep_init.remove(&log.decisions.len()) {
             for (tid, sig) in entries {
                 self.sleep.insert(tid, sig);
             }
@@ -229,7 +233,7 @@ impl Scheduler for ExploringScheduler {
         let slept: Vec<ThreadId> = self.sleep.keys().copied().collect();
         let chosen = if let Some(c) = self.script.pop_front() {
             if !self.ready.contains(&c) {
-                self.diverged = true;
+                log.diverged = true;
                 return None;
             }
             c
@@ -240,13 +244,13 @@ impl Scheduler for ExploringScheduler {
             match preferred.or(fallback) {
                 Some(c) => c,
                 None => {
-                    self.sleep_blocked = true;
+                    log.sleep_blocked = true;
                     return None;
                 }
             }
         };
         self.sleep.remove(&chosen);
-        self.decisions.push(Decision { enabled, slept, chosen });
+        log.decisions.push(Decision { enabled, slept, chosen });
         self.ready.remove(&chosen);
         self.last = Some(chosen);
         Some(chosen)
@@ -271,7 +275,7 @@ impl Scheduler for ExploringScheduler {
         // Reporting zero when flagged makes the engine's idle loop take
         // its deadlock exit instead of spinning; the explorer inspects
         // the flags to tell a truncation or prune from a real deadlock.
-        if self.hit_bound || self.sleep_blocked || self.diverged {
+        if self.log.borrow().stopped() {
             0
         } else {
             self.ready.len()
@@ -329,27 +333,27 @@ pub fn run_schedule(
     depth_bound: usize,
 ) -> Execution {
     let sched = ExploringScheduler::new(script, sleep, depth_bound);
+    let sched_log = sched.log();
     let config = EngineConfig { schedule_points: true, ..EngineConfig::default() };
     // Infallible: `ultra1()` is a validated built-in description.
     #[allow(clippy::expect_used)]
-    let mut engine = Engine::with_scheduler(MachineConfig::ultra1(), sched, config)
+    let mut engine = Engine::with_scheduler(MachineConfig::ultra1(), Box::new(sched), config)
         .expect("ultra1 machine is always valid");
     engine.enable_observation();
     engine.spawn(workload.program());
     let result = engine.run();
     let points = engine.take_schedule_points();
     let log = engine.take_observation().unwrap_or_default();
+    let sched_log = sched_log.take();
     let outcome = match result {
         Ok(_) => Outcome::Completed,
-        Err(RuntimeError::Deadlock { .. }) if engine.scheduler().hit_bound() => Outcome::Truncated,
-        Err(RuntimeError::Deadlock { .. }) if engine.scheduler().sleep_blocked() => {
-            Outcome::SleepBlocked
-        }
-        Err(RuntimeError::Deadlock { .. }) if engine.scheduler().diverged() => Outcome::Diverged,
+        Err(RuntimeError::Deadlock { .. }) if sched_log.hit_bound => Outcome::Truncated,
+        Err(RuntimeError::Deadlock { .. }) if sched_log.sleep_blocked => Outcome::SleepBlocked,
+        Err(RuntimeError::Deadlock { .. }) if sched_log.diverged => Outcome::Diverged,
         Err(RuntimeError::Deadlock { .. }) => Outcome::Deadlocked(engine.blocked_threads()),
         Err(e) => Outcome::EngineError(e.to_string()),
     };
-    let decisions = engine.scheduler().decisions().to_vec();
+    let decisions = sched_log.decisions;
     debug_assert!(
         matches!(outcome, Outcome::EngineError(_)) || decisions.len() == points.len(),
         "one decision per executed step ({} vs {})",
@@ -361,107 +365,28 @@ pub fn run_schedule(
     Execution { decisions, points, clocks, races, outcome }
 }
 
-/// Computes each step's happens-before clock by replaying the
-/// observation log with the same rules as the race detector, plus one
-/// tick at the start of every step so each step owns a unique component
-/// value. Step `i` happens-before step `j` iff
+/// Computes each step's happens-before clock by driving the race
+/// detector's clock state ([`HbClocks`]) over the observation log, plus
+/// one tick at the start of every step so each step owns a unique
+/// component value. Step `i` happens-before step `j` iff
 /// `clocks[j].get(tid_i) >= clocks[i].get(tid_i)`.
 fn step_clocks(log: &ObsLog, points: &[SchedulePoint]) -> Vec<VClock> {
     let events = log.events();
-    let mut clocks: BTreeMap<ThreadId, VClock> = BTreeMap::new();
-    let mut mutex_clocks: BTreeMap<usize, VClock> = BTreeMap::new();
-    let mut sem_clocks: BTreeMap<usize, VClock> = BTreeMap::new();
+    let mut hb = HbClocks::default();
     let mut out = Vec::with_capacity(points.len());
     let mut pos = 0usize;
-    let clock_of = |clocks: &mut BTreeMap<ThreadId, VClock>, t: ThreadId| -> VClock {
-        clocks.entry(t).or_default().clone()
-    };
-    let apply = |clocks: &mut BTreeMap<ThreadId, VClock>,
-                 mutex_clocks: &mut BTreeMap<usize, VClock>,
-                 sem_clocks: &mut BTreeMap<usize, VClock>,
-                 ev: &ObsEvent| {
-        match *ev {
-            ObsEvent::Spawn { parent, child } => {
-                let inherited = match parent {
-                    Some(p) => {
-                        let pc = clocks.entry(p).or_default();
-                        pc.tick(p);
-                        pc.clone()
-                    }
-                    None => VClock::new(),
-                };
-                let cc = clocks.entry(child).or_default();
-                *cc = inherited;
-                cc.tick(child);
-            }
-            ObsEvent::Exit { tid } | ObsEvent::Abort { tid } => {
-                clocks.entry(tid).or_default().tick(tid);
-            }
-            ObsEvent::JoinWake { waiter, target } => {
-                let tc = clock_of(clocks, target);
-                let wc = clocks.entry(waiter).or_default();
-                wc.join(&tc);
-                wc.tick(waiter);
-            }
-            ObsEvent::MutexAcquire { tid, mutex } => {
-                if let Some(mc) = mutex_clocks.get(&mutex.0) {
-                    let mc = mc.clone();
-                    clocks.entry(tid).or_default().join(&mc);
-                }
-                clocks.entry(tid).or_default().tick(tid);
-            }
-            ObsEvent::MutexRelease { tid, mutex } => {
-                let tc = clocks.entry(tid).or_default();
-                tc.tick(tid);
-                mutex_clocks.insert(mutex.0, tc.clone());
-            }
-            ObsEvent::SemPost { tid, sem } => {
-                let tc = clocks.entry(tid).or_default();
-                tc.tick(tid);
-                let tc = tc.clone();
-                sem_clocks.entry(sem.0).or_default().join(&tc);
-            }
-            ObsEvent::SemAcquire { tid, sem } => {
-                if let Some(sc) = sem_clocks.get(&sem.0) {
-                    let sc = sc.clone();
-                    clocks.entry(tid).or_default().join(&sc);
-                }
-                clocks.entry(tid).or_default().tick(tid);
-            }
-            ObsEvent::BarrierCross { barrier: _, ref parties } => {
-                let mut merged = VClock::new();
-                for &p in parties {
-                    merged.join(clocks.entry(p).or_default());
-                }
-                for &p in parties {
-                    let pc = clocks.entry(p).or_default();
-                    *pc = merged.clone();
-                    pc.tick(p);
-                }
-            }
-            ObsEvent::CondWake { signaler, woken, cond: _ } => {
-                let sc = clocks.entry(signaler).or_default();
-                sc.tick(signaler);
-                let sc = sc.clone();
-                let wc = clocks.entry(woken).or_default();
-                wc.join(&sc);
-                wc.tick(woken);
-            }
-            ObsEvent::Access { .. } | ObsEvent::AtShare { .. } => {}
-        }
-    };
     for point in points {
         let (lo, hi) = point.obs_range;
         // Events emitted outside any step (root spawns) come first.
         for ev in events.iter().take(lo.min(events.len())).skip(pos) {
-            apply(&mut clocks, &mut mutex_clocks, &mut sem_clocks, ev);
+            hb.apply(ev);
         }
         pos = pos.max(lo.min(events.len()));
-        let tc = clocks.entry(point.tid).or_default();
+        let tc = hb.clock_mut(point.tid);
         tc.tick(point.tid);
         out.push(tc.clone());
         for ev in events.iter().take(hi.min(events.len())).skip(pos) {
-            apply(&mut clocks, &mut mutex_clocks, &mut sem_clocks, ev);
+            hb.apply(ev);
         }
         pos = pos.max(hi.min(events.len()));
     }
@@ -720,7 +645,7 @@ impl Default for ExploreConfig {
 }
 
 /// Aggregated result of one exploration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreSummary {
     /// Terminal executions (completed or violating).
     pub schedules: u64,
@@ -775,12 +700,29 @@ impl Task {
 /// Number of preemptions in a decision prefix: positions where the
 /// previously-running thread was still enabled but a different thread
 /// was scheduled.
-fn preemptions(choices: &[ThreadId], enabled: &[Vec<ThreadId>]) -> usize {
+fn preemptions(choices: &[ThreadId], decisions: &[Decision]) -> usize {
     choices
         .windows(2)
         .enumerate()
-        .filter(|(k, w)| w[1] != w[0] && enabled.get(k + 1).is_some_and(|e| e.contains(&w[0])))
+        .filter(|(k, w)| {
+            w[1] != w[0] && decisions.get(k + 1).is_some_and(|d| d.enabled.contains(&w[0]))
+        })
         .count()
+}
+
+/// The decision prefix that follows `exec` up to position `at` and then
+/// runs `choice` instead; `None` when the preemption bound rules it out.
+fn branch_prefix(
+    exec: &Execution,
+    at: usize,
+    choice: ThreadId,
+    cfg: &ExploreConfig,
+) -> Option<Vec<ThreadId>> {
+    let mut prefix: Vec<ThreadId> = exec.decisions[..at].iter().map(|d| d.chosen).collect();
+    prefix.push(choice);
+    cfg.preempt_bound
+        .is_none_or(|bound| preemptions(&prefix, &exec.decisions) <= bound)
+        .then_some(prefix)
 }
 
 /// Child tasks of one executed task under DPOR: for every racing pair
@@ -791,7 +733,6 @@ fn preemptions(choices: &[ThreadId], enabled: &[Vec<ThreadId>]) -> usize {
 /// sleep set.
 fn children_dpor(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Task> {
     let n = exec.points.len().min(exec.decisions.len()).min(exec.clocks.len());
-    let enabled: Vec<Vec<ThreadId>> = exec.decisions.iter().map(|d| d.enabled.clone()).collect();
     let mut out = Vec::new();
     for j in 0..n {
         for i in 0..j {
@@ -809,14 +750,7 @@ fn children_dpor(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Task
                 if c == di.chosen || di.slept.contains(&c) {
                     continue;
                 }
-                let mut prefix: Vec<ThreadId> =
-                    exec.decisions[..i].iter().map(|d| d.chosen).collect();
-                prefix.push(c);
-                if let Some(bound) = cfg.preempt_bound {
-                    if preemptions(&prefix, &enabled) > bound {
-                        continue;
-                    }
-                }
+                let Some(prefix) = branch_prefix(exec, i, c, cfg) else { continue };
                 let mut sleep: Vec<SleepEntry> =
                     task.sleep.iter().filter(|e| e.pos <= i).cloned().collect();
                 sleep.push(SleepEntry { pos: i, tid: di.chosen, sig: exec.points[i].clone() });
@@ -831,41 +765,28 @@ fn children_dpor(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Task
 /// the forced prefix, for every enabled alternative. Together with the
 /// default suffix this enumerates the full schedule tree exactly once.
 fn children_naive(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Task> {
-    let enabled: Vec<Vec<ThreadId>> = exec.decisions.iter().map(|d| d.enabled.clone()).collect();
     let mut out = Vec::new();
     for p in task.prefix.len()..exec.decisions.len() {
         for &c in &exec.decisions[p].enabled {
             if c == exec.decisions[p].chosen {
                 continue;
             }
-            let mut prefix: Vec<ThreadId> = exec.decisions[..p].iter().map(|d| d.chosen).collect();
-            prefix.push(c);
-            if let Some(bound) = cfg.preempt_bound {
-                if preemptions(&prefix, &enabled) > bound {
-                    continue;
-                }
-            }
+            let Some(prefix) = branch_prefix(exec, p, c, cfg) else { continue };
             out.push(Task { prefix, sleep: Vec::new() });
         }
     }
     out
 }
 
-/// Runs a frontier wave, in parallel when `jobs > 1`, preserving task
-/// order in the returned executions (results are a pure function of
-/// each task, so the jobs count cannot change any output).
+/// Runs a frontier wave across `jobs` workers claiming task indices,
+/// preserving task order in the returned executions (results are a pure
+/// function of each task, so the jobs count cannot change any output).
 fn run_wave(workload: McWorkload, tasks: &[Task], cfg: &ExploreConfig) -> Vec<Execution> {
-    if cfg.jobs <= 1 || tasks.len() <= 1 {
-        return tasks
-            .iter()
-            .map(|t| run_schedule(workload, &t.prefix, &t.sleep, cfg.depth_bound))
-            .collect();
-    }
     let slots: Vec<std::sync::OnceLock<Execution>> =
-        (0..tasks.len()).map(|_| std::sync::OnceLock::new()).collect();
+        tasks.iter().map(|_| std::sync::OnceLock::new()).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..cfg.jobs.min(tasks.len()) {
+        for _ in 0..cfg.jobs.clamp(1, tasks.len().max(1)) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(task) = tasks.get(i) else { break };
@@ -894,16 +815,7 @@ fn run_wave(workload: McWorkload, tasks: &[Task], cfg: &ExploreConfig) -> Vec<Ex
 /// the sorted wave — so two runs (at any `jobs` values) produce
 /// identical summaries.
 pub fn explore(workload: McWorkload, cfg: &ExploreConfig) -> ExploreSummary {
-    let mut summary = ExploreSummary {
-        schedules: 0,
-        pruned: 0,
-        truncated: 0,
-        diverged: 0,
-        capped: false,
-        max_depth: 0,
-        violations: Vec::new(),
-        race_pairs: BTreeSet::new(),
-    };
+    let mut summary = ExploreSummary::default();
     let mut seen_kinds: BTreeSet<ViolationKind> = BTreeSet::new();
     let root = Task { prefix: Vec::new(), sleep: Vec::new() };
     let mut seen: BTreeSet<TaskKey> = BTreeSet::new();

@@ -152,27 +152,19 @@ impl Program for Parent {
     }
 }
 
+fn parent(clean: bool, rounds: u32) -> Box<dyn Program> {
+    Box::new(Parent { clean, rounds: rounds.max(1), phase: 0, buf: None, second_worker: None })
+}
+
 /// The mutex-protected, fully annotated workload. Race-free.
 pub fn clean_workload(rounds: u32) -> Box<dyn Program> {
-    Box::new(Parent {
-        clean: true,
-        rounds: rounds.max(1),
-        phase: 0,
-        buf: None,
-        second_worker: None,
-    })
+    parent(true, rounds)
 }
 
 /// The unsynchronized, under-annotated workload. Races under every
 /// schedule.
 pub fn racy_workload(rounds: u32) -> Box<dyn Program> {
-    Box::new(Parent {
-        clean: false,
-        rounds: rounds.max(1),
-        phase: 0,
-        buf: None,
-        second_worker: None,
-    })
+    parent(false, rounds)
 }
 
 /// A worker that acquires `first` then `second`, then releases both.

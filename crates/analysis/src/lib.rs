@@ -6,7 +6,8 @@
 //! * **Happens-before race detection** ([`race`]) — vector clocks
 //!   ([`vclock`]) advance at every synchronization event (spawn, join,
 //!   mutex hand-off, semaphore post/wait, barrier crossing, condition
-//!   signal); conflicting access spans with concurrent clocks are
+//!   signal) under the one rule set in [`hb`], which the model checker
+//!   replays too; conflicting access spans with concurrent clocks are
 //!   confirmed data races. Deterministic: the engine's execution — and
 //!   therefore the log — is a pure function of the program and
 //!   configuration.
@@ -40,6 +41,7 @@
 
 pub mod explore;
 pub mod fixtures;
+pub mod hb;
 pub mod lint;
 pub mod lockorder;
 pub mod race;
@@ -50,6 +52,7 @@ pub use explore::{
     explore, parse_counterexample, replay_counterexample, serialize_counterexample, Counterexample,
     ExploreConfig, ExploreSummary, McViolation, McWorkload, ViolationKind,
 };
+pub use hb::HbClocks;
 pub use lint::{lint_annotations, LintConfig, ObservedSharing};
 pub use lockorder::{LockOrderGraph, WitnessEdge};
 pub use race::{AccessInfo, Race, RaceDetector};

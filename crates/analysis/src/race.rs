@@ -1,7 +1,8 @@
 //! Vector-clock happens-before race detection over an [`ObsLog`].
 //!
-//! The detector replays the deterministic observation log, maintaining one
-//! [`VClock`] per thread plus one per synchronization object, and flags
+//! The detector replays the deterministic observation log through the
+//! shared happens-before state ([`HbClocks`]: one [`VClock`] per thread
+//! plus one per synchronization object), and flags
 //! every pair of conflicting access spans (different threads, at least one
 //! write, overlapping byte ranges) whose clocks are concurrent. Because the
 //! engine only changes a thread's causal frontier at synchronization
@@ -14,9 +15,10 @@
 //! (edge `a → b` when some thread acquires `b` while holding `a`), whose
 //! cycles indicate potential deadlocks.
 
+use crate::hb::HbClocks;
 use crate::lockorder::LockOrderGraph;
 use crate::vclock::VClock;
-use active_threads::{MutexId, ObsEvent, ObsLog, SemId};
+use active_threads::{MutexId, ObsEvent, ObsLog};
 use locality_core::ThreadId;
 use locality_sim::VAddr;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,9 +82,7 @@ const MAX_RACES: usize = 64;
 /// The happens-before replay engine.
 #[derive(Debug, Default)]
 pub struct RaceDetector {
-    clocks: BTreeMap<ThreadId, VClock>,
-    mutex_clocks: BTreeMap<MutexId, VClock>,
-    sem_clocks: BTreeMap<SemId, VClock>,
+    hb: HbClocks,
     history: Vec<AccessInfo>,
     held: BTreeMap<ThreadId, Vec<MutexId>>,
     lock_order: LockOrderGraph,
@@ -111,51 +111,10 @@ impl RaceDetector {
         &self.lock_order
     }
 
-    fn clock_mut(&mut self, t: ThreadId) -> &mut VClock {
-        self.clocks.entry(t).or_default()
-    }
-
     fn step(&mut self, ev: &ObsEvent) {
+        self.hb.apply(ev);
         match *ev {
-            ObsEvent::Spawn { parent, child } => {
-                let inherited = match parent {
-                    Some(p) => {
-                        let pc = self.clock_mut(p);
-                        pc.tick(p);
-                        pc.clone()
-                    }
-                    None => VClock::new(),
-                };
-                let cc = self.clock_mut(child);
-                *cc = inherited;
-                cc.tick(child);
-            }
-            ObsEvent::Exit { tid } => {
-                self.clock_mut(tid).tick(tid);
-            }
-            // An abort is the dead thread's final event: tick its clock so
-            // everything it did is below the abort. The engine emits the
-            // reclamation `MutexRelease`s (and `JoinWake`s) *after* the
-            // abort, by the dead thread itself — the release handler then
-            // publishes the post-abort clock into the mutex, so whoever
-            // reclaims the lock is happens-after everything the dead
-            // thread did while holding it. No phantom races against dead
-            // threads.
-            ObsEvent::Abort { tid } => {
-                self.clock_mut(tid).tick(tid);
-            }
-            ObsEvent::JoinWake { waiter, target } => {
-                let tc = self.clock_mut(target).clone();
-                let wc = self.clock_mut(waiter);
-                wc.join(&tc);
-                wc.tick(waiter);
-            }
             ObsEvent::MutexAcquire { tid, mutex } => {
-                if let Some(mc) = self.mutex_clocks.get(&mutex) {
-                    let mc = mc.clone();
-                    self.clock_mut(tid).join(&mc);
-                }
-                self.clock_mut(tid).tick(tid);
                 let held = self.held.entry(tid).or_default();
                 for &outer in held.iter() {
                     self.lock_order.add_edge(outer, mutex, tid);
@@ -163,57 +122,19 @@ impl RaceDetector {
                 held.push(mutex);
             }
             ObsEvent::MutexRelease { tid, mutex } => {
-                let tc = self.clock_mut(tid);
-                tc.tick(tid);
-                let tc = tc.clone();
-                self.mutex_clocks.insert(mutex, tc);
                 if let Some(held) = self.held.get_mut(&tid) {
                     if let Some(pos) = held.iter().rposition(|&m| m == mutex) {
                         held.remove(pos);
                     }
                 }
             }
-            ObsEvent::SemPost { tid, sem } => {
-                let tc = self.clock_mut(tid);
-                tc.tick(tid);
-                let tc = tc.clone();
-                // Posts accumulate: a waiter may be released by any prior
-                // post, so the semaphore clock joins rather than replaces.
-                self.sem_clocks.entry(sem).or_default().join(&tc);
-            }
-            ObsEvent::SemAcquire { tid, sem } => {
-                if let Some(sc) = self.sem_clocks.get(&sem) {
-                    let sc = sc.clone();
-                    self.clock_mut(tid).join(&sc);
-                }
-                self.clock_mut(tid).tick(tid);
-            }
-            ObsEvent::BarrierCross { barrier: _, ref parties } => {
-                let mut merged = VClock::new();
-                for &p in parties {
-                    merged.join(self.clock_mut(p));
-                }
-                for &p in parties {
-                    let pc = self.clock_mut(p);
-                    *pc = merged.clone();
-                    pc.tick(p);
-                }
-            }
-            ObsEvent::CondWake { signaler, woken, cond: _ } => {
-                let sc = self.clock_mut(signaler);
-                sc.tick(signaler);
-                let sc = sc.clone();
-                let wc = self.clock_mut(woken);
-                wc.join(&sc);
-                wc.tick(woken);
-            }
             ObsEvent::Access { tid, start, bytes, write } => {
-                let clock = self.clock_mut(tid).clone();
+                let clock = self.hb.clock_mut(tid).clone();
                 let cur = AccessInfo { tid, start, bytes, write, clock };
                 self.check_race(&cur);
                 self.history.push(cur);
             }
-            ObsEvent::AtShare { .. } => {}
+            _ => {}
         }
     }
 
@@ -244,6 +165,7 @@ impl RaceDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use active_threads::SemId;
 
     fn t(i: u64) -> ThreadId {
         ThreadId(i)

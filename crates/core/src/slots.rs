@@ -178,14 +178,6 @@ impl ThreadSlots {
         self.by_tid.get(&tid).copied()
     }
 
-    /// [`lookup`](Self::lookup), under the name it had while a one-entry
-    /// cache in front of the SipHash map made a `&mut self` twin worth
-    /// having. Only `locality-sim` still calls it.
-    #[inline]
-    pub fn lookup_cached(&mut self, tid: ThreadId) -> Option<SlotId> {
-        self.lookup(tid)
-    }
-
     /// Resolves a handle back to its thread; `None` if the slot was
     /// released or rebound since the handle was issued.
     #[inline]

@@ -10,12 +10,12 @@
 //! workload runs; each run's log — and therefore the analysis — is
 //! identical at any job count.
 
-use crate::args::{Args, Scale};
+use crate::args::{keyword, Args, Scale};
 use crate::error::ReproError;
+use crate::runner::in_parallel;
 use crate::table::Table;
 use active_threads::{Engine, EngineConfig, SchedPolicy};
-use locality_analyze::fixtures::{clean_workload, racy_workload};
-use locality_analyze::{analyze_log, AnalysisConfig, AnalysisReport, Severity};
+use locality_analyze::{analyze_log, AnalysisConfig, AnalysisReport, McWorkload, Severity};
 use locality_sim::MachineConfig;
 
 /// Which fixture workloads to analyze.
@@ -37,21 +37,17 @@ impl Workload {
     /// Returns [`ReproError::Usage`] for anything but
     /// `clean`/`racy`/`all`.
     pub fn from_args(args: &Args) -> Result<Self, ReproError> {
-        match args.workload.as_deref() {
-            None | Some("all") => Ok(Workload::All),
-            Some("clean") => Ok(Workload::Clean),
-            Some("racy") => Ok(Workload::Racy),
-            Some(other) => Err(ReproError::Usage(format!(
-                "unknown workload '{other}' (expected clean, racy, or all)"
-            ))),
-        }
+        let table = [("clean", Workload::Clean), ("racy", Workload::Racy), ("all", Workload::All)];
+        args.workload.as_deref().map_or(Ok(Workload::All), |v| keyword("workload", v, &table))
     }
 
-    fn names(self) -> &'static [&'static str] {
+    /// The selected fixtures, clean before racy.
+    fn fixtures(self, rounds: u32) -> Vec<McWorkload> {
+        let (clean, racy) = (McWorkload::Clean { rounds }, McWorkload::Racy { rounds });
         match self {
-            Workload::Clean => &["clean"],
-            Workload::Racy => &["racy"],
-            Workload::All => &["clean", "racy"],
+            Workload::Clean => vec![clean],
+            Workload::Racy => vec![racy],
+            Workload::All => vec![clean, racy],
         }
     }
 }
@@ -72,16 +68,13 @@ fn rounds_for(scale: Scale) -> u32 {
     }
 }
 
-/// Runs one named fixture under observation and analyzes its log.
-fn analyze_one(name: &'static str, rounds: u32) -> Result<WorkloadAnalysis, ReproError> {
-    let program = match name {
-        "clean" => clean_workload(rounds),
-        _ => racy_workload(rounds),
-    };
+/// Runs one fixture under observation and analyzes its log.
+fn analyze_one(fixture: &McWorkload) -> Result<WorkloadAnalysis, ReproError> {
+    let name = fixture.name();
     let mut engine =
         Engine::new(MachineConfig::enterprise5000(2), SchedPolicy::Lff, EngineConfig::default())?;
     engine.enable_observation();
-    engine.spawn(program);
+    engine.spawn(fixture.program());
     engine.run()?;
     let Some(log) = engine.take_observation() else {
         return Err(ReproError::MissingResult(format!("observation log for workload {name}")));
@@ -89,37 +82,12 @@ fn analyze_one(name: &'static str, rounds: u32) -> Result<WorkloadAnalysis, Repr
     Ok(WorkloadAnalysis { name, report: analyze_log(&log, &AnalysisConfig::default()) })
 }
 
-/// Runs the selected workloads (in parallel when `--jobs > 1` and both
-/// are requested) and returns their analyses in a fixed order: clean
-/// before racy, independent of completion order.
+/// Runs the selected workloads across `--jobs` workers and returns their
+/// analyses in a fixed order: clean before racy, independent of
+/// completion order.
 pub fn run_workloads(args: &Args, which: Workload) -> Result<Vec<WorkloadAnalysis>, ReproError> {
-    let rounds = rounds_for(args.scale);
-    let names = which.names();
-    if names.len() == 2 && args.jobs > 1 {
-        // Engines (and the boxed programs inside) are not Send, so each
-        // worker constructs its own engine; only the plain analysis data
-        // crosses the thread boundary.
-        let mut results = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                names.iter().map(|&n| s.spawn(move || analyze_one(n, rounds))).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(ReproError::RunPanicked {
-                            what: crate::runner::panic_message(p.as_ref()),
-                        })
-                    })
-                })
-                .collect::<Vec<_>>()
-        });
-        match (results.pop(), results.pop()) {
-            (Some(second), Some(first)) => Ok(vec![first?, second?]),
-            _ => Err(ReproError::MissingResult("clean/racy workload pair".to_string())),
-        }
-    } else {
-        names.iter().map(|&n| analyze_one(n, rounds)).collect()
-    }
+    let fixtures = which.fixtures(rounds_for(args.scale));
+    in_parallel(args.jobs, &fixtures, analyze_one).into_iter().collect()
 }
 
 /// Renders the findings of every workload into one table.

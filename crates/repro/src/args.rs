@@ -1,5 +1,6 @@
 //! Minimal command-line handling shared by the `repro` subcommands.
 
+use crate::error::ReproError;
 use std::path::PathBuf;
 
 /// The flags half of the `--help` text; every subcommand accepts the
@@ -112,6 +113,37 @@ pub enum Parsed {
     Help,
 }
 
+/// Looks a keyword flag's value up in the flag's table; a flag that
+/// accepts `all` lists it as a row like any other. Every "unknown …
+/// (expected …)" usage message comes from here.
+///
+/// # Errors
+///
+/// Returns [`ReproError::Usage`] naming the table's keywords.
+pub(crate) fn keyword<T: Copy>(
+    what: &str,
+    value: &str,
+    table: &[(&str, T)],
+) -> Result<T, ReproError> {
+    table.iter().find(|(name, _)| *name == value).map(|&(_, row)| row).ok_or_else(|| {
+        let names: Vec<&str> = table.iter().map(|&(name, _)| name).collect();
+        ReproError::Usage(format!("unknown {what} '{value}' (expected {})", names.join("|")))
+    })
+}
+
+/// [`keyword`] for a flag whose value picks one scenario of `all` or
+/// every one: the selection, in table order.
+pub(crate) fn keyword_or_all<T: Copy>(
+    what: &str,
+    value: &str,
+    all: &[T],
+    name: fn(&T) -> &'static str,
+) -> Result<Vec<T>, ReproError> {
+    let mut table: Vec<(&str, &[T])> = vec![("all", all)];
+    table.extend(all.iter().map(|row| (name(row), std::slice::from_ref(row))));
+    keyword(what, value, &table).map(<[T]>::to_vec)
+}
+
 /// Parses a strictly positive integer flag value.
 fn parse_positive(flag: &str, v: &str) -> Result<u64, String> {
     match v.parse::<u64>() {
@@ -184,11 +216,8 @@ impl Args {
             match arg.as_str() {
                 "--scale" => {
                     let v = it.next().ok_or("--scale needs a value (paper|small)")?;
-                    out.scale = match v.as_str() {
-                        "paper" => Scale::Paper,
-                        "small" => Scale::Small,
-                        other => return Err(format!("unknown scale '{other}'")),
-                    };
+                    let scales = [("paper", Scale::Paper), ("small", Scale::Small)];
+                    out.scale = keyword("scale", &v, &scales).map_err(|e| e.to_string())?;
                 }
                 "--out" => {
                     let v = it.next().ok_or("--out needs a directory")?;
@@ -383,6 +412,19 @@ mod tests {
         assert!(parse(&["--page-size"]).is_err());
         assert!(parse(&["--page-size", "0"]).is_err());
         assert!(parse(&["--page-size", "1000"]).is_err());
+    }
+
+    #[test]
+    fn keyword_tables_select_and_name_their_rows() {
+        let table = [("a", 1), ("b", 2)];
+        assert_eq!(keyword("letter", "b", &table).unwrap(), 2);
+        let err = keyword("letter", "c", &table).unwrap_err();
+        assert_eq!(err.to_string(), "unknown letter 'c' (expected a|b)");
+        let name = |n: &u8| if *n == 1 { "one" } else { "two" };
+        assert_eq!(keyword_or_all("digit", "two", &[1u8, 2], name).unwrap(), vec![2]);
+        assert_eq!(keyword_or_all("digit", "all", &[1u8, 2], name).unwrap(), vec![1, 2]);
+        let err = keyword_or_all("digit", "six", &[1u8, 2], name).unwrap_err();
+        assert_eq!(err.to_string(), "unknown digit 'six' (expected all|one|two)");
     }
 
     #[test]

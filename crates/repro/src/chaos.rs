@@ -7,6 +7,8 @@
 //! Every layer of the runtime must recover — the run completes and the
 //! report accounts for every spawned thread as completed or aborted.
 
+use crate::args::keyword_or_all;
+use crate::error::ReproError;
 use active_threads::ChaosConfig;
 
 /// The seed all chaos cells share; the scenario's fixed-point rates do
@@ -58,17 +60,9 @@ impl ChaosScenario {
     ///
     /// # Errors
     ///
-    /// Returns a message listing the valid keywords.
-    pub fn parse(value: &str) -> Result<Vec<ChaosScenario>, String> {
-        if value == "all" {
-            return Ok(ChaosScenario::ALL.to_vec());
-        }
-        ChaosScenario::ALL.into_iter().find(|s| s.name() == value).map(|s| vec![s]).ok_or_else(
-            || {
-                let names: Vec<&str> = ChaosScenario::ALL.iter().map(|s| s.name()).collect();
-                format!("unknown chaos scenario '{value}' (expected all|{})", names.join("|"))
-            },
-        )
+    /// Returns [`ReproError::Usage`] listing the valid keywords.
+    pub fn parse(value: &str) -> Result<Vec<ChaosScenario>, ReproError> {
+        keyword_or_all("chaos scenario", value, &Self::ALL, Self::name)
     }
 
     /// The fault injector to install on the engine, if any.
@@ -89,17 +83,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_keywords() {
-        assert_eq!(ChaosScenario::parse("abort-locked").unwrap(), vec![ChaosScenario::AbortLocked]);
-        assert_eq!(ChaosScenario::parse("all").unwrap().len(), ChaosScenario::ALL.len());
-        assert!(ChaosScenario::parse("bogus").unwrap_err().contains("abort-running"));
-    }
-
-    #[test]
     fn names_round_trip() {
         for s in ChaosScenario::ALL {
             assert_eq!(ChaosScenario::parse(s.name()).unwrap(), vec![s]);
         }
+        assert_eq!(ChaosScenario::parse("all").unwrap(), ChaosScenario::ALL);
+        assert!(ChaosScenario::parse("bogus").unwrap_err().to_string().contains("abort-running"));
     }
 
     #[test]

@@ -8,16 +8,12 @@ use crate::args::Scale;
 use crate::chaos::{ChaosScenario, CHAOS_SEED};
 use crate::error::ReproError;
 use crate::faults::FaultScenario;
-use active_threads::events::EngineView;
+use crate::monitor::{monitored_engine, sample_footprints, Sampled};
 use active_threads::sched::LocalityConfig;
-use active_threads::{
-    Engine, EngineConfig, EngineHook, InferenceConfig, RunReport, SchedPolicy, SwitchEvent,
-};
+use active_threads::{Engine, EngineConfig, InferenceConfig, RunReport, SchedPolicy};
 use locality_core::{FootprintEntry, ModelParams, PolicyKind, PrioritySchemes, ThreadId};
 use locality_sim::{AccessKind, Machine, MachineConfig, PagePlacement};
 use locality_workloads::{tasks, App};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// One heap-eviction-threshold sweep cell (tasks, 1 cpu, LFF).
 ///
@@ -50,9 +46,7 @@ pub fn threshold_cell(threshold_lines: u64, scale: Scale) -> Result<RunReport, R
 ///
 /// Returns [`ReproError::Runtime`] if the run cannot complete.
 pub fn placement_cell(app: App, placement: PagePlacement) -> Result<RunReport, ReproError> {
-    let machine = MachineConfig::ultra1().with_placement(placement);
-    let mut engine = Engine::new(machine, SchedPolicy::Fcfs, EngineConfig::default())?;
-    app.spawn_single(&mut engine);
+    let (mut engine, _) = monitored_engine(app, placement, SchedPolicy::Fcfs, app.default_seed())?;
     Ok(engine.run()?)
 }
 
@@ -264,32 +258,17 @@ impl PredictionProbe {
     }
 }
 
-struct PredictionHook {
-    probe: Rc<RefCell<PredictionProbe>>,
-}
-
-impl PredictionHook {
-    /// Switches the machine's footprint tracking on (one counter read
-    /// per switch instead of an E-cache scan) and installs the hook.
-    fn install(engine: &mut Engine) -> Rc<RefCell<PredictionProbe>> {
-        engine.machine_mut().track_footprints();
-        let probe = Rc::new(RefCell::new(PredictionProbe::default()));
-        engine.add_hook(Box::new(PredictionHook { probe: probe.clone() }));
-        probe
-    }
-}
-
-impl EngineHook for PredictionHook {
-    fn on_context_switch(&mut self, event: &SwitchEvent, view: &EngineView<'_>) {
-        let Some(predicted) = view.sched.expected_footprint(event.cpu, event.tid) else {
-            return;
-        };
-        let observed = view.machine.l2_footprint_lines(event.cpu, event.tid) as f64;
-        let mut p = self.probe.borrow_mut();
+/// Installs the sampling hook accumulating a [`PredictionProbe`] over
+/// every context switch the policy has a prediction for (none under
+/// FCFS).
+fn probe_predictions(engine: &mut Engine) -> Sampled<PredictionProbe> {
+    sample_footprints(engine, None, |p: &mut PredictionProbe, _, _, observed, predicted| {
+        let Some(predicted) = predicted else { return };
+        let observed = observed as f64;
         p.sum_abs_err += (predicted - observed).abs();
         p.sum_observed += observed;
         p.samples += 1;
-    }
+    })
 }
 
 /// The result of one fault-scenario run.
@@ -328,16 +307,11 @@ pub fn fault_cell(
     if let Some(config) = scenario.config(0xFA11) {
         engine.machine_mut().install_fault(config);
     }
-    let probe = PredictionHook::install(&mut engine);
+    let probe = probe_predictions(&mut engine);
     tasks::spawn_parallel(&mut engine, &params);
     let report = engine.run()?;
     let recovered = report.degraded_intervals > 0 && !engine.scheduler().is_degraded();
-    drop(engine);
-    // The engine is gone, so the hook's Rc clone is too; an empty probe
-    // only happens if that invariant breaks, and defaulting keeps the
-    // pipeline panic-free either way.
-    let probe = Rc::try_unwrap(probe).map(RefCell::into_inner).unwrap_or_default();
-    Ok(FaultCell { report, probe, recovered })
+    Ok(FaultCell { report, probe: probe.finish()?, recovered })
 }
 
 /// A mutex-disciplined workload for the chaos ablation: each worker
@@ -452,14 +426,12 @@ pub fn chaos_cell(
     };
     let config = EngineConfig { chaos: scenario.config(CHAOS_SEED), ..EngineConfig::default() };
     let mut engine = Engine::new(MachineConfig::enterprise5000(4), policy, config)?;
-    let probe = PredictionHook::install(&mut engine);
+    let probe = probe_predictions(&mut engine);
     tasks::spawn_parallel(&mut engine, &tasks_params);
     lockstep::spawn(&mut engine, &lock_params);
     let report = engine.run()?;
     let poisoned = engine.sync_tables().poisoned_mutexes() as u64;
-    drop(engine);
-    let probe = Rc::try_unwrap(probe).map(RefCell::into_inner).unwrap_or_default();
-    Ok(ChaosCell { report, probe, poisoned })
+    Ok(ChaosCell { report, probe: probe.finish()?, poisoned })
 }
 
 /// The three thread classes of Table 3's priority-update cost model.

@@ -6,6 +6,8 @@
 //! then clears, demonstrating the scheduler's automatic recovery from
 //! [degraded mode](active_threads::sched::SchedMode).
 
+use crate::args::keyword_or_all;
+use crate::error::ReproError;
 use locality_sim::{FaultConfig, FaultKind};
 
 /// Reads covered by the `window` scenario before the fault clears.
@@ -64,17 +66,9 @@ impl FaultScenario {
     ///
     /// # Errors
     ///
-    /// Returns a message listing the valid keywords.
-    pub fn parse(value: &str) -> Result<Vec<FaultScenario>, String> {
-        if value == "all" {
-            return Ok(FaultScenario::ALL.to_vec());
-        }
-        FaultScenario::ALL.into_iter().find(|s| s.name() == value).map(|s| vec![s]).ok_or_else(
-            || {
-                let names: Vec<&str> = FaultScenario::ALL.iter().map(|s| s.name()).collect();
-                format!("unknown fault scenario '{value}' (expected all|{})", names.join("|"))
-            },
-        )
+    /// Returns [`ReproError::Usage`] listing the valid keywords.
+    pub fn parse(value: &str) -> Result<Vec<FaultScenario>, ReproError> {
+        keyword_or_all("fault scenario", value, &Self::ALL, Self::name)
     }
 
     /// The fault to install on the machine, if any.
@@ -105,17 +99,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_keywords() {
-        assert_eq!(FaultScenario::parse("wraparound").unwrap(), vec![FaultScenario::Wraparound]);
-        assert_eq!(FaultScenario::parse("all").unwrap().len(), FaultScenario::ALL.len());
-        assert!(FaultScenario::parse("bogus").unwrap_err().contains("wraparound"));
-    }
-
-    #[test]
     fn names_round_trip() {
         for s in FaultScenario::ALL {
             assert_eq!(FaultScenario::parse(s.name()).unwrap(), vec![s]);
         }
+        assert_eq!(FaultScenario::parse("all").unwrap(), FaultScenario::ALL);
+        assert!(FaultScenario::parse("bogus").unwrap_err().to_string().contains("wraparound"));
     }
 
     #[test]

@@ -12,21 +12,11 @@
 //! closed forms at `W = 1`); on associative geometries the closed forms
 //! drift and the per-set estimator must track LRU behaviour.
 
-use crate::microbench::Monitored;
+use crate::microbench::{self, Monitored};
 use locality_core::perset::{predict_after, PerSetCase};
-use locality_core::{FootprintModel, ModelParams, ThreadId};
-use locality_sim::{AccessKind, CacheGeometry, Machine, MachineConfig, VAddr};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use locality_sim::{CacheGeometry, MachineConfig};
 
 const LINE: u64 = 64;
-
-#[inline]
-fn n_of(lines: usize) -> f64 {
-    lines as f64
-}
-/// The walker's region: 64× the cache (see [`crate::microbench`]).
-const WALKER_LINES: u64 = 8192 * 64;
 
 /// One point of a geometry-validation curve: the observation and both
 /// predictions at a miss count.
@@ -74,103 +64,35 @@ impl GeometryExperiment {
     }
 }
 
-/// Runs one cell: the machine is a single-processor UltraSPARC-1 with
-/// the cell's L2 geometry and page size substituted in.
+/// Runs one cell: the [walk](microbench::walk) on a single-processor
+/// UltraSPARC-1 with the cell's L2 geometry and page size substituted
+/// in, predicted by the closed forms and by the per-set model.
 pub fn run(exp: &GeometryExperiment) -> Vec<GeometryPoint> {
     let config =
         MachineConfig::ultra1().with_l2_geometry(exp.geometry()).with_page_size(exp.page_bytes);
-    // Infallible for every shipped cell: the geometries are fixed powers
-    // of two of the ultra1 capacity and `--geometry`/`--page-size` are
-    // validated at the CLI boundary.
-    #[allow(clippy::unwrap_used)]
-    let mut machine = Machine::try_new(config).unwrap();
-    let lines = machine.l2_lines();
-    // Infallible: `l2_lines()` is a positive power of two ≥ 2.
-    #[allow(clippy::unwrap_used)]
-    let model = FootprintModel::new(ModelParams::new(lines).unwrap());
-    let n = model.params().n();
+    let n = config.l2_lines() as f64;
     let ways = exp.ways as f64;
-    let walker = ThreadId(1);
-    let sleeper = ThreadId(2);
+    let closed = microbench::closed_form(exp.monitored, config.l2_lines());
+    let (case, prefilled) = match exp.monitored {
+        Monitored::Walker { s0 } => (PerSetCase::Blocking, s0),
+        Monitored::Independent { s0 } => (PerSetCase::Independent, s0),
+        Monitored::Dependent { q, s0 } => (PerSetCase::Dependent(q), s0),
+    };
     // Lines resident when the measured walk starts: exactly the prefill
     // (the machine is fresh and a ≤ 512 KiB sequential prefix has no
     // self-conflicts), feeding the per-set model's occupancy state.
-    let total0 = match exp.monitored {
-        Monitored::Walker { s0 }
-        | Monitored::Independent { s0 }
-        | Monitored::Dependent { s0, .. } => s0.min(n_of(lines)),
-    };
+    let total0 = prefilled.min(n);
 
-    let walker_region = machine.alloc(WALKER_LINES * LINE, LINE);
-    machine.register_region(walker, walker_region, WALKER_LINES * LINE);
-
-    type Predictor = Box<dyn Fn(f64, u64) -> f64>;
-    let (monitored_tid, closed, case): (ThreadId, Predictor, PerSetCase) = match exp.monitored {
-        Monitored::Walker { s0 } => {
-            prefill(&mut machine, walker_region, s0 as u64);
-            (walker, Box::new(move |s, m| model.expected_blocking(s, m)), PerSetCase::Blocking)
-        }
-        Monitored::Independent { s0 } => {
-            let bytes = (s0 as u64).max(1) * LINE;
-            let region = machine.alloc(bytes, LINE);
-            machine.register_region(sleeper, region, bytes);
-            prefill(&mut machine, region, s0 as u64);
-            (
-                sleeper,
-                Box::new(move |s, m| model.expected_independent(s, m)),
-                PerSetCase::Independent,
-            )
-        }
-        Monitored::Dependent { q, s0 } => {
-            let bytes = ((WALKER_LINES as f64 * q) as u64) * LINE;
-            machine.register_region(sleeper, walker_region, bytes);
-            prefill(&mut machine, walker_region, s0 as u64);
-            (
-                sleeper,
-                Box::new(move |s, m| model.expected_dependent(q, s, m)),
-                PerSetCase::Dependent(q),
-            )
-        }
-    };
-
-    machine.set_running(0, Some(walker));
-    // Infallible: cpu 0 exists and the PIC was never poisoned.
-    #[allow(clippy::expect_used)]
-    machine.pic_take_interval(0).expect("clean machine read");
-    let pic_base = machine.pic(0).misses();
-    let s0_observed = machine.l2_footprint_lines(0, monitored_tid) as f64;
-
-    let mut rng = StdRng::seed_from_u64(exp.seed);
-    let mut points = vec![GeometryPoint {
-        misses: 0,
-        observed: s0_observed,
-        closed_form: s0_observed,
-        per_set: s0_observed,
-    }];
-    let mut misses: u64 = 0;
-    let mut next_sample = exp.sample_every;
-    while misses < exp.total_misses {
-        let line = rng.gen_range(0..WALKER_LINES);
-        machine.access(0, walker_region.offset(line * LINE), AccessKind::Read);
-        misses = machine.pic(0).misses().wrapping_sub(pic_base);
-        if misses >= next_sample {
-            points.push(GeometryPoint {
-                misses,
-                observed: machine.l2_footprint_lines(0, monitored_tid) as f64,
-                closed_form: closed(s0_observed, misses).clamp(0.0, n),
-                per_set: predict_after(case, s0_observed, total0, misses, n, ways).0,
-            });
-            next_sample += exp.sample_every;
-        }
-    }
+    let (s0, samples) =
+        microbench::walk(config, exp.monitored, exp.total_misses, exp.sample_every, exp.seed);
+    let mut points = vec![GeometryPoint { misses: 0, observed: s0, closed_form: s0, per_set: s0 }];
+    points.extend(samples.into_iter().map(|(misses, observed)| GeometryPoint {
+        misses,
+        observed,
+        closed_form: closed(s0, misses),
+        per_set: predict_after(case, s0, total0, misses, n, ways).0,
+    }));
     points
-}
-
-fn prefill(machine: &mut Machine, region: VAddr, lines: u64) {
-    machine.set_running(0, Some(ThreadId(0)));
-    for l in 0..lines {
-        machine.access(0, region.offset(l * LINE), AccessKind::Read);
-    }
 }
 
 /// Mean absolute prediction error in lines over the curve's sampled
@@ -234,6 +156,38 @@ mod tests {
                 per_set < closed,
                 "{sets}x{ways} sleeper: per-set {per_set:.1} must beat closed {closed:.1}"
             );
+        }
+    }
+
+    #[test]
+    fn direct_mapped_cell_is_the_fig4_curve() {
+        // One walk driver: on the paper's geometry a cell and the Figure 4
+        // curve of the same case and seed are the same run, bit for bit.
+        use crate::microbench::WalkExperiment;
+        for monitored in [
+            Monitored::Walker { s0: 1024.0 },
+            Monitored::Independent { s0: 4096.0 },
+            Monitored::Dependent { q: 0.5, s0: 6000.0 },
+        ] {
+            let exp = cell(monitored, 8192, 1, 25);
+            let fig4 = microbench::run(&WalkExperiment::direct(
+                monitored,
+                exp.total_misses,
+                exp.sample_every,
+                exp.seed,
+            ));
+            let cell = run(&exp);
+            assert_eq!(cell.len(), fig4.len(), "{monitored:?}");
+            assert!(cell.len() > 6, "{monitored:?}: {} points", cell.len());
+            for (g, w) in cell.iter().zip(&fig4) {
+                assert_eq!(g.misses, w.misses, "{monitored:?}");
+                assert_eq!(g.observed.to_bits(), w.observed.to_bits(), "{monitored:?} at {g:?}");
+                assert_eq!(
+                    g.closed_form.to_bits(),
+                    w.predicted.to_bits(),
+                    "{monitored:?} at {g:?}"
+                );
+            }
         }
     }
 

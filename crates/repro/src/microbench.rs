@@ -85,28 +85,49 @@ const LINE: u64 = 64;
 /// disproportionately, decaying sleepers faster than the model says).
 const WALKER_LINES: u64 = 8192 * 64;
 
-/// Runs one curve and returns its points.
+/// The paper's closed-form predictor for `monitored` on an E-cache of
+/// `l2_lines` lines: `(initial footprint, walker misses) -> lines`,
+/// clamped to the cache.
+pub(crate) fn closed_form(monitored: Monitored, l2_lines: usize) -> impl Fn(f64, u64) -> f64 {
+    // Infallible: the line count of a valid machine description is a
+    // positive power of two ≥ 2, the only thing `ModelParams::new`
+    // rejects.
+    #[allow(clippy::unwrap_used)]
+    let model = FootprintModel::new(ModelParams::new(l2_lines).unwrap());
+    let n = model.params().n();
+    move |s0, misses| {
+        match monitored {
+            Monitored::Walker { .. } => model.expected_blocking(s0, misses),
+            Monitored::Independent { .. } => model.expected_independent(s0, misses),
+            Monitored::Dependent { q, .. } => model.expected_dependent(q, s0, misses),
+        }
+        .clamp(0.0, n)
+    }
+}
+
+/// The walk protocol, shared by Figure 4 and `repro geometry`: on a
+/// single processor of `config`, a walker thread reads uniformly random
+/// lines of a region 64× the cache until it has taken `total_misses`
+/// E-cache misses; every `sample_every` misses the monitored thread's
+/// resident footprint is read. Returns the monitored thread's footprint
+/// when the measured walk starts and the `(walker misses, observed
+/// lines)` samples.
 ///
-/// The machine is a single-processor UltraSPARC-1. The monitored
-/// sleeper's region overlaps the walker's by exactly the requested
-/// coefficient; initial footprints are established by touching the
-/// appropriate prefix before counters are reset.
-pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
-    let mut config = MachineConfig::ultra1();
-    let ways = exp.associativity.max(1);
-    let l2_lines = config.hierarchy.l2.lines();
-    config.hierarchy.l2 =
-        locality_sim::CacheGeometry { sets: l2_lines / ways, ways, line: config.hierarchy.l2.line };
-    // Infallible for every shipped experiment: `ultra1()` is valid and the
-    // associativity overrides are powers of two (1 for the paper's
-    // direct-mapped runs, 2 for the set-associative ablation).
+/// The monitored sleeper's region overlaps the walker's by exactly the
+/// requested coefficient; initial footprints are established by touching
+/// the appropriate prefix before counters are reset.
+pub(crate) fn walk(
+    config: MachineConfig,
+    monitored: Monitored,
+    total_misses: u64,
+    sample_every: u64,
+    seed: u64,
+) -> (f64, Vec<(u64, f64)>) {
+    // Infallible for every shipped experiment: the geometries are fixed
+    // powers of two of the ultra1 capacity, and `--geometry` /
+    // `--page-size` are validated at the CLI boundary.
     #[allow(clippy::unwrap_used)]
     let mut machine = Machine::try_new(config).unwrap();
-    // Infallible: `l2_lines()` on a constructed machine is a positive
-    // power of two, the only thing `ModelParams::new` rejects.
-    #[allow(clippy::unwrap_used)]
-    let model = FootprintModel::new(ModelParams::new(machine.l2_lines()).unwrap());
-    let n = model.params().n();
     let walker = ThreadId(1);
     let sleeper = ThreadId(2);
 
@@ -115,18 +136,18 @@ pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
 
     // Sleeper region: a slice of the walker's region covering fraction q
     // of it (dependent), or a disjoint region (independent).
-    let (monitored_tid, predict): (ThreadId, Box<dyn Fn(f64, u64) -> f64>) = match exp.monitored {
+    let monitored_tid = match monitored {
         Monitored::Walker { s0 } => {
             // Establish the initial footprint: touch the first s0 lines.
             prefill(&mut machine, walker_region, s0 as u64);
-            (walker, Box::new(move |s, m| model.expected_blocking(s, m)))
+            walker
         }
         Monitored::Independent { s0 } => {
             let bytes = (s0 as u64).max(1) * LINE;
             let region = machine.alloc(bytes, LINE);
             machine.register_region(sleeper, region, bytes);
             prefill(&mut machine, region, s0 as u64);
-            (sleeper, Box::new(move |s, m| model.expected_independent(s, m)))
+            sleeper
         }
         Monitored::Dependent { q, s0 } => {
             // Cover fraction q of the walker's region (from its start):
@@ -134,7 +155,7 @@ pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
             let bytes = ((WALKER_LINES as f64 * q) as u64) * LINE;
             machine.register_region(sleeper, walker_region, bytes);
             prefill(&mut machine, walker_region, s0 as u64);
-            (sleeper, Box::new(move |s, m| model.expected_dependent(q, s, m)))
+            sleeper
         }
     };
 
@@ -149,24 +170,20 @@ pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
     let pic_base = machine.pic(0).misses();
     let s0_observed = machine.l2_footprint_lines(0, monitored_tid) as f64;
 
-    let mut rng = StdRng::seed_from_u64(exp.seed);
-    let mut points = vec![WalkPoint { misses: 0, observed: s0_observed, predicted: s0_observed }];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut samples = Vec::new();
     let mut misses: u64 = 0;
-    let mut next_sample = exp.sample_every;
-    while misses < exp.total_misses {
+    let mut next_sample = sample_every;
+    while misses < total_misses {
         let line = rng.gen_range(0..WALKER_LINES);
         machine.access(0, walker_region.offset(line * LINE), AccessKind::Read);
         misses = machine.pic(0).misses().wrapping_sub(pic_base);
         if misses >= next_sample {
-            points.push(WalkPoint {
-                misses,
-                observed: machine.l2_footprint_lines(0, monitored_tid) as f64,
-                predicted: predict(s0_observed, misses).clamp(0.0, n),
-            });
-            next_sample += exp.sample_every;
+            samples.push((misses, machine.l2_footprint_lines(0, monitored_tid) as f64));
+            next_sample += sample_every;
         }
     }
-    points
+    (s0_observed, samples)
 }
 
 /// Touches the first `lines` lines of `region` (sequential prefill: with
@@ -176,6 +193,25 @@ fn prefill(machine: &mut Machine, region: VAddr, lines: u64) {
     for l in 0..lines {
         machine.access(0, region.offset(l * LINE), AccessKind::Read);
     }
+}
+
+/// Runs one Figure 4 curve and returns its points: the walk on a
+/// single-processor UltraSPARC-1 whose E-cache keeps its capacity at
+/// the experiment's associativity, predicted by the closed forms.
+pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
+    let mut config = MachineConfig::ultra1();
+    let ways = exp.associativity.max(1);
+    let l2 = config.hierarchy.l2;
+    config.hierarchy.l2 = locality_sim::CacheGeometry { sets: l2.lines() / ways, ways, ..l2 };
+    let predict = closed_form(exp.monitored, config.l2_lines());
+    let (s0, samples) = walk(config, exp.monitored, exp.total_misses, exp.sample_every, exp.seed);
+    let mut points = vec![WalkPoint { misses: 0, observed: s0, predicted: s0 }];
+    points.extend(samples.into_iter().map(|(misses, observed)| WalkPoint {
+        misses,
+        observed,
+        predicted: predict(s0, misses),
+    }));
+    points
 }
 
 /// Maximum relative error of a curve against the model over points whose

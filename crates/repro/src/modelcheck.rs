@@ -11,7 +11,7 @@
 //! re-executes a previously written counterexample and confirms the
 //! same violation recurs.
 
-use crate::args::Args;
+use crate::args::{keyword, Args};
 use crate::error::ReproError;
 use crate::runner::{RunKind, RunOutput, RunRequest, Runner};
 use crate::table::{f, Table};
@@ -119,14 +119,13 @@ impl McSelection {
     ///
     /// Returns [`ReproError::Usage`] for an unknown name.
     pub fn from_args(args: &Args) -> Result<Self, ReproError> {
-        match args.workload.as_deref() {
-            None | Some("all") => Ok(McSelection::All),
-            Some(name) => McWorkload::from_name(name, 1).map(McSelection::One).ok_or_else(|| {
-                ReproError::Usage(format!(
-                    "unknown workload '{name}' (expected clean, racy, deadlock, lostwake, or all)"
-                ))
-            }),
-        }
+        let mut table: Vec<(&str, McSelection)> = McSelection::All
+            .workloads()
+            .into_iter()
+            .map(|w| (w.name(), McSelection::One(w)))
+            .collect();
+        table.push(("all", McSelection::All));
+        args.workload.as_deref().map_or(Ok(McSelection::All), |v| keyword("workload", v, &table))
     }
 
     /// The selected workloads, in fixed report order.

@@ -80,72 +80,103 @@ impl MonitorTrace {
     }
 }
 
-/// What a [`MonitorHook`] leaves behind.
-#[derive(Debug, Default)]
-struct MonitorLog {
-    samples: Vec<Sample>,
-    /// First sample at which the tracked footprint differed from the
-    /// scan (only ever set by the `invariant-checks` build).
-    mismatch: Option<String>,
-}
+/// The caller's handle to an installed [sampling hook](sample_footprints):
+/// the accumulator and, in the `invariant-checks` build, the first
+/// tracker/scan disagreement.
+pub(crate) struct Sampled<T>(Rc<RefCell<(T, Option<String>)>>);
 
-impl MonitorLog {
-    /// The samples, or the recorded tracker/scan disagreement as a typed
-    /// error: a wrong footprint must never reach a CSV.
-    fn into_samples(self) -> Result<Vec<Sample>, RuntimeError> {
-        match self.mismatch {
-            Some(what) => Err(RuntimeError::Internal { what }),
-            None => Ok(self.samples),
+impl<T: Default> Sampled<T> {
+    /// Takes the accumulator out, or the recorded disagreement as a
+    /// typed error: a wrong footprint must never reach a CSV.
+    pub(crate) fn finish(self) -> Result<T, RuntimeError> {
+        match self.0.take() {
+            (_, Some(what)) => Err(RuntimeError::Internal { what }),
+            (state, None) => Ok(state),
         }
     }
 }
 
-struct MonitorHook {
-    tid: ThreadId,
-    out: Rc<RefCell<MonitorLog>>,
-    cum_misses: u64,
+struct FootprintSampler<T, F> {
+    only: Option<ThreadId>,
+    log: Rc<RefCell<(T, Option<String>)>>,
+    on_sample: F,
 }
 
-impl MonitorHook {
-    /// Switches the machine's footprint tracking on (the hook reads one
-    /// counter per sample instead of scanning the E-cache) and installs
-    /// a hook monitoring `tid`; returns where its samples land.
-    fn install(engine: &mut Engine, tid: ThreadId) -> Rc<RefCell<MonitorLog>> {
-        engine.machine_mut().track_footprints();
-        let out = Rc::new(RefCell::new(MonitorLog::default()));
-        engine.add_hook(Box::new(MonitorHook { tid, out: out.clone(), cum_misses: 0 }));
-        out
-    }
-}
-
-impl EngineHook for MonitorHook {
+impl<T, F> EngineHook for FootprintSampler<T, F>
+where
+    F: FnMut(&mut T, &SwitchEvent, &EngineView<'_>, u64, Option<f64>),
+{
     fn on_context_switch(&mut self, ev: &SwitchEvent, view: &EngineView<'_>) {
-        if ev.tid != self.tid {
+        if self.only.is_some_and(|tid| tid != ev.tid) {
             return;
         }
-        self.cum_misses += ev.delta.misses;
-        let lines = view.machine.l2_footprint_lines(ev.cpu, self.tid);
-        let predicted = view.sched.expected_footprint(ev.cpu, self.tid).unwrap_or(0.0);
-        let instructions = view.machine.cpu_stats(ev.cpu).instructions;
-        let mut out = self.out.borrow_mut();
+        let observed = view.machine.l2_footprint_lines(ev.cpu, ev.tid);
+        let predicted = view.sched.expected_footprint(ev.cpu, ev.tid);
+        let mut log = self.log.borrow_mut();
         #[cfg(feature = "invariant-checks")]
         {
-            let scanned = view.machine.l2_footprints(ev.cpu).get(&self.tid).copied().unwrap_or(0);
-            if scanned != lines && out.mismatch.is_none() {
-                out.mismatch = Some(format!(
-                    "invariant-checks: tracked footprint of {} on cpu{} is {lines} lines, \
+            let scanned = view.machine.l2_footprints(ev.cpu).get(&ev.tid).copied().unwrap_or(0);
+            if scanned != observed && log.1.is_none() {
+                log.1 = Some(format!(
+                    "invariant-checks: tracked footprint of {} on cpu{} is {observed} lines, \
                      the E-cache scan counts {scanned} (switch {})",
-                    self.tid, ev.cpu, ev.switch_index
+                    ev.tid, ev.cpu, ev.switch_index
                 ));
             }
         }
-        out.samples.push(Sample {
-            misses: self.cum_misses,
-            instructions,
-            observed: lines as f64,
-            predicted,
-        });
+        (self.on_sample)(&mut log.0, ev, view, observed, predicted);
     }
+}
+
+/// Installs the one footprint-sampling hook: at every context switch
+/// (of `only`, when given) `on_sample` gets the accumulator, the event,
+/// the view, the leaving thread's ground-truth footprint in lines and
+/// the scheduler's prediction (`None` under FCFS).
+///
+/// Installing switches the machine's footprint tracking on, so a sample
+/// is one counter read instead of an E-cache scan — at the price of a
+/// region lookup per E-cache fill and eviction, which is why runs that
+/// sample nothing never pay it. The `invariant-checks` build also scans
+/// at every sample and fails the run if the two ever differ.
+pub(crate) fn sample_footprints<T: Default + 'static>(
+    engine: &mut Engine,
+    only: Option<ThreadId>,
+    on_sample: impl FnMut(&mut T, &SwitchEvent, &EngineView<'_>, u64, Option<f64>) + 'static,
+) -> Sampled<T> {
+    engine.machine_mut().track_footprints();
+    let log = Rc::new(RefCell::default());
+    engine.add_hook(Box::new(FootprintSampler { only, log: log.clone(), on_sample }));
+    Sampled(log)
+}
+
+/// The Figure 5/6/7 set-up: a single simulated UltraSPARC-1 with the
+/// given page placement and policy, and `app`'s monitored work thread
+/// spawned from `seed`. Returns the engine, not yet run, and the thread.
+pub(crate) fn monitored_engine(
+    app: App,
+    placement: locality_sim::PagePlacement,
+    policy: SchedPolicy,
+    seed: u64,
+) -> Result<(Engine, ThreadId), RuntimeError> {
+    let config = MachineConfig::ultra1().with_placement(placement);
+    let mut engine = Engine::new(config, policy, EngineConfig::default())?;
+    let tid = app.spawn_single_seeded(&mut engine, seed);
+    Ok((engine, tid))
+}
+
+/// Samples `tid` at each of its context switches into a [`Sample`]
+/// series (cumulative misses, instructions, observed vs predicted).
+fn monitor_thread(engine: &mut Engine, tid: ThreadId) -> Sampled<Vec<Sample>> {
+    let mut misses = 0;
+    sample_footprints(engine, Some(tid), move |samples: &mut Vec<Sample>, ev, view, lines, exp| {
+        misses += ev.delta.misses;
+        samples.push(Sample {
+            misses,
+            instructions: view.machine.cpu_stats(ev.cpu).instructions,
+            observed: lines as f64,
+            predicted: exp.unwrap_or(0.0),
+        });
+    })
 }
 
 /// Runs `app`'s monitored work thread on a single simulated UltraSPARC-1
@@ -170,13 +201,10 @@ pub fn monitor_app_seeded(
     placement: locality_sim::PagePlacement,
     seed: u64,
 ) -> Result<MonitorTrace, RuntimeError> {
-    let config = MachineConfig::ultra1().with_placement(placement);
-    let mut engine = Engine::new(config, SchedPolicy::Lff, EngineConfig::default())?;
-    let tid = app.spawn_single_seeded(&mut engine, seed);
-    let out = MonitorHook::install(&mut engine, tid);
+    let (mut engine, tid) = monitored_engine(app, placement, SchedPolicy::Lff, seed)?;
+    let out = monitor_thread(&mut engine, tid);
     engine.run()?;
-    let samples = out.take().into_samples()?;
-    Ok(MonitorTrace { app: app.name(), samples })
+    Ok(MonitorTrace { app: app.name(), samples: out.finish()? })
 }
 
 /// MPI (misses per 1000 instructions) series derived from a trace, as
@@ -241,9 +269,9 @@ mod tests {
             &mut engine,
             &locality_workloads::merge::MergeParams::small(),
         );
-        let out = MonitorHook::install(&mut engine, tid);
+        let out = monitor_thread(&mut engine, tid);
         engine.run().unwrap();
-        let samples = out.take().into_samples().unwrap();
+        let samples = out.finish().unwrap();
         assert!(samples.len() > 3);
         // Footprints grow from cold.
         assert!(samples.last().unwrap().observed > samples[0].observed);
@@ -253,14 +281,12 @@ mod tests {
 
     #[test]
     fn footprint_mismatch_is_a_typed_error() {
-        let log = MonitorLog {
-            samples: vec![Sample { misses: 1, instructions: 1, observed: 1.0, predicted: 1.0 }],
-            mismatch: Some("tracked 1, scanned 2".into()),
-        };
-        match log.into_samples() {
+        let sampled = |log| Sampled(Rc::new(RefCell::new(log)));
+        let samples = vec![Sample { misses: 1, instructions: 1, observed: 1.0, predicted: 1.0 }];
+        match sampled((samples, Some("tracked 1, scanned 2".to_string()))).finish() {
             Err(RuntimeError::Internal { what }) => assert!(what.contains("scanned 2")),
             other => panic!("expected an internal error, got {other:?}"),
         }
-        assert!(MonitorLog::default().into_samples().unwrap().is_empty());
+        assert!(sampled((Vec::<Sample>::new(), None)).finish().unwrap().is_empty());
     }
 }

@@ -102,7 +102,9 @@ pub fn run_cell(
     engine.run()
 }
 
-/// One application's results across the three policies.
+/// One application's results across the three policies, assembled from
+/// already-completed reports (the experiment runner executes the cells
+/// independently and possibly in parallel or from cache).
 #[derive(Debug, Clone)]
 pub struct PolicyComparison {
     /// The application.
@@ -118,34 +120,6 @@ pub struct PolicyComparison {
 }
 
 impl PolicyComparison {
-    /// Runs all three policies for one app/machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuntimeError`] of the three runs.
-    pub fn run(app: PerfApp, cpus: usize, scale: Scale) -> Result<Self, RuntimeError> {
-        Ok(PolicyComparison {
-            app,
-            cpus,
-            fcfs: run_cell(app, SchedPolicy::Fcfs, cpus, scale)?,
-            lff: run_cell(app, SchedPolicy::Lff, cpus, scale)?,
-            crt: run_cell(app, SchedPolicy::Crt, cpus, scale)?,
-        })
-    }
-
-    /// Assembles a comparison from three already-completed reports (the
-    /// experiment runner executes the cells independently and possibly
-    /// in parallel or from cache).
-    pub fn from_reports(
-        app: PerfApp,
-        cpus: usize,
-        fcfs: RunReport,
-        lff: RunReport,
-        crt: RunReport,
-    ) -> Self {
-        PolicyComparison { app, cpus, fcfs, lff, crt }
-    }
-
     /// `(normalized misses, speedup)` for a policy report vs FCFS.
     pub fn vs_fcfs(&self, report: &RunReport) -> (f64, f64) {
         let norm_misses = if self.fcfs.total_l2_misses == 0 {
@@ -180,7 +154,14 @@ mod tests {
     fn comparison_shape_tasks_smp() {
         // The headline effect at small scale: locality policies eliminate
         // misses for oversubscribed disjoint tasks.
-        let cmp = PolicyComparison::run(PerfApp::Tasks, 2, Scale::Small).unwrap();
+        let cell = |policy| run_cell(PerfApp::Tasks, policy, 2, Scale::Small).unwrap();
+        let cmp = PolicyComparison {
+            app: PerfApp::Tasks,
+            cpus: 2,
+            fcfs: cell(SchedPolicy::Fcfs),
+            lff: cell(SchedPolicy::Lff),
+            crt: cell(SchedPolicy::Crt),
+        };
         let (norm_lff, speed_lff) = cmp.vs_fcfs(&cmp.lff);
         assert!(norm_lff < 0.9, "LFF should cut misses, got {norm_lff:.2}");
         assert!(speed_lff > 1.0, "LFF should speed up, got {speed_lff:.2}");

@@ -212,7 +212,7 @@ pub enum RunKind {
     },
     /// A traced monitored-application run's aggregated metrics (`repro
     /// trace`). Only executable in builds with the `trace`
-    /// feature; see [`crate::trace::trace_metrics_cell`].
+    /// feature; see [`crate::trace::traced_run`].
     TraceMetrics {
         /// The monitored application.
         app: App,
@@ -336,8 +336,10 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
             let (flops, lookups) = experiments::update_cost_cell(policy, case);
             Ok(RunOutput::UpdateCost { flops, lookups })
         }
+        // The summary is what gets cached; the full event stream is
+        // re-recorded per invocation, never cached.
         RunKind::TraceMetrics { app, policy, seed } => Ok(RunOutput::TraceSummary(Box::new(
-            crate::trace::trace_metrics_cell(app, policy, seed)?,
+            crate::trace::traced_run(app, policy, seed)?.summary,
         ))),
         RunKind::ModelCheck { workload, naive, depth_bound, max_schedules, preempt_bound } => {
             Ok(RunOutput::ModelCheck(crate::modelcheck::modelcheck_cell(
@@ -362,6 +364,18 @@ fn enc_f64(v: f64) -> String {
 
 fn dec_f64(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+fn enc_probe(p: &PredictionProbe) -> String {
+    format!("{} {} {}", enc_f64(p.sum_abs_err), enc_f64(p.sum_observed), p.samples)
+}
+
+fn dec_probe<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<PredictionProbe> {
+    Some(PredictionProbe {
+        sum_abs_err: dec_f64(it.next()?)?,
+        sum_observed: dec_f64(it.next()?)?,
+        samples: it.next()?.parse().ok()?,
+    })
 }
 
 fn encode_report(out: &mut String, r: &RunReport) {
@@ -451,23 +465,11 @@ fn encode(out: &RunOutput) -> String {
         }
         RunOutput::Report(r) => encode_report(&mut s, r),
         RunOutput::FaultCell(cell) => {
-            s.push_str(&format!(
-                "fault {} {} {} {}\n",
-                u8::from(cell.recovered),
-                enc_f64(cell.probe.sum_abs_err),
-                enc_f64(cell.probe.sum_observed),
-                cell.probe.samples
-            ));
+            s.push_str(&format!("fault {} {}\n", u8::from(cell.recovered), enc_probe(&cell.probe)));
             encode_report(&mut s, &cell.report);
         }
         RunOutput::ChaosCell(cell) => {
-            s.push_str(&format!(
-                "chaos {} {} {} {}\n",
-                cell.poisoned,
-                enc_f64(cell.probe.sum_abs_err),
-                enc_f64(cell.probe.sum_observed),
-                cell.probe.samples
-            ));
+            s.push_str(&format!("chaos {} {}\n", cell.poisoned, enc_probe(&cell.probe)));
             encode_report(&mut s, &cell.report);
         }
         RunOutput::Invalidation { observed, predicted } => {
@@ -526,53 +528,51 @@ fn decode_hist<'a, I: Iterator<Item = &'a str>>(
     nums.try_into().ok()
 }
 
+/// Decodes a `<tag><count>` line followed by `count` space-separated
+/// rows. The count comes from disk, so it only bounds the loop: the
+/// vector grows row by row and a count the payload cannot back runs out
+/// of lines (an undecodable entry) instead of reserving memory for it.
+fn decode_rows<'a, T>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    tag: &str,
+    row: impl Fn(&mut std::str::Split<'a, char>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let n: usize = lines.next()?.strip_prefix(tag)?.parse().ok()?;
+    (0..n).map(|_| row(&mut lines.next()?.split(' '))).collect()
+}
+
 /// Deserializes a cached payload, using the descriptor for context
 /// (e.g. the static app name of a trace). `None` means the entry is
 /// unreadable and the run is simply repeated.
 fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
     let mut lines = payload.lines();
     match kind {
-        RunKind::Walk(_) => {
-            let n: usize = lines.next()?.strip_prefix("points ")?.parse().ok()?;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut it = lines.next()?.split(' ');
-                points.push(WalkPoint {
-                    misses: it.next()?.parse().ok()?,
-                    observed: dec_f64(it.next()?)?,
-                    predicted: dec_f64(it.next()?)?,
-                });
-            }
-            Some(RunOutput::Points(points))
-        }
-        RunKind::Geometry(_) => {
-            let n: usize = lines.next()?.strip_prefix("gpoints ")?.parse().ok()?;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut it = lines.next()?.split(' ');
-                points.push(GeometryPoint {
-                    misses: it.next()?.parse().ok()?,
-                    observed: dec_f64(it.next()?)?,
-                    closed_form: dec_f64(it.next()?)?,
-                    per_set: dec_f64(it.next()?)?,
-                });
-            }
-            Some(RunOutput::GeometryPoints(points))
-        }
-        RunKind::Monitor { app, .. } => {
-            let n: usize = lines.next()?.strip_prefix("trace ")?.parse().ok()?;
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut it = lines.next()?.split(' ');
-                samples.push(Sample {
-                    misses: it.next()?.parse().ok()?,
-                    instructions: it.next()?.parse().ok()?,
-                    observed: dec_f64(it.next()?)?,
-                    predicted: dec_f64(it.next()?)?,
-                });
-            }
-            Some(RunOutput::Trace(MonitorTrace { app: app.name(), samples }))
-        }
+        RunKind::Walk(_) => decode_rows(&mut lines, "points ", |it| {
+            Some(WalkPoint {
+                misses: it.next()?.parse().ok()?,
+                observed: dec_f64(it.next()?)?,
+                predicted: dec_f64(it.next()?)?,
+            })
+        })
+        .map(RunOutput::Points),
+        RunKind::Geometry(_) => decode_rows(&mut lines, "gpoints ", |it| {
+            Some(GeometryPoint {
+                misses: it.next()?.parse().ok()?,
+                observed: dec_f64(it.next()?)?,
+                closed_form: dec_f64(it.next()?)?,
+                per_set: dec_f64(it.next()?)?,
+            })
+        })
+        .map(RunOutput::GeometryPoints),
+        RunKind::Monitor { app, .. } => decode_rows(&mut lines, "trace ", |it| {
+            Some(Sample {
+                misses: it.next()?.parse().ok()?,
+                instructions: it.next()?.parse().ok()?,
+                observed: dec_f64(it.next()?)?,
+                predicted: dec_f64(it.next()?)?,
+            })
+        })
+        .map(|samples| RunOutput::Trace(MonitorTrace { app: app.name(), samples })),
         RunKind::Policy { .. }
         | RunKind::Threshold { .. }
         | RunKind::PlacementProbe { .. }
@@ -580,22 +580,14 @@ fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
         RunKind::Fault { .. } => {
             let mut it = lines.next()?.strip_prefix("fault ")?.split(' ');
             let recovered = it.next()? == "1";
-            let probe = PredictionProbe {
-                sum_abs_err: dec_f64(it.next()?)?,
-                sum_observed: dec_f64(it.next()?)?,
-                samples: it.next()?.parse().ok()?,
-            };
+            let probe = dec_probe(&mut it)?;
             let report = decode_report(&mut lines)?;
             Some(RunOutput::FaultCell(FaultCell { report, probe, recovered }))
         }
         RunKind::Chaos { .. } => {
             let mut it = lines.next()?.strip_prefix("chaos ")?.split(' ');
             let poisoned = it.next()?.parse().ok()?;
-            let probe = PredictionProbe {
-                sum_abs_err: dec_f64(it.next()?)?,
-                sum_observed: dec_f64(it.next()?)?,
-                samples: it.next()?.parse().ok()?,
-            };
+            let probe = dec_probe(&mut it)?;
             let report = decode_report(&mut lines)?;
             Some(RunOutput::ChaosCell(ChaosCell { report, probe, poisoned }))
         }
@@ -778,7 +770,7 @@ impl Default for GuardPolicy {
 }
 
 /// Renders a panic payload the way the default hook would.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -845,6 +837,50 @@ pub fn execute_guarded(kind: &RunKind, guard: &GuardPolicy) -> Result<RunOutput,
             other => return other,
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The worker pool.
+
+/// Applies `f` to every item on up to `jobs` scoped worker threads and
+/// returns the results **in item order**, whatever order they finished
+/// in (collecting them into a `Result` therefore surfaces the earliest
+/// failing item). Workers claim the next unclaimed index, so one slow
+/// item never holds a queue of others behind it. A panicking item
+/// becomes that item's [`ReproError::RunPanicked`]; the rest still run.
+/// `f` must build what it runs privately (engines are not `Send`) —
+/// only `T` and the plain result cross the thread boundary, which is
+/// also why unwinding cannot leave shared state torn.
+pub(crate) fn in_parallel<T: Sync, R: Send>(
+    jobs: usize,
+    items: &[T],
+    f: impl Fn(&T) -> Result<R, ReproError> + Sync,
+) -> Vec<Result<R, ReproError>> {
+    let slots: Vec<Mutex<Option<Result<R, ReproError>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.min(items.len()).max(1) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)))
+                    .unwrap_or_else(|payload| {
+                        Err(ReproError::RunPanicked { what: panic_message(payload.as_ref()) })
+                    });
+                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(res);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(|| Err(ReproError::MissingResult(format!("pool item {i}"))))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -926,38 +962,11 @@ impl Runner {
                 unique.len() - 1
             });
         }
-        let slots: Vec<Mutex<Option<Result<RunOutput, ReproError>>>> =
-            unique.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(unique.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    if u >= unique.len() {
-                        break;
-                    }
-                    let i = unique[u];
-                    let res = self.run_one(&reqs[i], &keys[i]);
-                    *slots[u].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(res);
-                });
-            }
-        });
-        // Reassemble in request order; surface the earliest error.
-        let mut done: Vec<Option<RunOutput>> = Vec::with_capacity(unique.len());
-        for (u, slot) in slots.into_iter().enumerate() {
-            let res = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .ok_or_else(|| ReproError::MissingResult(keys[unique[u]].clone()))?;
-            done.push(Some(res?));
-        }
-        keys.iter()
-            .map(|key| {
-                let slot = first_of[key.as_str()];
-                done[slot].as_ref().cloned().ok_or_else(|| ReproError::MissingResult(key.clone()))
-            })
-            .collect()
+        let done: Vec<RunOutput> =
+            in_parallel(self.jobs, &unique, |&i| self.run_one(&reqs[i], &keys[i]))
+                .into_iter()
+                .collect::<Result<_, _>>()?;
+        Ok(keys.iter().map(|key| done[first_of[key.as_str()]].clone()).collect())
     }
 
     fn run_one(&self, req: &RunRequest, key: &str) -> Result<RunOutput, ReproError> {
@@ -1076,6 +1085,26 @@ mod tests {
         )
     }
 
+    /// A report with a different value in every field the wire carries.
+    fn sample_report() -> RunReport {
+        RunReport {
+            policy: "lff".to_string(),
+            cpus: 4,
+            total_cycles: 10,
+            total_l2_misses: 20,
+            total_l2_refs: 30,
+            total_instructions: 40,
+            context_switches: 50,
+            threads_completed: 60,
+            threads_aborted: 65,
+            steals: 70,
+            priority_flops: (80, 90),
+            degraded_intervals: 1,
+            corrected_intervals: 2,
+            per_cpu: Vec::new(),
+        }
+    }
+
     #[test]
     fn fnv_is_stable_and_spreads() {
         assert_eq!(fnv1a(""), 0xcbf29ce484222325);
@@ -1167,22 +1196,7 @@ mod tests {
 
     #[test]
     fn wire_round_trips_reports_and_fault_cells() {
-        let report = RunReport {
-            policy: "lff".to_string(),
-            cpus: 4,
-            total_cycles: 10,
-            total_l2_misses: 20,
-            total_l2_refs: 30,
-            total_instructions: 40,
-            context_switches: 50,
-            threads_completed: 60,
-            threads_aborted: 65,
-            steals: 70,
-            priority_flops: (80, 90),
-            degraded_intervals: 1,
-            corrected_intervals: 2,
-            per_cpu: Vec::new(),
-        };
+        let report = sample_report();
         let kind = RunKind::Policy {
             app: PerfApp::Tasks,
             policy: PolicyId::Lff,
@@ -1214,6 +1228,22 @@ mod tests {
         assert!(decode(&kind, "points zero\n").is_none());
         assert!(decode(&kind, "trace 1\n1 2 0 0\n").is_none());
         assert!(decode(&kind, "").is_none());
+        // A count read from disk never sizes an allocation.
+        let geometry = RunKind::Geometry(GeometryExperiment {
+            monitored: Monitored::Walker { s0: 0.0 },
+            sets: 8192,
+            ways: 1,
+            page_bytes: 8192,
+            total_misses: 100,
+            sample_every: 50,
+            seed: 1,
+        });
+        let monitor =
+            RunKind::Monitor { app: App::Merge, placement: Placement::BinHopping, seed: 1 };
+        for (kind, tag) in [(kind, "points"), (geometry, "gpoints"), (monitor, "trace")] {
+            assert!(decode(&kind, &format!("{tag} {}\n", u64::MAX)).is_none(), "{tag}");
+            assert!(decode(&kind, &format!("{tag} {}\n0 0 0 0\n", u64::MAX)).is_none(), "{tag}");
+        }
     }
 
     #[test]
@@ -1257,6 +1287,38 @@ mod tests {
     }
 
     #[test]
+    fn pool_keeps_item_order_and_isolates_a_panicking_item() {
+        let items: Vec<u64> = (0..23).collect();
+        for jobs in [1, 2, 7] {
+            let squares = in_parallel(jobs, &items, |&i| Ok(i * i));
+            let squares: Vec<u64> = squares.into_iter().map(Result::unwrap).collect();
+            assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
+
+            let results = in_parallel(jobs, &items, |&i| match i {
+                5 => panic!("item {i} blew up"),
+                11 => Err(ReproError::Usage("item 11 refused".to_string())),
+                _ => Ok(i),
+            });
+            assert_eq!(results.len(), items.len());
+            for (i, res) in items.iter().zip(&results) {
+                match (i, res) {
+                    (5, Err(ReproError::RunPanicked { what })) => {
+                        assert_eq!(what, "item 5 blew up")
+                    }
+                    (11, Err(ReproError::Usage(_))) => {}
+                    (_, Ok(v)) => assert_eq!(v, i, "jobs={jobs}"),
+                    other => panic!("jobs={jobs}: unexpected {other:?}"),
+                }
+            }
+            // Collected, the earliest failing item wins, whichever
+            // worker finished first.
+            let first = results.into_iter().collect::<Result<Vec<_>, _>>().unwrap_err();
+            assert!(matches!(first, ReproError::RunPanicked { .. }), "jobs={jobs}: {first:?}");
+        }
+        assert!(in_parallel(4, &[] as &[u64], |&i| Ok(i)).is_empty());
+    }
+
+    #[test]
     fn no_cache_runner_reruns() {
         let runner =
             Runner::new(RunnerConfig { jobs: 2, cache_dir: None, guard: GuardPolicy::default() });
@@ -1270,22 +1332,7 @@ mod tests {
     #[test]
     fn wire_round_trips_chaos_cells() {
         let cell = experiments::ChaosCell {
-            report: RunReport {
-                policy: "crt".to_string(),
-                cpus: 4,
-                total_cycles: 11,
-                total_l2_misses: 22,
-                total_l2_refs: 33,
-                total_instructions: 44,
-                context_switches: 55,
-                threads_completed: 66,
-                threads_aborted: 7,
-                steals: 88,
-                priority_flops: (9, 10),
-                degraded_intervals: 0,
-                corrected_intervals: 0,
-                per_cpu: Vec::new(),
-            },
+            report: sample_report(),
             probe: PredictionProbe { sum_abs_err: 3.5, sum_observed: 7.25, samples: 4 },
             poisoned: 2,
         };
@@ -1312,29 +1359,39 @@ mod tests {
         let reqs = vec![walk_req(9)];
         let outs = Runner::new(config.clone()).run_all(&reqs).expect("walk succeeds");
 
-        // Flip payload bytes behind the checksum's back.
         let cache = DiskCache { dir: cache_dir.clone() };
         let key = cache_key(&reqs[0].kind);
         let path = cache.entry_path(&key);
-        let mut text = std::fs::read_to_string(&path).expect("entry exists");
-        text.truncate(text.len() - 8);
-        text.push_str("garbage\n");
-        std::fs::write(&path, text).expect("rewrite entry");
-        let err = cache.load(&key, &reqs[0].kind).expect_err("checksum must fail");
-        let ReproError::CorruptCache { quarantined, what } = &err else {
-            panic!("expected CorruptCache, got {err:?}");
-        };
-        assert!(what.contains("checksum"));
-        assert!(quarantined.exists(), "bad entry moved aside");
-        assert!(!path.exists(), "bad entry no longer served");
+        // Two ways to damage the entry: flip payload bytes behind the
+        // checksum's back, or — under a valid checksum — claim a row
+        // count no payload could back. The count must bound a loop, not
+        // size an allocation: a capacity-overflow panic here would be
+        // outside the run guard and take the whole suite down.
+        let mut flipped = std::fs::read_to_string(&path).expect("entry exists");
+        flipped.truncate(flipped.len() - 8);
+        flipped.push_str("garbage\n");
+        let payload = format!("points {}\n", u64::MAX);
+        let overcounted = format!("{key}\nsha256 {}\n{payload}", digest::hex(payload.as_bytes()));
+        for (entry, reason) in [(flipped, "checksum"), (overcounted, "undecodable")] {
+            let _ = std::fs::remove_file(path.with_extension("quarantine"));
+            std::fs::write(&path, entry).expect("rewrite entry");
+            let err = cache.load(&key, &reqs[0].kind).expect_err("damaged entry must not load");
+            let ReproError::CorruptCache { quarantined, what } = &err else {
+                panic!("expected CorruptCache, got {err:?}");
+            };
+            assert!(what.contains(reason), "{what}");
+            assert!(quarantined.exists(), "bad entry moved aside");
+            assert!(!path.exists(), "bad entry no longer served");
 
-        // A fresh runner over the damaged cache recomputes and re-stores
-        // the identical result instead of erroring or misparsing.
-        let runner = Runner::new(config);
-        let outs2 = runner.run_all(&reqs).expect("recompute succeeds");
-        assert_eq!(runner.fresh_runs(), 1);
-        assert_eq!(encode(&outs[0]), encode(&outs2[0]));
-        assert!(path.exists(), "fresh entry stored after quarantine");
+            // A fresh runner over the damaged cache recomputes and
+            // re-stores the identical result instead of erroring or
+            // misparsing.
+            let runner = Runner::new(config.clone());
+            let outs2 = runner.run_all(&reqs).expect("recompute succeeds");
+            assert_eq!(runner.fresh_runs(), 1);
+            assert_eq!(encode(&outs[0]), encode(&outs2[0]));
+            assert!(path.exists(), "fresh entry stored after quarantine");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

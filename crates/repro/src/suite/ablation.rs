@@ -52,13 +52,6 @@ fn fault_kind(policy: PolicyId, scenario: FaultScenario, scale: Scale) -> RunKin
     RunKind::Fault { policy, scenario, scale }
 }
 
-fn fault_scenarios(args: &Args) -> Result<Option<Vec<FaultScenario>>, ReproError> {
-    match &args.fault {
-        None => Ok(None),
-        Some(value) => FaultScenario::parse(value).map(Some).map_err(ReproError::Usage),
-    }
-}
-
 fn chaos_kind(policy: PolicyId, scenario: ChaosScenario, scale: Scale) -> RunKind {
     RunKind::Chaos { policy, scenario, scale }
 }
@@ -66,22 +59,39 @@ fn chaos_kind(policy: PolicyId, scenario: ChaosScenario, scale: Scale) -> RunKin
 /// The chaos table's policies: the three the paper compares.
 const CHAOS_POLICIES: [PolicyId; 3] = [PolicyId::Fcfs, PolicyId::Lff, PolicyId::Crt];
 
-/// Parses `--chaos` and canonicalizes the run list: the clean baseline
-/// first, then the requested fault scenarios.
-fn chaos_scenarios(args: &Args) -> Result<Option<Vec<ChaosScenario>>, ReproError> {
-    match &args.chaos {
-        None => Ok(None),
-        Some(value) => {
-            let requested = ChaosScenario::parse(value).map_err(ReproError::Usage)?;
+/// Which tables an invocation regenerates.
+enum Selection {
+    /// Ablations 1–5 (neither flag).
+    Ablations,
+    /// Only the counter-fault table, for these `--fault` scenarios.
+    Faults(Vec<FaultScenario>),
+    /// Only the chaos table, for the clean baseline followed by these
+    /// `--chaos` scenarios.
+    Chaos(Vec<ChaosScenario>),
+}
+
+/// Parses `--fault` and `--chaos`. Each runs *only* its own table, so
+/// naming both is a usage error rather than one silently winning.
+fn selection(args: &Args) -> Result<Selection, ReproError> {
+    match (&args.fault, &args.chaos) {
+        (None, None) => Ok(Selection::Ablations),
+        (Some(value), None) => FaultScenario::parse(value).map(Selection::Faults),
+        (None, Some(value)) => {
             let mut list = vec![ChaosScenario::Clean];
-            list.extend(requested.into_iter().filter(|s| *s != ChaosScenario::Clean));
-            Ok(Some(list))
+            list.extend(
+                ChaosScenario::parse(value)?.into_iter().filter(|s| *s != ChaosScenario::Clean),
+            );
+            Ok(Selection::Chaos(list))
         }
+        (Some(_), Some(_)) => Err(ReproError::Usage(
+            "--fault and --chaos each run only their own table; pass one of them".to_string(),
+        )),
     }
 }
 
 pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
-    if let Some(scenarios) = chaos_scenarios(args)? {
+    let which = selection(args)?;
+    if let Selection::Chaos(scenarios) = which {
         let mut reqs = Vec::new();
         for &scenario in &scenarios {
             for policy in CHAOS_POLICIES {
@@ -93,7 +103,7 @@ pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
         }
         return Ok(reqs);
     }
-    if let Some(scenarios) = fault_scenarios(args)? {
+    if let Selection::Faults(scenarios) = which {
         let mut reqs = vec![
             RunRequest::new(
                 "faults:fcfs/clean",
@@ -147,11 +157,10 @@ pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
 }
 
 pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
-    if let Some(scenarios) = chaos_scenarios(args)? {
-        return emit_chaos(args, results, &scenarios);
-    }
-    if let Some(scenarios) = fault_scenarios(args)? {
-        return emit_faults(args, results, &scenarios);
+    match selection(args)? {
+        Selection::Chaos(scenarios) => return emit_chaos(args, results, &scenarios),
+        Selection::Faults(scenarios) => return emit_faults(args, results, &scenarios),
+        Selection::Ablations => {}
     }
     emit_annotations(args, results)?;
     emit_threshold(args, results)?;
@@ -288,6 +297,15 @@ fn emit_inference(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     Ok(())
 }
 
+/// `misses / base`, or 0 against an empty baseline.
+fn ratio(misses: u64, base: u64) -> f64 {
+    if base == 0 {
+        0.0
+    } else {
+        misses as f64 / base as f64
+    }
+}
+
 fn emit_faults(
     args: &Args,
     results: &ResultSet,
@@ -310,13 +328,6 @@ fn emit_faults(
     );
     let fcfs = results.fault_cell(&fault_kind(PolicyId::Fcfs, FaultScenario::Clean, args.scale))?;
     let clean = results.fault_cell(&fault_kind(PolicyId::Lff, FaultScenario::Clean, args.scale))?;
-    let ratio = |misses: u64, base: u64| {
-        if base == 0 {
-            0.0
-        } else {
-            misses as f64 / base as f64
-        }
-    };
     for &scenario in scenarios {
         let cell = results.fault_cell(&fault_kind(PolicyId::Lff, scenario, args.scale))?;
         let r = &cell.report;
@@ -381,13 +392,6 @@ fn emit_chaos(
             "pred err (rel)",
         ],
     );
-    let ratio = |misses: u64, base: u64| {
-        if base == 0 {
-            0.0
-        } else {
-            misses as f64 / base as f64
-        }
-    };
     for &scenario in scenarios {
         for policy in CHAOS_POLICIES {
             let cell = results.chaos_cell(&chaos_kind(policy, scenario, args.scale))?;

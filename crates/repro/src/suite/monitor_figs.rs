@@ -4,7 +4,7 @@
 
 use crate::args::Args;
 use crate::error::ReproError;
-use crate::monitor::mpi_series;
+use crate::monitor::{mpi_series, MonitorTrace};
 use crate::runner::{Placement, RunKind, RunRequest};
 use crate::suite::ResultSet;
 use crate::table::Table;
@@ -22,16 +22,33 @@ fn monitor_request(figure: &str, app: App, placement: Placement) -> RunRequest {
     RunRequest::new(format!("{figure}:{}{suffix}", app.name()), kind(app, placement))
 }
 
-pub(super) fn fig5_requests() -> Vec<RunRequest> {
-    App::FIG5
-        .iter()
+/// Each app under the paper's bin-hopping VM and under a naive one.
+fn both_vm_requests(figure: &str, apps: &[App]) -> Vec<RunRequest> {
+    apps.iter()
         .flat_map(|&app| {
-            [
-                monitor_request("fig5", app, Placement::BinHopping),
-                monitor_request("fig5", app, Placement::Arbitrary),
-            ]
+            [Placement::BinHopping, Placement::Arbitrary]
+                .map(|placement| monitor_request(figure, app, placement))
         })
         .collect()
+}
+
+/// Prints a thinned view of a figure's observed-vs-predicted curve.
+fn print_thinned(figure: &str, app: App, trace: &MonitorTrace) -> Result<(), ReproError> {
+    let mut view =
+        Table::new(&format!("{figure}: {}", app.name()), &["misses", "observed", "predicted"]);
+    for s in trace.thin(10) {
+        view.row(&[
+            s.misses.to_string(),
+            format!("{:.0}", s.observed),
+            format!("{:.0}", s.predicted),
+        ])?;
+    }
+    view.print();
+    Ok(())
+}
+
+pub(super) fn fig5_requests() -> Vec<RunRequest> {
+    both_vm_requests("fig5", &App::FIG5)
 }
 
 pub(super) fn fig5_emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
@@ -74,17 +91,7 @@ pub(super) fn fig5_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
             format!("{:+.1}%", naive.mean_rel_error() * 100.0),
         ])?;
 
-        // Print a thinned view of the curve.
-        let mut view =
-            Table::new(&format!("fig5: {}", app.name()), &["misses", "observed", "predicted"]);
-        for s in trace.thin(10) {
-            view.row(&[
-                s.misses.to_string(),
-                format!("{:.0}", s.observed),
-                format!("{:.0}", s.predicted),
-            ])?;
-        }
-        view.print();
+        print_thinned("fig5", app, trace)?;
     }
     summary.print();
     println!(
@@ -144,15 +151,7 @@ pub(super) fn fig6_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
 }
 
 pub(super) fn fig7_requests() -> Vec<RunRequest> {
-    App::FIG7
-        .iter()
-        .flat_map(|&app| {
-            [
-                monitor_request("fig7", app, Placement::BinHopping),
-                monitor_request("fig7", app, Placement::Arbitrary),
-            ]
-        })
-        .collect()
+    both_vm_requests("fig7", &App::FIG7)
 }
 
 pub(super) fn fig7_emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
@@ -180,16 +179,7 @@ pub(super) fn fig7_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
         }
         t.write_csv(&args.csv_path(&format!("fig7_{}.csv", app.name()))?)?;
 
-        let mut view =
-            Table::new(&format!("fig7: {}", app.name()), &["misses", "observed", "predicted"]);
-        for s in trace.thin(10) {
-            view.row(&[
-                s.misses.to_string(),
-                format!("{:.0}", s.observed),
-                format!("{:.0}", s.predicted),
-            ])?;
-        }
-        view.print();
+        print_thinned("fig7", app, trace)?;
 
         let (Some(last), Some(nlast)) = (trace.last(), naive.last()) else {
             return Err(ReproError::MissingResult(format!("fig7 trace for {}", app.name())));

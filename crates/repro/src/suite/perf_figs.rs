@@ -36,13 +36,14 @@ fn comparison(
     cpus: usize,
     scale: Scale,
 ) -> Result<PolicyComparison, ReproError> {
-    Ok(PolicyComparison::from_reports(
+    let report = |policy| results.report(&cell(app, policy, cpus, scale)).cloned();
+    Ok(PolicyComparison {
         app,
         cpus,
-        results.report(&cell(app, PolicyId::Fcfs, cpus, scale))?.clone(),
-        results.report(&cell(app, PolicyId::Lff, cpus, scale))?.clone(),
-        results.report(&cell(app, PolicyId::Crt, cpus, scale))?.clone(),
-    ))
+        fcfs: report(PolicyId::Fcfs)?,
+        lff: report(PolicyId::Lff)?,
+        crt: report(PolicyId::Crt)?,
+    })
 }
 
 pub(super) fn figure_emit(args: &Args, results: &ResultSet, cpus: usize) -> Result<(), ReproError> {

@@ -180,11 +180,6 @@ pub fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
-/// Formats a ratio as a percentage with one decimal.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +229,6 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(pct(0.5), "50.0%");
     }
 
     #[test]

@@ -21,13 +21,12 @@
 //! driver exits with a usage error *before* touching the runner, so a
 //! feature-less build can never poison the cache with empty summaries.
 
-use crate::args::{Args, Scale};
+use crate::args::{keyword, keyword_or_all, Args, Scale};
 use crate::error::ReproError;
-use crate::runner::{PolicyId, RunKind, RunOutput, RunRequest, Runner};
+use crate::monitor::{monitored_engine, sample_footprints};
+use crate::runner::{in_parallel, PolicyId, RunKind, RunOutput, RunRequest, Runner};
 use crate::table::Table;
-use active_threads::events::EngineView;
-use active_threads::{Engine, EngineConfig, EngineHook, SwitchEvent, ThreadId};
-use locality_sim::MachineConfig;
+use locality_sim::PagePlacement;
 use locality_trace::{Histogram, Record, TraceSummary, HIST_BUCKETS};
 use locality_workloads::App;
 
@@ -38,14 +37,8 @@ use locality_workloads::App;
 ///
 /// Returns [`ReproError::Usage`] for anything but `fcfs`/`lff`/`crt`.
 pub fn policy_from_args(args: &Args) -> Result<PolicyId, ReproError> {
-    match args.policy.as_deref() {
-        None | Some("lff") => Ok(PolicyId::Lff),
-        Some("fcfs") => Ok(PolicyId::Fcfs),
-        Some("crt") => Ok(PolicyId::Crt),
-        Some(other) => {
-            Err(ReproError::Usage(format!("unknown policy '{other}' (expected fcfs, lff, or crt)")))
-        }
-    }
+    let table = [PolicyId::Fcfs, PolicyId::Lff, PolicyId::Crt].map(|p| (p.name(), p));
+    args.policy.as_deref().map_or(Ok(PolicyId::Lff), |v| keyword("policy", v, &table))
 }
 
 /// Parses the `--workload` keyword into the list of apps to trace. The
@@ -58,19 +51,10 @@ pub fn policy_from_args(args: &Args) -> Result<PolicyId, ReproError> {
 /// Returns [`ReproError::Usage`] for an unknown app name.
 pub fn apps_from_args(args: &Args) -> Result<Vec<App>, ReproError> {
     let all: Vec<App> = App::FIG5.iter().chain(App::FIG7.iter()).copied().collect();
-    match args.workload.as_deref() {
-        None => match args.scale {
-            Scale::Paper => Ok(all),
-            Scale::Small => Ok(vec![App::Merge]),
-        },
-        Some("all") => Ok(all),
-        Some(name) => {
-            all.iter().find(|app| app.name() == name).map(|&app| vec![app]).ok_or_else(|| {
-                ReproError::Usage(format!(
-                    "unknown workload '{name}' (expected a monitored app name or 'all')"
-                ))
-            })
-        }
+    match (args.workload.as_deref(), args.scale) {
+        (Some(value), _) => keyword_or_all("workload", value, &all, App::name),
+        (None, Scale::Paper) => Ok(all),
+        (None, Scale::Small) => Ok(vec![App::Merge]),
     }
 }
 
@@ -98,36 +82,6 @@ fn feature_gate() -> Result<(), ReproError> {
     }
 }
 
-/// A scheduling-event hook that emits [`PredictionSample`] trace events
-/// for the monitored thread: observed (the machine's tracked
-/// ground-truth footprint) vs predicted (the estimator's expected
-/// footprint) at every context switch, exactly the fig5 `MonitorHook`
-/// measurement. Each sample is one counter read, but keeping the
-/// counters current costs a region lookup per E-cache fill and
-/// eviction, so it is an opt-in hook here — whoever installs it
-/// switches [`Machine::track_footprints`] on, and plainly-traced
-/// engine runs pay nothing.
-///
-/// [`PredictionSample`]: locality_trace::TraceEvent::PredictionSample
-/// [`Machine::track_footprints`]: locality_sim::Machine::track_footprints
-struct PredictionSampler {
-    tid: ThreadId,
-}
-
-impl EngineHook for PredictionSampler {
-    fn on_context_switch(&mut self, ev: &SwitchEvent, view: &EngineView<'_>) {
-        if ev.tid != self.tid {
-            return;
-        }
-        locality_trace::emit_with(|| locality_trace::TraceEvent::PredictionSample {
-            cpu: ev.cpu as u32,
-            tid: self.tid.0,
-            observed: view.machine.l2_footprint_lines(ev.cpu, self.tid) as f64,
-            predicted: view.sched.expected_footprint(ev.cpu, self.tid).unwrap_or(0.0),
-        });
-    }
-}
-
 /// Runs `app`'s monitored work thread (Ultra-1, bin-hopping VM, the
 /// fig5 protocol) with a trace sink installed and returns the records
 /// and aggregated summary.
@@ -135,38 +89,35 @@ impl EngineHook for PredictionSampler {
 /// # Errors
 ///
 /// Returns [`ReproError::Usage`] when the build lacks the `trace`
-/// feature, or the engine's error if the run cannot complete.
+/// feature — raised *before* any run, so a feature-less build cannot
+/// write empty summaries into a cache shared with instrumented builds —
+/// or the engine's error if the run cannot complete.
 pub fn traced_run(app: App, policy: PolicyId, seed: u64) -> Result<TracedRun, ReproError> {
     feature_gate()?;
-    let config = MachineConfig::ultra1().with_placement(locality_sim::PagePlacement::bin_hopping());
-    let mut engine = Engine::new(config, policy.to_sched(), EngineConfig::default())?;
-    let tid = app.spawn_single_seeded(&mut engine, seed);
-    engine.machine_mut().track_footprints();
-    engine.add_hook(Box::new(PredictionSampler { tid }));
+    let (mut engine, tid) =
+        monitored_engine(app, PagePlacement::bin_hopping(), policy.to_sched(), seed)?;
+    // Observed vs predicted footprint of the monitored thread at each of
+    // its context switches, exactly the fig5 measurement, as
+    // `PredictionSample` events. Sampling is this driver's choice, not
+    // an emission point inside the engine: keeping the ground-truth
+    // counters current costs a region lookup per E-cache fill and
+    // eviction, which plainly-traced engine runs must not pay.
+    let sampler = sample_footprints(&mut engine, Some(tid), |(): &mut (), ev, _, lines, exp| {
+        locality_trace::emit_with(|| locality_trace::TraceEvent::PredictionSample {
+            cpu: ev.cpu as u32,
+            tid: ev.tid.0,
+            observed: lines as f64,
+            predicted: exp.unwrap_or(0.0),
+        });
+    });
     locality_trace::install(locality_trace::sink::DEFAULT_CAPACITY);
     let run = engine.run();
     let Some(sink) = locality_trace::take() else {
         return Err(ReproError::MissingResult("trace sink installed above".to_string()));
     };
     run?;
+    sampler.finish()?;
     Ok(TracedRun { app, records: sink.records(), summary: sink.summary(Some(tid.0)) })
-}
-
-/// Executes one [`RunKind::TraceMetrics`] cell: a traced run reduced to
-/// its aggregated summary (what the runner caches — the full event
-/// stream is re-recorded per invocation, never cached).
-///
-/// # Errors
-///
-/// Returns [`ReproError::Usage`] when the build lacks the `trace`
-/// feature — raised *before* any run so a feature-less build cannot
-/// write empty summaries into a cache shared with instrumented builds.
-pub fn trace_metrics_cell(
-    app: App,
-    policy: PolicyId,
-    seed: u64,
-) -> Result<TraceSummary, ReproError> {
-    traced_run(app, policy, seed).map(|run| run.summary)
 }
 
 fn metrics_requests(apps: &[App], policy: PolicyId) -> Vec<RunRequest> {
@@ -252,26 +203,9 @@ fn hist_table(app: App, s: &TraceSummary) -> Result<Table, ReproError> {
 /// parallelized across `jobs` threads (each run's sink is thread-local,
 /// so runs never share trace state).
 fn export_runs(apps: &[App], policy: PolicyId, jobs: usize) -> Result<Vec<TracedRun>, ReproError> {
-    if jobs > 1 && apps.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = apps
-                .iter()
-                .map(|&app| scope.spawn(move || traced_run(app, policy, app.default_seed())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(ReproError::RunPanicked {
-                            what: crate::runner::panic_message(p.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        })
-    } else {
-        apps.iter().map(|&app| traced_run(app, policy, app.default_seed())).collect()
-    }
+    in_parallel(jobs, apps, |&app| traced_run(app, policy, app.default_seed()))
+        .into_iter()
+        .collect()
 }
 
 /// The full `trace` driver: run, export, write CSVs.
@@ -357,14 +291,16 @@ mod tests {
     }
 
     /// The seeded merge worker under LFF with a sink installed and no
-    /// [`PredictionSampler`]: what the emission points inside the
+    /// footprint sampler: what the emission points inside the
     /// engine, the scheduler and the simulator record on their own.
     fn merge_with_sink() -> locality_trace::TraceSink {
-        let config =
-            MachineConfig::ultra1().with_placement(locality_sim::PagePlacement::bin_hopping());
-        let mut engine =
-            Engine::new(config, PolicyId::Lff.to_sched(), EngineConfig::default()).unwrap();
-        App::Merge.spawn_single_seeded(&mut engine, App::Merge.default_seed());
+        let (mut engine, _) = monitored_engine(
+            App::Merge,
+            PagePlacement::bin_hopping(),
+            PolicyId::Lff.to_sched(),
+            App::Merge.default_seed(),
+        )
+        .unwrap();
         locality_trace::install(locality_trace::sink::DEFAULT_CAPACITY);
         let run = engine.run();
         let sink = locality_trace::take().expect("sink installed above");
@@ -383,7 +319,7 @@ mod tests {
     #[cfg(not(feature = "trace"))]
     #[test]
     fn featureless_build_refuses_to_run() {
-        let err = trace_metrics_cell(App::Merge, PolicyId::Lff, 1).unwrap_err();
+        let err = traced_run(App::Merge, PolicyId::Lff, 1).unwrap_err();
         assert!(matches!(err, ReproError::Usage(_)), "{err:?}");
         let err = run_trace(&args_with(None, None, Scale::Small)).unwrap_err();
         assert!(matches!(err, ReproError::Usage(_)), "{err:?}");

@@ -73,6 +73,15 @@ fn bad_flags_exit_two_with_usage_on_stderr() {
     let bad_workload = run(&["--workload", "bogus"]);
     assert_eq!(bad_workload.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_workload.stderr).contains("unknown workload"));
+
+    // `--fault` and `--chaos` each run only their own table, so the pair
+    // is refused (a bogus value included) instead of one being dropped.
+    for fault in ["trap", "bogus"] {
+        let both = repro(&["ablation", "--scale", "small", "--fault", fault, "--chaos", "churn"]);
+        assert_eq!(both.status.code(), Some(2), "--fault {fault} --chaos churn");
+        assert!(both.stdout.is_empty(), "--fault {fault} --chaos churn ran something");
+        assert!(String::from_utf8_lossy(&both.stderr).contains("--fault and --chaos"));
+    }
 }
 
 #[test]

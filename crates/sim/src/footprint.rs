@@ -200,7 +200,7 @@ impl FootprintTracker {
 
     /// Adds `lines` resident lines on `cpu` to `tid`'s counter.
     pub fn credit(&mut self, cpu: usize, tid: ThreadId, lines: u64) {
-        let slot = match self.slots.lookup_cached(tid) {
+        let slot = match self.slots.lookup(tid) {
             Some(slot) => slot,
             None => self.slots.bind(tid),
         };
@@ -215,7 +215,7 @@ impl FootprintTracker {
         // An owner of a resident line was credited when the line came in
         // (or when the region was registered), so the slot exists and the
         // counter is positive; a violated invariant must not underflow.
-        if let Some(slot) = self.slots.lookup_cached(tid) {
+        if let Some(slot) = self.slots.lookup(tid) {
             let count = &mut self.counts[slot.index() * self.cpus + cpu];
             debug_assert!(*count > 0, "footprint counter of {tid} on cpu{cpu} underflows");
             *count = count.saturating_sub(1);

@@ -297,7 +297,7 @@ impl Machine {
     /// Binds `tid` to a statistics slot, zeroing a recycled slot's
     /// entry (and restoring cold stats if the thread was retired).
     fn stats_slot(&mut self, tid: ThreadId) -> usize {
-        if let Some(slot) = self.slots.lookup_cached(tid) {
+        if let Some(slot) = self.slots.lookup(tid) {
             return slot.index();
         }
         let index = self.slots.bind(tid).index();

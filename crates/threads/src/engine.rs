@@ -114,14 +114,14 @@ impl Default for EngineConfig {
 
 /// The Active Threads runtime over the simulated machine.
 ///
-/// Generic over the scheduler so hot workloads monomorphize the
-/// dispatch loop over a concrete policy type; the default
-/// `Engine<Box<dyn Scheduler>>` (built by [`Engine::new`]) keeps
-/// runtime `--policy` selection working at the binary/CLI boundary.
-pub struct Engine<S: Scheduler = Box<dyn Scheduler>> {
+/// The scheduler is a `Box<dyn Scheduler>`: one dispatch mechanism for
+/// `--policy` selection, every figure and the model checker. A
+/// monomorphized engine measured no faster on the switch-bound
+/// workload (DESIGN.md §9.3), so there is no static-dispatch fork.
+pub struct Engine {
     machine: Machine,
     config: EngineConfig,
-    sched: S,
+    sched: Box<dyn Scheduler>,
     /// Dense slot registry over live threads (slots recycle at exit).
     slots: ThreadSlots,
     /// The thread table: a slot-indexed TCB slab arena.
@@ -156,7 +156,7 @@ pub struct Engine<S: Scheduler = Box<dyn Scheduler>> {
     steps: u64,
 }
 
-impl<S: Scheduler> std::fmt::Debug for Engine<S> {
+impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("policy", &self.sched.name())
@@ -185,14 +185,11 @@ impl Engine {
         let sched = sched::build(policy, machine.l2_lines(), machine.cpus)?;
         Engine::with_scheduler(machine, sched, config)
     }
-}
 
-impl<S: Scheduler> Engine<S> {
     /// Builds an engine over a fresh machine with a caller-constructed
-    /// scheduler. Monomorphizes the engine over `S`, eliding the virtual
-    /// dispatch of the default `Box<dyn Scheduler>` engine — the fast
-    /// path for benchmarks and embedded uses that know their policy at
-    /// compile time.
+    /// scheduler (the model checker's exploring scheduler, a test's
+    /// hand-built policy). A caller that needs to read its scheduler
+    /// back after the run keeps a shared handle to that state.
     ///
     /// # Errors
     ///
@@ -202,7 +199,7 @@ impl<S: Scheduler> Engine<S> {
     /// problem here, since the scheduler arrives already built.
     pub fn with_scheduler(
         machine: MachineConfig,
-        sched: S,
+        sched: Box<dyn Scheduler>,
         config: EngineConfig,
     ) -> Result<Self, RuntimeError> {
         let mut machine = Machine::try_new(config.apply_overrides(machine))
@@ -281,8 +278,8 @@ impl<S: Scheduler> Engine<S> {
     }
 
     /// The scheduler (e.g. for expected footprints in experiments).
-    pub fn scheduler(&self) -> &S {
-        &self.sched
+    pub fn scheduler(&self) -> &dyn Scheduler {
+        self.sched.as_ref()
     }
 
     /// Counter intervals the sanitizer had to correct so far (plus read
@@ -880,7 +877,7 @@ impl<S: Scheduler> Engine<S> {
                 clock: self.clocks[cpu],
                 switch_index: self.switches,
             };
-            let view = EngineView { machine: &self.machine, sched: &self.sched };
+            let view = EngineView { machine: &self.machine, sched: self.sched.as_ref() };
             for h in &mut hooks {
                 h.on_context_switch(&event, &view);
             }

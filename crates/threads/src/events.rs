@@ -81,41 +81,15 @@ pub trait EngineHook {
     fn on_context_switch(&mut self, event: &SwitchEvent, view: &EngineView<'_>);
 }
 
-/// A hook that simply records every switch event (useful in tests).
-#[derive(Debug, Default)]
-pub struct RecordingHook {
-    /// The recorded events.
-    pub events: Vec<SwitchEvent>,
-}
-
-impl EngineHook for RecordingHook {
-    fn on_context_switch(&mut self, event: &SwitchEvent, _view: &EngineView<'_>) {
-        self.events.push(*event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn recording_hook_collects() {
-        let mut h = RecordingHook::default();
-        // A fabricated event is enough to exercise the plumbing.
-        let ev = SwitchEvent {
-            cpu: 0,
-            tid: ThreadId(1),
-            reason: SwitchReason::Yield,
-            delta: SanitizedInterval::default(),
-            clock: 100,
-            switch_index: 0,
-        };
+    fn view_debug_names_the_policy() {
         let machine = Machine::try_new(locality_sim::MachineConfig::ultra1()).unwrap();
         let sched = crate::sched::FcfsScheduler::new();
         let view = EngineView { machine: &machine, sched: &sched };
-        h.on_context_switch(&ev, &view);
-        assert_eq!(h.events.len(), 1);
-        assert_eq!(h.events[0].tid, ThreadId(1));
         assert!(format!("{view:?}").contains("fcfs"));
     }
 }

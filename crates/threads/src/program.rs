@@ -156,42 +156,16 @@ impl<'a> BatchCtx<'a> {
         self.cycles += self.machine.access(self.cpu, va, AccessKind::Fetch);
     }
 
-    /// Performs a reference **run**: `count` accesses of `kind` at
-    /// `base, base+stride, base+2·stride, …`, resolved by the machine in
-    /// one batched walk ([`Machine::access_run`]) instead of `count`
-    /// separate calls. Observable state — miss counts, PIC values,
-    /// coherence traffic, cycle costs — is identical to the per-address
-    /// loop; only the bookkeeping overhead is amortized.
-    ///
-    /// Read and write runs record one covering access span (like
-    /// [`read_range`](Self::read_range)); fetches record none.
-    pub fn run(&mut self, base: VAddr, stride: u64, count: u64, kind: AccessKind) {
-        if count == 0 {
-            return;
-        }
-        if !matches!(kind, AccessKind::Fetch) {
-            let bytes = (count - 1).saturating_mul(stride) + 1;
-            self.note_access(base, bytes, matches!(kind, AccessKind::Write));
-        }
-        self.cycles += self.machine.access_run(self.cpu, base, stride, count, kind);
-    }
-
-    /// Loads `count` addresses `base, base+stride, …` as one run.
-    pub fn read_run(&mut self, base: VAddr, stride: u64, count: u64) {
-        self.run(base, stride, count, AccessKind::Read);
-    }
-
-    /// Stores `count` addresses `base, base+stride, …` as one run.
-    pub fn write_run(&mut self, base: VAddr, stride: u64, count: u64) {
-        self.run(base, stride, count, AccessKind::Write);
-    }
-
-    /// Like [`read_run`](Self::read_run) but records one 1-byte span per
-    /// element — a drop-in replacement for a loop of
-    /// [`read`](Self::read) calls that leaves the observation log and
-    /// model-checker access spans unchanged. (Machine accesses emit no
-    /// observation events, so noting every span up front and then
-    /// resolving the whole run produces the identical event sequence.)
+    /// Loads `count` addresses `base, base+stride, …` as one reference
+    /// **run**, resolved by the machine in one batched walk
+    /// ([`Machine::access_run`]) instead of `count` separate calls, and
+    /// records one 1-byte span per element — a drop-in replacement for a
+    /// loop of [`read`](Self::read) calls: miss counts, PIC values,
+    /// coherence traffic and cycle costs are identical, and so are the
+    /// observation log and model-checker access spans. (Machine accesses
+    /// emit no observation events, so noting every span up front and
+    /// then resolving the whole run produces the identical event
+    /// sequence.)
     pub fn read_run_points(&mut self, base: VAddr, stride: u64, count: u64) {
         for i in 0..count {
             self.note_access(base.offset(i * stride), 1, false);
@@ -199,8 +173,7 @@ impl<'a> BatchCtx<'a> {
         self.cycles += self.machine.access_run(self.cpu, base, stride, count, AccessKind::Read);
     }
 
-    /// Per-element-span variant of [`write_run`](Self::write_run); see
-    /// [`read_run_points`](Self::read_run_points).
+    /// The store twin of [`read_run_points`](Self::read_run_points).
     pub fn write_run_points(&mut self, base: VAddr, stride: u64, count: u64) {
         for i in 0..count {
             self.note_access(base.offset(i * stride), 1, true);

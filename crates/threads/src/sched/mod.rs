@@ -29,8 +29,6 @@ pub enum SchedPolicy {
     /// LFF that ignores `at_share` annotations (the paper's §5 photo
     /// ablation: counters only).
     LffNoAnnotations,
-    /// CRT that ignores `at_share` annotations.
-    CrtNoAnnotations,
     /// A locality policy with explicit parameters.
     Custom(LocalityConfig),
 }
@@ -43,7 +41,6 @@ impl SchedPolicy {
             SchedPolicy::Lff => "lff",
             SchedPolicy::Crt => "crt",
             SchedPolicy::LffNoAnnotations => "lff-noann",
-            SchedPolicy::CrtNoAnnotations => "crt-noann",
             SchedPolicy::Custom(c) => {
                 if c.use_annotations {
                     match c.policy {
@@ -141,82 +138,6 @@ pub trait Scheduler {
     fn name(&self) -> &'static str;
 }
 
-/// Boxed schedulers forward to the inner policy, so the generic
-/// [`crate::Engine<S>`] monomorphizes over concrete scheduler types
-/// while `Engine<Box<dyn Scheduler>>` (the default) keeps the runtime
-/// `--policy` selection working at the binary/CLI boundary.
-///
-/// Every method delegates explicitly — including the ones with default
-/// bodies, which would otherwise silently drop the inner scheduler's
-/// statistics.
-impl Scheduler for Box<dyn Scheduler> {
-    fn on_spawn(&mut self, tid: ThreadId) {
-        (**self).on_spawn(tid);
-    }
-
-    fn on_ready(&mut self, tid: ThreadId) {
-        (**self).on_ready(tid);
-    }
-
-    fn on_dispatch(&mut self, cpu: usize, tid: ThreadId) {
-        (**self).on_dispatch(cpu, tid);
-    }
-
-    fn on_interval_end(
-        &mut self,
-        cpu: usize,
-        tid: ThreadId,
-        interval: SanitizedInterval,
-        graph: &SharingGraph,
-    ) {
-        (**self).on_interval_end(cpu, tid, interval, graph);
-    }
-
-    fn pick(&mut self, cpu: usize) -> Option<ThreadId> {
-        (**self).pick(cpu)
-    }
-
-    fn on_exit(&mut self, tid: ThreadId) {
-        (**self).on_exit(tid);
-    }
-
-    fn on_schedule_point(&mut self, point: &SchedulePoint) {
-        (**self).on_schedule_point(point);
-    }
-
-    fn on_abort(&mut self, tid: ThreadId) {
-        (**self).on_abort(tid);
-    }
-
-    fn expected_footprint(&self, cpu: usize, tid: ThreadId) -> Option<f64> {
-        (**self).expected_footprint(cpu, tid)
-    }
-
-    fn ready_count(&self) -> usize {
-        (**self).ready_count()
-    }
-
-    fn steals(&self) -> u64 {
-        (**self).steals()
-    }
-
-    fn priority_flops(&self) -> (u64, u64) {
-        (**self).priority_flops()
-    }
-
-    fn degraded_intervals(&self) -> u64 {
-        (**self).degraded_intervals()
-    }
-
-    fn is_degraded(&self) -> bool {
-        (**self).is_degraded()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
 /// Builds the scheduler for a policy.
 ///
 /// # Errors
@@ -229,26 +150,16 @@ pub(crate) fn build(
     l2_lines: usize,
     cpus: usize,
 ) -> Result<Box<dyn Scheduler>, crate::RuntimeError> {
-    Ok(match policy {
-        SchedPolicy::Fcfs => Box::new(FcfsScheduler::new()),
-        SchedPolicy::Lff => {
-            Box::new(LocalityScheduler::new(LocalityConfig::new(PolicyKind::Lff), l2_lines, cpus)?)
+    let config = match policy {
+        SchedPolicy::Fcfs => return Ok(Box::new(FcfsScheduler::new())),
+        SchedPolicy::Lff => LocalityConfig::new(PolicyKind::Lff),
+        SchedPolicy::Crt => LocalityConfig::new(PolicyKind::Crt),
+        SchedPolicy::LffNoAnnotations => {
+            LocalityConfig { use_annotations: false, ..LocalityConfig::new(PolicyKind::Lff) }
         }
-        SchedPolicy::Crt => {
-            Box::new(LocalityScheduler::new(LocalityConfig::new(PolicyKind::Crt), l2_lines, cpus)?)
-        }
-        SchedPolicy::LffNoAnnotations => Box::new(LocalityScheduler::new(
-            LocalityConfig { use_annotations: false, ..LocalityConfig::new(PolicyKind::Lff) },
-            l2_lines,
-            cpus,
-        )?),
-        SchedPolicy::CrtNoAnnotations => Box::new(LocalityScheduler::new(
-            LocalityConfig { use_annotations: false, ..LocalityConfig::new(PolicyKind::Crt) },
-            l2_lines,
-            cpus,
-        )?),
-        SchedPolicy::Custom(config) => Box::new(LocalityScheduler::new(config, l2_lines, cpus)?),
-    })
+        SchedPolicy::Custom(config) => config,
+    };
+    Ok(Box::new(LocalityScheduler::new(config, l2_lines, cpus)?))
 }
 
 #[cfg(test)]
@@ -261,7 +172,6 @@ mod tests {
         assert_eq!(SchedPolicy::Lff.name(), "lff");
         assert_eq!(SchedPolicy::Crt.name(), "crt");
         assert_eq!(SchedPolicy::LffNoAnnotations.name(), "lff-noann");
-        assert_eq!(SchedPolicy::CrtNoAnnotations.name(), "crt-noann");
         let c = SchedPolicy::Custom(LocalityConfig::new(PolicyKind::Lff));
         assert_eq!(c.name(), "lff-custom");
     }

@@ -14,7 +14,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::rc::Rc;
@@ -298,7 +298,7 @@ impl Program for BarnesWorker {
 }
 
 /// Spawns the monitored single work thread.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &BarnesParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &BarnesParams) -> ThreadId {
     // Nodes can outnumber bodies ~2x; allocate after building the scene.
     let bodies_base = engine.machine_mut().alloc(params.bodies as u64 * LINE, LINE);
     // Reserve a generous node region, then rebuild with the real size.

@@ -14,7 +14,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::rc::Rc;
@@ -425,7 +425,7 @@ impl Program for FmmWorker {
 }
 
 /// Spawns the monitored single work thread.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &FmmParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &FmmParams) -> ThreadId {
     let parts_base = engine.machine_mut().alloc(params.particles as u64 * LINE, LINE);
     let cells = level_start(params.depth + 1) as u64;
     let cells_base = engine.machine_mut().alloc(cells * LINE, LINE);

@@ -104,19 +104,12 @@ impl App {
     }
 
     /// Spawns the app's monitored single work thread into an engine,
-    /// using scaled-down default parameters suitable for simulation.
-    pub fn spawn_single<S: active_threads::Scheduler>(
+    /// using scaled-down default parameters suitable for simulation,
+    /// with an explicit RNG seed in place of the default parameters'
+    /// ([`App::default_seed`]).
+    pub fn spawn_single_seeded(
         &self,
-        engine: &mut active_threads::Engine<S>,
-    ) -> locality_core::ThreadId {
-        self.spawn_single_seeded(engine, self.default_seed())
-    }
-
-    /// [`App::spawn_single`] with an explicit RNG seed in place of the
-    /// default parameters' seed.
-    pub fn spawn_single_seeded<S: active_threads::Scheduler>(
-        &self,
-        engine: &mut active_threads::Engine<S>,
+        engine: &mut active_threads::Engine,
         seed: u64,
     ) -> locality_core::ThreadId {
         match self {

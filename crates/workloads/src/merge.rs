@@ -15,7 +15,7 @@
 //! data for the children").
 
 use crate::common::{elem_addr, rng, LineToucher, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::cell::RefCell;
@@ -231,10 +231,7 @@ impl Program for MergeThread {
 
 /// Builds the shared array and spawns the root thread.
 /// Returns `(shared, root thread id)`.
-pub fn spawn_parallel<S: Scheduler>(
-    engine: &mut Engine<S>,
-    params: &MergeParams,
-) -> (Rc<MergeShared>, ThreadId) {
+pub fn spawn_parallel(engine: &mut Engine, params: &MergeParams) -> (Rc<MergeShared>, ThreadId) {
     let bytes = (params.elements as u64) * ELEM;
     let base = engine.machine_mut().alloc(bytes, LINE);
     let shared = MergeShared::new(base, params);
@@ -341,7 +338,7 @@ impl Program for MergeWorker {
 }
 
 /// Spawns the Figure 5 monitored work thread.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &MergeParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &MergeParams) -> ThreadId {
     let bytes = (params.elements as u64) * ELEM;
     let base = engine.machine_mut().alloc(bytes, LINE);
     let shared = MergeShared::new(base, params);

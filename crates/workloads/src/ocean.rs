@@ -8,7 +8,7 @@
 //! strained by streaming sweeps).
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::cell::RefCell;
@@ -145,7 +145,7 @@ impl Program for OceanWorker {
 }
 
 /// Spawns the monitored single work thread.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &OceanParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &OceanParams) -> ThreadId {
     let bytes = (params.side * params.side * 8) as u64;
     let base = engine.machine_mut().alloc(bytes, LINE);
     let grid = OceanGrid::new(base, params);

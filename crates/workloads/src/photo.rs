@@ -25,7 +25,7 @@
 //! what groups adjacent rows onto one processor.
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, SemId, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, SemId, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::cell::RefCell;
@@ -246,12 +246,7 @@ impl Program for RowThread {
 }
 
 /// Registers the ground-truth state regions of row thread `y`.
-fn register_row_regions<S: Scheduler>(
-    engine: &mut Engine<S>,
-    tid: ThreadId,
-    shared: &PhotoShared,
-    y: usize,
-) {
+fn register_row_regions(engine: &mut Engine, tid: ThreadId, shared: &PhotoShared, y: usize) {
     let p = shared.params;
     let row_bytes = p.row_bytes();
     let lo = y.saturating_sub(2 * p.filter_radius);
@@ -263,20 +258,11 @@ fn register_row_regions<S: Scheduler>(
 
 /// Spawns one thread per row with neighbour-sharing annotations derived
 /// from the exact region overlaps. Returns `(shared, tids)`.
-pub fn spawn_parallel<S: Scheduler>(
-    engine: &mut Engine<S>,
+/// (The annotation ablation runs this same program under a policy that
+/// ignores annotations.)
+pub fn spawn_parallel(
+    engine: &mut Engine,
     params: &PhotoParams,
-) -> (Rc<PhotoShared>, Vec<ThreadId>) {
-    spawn_parallel_with(engine, params, true)
-}
-
-/// [`spawn_parallel`] with the `at_share` annotations optional — the
-/// unannotated form is the "existing unmodified application" that the
-/// paper's §7 runtime-inference future work targets.
-pub fn spawn_parallel_with<S: Scheduler>(
-    engine: &mut Engine<S>,
-    params: &PhotoParams,
-    annotate: bool,
 ) -> (Rc<PhotoShared>, Vec<ThreadId>) {
     let bytes = params.row_bytes() * params.height as u64;
     let in_base = engine.machine_mut().alloc(bytes, LINE);
@@ -299,15 +285,13 @@ pub fn spawn_parallel_with<S: Scheduler>(
     // Annotations: the closer the rows, the more state is shared; the
     // coefficients come from the exact region overlaps (what a fully
     // informed programmer would write).
-    if annotate {
-        for y in 0..params.height {
-            for d in 1..=params.share_radius {
-                if y + d < params.height {
-                    let q = engine.machine().regions().coefficient(tids[y], tids[y + d]);
-                    let q_rev = engine.machine().regions().coefficient(tids[y + d], tids[y]);
-                    let _ = engine.annotate(tids[y], tids[y + d], q);
-                    let _ = engine.annotate(tids[y + d], tids[y], q_rev);
-                }
+    for y in 0..params.height {
+        for d in 1..=params.share_radius {
+            if y + d < params.height {
+                let q = engine.machine().regions().coefficient(tids[y], tids[y + d]);
+                let q_rev = engine.machine().regions().coefficient(tids[y + d], tids[y]);
+                let _ = engine.annotate(tids[y], tids[y + d], q);
+                let _ = engine.annotate(tids[y + d], tids[y], q_rev);
             }
         }
     }
@@ -362,7 +346,7 @@ impl Program for PhotoWorker {
 }
 
 /// Spawns the monitored single worker.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &PhotoParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &PhotoParams) -> ThreadId {
     let bytes = params.row_bytes() * params.height as u64;
     let in_base = engine.machine_mut().alloc(bytes, LINE);
     let tmp_base = engine.machine_mut().alloc(bytes, LINE);

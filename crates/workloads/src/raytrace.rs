@@ -14,7 +14,7 @@
 //! miss counts, over-predicts (Figure 7, right).
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::cell::RefCell;
@@ -100,7 +100,7 @@ impl Scene {
 }
 
 /// Builds the scene and the deliberately-conflicting scratch region.
-pub fn build_scene<S: Scheduler>(engine: &mut Engine<S>, params: &RaytraceParams) -> Rc<Scene> {
+pub fn build_scene(engine: &mut Engine, params: &RaytraceParams) -> Rc<Scene> {
     let mut r = rng(params.seed);
     let n = params.grid_side;
     let spheres: Vec<Sphere> = (0..params.spheres)
@@ -237,7 +237,7 @@ impl Program for RayWorker {
 }
 
 /// Spawns the monitored single work thread.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &RaytraceParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &RaytraceParams) -> ThreadId {
     let scene = build_scene(engine, params);
     engine.spawn(Box::new(RayWorker { scene, params: *params, next_ray: 0, pass: 0 }))
 }

@@ -8,7 +8,7 @@
 //! locality benefit comes from the counter-driven footprint model alone.
 
 use crate::common::LINE;
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 
 /// Parameters of a `tasks` run.
@@ -71,18 +71,11 @@ impl Program for Task {
 /// Allocates per-task state (disjoint, or overlapped per
 /// [`TasksParams::overlap`]) and spawns all tasks. Returns the thread
 /// ids in creation order.
-pub fn spawn_parallel<S: Scheduler>(engine: &mut Engine<S>, params: &TasksParams) -> Vec<ThreadId> {
-    spawn_parallel_with(engine, params, true)
-}
-
-/// [`spawn_parallel`] with optional `at_share` annotations (only
-/// meaningful when `overlap > 0`; disjoint tasks have nothing to
-/// annotate, as in the paper).
-pub fn spawn_parallel_with<S: Scheduler>(
-    engine: &mut Engine<S>,
-    params: &TasksParams,
-    annotate: bool,
-) -> Vec<ThreadId> {
+///
+/// Overlapped neighbours are annotated with `at_share` (disjoint tasks
+/// have nothing to annotate, as in the paper); a run that should ignore
+/// annotations selects a no-annotations policy instead.
+pub fn spawn_parallel(engine: &mut Engine, params: &TasksParams) -> Vec<ThreadId> {
     let bytes = params.footprint_lines * LINE;
     let overlap = params.overlap.clamp(0.0, 0.9);
     let stride_lines = ((params.footprint_lines as f64) * (1.0 - overlap)).round().max(1.0) as u64;
@@ -103,13 +96,11 @@ pub fn spawn_parallel_with<S: Scheduler>(
         engine.machine_mut().register_region(tid, region, bytes);
         tids.push(tid);
     }
-    if annotate {
-        for i in 0..params.tasks.saturating_sub(1) {
-            let q = engine.machine().regions().coefficient(tids[i], tids[i + 1]);
-            let q_rev = engine.machine().regions().coefficient(tids[i + 1], tids[i]);
-            let _ = engine.annotate(tids[i], tids[i + 1], q);
-            let _ = engine.annotate(tids[i + 1], tids[i], q_rev);
-        }
+    for i in 0..params.tasks.saturating_sub(1) {
+        let q = engine.machine().regions().coefficient(tids[i], tids[i + 1]);
+        let q_rev = engine.machine().regions().coefficient(tids[i + 1], tids[i]);
+        let _ = engine.annotate(tids[i], tids[i + 1], q);
+        let _ = engine.annotate(tids[i + 1], tids[i], q_rev);
     }
     tids
 }

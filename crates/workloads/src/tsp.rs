@@ -20,7 +20,7 @@
 //! order.
 
 use crate::common::{rng, LineToucher, LINE};
-use active_threads::{BatchCtx, Control, Engine, MutexId, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, MutexId, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::cell::{Cell, RefCell};
@@ -373,10 +373,7 @@ impl Program for TspTask {
 
 /// Sets up the instance and spawns the root task.
 /// Returns `(shared, root id)`.
-pub fn spawn_parallel<S: Scheduler>(
-    engine: &mut Engine<S>,
-    params: &TspParams,
-) -> (Rc<TspShared>, ThreadId) {
+pub fn spawn_parallel(engine: &mut Engine, params: &TspParams) -> (Rc<TspShared>, ThreadId) {
     let best_addr = engine.machine_mut().alloc(64, LINE);
     let shared = TspShared::new(best_addr, params);
     let alloc_mutex = engine.sync_tables_mut().create_mutex();
@@ -450,7 +447,7 @@ impl Program for TspWorker {
 }
 
 /// Spawns the monitored single worker.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &TspParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &TspParams) -> ThreadId {
     let best_addr = engine.machine_mut().alloc(64, LINE);
     let shared = TspShared::new(best_addr, params);
     let alloc_mutex = engine.sync_tables_mut().create_mutex();

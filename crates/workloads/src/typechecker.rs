@@ -20,7 +20,7 @@
 //! over-estimation anomaly.
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
 use std::rc::Rc;
@@ -206,7 +206,7 @@ impl Program for TypecheckerWorker {
 }
 
 /// Spawns the monitored single work thread.
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &TypecheckerParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &TypecheckerParams) -> ThreadId {
     let types_base = engine.machine_mut().alloc(params.types as u64 * LINE, LINE);
     let ast_base = engine.machine_mut().alloc(params.ast_nodes as u64 * LINE, LINE);
     let data = TypecheckerData::new(types_base, ast_base, params);

@@ -8,7 +8,7 @@
 //! fraction) and decay or grow while the walker runs.
 
 use crate::common::{rng, LINE};
-use active_threads::{BatchCtx, Control, Engine, Program, Scheduler, ThreadId};
+use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -125,7 +125,7 @@ impl Program for Sleeper {
 }
 
 /// Spawns a single walker (convenience for tests/examples).
-pub fn spawn_single<S: Scheduler>(engine: &mut Engine<S>, params: &WalkParams) -> ThreadId {
+pub fn spawn_single(engine: &mut Engine, params: &WalkParams) -> ThreadId {
     engine.spawn(Box::new(RandomWalk::new(*params)))
 }
 

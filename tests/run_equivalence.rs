@@ -188,8 +188,9 @@ fn run_engine(
     config: EngineConfig,
     threads: &[(u64, u64, u8)],
 ) -> (Vec<String>, Vec<u64>, u64, Vec<String>, u64) {
-    let mut e = Engine::with_scheduler(MachineConfig::ultra1(), FcfsScheduler::new(), config)
-        .expect("valid config");
+    let mut e =
+        Engine::with_scheduler(MachineConfig::ultra1(), Box::new(FcfsScheduler::new()), config)
+            .expect("valid config");
     e.enable_observation();
     for &(stride, count, write) in threads {
         e.spawn(Box::new(Toucher {
