@@ -12,7 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # then run every workload for a second. Host numbers are ignored here
 # (wall-clock stays out of CI); the run only has to be correct, so a
 # crate API change that breaks the benchmark fails CI instead of the
-# next measurement.
+# next measurement. The three simulated end-to-end values of each result
+# line repeat to the last digit, whatever the run length, and reach what
+# no golden CSV prints: mem_assoc pays 30 cycles for each of its 0.84 M
+# TLB misses a pass, so a TLB that hits or evicts differently moves its
+# sim_cycles_per_instr. They are held to results/benchmark_sim.golden.
+SIM_GOLDEN="$PWD/results/benchmark_sim.golden"
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
@@ -26,6 +31,14 @@ for workload in repro_small policy_paper mem_direct mem_assoc sched_switch; do
         exit 1
         ;;
     esac
+    for metric in sim_cycles_per_instr sim_l2_mpki model_abs_rel_err; do
+        got=$(printf '%s\n' "$last" | sed -n "s/.*\"$metric\": {\"value\": \([^,]*\),.*/\1/p")
+        want=$(sed -n "s/^$workload $metric //p" "$SIM_GOLDEN")
+        if [ -z "$want" ] || [ "$got" != "$want" ]; then
+            echo "benchmark workload $workload: $metric is '$got', $SIM_GOLDEN has '$want'" >&2
+            exit 1
+        fi
+    done
 done
 
 # Smoke the full repro suite through the parallel cached runner, then
@@ -50,6 +63,17 @@ cargo run --release -p locality-repro --bin repro -- geometry \
 cargo run --release -p locality-repro --bin repro -- geometry \
     --scale small --jobs 4 --out "$GEOM_B"
 cmp "$GEOM_A/geometry.csv" "$GEOM_B/geometry.csv"
+# Geometries no run can build (over the capacity cap, a line count that
+# wraps, a one-line cache) are a usage error, not an abort or a panic.
+for bad in 1099511627776x4 4611686018427387904x4 1x1; do
+    status=0
+    cargo run --release -p locality-repro --bin repro -- geometry \
+        --scale small --geometry "$bad" --out "$GEOM_A" 2>/dev/null || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "repro geometry --geometry $bad exited $status, not 2" >&2
+        exit 1
+    fi
+done
 rm -rf "$GEOM_A" "$GEOM_B"
 
 # Thread-lifecycle chaos: every fault scenario must complete without

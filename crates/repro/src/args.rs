@@ -1,6 +1,8 @@
 //! Minimal command-line handling shared by the `repro` subcommands.
 
 use crate::error::ReproError;
+use locality_core::ModelParams;
+use locality_sim::CacheGeometry;
 use std::path::PathBuf;
 
 /// The flags half of the `--help` text; every subcommand accepts the
@@ -37,7 +39,8 @@ pub(crate) const FLAGS_HELP: &str = "flags:
                        and verify the violation reproduces
   --geometry SxW       geometry: restrict the validation sweep to one
                        L2 geometry of S sets by W ways (both positive
-                       powers of two, e.g. 1024x8)
+                       powers of two, 2 to 1048576 lines in all,
+                       e.g. 1024x8)
   --page-size BYTES    geometry: TLB page size in bytes (a positive
                        power of two; default: 8192)
   --help, -h           print this help";
@@ -160,16 +163,18 @@ fn parse_pow2(flag: &str, v: &str) -> Result<u64, String> {
     }
 }
 
-/// Parses a `SxW` geometry value: both components positive powers of
-/// two.
+/// Parses a `SxW` geometry value and holds it to what a run can build:
+/// a [`CacheGeometry`] of 64-byte lines that validates (both components
+/// positive powers of two, capacity under the cap) and has the two lines
+/// the footprint model needs.
 fn parse_geometry(v: &str) -> Result<(u64, u64), String> {
     let bad = || format!("--geometry needs SETSxWAYS, both positive powers of two, got '{v}'");
     let (s, w) = v.split_once('x').ok_or_else(bad)?;
     let sets = s.parse::<u64>().map_err(|_| bad())?;
     let ways = w.parse::<u64>().map_err(|_| bad())?;
-    if sets == 0 || ways == 0 || !sets.is_power_of_two() || !ways.is_power_of_two() {
-        return Err(bad());
-    }
+    let geometry = CacheGeometry::new(sets, ways, crate::geometry::LINE)
+        .map_err(|e| format!("--geometry {v}: {e}"))?;
+    ModelParams::new(geometry.lines() as usize).map_err(|e| format!("--geometry {v}: {e}"))?;
     Ok((sets, ways))
 }
 
@@ -409,6 +414,15 @@ mod tests {
         assert!(parse(&["--geometry", "1000x8"]).is_err());
         assert!(parse(&["--geometry", "1024x3"]).is_err());
         assert!(parse(&["--geometry", "8x8x8"]).is_err());
+        // Powers of two that no run can build: a tag store the allocator
+        // would abort on, a line count that wraps to 0, a one-line cache.
+        let err = parse(&["--geometry", "1099511627776x4"]).unwrap_err();
+        assert!(err.contains("over the cap"), "{err}");
+        let err = parse(&["--geometry", "4611686018427387904x4"]).unwrap_err();
+        assert!(err.contains("over the cap"), "{err}");
+        let err = parse(&["--geometry", "1x1"]).unwrap_err();
+        assert!(err.contains("too small for the model"), "{err}");
+        assert_eq!(parse(&["--geometry", "1x2"]).unwrap().geometry, Some((1, 2)));
         assert!(parse(&["--page-size"]).is_err());
         assert!(parse(&["--page-size", "0"]).is_err());
         assert!(parse(&["--page-size", "1000"]).is_err());

@@ -14,9 +14,10 @@
 
 use crate::microbench::{self, Monitored};
 use locality_core::perset::{predict_after, PerSetCase};
+use locality_core::ModelError;
 use locality_sim::{CacheGeometry, MachineConfig};
 
-const LINE: u64 = 64;
+pub(crate) const LINE: u64 = 64;
 
 /// One point of a geometry-validation curve: the observation and both
 /// predictions at a miss count.
@@ -67,12 +68,16 @@ impl GeometryExperiment {
 /// Runs one cell: the [walk](microbench::walk) on a single-processor
 /// UltraSPARC-1 with the cell's L2 geometry and page size substituted
 /// in, predicted by the closed forms and by the per-set model.
-pub fn run(exp: &GeometryExperiment) -> Vec<GeometryPoint> {
+///
+/// # Errors
+///
+/// Returns the [`ModelError`] of a cache the closed forms do not cover.
+pub fn run(exp: &GeometryExperiment) -> Result<Vec<GeometryPoint>, ModelError> {
     let config =
         MachineConfig::ultra1().with_l2_geometry(exp.geometry()).with_page_size(exp.page_bytes);
     let n = config.l2_lines() as f64;
     let ways = exp.ways as f64;
-    let closed = microbench::closed_form(exp.monitored, config.l2_lines());
+    let closed = microbench::closed_form(exp.monitored, config.l2_lines())?;
     let (case, prefilled) = match exp.monitored {
         Monitored::Walker { s0 } => (PerSetCase::Blocking, s0),
         Monitored::Independent { s0 } => (PerSetCase::Independent, s0),
@@ -92,7 +97,7 @@ pub fn run(exp: &GeometryExperiment) -> Vec<GeometryPoint> {
         closed_form: closed(s0, misses),
         per_set: predict_after(case, s0, total0, misses, n, ways).0,
     }));
-    points
+    Ok(points)
 }
 
 /// Mean absolute prediction error in lines over the curve's sampled
@@ -124,7 +129,7 @@ mod tests {
 
     #[test]
     fn predictors_agree_on_direct_mapped() {
-        let pts = run(&cell(Monitored::Walker { s0: 0.0 }, 8192, 1, 21));
+        let pts = run(&cell(Monitored::Walker { s0: 0.0 }, 8192, 1, 21)).unwrap();
         for p in &pts {
             assert!(
                 (p.closed_form - p.per_set).abs() < 1.0,
@@ -136,7 +141,7 @@ mod tests {
     #[test]
     fn per_set_beats_closed_form_on_associative_walker() {
         for &(sets, ways) in &[(1024u64, 8u64), (1, 8192)] {
-            let pts = run(&cell(Monitored::Walker { s0: 0.0 }, sets, ways, 22));
+            let pts = run(&cell(Monitored::Walker { s0: 0.0 }, sets, ways, 22)).unwrap();
             let closed = mean_abs_error(&pts, |p| p.closed_form);
             let per_set = mean_abs_error(&pts, |p| p.per_set);
             assert!(
@@ -149,7 +154,7 @@ mod tests {
     #[test]
     fn per_set_beats_closed_form_on_associative_sleeper() {
         for &(sets, ways) in &[(1024u64, 8u64), (1, 8192)] {
-            let pts = run(&cell(Monitored::Independent { s0: 4096.0 }, sets, ways, 23));
+            let pts = run(&cell(Monitored::Independent { s0: 4096.0 }, sets, ways, 23)).unwrap();
             let closed = mean_abs_error(&pts, |p| p.closed_form);
             let per_set = mean_abs_error(&pts, |p| p.per_set);
             assert!(
@@ -175,8 +180,9 @@ mod tests {
                 exp.total_misses,
                 exp.sample_every,
                 exp.seed,
-            ));
-            let cell = run(&exp);
+            ))
+            .unwrap();
+            let cell = run(&exp).unwrap();
             assert_eq!(cell.len(), fig4.len(), "{monitored:?}");
             assert!(cell.len() > 6, "{monitored:?}: {} points", cell.len());
             for (g, w) in cell.iter().zip(&fig4) {

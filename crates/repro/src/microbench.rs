@@ -11,7 +11,7 @@
 //! * **d** — sleeping dependent threads with several sharing
 //!   coefficients `q`.
 
-use locality_core::{FootprintModel, ModelParams, ThreadId};
+use locality_core::{FootprintModel, ModelError, ModelParams, ThreadId};
 use locality_sim::{AccessKind, Machine, MachineConfig, VAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,21 +88,25 @@ const WALKER_LINES: u64 = 8192 * 64;
 /// The paper's closed-form predictor for `monitored` on an E-cache of
 /// `l2_lines` lines: `(initial footprint, walker misses) -> lines`,
 /// clamped to the cache.
-pub(crate) fn closed_form(monitored: Monitored, l2_lines: usize) -> impl Fn(f64, u64) -> f64 {
-    // Infallible: the line count of a valid machine description is a
-    // positive power of two ≥ 2, the only thing `ModelParams::new`
-    // rejects.
-    #[allow(clippy::unwrap_used)]
-    let model = FootprintModel::new(ModelParams::new(l2_lines).unwrap());
+///
+/// # Errors
+///
+/// Returns [`ModelError::CacheTooSmall`] for a cache of fewer than two
+/// lines (a valid machine description, but not one the model covers).
+pub(crate) fn closed_form(
+    monitored: Monitored,
+    l2_lines: usize,
+) -> Result<impl Fn(f64, u64) -> f64, ModelError> {
+    let model = FootprintModel::new(ModelParams::new(l2_lines)?);
     let n = model.params().n();
-    move |s0, misses| {
+    Ok(move |s0, misses| {
         match monitored {
             Monitored::Walker { .. } => model.expected_blocking(s0, misses),
             Monitored::Independent { .. } => model.expected_independent(s0, misses),
             Monitored::Dependent { q, .. } => model.expected_dependent(q, s0, misses),
         }
         .clamp(0.0, n)
-    }
+    })
 }
 
 /// The walk protocol, shared by Figure 4 and `repro geometry`: on a
@@ -198,12 +202,16 @@ fn prefill(machine: &mut Machine, region: VAddr, lines: u64) {
 /// Runs one Figure 4 curve and returns its points: the walk on a
 /// single-processor UltraSPARC-1 whose E-cache keeps its capacity at
 /// the experiment's associativity, predicted by the closed forms.
-pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
+///
+/// # Errors
+///
+/// Returns the [`ModelError`] of a cache the closed forms do not cover.
+pub fn run(exp: &WalkExperiment) -> Result<Vec<WalkPoint>, ModelError> {
     let mut config = MachineConfig::ultra1();
     let ways = exp.associativity.max(1);
     let l2 = config.hierarchy.l2;
     config.hierarchy.l2 = locality_sim::CacheGeometry { sets: l2.lines() / ways, ways, ..l2 };
-    let predict = closed_form(exp.monitored, config.l2_lines());
+    let predict = closed_form(exp.monitored, config.l2_lines())?;
     let (s0, samples) = walk(config, exp.monitored, exp.total_misses, exp.sample_every, exp.seed);
     let mut points = vec![WalkPoint { misses: 0, observed: s0, predicted: s0 }];
     points.extend(samples.into_iter().map(|(misses, observed)| WalkPoint {
@@ -211,7 +219,7 @@ pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
         observed,
         predicted: predict(s0, misses),
     }));
-    points
+    Ok(points)
 }
 
 /// Maximum relative error of a curve against the model over points whose
@@ -230,7 +238,8 @@ mod tests {
 
     #[test]
     fn walker_curve_matches_model() {
-        let pts = run(&WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 20_000, 2_000, 1));
+        let pts =
+            run(&WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 20_000, 2_000, 1)).unwrap();
         assert!(pts.len() >= 10);
         let err = max_rel_error(&pts, 256.0);
         assert!(err < 0.05, "walker curve error {err:.3}");
@@ -242,7 +251,8 @@ mod tests {
 
     #[test]
     fn walker_with_initial_footprint_starts_there() {
-        let pts = run(&WalkExperiment::direct(Monitored::Walker { s0: 4096.0 }, 5_000, 1_000, 2));
+        let pts = run(&WalkExperiment::direct(Monitored::Walker { s0: 4096.0 }, 5_000, 1_000, 2))
+            .unwrap();
         assert!((pts[0].observed - 4096.0).abs() < 64.0, "start at {}", pts[0].observed);
         assert!(max_rel_error(&pts, 256.0) < 0.05);
     }
@@ -250,7 +260,8 @@ mod tests {
     #[test]
     fn independent_sleeper_decays() {
         let pts =
-            run(&WalkExperiment::direct(Monitored::Independent { s0: 4096.0 }, 20_000, 2_000, 3));
+            run(&WalkExperiment::direct(Monitored::Independent { s0: 4096.0 }, 20_000, 2_000, 3))
+                .unwrap();
         assert!(pts[0].observed > 3900.0);
         let last = pts.last().unwrap();
         assert!(last.observed < pts[0].observed / 2.0, "must decay: {last:?}");
@@ -264,7 +275,8 @@ mod tests {
             30_000,
             3_000,
             4,
-        ));
+        ))
+        .unwrap();
         let last = pts.last().unwrap();
         assert!(last.observed > 2500.0, "should approach qN = 4096: {last:?}");
         assert!(last.observed < 4500.0);
@@ -278,7 +290,8 @@ mod tests {
             30_000,
             3_000,
             5,
-        ));
+        ))
+        .unwrap();
         let first = pts[0];
         let last = pts.last().unwrap();
         assert!(first.observed > 4000.0);
@@ -307,7 +320,8 @@ mod assoc_tests {
                 sample_every: 3_000,
                 associativity: assoc,
                 seed: 9,
-            });
+            })
+            .unwrap();
             errs.push(max_rel_error(&pts, 512.0));
         }
         assert!(errs[0] < 0.03, "direct-mapped stays exact: {:.3}", errs[0]);

@@ -305,8 +305,8 @@ fn sim_misses(out: &RunOutput) -> u64 {
 /// Propagates the underlying engine/model error.
 pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
     match *kind {
-        RunKind::Walk(exp) => Ok(RunOutput::Points(microbench::run(&exp))),
-        RunKind::Geometry(exp) => Ok(RunOutput::GeometryPoints(geometry::run(&exp))),
+        RunKind::Walk(exp) => Ok(RunOutput::Points(microbench::run(&exp)?)),
+        RunKind::Geometry(exp) => Ok(RunOutput::GeometryPoints(geometry::run(&exp)?)),
         RunKind::Monitor { app, placement, seed } => {
             Ok(RunOutput::Trace(monitor::monitor_app_seeded(app, placement.to_sim(), seed)?))
         }

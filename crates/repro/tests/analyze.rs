@@ -82,6 +82,22 @@ fn bad_flags_exit_two_with_usage_on_stderr() {
         assert!(both.stdout.is_empty(), "--fault {fault} --chaos churn ran something");
         assert!(String::from_utf8_lossy(&both.stderr).contains("--fault and --chaos"));
     }
+
+    // Powers of two no run can build (a tag store the allocator aborts
+    // on, a line count that wraps to 0, a one-line cache the model does
+    // not cover) are refused up front, not panicked on and retried.
+    for (geometry, reason) in [
+        ("1099511627776x4", "over the cap"),
+        ("4611686018427387904x4", "over the cap"),
+        ("1x1", "too small for the model"),
+    ] {
+        let out = repro(&["geometry", "--scale", "small", "--geometry", geometry]);
+        assert_eq!(out.status.code(), Some(2), "--geometry {geometry}");
+        assert!(out.stdout.is_empty(), "--geometry {geometry} ran something");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(&format!("--geometry {geometry}: ")), "{err}");
+        assert!(err.lines().next().is_some_and(|l| l.contains(reason)), "{err}");
+    }
 }
 
 #[test]

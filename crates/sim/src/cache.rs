@@ -23,12 +23,18 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// The largest cache a geometry may describe, in lines (64 MiB of
+    /// 64-byte lines, 128 E-caches). The tag store is allocated up front
+    /// at 16 bytes a line per processor, so an uncapped `sets × ways` from
+    /// a command line is an allocation failure — an abort, not an error.
+    pub const MAX_LINES: u64 = 1 << 20;
+
     /// Creates and validates a geometry.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::BadGeometry`] if any parameter is zero or not a
-    /// power of two.
+    /// power of two, or the capacity is over the cap.
     pub fn new(sets: u64, ways: u64, line: u64) -> Result<Self, SimError> {
         let geom = CacheGeometry { sets, ways, line };
         geom.validate()?;
@@ -50,20 +56,21 @@ impl CacheGeometry {
                 });
             }
         }
-        if size_bytes < line_bytes * ways {
+        let Some(set_bytes) = line_bytes.checked_mul(ways).filter(|&b| b <= size_bytes) else {
             return Err(SimError::BadGeometry {
                 reason: format!(
-                    "size {} smaller than one set ({} bytes)",
-                    size_bytes,
-                    line_bytes * ways
+                    "size {size_bytes} smaller than one set ({ways} ways of {line_bytes} bytes)"
                 ),
             });
-        }
-        CacheGeometry::new(size_bytes / (line_bytes * ways), ways, line_bytes)
+        };
+        CacheGeometry::new(size_bytes / set_bytes, ways, line_bytes)
     }
 
-    /// Validates the geometry (all three parameters must be non-zero
-    /// powers of two).
+    /// Validates the geometry: all three parameters must be non-zero
+    /// powers of two, `sets × ways` at most [`MAX_LINES`](Self::MAX_LINES),
+    /// and the capacity in bytes representable — so [`lines`](Self::lines)
+    /// and [`size_bytes`](Self::size_bytes) cannot wrap on a validated
+    /// value.
     ///
     /// # Errors
     ///
@@ -75,6 +82,18 @@ impl CacheGeometry {
                     reason: format!("{name} = {v} must be a non-zero power of two"),
                 });
             }
+        }
+        let lines = self.sets.checked_mul(self.ways).filter(|&n| n <= Self::MAX_LINES);
+        if lines.and_then(|n| n.checked_mul(self.line)).is_none() {
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "{} sets x {} ways of {} bytes is over the cap of {} lines",
+                    self.sets,
+                    self.ways,
+                    self.line,
+                    Self::MAX_LINES
+                ),
+            });
         }
         Ok(())
     }
@@ -350,6 +369,12 @@ mod tests {
         assert!(CacheGeometry::new(1024, 1, 0).is_err());
         assert!(CacheGeometry::new(1024, 0, 64).is_err());
         assert!(CacheGeometry::new(1000, 1, 64).is_err(), "non power of two");
+        // The cap, a line count that wraps to 0, and a byte count that wraps.
+        let max = CacheGeometry::MAX_LINES;
+        assert!(CacheGeometry::new(max / 4, 4, 64).is_ok());
+        assert!(CacheGeometry::new(max / 2, 4, 64).is_err());
+        assert!(CacheGeometry::new(1 << 62, 4, 64).is_err());
+        assert!(CacheGeometry::new(max, 1, 1 << 44).is_err());
     }
 
     #[test]
@@ -362,6 +387,7 @@ mod tests {
         assert!(CacheGeometry::from_capacity(64, 64, 2).is_err(), "one set needs 128B");
         assert!(CacheGeometry::from_capacity(0, 64, 1).is_err());
         assert!(CacheGeometry::from_capacity(1000, 64, 1).is_err(), "non power of two");
+        assert!(CacheGeometry::from_capacity(1 << 63, 1 << 63, 2).is_err(), "set size wraps");
     }
 
     #[test]

@@ -932,7 +932,9 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheGeometry;
     use crate::config::MachineConfig;
+    use crate::tlb::TlbConfig;
 
     fn t(i: u64) -> ThreadId {
         ThreadId(i)
@@ -1132,6 +1134,16 @@ mod tests {
         let mut big = MachineConfig::enterprise5000(2);
         big.cpus = 65;
         assert!(matches!(Machine::try_new(big), Err(SimError::BadCpu { .. })));
+        // Capacities that wrap `sets × ways` or would abort in the
+        // allocator are a typed error before anything is built.
+        let mut wide_tlb = MachineConfig::ultra1();
+        wide_tlb.tlb = TlbConfig { sets: 1 << 62, ways: 4, walk_cycles: 0 };
+        assert!(matches!(Machine::try_new(wide_tlb), Err(SimError::BadGeometry { .. })));
+        for (sets, ways) in [(1u64 << 40, 4u64), (1 << 62, 4)] {
+            let l2 = CacheGeometry { sets, ways, line: 64 };
+            let cfg = MachineConfig::ultra1().with_l2_geometry(l2);
+            assert!(matches!(Machine::try_new(cfg), Err(SimError::BadGeometry { .. })), "{l2:?}");
+        }
         assert!(Machine::try_new(MachineConfig::ultra1()).is_ok());
     }
 

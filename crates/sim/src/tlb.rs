@@ -9,6 +9,19 @@
 //! UltraSPARC-style fully associative 64-entry dTLB with a zero-cycle
 //! walk, which leaves every historical cycle count byte-identical while
 //! still exposing hit/miss reach counters.
+//!
+//! The machine probes the TLB whenever the accessed page changes, which
+//! pointer-chasing code does on almost every reference, so a hit must not
+//! cost a walk of the set. [`Tlb::probe`] first looks where a page with
+//! the same low VPN bits was last found or installed (a 256-slot table of
+//! entry indices) and compares that one entry's tag; only when it differs
+//! does it walk the set, as it always does on a miss. A page is held in at
+//! most one entry, so a matching hinted entry *is* the entry the walk
+//! would stop at: the verdict, the `last_use` slot written and the tick
+//! written into it are the walk's, and with them every later LRU victim.
+//! The table is a guess that is checked, never a second source of truth —
+//! eviction and [`Tlb::flush`] leave it stale and the tag compare rejects
+//! it, and entries past index 255 of a large TLB are simply never hinted.
 
 use crate::SimError;
 
@@ -32,8 +45,16 @@ impl Default for TlbConfig {
 }
 
 impl TlbConfig {
-    /// Validates the geometry (sets and ways must be non-zero powers of
-    /// two; the walk latency is unconstrained).
+    /// The largest TLB a configuration may describe, in entries (three
+    /// orders of magnitude past any real one). The entry arrays are
+    /// allocated up front at 16 bytes an entry per processor, and a
+    /// `sets × ways` that wraps would index out of them.
+    pub const MAX_ENTRIES: u64 = 1 << 20;
+
+    /// Validates the geometry: sets and ways must be non-zero powers of
+    /// two and `sets × ways` at most [`MAX_ENTRIES`](Self::MAX_ENTRIES),
+    /// so [`entries`](Self::entries) cannot wrap on a validated value
+    /// (the walk latency is unconstrained).
     ///
     /// # Errors
     ///
@@ -45,6 +66,16 @@ impl TlbConfig {
                     reason: format!("{name} = {v} must be a non-zero power of two"),
                 });
             }
+        }
+        if self.sets.checked_mul(self.ways).is_none_or(|n| n > Self::MAX_ENTRIES) {
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "tlb of {} sets x {} ways is over the cap of {} entries",
+                    self.sets,
+                    self.ways,
+                    Self::MAX_ENTRIES
+                ),
+            });
         }
         Ok(())
     }
@@ -65,6 +96,9 @@ fn tag_of(vpn: u64) -> u64 {
     vpn + 1
 }
 
+/// Slots in the hint table, indexed by the low bits of the VPN.
+const HINT_SLOTS: usize = 256;
+
 /// One processor's TLB.
 #[derive(Debug, Clone)]
 pub struct Tlb {
@@ -76,6 +110,12 @@ pub struct Tlb {
     /// LRU timestamp per way.
     last_use: Vec<u64>,
     tick: u64,
+    /// Where a page with these low VPN bits was last found or installed:
+    /// an index into `vpns`. Only a guess — [`probe`](Self::probe) trusts
+    /// it when `vpns` at that index still holds the probed tag, so
+    /// eviction, aliasing pages and [`flush`](Self::flush) need no
+    /// invalidation, and an entry past `u8::MAX` is simply never hinted.
+    hint: [u8; HINT_SLOTS],
 }
 
 impl Tlb {
@@ -88,6 +128,7 @@ impl Tlb {
             vpns: vec![EMPTY; n],
             last_use: vec![0; n],
             tick: 0,
+            hint: [0; HINT_SLOTS],
         }
     }
 
@@ -108,16 +149,34 @@ impl Tlb {
         set * ways..(set + 1) * ways
     }
 
+    /// Remembers that `vpn` lives at entry `i`, if the hint can name it.
+    #[inline]
+    fn remember(&mut self, vpn: u64, i: usize) {
+        if let Ok(way) = u8::try_from(i) {
+            self.hint[vpn as usize % HINT_SLOTS] = way;
+        }
+    }
+
     /// Looks the translation up and, on a hit, refreshes its LRU
     /// position. Returns `true` on hit.
+    ///
+    /// A page is held in at most one entry, so the hinted entry, when its
+    /// tag matches, is the entry the set walk would have stopped at: the
+    /// verdict and the `last_use` slot written are the walk's.
     #[inline]
     pub fn probe(&mut self, vpn: u64) -> bool {
         self.tick += 1;
         let tick = self.tick;
         let tag = tag_of(vpn);
+        let hinted = usize::from(self.hint[vpn as usize % HINT_SLOTS]);
+        if self.vpns[hinted] == tag {
+            self.last_use[hinted] = tick;
+            return true;
+        }
         for i in self.set_range(vpn) {
             if self.vpns[i] == tag {
                 self.last_use[i] = tick;
+                self.remember(vpn, i);
                 return true;
             }
         }
@@ -141,19 +200,19 @@ impl Tlb {
         let mut victim_use = u64::MAX;
         for i in range {
             if self.vpns[i] == EMPTY {
-                self.vpns[i] = tag_of(vpn);
-                self.last_use[i] = self.tick;
-                return None;
+                victim = i;
+                break;
             }
             if self.last_use[i] < victim_use {
                 victim_use = self.last_use[i];
                 victim = i;
             }
         }
-        let displaced = self.vpns[victim] - 1;
+        let displaced = self.vpns[victim].checked_sub(1);
         self.vpns[victim] = tag_of(vpn);
         self.last_use[victim] = self.tick;
-        Some(displaced)
+        self.remember(vpn, victim);
+        displaced
     }
 
     /// Number of held translations.
@@ -185,6 +244,11 @@ mod tests {
         assert!(TlbConfig { sets: 4, ways: 0, walk_cycles: 0 }.validate().is_err());
         assert!(TlbConfig { sets: 3, ways: 4, walk_cycles: 0 }.validate().is_err());
         assert!(TlbConfig { sets: 16, ways: 4, walk_cycles: 30 }.validate().is_ok());
+        // The cap, and a product that wraps to 0 before it could be compared.
+        let max = TlbConfig::MAX_ENTRIES;
+        assert!(TlbConfig { sets: max / 4, ways: 4, walk_cycles: 0 }.validate().is_ok());
+        assert!(TlbConfig { sets: max / 2, ways: 4, walk_cycles: 0 }.validate().is_err());
+        assert!(TlbConfig { sets: 1 << 62, ways: 4, walk_cycles: 0 }.validate().is_err());
     }
 
     #[test]

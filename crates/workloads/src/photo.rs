@@ -107,51 +107,64 @@ impl PhotoShared {
         base.offset(y as u64 * self.params.row_bytes())
     }
 
-    /// Horizontal box blur of row `y` into the temp buffer (real math).
+    fn row_span(&self, y: usize) -> std::ops::Range<usize> {
+        let n = self.params.width * 3;
+        y * n..(y + 1) * n
+    }
+
+    /// Horizontal box blur of row `y` into the temp buffer (real math):
+    /// the mean of the pixels within `filter_radius` that exist. The
+    /// window slides — one pixel enters and one leaves a step — instead
+    /// of re-adding all `2r + 1` taps for every byte.
     pub fn hblur_row(&self, y: usize) {
-        let (w, r) = (self.params.width, self.params.filter_radius as i64);
+        let (w, r) = (self.params.width, self.params.filter_radius);
         let input = self.input.borrow();
         let mut temp = self.temp.borrow_mut();
-        for x in 0..w {
-            for c in 0..3 {
-                let mut sum = 0u32;
-                let mut cnt = 0u32;
-                for dx in -r..=r {
-                    let nx = x as i64 + dx;
-                    if nx >= 0 && nx < w as i64 {
-                        sum += input[(y * w + nx as usize) * 3 + c] as u32;
-                        cnt += 1;
-                    }
+        let row = &input[self.row_span(y)];
+        let out = &mut temp[self.row_span(y)];
+        // Per-channel sums over the pixels `lo..hi`.
+        let mut sum = [0u32; 3];
+        let (mut lo, mut hi) = (0, 0);
+        for (x, px) in out.chunks_exact_mut(3).enumerate() {
+            while hi < (x + r + 1).min(w) {
+                for c in 0..3 {
+                    sum[c] += u32::from(row[hi * 3 + c]);
                 }
-                temp[(y * w + x) * 3 + c] = (sum / cnt) as u8;
+                hi += 1;
+            }
+            while lo < x.saturating_sub(r) {
+                for c in 0..3 {
+                    sum[c] -= u32::from(row[lo * 3 + c]);
+                }
+                lo += 1;
+            }
+            let cnt = (hi - lo) as u32;
+            for c in 0..3 {
+                px[c] = (sum[c] / cnt) as u8;
             }
         }
     }
 
     /// Causal vertical blur over the temp rows (window `y−2r..y`) plus
     /// the softening blend with the original row, into the output buffer.
+    /// The window is summed a row at a time into one accumulator per byte,
+    /// so every buffer is walked along its rows.
     pub fn vblend_row(&self, y: usize) {
-        let w = self.params.width;
-        let r = self.params.filter_radius as i64;
+        let lo = y.saturating_sub(2 * self.params.filter_radius);
         let input = self.input.borrow();
         let temp = self.temp.borrow();
         let mut output = self.output.borrow_mut();
-        for x in 0..w {
-            for c in 0..3 {
-                let mut sum = 0u32;
-                let mut cnt = 0u32;
-                for dy in -2 * r..=0 {
-                    let ny = y as i64 + dy;
-                    if ny >= 0 {
-                        sum += temp[(ny as usize * w + x) * 3 + c] as u32;
-                        cnt += 1;
-                    }
-                }
-                let blur = sum / cnt;
-                let orig = input[(y * w + x) * 3 + c] as u32;
-                let v = ((256 - ALPHA_NUM) * orig + ALPHA_NUM * blur) / 256;
-                output[(y * w + x) * 3 + c] = v as u8;
+        let mut sums = vec![0u32; self.params.width * 3];
+        for ny in lo..=y {
+            for (sum, &t) in sums.iter_mut().zip(&temp[self.row_span(ny)]) {
+                *sum += u32::from(t);
             }
+        }
+        let cnt = (y - lo + 1) as u32;
+        let orig = &input[self.row_span(y)];
+        for ((out, &sum), &orig) in output[self.row_span(y)].iter_mut().zip(&sums).zip(orig) {
+            let v = ((256 - ALPHA_NUM) * u32::from(orig) + ALPHA_NUM * (sum / cnt)) / 256;
+            *out = v as u8;
         }
     }
 
@@ -385,18 +398,64 @@ mod tests {
         assert_ne!(sum_fcfs, 0);
     }
 
+    /// The filter as its definition reads, every tap re-added for every
+    /// byte: the oracle the sliding-window passes are held to.
+    fn direct_filter(p: &PhotoParams, input: &[u8]) -> Vec<u8> {
+        let (w, r) = (p.width, p.filter_radius as i64);
+        let at = |x: usize, y: usize, c: usize| (y * w + x) * 3 + c;
+        let mut temp = vec![0u8; input.len()];
+        let mut output = vec![0u8; input.len()];
+        for y in 0..p.height {
+            for x in 0..w {
+                for c in 0..3 {
+                    let taps: Vec<u32> = (-r..=r)
+                        .map(|dx| x as i64 + dx)
+                        .filter(|&nx| nx >= 0 && nx < w as i64)
+                        .map(|nx| input[at(nx as usize, y, c)] as u32)
+                        .collect();
+                    temp[at(x, y, c)] = (taps.iter().sum::<u32>() / taps.len() as u32) as u8;
+                }
+            }
+        }
+        for y in 0..p.height {
+            for x in 0..w {
+                for c in 0..3 {
+                    let taps: Vec<u32> = (-2 * r..=0)
+                        .map(|dy| y as i64 + dy)
+                        .filter(|&ny| ny >= 0)
+                        .map(|ny| temp[at(x, ny as usize, c)] as u32)
+                        .collect();
+                    let blur = taps.iter().sum::<u32>() / taps.len() as u32;
+                    let orig = input[at(x, y, c)] as u32;
+                    output[at(x, y, c)] =
+                        (((256 - ALPHA_NUM) * orig + ALPHA_NUM * blur) / 256) as u8;
+                }
+            }
+        }
+        output
+    }
+
     #[test]
     fn filter_matches_direct_computation() {
-        let params = PhotoParams::small();
-        let (_, sum) = run(1, SchedPolicy::Fcfs, &params);
-        let shared = PhotoShared::new(VAddr(0x10000), VAddr(0x20000000), VAddr(0x40000000), params);
-        for y in 0..params.height {
-            shared.hblur_row(y);
+        // Also an image narrower than the window and a radius of 0.
+        for params in [
+            PhotoParams::small(),
+            PhotoParams { width: 3, height: 7, filter_radius: 2, share_radius: 4, seed: 9 },
+            PhotoParams { width: 16, height: 4, filter_radius: 0, share_radius: 4, seed: 9 },
+        ] {
+            let (_, sum) = run(1, SchedPolicy::Fcfs, &params);
+            let shared =
+                PhotoShared::new(VAddr(0x10000), VAddr(0x20000000), VAddr(0x40000000), params);
+            for y in 0..params.height {
+                shared.hblur_row(y);
+            }
+            for y in 0..params.height {
+                shared.vblend_row(y);
+            }
+            assert_eq!(sum, shared.output_checksum(), "{params:?}");
+            let direct = direct_filter(&params, &shared.input.borrow());
+            assert_eq!(*shared.output.borrow(), direct, "{params:?}");
         }
-        for y in 0..params.height {
-            shared.vblend_row(y);
-        }
-        assert_eq!(sum, shared.output_checksum());
     }
 
     #[test]

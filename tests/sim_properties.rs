@@ -143,46 +143,62 @@ proptest! {
         prop_assert_eq!(resident, expected);
     }
 
-    /// The TLB is the same per-set LRU structure over VPNs: hits and
-    /// eviction victims match the reference, reach never exceeds
-    /// `sets × ways` entries, the just-touched translation is always
-    /// resident, and a flush retires everything.
+    /// The TLB against an independent recency-list model, step by step:
+    /// the hit verdict, the page `insert` displaces, `contains` for every
+    /// page seen so far and `resident_entries`. The geometries include the
+    /// default 1×64, 16×4, 64×1, 1×1 and 128×4 — 512 entries, more than
+    /// the fast path's `u8` hint can name. Pages come from three pools:
+    /// `k·256 + c`, whose members collide in a hint slot; a dense range
+    /// half again as large as the TLB; and the last two sets, the entries
+    /// furthest past what the hint can name, oversubscribed by two pages.
+    /// Flushes land mid-stream, so pages are reused after one.
     #[test]
     fn tlb_matches_lru_reference_within_reach(
-        accesses in proptest::collection::vec(0u64..64, 1..300),
-        sets_pow in 0u32..=2,
-        ways_pow in 0u32..=2,
+        geometry in 0usize..8,
+        ops in proptest::collection::vec((0u8..64, 0u64..1 << 20), 1..600),
         walk in 0u64..100,
     ) {
-        let sets = 1u64 << sets_pow;
-        let ways = 1u64 << ways_pow;
+        let (sets, ways) =
+            [(1u64, 64u64), (16, 4), (64, 1), (1, 1), (128, 4), (2, 2), (4, 16), (1, 8)][geometry];
         let config = TlbConfig { sets, ways, walk_cycles: walk };
+        prop_assert!(config.validate().is_ok());
         let mut tlb = Tlb::new(config);
         prop_assert_eq!(tlb.walk_cycles(), walk);
+        let entries = config.entries();
         let mut refsets: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
-        for &vpn in &accesses {
-            let set = &mut refsets[(vpn % sets) as usize];
-            let ref_hit = set.iter().position(|&v| v == vpn);
-            let hit = tlb.probe(vpn);
-            prop_assert_eq!(hit, ref_hit.is_some());
-            match ref_hit {
-                Some(pos) => {
-                    set.remove(pos);
+        let mut seen = std::collections::BTreeSet::new();
+        for &(sel, v) in &ops {
+            if sel == 63 {
+                tlb.flush();
+                refsets.iter_mut().for_each(Vec::clear);
+            } else {
+                let vpn = match sel % 4 {
+                    0 => (v % 8) * 256 + (v / 8) % 4,
+                    1 => (sets - 1).saturating_sub(v % 2) + sets * ((v / 2) % (ways + 2)),
+                    _ => v % (entries + entries / 2 + 1),
+                };
+                seen.insert(vpn);
+                let set = &mut refsets[(vpn % sets) as usize];
+                let ref_hit = set.iter().position(|&p| p == vpn);
+                prop_assert_eq!(tlb.probe(vpn), ref_hit.is_some(), "probe of {}", vpn);
+                match ref_hit {
+                    Some(pos) => {
+                        set.remove(pos);
+                    }
+                    None => {
+                        let victim =
+                            if set.len() == ways as usize { Some(set.remove(0)) } else { None };
+                        prop_assert_eq!(tlb.insert(vpn), victim, "insert of {}", vpn);
+                    }
                 }
-                None => {
-                    let victim =
-                        if set.len() == ways as usize { Some(set.remove(0)) } else { None };
-                    prop_assert_eq!(tlb.insert(vpn), victim);
-                }
+                set.push(vpn); // most recently used
             }
-            set.push(vpn);
-            prop_assert!(tlb.contains(vpn));
-            prop_assert!(tlb.resident_entries() <= config.entries(), "reach exceeded");
-        }
-        tlb.flush();
-        prop_assert_eq!(tlb.resident_entries(), 0);
-        for &vpn in &accesses {
-            prop_assert!(!tlb.contains(vpn));
+            for &p in &seen {
+                let held = refsets[(p % sets) as usize].contains(&p);
+                prop_assert_eq!(tlb.contains(p), held, "page {}", p);
+            }
+            let resident: usize = refsets.iter().map(Vec::len).sum();
+            prop_assert_eq!(tlb.resident_entries(), resident as u64);
         }
     }
 
