@@ -11,27 +11,23 @@
 use crate::graph::SharingGraph;
 use crate::priority::{FootprintEntry, PolicyKind, PrioritySchemes, PriorityUpdate};
 use crate::slots::{SlotId, ThreadSlots};
-use crate::tables::PrecomputedTables;
 use crate::{CpuId, ModelParams, ThreadId};
 
-/// The seam between the schedulers and a footprint model.
+/// The two calls `core.estimator_switch_ns` times, for either estimator.
 ///
-/// LFF/CRT only ever need four operations from whatever model predicts
-/// per-thread cache footprints: note a dispatch, consume an interval's
-/// miss count, read back an estimate/priority, and forget exited
-/// threads. [`LocalityEstimator`] (the paper's direct-mapped Markov
-/// closed forms with `O(out-degree)` log-space updates) is the default
-/// implementation; [`PerSetEstimator`](crate::perset::PerSetEstimator)
-/// generalizes the birth–death chain to set-associative LRU geometries,
-/// and a reuse-distance competitor would plug in the same way.
+/// This is not an extension point. The schedulers own a concrete
+/// [`LocalityEstimator`] and call its inherent methods; scheduling from
+/// the per-set model was measured and rejected (DESIGN §14.2). The trait
+/// and [`PerSetEstimator`](crate::perset::PerSetEstimator) remain only
+/// because the benchmark's `.per_set` probe compiles against them, and
+/// go when that probe does.
 pub trait FootprintEstimator {
     /// Records that `tid` was dispatched on `cpu` (its interval begins).
     fn on_switch(&mut self, cpu: CpuId, tid: ThreadId);
 
     /// Records the end of `tid`'s interval on `cpu` with `n` misses and
-    /// returns the priority updates to apply to run queues — the blocking
-    /// thread first, its `graph` dependents after. The slice is a buffer
-    /// the estimator reuses: it holds until the next call.
+    /// returns priority updates, the blocking thread first, in a buffer
+    /// the estimator reuses: the slice holds until the next call.
     fn on_miss(
         &mut self,
         cpu: CpuId,
@@ -39,45 +35,6 @@ pub trait FootprintEstimator {
         n: u64,
         graph: &SharingGraph,
     ) -> &[PriorityUpdate];
-
-    /// Current expected footprint of `tid` in `cpu`'s cache, in lines
-    /// (0 if the thread has no state there).
-    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64;
-
-    /// Current scheduling priority of `tid` on `cpu`. Must order threads
-    /// identically to [`estimate`](Self::estimate) on any one processor.
-    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64;
-
-    /// Calls `visit(cpu, priority)`, in ascending processor order, for
-    /// each of the first `cpus` processors where `tid`'s
-    /// [`estimate`](Self::estimate) is at least `threshold_lines`: the
-    /// heaps a thread that just became ready belongs in. The default asks
-    /// every processor; an implementation that knows where a thread has
-    /// state may skip the others, as long as the visits are the same.
-    fn for_each_cpu_at_least<F: FnMut(CpuId, f64)>(
-        &self,
-        tid: ThreadId,
-        cpus: usize,
-        threshold_lines: f64,
-        mut visit: F,
-    ) where
-        Self: Sized,
-    {
-        for cpu in (0..cpus).map(CpuId) {
-            if self.estimate(cpu, tid) >= threshold_lines {
-                visit(cpu, self.priority(cpu, tid));
-            }
-        }
-    }
-
-    /// Forgets `tid` on every processor (thread exit).
-    fn retire(&mut self, tid: ThreadId);
-
-    /// `(flops, table lookups)` spent on priority maintenance so far, if
-    /// the implementation counts them (Table 3); `(0, 0)` otherwise.
-    fn flop_counts(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 /// Configuration of a [`LocalityEstimator`].
@@ -89,14 +46,12 @@ pub struct EstimatorConfig {
     pub params: ModelParams,
     /// Number of processors (at most 64).
     pub cpus: usize,
-    /// Optional override of the `kⁿ` table length.
-    pub kpow_entries: Option<usize>,
 }
 
 impl EstimatorConfig {
     /// Convenience constructor with the default table sizes.
     pub fn new(policy: PolicyKind, params: ModelParams, cpus: usize) -> Self {
-        EstimatorConfig { policy, params, cpus, kpow_entries: None }
+        EstimatorConfig { policy, params, cpus }
     }
 }
 
@@ -151,11 +106,6 @@ impl Rows {
             *entry = FootprintEntry::cold();
         }
         entry
-    }
-
-    fn remove(&mut self, slot: SlotId, cpu: CpuId) {
-        let bit = self.bit(cpu);
-        self.masks[slot.index()] &= !bit;
     }
 }
 
@@ -220,12 +170,8 @@ impl LocalityEstimator {
     /// state are a `u64` bitmask, like the scheduler's heap membership.
     pub fn new(config: EstimatorConfig) -> Self {
         assert!(config.cpus <= 64, "at most 64 processors, got {}", config.cpus);
-        let tables = match config.kpow_entries {
-            Some(entries) => PrecomputedTables::with_kpow_entries(config.params, entries),
-            None => PrecomputedTables::new(config.params),
-        };
         LocalityEstimator {
-            schemes: PrioritySchemes::with_tables(config.policy, tables),
+            schemes: PrioritySchemes::new(config.policy, config.params),
             misses: vec![0; config.cpus],
             slots: ThreadSlots::new(),
             rows: Rows { cpus: config.cpus, masks: Vec::new(), entries: Vec::new() },
@@ -479,16 +425,6 @@ impl LocalityEstimator {
         self.entry(cpu, tid).map_or(0.0, |e| self.schemes.expected_footprint(e, m_now))
     }
 
-    /// Drops `tid`'s entry on `cpu` (e.g. after threshold eviction from
-    /// that processor's heap).
-    pub fn remove_on_cpu(&mut self, cpu: CpuId, tid: ThreadId) {
-        if let Some(slot) = self.slots.lookup(tid) {
-            self.rows.remove(slot, cpu);
-        }
-        #[cfg(feature = "invariant-checks")]
-        self.shadow[cpu.0].remove(&tid);
-    }
-
     /// Drops `tid` everywhere (thread exit) and frees its slot.
     pub fn remove_thread(&mut self, tid: ThreadId) {
         #[cfg(feature = "invariant-checks")]
@@ -505,19 +441,36 @@ impl LocalityEstimator {
         self.slots.iter_live().filter(|&(slot, _)| self.rows.get(slot, cpu).is_some()).count()
     }
 
-    /// The processor (if any) where `tid`'s expected footprint is largest,
-    /// with that footprint. Useful for wake-up placement hints.
-    pub fn best_cpu(&self, tid: ThreadId) -> Option<(CpuId, f64)> {
-        let slot = self.slots.lookup(tid)?;
-        let mut best: Option<(CpuId, f64)> = None;
-        for cpu in cpus_in(self.rows.mask(slot)) {
-            let Some(e) = self.rows.get(slot, cpu) else { continue };
-            let f = self.schemes.expected_footprint(e, self.misses[cpu.0]);
-            if best.is_none_or(|(_, bf)| f > bf) {
-                best = Some((cpu, f));
+    /// Calls `visit(cpu, priority)`, in ascending processor order, for
+    /// each processor where `tid`'s
+    /// [`expected_footprint`](Self::expected_footprint) is at least
+    /// `threshold_lines`: the heaps a thread that just became ready
+    /// belongs in.
+    ///
+    /// One resolution, then only the processors where the thread has an
+    /// entry. On any other processor the estimate is exactly `0.0`, so
+    /// skipping it changes nothing unless `0.0` itself clears the
+    /// threshold (`threshold_lines <= 0`), in which case every processor
+    /// is visited, the cold ones with the cold priority.
+    pub fn for_each_cpu_at_least<F: FnMut(CpuId, f64)>(
+        &self,
+        tid: ThreadId,
+        threshold_lines: f64,
+        mut visit: F,
+    ) {
+        let slot = self.slots.lookup(tid);
+        let warm = slot.map_or(0, |slot| self.rows.mask(slot));
+        let cpus = self.rows.cpus;
+        let all = if cpus >= 64 { u64::MAX } else { (1 << cpus) - 1 };
+        let candidates = if 0.0 >= threshold_lines { all } else { warm };
+        for cpu in cpus_in(candidates) {
+            let m_now = self.misses[cpu.0];
+            let entry = slot.and_then(|slot| self.rows.get(slot, cpu));
+            let estimate = entry.map_or(0.0, |e| self.schemes.expected_footprint(e, m_now));
+            if estimate >= threshold_lines {
+                visit(cpu, entry.map_or_else(|| self.schemes.cold_priority(m_now), |e| e.prio));
             }
         }
-        best
     }
 }
 
@@ -535,49 +488,6 @@ impl FootprintEstimator for LocalityEstimator {
     ) -> &[PriorityUpdate] {
         self.on_interval_end(cpu, tid, n, graph)
     }
-
-    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        self.expected_footprint(cpu, tid)
-    }
-
-    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        LocalityEstimator::priority(self, cpu, tid)
-    }
-
-    /// One resolution, then only the processors where the thread has an
-    /// entry. On any other processor the estimate is exactly `0.0`, so
-    /// skipping it changes nothing unless `0.0` itself clears the
-    /// threshold (`threshold_lines <= 0`), in which case every processor
-    /// is visited, the cold ones with the cold priority.
-    fn for_each_cpu_at_least<F: FnMut(CpuId, f64)>(
-        &self,
-        tid: ThreadId,
-        cpus: usize,
-        threshold_lines: f64,
-        mut visit: F,
-    ) {
-        let slot = self.slots.lookup(tid);
-        let warm = slot.map_or(0, |slot| self.rows.mask(slot));
-        let all = if cpus >= 64 { u64::MAX } else { (1 << cpus) - 1 };
-        let candidates = if 0.0 >= threshold_lines { all } else { warm & all };
-        for cpu in cpus_in(candidates) {
-            let m_now = self.misses[cpu.0];
-            let entry = slot.and_then(|slot| self.rows.get(slot, cpu));
-            let estimate = entry.map_or(0.0, |e| self.schemes.expected_footprint(e, m_now));
-            if estimate >= threshold_lines {
-                visit(cpu, entry.map_or_else(|| self.schemes.cold_priority(m_now), |e| e.prio));
-            }
-        }
-    }
-
-    fn retire(&mut self, tid: ThreadId) {
-        self.remove_thread(tid);
-    }
-
-    fn flop_counts(&self) -> (u64, u64) {
-        let c = self.schemes.flop_counter();
-        (c.flops(), c.lookups())
-    }
 }
 
 #[cfg(test)]
@@ -586,12 +496,7 @@ mod tests {
 
     fn estimator(policy: PolicyKind, cpus: usize) -> LocalityEstimator {
         let params = ModelParams::new(1024).unwrap();
-        LocalityEstimator::new(EstimatorConfig {
-            policy,
-            params,
-            cpus,
-            kpow_entries: Some(1 << 16),
-        })
+        LocalityEstimator::new(EstimatorConfig::new(policy, params, cpus))
     }
 
     fn t(i: u64) -> ThreadId {
@@ -664,20 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn best_cpu_finds_largest_footprint() {
-        let mut est = estimator(PolicyKind::Lff, 3);
-        let g = SharingGraph::new();
-        est.on_dispatch(CpuId(0), t(1));
-        est.on_interval_end(CpuId(0), t(1), 100, &g);
-        est.on_dispatch(CpuId(2), t(1));
-        est.on_interval_end(CpuId(2), t(1), 700, &g);
-        let (cpu, f) = est.best_cpu(t(1)).unwrap();
-        assert_eq!(cpu, CpuId(2));
-        assert!(f > est.expected_footprint(CpuId(0), t(1)));
-        assert!(est.best_cpu(t(9)).is_none());
-    }
-
-    #[test]
     fn remove_thread_clears_everywhere() {
         let mut est = estimator(PolicyKind::Crt, 2);
         let g = SharingGraph::new();
@@ -689,19 +580,6 @@ mod tests {
         assert_eq!(est.expected_footprint(CpuId(0), t(1)), 0.0);
         assert_eq!(est.expected_footprint(CpuId(1), t(1)), 0.0);
         assert_eq!(est.tracked_on(CpuId(0)), 0);
-    }
-
-    #[test]
-    fn remove_on_cpu_is_local() {
-        let mut est = estimator(PolicyKind::Lff, 2);
-        let g = SharingGraph::new();
-        for cpu in 0..2 {
-            est.on_dispatch(CpuId(cpu), t(1));
-            est.on_interval_end(CpuId(cpu), t(1), 100, &g);
-        }
-        est.remove_on_cpu(CpuId(0), t(1));
-        assert_eq!(est.expected_footprint(CpuId(0), t(1)), 0.0);
-        assert!(est.expected_footprint(CpuId(1), t(1)) > 0.0);
     }
 
     #[test]
@@ -720,7 +598,6 @@ mod tests {
         assert_eq!(est.priority(CpuId(1), t(2)), est.schemes().cold_priority(300));
         assert_eq!(est.tracked_on(CpuId(0)), 1);
         assert_eq!(est.tracked_on(CpuId(1)), 0);
-        assert_eq!(est.best_cpu(t(2)).map(|(cpu, _)| cpu), Some(CpuId(0)));
     }
 
     #[test]
@@ -731,7 +608,7 @@ mod tests {
         est.on_interval_end(CpuId(2), t(1), 500, &g);
         let visits = |tid, threshold| {
             let mut seen = Vec::new();
-            est.for_each_cpu_at_least(tid, 4, threshold, |cpu, prio| seen.push((cpu, prio)));
+            est.for_each_cpu_at_least(tid, threshold, |cpu, prio| seen.push((cpu, prio)));
             seen
         };
         // A positive threshold: only where the thread has state.
@@ -792,24 +669,6 @@ mod tests {
             }
             assert!(est.invariant_checks() >= 300, "checker must run at every interval end");
         }
-    }
-
-    #[test]
-    fn trait_surface_delegates_to_inherent_methods() {
-        let mut est = estimator(PolicyKind::Lff, 1);
-        let g = SharingGraph::new();
-        FootprintEstimator::on_switch(&mut est, CpuId(0), t(1));
-        let ups = FootprintEstimator::on_miss(&mut est, CpuId(0), t(1), 500, &g);
-        assert_eq!(ups.len(), 1);
-        assert_eq!(est.estimate(CpuId(0), t(1)), est.expected_footprint(CpuId(0), t(1)));
-        assert_eq!(
-            FootprintEstimator::priority(&est, CpuId(0), t(1)),
-            LocalityEstimator::priority(&est, CpuId(0), t(1))
-        );
-        let (flops, lookups) = est.flop_counts();
-        assert!(flops > 0 && lookups > 0, "the Markov impl counts its work");
-        FootprintEstimator::retire(&mut est, t(1));
-        assert_eq!(est.estimate(CpuId(0), t(1)), 0.0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Minimal command-line handling shared by the `repro` subcommands.
 
 use crate::error::ReproError;
+use crate::table::TableError;
 use locality_core::ModelParams;
-use locality_sim::CacheGeometry;
+use locality_sim::{CacheGeometry, MachineConfig};
 use std::path::PathBuf;
 
 /// The flags half of the `--help` text; every subcommand accepts the
@@ -41,8 +42,8 @@ pub(crate) const FLAGS_HELP: &str = "flags:
                        L2 geometry of S sets by W ways (both positive
                        powers of two, 2 to 1048576 lines in all,
                        e.g. 1024x8)
-  --page-size BYTES    geometry: TLB page size in bytes (a positive
-                       power of two; default: 8192)
+  --page-size BYTES    geometry: TLB page size in bytes (a power of
+                       two, at least the 64-byte line; default: 8192)
   --help, -h           print this help";
 
 /// Workload scale selector.
@@ -99,8 +100,8 @@ pub struct Args {
     /// time.
     pub geometry: Option<(u64, u64)>,
     /// TLB page size override in bytes (`--page-size BYTES`), used by
-    /// `repro geometry`; validated as a positive power of two at
-    /// parse time.
+    /// `repro geometry`; validated at parse time as a power of two
+    /// that holds at least one cache line.
     pub page_size: Option<u64>,
 }
 
@@ -155,12 +156,16 @@ fn parse_positive(flag: &str, v: &str) -> Result<u64, String> {
     }
 }
 
-/// Parses a strictly positive power-of-two flag value.
-fn parse_pow2(flag: &str, v: &str) -> Result<u64, String> {
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 && n.is_power_of_two() => Ok(n),
-        _ => Err(format!("{flag} needs a positive power of two, got '{v}'")),
-    }
+/// Parses a `--page-size` value and holds it to what a machine accepts:
+/// a power of two that holds at least one cache line.
+fn parse_page_size(v: &str) -> Result<u64, String> {
+    let bytes =
+        v.parse::<u64>().map_err(|_| format!("--page-size needs a byte count, got '{v}'"))?;
+    MachineConfig::ultra1()
+        .with_page_size(bytes)
+        .validate()
+        .map_err(|e| format!("--page-size {v}: {e}"))?;
+    Ok(bytes)
 }
 
 /// Parses a `SxW` geometry value and holds it to what a run can build:
@@ -276,7 +281,7 @@ impl Args {
                 }
                 "--page-size" => {
                     let v = it.next().ok_or("--page-size needs a byte count")?;
-                    out.page_size = Some(parse_pow2("--page-size", &v)?);
+                    out.page_size = Some(parse_page_size(&v)?);
                 }
                 "--help" | "-h" => return Ok(Parsed::Help),
                 other => return Err(format!("unknown argument '{other}'")),
@@ -289,9 +294,11 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the directory cannot be created.
-    pub fn csv_path(&self, name: &str) -> Result<PathBuf, std::io::Error> {
-        std::fs::create_dir_all(&self.out)?;
+    /// Returns [`TableError::Io`], naming the directory, if it cannot be
+    /// created.
+    pub fn csv_path(&self, name: &str) -> Result<PathBuf, TableError> {
+        std::fs::create_dir_all(&self.out)
+            .map_err(|source| TableError::Io { path: self.out.clone(), source })?;
         Ok(self.out.join(name))
     }
 }
@@ -426,6 +433,20 @@ mod tests {
         assert!(parse(&["--page-size"]).is_err());
         assert!(parse(&["--page-size", "0"]).is_err());
         assert!(parse(&["--page-size", "1000"]).is_err());
+        assert!(parse(&["--page-size", "many"]).is_err());
+        // A page below the line size aliases lines; the walk never ends.
+        for small in ["1", "32"] {
+            let err = parse(&["--page-size", small]).unwrap_err();
+            assert!(err.contains("64-byte cache line"), "{err}");
+        }
+        assert_eq!(parse(&["--page-size", "64"]).unwrap().page_size, Some(64));
+    }
+
+    #[test]
+    fn an_unwritable_out_dir_is_named_in_the_error() {
+        let a = parse(&["--out", "/proc/nope"]).unwrap();
+        let err = a.csv_path("table1.csv").unwrap_err();
+        assert!(err.to_string().contains("/proc/nope"), "{err}");
     }
 
     #[test]

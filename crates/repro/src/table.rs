@@ -13,7 +13,7 @@ pub enum TableError {
         /// Cells in the offending row.
         got: usize,
     },
-    /// Writing the CSV file failed.
+    /// Writing the CSV file, or creating its directory, failed.
     Io {
         /// The destination path.
         path: PathBuf,

@@ -156,6 +156,19 @@ impl MachineConfig {
                 reason: format!("page size {} must be a power of two", self.page_bytes),
             });
         }
+        // A page that holds less than a line maps several virtual lines
+        // onto one physical line: references alias, and a walk that waits
+        // for a miss count never ends.
+        let h = &self.hierarchy;
+        let line = h.l1i.line.max(h.l1d.line).max(h.l2.line);
+        if self.page_bytes < line {
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "page size {} is smaller than the {line}-byte cache line",
+                    self.page_bytes
+                ),
+            });
+        }
         self.tlb.validate()?;
         Ok(())
     }
@@ -207,6 +220,12 @@ mod tests {
         let mut c = MachineConfig::ultra1();
         c.page_bytes = 3000;
         assert!(c.validate().is_err());
+
+        for page_bytes in [1, 32] {
+            let err = MachineConfig::ultra1().with_page_size(page_bytes).validate().unwrap_err();
+            assert!(err.to_string().contains("64-byte cache line"), "{err}");
+        }
+        assert!(MachineConfig::ultra1().with_page_size(64).validate().is_ok());
 
         let mut c = MachineConfig::ultra1();
         c.hierarchy.l1d.line = 128; // larger than the L2 line

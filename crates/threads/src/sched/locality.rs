@@ -26,7 +26,7 @@
 //! lookup at each entry point is plain vector indexing. The estimator
 //! keeps a registry of its own behind the same by-`ThreadId` interface,
 //! and a thread that becomes ready asks it once which heaps it belongs
-//! in (`FootprintEstimator::for_each_cpu_at_least`: only the processors
+//! in (`LocalityEstimator::for_each_cpu_at_least`: only the processors
 //! where the thread has state, unless cold threads qualify too). The
 //! vectors a context switch fills (the estimator's updates, a sweep's
 //! demotions, the degraded-mode preference list) are reused. The global and
@@ -62,8 +62,8 @@ use super::Scheduler;
 use crate::heap::PrioHeap;
 use crate::RuntimeError;
 use locality_core::{
-    CpuId, EstimatorConfig, FootprintEstimator, LocalityEstimator, ModelParams, PolicyKind,
-    PriorityUpdate, SanitizedInterval, SharingGraph, SlotId, ThreadId, ThreadSlots,
+    CpuId, EstimatorConfig, LocalityEstimator, ModelParams, PolicyKind, PriorityUpdate,
+    SanitizedInterval, SharingGraph, SlotId, ThreadId, ThreadSlots,
 };
 use locality_trace::{emit_with, TraceEvent};
 use std::collections::VecDeque;
@@ -142,18 +142,14 @@ struct SlotState {
     arrival_epoch: u64,
 }
 
-/// LFF/CRT scheduler over per-processor priority heaps.
-///
-/// Generic over the footprint model: `E` defaults to the paper's
-/// direct-mapped Markov closed forms ([`LocalityEstimator`]); any other
-/// [`FootprintEstimator`] — e.g. the set-associative
-/// [`PerSetEstimator`](locality_core::PerSetEstimator) — plugs in via
-/// [`with_estimator`](LocalityScheduler::with_estimator) without touching
-/// dispatch logic.
+/// LFF/CRT scheduler over per-processor priority heaps, keyed by the
+/// paper's direct-mapped closed forms ([`LocalityEstimator`]) whatever
+/// the simulated E-cache's associativity: scheduling from a per-set
+/// model instead moved no miss count by more than 5 % (DESIGN §14.2).
 #[derive(Debug)]
-pub struct LocalityScheduler<E: FootprintEstimator = LocalityEstimator> {
+pub struct LocalityScheduler {
     config: LocalityConfig,
-    est: E,
+    est: LocalityEstimator,
     /// Dense thread-slot registry (scheduler-internal interning).
     slots: ThreadSlots,
     /// Slot-indexed dispatch state (`None` = slot free or never used).
@@ -207,33 +203,9 @@ impl LocalityScheduler {
         }
         let params = ModelParams::new(l2_lines)
             .map_err(|e| RuntimeError::InvalidMachine { what: e.to_string() })?;
-        let est = LocalityEstimator::new(EstimatorConfig::new(config.policy, params, cpus));
-        Self::with_estimator(config, est, cpus)
-    }
-}
-
-impl<E: FootprintEstimator> LocalityScheduler<E> {
-    /// Creates the scheduler around an explicit estimator (the seam for
-    /// plugging in non-default footprint models). `est` must track the
-    /// same `cpus` processors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidMachine`] if `cpus == 0` or
-    /// `cpus > 64` (the heap-membership bitmask is a `u64`).
-    pub fn with_estimator(
-        config: LocalityConfig,
-        est: E,
-        cpus: usize,
-    ) -> Result<Self, RuntimeError> {
-        if cpus == 0 || cpus > 64 {
-            return Err(RuntimeError::InvalidMachine {
-                what: format!("cpus must be in 1..=64, got {cpus}"),
-            });
-        }
         Ok(LocalityScheduler {
             config,
-            est,
+            est: LocalityEstimator::new(EstimatorConfig::new(config.policy, params, cpus)),
             slots: ThreadSlots::new(),
             states: Vec::new(),
             heaps: (0..cpus).map(|_| PrioHeap::new()).collect(),
@@ -271,11 +243,6 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         self.conf
     }
 
-    /// The underlying estimator (inspection).
-    pub fn estimator(&self) -> &E {
-        &self.est
-    }
-
     /// Heap size on `cpu` (diagnostics / heap-bounding tests).
     pub fn heap_len(&self, cpu: usize) -> usize {
         self.heaps[cpu].len()
@@ -311,15 +278,10 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         debug_assert!(!self.is_ready(slot), "{tid} enqueued twice");
         let mut mask = 0u64;
         let heaps = &mut self.heaps;
-        self.est.for_each_cpu_at_least(
-            tid,
-            heaps.len(),
-            self.config.threshold_lines,
-            |cpu, prio| {
-                heaps[cpu.0].push(tid, slot, prio);
-                mask |= 1 << cpu.0;
-            },
-        );
+        self.est.for_each_cpu_at_least(tid, self.config.threshold_lines, |cpu, prio| {
+            heaps[cpu.0].push(tid, slot, prio);
+            mask |= 1 << cpu.0;
+        });
         let i = slot.index();
         self.epoch += 1;
         let arrival_epoch = self.epoch;
@@ -437,7 +399,7 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
             self.heaps[cpu]
                 .iter()
                 .filter(|&(tid, _, _)| {
-                    self.est.estimate(CpuId(cpu), tid) < self.config.threshold_lines
+                    self.est.expected_footprint(CpuId(cpu), tid) < self.config.threshold_lines
                 })
                 .map(|(tid, slot, _)| (tid, slot)),
         );
@@ -541,7 +503,7 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
     }
 }
 
-impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
+impl Scheduler for LocalityScheduler {
     fn on_spawn(&mut self, tid: ThreadId) {
         let slot = self.bind(tid);
         self.enqueue_ready(tid, slot);
@@ -556,7 +518,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
         if let Some(slot) = self.slots.lookup(tid) {
             self.remove_slot(slot);
         }
-        self.est.on_switch(CpuId(cpu), tid);
+        self.est.on_dispatch(CpuId(cpu), tid);
     }
 
     fn on_interval_end(
@@ -572,7 +534,12 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
         // switch back to Normal seamless once confidence recovers.
         let mut updates = std::mem::take(&mut self.updates);
         updates.clear();
-        updates.extend_from_slice(self.est.on_miss(CpuId(cpu), tid, interval.misses, model_graph));
+        updates.extend_from_slice(self.est.on_interval_end(
+            CpuId(cpu),
+            tid,
+            interval.misses,
+            model_graph,
+        ));
         for &u in &updates {
             if u.thread == tid {
                 // The blocker is still Running from the scheduler's point
@@ -583,7 +550,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             if !self.states[slot.index()].as_ref().is_some_and(|st| st.ready) {
                 continue;
             }
-            if self.est.estimate(CpuId(cpu), u.thread) >= self.config.threshold_lines {
+            if self.est.expected_footprint(CpuId(cpu), u.thread) >= self.config.threshold_lines {
                 self.promote(cpu, u.thread, slot, u.prio);
             } else {
                 self.demote(cpu, u.thread, slot);
@@ -625,7 +592,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             if let Some(st) = self.states[i].as_mut() {
                 st.heap_mask &= !(1 << cpu);
             }
-            if self.est.estimate(CpuId(cpu), tid) < self.config.threshold_lines {
+            if self.est.expected_footprint(CpuId(cpu), tid) < self.config.threshold_lines {
                 // Decayed: push to wherever it still belongs.
                 let mask = self.states[i].as_ref().map_or(0, |st| st.heap_mask);
                 if mask == 0 {
@@ -669,11 +636,11 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             self.remove_slot(slot);
             self.states[slot.index()] = None;
         }
-        self.est.retire(tid);
+        self.est.remove_thread(tid);
     }
 
     fn expected_footprint(&self, cpu: usize, tid: ThreadId) -> Option<f64> {
-        Some(self.est.estimate(CpuId(cpu), tid))
+        Some(self.est.expected_footprint(CpuId(cpu), tid))
     }
 
     fn ready_count(&self) -> usize {
@@ -685,7 +652,8 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
     }
 
     fn priority_flops(&self) -> (u64, u64) {
-        self.est.flop_counts()
+        let counter = self.est.schemes().flop_counter();
+        (counter.flops(), counter.lookups())
     }
 
     fn degraded_intervals(&self) -> u64 {
@@ -714,7 +682,7 @@ mod tests {
         ThreadId(i)
     }
 
-    impl<E: FootprintEstimator> LocalityScheduler<E> {
+    impl LocalityScheduler {
         /// Takes `tid` off every ready structure, as a `pick` would have.
         fn remove_everywhere(&mut self, tid: ThreadId) {
             if let Some(slot) = self.slots.lookup(tid) {
@@ -1097,30 +1065,5 @@ mod tests {
             "global FIFO grew unboundedly: {}",
             s.global.len()
         );
-    }
-
-    #[test]
-    fn per_set_estimator_plugs_into_the_scheduler() {
-        use locality_core::PerSetEstimator;
-        let est = PerSetEstimator::new(8192, 8, 1).unwrap();
-        let mut s = LocalityScheduler::with_estimator(LocalityConfig::new(PolicyKind::Lff), est, 1)
-            .unwrap();
-        // Same warm-up flow as the default estimator: the thread with the
-        // larger per-set footprint wins LFF dispatch.
-        for (tid, misses) in [(t(1), 100u64), (t(2), 600), (t(3), 300)] {
-            s.on_spawn(tid);
-            s.remove_everywhere(tid);
-            s.on_dispatch(0, tid);
-            s.on_interval_end(0, tid, interval(misses, 1.0), &SharingGraph::new());
-            s.on_ready(tid);
-        }
-        assert_eq!(s.pick(0), Some(t(2)));
-        assert_eq!(s.pick(0), Some(t(3)));
-        assert_eq!(s.pick(0), Some(t(1)));
-        // The per-set impl doesn't count flops (trait default).
-        assert_eq!(s.priority_flops(), (0, 0));
-        assert!(s.estimator().estimate(CpuId(0), t(2)) > 0.0);
-        s.on_exit(t(2));
-        assert_eq!(s.expected_footprint(0, t(2)), Some(0.0));
     }
 }

@@ -9,16 +9,15 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use thread_locality::core::{
-    CounterSanitizer, CpuId, EstimatorConfig, FootprintEntry, FootprintEstimator,
-    LocalityEstimator, ModelParams, PolicyKind, PrioritySchemes, PriorityUpdate, SanitizedInterval,
-    SanitizerConfig, SharingGraph, SlotId, ThreadId, ThreadSlots,
+    CounterSanitizer, CpuId, EstimatorConfig, FootprintEntry, LocalityEstimator, ModelParams,
+    PolicyKind, PrioritySchemes, PriorityUpdate, SanitizerConfig, SharingGraph, SlotId, ThreadId,
+    ThreadSlots,
 };
 use thread_locality::sim::{
     AccessKind, CacheGeometry, FootprintScratch, Machine, MachineConfig, TlbConfig, VAddr,
 };
-use thread_locality::threads::sched::{LocalityConfig, LocalityScheduler};
 use thread_locality::threads::{
-    BatchCtx, ChaosConfig, Control, Engine, EngineConfig, MutexId, Program, SchedPolicy, Scheduler,
+    BatchCtx, ChaosConfig, Control, Engine, EngineConfig, MutexId, Program, SchedPolicy,
 };
 
 /// One step of a random lifecycle schedule over a small tid universe.
@@ -316,36 +315,6 @@ impl KeyedEstimator {
     }
 }
 
-/// The default estimator behind the trait's default
-/// `for_each_cpu_at_least`: every processor is asked for its estimate
-/// and its priority, as `enqueue_ready` did before the estimator knew
-/// where a thread has state.
-struct AllCpus(LocalityEstimator);
-
-impl FootprintEstimator for AllCpus {
-    fn on_switch(&mut self, cpu: CpuId, tid: ThreadId) {
-        self.0.on_switch(cpu, tid);
-    }
-    fn on_miss(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        n: u64,
-        graph: &SharingGraph,
-    ) -> &[PriorityUpdate] {
-        self.0.on_miss(cpu, tid, n, graph)
-    }
-    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        self.0.estimate(cpu, tid)
-    }
-    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        FootprintEstimator::priority(&self.0, cpu, tid)
-    }
-    fn retire(&mut self, tid: ThreadId) {
-        self.0.retire(tid);
-    }
-}
-
 proptest! {
     /// Estimator: random spawn / dispatch / interval-end (with and
     /// without dependents) / exit sequences with enough churn to recycle
@@ -353,6 +322,10 @@ proptest! {
     /// `(cpu, thread)` ever seen equal, bit for bit, those of a
     /// reference keyed by thread id, and a thread that has just been
     /// spawned (into a fresh or a recycled slot) is cold on every cpu.
+    /// The cpus `for_each_cpu_at_least` visits, which skips those where
+    /// the thread has no row, are likewise the ones a loop over every
+    /// cpu of the reference finds, for a threshold cold rows pass (0),
+    /// one they do not (8) and one nothing passes (NaN).
     #[test]
     fn estimator_rows_die_with_the_thread(
         steps in proptest::collection::vec((0u8..10, 0u64..u64::MAX, 0u64..3000), 1..160),
@@ -376,16 +349,16 @@ proptest! {
                     live.push(tid);
                     seen.push(tid);
                     for c in 0..cpus {
-                        prop_assert_eq!(est.estimate(CpuId(c), tid), 0.0);
+                        prop_assert_eq!(est.expected_footprint(CpuId(c), tid), 0.0);
                         prop_assert_eq!(
-                            FootprintEstimator::priority(&est, CpuId(c), tid).to_bits(),
+                            est.priority(CpuId(c), tid).to_bits(),
                             reference.schemes.cold_priority(reference.misses[c]).to_bits(),
                             "{} starts warm on cpu{}", tid, c
                         );
                     }
                 }
                 (2..=3, Some(tid)) => {
-                    est.on_switch(CpuId(cpu), tid);
+                    est.on_dispatch(CpuId(cpu), tid);
                     reference.on_dispatch(cpu, tid);
                 }
                 (4..=7, Some(tid)) => {
@@ -397,7 +370,7 @@ proptest! {
                             graph.set(tid, dep, 0.25 + 0.5 * k as f64).unwrap();
                         }
                     }
-                    let got = est.on_miss(CpuId(cpu), tid, n, &graph).to_vec();
+                    let got = est.on_interval_end(CpuId(cpu), tid, n, &graph).to_vec();
                     let want = reference.on_interval_end(cpu, tid, n, &graph);
                     prop_assert_eq!(got.len(), want.len());
                     for (g, w) in got.iter().zip(&want) {
@@ -406,7 +379,7 @@ proptest! {
                     }
                 }
                 (_, Some(tid)) => {
-                    est.retire(tid);
+                    est.remove_thread(tid);
                     reference.retire(tid);
                     live.retain(|&t| t != tid);
                 }
@@ -415,96 +388,33 @@ proptest! {
                 prop_assert_eq!(est.misses(CpuId(c)), reference.misses[c]);
                 for &t in &seen {
                     prop_assert_eq!(
-                        est.estimate(CpuId(c), t).to_bits(),
+                        est.expected_footprint(CpuId(c), t).to_bits(),
                         reference.estimate(c, t).to_bits(),
                         "estimate of {} on cpu{} after {:?}", t, c, (op, pick, n)
                     );
                     prop_assert_eq!(
-                        FootprintEstimator::priority(&est, CpuId(c), t).to_bits(),
+                        est.priority(CpuId(c), t).to_bits(),
                         reference.priority(c, t).to_bits(),
                         "priority of {} on cpu{} after {:?}", t, c, (op, pick, n)
                     );
                 }
             }
-        }
-    }
-
-    /// Scheduler: `enqueue_ready` asks the estimator only for the cpus
-    /// where the thread has state. Driven by the same random
-    /// pick / run / wake / exit sequence, it hands out the same threads
-    /// in the same order, and keeps the same heaps, as a scheduler whose
-    /// estimator is asked about every cpu, for a threshold cold entries
-    /// pass (0) and one they do not (8), on 1 and 8 cpus.
-    #[test]
-    fn ready_threads_join_the_same_heaps_as_an_all_cpus_loop(
-        steps in proptest::collection::vec((0u8..8, 0u64..u64::MAX, 0u64..600), 1..200),
-        eight in 0u8..2,
-        zero_threshold in 0u8..2,
-        crt in 0u8..2,
-    ) {
-        let cpus = if eight == 1 { 8 } else { 1 };
-        let config = LocalityConfig {
-            threshold_lines: if zero_threshold == 1 { 0.0 } else { 8.0 },
-            ..LocalityConfig::new(if crt == 1 { PolicyKind::Crt } else { PolicyKind::Lff })
-        };
-        let params = ModelParams::new(1024).unwrap();
-        let all = AllCpus(LocalityEstimator::new(EstimatorConfig::new(config.policy, params, cpus)));
-        let mut masked = LocalityScheduler::new(config, 1024, cpus).unwrap();
-        let mut looped = LocalityScheduler::with_estimator(config, all, cpus).unwrap();
-        let mut graph = SharingGraph::new();
-        let mut spawned = 0u64;
-        // Threads that were picked and have not been made ready again.
-        let mut off_queue: Vec<ThreadId> = Vec::new();
-        for &(op, pick, misses) in &steps {
-            let cpu = (pick >> 8) as usize % cpus;
-            match op {
-                0..=1 => {
-                    spawned += 1;
-                    let tid = ThreadId(spawned);
-                    if spawned > 1 && pick % 2 == 0 {
-                        graph.set(ThreadId(spawned - 1), tid, 0.5).unwrap();
-                    }
-                    masked.on_spawn(tid);
-                    looped.on_spawn(tid);
-                }
-                2..=5 => {
-                    let picked = masked.pick(cpu);
-                    prop_assert_eq!(picked, looped.pick(cpu), "pick on cpu{}", cpu);
-                    if let Some(tid) = picked {
-                        let interval = SanitizedInterval {
-                            refs: misses, hits: 0, misses, confidence: 1.0, corrected: false,
-                        };
-                        for s in [&mut masked as &mut dyn Scheduler, &mut looped] {
-                            s.on_dispatch(cpu, tid);
-                            s.on_interval_end(cpu, tid, interval, &graph);
-                        }
-                        off_queue.push(tid);
-                    }
-                }
-                6 => {
-                    if !off_queue.is_empty() {
-                        let tid = off_queue.swap_remove(pick as usize % off_queue.len());
-                        masked.on_ready(tid);
-                        looped.on_ready(tid);
-                    }
-                }
-                _ => {
-                    if !off_queue.is_empty() {
-                        let tid = off_queue.swap_remove(pick as usize % off_queue.len());
-                        graph.remove_thread(tid);
-                        masked.on_exit(tid);
-                        looped.on_exit(tid);
-                    }
+            for threshold in [0.0, 8.0, f64::NAN] {
+                for &t in &seen {
+                    let mut visited = Vec::new();
+                    est.for_each_cpu_at_least(t, threshold, |cpu, prio| {
+                        visited.push((cpu.0, prio.to_bits()));
+                    });
+                    let looped: Vec<_> = (0..cpus)
+                        .filter(|&c| reference.estimate(c, t) >= threshold)
+                        .map(|c| (c, reference.priority(c, t).to_bits()))
+                        .collect();
+                    prop_assert_eq!(
+                        visited, looped,
+                        "cpus at least {} for {} after {:?}", threshold, t, (op, pick, n)
+                    );
                 }
             }
-            prop_assert_eq!(masked.ready_count(), looped.ready_count());
-            for c in 0..cpus {
-                prop_assert_eq!(masked.heap_len(c), looped.heap_len(c), "heap of cpu{}", c);
-            }
-        }
-        // Drain: what is left comes out in the same order too.
-        for c in (0..cpus).cycle().take(4 * cpus + 2 * spawned as usize) {
-            prop_assert_eq!(masked.pick(c), looped.pick(c), "draining cpu{}", c);
         }
     }
 }
