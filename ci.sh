@@ -27,12 +27,30 @@ fi
 # TLB misses a pass, so a TLB that hits or evicts differently moves its
 # sim_cycles_per_instr. They are held to results/benchmark_sim.golden.
 SIM_GOLDEN="$PWD/results/benchmark_sim.golden"
+COUNTS_GOLDEN="$PWD/results/benchmark_counts.golden"
+run_benchmark() {
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$1" --seconds 1 --trace "$2" | tail -n 1
+}
+# hold_to_golden WORKLOAD RESULT_LINE GOLDEN METRIC...: each metric of the
+# result line must equal, as text, the value the golden file holds for it.
+hold_to_golden() {
+    workload=$1 last=$2 golden=$3
+    shift 3
+    for metric in "$@"; do
+        got=$(printf '%s\n' "$last" | sed -n "s/.*\"$metric\": {\"value\": \([^,]*\),.*/\1/p")
+        want=$(sed -n "s/^$workload $metric //p" "$golden")
+        if [ -z "$want" ] || [ "$got" != "$want" ]; then
+            echo "benchmark workload $workload: $metric is '$got', $golden has '$want'" >&2
+            exit 1
+        fi
+    done
+}
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 for workload in repro_small policy_paper mem_direct mem_assoc sched_switch; do
-    last=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    last=$(run_benchmark "$workload" 0)
     case "$last" in
     *'"correct": true, '*'"failed": 0, '*) ;;
     *)
@@ -40,14 +58,20 @@ for workload in repro_small policy_paper mem_direct mem_assoc sched_switch; do
         exit 1
         ;;
     esac
-    for metric in sim_cycles_per_instr sim_l2_mpki model_abs_rel_err; do
-        got=$(printf '%s\n' "$last" | sed -n "s/.*\"$metric\": {\"value\": \([^,]*\),.*/\1/p")
-        want=$(sed -n "s/^$workload $metric //p" "$SIM_GOLDEN")
-        if [ -z "$want" ] || [ "$got" != "$want" ]; then
-            echo "benchmark workload $workload: $metric is '$got', $SIM_GOLDEN has '$want'" >&2
-            exit 1
-        fi
-    done
+    hold_to_golden "$workload" "$last" "$SIM_GOLDEN" \
+        sim_cycles_per_instr sim_l2_mpki model_abs_rel_err
+done
+# The traced run prints the counts behind those ratios, and the work a
+# context switch did: seed-deterministic too, whatever the run length, so
+# a reference or switch path that starts doing something else fails here
+# as a changed integer (results/benchmark_counts.golden). repro_small
+# simulates nothing in its timed region and has no such counts.
+for workload in policy_paper mem_direct mem_assoc sched_switch; do
+    hold_to_golden "$workload" "$(run_benchmark "$workload" 1)" "$COUNTS_GOLDEN" \
+        sim.refs sim.l1d_misses sim.l2_refs sim.l2_misses sim.l2_misses_remote \
+        sim.invalidations sim.tlb_misses sim.page_faults sim.cycles sim.instructions \
+        threads.context_switches threads.steals threads.threads_completed \
+        threads.corrected_intervals core.flops_per_switch core.lookups_per_switch
 done
 
 # Smoke the full repro suite through the parallel cached runner, then

@@ -274,11 +274,13 @@ fn write_counterexamples(args: &Args, rows: &[McRow]) -> Result<(), ReproError> 
 ///
 /// # Errors
 ///
-/// [`ReproError::Usage`] when the file is malformed;
+/// [`ReproError::Usage`] when the file cannot be read or is malformed;
 /// [`ReproError::MissingResult`] when the schedule no longer reproduces
 /// the recorded violation.
 pub fn run_replay(path: &std::path::Path) -> Result<(), ReproError> {
-    let text = std::fs::read_to_string(path)?;
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        ReproError::Usage(format!("cannot read counterexample {}: {e}", path.display()))
+    })?;
     let ce = parse_counterexample(&text).map_err(|e| {
         ReproError::Usage(format!("malformed counterexample {}: {e}", path.display()))
     })?;

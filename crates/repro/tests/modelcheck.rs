@@ -83,6 +83,16 @@ fn deadlock_counterexample_round_trips_through_replay() {
 }
 
 #[test]
+fn missing_replay_file_is_named_and_exits_two() {
+    let missing = tmp_out("missing").join("no-such-counterexample.txt");
+    let out = run(&["--replay", missing.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot read counterexample"), "{stderr}");
+    assert!(stderr.contains(missing.to_str().unwrap()), "{stderr}");
+}
+
+#[test]
 fn malformed_replay_file_exits_two() {
     let out_dir = tmp_out("malformed");
     let bad = out_dir.join("bogus.txt");

@@ -190,7 +190,7 @@ impl Cache {
 
     /// Looks the line up and, on a hit, refreshes its LRU position.
     /// Returns `true` on hit.
-    #[inline]
+    #[inline(always)]
     pub fn probe(&mut self, pline: u64) -> bool {
         // Direct-mapped: one way per set, so LRU state can never affect a
         // victim choice — a probe is a single tag load and compare, with
@@ -290,7 +290,7 @@ impl Cache {
     /// otherwise (a load) — exactly `probe` + `mark_dirty`/`insert`,
     /// which the set-associative path literally is; the direct-mapped
     /// path just avoids recomputing the set and reloading the tag.
-    #[inline]
+    #[inline(always)]
     pub fn probe_or_fill(&mut self, pline: u64, dirty: bool) -> (bool, Option<Eviction>) {
         if self.geometry.ways == 1 {
             let set = (pline & self.set_mask) as usize;

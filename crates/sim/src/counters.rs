@@ -120,16 +120,6 @@ impl Pic {
         self.bump_by(PicEvent::EcacheHits, hits);
     }
 
-    /// Records elapsed cycles (for a `Cycles` event selection).
-    pub fn record_cycles(&mut self, cycles: u64) {
-        if self.event0 == PicEvent::Cycles {
-            self.pic0 = self.pic0.wrapping_add(cycles as u32);
-        }
-        if self.event1 == PicEvent::Cycles {
-            self.pic1 = self.pic1.wrapping_add(cycles as u32);
-        }
-    }
-
     fn bump(&mut self, ev: PicEvent) {
         self.bump_by(ev, 1);
     }
@@ -265,8 +255,6 @@ mod tests {
         pic.configure(PicEvent::Cycles, PicEvent::EcacheHits, false);
         assert_eq!(pic.read_raw(), (0, 0));
         assert!(!pic.user_access());
-        pic.record_cycles(7);
-        assert_eq!(pic.read_raw().0, 7);
         pic.record_l2(true); // hits still counted on pic1
         assert_eq!(pic.read_raw().1, 1);
     }

@@ -86,6 +86,7 @@ impl CpuCache {
     }
 
     /// Performs one access at physical address `pa`.
+    #[inline(always)]
     pub fn access(&mut self, pa: u64, kind: HierAccess) -> AccessOutcome {
         let outcome = self.access_quiet(pa, kind);
         if outcome.l2_ref {
@@ -98,6 +99,7 @@ impl CpuCache {
     /// machine path accumulates E-cache refs/hits across a whole run and
     /// records them in one [`Pic::record_l2_bulk`] call; the final counter
     /// values are identical because the PIC is a pure event counter.
+    #[inline(always)]
     pub fn access_quiet(&mut self, pa: u64, kind: HierAccess) -> AccessOutcome {
         let pline1 = pa >> self.l1_shift;
         let pline2 = pa >> self.l2_shift;
@@ -108,6 +110,7 @@ impl CpuCache {
         }
     }
 
+    #[inline(always)]
     fn read_like(&mut self, pline1: u64, pline2: u64, fetch: bool) -> AccessOutcome {
         // Fused L1 probe-plus-fill (read allocate; a displaced L1 line is
         // clean under write-through and simply dropped). Filling before
@@ -137,6 +140,7 @@ impl CpuCache {
         AccessOutcome { l1_hit: false, l2_ref: true, l2_hit, change }
     }
 
+    #[inline(always)]
     fn write(&mut self, pline1: u64, pline2: u64) -> AccessOutcome {
         // Write-through L1: update in place if present (stays clean), no
         // allocation on a write miss.
@@ -155,6 +159,7 @@ impl CpuCache {
     }
 
     /// Invalidates the L1 lines covered by an evicted/invalidated L2 line.
+    #[inline(never)]
     fn enforce_inclusion(&mut self, pline2: u64) {
         let sublines = 1u64 << (self.l2_shift - self.l1_shift);
         let first = pline2 << (self.l2_shift - self.l1_shift);

@@ -61,14 +61,20 @@ pub struct Machine {
     /// vector grows on fill, and an absent entry means "no holders".
     directory: Vec<u64>,
     /// Per-cpu slot index of the attributed thread ([`IDLE_SLOT`] while
-    /// idle), resolved once in [`set_running`](Self::set_running) so the
-    /// access path never touches the slot registry's map.
+    /// idle), resolved once in [`set_running`](Self::set_running) and read
+    /// only where attribution is settled, never on the access path.
     running_slot: Vec<u32>,
     /// Dense slot registry over threads with live statistics.
     slots: ThreadSlots,
     cpu_stats: Vec<CpuStats>,
-    /// Slot-indexed statistics of live threads.
+    /// Slot-indexed statistics of live threads, as of the last settle:
+    /// the reference path counts per processor only, and what a processor
+    /// counted while a thread was attributed is credited to it when the
+    /// attribution ends ([`settle`](Self::settle)).
     thread_stats: Vec<ThreadStats>,
+    /// Per-cpu reading of `cpu_stats` (as [`ThreadStats`]) taken when the
+    /// processor's attribution last changed.
+    settled: Vec<ThreadStats>,
     /// Cold storage for retired threads' statistics (slot recycled).
     retired_stats: HashMap<ThreadId, ThreadStats>,
     tracer: Option<Trace>,
@@ -113,6 +119,7 @@ impl Machine {
             l2_shift: config.hierarchy.l2.line.trailing_zeros(),
             cpu_stats: vec![CpuStats::default(); config.cpus],
             thread_stats: Vec::new(),
+            settled: vec![ThreadStats::default(); config.cpus],
             retired_stats: HashMap::new(),
             slots: ThreadSlots::new(),
             running_slot: vec![IDLE_SLOT; config.cpus],
@@ -284,13 +291,14 @@ impl Machine {
         self.remove_thread_regions(tid);
         if let Some(slot) = self.slots.release(tid) {
             let index = slot.index();
-            let stats = std::mem::take(&mut self.thread_stats[index]);
-            self.retired_stats.insert(tid, stats);
-            for rs in &mut self.running_slot {
-                if *rs == index as u32 {
-                    *rs = IDLE_SLOT;
+            for cpu in 0..self.cpu_count() {
+                if self.running_slot[cpu] == index as u32 {
+                    self.settle(cpu);
+                    self.running_slot[cpu] = IDLE_SLOT;
                 }
             }
+            let stats = std::mem::take(&mut self.thread_stats[index]);
+            self.retired_stats.insert(tid, stats);
         }
     }
 
@@ -301,22 +309,34 @@ impl Machine {
             return slot.index();
         }
         let index = self.slots.bind(tid).index();
-        {
-            if index >= self.thread_stats.len() {
-                self.thread_stats.resize(index + 1, ThreadStats::default());
-            }
-            self.thread_stats[index] = self.retired_stats.remove(&tid).unwrap_or_default();
+        if index >= self.thread_stats.len() {
+            self.thread_stats.resize(index + 1, ThreadStats::default());
         }
+        self.thread_stats[index] = self.retired_stats.remove(&tid).unwrap_or_default();
         index
     }
 
     /// Declares which thread is running on `cpu` (attribution for
     /// per-thread statistics; `None` while idle).
     pub fn set_running(&mut self, cpu: usize, tid: Option<ThreadId>) {
+        self.settle(cpu);
         self.running_slot[cpu] = match tid {
             Some(tid) => self.stats_slot(tid) as u32,
             None => IDLE_SLOT,
         };
+    }
+
+    /// Ends an attribution interval on `cpu`: the thread it was running
+    /// (if any) is credited with what the processor counted since the
+    /// last settle — the simulator learns what a thread did the way the
+    /// paper's runtime does, by differencing counters at the switch.
+    fn settle(&mut self, cpu: usize) {
+        let now = ThreadStats::from(&self.cpu_stats[cpu]);
+        let slot = self.running_slot[cpu];
+        if slot != IDLE_SLOT {
+            self.thread_stats[slot as usize].add_since(now, self.settled[cpu]);
+        }
+        self.settled[cpu] = now;
     }
 
     /// Translates `va` on `cpu` through the µ-translation cache and the
@@ -356,12 +376,13 @@ impl Machine {
         let (pa, walk_cycles) = self.translate_cached(cpu, va);
         let pline2 = pa >> self.l2_shift;
 
-        // Check for remote holders before the local fill updates the
-        // directory (this decides the E5000's 50-vs-80-cycle split).
+        // Other holders decide the E5000's 50-vs-80-cycle split, so only
+        // an E-cache miss reads the directory — after the probe and before
+        // the fill below, which is equivalent to before both for the
+        // reason `run_element` in `access_run` gives.
         let me = 1u64 << cpu;
-        let holders_before = self.directory_mask(pline2);
         let outcome = self.cpus[cpu].access(pa, kind.into());
-        let remote = outcome.l2_ref && !outcome.l2_hit && (holders_before & !me) != 0;
+        let remote = outcome.l2_ref && !outcome.l2_hit && (self.directory_mask(pline2) & !me) != 0;
 
         // Directory maintenance for this processor's fill/eviction.
         if let Some(ev) = outcome.change.evicted {
@@ -431,19 +452,6 @@ impl Machine {
                 }
             }
         }
-        let slot = self.running_slot[cpu];
-        if slot != IDLE_SLOT {
-            let ts = &mut self.thread_stats[slot as usize];
-            ts.accesses += 1;
-            ts.instructions += 1;
-            ts.mem_cycles += cycles;
-            if outcome.l2_ref {
-                ts.l2_refs += 1;
-                if !outcome.l2_hit {
-                    ts.l2_misses += 1;
-                }
-            }
-        }
         if outcome.l2_ref && !outcome.l2_hit {
             if let Some(devices) = &mut self.cml {
                 devices[cpu].record(va.0 >> self.page_table.page_shift());
@@ -462,7 +470,7 @@ impl Machine {
     /// and the trace evolve exactly as in the scalar path), but the run
     /// pays for its bookkeeping once — page translation is cached per
     /// page the run touches, PIC updates are batched into a single
-    /// [`Pic::record_l2_bulk`](crate::Pic) call, and per-cpu/per-thread
+    /// [`Pic::record_l2_bulk`](crate::Pic) call, and the per-cpu
     /// statistics are accumulated in registers and flushed once at the
     /// end. A whole-line run (`stride` = L2 line size) therefore costs
     /// exactly one tag probe per line plus O(1) overhead.
@@ -502,8 +510,6 @@ impl Machine {
             directory,
             cml,
             cpu_stats,
-            running_slot,
-            thread_stats,
             tlbs,
             tlb_vpn,
             tlb_frame,
@@ -700,15 +706,6 @@ impl Machine {
         cs.l2_hits += l2_hits;
         cs.l2_misses += l2_misses;
         cs.l2_misses_remote += l2_misses_remote;
-        let slot = running_slot[cpu];
-        if slot != IDLE_SLOT {
-            let ts = &mut thread_stats[slot as usize];
-            ts.accesses += count;
-            ts.instructions += count;
-            ts.mem_cycles += cycles_total;
-            ts.l2_refs += l2_refs;
-            ts.l2_misses += l2_misses;
-        }
         cycles_total
     }
 
@@ -738,10 +735,6 @@ impl Machine {
     /// to the running thread.
     pub fn note_instructions(&mut self, cpu: usize, n: u64) {
         self.cpu_stats[cpu].instructions += n;
-        let slot = self.running_slot[cpu];
-        if slot != IDLE_SLOT {
-            self.thread_stats[slot as usize].instructions += n;
-        }
     }
 
     /// The performance counters of `cpu` (read-only).
@@ -835,14 +828,21 @@ impl Machine {
         self.cpu_stats[cpu]
     }
 
-    /// Cumulative statistics of `tid` (zero if it never ran). Retired
+    /// Cumulative statistics of `tid` (zero if it never ran), including
+    /// what is in flight on every processor running it now. Retired
     /// threads (see [`retire_thread`](Self::retire_thread)) keep
     /// reporting their final numbers from cold storage.
     pub fn thread_stats(&self, tid: ThreadId) -> ThreadStats {
-        match self.slots.lookup(tid) {
-            Some(slot) => self.thread_stats[slot.index()],
-            None => self.retired_stats.get(&tid).copied().unwrap_or_default(),
+        let Some(slot) = self.slots.lookup(tid) else {
+            return self.retired_stats.get(&tid).copied().unwrap_or_default();
+        };
+        let mut stats = self.thread_stats[slot.index()];
+        for (cpu, &running) in self.running_slot.iter().enumerate() {
+            if running == slot.index() as u32 {
+                stats.add_since(ThreadStats::from(&self.cpu_stats[cpu]), self.settled[cpu]);
+            }
         }
+        stats
     }
 
     /// Total E-cache misses over all processors.

@@ -55,19 +55,36 @@ pub struct ThreadStats {
     pub mem_cycles: u64,
 }
 
-impl CpuStats {
-    /// E-cache misses per 1000 instructions — the paper's Figure 6 metric.
-    pub fn mpi(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 * 1000.0 / self.instructions as f64
+impl From<&CpuStats> for ThreadStats {
+    /// The per-thread quantities as one processor has counted them, for
+    /// everything that ran on it: every access is exactly one L1-D or
+    /// L1-I reference. [`crate::Machine`] attributes by differencing two
+    /// of these readings, like a runtime reading counters at a switch.
+    fn from(cpu: &CpuStats) -> Self {
+        ThreadStats {
+            accesses: cpu.l1d_refs + cpu.l1i_refs,
+            l2_refs: cpu.l2_refs,
+            l2_misses: cpu.l2_misses,
+            instructions: cpu.instructions,
+            mem_cycles: cpu.mem_cycles,
         }
     }
 }
 
 impl ThreadStats {
-    /// E-cache misses per 1000 instructions for this thread.
+    /// Credits the thread with what a processor counted between two
+    /// readings of it, `earlier` and `now`.
+    pub(crate) fn add_since(&mut self, now: ThreadStats, earlier: ThreadStats) {
+        self.accesses += now.accesses - earlier.accesses;
+        self.l2_refs += now.l2_refs - earlier.l2_refs;
+        self.l2_misses += now.l2_misses - earlier.l2_misses;
+        self.instructions += now.instructions - earlier.instructions;
+        self.mem_cycles += now.mem_cycles - earlier.mem_cycles;
+    }
+}
+
+impl CpuStats {
+    /// E-cache misses per 1000 instructions — the paper's Figure 6 metric.
     pub fn mpi(&self) -> f64 {
         if self.instructions == 0 {
             0.0
@@ -87,12 +104,5 @@ mod tests {
         assert!((s.mpi() - 5.0).abs() < 1e-12);
         let s = CpuStats::default();
         assert_eq!(s.mpi(), 0.0);
-    }
-
-    #[test]
-    fn thread_mpi() {
-        let s = ThreadStats { l2_misses: 2, instructions: 4000, ..ThreadStats::default() };
-        assert!((s.mpi() - 0.5).abs() < 1e-12);
-        assert_eq!(ThreadStats::default().mpi(), 0.0);
     }
 }

@@ -114,15 +114,6 @@ impl Trace {
         }
         Ok(trace)
     }
-
-    /// Per-cpu reference counts (diagnostics).
-    pub fn per_cpu_counts(&self) -> Vec<(u8, usize)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for r in &self.records {
-            *counts.entry(r.cpu).or_insert(0usize) += 1;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 impl FromIterator<TraceRecord> for Trace {
@@ -214,11 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_counts() {
+    fn collects_from_an_iterator() {
         let t: Trace = sample_trace().iter().copied().collect();
         assert_eq!(t.len(), 102);
-        let counts = t.per_cpu_counts();
-        assert_eq!(counts, vec![(0, 101), (1, 1)]);
         assert!(!t.is_empty());
         assert!(Trace::new().is_empty());
     }

@@ -17,7 +17,6 @@ use crate::common::{rng, LINE};
 use active_threads::{BatchCtx, Control, Engine, Program, ThreadId};
 use locality_sim::VAddr;
 use rand::Rng;
-use std::rc::Rc;
 
 /// Parameters of a barnes run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,7 +75,7 @@ pub struct BarnesScene {
 
 impl BarnesScene {
     /// Builds bodies and the octree.
-    pub fn new(bodies_base: VAddr, nodes_base: VAddr, params: &BarnesParams) -> Rc<Self> {
+    pub fn new(bodies_base: VAddr, nodes_base: VAddr, params: &BarnesParams) -> Self {
         let mut r = rng(params.seed);
         let bodies: Vec<Body> = (0..params.bodies)
             .map(|_| Body {
@@ -102,7 +101,7 @@ impl BarnesScene {
             scene.insert(0, i);
         }
         scene.summarize(0);
-        Rc::new(scene)
+        scene
     }
 
     fn octant(node: &Node, pos: &[f64; 3]) -> usize {
@@ -212,11 +211,19 @@ impl BarnesScene {
     }
 
     /// Real force computation for one body; touches every visited node.
-    fn force_on(&self, ctx: &mut BatchCtx<'_>, body_idx: usize, theta: f64) -> [f64; 3] {
+    /// `stack` is the caller's reusable traversal stack.
+    fn force_on(
+        &self,
+        ctx: &mut BatchCtx<'_>,
+        stack: &mut Vec<usize>,
+        body_idx: usize,
+        theta: f64,
+    ) -> [f64; 3] {
         ctx.read(self.body_addr(body_idx));
         let pos = self.bodies[body_idx].pos;
         let mut acc = [0.0f64; 3];
-        let mut stack = vec![0usize];
+        stack.clear();
+        stack.push(0);
         while let Some(idx) = stack.pop() {
             ctx.read(self.node_addr(idx));
             ctx.compute(20);
@@ -261,10 +268,11 @@ impl BarnesScene {
 /// The monitored work thread: `steps` force-computation passes over all
 /// bodies (the tree is kept fixed across the short time steps).
 pub struct BarnesWorker {
-    scene: Rc<BarnesScene>,
+    scene: BarnesScene,
     params: BarnesParams,
     next_body: usize,
     step: u32,
+    stack: Vec<usize>,
 }
 
 impl Program for BarnesWorker {
@@ -277,7 +285,7 @@ impl Program for BarnesWorker {
         let end = (self.next_body + self.params.bodies_per_batch).min(n);
         let mut sum = self.scene.checksum.get();
         for b in self.next_body..end {
-            let acc = self.scene.force_on(ctx, b, self.params.theta);
+            let acc = self.scene.force_on(ctx, &mut self.stack, b, self.params.theta);
             sum += acc[0] + acc[1] + acc[2];
         }
         self.scene.checksum.set(sum);
@@ -299,15 +307,13 @@ impl Program for BarnesWorker {
 
 /// Spawns the monitored single work thread.
 pub fn spawn_single(engine: &mut Engine, params: &BarnesParams) -> ThreadId {
-    // Nodes can outnumber bodies ~2x; allocate after building the scene.
+    // Nodes can outnumber bodies ~2x: the node region is sized, and so
+    // placed, only once the tree is built.
     let bodies_base = engine.machine_mut().alloc(params.bodies as u64 * LINE, LINE);
-    // Reserve a generous node region, then rebuild with the real size.
-    let scene_probe = BarnesScene::new(bodies_base, VAddr(0), params);
-    let nodes_bytes = scene_probe.nodes_bytes();
-    drop(scene_probe);
-    let nodes_base = engine.machine_mut().alloc(nodes_bytes, LINE);
-    let scene = BarnesScene::new(bodies_base, nodes_base, params);
-    engine.spawn(Box::new(BarnesWorker { scene, params: *params, next_body: 0, step: 0 }))
+    let mut scene = BarnesScene::new(bodies_base, VAddr(0), params);
+    scene.nodes_base = engine.machine_mut().alloc(scene.nodes_bytes(), LINE);
+    let stack = Vec::new();
+    engine.spawn(Box::new(BarnesWorker { scene, params: *params, next_body: 0, step: 0, stack }))
 }
 
 #[cfg(test)]
