@@ -85,6 +85,19 @@ GOLDEN="$PWD/results/golden_small.sha256"
 (cd "$SMOKE_OUT" && sha256sum -c "$GOLDEN")
 rm -rf "$SMOKE_OUT"
 
+# The same at paper scale (results/golden_paper.sha256, the hashes of the
+# committed results/*.csv): photo's 2048 row threads, tsp's 977 and the
+# full-length walks run nowhere else in CI, so a change to a workload or
+# to the runner cannot move a number EXPERIMENTS.md quotes unseen. The
+# timeout is the guard on what it costs: seconds, since the region table
+# answers the annotations from a per-thread index (DESIGN.md §9.5).
+PAPER_OUT=$(mktemp -d)
+timeout 120 cargo run --release -p locality-repro --bin repro -- all \
+    --scale paper --jobs 2 --out "$PAPER_OUT"
+GOLDEN_PAPER="$PWD/results/golden_paper.sha256"
+(cd "$PAPER_OUT" && sha256sum -c "$GOLDEN_PAPER")
+rm -rf "$PAPER_OUT"
+
 # Geometry validation: the model-vs-simulator sweep across L2
 # geometries must run at small scale, and its CSV must be byte-identical
 # across --jobs values (the runner's determinism contract extends to the

@@ -183,11 +183,6 @@ impl LocalityEstimator {
         }
     }
 
-    /// The policy in use.
-    pub fn policy(&self) -> PolicyKind {
-        self.schemes.policy()
-    }
-
     /// The model parameters in use.
     pub fn params(&self) -> ModelParams {
         self.schemes.params()
@@ -196,11 +191,6 @@ impl LocalityEstimator {
     /// The priority-update engine (exposes the flop counter for Table 3).
     pub fn schemes(&self) -> &PrioritySchemes {
         &self.schemes
-    }
-
-    /// Number of processors.
-    pub fn cpu_count(&self) -> usize {
-        self.misses.len()
     }
 
     /// Total secondary-cache misses recorded for `cpu` so far (`m_p(t)`).

@@ -108,12 +108,6 @@ impl PrioritySchemes {
         }
     }
 
-    /// Creates an engine with custom tables (e.g. a short `kⁿ` table for
-    /// tests).
-    pub fn with_tables(policy: PolicyKind, tables: PrecomputedTables) -> Self {
-        PrioritySchemes { policy, tables, counter: FlopCounter::new() }
-    }
-
     /// The policy this engine updates priorities for.
     pub fn policy(&self) -> PolicyKind {
         self.policy
@@ -242,10 +236,7 @@ mod tests {
     use super::*;
 
     fn schemes(policy: PolicyKind, lines: usize) -> PrioritySchemes {
-        PrioritySchemes::with_tables(
-            policy,
-            PrecomputedTables::with_kpow_entries(ModelParams::new(lines).unwrap(), 1 << 16),
-        )
+        PrioritySchemes::new(policy, ModelParams::new(lines).unwrap())
     }
 
     /// Simulate: thread runs, blocks with n misses; then other independent

@@ -18,8 +18,6 @@ pub struct SimAllocator {
     next: u64,
     /// Freed blocks by (rounded) size.
     free: BTreeMap<u64, Vec<VAddr>>,
-    allocated: u64,
-    live: u64,
 }
 
 /// Allocations start here, leaving page zero unmapped (null-ish guard).
@@ -34,7 +32,7 @@ impl Default for SimAllocator {
 impl SimAllocator {
     /// Creates an empty allocator.
     pub fn new() -> Self {
-        SimAllocator { next: HEAP_BASE, free: BTreeMap::new(), allocated: 0, live: 0 }
+        SimAllocator { next: HEAP_BASE, free: BTreeMap::new() }
     }
 
     fn round(bytes: u64, align: u64) -> u64 {
@@ -53,8 +51,6 @@ impl SimAllocator {
         let align = align.max(1);
         assert!(align.is_power_of_two(), "alignment {align} must be a power of two");
         let size = Self::round(bytes, align);
-        self.allocated += size;
-        self.live += size;
         if let Some(list) = self.free.get_mut(&size) {
             if let Some(addr) = list.pop() {
                 if list.is_empty() {
@@ -74,23 +70,7 @@ impl SimAllocator {
     /// original request for the block to be found again.
     pub fn free(&mut self, addr: VAddr, bytes: u64, align: u64) {
         let size = Self::round(bytes, align.max(1));
-        self.live = self.live.saturating_sub(size);
         self.free.entry(size).or_default().push(addr);
-    }
-
-    /// Total bytes ever allocated (including reuse).
-    pub fn total_allocated(&self) -> u64 {
-        self.allocated
-    }
-
-    /// Bytes currently live.
-    pub fn live_bytes(&self) -> u64 {
-        self.live
-    }
-
-    /// Highest address handed out so far (address-space extent).
-    pub fn high_water(&self) -> u64 {
-        self.next
     }
 }
 
@@ -135,19 +115,6 @@ mod tests {
         a.free(x, 128, 64);
         let y = a.alloc(256, 64);
         assert_ne!(x, y);
-    }
-
-    #[test]
-    fn accounting() {
-        let mut a = SimAllocator::new();
-        let x = a.alloc(100, 4); // rounds to 100
-        assert_eq!(a.total_allocated(), 100);
-        assert_eq!(a.live_bytes(), 100);
-        a.free(x, 100, 4);
-        assert_eq!(a.live_bytes(), 0);
-        a.alloc(100, 4);
-        assert_eq!(a.total_allocated(), 200);
-        assert!(a.high_water() > 0x10000);
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl Machine {
             return;
         }
         let line = self.config.hierarchy.l2.line;
-        for lv in ((start.0 & !(line - 1))..start.0 + bytes).step_by(line as usize) {
+        for lv in ((start.0 & !(line - 1))..start.0.saturating_add(bytes)).step_by(line as usize) {
             if self.regions.range_touches(tid, VAddr(lv), line) {
                 continue;
             }
@@ -274,21 +274,16 @@ impl Machine {
         &self.regions
     }
 
-    /// Drops `tid` from the region table (thread exit).
-    pub fn remove_thread_regions(&mut self, tid: ThreadId) {
-        self.regions.remove_thread(tid);
-        if let Some(tracker) = &mut self.tracker {
-            tracker.forget(tid);
-        }
-    }
-
     /// Retires `tid` from every hot-path table: regions are dropped,
     /// the statistics slot is recycled (the accumulated numbers move to
     /// cold storage and stay visible through
     /// [`thread_stats`](Self::thread_stats)), and any processor still
     /// attributing to the slot goes idle.
     pub fn retire_thread(&mut self, tid: ThreadId) {
-        self.remove_thread_regions(tid);
+        self.regions.remove_thread(tid);
+        if let Some(tracker) = &mut self.tracker {
+            tracker.forget(tid);
+        }
         if let Some(slot) = self.slots.release(tid) {
             let index = slot.index();
             for cpu in 0..self.cpu_count() {
@@ -1277,6 +1272,25 @@ mod tests {
         assert_eq!(m.l2_footprint_lines(0, t(2)), 0);
         m.flush_cpu(0);
         assert_eq!((m.l2_footprint_lines(0, t(1)), m.l2_footprint_lines(1, t(1))), (0, 4));
+    }
+
+    /// A region whose end would wrap registers up to the last address,
+    /// and every later question about the same range has an answer.
+    #[test]
+    fn region_past_the_end_of_the_address_space_is_clamped() {
+        let mut m = Machine::try_new(MachineConfig::ultra1()).unwrap();
+        m.track_footprints();
+        let start = VAddr(u64::MAX - 150);
+        m.register_region(t(1), start, 400);
+        m.register_region(t(1), start, 400);
+        assert_eq!(m.regions().state_bytes(t(1)), 150);
+        assert!(m.regions().covers(t(1), start, 400));
+        assert!(m.regions().range_touches(t(1), VAddr(u64::MAX - 10), 64));
+        let mut owners = Vec::new();
+        m.regions().owners_in_range_into(start, 400, &mut owners);
+        assert_eq!(owners, [t(1)]);
+        m.retire_thread(t(1));
+        assert_eq!(m.regions().segment_count(), 0);
     }
 
     #[test]

@@ -11,12 +11,18 @@
 //! `q_ab = |state_a ∩ state_b| / |state_a|` that a perfectly annotated
 //! program would pass to `at_share`.
 //!
-//! Internally this is a map of **disjoint segments**, each carrying the
-//! sorted set of owning threads; registering a range splits segments as
-//! needed, so lookups are a single `BTreeMap` probe.
+//! Internally the table keeps two views of the same registrations
+//! (DESIGN.md §9.5). By address: a map of **disjoint segments**, each
+//! carrying the sorted set of owning threads; registering a range splits
+//! segments as needed and merges contiguous ones whose owners are equal,
+//! so "who owns this byte or line" is a `BTreeMap` probe. By thread: each
+//! thread's state as a sorted list of disjoint, non-abutting ranges — the
+//! union of the segments that list it — so "how much state, how much of
+//! it shared, and where to find it at exit" never looks at another
+//! thread's segments.
 
 use crate::addr::VAddr;
-use locality_core::ThreadId;
+use locality_core::{ThreadId, ThreadSlots};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,8 +41,14 @@ impl Segment {
 /// addresses.
 #[derive(Debug, Clone, Default)]
 pub struct RegionTable {
-    /// Disjoint segments keyed by start address.
+    /// Disjoint segments keyed by start address; no segment abuts one
+    /// with the same owners.
     segments: BTreeMap<u64, Segment>,
+    /// Dense slots for the threads that have state.
+    slots: ThreadSlots,
+    /// Slot-indexed: the thread's state as sorted, disjoint, non-abutting
+    /// `[start, end)` ranges.
+    ranges: Vec<Vec<(u64, u64)>>,
 }
 
 impl RegionTable {
@@ -47,12 +59,13 @@ impl RegionTable {
 
     /// Registers `[start, start+bytes)` as part of `tid`'s state.
     /// Overlaps with existing regions (its own or other threads') are
-    /// fine; zero-length regions are ignored.
+    /// fine; zero-length regions are ignored, and a region that would
+    /// run past the end of the address space stops there.
     pub fn register(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
-        if bytes == 0 {
+        let (s, e) = (start.0, start.0.saturating_add(bytes));
+        if s == e {
             return;
         }
-        let (s, e) = (start.0, start.0 + bytes);
 
         // Fast path: periodic workloads re-register the same region every
         // batch, however many segments their neighbours' overlaps have
@@ -61,56 +74,76 @@ impl RegionTable {
             return;
         }
 
-        // If a segment begins before `s` and spills into the range, split
-        // it: truncate in place through the mutable range cursor, then
-        // insert the split-off tail once that borrow ends.
-        let mut spill_tail = None;
-        if let Some((_, seg)) = self.segments.range_mut(..s).next_back() {
-            if seg.end > s {
-                spill_tail = Some(Segment { end: seg.end, owners: seg.owners.clone() });
-                seg.end = s;
-            }
-        }
-        if let Some(tail) = spill_tail {
-            self.segments.insert(s, tail);
-        }
-        // Walk segments starting in [s, e); fill gaps and tag overlaps.
+        // With a boundary at either end, the segments starting in `[s, e)`
+        // lie wholly inside it: tag each one and fill the gaps between.
+        self.split_at(s);
+        self.split_at(e);
         let mut cursor = s;
         while cursor < e {
-            let next = self.segments.range(cursor..e).next().map(|(&ss, seg)| (ss, seg.end));
-            match next {
-                Some((ss, _)) if ss > cursor => {
-                    // Gap before the next segment: new exclusive segment.
-                    self.segments.insert(cursor, Segment { end: ss.min(e), owners: vec![tid] });
-                    cursor = ss.min(e);
-                }
-                Some((ss, se)) => {
-                    debug_assert_eq!(ss, cursor);
-                    // `ss` was just read out of the map, so the lookup
-                    // succeeds; structured as `if let` so a (impossible)
-                    // miss degrades to a no-op instead of a panic.
-                    let mut past_tail = None;
-                    if let Some(seg) = self.segments.get_mut(&ss) {
-                        if se > e {
-                            // Split off the part past the range.
-                            past_tail = Some(Segment { end: se, owners: seg.owners.clone() });
-                            seg.end = e;
-                        }
-                        if let Err(pos) = seg.owners.binary_search(&tid) {
-                            seg.owners.insert(pos, tid);
-                        }
+            match self.segments.range_mut(cursor..e).next() {
+                Some((&ss, seg)) if ss == cursor => {
+                    if let Err(pos) = seg.owners.binary_search(&tid) {
+                        seg.owners.insert(pos, tid);
                     }
-                    if let Some(tail) = past_tail {
-                        self.segments.insert(e, tail);
-                    }
-                    cursor = se.min(e);
+                    cursor = seg.end;
                 }
-                None => {
-                    self.segments.insert(cursor, Segment { end: e, owners: vec![tid] });
-                    cursor = e;
+                next => {
+                    let end = next.map_or(e, |(&ss, _)| ss);
+                    self.segments.insert(cursor, Segment { end, owners: vec![tid] });
+                    cursor = end;
                 }
             }
         }
+        self.coalesce(s, e);
+
+        // The same registration in the per-thread view: an interval union
+        // that swallows every range `[s, e)` overlaps or abuts.
+        let slot = self.slots.bind(tid).index();
+        if slot >= self.ranges.len() {
+            self.ranges.resize(slot + 1, Vec::new());
+        }
+        let list = &mut self.ranges[slot];
+        let lo = list.partition_point(|r| r.1 < s);
+        let hi = list.partition_point(|r| r.0 <= e);
+        let merged = if lo < hi { (s.min(list[lo].0), e.max(list[hi - 1].1)) } else { (s, e) };
+        list.splice(lo..hi, [merged]);
+    }
+
+    /// Cuts the segment that straddles `addr`, if one does, in two there.
+    fn split_at(&mut self, addr: u64) {
+        if let Some((_, seg)) = self.segments.range_mut(..addr).next_back() {
+            if seg.end > addr {
+                let tail = Segment { end: seg.end, owners: seg.owners.clone() };
+                seg.end = addr;
+                self.segments.insert(addr, tail);
+            }
+        }
+    }
+
+    /// Merges every segment that starts in `[s, e]` into the one before
+    /// it when the two abut and list the same owners — the only places a
+    /// change confined to `[s, e)` can have made two neighbours equal.
+    fn coalesce(&mut self, s: u64, e: u64) {
+        let mut at = s;
+        while at <= e {
+            let Some((&start, seg)) = self.segments.range(at..=e).next() else {
+                return;
+            };
+            at = seg.end;
+            let same = |(_, p): &(&u64, &Segment)| p.end == start && p.owners == seg.owners;
+            if let Some((&prev, _)) = self.segments.range(..start).next_back().filter(same) {
+                self.segments.remove(&start);
+                if let Some(prev) = self.segments.get_mut(&prev) {
+                    prev.end = at;
+                }
+            }
+        }
+    }
+
+    /// `tid`'s state as sorted, disjoint, non-abutting `[start, end)`
+    /// ranges; empty if it has none.
+    pub fn ranges_of(&self, tid: ThreadId) -> &[(u64, u64)] {
+        self.slots.lookup(tid).map_or(&[], |slot| &self.ranges[slot.index()])
     }
 
     /// Whether every byte of `[start, start+bytes)` already belongs to
@@ -119,10 +152,10 @@ impl RegionTable {
     /// contiguous segments from `start`, returning at the first gap or
     /// the first segment that does not list `tid`.
     pub fn covers(&self, tid: ThreadId, start: VAddr, bytes: u64) -> bool {
-        if bytes == 0 {
+        let (s, e) = (start.0, start.0.saturating_add(bytes));
+        if s == e {
             return true;
         }
-        let (s, e) = (start.0, start.0 + bytes);
         // The segment holding `s` may begin before it; every later one
         // must begin where its predecessor ended.
         let mut cursor = match self.segments.range(..=s).next_back() {
@@ -151,10 +184,10 @@ impl RegionTable {
 
     /// Whether any byte of `[start, start+bytes)` belongs to `tid`.
     pub fn range_touches(&self, tid: ThreadId, start: VAddr, bytes: u64) -> bool {
-        if bytes == 0 {
+        let (s, e) = (start.0, start.0.saturating_add(bytes));
+        if s == e {
             return false;
         }
-        let (s, e) = (start.0, start.0 + bytes);
         // Segment covering s, if any.
         if let Some((_, seg)) = self.segments.range(..=s).next_back() {
             if seg.end > s && seg.owned_by(tid) {
@@ -164,21 +197,15 @@ impl RegionTable {
         self.segments.range(s..e).any(|(_, seg)| seg.owned_by(tid))
     }
 
-    /// The union of owners over `[start, start+bytes)`, sorted.
-    pub fn owners_in_range(&self, start: VAddr, bytes: u64) -> Vec<ThreadId> {
-        let mut owners = Vec::new();
-        self.owners_in_range_into(start, bytes, &mut owners);
-        owners
-    }
-
-    /// [`owners_in_range`](Self::owners_in_range) into a caller-owned
-    /// buffer (cleared first), so per-line scans reuse one allocation.
+    /// The union of owners over `[start, start+bytes)`, sorted, into a
+    /// caller-owned buffer (cleared first), so per-line scans reuse one
+    /// allocation.
     pub fn owners_in_range_into(&self, start: VAddr, bytes: u64, owners: &mut Vec<ThreadId>) {
         owners.clear();
-        if bytes == 0 {
+        let (s, e) = (start.0, start.0.saturating_add(bytes));
+        if s == e {
             return;
         }
-        let (s, e) = (start.0, start.0 + bytes);
         let mut merge = |seg: &Segment| {
             for &t in &seg.owners {
                 if let Err(pos) = owners.binary_search(&t) {
@@ -198,16 +225,23 @@ impl RegionTable {
 
     /// Total registered state of `tid`, in bytes.
     pub fn state_bytes(&self, tid: ThreadId) -> u64 {
-        self.segments.iter().filter(|(_, seg)| seg.owned_by(tid)).map(|(&s, seg)| seg.end - s).sum()
+        self.ranges_of(tid).iter().map(|&(s, e)| e - s).sum()
     }
 
-    /// Bytes shared between the states of `a` and `b`.
+    /// Bytes shared between the states of `a` and `b`: one pass over the
+    /// two range lists, always stepping past the range that ends first.
     pub fn shared_bytes(&self, a: ThreadId, b: ThreadId) -> u64 {
-        self.segments
-            .iter()
-            .filter(|(_, seg)| seg.owned_by(a) && seg.owned_by(b))
-            .map(|(&s, seg)| seg.end - s)
-            .sum()
+        let (ra, rb) = (self.ranges_of(a), self.ranges_of(b));
+        let (mut i, mut j, mut shared) = (0, 0, 0);
+        while let (Some(x), Some(y)) = (ra.get(i), rb.get(j)) {
+            shared += x.1.min(y.1).saturating_sub(x.0.max(y.0));
+            if x.1 <= y.1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        shared
     }
 
     /// The exact sharing coefficient `q_ab = |a ∩ b| / |a|` — what a
@@ -223,19 +257,26 @@ impl RegionTable {
     }
 
     /// Removes `tid` from all segments (thread exit); segments left
-    /// ownerless are dropped.
+    /// ownerless are dropped. Only the segments inside `tid`'s own ranges
+    /// are visited: they tile those ranges exactly, and no other lists it.
     pub fn remove_thread(&mut self, tid: ThreadId) {
+        let Some(slot) = self.slots.release(tid) else {
+            return;
+        };
         let mut empty = Vec::new();
-        for (&s, seg) in &mut self.segments {
-            if let Ok(pos) = seg.owners.binary_search(&tid) {
-                seg.owners.remove(pos);
-                if seg.owners.is_empty() {
-                    empty.push(s);
+        for (s, e) in std::mem::take(&mut self.ranges[slot.index()]) {
+            for (&start, seg) in self.segments.range_mut(s..e) {
+                if let Ok(pos) = seg.owners.binary_search(&tid) {
+                    seg.owners.remove(pos);
+                    if seg.owners.is_empty() {
+                        empty.push(start);
+                    }
                 }
             }
-        }
-        for s in empty {
-            self.segments.remove(&s);
+            for start in empty.drain(..) {
+                self.segments.remove(&start);
+            }
+            self.coalesce(s, e);
         }
     }
 
@@ -394,13 +435,18 @@ mod tests {
         r.register(t(1), VAddr(0), 100);
         r.register(t(2), VAddr(50), 100);
         r.register(t(3), VAddr(200), 10);
-        assert_eq!(r.owners_in_range(VAddr(40), 20), vec![t(1), t(2)]);
-        assert_eq!(r.owners_in_range(VAddr(0), 10), vec![t(1)]);
-        assert_eq!(r.owners_in_range(VAddr(0), 300), vec![t(1), t(2), t(3)]);
-        assert!(r.owners_in_range(VAddr(300), 10).is_empty());
-        assert!(r.owners_in_range(VAddr(0), 0).is_empty());
+        let mut owners = vec![t(9)];
+        let mut in_range = |start, bytes| {
+            r.owners_in_range_into(VAddr(start), bytes, &mut owners);
+            owners.clone()
+        };
+        assert_eq!(in_range(40, 20), vec![t(1), t(2)]);
+        assert_eq!(in_range(0, 10), vec![t(1)]);
+        assert_eq!(in_range(0, 300), vec![t(1), t(2), t(3)]);
+        assert!(in_range(300, 10).is_empty());
+        assert!(in_range(0, 0).is_empty());
         // Starting mid-segment still sees the covering segment.
-        assert_eq!(r.owners_in_range(VAddr(75), 1), vec![t(1), t(2)]);
+        assert_eq!(in_range(75, 1), vec![t(1), t(2)]);
     }
 
     #[test]

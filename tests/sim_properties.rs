@@ -1,8 +1,10 @@
 //! Property-based tests of the machine substrate: the cache against a
-//! naive reference model, regions against a brute-force byte map, and
+//! naive reference model, regions against a brute-force byte map (and
+//! their per-thread index against the whole-map scans it replaced), and
 //! the priority heap against a sorted list.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use thread_locality::core::{ThreadId, ThreadSlots};
 use thread_locality::sim::{Cache, CacheGeometry, RegionTable, Tlb, TlbConfig, VAddr};
 use thread_locality::threads::heap::PrioHeap;
@@ -19,6 +21,86 @@ fn reference_direct_mapped(lines: u64, accesses: &[u64]) -> (u64, Vec<Option<u64
         }
     }
     (misses, slots)
+}
+
+/// What `RegionTable` did before it kept a per-thread index, at the
+/// finest grain: every byte is its own segment, and every question —
+/// how much state, how much of it shared, what to drop at exit — walks
+/// the whole map. The oracle for `region_index_matches_whole_map_scans`.
+#[derive(Default)]
+struct ScanTable {
+    owners: BTreeMap<u64, BTreeSet<ThreadId>>,
+}
+
+impl ScanTable {
+    fn register(&mut self, tid: ThreadId, start: u64, bytes: u64) {
+        for b in start..start + bytes {
+            self.owners.entry(b).or_default().insert(tid);
+        }
+    }
+
+    fn state_bytes(&self, tid: ThreadId) -> u64 {
+        self.owners.values().filter(|o| o.contains(&tid)).count() as u64
+    }
+
+    fn shared_bytes(&self, a: ThreadId, b: ThreadId) -> u64 {
+        self.owners.values().filter(|o| o.contains(&a) && o.contains(&b)).count() as u64
+    }
+
+    fn coefficient(&self, a: ThreadId, b: ThreadId) -> f64 {
+        match self.state_bytes(a) {
+            0 => 0.0,
+            total => self.shared_bytes(a, b) as f64 / total as f64,
+        }
+    }
+
+    fn remove_thread(&mut self, tid: ThreadId) {
+        for o in self.owners.values_mut() {
+            o.remove(&tid);
+        }
+        self.owners.retain(|_, o| !o.is_empty());
+    }
+
+    /// The fewest segments that can hold the map: one per maximal run
+    /// of contiguous bytes with the same owners.
+    fn maximal_runs(&self) -> usize {
+        let mut runs = 0;
+        let mut prev: Option<(u64, &BTreeSet<ThreadId>)> = None;
+        for (&b, o) in &self.owners {
+            if prev.is_none_or(|(pb, po)| pb + 1 != b || po != o) {
+                runs += 1;
+            }
+            prev = Some((b, o));
+        }
+        runs
+    }
+}
+
+/// One step of `region_index_matches_whole_map_scans`.
+#[derive(Debug, Clone)]
+enum RegionOp {
+    /// `register(tid, start, bytes)`, a second time if `twice`.
+    Register { tid: u64, start: u64, bytes: u64, twice: bool },
+    /// `count` abutting rows of `row` bytes from `start`, registered one
+    /// at a time, upwards or downwards — the monitored photo worker.
+    Rows { tid: u64, start: u64, row: u64, count: u64, ascending: bool },
+    /// `remove_thread(tid)`.
+    Remove { tid: u64 },
+}
+
+const REGION_THREADS: u64 = 5;
+
+fn region_op() -> impl Strategy<Value = RegionOp> {
+    let tid = 0..REGION_THREADS;
+    prop_oneof![
+        4 => (tid.clone(), 0u64..260, 0u64..60, 0u8..2).prop_map(|(tid, start, bytes, twice)| {
+            RegionOp::Register { tid, start, bytes, twice: twice == 1 }
+        }),
+        2 => (tid.clone(), 0u64..200, 1u64..12, 1u64..10, 0u8..2).prop_map(
+            |(tid, start, row, count, up)| RegionOp::Rows { tid, start, row, count, ascending: up == 1 }
+        ),
+        1 => tid.prop_map(|tid| RegionOp::Remove { tid }),
+    ]
 }
 
 proptest! {
@@ -209,24 +291,19 @@ proptest! {
         queries in proptest::collection::vec(0u64..300, 1..40),
     ) {
         let mut table = RegionTable::new();
-        let mut brute: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
-            Default::default();
+        let mut brute = ScanTable::default();
         for &(tid, start, len) in &regions {
             table.register(ThreadId(tid), VAddr(start), len);
-            for b in start..start + len {
-                brute.entry(b).or_default().insert(tid);
-            }
+            brute.register(ThreadId(tid), start, len);
         }
         for &q in &queries {
-            let got: Vec<u64> = table.owners_of(VAddr(q)).iter().map(|t| t.0).collect();
-            let expected: Vec<u64> =
-                brute.get(&q).map(|s| s.iter().copied().collect()).unwrap_or_default();
-            prop_assert_eq!(got, expected, "owners at byte {}", q);
+            let expected: Vec<ThreadId> =
+                brute.owners.get(&q).map(|o| o.iter().copied().collect()).unwrap_or_default();
+            prop_assert_eq!(table.owners_of(VAddr(q)), &expected[..], "owners at byte {}", q);
         }
         // State sizes agree too.
-        for tid in 0..8u64 {
-            let expected = brute.values().filter(|s| s.contains(&tid)).count() as u64;
-            prop_assert_eq!(table.state_bytes(ThreadId(tid)), expected);
+        for tid in (0..8).map(ThreadId) {
+            prop_assert_eq!(table.state_bytes(tid), brute.state_bytes(tid));
         }
     }
 
@@ -272,6 +349,69 @@ proptest! {
                 observe(&again) == before, covered,
                 "register({}, {}, {}) a no-op vs covers", tid, start, len
             );
+        }
+    }
+
+    /// The per-thread range lists answer `state_bytes`, `shared_bytes`,
+    /// `coefficient` and `remove_thread` exactly as the whole-map scans
+    /// did, after every step of any mix of registrations (overlapping,
+    /// abutting, nested, repeated, empty, row by row in either direction)
+    /// and thread exits; each list stays the sorted, disjoint,
+    /// non-abutting union of the bytes that list the thread; and the
+    /// segments stay merged — as few as the owners of the bytes allow —
+    /// without changing who owns any byte.
+    #[test]
+    fn region_index_matches_whole_map_scans(
+        ops in proptest::collection::vec(region_op(), 1..30),
+    ) {
+        let mut table = RegionTable::new();
+        let mut oracle = ScanTable::default();
+        for op in &ops {
+            match *op {
+                RegionOp::Register { tid, start, bytes, twice } => {
+                    for _ in 0..=u8::from(twice) {
+                        table.register(ThreadId(tid), VAddr(start), bytes);
+                    }
+                    oracle.register(ThreadId(tid), start, bytes);
+                }
+                RegionOp::Rows { tid, start, row, count, ascending } => {
+                    for i in 0..count {
+                        let k = if ascending { i } else { count - 1 - i };
+                        table.register(ThreadId(tid), VAddr(start + k * row), row);
+                    }
+                    oracle.register(ThreadId(tid), start, row * count);
+                }
+                RegionOp::Remove { tid } => {
+                    table.remove_thread(ThreadId(tid));
+                    oracle.remove_thread(ThreadId(tid));
+                    prop_assert!(table.ranges_of(ThreadId(tid)).is_empty(), "{:?} left a range", op);
+                }
+            }
+            for b in 0..340 {
+                let expected: Vec<ThreadId> =
+                    oracle.owners.get(&b).map(|o| o.iter().copied().collect()).unwrap_or_default();
+                prop_assert_eq!(table.owners_of(VAddr(b)), &expected[..], "byte {} after {:?}", b, op);
+            }
+            prop_assert_eq!(table.segment_count(), oracle.maximal_runs(), "unmerged after {:?}", op);
+            for a in (0..REGION_THREADS).map(ThreadId) {
+                let ranges = table.ranges_of(a);
+                prop_assert!(ranges.iter().all(|r| r.0 < r.1), "{:?} after {:?}", ranges, op);
+                prop_assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "{:?} after {:?}", ranges, op);
+                let listed: Vec<u64> = ranges.iter().flat_map(|r| r.0..r.1).collect();
+                let owned: Vec<u64> =
+                    oracle.owners.iter().filter(|(_, o)| o.contains(&a)).map(|(&b, _)| b).collect();
+                prop_assert_eq!(listed, owned, "ranges of {} after {:?}", a, op);
+                prop_assert_eq!(table.state_bytes(a), oracle.state_bytes(a), "{} after {:?}", a, op);
+                for b in (0..REGION_THREADS).map(ThreadId) {
+                    prop_assert_eq!(
+                        table.shared_bytes(a, b), oracle.shared_bytes(a, b), "{} ∩ {} after {:?}", a, b, op
+                    );
+                    prop_assert_eq!(
+                        table.coefficient(a, b).to_bits(), oracle.coefficient(a, b).to_bits(),
+                        "q({}, {}) after {:?}", a, b, op
+                    );
+                }
+            }
         }
     }
 
