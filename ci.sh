@@ -8,11 +8,18 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Line budget (ROADMAP item 5): the crates may not outgrow the committed
-# ceiling, so growth is a reviewed edit of results/line_budget.
+# ceiling, so growth is a reviewed edit of results/line_budget. Nor may
+# they sit more than 25 lines under it: a PR that deletes code lowers the
+# file too, so the slack is banked instead of left for the next PR.
 lines=$(find crates -name '*.rs' | xargs cat | wc -l)
 budget=$(cat results/line_budget)
 if [ "$lines" -gt "$budget" ]; then
     echo "crates/ holds $lines lines of Rust, results/line_budget allows $budget" >&2
+    exit 1
+fi
+if [ "$lines" -lt "$((budget - 25))" ]; then
+    echo "crates/ holds $lines lines of Rust, more than 25 under results/line_budget ($budget):" \
+        "lower the file to $lines to bank the deletion" >&2
     exit 1
 fi
 

@@ -237,6 +237,10 @@ impl Machine {
     /// Registers `[start, start+bytes)` as part of `tid`'s state (ground
     /// truth for footprints and exact sharing coefficients).
     pub fn register_region(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
+        // A periodic re-registration gains nothing and changes nothing.
+        if self.regions.covers(tid, start, bytes) {
+            return;
+        }
         self.credit_gained_lines(tid, start, bytes);
         self.regions.register(tid, start, bytes);
     }
@@ -248,10 +252,6 @@ impl Machine {
         let Some(tracker) = &mut self.tracker else {
             return;
         };
-        // A periodic re-registration gains nothing: skip the per-line pass.
-        if self.regions.covers(tid, start, bytes) {
-            return;
-        }
         let line = self.config.hierarchy.l2.line;
         for lv in ((start.0 & !(line - 1))..start.0.saturating_add(bytes)).step_by(line as usize) {
             if self.regions.range_touches(tid, VAddr(lv), line) {
@@ -1291,6 +1291,32 @@ mod tests {
         assert_eq!(owners, [t(1)]);
         m.retire_thread(t(1));
         assert_eq!(m.regions().segment_count(), 0);
+    }
+
+    /// Probes that end on the last address, or would end past it: each
+    /// `(covers, range_touches)` of `bytes` from `top - back`.
+    #[test]
+    fn probes_ending_at_the_last_address() {
+        let (mut r, top) = (RegionTable::new(), u64::MAX);
+        let probe = |r: &RegionTable, back: u64, bytes: u64| {
+            (
+                r.covers(t(1), VAddr(top - back), bytes),
+                r.range_touches(t(1), VAddr(top - back), bytes),
+            )
+        };
+        r.register(t(1), VAddr(top - 150), 100); // [top-150, top-50)
+        assert_eq!(probe(&r, 150, 100), (true, true));
+        assert_eq!(probe(&r, 100, 100), (false, true), "[top-100, top) leaves the range");
+        assert_eq!(probe(&r, 100, top), (false, true), "and so does its clamped form");
+        assert_eq!(probe(&r, 51, top), (false, true), "the range's last byte");
+        assert_eq!(probe(&r, 50, 50), (false, false), "starts where the range ends");
+        assert_eq!(probe(&r, 0, 5), (true, false), "clamped to nothing");
+        r.register(t(1), VAddr(top - 50), 400); // abuts, clamped: one range [top-150, top)
+        assert_eq!(r.ranges_of(t(1)), [(top - 150, top)]);
+        assert_eq!(probe(&r, 150, 151), (true, true), "the byte over is clamped away");
+        assert_eq!(probe(&r, 151, 151), (false, true));
+        assert_eq!(probe(&r, 151, 1), (false, false));
+        assert_eq!(probe(&r, 1, 1), (true, true));
     }
 
     #[test]

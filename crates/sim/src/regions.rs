@@ -17,9 +17,9 @@
 //! segments as needed and merges contiguous ones whose owners are equal,
 //! so "who owns this byte or line" is a `BTreeMap` probe. By thread: each
 //! thread's state as a sorted list of disjoint, non-abutting ranges — the
-//! union of the segments that list it — so "how much state, how much of
-//! it shared, and where to find it at exit" never looks at another
-//! thread's segments.
+//! union of the segments that list it — so "is this range already mine,
+//! how much state, how much of it shared, and where to find it at exit"
+//! never looks at another thread's segments.
 
 use crate::addr::VAddr;
 use locality_core::{ThreadId, ThreadSlots};
@@ -29,12 +29,6 @@ use std::collections::BTreeMap;
 struct Segment {
     end: u64,
     owners: Vec<ThreadId>,
-}
-
-impl Segment {
-    fn owned_by(&self, tid: ThreadId) -> bool {
-        self.owners.binary_search(&tid).is_ok()
-    }
 }
 
 /// A table of (possibly shared) thread state regions over virtual
@@ -63,13 +57,8 @@ impl RegionTable {
     /// run past the end of the address space stops there.
     pub fn register(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
         let (s, e) = (start.0, start.0.saturating_add(bytes));
-        if s == e {
-            return;
-        }
-
-        // Fast path: periodic workloads re-register the same region every
-        // batch, however many segments their neighbours' overlaps have
-        // since split it into.
+        // Fast path: nothing to register, or a periodic workload
+        // re-registering the same region as every batch before.
         if self.covers(tid, start, bytes) {
             return;
         }
@@ -146,32 +135,21 @@ impl RegionTable {
         self.slots.lookup(tid).map_or(&[], |slot| &self.ranges[slot.index()])
     }
 
+    /// The one range of `tid` that can hold or meet `[s, ..)`: the first
+    /// that ends past `s`. Ranges are maximal, so no other range of the
+    /// thread holds `s`, and every earlier one lies wholly below it.
+    fn range_ending_past(&self, tid: ThreadId, s: u64) -> Option<(u64, u64)> {
+        let list = self.ranges_of(tid);
+        list.get(list.partition_point(|r| r.1 <= s)).copied()
+    }
+
     /// Whether every byte of `[start, start+bytes)` already belongs to
     /// `tid` — exactly when [`register`](Self::register) with the same
-    /// arguments leaves the table as it is. Read-only: one walk over the
-    /// contiguous segments from `start`, returning at the first gap or
-    /// the first segment that does not list `tid`.
+    /// arguments leaves the table as it is. Read-only, and answered from
+    /// the thread's own range list, however its neighbours overlap it.
     pub fn covers(&self, tid: ThreadId, start: VAddr, bytes: u64) -> bool {
         let (s, e) = (start.0, start.0.saturating_add(bytes));
-        if s == e {
-            return true;
-        }
-        // The segment holding `s` may begin before it; every later one
-        // must begin where its predecessor ended.
-        let mut cursor = match self.segments.range(..=s).next_back() {
-            Some((_, seg)) if seg.end > s && seg.owned_by(tid) => seg.end,
-            _ => return false,
-        };
-        if cursor >= e {
-            return true;
-        }
-        for (&ss, seg) in self.segments.range(cursor..e) {
-            if ss != cursor || !seg.owned_by(tid) {
-                return false;
-            }
-            cursor = seg.end;
-        }
-        cursor >= e
+        s == e || self.range_ending_past(tid, s).is_some_and(|r| r.0 <= s && e <= r.1)
     }
 
     /// The owners of the byte at `addr` (sorted); empty if unregistered.
@@ -185,16 +163,7 @@ impl RegionTable {
     /// Whether any byte of `[start, start+bytes)` belongs to `tid`.
     pub fn range_touches(&self, tid: ThreadId, start: VAddr, bytes: u64) -> bool {
         let (s, e) = (start.0, start.0.saturating_add(bytes));
-        if s == e {
-            return false;
-        }
-        // Segment covering s, if any.
-        if let Some((_, seg)) = self.segments.range(..=s).next_back() {
-            if seg.end > s && seg.owned_by(tid) {
-                return true;
-            }
-        }
-        self.segments.range(s..e).any(|(_, seg)| seg.owned_by(tid))
+        s != e && self.range_ending_past(tid, s).is_some_and(|r| r.0 < e)
     }
 
     /// The union of owners over `[start, start+bytes)`, sorted, into a
@@ -371,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn covers_walks_split_segments() {
+    fn covers_sees_through_split_segments() {
         let mut r = RegionTable::new();
         r.register(t(1), VAddr(0), 100);
         assert!(r.covers(t(1), VAddr(0), 100));

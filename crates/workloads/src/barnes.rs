@@ -319,8 +319,8 @@ pub fn spawn_single(engine: &mut Engine, params: &BarnesParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     #[test]
     fn tree_contains_all_bodies() {
@@ -337,12 +337,7 @@ mod tests {
 
     #[test]
     fn worker_completes_with_plausible_traffic() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let params = BarnesParams::small();
         spawn_single(&mut e, &params);
         let report = e.run().unwrap();
@@ -355,12 +350,7 @@ mod tests {
     #[test]
     fn theta_controls_work() {
         let run = |theta| {
-            let mut e = active_threads::Engine::new(
-                MachineConfig::ultra1(),
-                SchedPolicy::Fcfs,
-                EngineConfig::default(),
-            )
-            .unwrap();
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
             let params = BarnesParams { theta, ..BarnesParams::small() };
             spawn_single(&mut e, &params);
             e.run().unwrap().total_instructions
@@ -371,12 +361,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = || {
-            let mut e = active_threads::Engine::new(
-                MachineConfig::ultra1(),
-                SchedPolicy::Fcfs,
-                EngineConfig::default(),
-            )
-            .unwrap();
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
             spawn_single(&mut e, &BarnesParams::small());
             e.run().unwrap()
         };

@@ -14,6 +14,14 @@ pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// The engine nearly every unit test here runs on: the uniprocessor with
+/// the default engine configuration.
+#[cfg(test)]
+pub(crate) fn ultra1_engine(policy: active_threads::SchedPolicy) -> active_threads::Engine {
+    let machine = locality_sim::MachineConfig::ultra1();
+    active_threads::Engine::new(machine, policy, Default::default()).unwrap()
+}
+
 /// The address of element `idx` in an array of `elem_bytes`-byte elements
 /// starting at `base`.
 pub fn elem_addr(base: VAddr, idx: u64, elem_bytes: u64) -> VAddr {

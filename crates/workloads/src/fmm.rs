@@ -442,8 +442,8 @@ pub fn spawn_single(engine: &mut Engine, params: &FmmParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     #[test]
     fn level_indexing() {
@@ -467,12 +467,7 @@ mod tests {
 
     #[test]
     fn run_produces_potentials() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let params = FmmParams::small();
         let parts_base = e.machine_mut().alloc(params.particles as u64 * LINE, LINE);
         let cells = level_start(params.depth + 1) as u64;
@@ -494,12 +489,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = || {
-            let mut e = active_threads::Engine::new(
-                MachineConfig::ultra1(),
-                SchedPolicy::Fcfs,
-                EngineConfig::default(),
-            )
-            .unwrap();
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
             spawn_single(&mut e, &FmmParams::small());
             e.run().unwrap()
         };

@@ -348,13 +348,11 @@ pub fn spawn_single(engine: &mut Engine, params: &MergeParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     fn run(policy: SchedPolicy, params: &MergeParams) -> (active_threads::RunReport, bool) {
-        let mut e =
-            active_threads::Engine::new(MachineConfig::ultra1(), policy, EngineConfig::default())
-                .unwrap();
+        let mut e = ultra1_engine(policy);
         let (shared, _root) = spawn_parallel(&mut e, params);
         let report = e.run().unwrap();
         (report, shared.is_sorted())
@@ -396,12 +394,7 @@ mod tests {
 
     #[test]
     fn single_worker_merges() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let tid = spawn_single(&mut e, &MergeParams::small());
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 1);
@@ -411,12 +404,7 @@ mod tests {
 
     #[test]
     fn annotations_present_in_graph() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Lff,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Lff);
         let params = MergeParams::small();
         let (_, root) = spawn_parallel(&mut e, &params);
         // Run a few steps... simplest: run to completion, then the graph

@@ -155,8 +155,8 @@ pub fn spawn_single(engine: &mut Engine, params: &OceanParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     #[test]
     fn sor_reduces_residual() {
@@ -164,12 +164,7 @@ mod tests {
         let base = VAddr(0x10000);
         let grid = OceanGrid::new(base, &params);
         let before = grid.residual();
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         e.spawn(Box::new(OceanWorker { grid: grid.clone(), params, sweep: 0, color: 0, row: 1 }));
         e.run().unwrap();
         let after = grid.residual();
@@ -178,12 +173,7 @@ mod tests {
 
     #[test]
     fn sequential_sweep_traffic() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let params = OceanParams::small();
         spawn_single(&mut e, &params);
         let report = e.run().unwrap();
@@ -197,12 +187,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = || {
-            let mut e = active_threads::Engine::new(
-                MachineConfig::ultra1(),
-                SchedPolicy::Fcfs,
-                EngineConfig::default(),
-            )
-            .unwrap();
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
             spawn_single(&mut e, &OceanParams::small());
             e.run().unwrap()
         };

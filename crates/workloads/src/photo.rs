@@ -371,6 +371,7 @@ pub fn spawn_single(engine: &mut Engine, params: &PhotoParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ultra1_engine;
     use active_threads::{EngineConfig, SchedPolicy};
     use locality_sim::MachineConfig;
 
@@ -485,12 +486,7 @@ mod tests {
 
     #[test]
     fn neighbour_annotations_have_falling_coefficients() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Lff,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Lff);
         let (_, tids) = spawn_parallel(&mut e, &PhotoParams::small());
         let g = e.graph();
         let q1 = g.weight(tids[10], tids[11]);
@@ -534,12 +530,7 @@ mod tests {
 
     #[test]
     fn single_worker_completes() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         spawn_single(&mut e, &PhotoParams::small());
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 1);

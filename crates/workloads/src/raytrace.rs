@@ -245,16 +245,11 @@ pub fn spawn_single(engine: &mut Engine, params: &RaytraceParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     fn run(params: &RaytraceParams) -> (active_threads::RunReport, u64) {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let scene = build_scene(&mut e, params);
         e.spawn(Box::new(RayWorker {
             scene: scene.clone(),
@@ -276,12 +271,7 @@ mod tests {
 
     #[test]
     fn spheres_rasterized_into_voxels() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let scene = build_scene(&mut e, &RaytraceParams::small());
         let populated = scene.voxels.iter().filter(|v| !v.is_empty()).count();
         assert!(populated > 0);

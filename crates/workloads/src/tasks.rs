@@ -87,6 +87,9 @@ pub fn spawn_parallel(engine: &mut Engine, params: &TasksParams) -> Vec<ThreadId
         }
         return tids;
     }
+    if params.tasks == 0 {
+        return tids;
+    }
     // Overlapped: one arena, regions at a sub-footprint stride.
     let arena_bytes = stride_lines * LINE * (params.tasks as u64 - 1) + bytes;
     let arena = engine.machine_mut().alloc(arena_bytes, LINE);
@@ -108,13 +111,11 @@ pub fn spawn_parallel(engine: &mut Engine, params: &TasksParams) -> Vec<ThreadId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     fn run(policy: SchedPolicy, params: &TasksParams) -> active_threads::RunReport {
-        let mut e =
-            active_threads::Engine::new(MachineConfig::ultra1(), policy, EngineConfig::default())
-                .unwrap();
+        let mut e = ultra1_engine(policy);
         spawn_parallel(&mut e, params);
         e.run().unwrap()
     }
@@ -147,17 +148,31 @@ mod tests {
     #[test]
     fn overlapped_variant_shares_state() {
         let params = TasksParams { tasks: 8, footprint_lines: 64, periods: 2, overlap: 0.5 };
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Lff,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Lff);
         let tids = spawn_parallel(&mut e, &params);
         let q = e.graph().weight(tids[0], tids[1]);
         assert!((q - 0.5).abs() < 0.05, "expected ~0.5 overlap, got {q}");
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 8);
+    }
+
+    #[test]
+    fn zero_overlapped_tasks_allocate_nothing() {
+        // `tasks - 1` used to wrap when sizing the arena: a panic in a debug
+        // build, a bump cursor moved by the wrapped size in release.
+        let mut e = ultra1_engine(SchedPolicy::Lff);
+        let mut cursor = e.machine_mut().alloc(LINE, LINE);
+        for footprint_lines in [0, 4] {
+            let none = TasksParams { tasks: 0, footprint_lines, periods: 3, overlap: 0.25 };
+            assert!(spawn_parallel(&mut e, &none).is_empty());
+            let next = e.machine_mut().alloc(LINE, LINE);
+            assert_eq!(next, cursor.offset(LINE), "{footprint_lines}-line tasks moved the cursor");
+            cursor = next;
+        }
+        // The engine is as good as new: a normal cell runs to completion.
+        let params = TasksParams { tasks: 8, footprint_lines: 64, periods: 2, overlap: 0.5 };
+        assert_eq!(spawn_parallel(&mut e, &params).len(), 8);
+        assert_eq!(e.run().unwrap().threads_completed, 8);
     }
 
     #[test]

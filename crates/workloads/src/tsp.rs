@@ -463,6 +463,7 @@ pub fn spawn_single(engine: &mut Engine, params: &TspParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ultra1_engine;
     use active_threads::{EngineConfig, SchedPolicy};
     use locality_sim::MachineConfig;
 
@@ -522,12 +523,7 @@ mod tests {
 
     #[test]
     fn single_worker_runs() {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         spawn_single(&mut e, &TspParams::small());
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 1);

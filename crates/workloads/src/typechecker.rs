@@ -220,16 +220,11 @@ pub fn spawn_single(engine: &mut Engine, params: &TypecheckerParams) -> ThreadId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     fn run(params: &TypecheckerParams) -> (active_threads::RunReport, u64) {
-        let mut e = active_threads::Engine::new(
-            MachineConfig::ultra1(),
-            SchedPolicy::Fcfs,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let types_base = e.machine_mut().alloc(params.types as u64 * LINE, LINE);
         let ast_base = e.machine_mut().alloc(params.ast_nodes as u64 * LINE, LINE);
         let data = TypecheckerData::new(types_base, ast_base, params);

@@ -132,14 +132,12 @@ pub fn spawn_single(engine: &mut Engine, params: &WalkParams) -> ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::{EngineConfig, SchedPolicy};
-    use locality_sim::MachineConfig;
+    use crate::common::ultra1_engine;
+    use active_threads::SchedPolicy;
 
     #[test]
     fn walker_fills_cache_toward_model_prediction() {
-        let mut e =
-            Engine::new(MachineConfig::ultra1(), SchedPolicy::Fcfs, EngineConfig::default())
-                .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let params = WalkParams { total_accesses: 60_000, ..WalkParams::default() };
         let tid = spawn_single(&mut e, &params);
         let report = e.run().unwrap();
@@ -155,9 +153,7 @@ mod tests {
         use locality_core::{FootprintModel, ModelParams};
         // Drive a shorter walk and compare the observed footprint with the
         // model at the end (single interval => closed form applies).
-        let mut e =
-            Engine::new(MachineConfig::ultra1(), SchedPolicy::Fcfs, EngineConfig::default())
-                .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         struct OneShot(RandomWalk);
         impl Program for OneShot {
             fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
@@ -209,9 +205,7 @@ mod tests {
 
     #[test]
     fn sleeper_prefills_then_sleeps() {
-        let mut e =
-            Engine::new(MachineConfig::ultra1(), SchedPolicy::Fcfs, EngineConfig::default())
-                .unwrap();
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
         let region = e.machine_mut().alloc(64 * 100, LINE);
         e.spawn(Box::new(Sleeper::new(region, 64 * 100, 64 * 100, 1_000_000)));
         let report = e.run().unwrap();

@@ -88,6 +88,29 @@ enum RegionOp {
     Remove { tid: u64 },
 }
 
+impl RegionOp {
+    /// `(start, len)` probes on the edges of what the step registered:
+    /// the whole range, a byte more at either end, the byte after it, its
+    /// last byte, nothing at all, and the seam between its first two rows.
+    fn edge_probes(&self) -> Vec<(u64, u64)> {
+        let (start, len, seam) = match *self {
+            RegionOp::Register { start, bytes, .. } => (start, bytes, start),
+            RegionOp::Rows { start, row, count, .. } => (start, row * count, start + row - 1),
+            RegionOp::Remove { .. } => return Vec::new(),
+        };
+        let end = start + len;
+        vec![
+            (start, len),
+            (start, len + 1),
+            (start.saturating_sub(1), len + 1),
+            (end, 1),
+            (end.saturating_sub(1), 1),
+            (start, 0),
+            (seam, 2),
+        ]
+    }
+}
+
 const REGION_THREADS: u64 = 5;
 
 fn region_op() -> impl Strategy<Value = RegionOp> {
@@ -359,14 +382,23 @@ proptest! {
     /// and thread exits; each list stays the sorted, disjoint,
     /// non-abutting union of the bytes that list the thread; and the
     /// segments stay merged — as few as the owners of the bytes allow —
-    /// without changing who owns any byte.
+    /// without changing who owns any byte. The same lists answer `covers`
+    /// and `range_touches`: after every step — exits included — each is
+    /// held to "the oracle lists the thread on every / on any byte", for
+    /// random probes and for probes on the edges of every range any
+    /// thread has registered so far (whole, a byte over at either end,
+    /// ending or starting exactly on the boundary, empty, straddling two
+    /// rows that were registered one at a time).
     #[test]
     fn region_index_matches_whole_map_scans(
         ops in proptest::collection::vec(region_op(), 1..30),
+        random_probes in proptest::collection::vec((0u64..340, 0u64..70), 1..12),
     ) {
         let mut table = RegionTable::new();
         let mut oracle = ScanTable::default();
+        let mut probes = random_probes;
         for op in &ops {
+            probes.extend(op.edge_probes());
             match *op {
                 RegionOp::Register { tid, start, bytes, twice } => {
                     for _ in 0..=u8::from(twice) {
@@ -394,6 +426,17 @@ proptest! {
             }
             prop_assert_eq!(table.segment_count(), oracle.maximal_runs(), "unmerged after {:?}", op);
             for a in (0..REGION_THREADS).map(ThreadId) {
+                let owns = |b: u64| oracle.owners.get(&b).is_some_and(|o| o.contains(&a));
+                for &(start, len) in &probes {
+                    prop_assert_eq!(
+                        table.covers(a, VAddr(start), len), (start..start + len).all(owns),
+                        "covers({}, {}, {}) after {:?}", a, start, len, op
+                    );
+                    prop_assert_eq!(
+                        table.range_touches(a, VAddr(start), len), (start..start + len).any(owns),
+                        "range_touches({}, {}, {}) after {:?}", a, start, len, op
+                    );
+                }
                 let ranges = table.ranges_of(a);
                 prop_assert!(ranges.iter().all(|r| r.0 < r.1), "{:?} after {:?}", ranges, op);
                 prop_assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "{:?} after {:?}", ranges, op);
