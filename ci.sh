@@ -23,6 +23,13 @@ if [ "$lines" -lt "$((budget - 25))" ]; then
     exit 1
 fi
 
+# SharingGraph::compact/is_compact are empty shells kept for the frozen
+# benchmark alone (crates/core/src/graph.rs): nothing else may call them.
+if grep -rnE --include='*.rs' '\.(is_)?compact\(\)' crates tests examples; then
+    echo "SharingGraph::compact()/is_compact() may be called from benchmark/ only" >&2
+    exit 1
+fi
+
 # The benchmark (BENCHMARK.json) is a package of its own that reaches
 # the crates only through their public items: hold it to the same gates,
 # then run every workload for a second. Host numbers are ignored here

@@ -317,7 +317,7 @@ pub fn lost_wakeup_workload() -> Box<dyn Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_log, AnalysisConfig};
+    use crate::analyze_log;
     use active_threads::{Engine, EngineConfig, SchedPolicy};
     use locality_sim::MachineConfig;
 
@@ -332,7 +332,7 @@ mod tests {
         engine.spawn(prog);
         engine.run().expect("fixture run");
         let log = engine.take_observation().expect("observation enabled");
-        analyze_log(&log, &AnalysisConfig::default())
+        analyze_log(&log)
     }
 
     #[test]

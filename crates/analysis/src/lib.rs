@@ -53,7 +53,7 @@ pub use explore::{
     ExploreConfig, ExploreSummary, McViolation, McWorkload, ViolationKind,
 };
 pub use hb::HbClocks;
-pub use lint::{lint_annotations, LintConfig, ObservedSharing};
+pub use lint::{lint_annotations, ObservedSharing};
 pub use lockorder::{LockOrderGraph, WitnessEdge};
 pub use race::{AccessInfo, Race, RaceDetector};
 pub use report::{AnalysisReport, Finding, Severity};
@@ -61,17 +61,10 @@ pub use vclock::VClock;
 
 use active_threads::ObsLog;
 
-/// Configuration for [`analyze_log`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalysisConfig {
-    /// Thresholds for the annotation drift lints.
-    pub lint: LintConfig,
-}
-
 /// Runs every analysis over a log and assembles the combined report.
-pub fn analyze_log(log: &ObsLog, cfg: &AnalysisConfig) -> AnalysisReport {
+pub fn analyze_log(log: &ObsLog) -> AnalysisReport {
     let detector = RaceDetector::run(log);
-    let lints = lint_annotations(log, &cfg.lint);
+    let lints = lint_annotations(log);
     let races = detector.races().to_vec();
     AnalysisReport::assemble(races, detector.lock_order(), lints)
 }
@@ -108,7 +101,7 @@ mod tests {
             accepted: false,
         });
 
-        let report = analyze_log(&log, &AnalysisConfig::default());
+        let report = analyze_log(&log);
         assert!(report.has_errors());
         assert_eq!(report.races.len(), 1);
         let codes: Vec<_> = report.findings.iter().map(|f| f.code).collect();

@@ -17,21 +17,11 @@ use active_threads::{ObsEvent, ObsLog};
 use locality_core::ThreadId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Thresholds for the drift lints.
-#[derive(Debug, Clone, Copy)]
-pub struct LintConfig {
-    /// Minimum shared bytes before a missing annotation is reported.
-    pub drift_min_bytes: u64,
-    /// Minimum shared fraction of the smaller thread's state before a
-    /// missing annotation is reported.
-    pub drift_min_fraction: f64,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig { drift_min_bytes: 1024, drift_min_fraction: 0.25 }
-    }
-}
+/// Minimum shared bytes before a missing annotation is reported.
+const DRIFT_MIN_BYTES: u64 = 1024;
+/// Minimum shared fraction of the smaller thread's state before a missing
+/// annotation is reported.
+const DRIFT_MIN_FRACTION: f64 = 0.25;
 
 /// Per-thread observed state: merged, disjoint, sorted access intervals.
 #[derive(Debug, Default)]
@@ -152,7 +142,7 @@ impl ObservedSharing {
 
 /// Runs every annotation lint over a log. Findings are deterministic and
 /// sorted by lint code, then by the threads involved.
-pub fn lint_annotations(log: &ObsLog, cfg: &LintConfig) -> Vec<Finding> {
+pub fn lint_annotations(log: &ObsLog) -> Vec<Finding> {
     let obs = ObservedSharing::from_log(log);
     let mut findings = Vec::new();
 
@@ -217,11 +207,11 @@ pub fn lint_annotations(log: &ObsLog, cfg: &LintConfig) -> Vec<Finding> {
     for (i, &a) in threads.iter().enumerate() {
         for &b in &threads[i + 1..] {
             let shared = obs.shared_bytes(a, b);
-            if shared < cfg.drift_min_bytes {
+            if shared < DRIFT_MIN_BYTES {
                 continue;
             }
             let smaller = obs.state_bytes(a).min(obs.state_bytes(b)).max(1);
-            if (shared as f64) / (smaller as f64) < cfg.drift_min_fraction {
+            if (shared as f64) / (smaller as f64) < DRIFT_MIN_FRACTION {
                 continue;
             }
             let annotated = edges.contains_key(&(a, b)) || edges.contains_key(&(b, a));
@@ -302,7 +292,7 @@ mod tests {
         // Edge naming a thread that never ran → dangling-edge.
         share(&mut log, 2, 9, 0.7, true);
 
-        let findings = lint_annotations(&log, &LintConfig::default());
+        let findings = lint_annotations(&log);
         let cs = codes(&findings);
         assert!(cs.contains(&"out-weight-sum"), "{cs:?}");
         assert!(cs.contains(&"dangling-edge"), "{cs:?}");
@@ -323,7 +313,7 @@ mod tests {
         access(&mut log, 2, 0, 4096);
         share(&mut log, 1, 2, 0.9, true);
         share(&mut log, 2, 1, 0.9, true);
-        let findings = lint_annotations(&log, &LintConfig::default());
+        let findings = lint_annotations(&log);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -334,7 +324,7 @@ mod tests {
         share(&mut log, 1, 1, 0.5, false); // self edge
         share(&mut log, 1, 2, f64::NAN, false);
         share(&mut log, 1, 2, 1.5, false);
-        let cs = codes(&lint_annotations(&log, &LintConfig::default()));
+        let cs = codes(&lint_annotations(&log));
         assert!(cs.contains(&"self-edge"), "{cs:?}");
         assert!(cs.contains(&"non-finite-q"), "{cs:?}");
         assert!(cs.contains(&"q-out-of-range"), "{cs:?}");
@@ -350,7 +340,7 @@ mod tests {
         access(&mut log, 2, 1 << 20, 65536);
         share(&mut log, 1, 2, 0.5, true); // would be stale...
         share(&mut log, 1, 2, 0.0, true); // ...but is retracted
-        let cs = codes(&lint_annotations(&log, &LintConfig::default()));
+        let cs = codes(&lint_annotations(&log));
         assert!(!cs.contains(&"drift-stale"), "{cs:?}");
     }
 
@@ -361,10 +351,10 @@ mod tests {
         spawn(&mut log, Some(1), 2);
         access(&mut log, 1, 0, 65536);
         log.record(ObsEvent::Exit { tid: t(1) });
-        // 512 bytes shared: below drift_min_bytes and the fraction floor.
+        // 512 bytes shared: below DRIFT_MIN_BYTES and the fraction floor.
         access(&mut log, 2, 0, 512);
         access(&mut log, 2, 1 << 20, 65536);
-        let cs = codes(&lint_annotations(&log, &LintConfig::default()));
+        let cs = codes(&lint_annotations(&log));
         assert!(!cs.contains(&"drift-missing"), "{cs:?}");
     }
 }

@@ -13,6 +13,10 @@
 //! versa). Annotations are *hints*: wrong or missing ones affect only
 //! performance, never correctness — which is why [`SharingGraph::set`]
 //! validates the coefficient but the lookup path never fails.
+//!
+//! Threads come and go while the scheduler reads, so the graph keeps a
+//! single sorted adjacency that is edited in place: a read never needs a
+//! rebuild first, and an exiting thread costs its own degree.
 
 use crate::params::check_coefficient;
 use crate::{ModelError, ThreadId};
@@ -21,14 +25,15 @@ use std::collections::BTreeMap;
 /// A directed, weighted state-sharing graph `G = (V, E)` with coefficients
 /// `q ∈ [0, 1]` on each edge.
 ///
-/// The mutation/build side is backed by ordered maps so iteration order
-/// (and therefore every simulated schedule that consults the graph) is
-/// deterministic. The read side used by the per-switch `O(out-degree)`
-/// priority update is a CSR-style adjacency — sorted sources with
-/// contiguous `(dst, q)` rows — rebuilt by [`compact`](Self::compact)
-/// after mutations; [`dependents_of`](Self::dependents_of) walks the
-/// contiguous row when the graph is compact and falls back to the maps
-/// (same order, same items) when it is not.
+/// There is one adjacency: a source's out-edges are a `Vec` sorted by
+/// destination, so the row the per-switch `O(out-degree)` priority update
+/// walks is already a contiguous slice and every read sees the latest
+/// write. Sources are keyed by an ordered map and rows are sorted, so
+/// iteration order (and therefore every simulated schedule that consults
+/// the graph) is deterministic. A reverse index of sources per destination
+/// lets an exiting thread edit only the rows that name it. A row that
+/// empties is removed, so two graphs holding the same edges are `==`
+/// whatever their histories.
 ///
 /// ```
 /// use locality_core::{SharingGraph, ThreadId};
@@ -42,46 +47,28 @@ use std::collections::BTreeMap;
 /// assert_eq!(g.out_degree(left), 1);
 /// # Ok::<(), locality_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SharingGraph {
-    /// Out-edges: for each source, destinations and coefficients.
-    out: BTreeMap<ThreadId, BTreeMap<ThreadId, f64>>,
-    /// In-edges (destinations back to sources), kept so a thread can be
-    /// removed in O(degree) when it exits.
-    into: BTreeMap<ThreadId, BTreeMap<ThreadId, f64>>,
-    edges: usize,
-    /// CSR read cache over `out`; valid while `dirty` is false.
-    csr: Csr,
-    /// Whether `csr` lags behind the maps.
-    dirty: bool,
+    /// Out-edges: each source's `(dst, q)` row, sorted by destination.
+    out: BTreeMap<ThreadId, Vec<(ThreadId, f64)>>,
+    /// Reverse index: each destination's sources, sorted.
+    into: BTreeMap<ThreadId, Vec<ThreadId>>,
 }
 
-/// Compressed sparse rows over the out-edges: `srcs` is sorted, row `i`
-/// of `edges` spans `offsets[i] .. offsets[i + 1]` with destinations in
-/// thread-id order — the same order the `BTreeMap` side yields.
-#[derive(Debug, Clone, Default)]
-struct Csr {
-    srcs: Vec<ThreadId>,
-    offsets: Vec<u32>,
-    edges: Vec<(ThreadId, f64)>,
-}
-
-impl Csr {
-    fn row(&self, src: ThreadId) -> &[(ThreadId, f64)] {
-        match self.srcs.binary_search(&src) {
-            Ok(i) => &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize],
-            Err(_) => &[],
-        }
+/// Removes `t`'s entry from row `key` of `map`, and the row with it when
+/// that was its last entry.
+fn unlink<E>(
+    map: &mut BTreeMap<ThreadId, Vec<E>>,
+    key: ThreadId,
+    t: ThreadId,
+    id: impl FnMut(&E) -> ThreadId,
+) -> Option<E> {
+    let row = map.get_mut(&key)?;
+    let entry = row.remove(row.binary_search_by_key(&t, id).ok()?);
+    if row.is_empty() {
+        map.remove(&key);
     }
-}
-
-/// Equality is defined over the logical edge set only; the CSR cache is
-/// a rebuildable view and two graphs differing only in compaction state
-/// are equal.
-impl PartialEq for SharingGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.out == other.out && self.into == other.into && self.edges == other.edges
-    }
+    Some(entry)
 }
 
 impl SharingGraph {
@@ -111,28 +98,23 @@ impl SharingGraph {
             self.remove_edge(src, dst);
             return Ok(());
         }
-        let prev = self.out.entry(src).or_default().insert(dst, q);
-        self.into.entry(dst).or_default().insert(src, q);
-        if prev.is_none() {
-            self.edges += 1;
-        }
-        if prev != Some(q) {
-            self.dirty = true;
+        let row = self.out.entry(src).or_default();
+        match row.binary_search_by_key(&dst, |e| e.0) {
+            Ok(i) => row[i].1 = q,
+            Err(i) => {
+                row.insert(i, (dst, q));
+                let srcs = self.into.entry(dst).or_default();
+                srcs.insert(srcs.partition_point(|&s| s < src), src);
+            }
         }
         Ok(())
     }
 
     /// Removes the edge `(src → dst)`; returns its previous weight, if any.
     pub fn remove_edge(&mut self, src: ThreadId, dst: ThreadId) -> Option<f64> {
-        let w = self.out.get_mut(&src).and_then(|m| m.remove(&dst));
-        if w.is_some() {
-            if let Some(m) = self.into.get_mut(&dst) {
-                m.remove(&src);
-            }
-            self.edges -= 1;
-            self.dirty = true;
-        }
-        w
+        let (_, q) = unlink(&mut self.out, src, dst, |e| e.0)?;
+        unlink(&mut self.into, dst, src, |&s| s);
+        Some(q)
     }
 
     /// Coefficient of the edge `(src → dst)`, or 0 when absent.
@@ -140,96 +122,69 @@ impl SharingGraph {
     /// The graph is conceptually complete with unspecified edges carrying
     /// 0 coefficients (paper §2.3), so this lookup never fails.
     pub fn weight(&self, src: ThreadId, dst: ThreadId) -> f64 {
-        self.out.get(&src).and_then(|m| m.get(&dst)).copied().unwrap_or(0.0)
+        let row = self.row(src);
+        row.binary_search_by_key(&dst, |e| e.0).map_or(0.0, |i| row[i].1)
+    }
+
+    fn row(&self, src: ThreadId) -> &[(ThreadId, f64)] {
+        self.out.get(&src).map_or(&[], Vec::as_slice)
     }
 
     /// Threads whose cached state depends on `src` — the destinations of
     /// edges starting at `src` — with their coefficients, in thread-id
-    /// order.
-    ///
-    /// When the graph [`is_compact`](Self::is_compact) this walks one
-    /// contiguous CSR row (the hot `O(out-degree)` path); otherwise it
-    /// falls back to the ordered map, yielding the identical sequence.
+    /// order: one contiguous row, the hot `O(out-degree)` path.
     pub fn dependents_of(&self, src: ThreadId) -> impl Iterator<Item = (ThreadId, f64)> + '_ {
-        let (row, sparse): (&[(ThreadId, f64)], _) =
-            if self.dirty { (&[], self.out.get(&src)) } else { (self.csr.row(src), None) };
-        row.iter().copied().chain(sparse.into_iter().flatten().map(|(&t, &q)| (t, q)))
+        self.row(src).iter().copied()
     }
 
-    /// Rebuilds the CSR read cache if mutations invalidated it. Called
-    /// by the runtime before entering the per-switch priority updates;
-    /// a no-op when already compact.
-    pub fn compact(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        self.csr.srcs.clear();
-        self.csr.offsets.clear();
-        self.csr.edges.clear();
-        self.csr.offsets.push(0);
-        for (&src, dsts) in &self.out {
-            if dsts.is_empty() {
-                continue;
-            }
-            self.csr.srcs.push(src);
-            self.csr.edges.extend(dsts.iter().map(|(&t, &q)| (t, q)));
-            let end = u32::try_from(self.csr.edges.len()).expect("more than u32::MAX edges");
-            self.csr.offsets.push(end);
-        }
-        self.dirty = false;
-    }
+    /// Does nothing: there is no read snapshot to rebuild. Called only by
+    /// the frozen `benchmark/src/{layers,probes}.rs`; goes with
+    /// `PerSetEstimator` in the next `[benchmark]` PR. No crate, test or
+    /// example may call it (`ci.sh` checks).
+    pub fn compact(&mut self) {}
 
-    /// Whether the CSR read cache is in sync with the maps.
+    /// Always true; kept, like [`compact`](Self::compact), for the frozen
+    /// benchmark alone.
     pub fn is_compact(&self) -> bool {
-        !self.dirty
+        true
     }
 
-    /// Threads `src` depends on — the sources of edges ending at `src`.
+    /// Threads `dst` depends on — the sources of edges ending at `dst` —
+    /// with their coefficients, in thread-id order.
     pub fn dependencies_of(&self, dst: ThreadId) -> impl Iterator<Item = (ThreadId, f64)> + '_ {
-        self.into.get(&dst).into_iter().flatten().map(|(&t, &q)| (t, q))
+        self.into.get(&dst).into_iter().flatten().map(move |&src| (src, self.weight(src, dst)))
     }
 
     /// Number of dependents of `src` (out-degree `d`; the per-switch
     /// priority-update cost is `O(d)`).
     pub fn out_degree(&self, src: ThreadId) -> usize {
-        self.out.get(&src).map_or(0, BTreeMap::len)
+        self.row(src).len()
     }
 
     /// Total number of edges with non-zero coefficients.
     pub fn edge_count(&self) -> usize {
-        self.edges
+        self.out.values().map(Vec::len).sum()
     }
 
     /// True if the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.edges == 0
+        self.out.is_empty()
     }
 
-    /// Removes every edge incident to `t` (called when the thread exits).
+    /// Removes every edge incident to `t` (called when the thread exits):
+    /// its own two rows, and its entry in each row they name.
     pub fn remove_thread(&mut self, t: ThreadId) {
-        if let Some(dsts) = self.out.remove(&t) {
-            self.edges -= dsts.len();
-            self.dirty |= !dsts.is_empty();
-            for dst in dsts.keys() {
-                if let Some(m) = self.into.get_mut(dst) {
-                    m.remove(&t);
-                }
-            }
+        for (dst, _) in self.out.remove(&t).unwrap_or_default() {
+            unlink(&mut self.into, dst, t, |&s| s);
         }
-        if let Some(srcs) = self.into.remove(&t) {
-            self.edges -= srcs.len();
-            self.dirty |= !srcs.is_empty();
-            for src in srcs.keys() {
-                if let Some(m) = self.out.get_mut(src) {
-                    m.remove(&t);
-                }
-            }
+        for src in self.into.remove(&t).unwrap_or_default() {
+            unlink(&mut self.out, src, t, |e| e.0);
         }
     }
 
     /// All edges `(src, dst, q)` in deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = (ThreadId, ThreadId, f64)> + '_ {
-        self.out.iter().flat_map(|(&src, dsts)| dsts.iter().map(move |(&dst, &q)| (src, dst, q)))
+        self.out.iter().flat_map(|(&src, row)| row.iter().map(move |&(dst, q)| (src, dst, q)))
     }
 }
 
@@ -354,60 +309,6 @@ mod tests {
         g.set(t(1), t(3), 0.3).unwrap();
         let all: Vec<_> = g.edges().collect();
         assert_eq!(all, vec![(t(1), t(2), 0.1), (t(1), t(3), 0.3), (t(2), t(1), 0.2)]);
-    }
-
-    #[test]
-    fn compact_and_sparse_reads_agree() {
-        let mut g = SharingGraph::new();
-        g.set(t(5), t(9), 0.1).unwrap();
-        g.set(t(5), t(2), 0.2).unwrap();
-        g.set(t(6), t(2), 0.4).unwrap();
-        assert!(!g.is_compact(), "mutations invalidate the CSR cache");
-        let sparse: Vec<_> = g.dependents_of(t(5)).collect();
-        g.compact();
-        assert!(g.is_compact());
-        let compact: Vec<_> = g.dependents_of(t(5)).collect();
-        assert_eq!(sparse, compact);
-        assert_eq!(compact, vec![(t(2), 0.2), (t(9), 0.1)]);
-        assert_eq!(g.dependents_of(t(42)).count(), 0);
-    }
-
-    #[test]
-    fn compaction_tracks_every_mutation() {
-        let mut g = SharingGraph::new();
-        g.compact();
-        assert!(g.is_compact(), "empty graph compacts trivially");
-        g.set(t(1), t(2), 0.5).unwrap();
-        assert!(!g.is_compact());
-        g.compact();
-        // Re-setting the same weight changes nothing: still compact.
-        g.set(t(1), t(2), 0.5).unwrap();
-        assert!(g.is_compact());
-        g.set(t(1), t(2), 0.9).unwrap();
-        assert!(!g.is_compact());
-        g.compact();
-        g.remove_edge(t(1), t(2));
-        assert!(!g.is_compact());
-        g.compact();
-        assert_eq!(g.dependents_of(t(1)).count(), 0);
-        g.set(t(1), t(2), 0.5).unwrap();
-        g.compact();
-        g.remove_thread(t(2));
-        assert!(!g.is_compact());
-        g.compact();
-        assert_eq!(g.dependents_of(t(1)).count(), 0);
-    }
-
-    #[test]
-    fn equality_ignores_compaction_state() {
-        let mut a = SharingGraph::new();
-        let mut b = SharingGraph::new();
-        a.set(t(1), t(2), 0.5).unwrap();
-        b.set(t(1), t(2), 0.5).unwrap();
-        a.compact();
-        assert_eq!(a, b);
-        let cloned = a.clone();
-        assert_eq!(cloned, a);
     }
 
     #[test]

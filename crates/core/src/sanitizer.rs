@@ -39,7 +39,9 @@ use crate::ThreadId;
 /// (2³¹: half the 32-bit register range, far above any real quantum).
 pub const WRAP_THRESHOLD: u64 = 1 << 31;
 
-/// Tuning knobs for [`CounterSanitizer`].
+/// Tuning knobs for [`CounterSanitizer`]. No caller sets one: they stay a
+/// struct rather than constants only because the frozen
+/// `benchmark/src/probes.rs` names the type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizerConfig {
     /// Smoothing factor of the per-thread miss/ref EWMAs (weight of the

@@ -15,7 +15,7 @@ use crate::error::ReproError;
 use crate::runner::in_parallel;
 use crate::table::Table;
 use active_threads::{Engine, EngineConfig, SchedPolicy};
-use locality_analyze::{analyze_log, AnalysisConfig, AnalysisReport, McWorkload, Severity};
+use locality_analyze::{analyze_log, AnalysisReport, McWorkload, Severity};
 use locality_sim::MachineConfig;
 
 /// Which fixture workloads to analyze.
@@ -79,7 +79,7 @@ fn analyze_one(fixture: &McWorkload) -> Result<WorkloadAnalysis, ReproError> {
     let Some(log) = engine.take_observation() else {
         return Err(ReproError::MissingResult(format!("observation log for workload {name}")));
     };
-    Ok(WorkloadAnalysis { name, report: analyze_log(&log, &AnalysisConfig::default()) })
+    Ok(WorkloadAnalysis { name, report: analyze_log(&log) })
 }
 
 /// Runs the selected workloads across `--jobs` workers and returns their

@@ -77,41 +77,6 @@ impl Placement {
     }
 }
 
-/// Serializable scheduling-policy selector for descriptors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyId {
-    /// First-come first-served.
-    Fcfs,
-    /// Largest Footprint First.
-    Lff,
-    /// Cache-reload ratio.
-    Crt,
-    /// LFF ignoring `at_share` annotations.
-    LffNoAnnotations,
-}
-
-impl PolicyId {
-    /// Lowercase label for run labels and stats.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyId::Fcfs => "fcfs",
-            PolicyId::Lff => "lff",
-            PolicyId::Crt => "crt",
-            PolicyId::LffNoAnnotations => "lff-noann",
-        }
-    }
-
-    /// The engine policy this selector denotes.
-    pub fn to_sched(self) -> SchedPolicy {
-        match self {
-            PolicyId::Fcfs => SchedPolicy::Fcfs,
-            PolicyId::Lff => SchedPolicy::Lff,
-            PolicyId::Crt => SchedPolicy::Crt,
-            PolicyId::LffNoAnnotations => SchedPolicy::LffNoAnnotations,
-        }
-    }
-}
-
 /// One independent, explicitly-seeded simulation run. The variant value
 /// fully determines the run's result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,7 +100,7 @@ pub enum RunKind {
         /// The application.
         app: PerfApp,
         /// The scheduling policy.
-        policy: PolicyId,
+        policy: SchedPolicy,
         /// Processor count (1 = Ultra-1, else Enterprise 5000).
         cpus: usize,
         /// Workload scale.
@@ -163,7 +128,7 @@ pub enum RunKind {
     /// A sharing-inference pipeline cell (ablation 5).
     Pipeline {
         /// The scheduling policy.
-        policy: PolicyId,
+        policy: SchedPolicy,
         /// Hand `at_share` annotations on?
         annotate: bool,
         /// CML-driven runtime inference on?
@@ -174,7 +139,7 @@ pub enum RunKind {
     /// A counter-fault robustness cell (ablation 6).
     Fault {
         /// The scheduling policy.
-        policy: PolicyId,
+        policy: SchedPolicy,
         /// The injected fault scenario.
         scenario: FaultScenario,
         /// Workload scale.
@@ -183,7 +148,7 @@ pub enum RunKind {
     /// A thread-lifecycle chaos cell (ablation 7, `--chaos`).
     Chaos {
         /// The scheduling policy.
-        policy: PolicyId,
+        policy: SchedPolicy,
         /// The injected lifecycle-fault scenario.
         scenario: ChaosScenario,
         /// Workload scale.
@@ -217,7 +182,7 @@ pub enum RunKind {
         /// The monitored application.
         app: App,
         /// The scheduling policy of the traced run.
-        policy: PolicyId,
+        policy: SchedPolicy,
         /// The workload's RNG seed.
         seed: u64,
     },
@@ -311,7 +276,7 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
             Ok(RunOutput::Trace(monitor::monitor_app_seeded(app, placement.to_sim(), seed)?))
         }
         RunKind::Policy { app, policy, cpus, scale } => {
-            Ok(RunOutput::Report(perf::run_cell(app, policy.to_sched(), cpus, scale)?))
+            Ok(RunOutput::Report(perf::run_cell(app, policy, cpus, scale)?))
         }
         RunKind::Threshold { threshold_lines, scale } => {
             Ok(RunOutput::Report(experiments::threshold_cell(threshold_lines, scale)?))
@@ -323,14 +288,14 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
             let (observed, predicted) = experiments::invalidation_cell(written_lines);
             Ok(RunOutput::Invalidation { observed, predicted })
         }
-        RunKind::Pipeline { policy, annotate, infer, scale } => Ok(RunOutput::Report(
-            experiments::pipeline_cell(policy.to_sched(), annotate, infer, scale)?,
-        )),
+        RunKind::Pipeline { policy, annotate, infer, scale } => {
+            Ok(RunOutput::Report(experiments::pipeline_cell(policy, annotate, infer, scale)?))
+        }
         RunKind::Fault { policy, scenario, scale } => {
-            Ok(RunOutput::FaultCell(experiments::fault_cell(policy.to_sched(), scenario, scale)?))
+            Ok(RunOutput::FaultCell(experiments::fault_cell(policy, scenario, scale)?))
         }
         RunKind::Chaos { policy, scenario, scale } => {
-            Ok(RunOutput::ChaosCell(experiments::chaos_cell(policy.to_sched(), scenario, scale)?))
+            Ok(RunOutput::ChaosCell(experiments::chaos_cell(policy, scenario, scale)?))
         }
         RunKind::UpdateCost { policy, case } => {
             let (flops, lookups) = experiments::update_cost_cell(policy, case);
@@ -1166,7 +1131,7 @@ mod tests {
                 RunOutput::UpdateCost { flops: 5, lookups: 1 },
             ),
             (
-                RunKind::TraceMetrics { app: App::Merge, policy: PolicyId::Lff, seed: 12 },
+                RunKind::TraceMetrics { app: App::Merge, policy: SchedPolicy::Lff, seed: 12 },
                 RunOutput::TraceSummary(Box::new({
                     let mut miss_hist = [0u64; locality_trace::HIST_BUCKETS];
                     miss_hist[3] = 17;
@@ -1199,7 +1164,7 @@ mod tests {
         let report = sample_report();
         let kind = RunKind::Policy {
             app: PerfApp::Tasks,
-            policy: PolicyId::Lff,
+            policy: SchedPolicy::Lff,
             cpus: 4,
             scale: Scale::Small,
         };
@@ -1213,7 +1178,7 @@ mod tests {
             recovered: true,
         };
         let kind = RunKind::Fault {
-            policy: PolicyId::Lff,
+            policy: SchedPolicy::Lff,
             scenario: FaultScenario::Window,
             scale: Scale::Small,
         };
@@ -1337,7 +1302,7 @@ mod tests {
             poisoned: 2,
         };
         let kind = RunKind::Chaos {
-            policy: PolicyId::Crt,
+            policy: SchedPolicy::Crt,
             scenario: ChaosScenario::AbortLocked,
             scale: Scale::Small,
         };
@@ -1430,7 +1395,7 @@ mod tests {
         // A full chaos cell takes hundreds of milliseconds — it cannot
         // beat a one-microsecond watchdog, so both attempts time out.
         let kind = RunKind::Chaos {
-            policy: PolicyId::Lff,
+            policy: SchedPolicy::Lff,
             scenario: ChaosScenario::Churn,
             scale: Scale::Small,
         };

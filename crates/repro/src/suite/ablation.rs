@@ -16,9 +16,10 @@ use crate::args::{Args, Scale};
 use crate::chaos::ChaosScenario;
 use crate::error::ReproError;
 use crate::faults::FaultScenario;
-use crate::runner::{Placement, PolicyId, RunKind, RunRequest};
+use crate::runner::{Placement, RunKind, RunRequest};
 use crate::suite::ResultSet;
 use crate::table::Table;
+use active_threads::SchedPolicy;
 use locality_workloads::App;
 
 const THRESHOLDS: [u64; 5] = [1, 8, 64, 256, 1024];
@@ -28,36 +29,32 @@ const PLACEMENTS: [Placement; 3] =
 const INVALIDATION_WRITES: [u64; 4] = [0, 1024, 2048, 4096];
 /// The inference-ablation configurations: `(label, policy, annotate,
 /// infer)`.
-const PIPELINE_CONFIGS: [(&str, PolicyId, bool, bool); 4] = [
-    ("fcfs", PolicyId::Fcfs, false, false),
-    ("lff + hand annotations", PolicyId::Lff, true, false),
-    ("lff + CML inference, no annotations", PolicyId::Lff, false, true),
-    ("lff, no annotations", PolicyId::Lff, false, false),
+const PIPELINE_CONFIGS: [(&str, SchedPolicy, bool, bool); 4] = [
+    ("fcfs", SchedPolicy::Fcfs, false, false),
+    ("lff + hand annotations", SchedPolicy::Lff, true, false),
+    ("lff + CML inference, no annotations", SchedPolicy::Lff, false, true),
+    ("lff, no annotations", SchedPolicy::Lff, false, false),
 ];
 
 fn annotation_kinds(scale: Scale) -> [RunKind; 3] {
-    [PolicyId::Fcfs, PolicyId::Lff, PolicyId::LffNoAnnotations].map(|policy| RunKind::Policy {
-        app: crate::perf::PerfApp::Photo,
-        policy,
-        cpus: 8,
-        scale,
-    })
+    [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::LffNoAnnotations]
+        .map(|policy| RunKind::Policy { app: crate::perf::PerfApp::Photo, policy, cpus: 8, scale })
 }
 
-fn pipeline_kind(policy: PolicyId, annotate: bool, infer: bool, scale: Scale) -> RunKind {
+fn pipeline_kind(policy: SchedPolicy, annotate: bool, infer: bool, scale: Scale) -> RunKind {
     RunKind::Pipeline { policy, annotate, infer, scale }
 }
 
-fn fault_kind(policy: PolicyId, scenario: FaultScenario, scale: Scale) -> RunKind {
+fn fault_kind(policy: SchedPolicy, scenario: FaultScenario, scale: Scale) -> RunKind {
     RunKind::Fault { policy, scenario, scale }
 }
 
-fn chaos_kind(policy: PolicyId, scenario: ChaosScenario, scale: Scale) -> RunKind {
+fn chaos_kind(policy: SchedPolicy, scenario: ChaosScenario, scale: Scale) -> RunKind {
     RunKind::Chaos { policy, scenario, scale }
 }
 
 /// The chaos table's policies: the three the paper compares.
-const CHAOS_POLICIES: [PolicyId; 3] = [PolicyId::Fcfs, PolicyId::Lff, PolicyId::Crt];
+const CHAOS_POLICIES: [SchedPolicy; 3] = [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt];
 
 /// Which tables an invocation regenerates.
 enum Selection {
@@ -107,17 +104,17 @@ pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
         let mut reqs = vec![
             RunRequest::new(
                 "faults:fcfs/clean",
-                fault_kind(PolicyId::Fcfs, FaultScenario::Clean, args.scale),
+                fault_kind(SchedPolicy::Fcfs, FaultScenario::Clean, args.scale),
             ),
             RunRequest::new(
                 "faults:lff/clean",
-                fault_kind(PolicyId::Lff, FaultScenario::Clean, args.scale),
+                fault_kind(SchedPolicy::Lff, FaultScenario::Clean, args.scale),
             ),
         ];
         reqs.extend(scenarios.into_iter().map(|scenario| {
             RunRequest::new(
                 format!("faults:lff/{}", scenario.name()),
-                fault_kind(PolicyId::Lff, scenario, args.scale),
+                fault_kind(SchedPolicy::Lff, scenario, args.scale),
             )
         }));
         return Ok(reqs);
@@ -326,10 +323,12 @@ fn emit_faults(
             "recovered",
         ],
     );
-    let fcfs = results.fault_cell(&fault_kind(PolicyId::Fcfs, FaultScenario::Clean, args.scale))?;
-    let clean = results.fault_cell(&fault_kind(PolicyId::Lff, FaultScenario::Clean, args.scale))?;
+    let fcfs =
+        results.fault_cell(&fault_kind(SchedPolicy::Fcfs, FaultScenario::Clean, args.scale))?;
+    let clean =
+        results.fault_cell(&fault_kind(SchedPolicy::Lff, FaultScenario::Clean, args.scale))?;
     for &scenario in scenarios {
-        let cell = results.fault_cell(&fault_kind(PolicyId::Lff, scenario, args.scale))?;
+        let cell = results.fault_cell(&fault_kind(SchedPolicy::Lff, scenario, args.scale))?;
         let r = &cell.report;
         t.row(&[
             scenario.name().to_string(),

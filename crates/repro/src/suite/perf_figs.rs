@@ -5,15 +5,16 @@
 use crate::args::{Args, Scale};
 use crate::error::ReproError;
 use crate::perf::{PerfApp, PolicyComparison};
-use crate::runner::{PolicyId, RunKind, RunRequest};
+use crate::runner::{RunKind, RunRequest};
 use crate::suite::ResultSet;
 use crate::table::Table;
+use active_threads::SchedPolicy;
 
-fn cell(app: PerfApp, policy: PolicyId, cpus: usize, scale: Scale) -> RunKind {
+fn cell(app: PerfApp, policy: SchedPolicy, cpus: usize, scale: Scale) -> RunKind {
     RunKind::Policy { app, policy, cpus, scale }
 }
 
-fn cell_request(app: PerfApp, policy: PolicyId, cpus: usize, scale: Scale) -> RunRequest {
+fn cell_request(app: PerfApp, policy: SchedPolicy, cpus: usize, scale: Scale) -> RunRequest {
     RunRequest::new(
         format!("{}cpu:{}/{}", cpus, app.name(), policy.name()),
         cell(app, policy, cpus, scale),
@@ -24,7 +25,7 @@ pub(super) fn figure_requests(cpus: usize, scale: Scale) -> Vec<RunRequest> {
     PerfApp::ALL
         .iter()
         .flat_map(|&app| {
-            [PolicyId::Fcfs, PolicyId::Lff, PolicyId::Crt]
+            [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt]
                 .map(|policy| cell_request(app, policy, cpus, scale))
         })
         .collect()
@@ -40,9 +41,9 @@ fn comparison(
     Ok(PolicyComparison {
         app,
         cpus,
-        fcfs: report(PolicyId::Fcfs)?,
-        lff: report(PolicyId::Lff)?,
-        crt: report(PolicyId::Crt)?,
+        fcfs: report(SchedPolicy::Fcfs)?,
+        lff: report(SchedPolicy::Lff)?,
+        crt: report(SchedPolicy::Crt)?,
     })
 }
 
@@ -99,8 +100,13 @@ pub(super) fn table5_requests(scale: Scale) -> Vec<RunRequest> {
     PerfApp::ALL
         .iter()
         .flat_map(|&app| {
-            [(PolicyId::Fcfs, 1), (PolicyId::Crt, 1), (PolicyId::Fcfs, 8), (PolicyId::Crt, 8)]
-                .map(|(policy, cpus)| cell_request(app, policy, cpus, scale))
+            [
+                (SchedPolicy::Fcfs, 1),
+                (SchedPolicy::Crt, 1),
+                (SchedPolicy::Fcfs, 8),
+                (SchedPolicy::Crt, 8),
+            ]
+            .map(|(policy, cpus)| cell_request(app, policy, cpus, scale))
         })
         .collect()
 }
@@ -117,10 +123,10 @@ pub(super) fn table5_emit(args: &Args, results: &ResultSet) -> Result<(), ReproE
         ],
     );
     for app in PerfApp::ALL {
-        let fcfs_uni = results.report(&cell(app, PolicyId::Fcfs, 1, args.scale))?;
-        let crt_uni = results.report(&cell(app, PolicyId::Crt, 1, args.scale))?;
-        let fcfs_smp = results.report(&cell(app, PolicyId::Fcfs, 8, args.scale))?;
-        let crt_smp = results.report(&cell(app, PolicyId::Crt, 8, args.scale))?;
+        let fcfs_uni = results.report(&cell(app, SchedPolicy::Fcfs, 1, args.scale))?;
+        let crt_uni = results.report(&cell(app, SchedPolicy::Crt, 1, args.scale))?;
+        let fcfs_smp = results.report(&cell(app, SchedPolicy::Fcfs, 8, args.scale))?;
+        let crt_smp = results.report(&cell(app, SchedPolicy::Crt, 8, args.scale))?;
         t.row(&[
             app.name().to_string(),
             format!("{:.0}%", crt_uni.misses_eliminated_vs(fcfs_uni) * 100.0),

@@ -24,8 +24,9 @@
 use crate::args::{keyword, keyword_or_all, Args, Scale};
 use crate::error::ReproError;
 use crate::monitor::{monitored_engine, sample_footprints};
-use crate::runner::{in_parallel, PolicyId, RunKind, RunOutput, RunRequest, Runner};
+use crate::runner::{in_parallel, RunKind, RunOutput, RunRequest, Runner};
 use crate::table::Table;
+use active_threads::SchedPolicy;
 use locality_sim::PagePlacement;
 use locality_trace::{Histogram, Record, TraceSummary, HIST_BUCKETS};
 use locality_workloads::App;
@@ -36,9 +37,9 @@ use locality_workloads::App;
 /// # Errors
 ///
 /// Returns [`ReproError::Usage`] for anything but `fcfs`/`lff`/`crt`.
-pub fn policy_from_args(args: &Args) -> Result<PolicyId, ReproError> {
-    let table = [PolicyId::Fcfs, PolicyId::Lff, PolicyId::Crt].map(|p| (p.name(), p));
-    args.policy.as_deref().map_or(Ok(PolicyId::Lff), |v| keyword("policy", v, &table))
+pub fn policy_from_args(args: &Args) -> Result<SchedPolicy, ReproError> {
+    let table = [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt].map(|p| (p.name(), p));
+    args.policy.as_deref().map_or(Ok(SchedPolicy::Lff), |v| keyword("policy", v, &table))
 }
 
 /// Parses the `--workload` keyword into the list of apps to trace. The
@@ -92,10 +93,9 @@ fn feature_gate() -> Result<(), ReproError> {
 /// feature — raised *before* any run, so a feature-less build cannot
 /// write empty summaries into a cache shared with instrumented builds —
 /// or the engine's error if the run cannot complete.
-pub fn traced_run(app: App, policy: PolicyId, seed: u64) -> Result<TracedRun, ReproError> {
+pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun, ReproError> {
     feature_gate()?;
-    let (mut engine, tid) =
-        monitored_engine(app, PagePlacement::bin_hopping(), policy.to_sched(), seed)?;
+    let (mut engine, tid) = monitored_engine(app, PagePlacement::bin_hopping(), policy, seed)?;
     // Observed vs predicted footprint of the monitored thread at each of
     // its context switches, exactly the fig5 measurement, as
     // `PredictionSample` events. Sampling is this driver's choice, not
@@ -120,7 +120,7 @@ pub fn traced_run(app: App, policy: PolicyId, seed: u64) -> Result<TracedRun, Re
     Ok(TracedRun { app, records: sink.records(), summary: sink.summary(Some(tid.0)) })
 }
 
-fn metrics_requests(apps: &[App], policy: PolicyId) -> Vec<RunRequest> {
+fn metrics_requests(apps: &[App], policy: SchedPolicy) -> Vec<RunRequest> {
     apps.iter()
         .map(|&app| {
             RunRequest::new(
@@ -141,7 +141,7 @@ fn summary_of(out: &RunOutput) -> Result<TraceSummary, ReproError> {
 /// The metrics table: one row per traced app.
 fn metrics_table(
     apps: &[App],
-    policy: PolicyId,
+    policy: SchedPolicy,
     summaries: &[TraceSummary],
 ) -> Result<Table, ReproError> {
     let mut t = Table::new(
@@ -202,7 +202,11 @@ fn hist_table(app: App, s: &TraceSummary) -> Result<Table, ReproError> {
 /// Records the traced runs for the export files, in app order,
 /// parallelized across `jobs` threads (each run's sink is thread-local,
 /// so runs never share trace state).
-fn export_runs(apps: &[App], policy: PolicyId, jobs: usize) -> Result<Vec<TracedRun>, ReproError> {
+fn export_runs(
+    apps: &[App],
+    policy: SchedPolicy,
+    jobs: usize,
+) -> Result<Vec<TracedRun>, ReproError> {
     in_parallel(jobs, apps, |&app| traced_run(app, policy, app.default_seed()))
         .into_iter()
         .collect()
@@ -274,9 +278,9 @@ mod tests {
     #[test]
     fn policy_keyword_parses_and_rejects() {
         let parse = |p| policy_from_args(&args_with(None, p, Scale::Small));
-        assert_eq!(parse(None).unwrap(), PolicyId::Lff);
-        assert_eq!(parse(Some("fcfs")).unwrap(), PolicyId::Fcfs);
-        assert_eq!(parse(Some("crt")).unwrap(), PolicyId::Crt);
+        assert_eq!(parse(None).unwrap(), SchedPolicy::Lff);
+        assert_eq!(parse(Some("fcfs")).unwrap(), SchedPolicy::Fcfs);
+        assert_eq!(parse(Some("crt")).unwrap(), SchedPolicy::Crt);
         assert!(matches!(parse(Some("lifo")), Err(ReproError::Usage(_))));
     }
 
@@ -297,7 +301,7 @@ mod tests {
         let (mut engine, _) = monitored_engine(
             App::Merge,
             PagePlacement::bin_hopping(),
-            PolicyId::Lff.to_sched(),
+            SchedPolicy::Lff,
             App::Merge.default_seed(),
         )
         .unwrap();
@@ -319,7 +323,7 @@ mod tests {
     #[cfg(not(feature = "trace"))]
     #[test]
     fn featureless_build_refuses_to_run() {
-        let err = traced_run(App::Merge, PolicyId::Lff, 1).unwrap_err();
+        let err = traced_run(App::Merge, SchedPolicy::Lff, 1).unwrap_err();
         assert!(matches!(err, ReproError::Usage(_)), "{err:?}");
         let err = run_trace(&args_with(None, None, Scale::Small)).unwrap_err();
         assert!(matches!(err, ReproError::Usage(_)), "{err:?}");
@@ -333,8 +337,8 @@ mod tests {
         #[test]
         fn seeded_runs_export_byte_identical_traces() {
             let seed = App::Merge.default_seed();
-            let a = traced_run(App::Merge, PolicyId::Lff, seed).unwrap();
-            let b = traced_run(App::Merge, PolicyId::Lff, seed).unwrap();
+            let a = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
+            let b = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
             assert!(a.summary.events > 0);
             assert_eq!(a.summary, b.summary);
             assert_eq!(to_jsonl(&a.records), to_jsonl(&b.records));
@@ -347,7 +351,7 @@ mod tests {
             // the MonitorTrace statistic the fig5 summary reports, for
             // the same (app, placement, seed) under LFF.
             let seed = App::Merge.default_seed();
-            let run = traced_run(App::Merge, PolicyId::Lff, seed).unwrap();
+            let run = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
             let monitor = crate::monitor::monitor_app_seeded(
                 App::Merge,
                 locality_sim::PagePlacement::bin_hopping(),
@@ -365,7 +369,7 @@ mod tests {
 
         #[test]
         fn traced_run_records_the_full_event_palette() {
-            let run = traced_run(App::Merge, PolicyId::Lff, App::Merge.default_seed()).unwrap();
+            let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
             let kinds: std::collections::BTreeSet<&str> =
                 run.records.iter().map(|r| r.event.kind()).collect();
             for kind in
@@ -400,7 +404,7 @@ mod tests {
 
         #[test]
         fn chrome_export_is_valid_enough_for_viewers() {
-            let run = traced_run(App::Merge, PolicyId::Lff, App::Merge.default_seed()).unwrap();
+            let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
             let text = to_chrome(&run.records);
             assert!(text.starts_with("{\"traceEvents\":["));
             assert!(text.trim_end().ends_with("]}"));

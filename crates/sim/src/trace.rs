@@ -8,9 +8,7 @@
 //! differently-configured machines (placement policies, cache
 //! geometries) without re-running the application logic.
 //!
-//! Traces are compact in-memory streams with an optional portable text
-//! form (one record per line: `r|w|f <cpu> <hex-vaddr>`), so they can be
-//! diffed, stored, and replayed across processes.
+//! Traces are compact in-memory streams.
 
 use crate::addr::VAddr;
 use crate::machine::{AccessKind, Machine};
@@ -69,51 +67,6 @@ impl Trace {
         }
         cycles
     }
-
-    /// Serializes to the portable text form.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(self.records.len() * 16);
-        for r in &self.records {
-            let k = match r.kind {
-                AccessKind::Read => 'r',
-                AccessKind::Write => 'w',
-                AccessKind::Fetch => 'f',
-            };
-            let _ = writeln!(out, "{k} {} {:x}", r.cpu, r.addr.0);
-        }
-        out
-    }
-
-    /// Parses the portable text form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut trace = Trace::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let err = || format!("malformed trace record on line {}: '{line}'", i + 1);
-            let kind = match parts.next().ok_or_else(err)? {
-                "r" => AccessKind::Read,
-                "w" => AccessKind::Write,
-                "f" => AccessKind::Fetch,
-                _ => return Err(err()),
-            };
-            let cpu: u8 = parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-            let addr = u64::from_str_radix(parts.next().ok_or_else(err)?, 16).map_err(|_| err())?;
-            if parts.next().is_some() {
-                return Err(err());
-            }
-            trace.records.push(TraceRecord { cpu, kind, addr: VAddr(addr) });
-        }
-        Ok(trace)
-    }
 }
 
 impl FromIterator<TraceRecord> for Trace {
@@ -155,32 +108,6 @@ mod tests {
         assert_eq!(a.cpu_stats(0), b.cpu_stats(0));
         assert_eq!(a.cpu_stats(1), b.cpu_stats(1));
         assert!(a.cpu_stats(0).l2_misses >= 100);
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let t = sample_trace();
-        let text = t.to_text();
-        let parsed = Trace::from_text(&text).unwrap();
-        assert_eq!(t, parsed);
-    }
-
-    #[test]
-    fn text_tolerates_comments_and_blanks() {
-        let t = Trace::from_text("# header\n\nr 0 40\nw 1 80\n").unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.iter().next().unwrap().addr, VAddr(0x40));
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        assert!(Trace::from_text("x 0 40").is_err());
-        assert!(Trace::from_text("r zero 40").is_err());
-        assert!(Trace::from_text("r 0 zz").is_err());
-        assert!(Trace::from_text("r 0").is_err());
-        assert!(Trace::from_text("r 0 40 extra").is_err());
-        let err = Trace::from_text("r 0 40\nbogus").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
     }
 
     #[test]

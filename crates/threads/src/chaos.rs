@@ -37,10 +37,11 @@ pub struct ChaosConfig {
     pub abort_idle_per_64k: u32,
     /// Hard cap on injected faults of all kinds.
     pub max_faults: u32,
-    /// Never abort when it would drop the live population to or below
-    /// this floor (spawn failures are exempt: they never reduce `live`).
-    pub min_live: u64,
 }
+
+/// Never abort when it would drop the live population to or below this
+/// floor (spawn failures are exempt: they never reduce `live`).
+pub(crate) const MIN_LIVE: u64 = 1;
 
 impl Default for ChaosConfig {
     fn default() -> Self {
@@ -51,7 +52,6 @@ impl Default for ChaosConfig {
             spawn_fail_per_64k: 0,
             abort_idle_per_64k: 0,
             max_faults: u32::MAX,
-            min_live: 1,
         }
     }
 }
@@ -161,7 +161,6 @@ mod tests {
     fn default_is_inert() {
         let cfg = ChaosConfig::default();
         assert!(!cfg.is_active());
-        assert_eq!(cfg.min_live, 1);
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! priority updates), fire scheduling-event hooks, and dispatch the next
 //! thread.
 
-use crate::chaos::{ChaosConfig, ChaosState};
+use crate::chaos::{ChaosConfig, ChaosState, MIN_LIVE};
 use crate::error::RuntimeError;
 use crate::events::{EngineHook, EngineView, SwitchEvent, SwitchReason};
-use crate::inference::{InferenceConfig, SharingInference};
+use crate::inference::{InferenceConfig, SharingInference, CML_ENTRIES};
 use crate::observe::{ObsEvent, ObsLog};
-use crate::points::{BlockedOn, SchedulePoint, VisibleOp};
+use crate::points::{BlockedOn, SchedulePoint};
 use crate::program::{BatchCtx, Control, PendingSpawn, Program};
 use crate::report::RunReport;
 use crate::sched::{self, SchedPolicy, Scheduler};
@@ -35,17 +35,20 @@ use locality_trace::{emit_with, set_clock, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// Engine tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Base context-switch cost in cycles (paper: "a basic context switch
+/// cost on the order of 100 instructions").
+const SWITCH_COST_CYCLES: u64 = 100;
+/// Cost of reading and resetting the PICs at a switch ("only several
+/// instructions").
+const PIC_READ_CYCLES: u64 = 8;
+/// Cost of an uncontended synchronization operation.
+const SYNC_OP_CYCLES: u64 = 12;
+/// Safety valve: maximum engine steps before aborting the run.
+const MAX_STEPS: u64 = 2_000_000_000;
+
+/// Engine tunables; the default is every option off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Base context-switch cost in cycles (paper: "a basic context switch
-    /// cost on the order of 100 instructions").
-    pub switch_cost_cycles: u64,
-    /// Cost of reading and resetting the PICs at a switch ("only several
-    /// instructions").
-    pub pic_read_cycles: u64,
-    /// Cost of an uncontended synchronization operation.
-    pub sync_op_cycles: u64,
     /// Optional preemption time slice in cycles (None = run to block,
     /// the common fine-grained-threads configuration).
     pub time_slice: Option<u64>,
@@ -57,8 +60,6 @@ pub struct EngineConfig {
     /// seeded, deterministic thread aborts, spawn failures, and idle
     /// kills at well-defined points of the engine loop.
     pub chaos: Option<ChaosConfig>,
-    /// Safety valve: maximum engine steps before aborting the run.
-    pub max_steps: u64,
     /// Controlled scheduling for model checking: force a scheduling
     /// decision at every visible operation (the running thread is
     /// preempted after every batch) and record each batch as a
@@ -91,24 +92,6 @@ impl EngineConfig {
             machine = machine.with_tlb(tlb);
         }
         machine
-    }
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            switch_cost_cycles: 100,
-            pic_read_cycles: 8,
-            sync_op_cycles: 12,
-            time_slice: None,
-            infer_sharing: None,
-            chaos: None,
-            max_steps: 2_000_000_000,
-            schedule_points: false,
-            l2_geometry: None,
-            page_bytes: None,
-            tlb: None,
-        }
     }
 }
 
@@ -206,7 +189,7 @@ impl Engine {
             .map_err(|e| RuntimeError::InvalidMachine { what: e.to_string() })?;
         let cpus = machine.cpu_count();
         let inference = config.infer_sharing.map(|cfg| {
-            machine.enable_cml(cfg.cml_entries);
+            machine.enable_cml(CML_ENTRIES);
             SharingInference::new(cfg)
         });
         Ok(Engine {
@@ -395,8 +378,8 @@ impl Engine {
     pub fn run(&mut self) -> Result<RunReport, RuntimeError> {
         while self.live > 0 {
             self.steps += 1;
-            if self.steps > self.config.max_steps {
-                return Err(RuntimeError::StepBudgetExceeded { budget: self.config.max_steps });
+            if self.steps > MAX_STEPS {
+                return Err(RuntimeError::StepBudgetExceeded { budget: MAX_STEPS });
             }
             self.process_wakeups()?;
             let cpu = self.min_clock_cpu();
@@ -575,7 +558,7 @@ impl Engine {
         if self.config.schedule_points {
             let point = SchedulePoint {
                 tid,
-                op: VisibleOp::of(control),
+                op: control,
                 accesses: accesses.unwrap_or_default(),
                 spawned: spawns.iter().map(|s| s.tid).collect(),
                 obs_range: (obs_start, obs_start),
@@ -778,7 +761,7 @@ impl Engine {
     }
 
     fn continue_running(&mut self, cpu: usize) {
-        self.clocks[cpu] += self.config.sync_op_cycles;
+        self.clocks[cpu] += SYNC_OP_CYCLES;
     }
 
     fn block(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
@@ -824,7 +807,7 @@ impl Engine {
                 let _ = self.graph.set(edge.src, edge.dst, edge.q);
             }
         }
-        self.clocks[cpu] += self.config.switch_cost_cycles + self.config.pic_read_cycles;
+        self.clocks[cpu] += SWITCH_COST_CYCLES + PIC_READ_CYCLES;
         self.switches += 1;
         {
             let tcb = self.tcb_at(tid, slot)?;
@@ -836,9 +819,6 @@ impl Engine {
             }
         }
         // Model updates: case 1 for the blocker, case 3 for dependents.
-        // Compact the annotation graph first so the scheduler's dependent
-        // walks hit the CSR fast path instead of the edit overlay.
-        self.graph.compact();
         self.sched.on_interval_end(cpu, tid, delta, &self.graph);
         // Trace the finished interval *after* the model updates — the
         // same post-update state the hooks (and the Figure 5/7 monitors)
@@ -935,7 +915,7 @@ impl Engine {
         let Some(cfg) = self.config.chaos else { return Ok(false) };
         let Some(st) = self.chaos.as_mut() else { return Ok(false) };
         if st.faults() >= cfg.max_faults
-            || self.live <= cfg.min_live
+            || self.live <= MIN_LIVE
             || !st.roll(cfg.abort_running_per_64k)
         {
             return Ok(false);
@@ -960,7 +940,7 @@ impl Engine {
         let Some(cfg) = self.config.chaos else { return Ok(()) };
         let Some(st) = self.chaos.as_mut() else { return Ok(()) };
         if st.faults() >= cfg.max_faults
-            || self.live <= cfg.min_live
+            || self.live <= MIN_LIVE
             || !st.roll(cfg.abort_idle_per_64k)
         {
             return Ok(());

@@ -29,11 +29,12 @@ use locality_core::ThreadId;
 use locality_sim::cml::CmlEntry;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// CML slots per processor.
+pub(crate) const CML_ENTRIES: usize = 128;
+
 /// Tunables of the runtime sharing inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceConfig {
-    /// CML slots per processor.
-    pub cml_entries: usize,
     /// Cap on tracked pages per thread (bounds memory and update cost).
     pub max_pages_per_thread: usize,
     /// Minimum shared pages before an edge is emitted (noise floor).
@@ -42,7 +43,7 @@ pub struct InferenceConfig {
 
 impl Default for InferenceConfig {
     fn default() -> Self {
-        InferenceConfig { cml_entries: 128, max_pages_per_thread: 512, min_shared_pages: 1 }
+        InferenceConfig { max_pages_per_thread: 512, min_shared_pages: 1 }
     }
 }
 

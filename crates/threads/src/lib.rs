@@ -82,7 +82,7 @@ pub use error::RuntimeError;
 pub use events::{EngineHook, SwitchEvent, SwitchReason};
 pub use inference::{InferenceConfig, SharingInference};
 pub use observe::{ObsEvent, ObsLog};
-pub use points::{AccessSpan, BlockedOn, SchedulePoint, VisibleOp};
+pub use points::{AccessSpan, BlockedOn, SchedulePoint};
 pub use program::{BatchCtx, Control, Program};
 pub use report::RunReport;
 pub use sched::{SchedPolicy, Scheduler};

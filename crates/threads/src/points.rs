@@ -42,97 +42,17 @@ impl AccessSpan {
     }
 }
 
-/// The visible operation a batch ended with — the scheduling-point
-/// taxonomy (DESIGN.md §12). One-to-one with [`Control`], so every way
-/// a batch can end is a decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VisibleOp {
-    /// Voluntary yield.
-    Yield,
-    /// Timed sleep.
-    Sleep(u64),
-    /// Mutex acquire (may block).
-    Lock(MutexId),
-    /// Mutex release.
-    Unlock(MutexId),
-    /// Semaphore P() (may block).
-    SemWait(SemId),
-    /// Semaphore V().
-    SemPost(SemId),
-    /// Barrier arrival (blocks unless last).
-    BarrierWait(BarrierId),
-    /// Atomic unlock + condition wait (blocks).
-    CondWait(CondId, MutexId),
-    /// Wake one condition waiter.
-    CondSignal(CondId),
-    /// Wake all condition waiters.
-    CondBroadcast(CondId),
-    /// Wait for a thread's exit (may block).
-    Join(ThreadId),
-    /// Thread termination.
-    Exit,
-}
-
-impl VisibleOp {
-    /// The visible operation of a batch-ending control.
-    pub fn of(control: Control) -> VisibleOp {
-        match control {
-            Control::Yield => VisibleOp::Yield,
-            Control::Sleep(d) => VisibleOp::Sleep(d),
-            Control::Lock(m) => VisibleOp::Lock(m),
-            Control::Unlock(m) => VisibleOp::Unlock(m),
-            Control::SemWait(s) => VisibleOp::SemWait(s),
-            Control::SemPost(s) => VisibleOp::SemPost(s),
-            Control::BarrierWait(b) => VisibleOp::BarrierWait(b),
-            Control::CondWait(c, m) => VisibleOp::CondWait(c, m),
-            Control::CondSignal(c) => VisibleOp::CondSignal(c),
-            Control::CondBroadcast(c) => VisibleOp::CondBroadcast(c),
-            Control::Join(t) => VisibleOp::Join(t),
-            Control::Exit => VisibleOp::Exit,
-        }
-    }
-
-    /// The sync object this operation touches, as a comparable key, if
-    /// any. Two operations on the same object are dependent.
-    pub fn sync_object(&self) -> Option<(u8, usize)> {
-        match *self {
-            VisibleOp::Lock(m) | VisibleOp::Unlock(m) => Some((0, m.0)),
-            VisibleOp::SemWait(s) | VisibleOp::SemPost(s) => Some((1, s.0)),
-            VisibleOp::BarrierWait(b) => Some((2, b.0)),
-            VisibleOp::CondSignal(c) | VisibleOp::CondBroadcast(c) => Some((3, c.0)),
-            // CondWait touches both the condvar and the mutex; the
-            // condvar key is returned here and the mutex is reported via
-            // `cond_wait_mutex`.
-            VisibleOp::CondWait(c, _) => Some((3, c.0)),
-            _ => None,
-        }
-    }
-
-    /// The mutex a `CondWait` atomically releases, if this is one.
-    pub fn cond_wait_mutex(&self) -> Option<MutexId> {
-        match *self {
-            VisibleOp::CondWait(_, m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for VisibleOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            VisibleOp::Yield => write!(f, "yield"),
-            VisibleOp::Sleep(d) => write!(f, "sleep({d})"),
-            VisibleOp::Lock(m) => write!(f, "lock(m{})", m.0),
-            VisibleOp::Unlock(m) => write!(f, "unlock(m{})", m.0),
-            VisibleOp::SemWait(s) => write!(f, "sem-wait(s{})", s.0),
-            VisibleOp::SemPost(s) => write!(f, "sem-post(s{})", s.0),
-            VisibleOp::BarrierWait(b) => write!(f, "barrier(b{})", b.0),
-            VisibleOp::CondWait(c, m) => write!(f, "cond-wait(c{}, m{})", c.0, m.0),
-            VisibleOp::CondSignal(c) => write!(f, "cond-signal(c{})", c.0),
-            VisibleOp::CondBroadcast(c) => write!(f, "cond-broadcast(c{})", c.0),
-            VisibleOp::Join(t) => write!(f, "join({t})"),
-            VisibleOp::Exit => write!(f, "exit"),
-        }
+/// The sync objects a batch-ending control touches, as comparable keys;
+/// two operations that share one are dependent. A `CondWait` touches its
+/// condvar and the mutex it atomically releases.
+fn sync_objects(op: Control) -> [Option<(u8, usize)>; 2] {
+    match op {
+        Control::Lock(m) | Control::Unlock(m) => [Some((0, m.0)), None],
+        Control::SemWait(s) | Control::SemPost(s) => [Some((1, s.0)), None],
+        Control::BarrierWait(b) => [Some((2, b.0)), None],
+        Control::CondSignal(c) | Control::CondBroadcast(c) => [Some((3, c.0)), None],
+        Control::CondWait(c, m) => [Some((3, c.0)), Some((0, m.0))],
+        _ => [None, None],
     }
 }
 
@@ -142,8 +62,9 @@ impl std::fmt::Display for VisibleOp {
 pub struct SchedulePoint {
     /// The thread that executed the batch.
     pub tid: ThreadId,
-    /// The visible operation the batch ended with.
-    pub op: VisibleOp,
+    /// The visible operation the batch ended with: every way a batch can
+    /// end is a decision point (DESIGN.md §12).
+    pub op: Control,
     /// Exact memory spans touched by the batch (in access order).
     pub accesses: Vec<AccessSpan>,
     /// Children spawned during the batch (ready once it ends).
@@ -163,28 +84,12 @@ impl SchedulePoint {
         if self.tid == other.tid {
             return true;
         }
-        let same_sync = match (self.op.sync_object(), other.op.sync_object()) {
-            (Some(a), Some(b)) if a == b => true,
-            _ => {
-                // CondWait also touches its mutex.
-                let am = self.op.cond_wait_mutex();
-                let bm = other.op.cond_wait_mutex();
-                let a_mutex = match self.op {
-                    VisibleOp::Lock(m) | VisibleOp::Unlock(m) => Some(m),
-                    _ => am,
-                };
-                let b_mutex = match other.op {
-                    VisibleOp::Lock(m) | VisibleOp::Unlock(m) => Some(m),
-                    _ => bm,
-                };
-                matches!((a_mutex, b_mutex), (Some(x), Some(y)) if x == y)
-            }
-        };
-        if same_sync {
+        let theirs = sync_objects(other.op);
+        if sync_objects(self.op).iter().flatten().any(|a| theirs.iter().flatten().any(|b| a == b)) {
             return true;
         }
-        if matches!(self.op, VisibleOp::Join(t) if t == other.tid)
-            || matches!(other.op, VisibleOp::Join(t) if t == self.tid)
+        if matches!(self.op, Control::Join(t) if t == other.tid)
+            || matches!(other.op, Control::Join(t) if t == self.tid)
         {
             return true;
         }
@@ -238,47 +143,36 @@ mod tests {
         assert!(!span(0, 64, true).conflicts(&span(64, 64, true)));
     }
 
-    #[test]
-    fn visible_op_covers_every_control() {
-        assert_eq!(VisibleOp::of(Control::Yield), VisibleOp::Yield);
-        assert_eq!(VisibleOp::of(Control::Lock(MutexId(3))), VisibleOp::Lock(MutexId(3)));
-        assert_eq!(VisibleOp::of(Control::Exit), VisibleOp::Exit);
-        assert_eq!(
-            VisibleOp::of(Control::CondWait(CondId(1), MutexId(2))),
-            VisibleOp::CondWait(CondId(1), MutexId(2))
-        );
-    }
-
-    fn point(tid: u64, op: VisibleOp, accesses: Vec<AccessSpan>) -> SchedulePoint {
+    fn point(tid: u64, op: Control, accesses: Vec<AccessSpan>) -> SchedulePoint {
         SchedulePoint { tid: ThreadId(tid), op, accesses, spawned: Vec::new(), obs_range: (0, 0) }
     }
 
     #[test]
     fn dependence_same_mutex() {
-        let a = point(1, VisibleOp::Lock(MutexId(0)), vec![]);
-        let b = point(2, VisibleOp::Unlock(MutexId(0)), vec![]);
-        let c = point(2, VisibleOp::Lock(MutexId(1)), vec![]);
+        let a = point(1, Control::Lock(MutexId(0)), vec![]);
+        let b = point(2, Control::Unlock(MutexId(0)), vec![]);
+        let c = point(2, Control::Lock(MutexId(1)), vec![]);
         assert!(a.dependent(&b));
         assert!(!a.dependent(&c));
     }
 
     #[test]
     fn dependence_cond_wait_touches_its_mutex() {
-        let w = point(1, VisibleOp::CondWait(CondId(0), MutexId(5)), vec![]);
-        let l = point(2, VisibleOp::Lock(MutexId(5)), vec![]);
-        let s = point(2, VisibleOp::CondSignal(CondId(0)), vec![]);
+        let w = point(1, Control::CondWait(CondId(0), MutexId(5)), vec![]);
+        let l = point(2, Control::Lock(MutexId(5)), vec![]);
+        let s = point(2, Control::CondSignal(CondId(0)), vec![]);
         assert!(w.dependent(&l));
         assert!(w.dependent(&s));
     }
 
     #[test]
     fn dependence_join_exit_pair_and_memory_conflicts() {
-        let j = point(1, VisibleOp::Join(ThreadId(2)), vec![]);
-        let e = point(2, VisibleOp::Exit, vec![]);
+        let j = point(1, Control::Join(ThreadId(2)), vec![]);
+        let e = point(2, Control::Exit, vec![]);
         assert!(j.dependent(&e));
-        let r = point(1, VisibleOp::Yield, vec![span(0, 64, false)]);
-        let w = point(2, VisibleOp::Yield, vec![span(0, 8, true)]);
-        let r2 = point(2, VisibleOp::Yield, vec![span(0, 64, false)]);
+        let r = point(1, Control::Yield, vec![span(0, 64, false)]);
+        let w = point(2, Control::Yield, vec![span(0, 8, true)]);
+        let r2 = point(2, Control::Yield, vec![span(0, 64, false)]);
         assert!(r.dependent(&w));
         assert!(!r.dependent(&r2));
     }

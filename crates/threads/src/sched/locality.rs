@@ -43,7 +43,7 @@
 //! sanitized interval carries a per-thread confidence score (see
 //! [`locality_core::sanitizer`]); the scheduler folds those samples into
 //! a machine-wide EWMA. When that estimate stays below
-//! [`LocalityConfig::degrade_low`] for
+//! `DEGRADE_LOW` (0.5) for
 //! [`LocalityConfig::hysteresis_intervals`] consecutive intervals, the
 //! scheduler enters [`SchedMode::Degraded`]: priorities computed from
 //! counter data are no longer trusted for dispatch. In that mode picks
@@ -53,7 +53,7 @@
 //! making the policy FCFS-equivalent when annotations are off. The
 //! estimator keeps consuming sanitized (bounded) intervals throughout,
 //! so footprint state stays warm; once confidence holds above
-//! [`LocalityConfig::recover_high`] for the same streak length the
+//! `RECOVER_HIGH` (0.8) for the same streak length the
 //! scheduler returns to [`SchedMode::Normal`] automatically. The
 //! two-threshold band plus streak requirement gives hysteresis against
 //! flapping on noisy confidence samples.
@@ -70,6 +70,12 @@ use std::collections::VecDeque;
 
 /// Smoothing factor of the machine-wide confidence EWMA.
 const CONF_ALPHA: f64 = 0.25;
+/// Enter [`SchedMode::Degraded`] when the confidence EWMA stays below
+/// this value.
+const DEGRADE_LOW: f64 = 0.5;
+/// Return to [`SchedMode::Normal`] when the confidence EWMA stays above
+/// this value (kept above `DEGRADE_LOW` for hysteresis).
+const RECOVER_HIGH: f64 = 0.8;
 
 /// A lazily-deleted FIFO is swept when it grows past
 /// `2 * ready_members + COMPACT_SLACK` entries.
@@ -98,12 +104,6 @@ pub struct LocalityConfig {
     /// Sweep the processor's heap for under-threshold entries every this
     /// many context switches.
     pub sweep_interval: u64,
-    /// Enter [`SchedMode::Degraded`] when the confidence EWMA stays below
-    /// this value.
-    pub degrade_low: f64,
-    /// Return to [`SchedMode::Normal`] when the confidence EWMA stays
-    /// above this value (kept above `degrade_low` for hysteresis).
-    pub recover_high: f64,
     /// Consecutive intervals the EWMA must sit beyond a threshold before
     /// the mode flips (streak hysteresis against flapping).
     pub hysteresis_intervals: u64,
@@ -119,8 +119,6 @@ impl LocalityConfig {
             use_annotations: true,
             threshold_lines: 8.0,
             sweep_interval: 64,
-            degrade_low: 0.5,
-            recover_high: 0.8,
             hysteresis_intervals: 4,
         }
     }
@@ -419,7 +417,7 @@ impl LocalityScheduler {
         match self.mode {
             SchedMode::Normal => {
                 self.high_streak = 0;
-                if self.conf < self.config.degrade_low {
+                if self.conf < DEGRADE_LOW {
                     self.low_streak += 1;
                     if self.low_streak >= self.config.hysteresis_intervals {
                         self.mode = SchedMode::Degraded;
@@ -436,7 +434,7 @@ impl LocalityScheduler {
             }
             SchedMode::Degraded => {
                 self.low_streak = 0;
-                if self.conf > self.config.recover_high {
+                if self.conf > RECOVER_HIGH {
                     self.high_streak += 1;
                     if self.high_streak >= self.config.hysteresis_intervals {
                         self.mode = SchedMode::Normal;
