@@ -4,6 +4,9 @@ set -eux
 
 cargo build --release
 cargo test -q --workspace
+# locality-repro's unit tests once more in release: a watchdog test that
+# raced a real cell passed in debug and failed there alone.
+cargo test -q --release --offline -p locality-repro --lib
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

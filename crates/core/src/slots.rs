@@ -1,22 +1,28 @@
 //! Dense, generational thread-slot handles.
 //!
-//! Thread ids ([`ThreadId`]) are sparse, monotonically allocated, and
-//! never reused within a run — perfect keys for exports and reports,
-//! but poor indices for the per-access and per-switch hot paths: a
-//! `HashMap<ThreadId, _>` per table costs a hash and a probe per table
-//! where the paper budgets "only several instructions". The
-//! [`ThreadSlots`] registry maps each live thread to a small dense
-//! **slot index**, so hot per-thread state lives in plain `Vec`s indexed
-//! by slot and a component pays one resolution, not one per table.
+//! Thread ids ([`ThreadId`]) are monotonically allocated and never
+//! reused within a run, so the live ones grow sparse — perfect keys for
+//! exports and reports, but poor indices for per-thread state on the
+//! per-access and per-switch hot paths: a `HashMap<ThreadId, _>` per
+//! table costs a hash and a probe per table where the paper budgets
+//! "only several instructions". The [`ThreadSlots`] registry maps each
+//! live thread to a small dense **slot index**, so hot per-thread state
+//! lives in plain `Vec`s indexed by slot and a component pays one
+//! resolution, not one per table.
 //!
-//! That resolution is a `ThreadId -> SlotId` hash map under an in-tree
-//! integer hasher (one multiply and an xor, then one group probe: about
-//! 4 ns where std's SipHash took ~20). Each component that keeps
-//! slot-indexed state owns a registry, and the interfaces between them
-//! speak `ThreadId`, so a context switch still resolves the thread it
-//! is about once per component and entry point: the engine at dispatch
-//! (the slot then rides in `current` and in the sleeper heap), the
-//! scheduler in `on_ready` and `on_dispatch`, the estimator in each
+//! That resolution is an index, not a hash: the runtime hands ids out
+//! as 1, 2, 3, … and never reuses one, so every id below a private bound
+//! (2²⁰) resolves through a grow-on-bind table indexed by the id itself —
+//! a bounds check, one load and a vacancy test. The table is as long as
+//! the largest such id bound so far: 32 KiB for a paper-scale run's
+//! ~4 000 ids, 8 MiB at the bound, never more. Ids at or above the bound,
+//! which nothing the engine allocates reaches, fall back to an ordered
+//! map, so any `u64` stays a valid [`ThreadId`]. Each component that
+//! keeps slot-indexed state owns a registry, and the interfaces between
+//! them speak `ThreadId`, so a context switch still resolves the thread
+//! it is about once per component and entry point: the engine at
+//! dispatch (the slot then rides in `current` and in the sleeper heap),
+//! the scheduler in `on_ready` and `on_dispatch`, the estimator in each
 //! by-`ThreadId` call, the sanitizer in `sanitize`, the machine in
 //! `set_running`, plus one each in scheduler and estimator per
 //! annotation dependent of the thread that blocked. Past that one step
@@ -35,47 +41,18 @@
 //! depend on recycling order, so they are process-internal only.
 
 use crate::ThreadId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// The hasher of the `ThreadId -> slot` map: one widening multiply,
-/// folded.
-///
-/// Thread ids are `u64`s the runtime allocates sequentially, not input
-/// an attacker picks, so the map does not need SipHash's collision
-/// resistance, and ten to twenty-five SipHash probes were most of what
-/// a context switch cost. The id is multiplied by 2⁶⁴/φ (odd) into 128
-/// bits and the two halves are xored: the low half carries every input
-/// bit upward, the high half carries the high input bits back down, so
-/// both ends of the result depend on all of the id. The table takes its
-/// bucket index from the low bits and its 7-bit control tag from the
-/// top; sequential ids, strided ids and ids that differ only in their
-/// high bits spread over both (the tests below count).
-#[derive(Debug, Clone, Copy, Default)]
-struct TidHasher(u64);
+/// Ids below this resolve through [`ThreadSlots`]'s direct table, the
+/// rest through its ordered map. It caps the table at 2²⁰ handles
+/// (8 MiB) whatever ids a caller invents.
+const DIRECT_IDS: u64 = 1 << 20;
 
-impl Hasher for TidHasher {
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let wide = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = wide as u64 ^ (wide >> 64) as u64;
-    }
-
-    /// Only `ThreadId` (one `write_u64`) is ever hashed; any other key
-    /// shape is folded in eight bytes at a time.
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// `tid`'s place in the direct table, if it has one.
+#[inline]
+fn direct_index(tid: ThreadId) -> Option<usize> {
+    (tid.0 < DIRECT_IDS).then_some(tid.0 as usize)
 }
 
 /// A generational handle to a dense thread slot.
@@ -109,6 +86,10 @@ impl fmt::Display for SlotId {
     }
 }
 
+/// What a direct-table entry holds while its id is unbound: an index no
+/// slot can have ([`ThreadSlots::bind`] stops one short of it).
+const VACANT: SlotId = SlotId { index: u32::MAX, generation: 0 };
+
 /// The slot registry: a slab of dense indices over live threads.
 ///
 /// * [`bind`](Self::bind) assigns the lowest-free slot (LIFO recycling)
@@ -117,7 +98,7 @@ impl fmt::Display for SlotId {
 /// * [`lookup`](Self::lookup) / [`tid_of`](Self::tid_of) translate in
 ///   both directions, with stale handles rejected by generation.
 ///
-/// [`lookup`](Self::lookup) is the one hashing step (see the module
+/// [`lookup`](Self::lookup) is the one resolution step (see the module
 /// docs for what it costs and who pays it per switch); whoever holds a
 /// [`SlotId`] indexes from there.
 #[derive(Debug, Clone, Default)]
@@ -126,9 +107,13 @@ pub struct ThreadSlots {
     tids: Vec<Option<ThreadId>>,
     /// Slot -> generation of the current (or last) binding.
     generations: Vec<u32>,
-    /// Thread -> its live handle, under [`TidHasher`]. The generation is
-    /// stored with the index so a lookup reads nothing else.
-    by_tid: HashMap<ThreadId, SlotId, BuildHasherDefault<TidHasher>>,
+    /// Thread id -> its live handle or [`VACANT`], for ids below
+    /// [`DIRECT_IDS`]; as long as the largest such id ever bound. The
+    /// generation is stored with the index so a lookup reads nothing
+    /// else.
+    direct: Vec<SlotId>,
+    /// Thread -> its live handle, for the ids at or above [`DIRECT_IDS`].
+    sparse: BTreeMap<ThreadId, SlotId>,
     /// Free slot indices, reused LIFO.
     free: Vec<u32>,
 }
@@ -152,21 +137,40 @@ impl ThreadSlots {
                 i
             }
             None => {
-                let i = u32::try_from(self.tids.len()).expect("more than u32::MAX live threads");
+                let i = u32::try_from(self.tids.len())
+                    .ok()
+                    .filter(|&i| i != VACANT.index)
+                    .expect("u32::MAX live threads");
                 self.tids.push(Some(tid));
                 self.generations.push(0);
                 i
             }
         };
         let slot = SlotId { index, generation: self.generations[index as usize] };
-        self.by_tid.insert(tid, slot);
+        match direct_index(tid) {
+            Some(i) => {
+                if i >= self.direct.len() {
+                    self.direct.resize(i + 1, VACANT);
+                }
+                self.direct[i] = slot;
+            }
+            None => {
+                self.sparse.insert(tid, slot);
+            }
+        }
         slot
     }
 
     /// Releases `tid`'s slot for reuse; returns the freed handle, or
     /// `None` if the thread was not bound.
     pub fn release(&mut self, tid: ThreadId) -> Option<SlotId> {
-        let slot = self.by_tid.remove(&tid)?;
+        let slot = self.lookup(tid)?;
+        match direct_index(tid) {
+            Some(i) => self.direct[i] = VACANT,
+            None => {
+                self.sparse.remove(&tid);
+            }
+        }
         self.tids[slot.index()] = None;
         self.free.push(slot.index);
         Some(slot)
@@ -175,7 +179,10 @@ impl ThreadSlots {
     /// The live handle for `tid`, if bound.
     #[inline]
     pub fn lookup(&self, tid: ThreadId) -> Option<SlotId> {
-        self.by_tid.get(&tid).copied()
+        match direct_index(tid) {
+            Some(i) => self.direct.get(i).copied().filter(|slot| slot.index != VACANT.index),
+            None => self.sparse.get(&tid).copied(),
+        }
     }
 
     /// Resolves a handle back to its thread; `None` if the slot was
@@ -196,7 +203,7 @@ impl ThreadSlots {
 
     /// Number of live bindings.
     pub fn live(&self) -> usize {
-        self.by_tid.len()
+        self.tids.len() - self.free.len()
     }
 
     /// Total slots ever allocated — the size hot-path `Vec`s must grow
@@ -296,56 +303,6 @@ mod tests {
         assert_eq!(b.to_string(), "s0g1");
     }
 
-    /// What the table does with a hash: the bucket index is its low
-    /// bits (a table sized for `n` keys at 7/8 load), the control tag
-    /// its top seven. Every bit of both must take both values over the
-    /// key set, and no bucket or tag may collect far more than its
-    /// share: a constant bit halves the table, a crowded bucket turns
-    /// a probe into a scan.
-    fn assert_spreads(name: &str, keys: impl Iterator<Item = u64>) {
-        use std::hash::BuildHasher;
-        let hashes: Vec<u64> =
-            keys.map(|k| BuildHasherDefault::<TidHasher>::default().hash_one(t(k))).collect();
-        let n = hashes.len();
-        let index_bits = (n * 8 / 7).next_power_of_two().trailing_zeros();
-        for bit in (0..index_bits).chain(57..64) {
-            let ones = hashes.iter().filter(|&&h| h >> bit & 1 == 1).count();
-            assert!(
-                ones * 4 > n && ones * 4 < n * 3,
-                "{name}: bit {bit} is set in {ones} of {n} hashes"
-            );
-        }
-        let mut buckets = vec![0u32; 1 << index_bits];
-        let mut tags = [0usize; 128];
-        for &h in &hashes {
-            buckets[(h & ((1 << index_bits) - 1)) as usize] += 1;
-            tags[(h >> 57) as usize] += 1;
-        }
-        let fullest = buckets.iter().max().unwrap();
-        assert!(*fullest <= 8, "{name}: {fullest} keys share a bucket");
-        let commonest = tags.iter().max().unwrap();
-        assert!(*commonest * 128 <= n * 2, "{name}: {commonest} of {n} keys share a tag");
-    }
-
-    #[test]
-    fn hasher_spreads_sequential_ids() {
-        assert_spreads("1..=65536", 1..=65536);
-    }
-
-    #[test]
-    fn hasher_spreads_strided_ids() {
-        for stride in [8, 64, 4096, 1 << 20] {
-            assert_spreads(&format!("stride {stride}"), (0..4096).map(|i| i * stride));
-        }
-    }
-
-    #[test]
-    fn hasher_spreads_ids_that_differ_only_in_high_bits() {
-        for shift in [32, 40, 48] {
-            assert_spreads(&format!("7 + (i << {shift})"), (0..4096).map(|i| 7 + (i << shift)));
-        }
-    }
-
     #[test]
     fn any_u64_is_a_valid_thread_id() {
         // The engine allocates from 1, `repro` and the sim tests use 0, 1
@@ -364,5 +321,21 @@ mod tests {
         assert_eq!(again.index(), handles[3].index());
         assert_ne!(again.generation(), handles[3].generation());
         assert_eq!(s.live(), ids.len());
+    }
+
+    #[test]
+    fn direct_table_never_outgrows_the_bound() {
+        let mut s = ThreadSlots::new();
+        for id in [u64::MAX, 1 << 40, DIRECT_IDS] {
+            s.bind(t(id));
+        }
+        assert!(s.direct.is_empty(), "ids at or above the bound live in the map");
+        s.bind(t(DIRECT_IDS - 1));
+        assert_eq!(s.direct.len(), DIRECT_IDS as usize, "as long as the largest id, no longer");
+        s.bind(t(7));
+        s.bind(t(DIRECT_IDS + 1));
+        assert_eq!(s.direct.len(), DIRECT_IDS as usize);
+        assert_eq!(s.direct.len() * std::mem::size_of::<SlotId>(), 8 << 20, "the 8 MiB ceiling");
+        assert_eq!(s.live(), 6);
     }
 }

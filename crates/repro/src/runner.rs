@@ -756,13 +756,16 @@ fn execute_isolated(kind: &RunKind) -> Result<RunOutput, ReproError> {
     }
 }
 
-/// Runs one descriptor on a watchdog thread; a run that outlives
-/// `timeout` is abandoned (Rust threads cannot be killed — it finishes
-/// in the background) and reported as [`ReproError::RunTimedOut`].
-fn execute_watched(kind: RunKind, timeout: Duration) -> Result<RunOutput, ReproError> {
+/// Runs `f` on a watchdog thread; a run that outlives `timeout` is
+/// abandoned (Rust threads cannot be killed — it finishes in the
+/// background) and reported as [`ReproError::RunTimedOut`].
+fn watched<R: Send + 'static>(
+    timeout: Duration,
+    f: impl FnOnce() -> Result<R, ReproError> + Send + 'static,
+) -> Result<R, ReproError> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let _ = tx.send(execute_isolated(&kind));
+        let _ = tx.send(f());
     });
     match rx.recv_timeout(timeout) {
         Ok(res) => res,
@@ -771,6 +774,28 @@ fn execute_watched(kind: RunKind, timeout: Duration) -> Result<RunOutput, ReproE
         }
         Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
             Err(ReproError::RunPanicked { what: "worker vanished before reporting".to_string() })
+        }
+    }
+}
+
+/// Calls `attempt` until it returns something other than a panic or a
+/// timeout, or `guard`'s retry budget is spent, with linear backoff
+/// between attempts.
+fn retried<R>(
+    guard: &GuardPolicy,
+    mut attempt: impl FnMut() -> Result<R, ReproError>,
+) -> Result<R, ReproError> {
+    let mut tries = 0u32;
+    loop {
+        match attempt() {
+            Err(e @ (ReproError::RunPanicked { .. } | ReproError::RunTimedOut { .. }))
+                if tries < guard.retries =>
+            {
+                tries += 1;
+                eprintln!("[guard] {e}; retrying ({tries}/{})", guard.retries);
+                std::thread::sleep(guard.backoff * tries);
+            }
+            other => return other,
         }
     }
 }
@@ -785,23 +810,11 @@ fn execute_watched(kind: RunKind, timeout: Duration) -> Result<RunOutput, ReproE
 /// Propagates the underlying error, or [`ReproError::RunPanicked`] /
 /// [`ReproError::RunTimedOut`] once the retry budget is spent.
 pub fn execute_guarded(kind: &RunKind, guard: &GuardPolicy) -> Result<RunOutput, ReproError> {
-    let mut attempt = 0u32;
-    loop {
-        let res = match guard.timeout {
-            Some(timeout) => execute_watched(*kind, timeout),
-            None => execute_isolated(kind),
-        };
-        match res {
-            Err(e @ (ReproError::RunPanicked { .. } | ReproError::RunTimedOut { .. }))
-                if attempt < guard.retries =>
-            {
-                attempt += 1;
-                eprintln!("[guard] {e}; retrying ({attempt}/{})", guard.retries);
-                std::thread::sleep(guard.backoff * attempt);
-            }
-            other => return other,
-        }
-    }
+    let kind = *kind;
+    retried(guard, || match guard.timeout {
+        Some(timeout) => watched(timeout, move || execute_isolated(&kind)),
+        None => execute_isolated(&kind),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1387,20 +1400,31 @@ mod tests {
 
     #[test]
     fn guard_times_out_and_retries_then_reports() {
-        let guard = GuardPolicy {
-            timeout: Some(Duration::from_micros(1)),
-            retries: 1,
-            backoff: Duration::ZERO,
-        };
-        // A full chaos cell takes hundreds of milliseconds — it cannot
-        // beat a one-microsecond watchdog, so both attempts time out.
-        let kind = RunKind::Chaos {
-            policy: SchedPolicy::Lff,
-            scenario: ChaosScenario::Churn,
-            scale: Scale::Small,
-        };
-        let err = execute_guarded(&kind, &guard).expect_err("watchdog must fire");
-        assert!(matches!(err, ReproError::RunTimedOut { .. }), "got {err:?}");
+        let timeout = Duration::from_millis(1);
+        let guard = GuardPolicy { timeout: Some(timeout), retries: 1, backoff: Duration::ZERO };
+        // Each attempt blocks on a lock this test holds until it has its
+        // verdict, so neither can report before its watchdog fires: the
+        // outcome does not depend on how fast anything runs.
+        let gate = std::sync::Arc::new(Mutex::new(()));
+        let held = gate.lock().expect("fresh lock");
+        let mut attempts = 0;
+        let res = retried(&guard, || {
+            attempts += 1;
+            let gate = std::sync::Arc::clone(&gate);
+            watched(timeout, move || {
+                drop(gate.lock());
+                Ok(())
+            })
+        });
+        assert!(matches!(res, Err(ReproError::RunTimedOut { .. })), "got {res:?}");
+        assert_eq!(attempts, 2, "one retry, then the report");
+        drop(held);
+
+        // The same guard through a real descriptor, with time to finish.
+        let kind = RunKind::UpdateCost { policy: PolicyKind::Lff, case: CostCase::Blocking };
+        let patient = GuardPolicy { timeout: Some(Duration::from_secs(600)), ..guard };
+        let out = execute_guarded(&kind, &patient).expect("watched run reports its result");
+        assert_eq!(encode(&out), encode(&execute(&kind).expect("plain run")));
     }
 
     #[test]

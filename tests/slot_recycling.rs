@@ -26,16 +26,33 @@ fn ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
     proptest::collection::vec((0u8..2, 0u64..10), 1..200)
 }
 
+/// What `registry_never_aliases` maps [`ops`]' ten ids onto: a sequential
+/// run from 0 like the engine's, both edges of `ThreadSlots`' direct-table
+/// bound (2²⁰: a unit test in `slots.rs` pins the private constant to the
+/// 8 MiB it stands for), and the far end of `u64`.
+const REGISTRY_IDS: [u64; 10] =
+    [0, 1, 2, 3, (1 << 20) - 2, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 1 << 40, u64::MAX];
+
 proptest! {
-    /// The registry itself: recycled indices always carry a fresh
-    /// generation, live lookups are exact, and a released handle is
-    /// dead even though its index lives on under a new tenant.
+    /// The registry itself, against a `BTreeMap` of the handles it
+    /// issued, over ids from both sides of the bound where its direct
+    /// table hands over to its map ([`REGISTRY_IDS`]): recycled indices
+    /// always carry a fresh generation, every id looks up to exactly the
+    /// model's handle, a released handle is dead even though its index
+    /// lives on under a new tenant, and `iter_live` is the model in slot
+    /// order. Mutants of `slots.rs` this fails on: the vacancy test on
+    /// `generation` instead of `index`; `lookup` without the vacancy test;
+    /// `release` leaving the table entry, or the map entry, in place;
+    /// `live()` counting the table or the map alone. `<=` at the bound
+    /// still answers correctly and passes here: the unit test
+    /// `direct_table_never_outgrows_the_bound` is what fails on it.
     #[test]
     fn registry_never_aliases(ops in ops()) {
         let mut slots = ThreadSlots::new();
-        let mut live: std::collections::BTreeMap<u64, SlotId> = Default::default();
+        let mut live: BTreeMap<u64, SlotId> = Default::default();
         let mut dead: Vec<SlotId> = Vec::new();
         for &(op, t) in &ops {
+            let t = REGISTRY_IDS[t as usize];
             if op == 1 {
                 let s = slots.bind(ThreadId(t));
                 if let Some(&prev) = live.get(&t) {
@@ -59,11 +76,17 @@ proptest! {
                 prop_assert_eq!(slots.release(ThreadId(t)), None);
             }
             prop_assert_eq!(slots.live(), live.len());
-            for (&t2, &s2) in &live {
-                prop_assert_eq!(slots.lookup(ThreadId(t2)), Some(s2));
-                prop_assert_eq!(slots.tid_of(s2), Some(ThreadId(t2)));
+            for t2 in REGISTRY_IDS {
+                prop_assert_eq!(slots.lookup(ThreadId(t2)), live.get(&t2).copied(), "id {}", t2);
+            }
+            let mut in_slot_order: Vec<(SlotId, ThreadId)> =
+                live.iter().map(|(&t2, &s2)| (s2, ThreadId(t2))).collect();
+            in_slot_order.sort();
+            for &(s2, t2) in &in_slot_order {
+                prop_assert_eq!(slots.tid_of(s2), Some(t2));
                 prop_assert!(slots.is_live(s2));
             }
+            prop_assert_eq!(slots.iter_live().collect::<Vec<_>>(), in_slot_order);
             for &s2 in &dead {
                 prop_assert!(!slots.is_live(s2), "released handle still resolves");
                 prop_assert_eq!(slots.tid_of(s2), None);
