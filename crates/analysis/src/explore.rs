@@ -627,20 +627,11 @@ pub struct ExploreConfig {
     pub preempt_bound: Option<usize>,
     /// Naive full enumeration (the DPOR baseline) instead of DPOR.
     pub naive: bool,
-    /// Worker threads for parallel exploration of independent subtrees
-    /// within one frontier wave (results are order-independent).
-    pub jobs: usize,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
-        ExploreConfig {
-            depth_bound: 64,
-            max_schedules: 50_000,
-            preempt_bound: None,
-            naive: false,
-            jobs: 1,
-        }
+        ExploreConfig { depth_bound: 64, max_schedules: 50_000, preempt_bound: None, naive: false }
     }
 }
 
@@ -778,42 +769,10 @@ fn children_naive(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Tas
     out
 }
 
-/// Runs a frontier wave across `jobs` workers claiming task indices,
-/// preserving task order in the returned executions (results are a pure
-/// function of each task, so the jobs count cannot change any output).
-fn run_wave(workload: McWorkload, tasks: &[Task], cfg: &ExploreConfig) -> Vec<Execution> {
-    let slots: Vec<std::sync::OnceLock<Execution>> =
-        tasks.iter().map(|_| std::sync::OnceLock::new()).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..cfg.jobs.clamp(1, tasks.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let exec = run_schedule(workload, &task.prefix, &task.sleep, cfg.depth_bound);
-                let _ = slots[i].set(exec);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().unwrap_or_else(|| Execution {
-                decisions: Vec::new(),
-                points: Vec::new(),
-                clocks: Vec::new(),
-                races: Vec::new(),
-                outcome: Outcome::EngineError("worker produced no result".to_string()),
-            })
-        })
-        .collect()
-}
-
 /// Explores a workload's schedule tree breadth-first from the default
 /// schedule, deterministically: each wave is sorted by task key before
 /// execution, children are deduplicated globally, and capping truncates
-/// the sorted wave — so two runs (at any `jobs` values) produce
-/// identical summaries.
+/// the sorted wave — so two runs produce identical summaries.
 pub fn explore(workload: McWorkload, cfg: &ExploreConfig) -> ExploreSummary {
     let mut summary = ExploreSummary::default();
     let mut seen_kinds: BTreeSet<ViolationKind> = BTreeSet::new();
@@ -831,9 +790,9 @@ pub fn explore(workload: McWorkload, cfg: &ExploreConfig) -> ExploreSummary {
                 break;
             }
         }
-        let execs = run_wave(workload, &frontier, cfg);
         let mut next = Vec::new();
-        for (task, exec) in frontier.iter().zip(&execs) {
+        for task in &frontier {
+            let exec = run_schedule(workload, &task.prefix, &task.sleep, cfg.depth_bound);
             executed += 1;
             summary.max_depth = summary.max_depth.max(exec.decisions.len() as u64);
             match &exec.outcome {
@@ -848,7 +807,7 @@ pub fn explore(workload: McWorkload, cfg: &ExploreConfig) -> ExploreSummary {
                 let (a, b) = (race.first.tid.0, race.second.tid.0);
                 summary.race_pairs.insert((a.min(b), a.max(b)));
             }
-            for v in violations_of(exec) {
+            for v in violations_of(&exec) {
                 if seen_kinds.insert(v.kind) {
                     summary.violations.push(v);
                 }
@@ -857,9 +816,9 @@ pub fn explore(workload: McWorkload, cfg: &ExploreConfig) -> ExploreSummary {
                 continue;
             }
             let children = if cfg.naive {
-                children_naive(task, exec, cfg)
+                children_naive(task, &exec, cfg)
             } else {
-                children_dpor(task, exec, cfg)
+                children_dpor(task, &exec, cfg)
             };
             for child in children {
                 if seen.insert(child.key()) {
@@ -963,15 +922,6 @@ mod tests {
         // Both agree the fixture is clean.
         assert!(naive.violations.is_empty());
         assert!(dpor.violations.is_empty());
-    }
-
-    #[test]
-    fn exploration_is_deterministic_across_jobs() {
-        let base = explore(McWorkload::Deadlock, &cfg(2_000));
-        for jobs in [2usize, 4] {
-            let par = explore(McWorkload::Deadlock, &ExploreConfig { jobs, ..cfg(2_000) });
-            assert_eq!(base, par, "jobs={jobs} changed the summary");
-        }
     }
 
     #[test]

@@ -12,8 +12,11 @@ pub(crate) const FLAGS_HELP: &str = "flags:
   --scale paper|small  workload scale (default: paper)
   --out DIR            output directory for CSV files (default: results)
   --jobs N             worker threads for independent runs
-                       (default: available parallelism)
+                       (default: available parallelism; modelcheck
+                       explores on one thread and ignores it)
   --no-cache           ignore and do not write the on-disk result cache
+                       (figures only: analyze, modelcheck and trace
+                       never cache)
   --fault SCENARIO     ablation only: run the counter-fault robustness
                        table for one scenario, or 'all'
   --chaos SCENARIO     ablation only: run the thread-lifecycle chaos

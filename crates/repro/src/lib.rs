@@ -29,9 +29,11 @@
 //! workloads for a quick smoke pass; the default `--scale paper` uses the
 //! paper's parameters.
 //!
-//! All subcommands drive the shared [runner]: figures are lists of
-//! independent seeded run descriptors executed across `--jobs` worker
-//! threads and cached under `<out>/.cache` (disable with `--no-cache`).
+//! The figure subcommands drive the shared [runner]: a figure is a list
+//! of independent seeded run descriptors, each a simulated machine or
+//! engine run, executed across `--jobs` worker threads and cached under
+//! `<out>/.cache` (disable with `--no-cache`); `analyze`, `modelcheck`
+//! and `trace` compute what they print and cache nothing.
 //! CSV artifacts are byte-identical for every `--jobs` value and across
 //! cache hits; only the printed wall-time stats vary. Host time is
 //! measured in one place, outside this crate: `benchmark/`

@@ -4,22 +4,20 @@
 //! replayable counterexamples, and measure the DPOR reduction factor
 //! against naive full enumeration.
 //!
-//! Each (workload, mode) pair is one [`RunKind::ModelCheck`] cell
-//! through the shared runner — parallel across cells, cached on disk,
-//! assembled strictly in request order — so `modelcheck.csv` is
-//! byte-identical across reruns and `--jobs` values. `--replay FILE`
+//! Each (workload, mode) pair is one [`modelcheck_cell`], explored on
+//! the calling thread in selection order (the whole table is
+//! milliseconds, so nothing is cached or spread over `--jobs`):
+//! `modelcheck.csv` is byte-identical across reruns. `--replay FILE`
 //! re-executes a previously written counterexample and confirms the
 //! same violation recurs.
 
 use crate::args::{keyword, Args};
 use crate::error::ReproError;
-use crate::runner::{RunKind, RunOutput, RunRequest, Runner};
 use crate::table::{f, Table};
 use locality_analyze::explore::{
     explore, parse_counterexample, replay_counterexample, serialize_counterexample, ExploreConfig,
     McWorkload, ViolationKind,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default per-execution decision bound (`--depth-bound`).
 pub const DEFAULT_DEPTH_BOUND: u64 = 64;
@@ -27,17 +25,6 @@ pub const DEFAULT_DEPTH_BOUND: u64 = 64;
 /// enough that every fixture explores to quiescence even under naive
 /// enumeration.
 pub const DEFAULT_MAX_SCHEDULES: u64 = 20_000;
-
-/// Worker threads the exploration itself may use, set from `--jobs`
-/// before the runner dispatches cells. A process-global rather than a
-/// [`RunKind`] field so the cache key — and therefore the artifacts —
-/// cannot depend on the job count.
-static EXPLORE_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the subtree-exploration worker count for subsequent cells.
-pub fn set_explore_jobs(jobs: usize) {
-    EXPLORE_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
 
 /// The aggregated result of exploring one (workload, mode) cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,7 +60,7 @@ impl McCell {
     }
 }
 
-/// Executes one model-checking cell (called by the shared runner).
+/// Explores one (workload, mode) cell.
 pub fn modelcheck_cell(
     workload: McWorkload,
     naive: bool,
@@ -86,7 +73,6 @@ pub fn modelcheck_cell(
         max_schedules: usize::try_from(max_schedules).unwrap_or(usize::MAX),
         preempt_bound: preempt_bound.map(|b| usize::try_from(b).unwrap_or(usize::MAX)),
         naive,
-        jobs: EXPLORE_JOBS.load(Ordering::Relaxed),
     };
     let summary = explore(workload, &cfg);
     McCell {
@@ -153,54 +139,26 @@ pub struct McRow {
     pub naive: McCell,
 }
 
-fn bounds_of(args: &Args) -> (u64, u64, Option<u64>) {
-    (
-        args.depth_bound.unwrap_or(DEFAULT_DEPTH_BOUND),
-        args.max_schedules.unwrap_or(DEFAULT_MAX_SCHEDULES),
-        args.preempt_bound,
-    )
-}
-
-/// Runs the selected workloads (DPOR and naive modes) through the
-/// shared runner and returns the rows in selection order.
-pub fn run_cells(args: &Args, sel: McSelection) -> Result<Vec<McRow>, ReproError> {
-    let (depth_bound, max_schedules, preempt_bound) = bounds_of(args);
-    set_explore_jobs(args.jobs);
-    let workloads = sel.workloads();
-    let mut reqs = Vec::new();
-    for &workload in &workloads {
-        for naive in [false, true] {
-            let mode = if naive { "naive" } else { "dpor" };
-            reqs.push(RunRequest::new(
-                format!("modelcheck {} {mode}", workload.name()),
-                RunKind::ModelCheck { workload, naive, depth_bound, max_schedules, preempt_bound },
-            ));
-        }
-    }
-    // Cells stay sequential here (jobs=1): `--jobs` feeds the
-    // exploration's own wave parallelism instead, per the flag's
-    // contract; results are identical either way.
-    let runner = Runner::new(crate::runner::RunnerConfig {
-        jobs: 1,
-        cache_dir: (!args.no_cache).then(|| args.out.join(".cache")),
-        guard: crate::runner::GuardPolicy::default(),
-    });
-    let outputs = runner.run_all(&reqs)?;
-    let mut rows = Vec::new();
-    let mut it = outputs.into_iter();
-    for workload in workloads {
-        let (Some(RunOutput::ModelCheck(dpor)), Some(RunOutput::ModelCheck(naive))) =
-            (it.next(), it.next())
-        else {
-            return Err(ReproError::MissingResult(format!(
-                "modelcheck cell pair for {}",
-                workload.name()
-            )));
-        };
-        rows.push(McRow { workload, dpor, naive });
-    }
-    runner.summary()?.print();
-    Ok(rows)
+/// Explores the selected workloads, DPOR then naive, and returns the
+/// rows in selection order.
+fn run_cells(args: &Args, sel: McSelection) -> Vec<McRow> {
+    let cell = |workload, naive| {
+        modelcheck_cell(
+            workload,
+            naive,
+            args.depth_bound.unwrap_or(DEFAULT_DEPTH_BOUND),
+            args.max_schedules.unwrap_or(DEFAULT_MAX_SCHEDULES),
+            args.preempt_bound,
+        )
+    };
+    sel.workloads()
+        .into_iter()
+        .map(|workload| McRow {
+            workload,
+            dpor: cell(workload, false),
+            naive: cell(workload, true),
+        })
+        .collect()
 }
 
 /// Renders the per-workload exploration table.
@@ -311,7 +269,7 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
         return Ok(true);
     }
     let sel = McSelection::from_args(args)?;
-    let rows = run_cells(args, sel)?;
+    let rows = run_cells(args, sel);
 
     let table = modelcheck_table(&rows)?;
     table.print();
@@ -338,17 +296,9 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Scale;
 
     fn args_for(workload: Option<&str>) -> Args {
-        Args {
-            scale: Scale::Small,
-            workload: workload.map(str::to_string),
-            jobs: 1,
-            no_cache: true,
-            out: std::env::temp_dir().join(format!("locality-mc-unit-{}", std::process::id())),
-            ..Args::default()
-        }
+        Args { workload: workload.map(str::to_string), ..Args::default() }
     }
 
     #[test]
@@ -396,16 +346,6 @@ mod tests {
             let ce = parse_counterexample(text).expect("parse");
             replay_counterexample(&ce).expect("replay reproduces");
         }
-    }
-
-    #[test]
-    fn cells_are_deterministic_across_explore_jobs() {
-        set_explore_jobs(1);
-        let serial = modelcheck_cell(McWorkload::Deadlock, false, 64, 5_000, None);
-        set_explore_jobs(4);
-        let parallel = modelcheck_cell(McWorkload::Deadlock, false, 64, 5_000, None);
-        set_explore_jobs(1);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -10,14 +10,20 @@
 //! `--jobs` value. The per-run wall-clock stats below are the only
 //! nondeterministic output and are confined to stdout.
 //!
+//! A descriptor is a simulated machine or engine run and nothing else
+//! (DESIGN.md §10.2): what costs less to compute than an entry costs to
+//! load (Table 3's operation counts), what is written out whole anyway
+//! (`repro trace`) and what finishes in milliseconds (`repro
+//! modelcheck`) is computed where it is printed.
+//!
 //! Cache entries are keyed by an FNV-1a hash of the canonical
-//! descriptor string, which embeds the crate version and wire-format
-//! revision — a rebuild with different semantics never reuses stale
-//! results. Entries are written via a temp-file rename, so concurrent
-//! invocations sharing a cache directory cannot observe torn files, and
-//! each carries a SHA-256 of its payload: a truncated or bit-rotted
-//! entry is quarantined (renamed aside) and recomputed instead of
-//! misparsing or panicking.
+//! descriptor string, which embeds the wire-format revision and a stamp
+//! of the running executable (file length and modification time) — a
+//! rebuild never reuses an earlier build's results. Entries are written
+//! via a temp-file rename, so concurrent invocations sharing a cache
+//! directory cannot observe torn files, and each carries a SHA-256 of
+//! its payload: a truncated or bit-rotted entry is quarantined (renamed
+//! aside) and recomputed instead of misparsing or panicking.
 //!
 //! Runs execute behind a guard ([`GuardPolicy`]): panics are caught per
 //! descriptor (`catch_unwind`), a watchdog times out hung runs, and
@@ -30,52 +36,25 @@ use crate::args::{Args, Scale};
 use crate::chaos::ChaosScenario;
 use crate::digest;
 use crate::error::ReproError;
-use crate::experiments::{self, ChaosCell, CostCase, FaultCell, PredictionProbe};
+use crate::experiments::{self, ChaosCell, FaultCell, PredictionProbe};
 use crate::faults::FaultScenario;
 use crate::geometry::{self, GeometryExperiment, GeometryPoint};
 use crate::microbench::{self, WalkExperiment, WalkPoint};
-use crate::modelcheck::McCell;
 use crate::monitor::{self, MonitorTrace, Sample};
 use crate::perf::{self, PerfApp};
 use crate::table::{Table, TableError};
 use active_threads::{RunReport, SchedPolicy};
-use locality_core::PolicyKind;
 use locality_sim::PagePlacement;
 use locality_workloads::App;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Bumped whenever the wire encoding of [`RunOutput`] changes, so stale
 /// cache entries miss instead of misparsing.
 const WIRE_FORMAT: u32 = 3;
-
-/// Serializable page-placement selector mirroring
-/// [`locality_sim::PagePlacement`] (descriptors avoid embedded seeds by
-/// using the default-seeded arbitrary policy, like the figures always
-/// have).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Kessler & Hill bin hopping (the paper's VM).
-    BinHopping,
-    /// Page coloring.
-    PageColoring,
-    /// Default-seeded pseudo-random placement.
-    Arbitrary,
-}
-
-impl Placement {
-    /// The simulator policy this selector denotes.
-    pub fn to_sim(self) -> PagePlacement {
-        match self {
-            Placement::BinHopping => PagePlacement::bin_hopping(),
-            Placement::PageColoring => PagePlacement::PageColoring,
-            Placement::Arbitrary => PagePlacement::arbitrary(),
-        }
-    }
-}
 
 /// One independent, explicitly-seeded simulation run. The variant value
 /// fully determines the run's result.
@@ -91,7 +70,7 @@ pub enum RunKind {
         /// The monitored application.
         app: App,
         /// Page-placement policy of the simulated VM.
-        placement: Placement,
+        placement: PagePlacement,
         /// The workload's RNG seed.
         seed: u64,
     },
@@ -118,7 +97,7 @@ pub enum RunKind {
         /// The application.
         app: App,
         /// Page-placement policy.
-        placement: Placement,
+        placement: PagePlacement,
     },
     /// An invalidation-effects cell (ablation 4).
     Invalidation {
@@ -154,38 +133,6 @@ pub enum RunKind {
         /// Workload scale.
         scale: Scale,
     },
-    /// A Table 3 priority-update cost cell.
-    UpdateCost {
-        /// The locality policy.
-        policy: PolicyKind,
-        /// The thread class.
-        case: CostCase,
-    },
-    /// A stateless-model-checking cell (`repro modelcheck`): one
-    /// exhaustive schedule exploration of a fixture workload.
-    ModelCheck {
-        /// The explored workload.
-        workload: locality_analyze::McWorkload,
-        /// Naive full enumeration (the DPOR reduction baseline)?
-        naive: bool,
-        /// Maximum decisions per execution.
-        depth_bound: u64,
-        /// Maximum executions across the exploration.
-        max_schedules: u64,
-        /// Optional preemption bound.
-        preempt_bound: Option<u64>,
-    },
-    /// A traced monitored-application run's aggregated metrics (`repro
-    /// trace`). Only executable in builds with the `trace`
-    /// feature; see [`crate::trace::traced_run`].
-    TraceMetrics {
-        /// The monitored application.
-        app: App,
-        /// The scheduling policy of the traced run.
-        policy: SchedPolicy,
-        /// The workload's RNG seed.
-        seed: u64,
-    },
 }
 
 /// A labelled run descriptor.
@@ -204,10 +151,36 @@ impl RunRequest {
     }
 }
 
-/// The canonical cache key of a descriptor: crate version, wire-format
-/// revision, and the descriptor's exhaustive debug form.
+/// What this executable can observe about its own build without hashing
+/// itself: the length and modification time of its file, read once per
+/// process. `None` (no path, no metadata) leaves nothing to tell one
+/// build's entries from another's, so [`Runner::new`] then runs uncached.
+fn build_stamp() -> Option<&'static str> {
+    static STAMP: OnceLock<Option<String>> = OnceLock::new();
+    let stat = || {
+        let meta = std::fs::metadata(std::env::current_exe().ok()?).ok()?;
+        let mtime = meta.modified().ok()?.duration_since(std::time::UNIX_EPOCH).ok()?;
+        Some(format!("{}.{}", meta.len(), mtime.as_nanos()))
+    };
+    STAMP
+        .get_or_init(|| {
+            let stamp = stat();
+            if stamp.is_none() {
+                eprintln!("[cache] cannot stat the running executable: results are not cached");
+            }
+            stamp
+        })
+        .as_deref()
+}
+
+fn stamped_key(stamp: &str, kind: &RunKind) -> String {
+    format!("locality-repro build {stamp} wire {WIRE_FORMAT} | {kind:?}")
+}
+
+/// The canonical cache key of a descriptor: this build's stamp, the
+/// wire-format revision, and the descriptor's exhaustive debug form.
 pub fn cache_key(kind: &RunKind) -> String {
-    format!("locality-repro {} wire {WIRE_FORMAT} | {kind:?}", env!("CARGO_PKG_VERSION"))
+    stamped_key(build_stamp().unwrap_or("unreadable"), kind)
 }
 
 /// The result of one run.
@@ -232,18 +205,6 @@ pub enum RunOutput {
         /// What the counter-driven model still predicts.
         predicted: u64,
     },
-    /// A priority-update cost cell.
-    UpdateCost {
-        /// Floating-point operations per update.
-        flops: u64,
-        /// Table lookups per update.
-        lookups: u64,
-    },
-    /// A traced run's aggregated trace metrics (boxed: the histograms
-    /// make it by far the largest payload).
-    TraceSummary(Box<locality_trace::TraceSummary>),
-    /// A model-checking exploration summary.
-    ModelCheck(McCell),
 }
 
 /// Simulated E-cache misses a run performed (for the throughput stats).
@@ -255,10 +216,7 @@ fn sim_misses(out: &RunOutput) -> u64 {
         RunOutput::FaultCell(cell) => cell.report.total_l2_misses,
         RunOutput::ChaosCell(cell) => cell.report.total_l2_misses,
         RunOutput::GeometryPoints(points) => points.last().map_or(0, |p| p.misses),
-        RunOutput::Invalidation { .. }
-        | RunOutput::UpdateCost { .. }
-        | RunOutput::TraceSummary(_)
-        | RunOutput::ModelCheck(_) => 0,
+        RunOutput::Invalidation { .. } => 0,
     }
 }
 
@@ -273,7 +231,7 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
         RunKind::Walk(exp) => Ok(RunOutput::Points(microbench::run(&exp)?)),
         RunKind::Geometry(exp) => Ok(RunOutput::GeometryPoints(geometry::run(&exp)?)),
         RunKind::Monitor { app, placement, seed } => {
-            Ok(RunOutput::Trace(monitor::monitor_app_seeded(app, placement.to_sim(), seed)?))
+            Ok(RunOutput::Trace(monitor::monitor_app_seeded(app, placement, seed)?))
         }
         RunKind::Policy { app, policy, cpus, scale } => {
             Ok(RunOutput::Report(perf::run_cell(app, policy, cpus, scale)?))
@@ -282,7 +240,7 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
             Ok(RunOutput::Report(experiments::threshold_cell(threshold_lines, scale)?))
         }
         RunKind::PlacementProbe { app, placement } => {
-            Ok(RunOutput::Report(experiments::placement_cell(app, placement.to_sim())?))
+            Ok(RunOutput::Report(experiments::placement_cell(app, placement)?))
         }
         RunKind::Invalidation { written_lines } => {
             let (observed, predicted) = experiments::invalidation_cell(written_lines);
@@ -296,24 +254,6 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
         }
         RunKind::Chaos { policy, scenario, scale } => {
             Ok(RunOutput::ChaosCell(experiments::chaos_cell(policy, scenario, scale)?))
-        }
-        RunKind::UpdateCost { policy, case } => {
-            let (flops, lookups) = experiments::update_cost_cell(policy, case);
-            Ok(RunOutput::UpdateCost { flops, lookups })
-        }
-        // The summary is what gets cached; the full event stream is
-        // re-recorded per invocation, never cached.
-        RunKind::TraceMetrics { app, policy, seed } => Ok(RunOutput::TraceSummary(Box::new(
-            crate::trace::traced_run(app, policy, seed)?.summary,
-        ))),
-        RunKind::ModelCheck { workload, naive, depth_bound, max_schedules, preempt_bound } => {
-            Ok(RunOutput::ModelCheck(crate::modelcheck::modelcheck_cell(
-                workload,
-                naive,
-                depth_bound,
-                max_schedules,
-                preempt_bound,
-            )))
         }
     }
 }
@@ -440,57 +380,8 @@ fn encode(out: &RunOutput) -> String {
         RunOutput::Invalidation { observed, predicted } => {
             s.push_str(&format!("inval {observed} {predicted}\n"));
         }
-        RunOutput::UpdateCost { flops, lookups } => {
-            s.push_str(&format!("cost {flops} {lookups}\n"));
-        }
-        RunOutput::TraceSummary(t) => {
-            s.push_str(&format!(
-                "tsum {} {} {} {} {} {} {} {}\n",
-                t.events,
-                t.intervals,
-                t.dropped,
-                t.mode_transitions,
-                enc_f64(t.abs_err_mean),
-                t.abs_err_samples,
-                enc_f64(t.rel_err_mean),
-                t.rel_err_samples
-            ));
-            for hist in [&t.miss_hist, &t.depth_hist, &t.fanout_hist, &t.abs_err_hist] {
-                let cells: Vec<String> = hist.iter().map(u64::to_string).collect();
-                s.push_str(&cells.join(" "));
-                s.push('\n');
-            }
-        }
-        RunOutput::ModelCheck(cell) => {
-            let ce_lines = cell.counterexample.as_deref().map_or(0, |t| t.lines().count());
-            s.push_str(&format!(
-                "mc {} {} {} {} {} {} {} {} {} {ce_lines}\n",
-                cell.schedules,
-                cell.pruned,
-                cell.truncated,
-                u8::from(cell.capped),
-                cell.max_depth,
-                cell.races,
-                cell.deadlocks,
-                cell.stalls,
-                cell.invariants
-            ));
-            if let Some(text) = &cell.counterexample {
-                for line in text.lines() {
-                    s.push_str(line);
-                    s.push('\n');
-                }
-            }
-        }
     }
     s
-}
-
-fn decode_hist<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-) -> Option<[u64; locality_trace::HIST_BUCKETS]> {
-    let nums: Vec<u64> = lines.next()?.split(' ').map(str::parse).collect::<Result<_, _>>().ok()?;
-    nums.try_into().ok()
 }
 
 /// Decodes a `<tag><count>` line followed by `count` space-separated
@@ -562,73 +453,6 @@ fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
                 observed: it.next()?.parse().ok()?,
                 predicted: it.next()?.parse().ok()?,
             })
-        }
-        RunKind::UpdateCost { .. } => {
-            let mut it = lines.next()?.strip_prefix("cost ")?.split(' ');
-            Some(RunOutput::UpdateCost {
-                flops: it.next()?.parse().ok()?,
-                lookups: it.next()?.parse().ok()?,
-            })
-        }
-        RunKind::TraceMetrics { .. } => {
-            let mut it = lines.next()?.strip_prefix("tsum ")?.split(' ');
-            let events = it.next()?.parse().ok()?;
-            let intervals = it.next()?.parse().ok()?;
-            let dropped = it.next()?.parse().ok()?;
-            let mode_transitions = it.next()?.parse().ok()?;
-            let abs_err_mean = dec_f64(it.next()?)?;
-            let abs_err_samples = it.next()?.parse().ok()?;
-            let rel_err_mean = dec_f64(it.next()?)?;
-            let rel_err_samples = it.next()?.parse().ok()?;
-            Some(RunOutput::TraceSummary(Box::new(locality_trace::TraceSummary {
-                events,
-                intervals,
-                dropped,
-                mode_transitions,
-                miss_hist: decode_hist(&mut lines)?,
-                depth_hist: decode_hist(&mut lines)?,
-                fanout_hist: decode_hist(&mut lines)?,
-                abs_err_hist: decode_hist(&mut lines)?,
-                abs_err_mean,
-                abs_err_samples,
-                rel_err_mean,
-                rel_err_samples,
-            })))
-        }
-        RunKind::ModelCheck { .. } => {
-            let mut it = lines.next()?.strip_prefix("mc ")?.split(' ');
-            let schedules = it.next()?.parse().ok()?;
-            let pruned = it.next()?.parse().ok()?;
-            let truncated = it.next()?.parse().ok()?;
-            let capped = it.next()? == "1";
-            let max_depth = it.next()?.parse().ok()?;
-            let races = it.next()?.parse().ok()?;
-            let deadlocks = it.next()?.parse().ok()?;
-            let stalls = it.next()?.parse().ok()?;
-            let invariants = it.next()?.parse().ok()?;
-            let ce_lines: usize = it.next()?.parse().ok()?;
-            let counterexample = if ce_lines == 0 {
-                None
-            } else {
-                let mut text = String::new();
-                for _ in 0..ce_lines {
-                    text.push_str(lines.next()?);
-                    text.push('\n');
-                }
-                Some(text)
-            };
-            Some(RunOutput::ModelCheck(McCell {
-                schedules,
-                pruned,
-                truncated,
-                capped,
-                max_depth,
-                races,
-                deadlocks,
-                stalls,
-                invariants,
-                counterexample,
-            }))
         }
     }
 }
@@ -901,7 +725,10 @@ impl Runner {
     pub fn new(config: RunnerConfig) -> Self {
         Runner {
             jobs: config.jobs.max(1),
-            cache: config.cache_dir.map(|dir| DiskCache { dir }),
+            cache: config
+                .cache_dir
+                .filter(|_| build_stamp().is_some())
+                .map(|dir| DiskCache { dir }),
             guard: config.guard,
             stats: Mutex::new(Vec::new()),
         }
@@ -915,11 +742,6 @@ impl Runner {
             cache_dir: (!args.no_cache).then(|| args.out.join(".cache")),
             guard: GuardPolicy::default(),
         })
-    }
-
-    /// The worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Executes every request (deduplicating identical descriptors) and
@@ -1055,32 +877,13 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::microbench::Monitored;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn walk_req(seed: u64) -> RunRequest {
         RunRequest::new(
             format!("walk-{seed}"),
             RunKind::Walk(WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 2_000, 500, seed)),
         )
-    }
-
-    /// A report with a different value in every field the wire carries.
-    fn sample_report() -> RunReport {
-        RunReport {
-            policy: "lff".to_string(),
-            cpus: 4,
-            total_cycles: 10,
-            total_l2_misses: 20,
-            total_l2_refs: 30,
-            total_instructions: 40,
-            context_switches: 50,
-            threads_completed: 60,
-            threads_aborted: 65,
-            steals: 70,
-            priority_flops: (80, 90),
-            degraded_intervals: 1,
-            corrected_intervals: 2,
-            per_cpu: Vec::new(),
-        }
     }
 
     #[test]
@@ -1095,76 +898,139 @@ mod tests {
         let b = cache_key(&walk_req(2).kind);
         assert_ne!(a, b);
         assert_eq!(a, cache_key(&walk_req(1).kind));
-        assert!(a.contains("wire"));
+        assert!(a.contains(build_stamp().expect("a test binary can stat itself")));
     }
 
-    #[test]
-    fn wire_round_trips_every_variant() {
-        let outs: Vec<(RunKind, RunOutput)> = vec![
+    /// Numbers for [`one_of_each`], handed out in order and around again.
+    struct Draw<'a>(&'a [u64], usize);
+
+    impl Draw<'_> {
+        fn int(&mut self) -> u64 {
+            self.1 += 1;
+            self.0[(self.1 - 1) % self.0.len()]
+        }
+
+        /// Any bit pattern: NaNs, infinities and -0.0 travel too.
+        fn float(&mut self) -> f64 {
+            f64::from_bits(self.int())
+        }
+
+        fn report(&mut self) -> RunReport {
+            RunReport {
+                policy: ["fcfs", "lff", "crt-noann"][self.int() as usize % 3].to_string(),
+                cpus: (self.int() % 64) as usize,
+                total_cycles: self.int(),
+                total_l2_misses: self.int(),
+                total_l2_refs: self.int(),
+                total_instructions: self.int(),
+                context_switches: self.int(),
+                threads_completed: self.int(),
+                threads_aborted: self.int(),
+                steals: self.int(),
+                priority_flops: (self.int(), self.int()),
+                degraded_intervals: self.int(),
+                corrected_intervals: self.int(),
+                per_cpu: Vec::new(),
+            }
+        }
+
+        fn probe(&mut self) -> PredictionProbe {
+            PredictionProbe {
+                sum_abs_err: self.float(),
+                sum_observed: self.float(),
+                samples: self.int(),
+            }
+        }
+    }
+
+    /// One value of each of the seven wire arms under a descriptor that
+    /// decodes it: `rows` rows in the three row formats, every number
+    /// from `nums`.
+    fn one_of_each(nums: &[u64], rows: usize) -> Vec<(RunKind, RunOutput)> {
+        let d = &mut Draw(nums, 0);
+        let (policy, scale) = (SchedPolicy::Lff, Scale::Small);
+        let geometry = GeometryExperiment {
+            monitored: Monitored::Walker { s0: 0.0 },
+            sets: 1024,
+            ways: 8,
+            page_bytes: 8192,
+            total_misses: 100,
+            sample_every: 50,
+            seed: 3,
+        };
+        vec![
             (
                 walk_req(1).kind,
-                RunOutput::Points(vec![
-                    WalkPoint { misses: 3, observed: 1.5, predicted: 0.1 },
-                    WalkPoint { misses: 9, observed: f64::MAX, predicted: -0.0 },
-                ]),
+                RunOutput::Points(
+                    (0..rows)
+                        .map(|_| WalkPoint {
+                            misses: d.int(),
+                            observed: d.float(),
+                            predicted: d.float(),
+                        })
+                        .collect(),
+                ),
             ),
             (
-                RunKind::Geometry(GeometryExperiment {
-                    monitored: crate::microbench::Monitored::Walker { s0: 0.0 },
-                    sets: 1024,
-                    ways: 8,
-                    page_bytes: 8192,
-                    total_misses: 100,
-                    sample_every: 50,
-                    seed: 3,
-                }),
-                RunOutput::GeometryPoints(vec![
-                    GeometryPoint { misses: 0, observed: 0.0, closed_form: 0.0, per_set: 0.0 },
-                    GeometryPoint { misses: 50, observed: 48.0, closed_form: 49.7, per_set: 49.9 },
-                ]),
+                RunKind::Geometry(geometry),
+                RunOutput::GeometryPoints(
+                    (0..rows)
+                        .map(|_| GeometryPoint {
+                            misses: d.int(),
+                            observed: d.float(),
+                            closed_form: d.float(),
+                            per_set: d.float(),
+                        })
+                        .collect(),
+                ),
             ),
             (
-                RunKind::Monitor { app: App::Merge, placement: Placement::BinHopping, seed: 7 },
+                RunKind::Monitor { app: App::Merge, placement: PagePlacement::BinHopping, seed: 7 },
                 RunOutput::Trace(MonitorTrace {
                     app: "merge",
-                    samples: vec![Sample {
-                        misses: 1,
-                        instructions: 2,
-                        observed: 3.25,
-                        predicted: 4.5,
-                    }],
+                    samples: (0..rows)
+                        .map(|_| Sample {
+                            misses: d.int(),
+                            instructions: d.int(),
+                            observed: d.float(),
+                            predicted: d.float(),
+                        })
+                        .collect(),
+                }),
+            ),
+            (
+                RunKind::Policy { app: PerfApp::Tasks, policy, cpus: 4, scale },
+                RunOutput::Report(d.report()),
+            ),
+            (
+                RunKind::Fault { policy, scenario: FaultScenario::Window, scale },
+                RunOutput::FaultCell(FaultCell {
+                    report: d.report(),
+                    probe: d.probe(),
+                    recovered: d.int() % 2 == 1,
+                }),
+            ),
+            (
+                RunKind::Chaos { policy, scenario: ChaosScenario::AbortLocked, scale },
+                RunOutput::ChaosCell(ChaosCell {
+                    report: d.report(),
+                    probe: d.probe(),
+                    poisoned: d.int(),
                 }),
             ),
             (
                 RunKind::Invalidation { written_lines: 4 },
-                RunOutput::Invalidation { observed: 10, predicted: 12 },
+                RunOutput::Invalidation { observed: d.int(), predicted: d.int() },
             ),
-            (
-                RunKind::UpdateCost { policy: PolicyKind::Lff, case: CostCase::Blocking },
-                RunOutput::UpdateCost { flops: 5, lookups: 1 },
-            ),
-            (
-                RunKind::TraceMetrics { app: App::Merge, policy: SchedPolicy::Lff, seed: 12 },
-                RunOutput::TraceSummary(Box::new({
-                    let mut miss_hist = [0u64; locality_trace::HIST_BUCKETS];
-                    miss_hist[3] = 17;
-                    locality_trace::TraceSummary {
-                        events: 100,
-                        intervals: 20,
-                        dropped: 2,
-                        mode_transitions: 1,
-                        miss_hist,
-                        depth_hist: [1; locality_trace::HIST_BUCKETS],
-                        fanout_hist: [0; locality_trace::HIST_BUCKETS],
-                        abs_err_hist: [2; locality_trace::HIST_BUCKETS],
-                        abs_err_mean: 3.5,
-                        abs_err_samples: 20,
-                        rel_err_mean: -0.0625,
-                        rel_err_samples: 18,
-                    }
-                })),
-            ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn wire_round_trips_every_variant() {
+        let nums: Vec<u64> =
+            (1..40).chain([f64::MAX, -0.0, 49.7, f64::NAN].map(f64::to_bits)).collect();
+        let outs = one_of_each(&nums, 2);
+        assert_eq!(outs.len(), 7);
         for (kind, out) in &outs {
             let wire = encode(out);
             let back = decode(kind, &wire).expect("round trip");
@@ -1172,32 +1038,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wire_round_trips_reports_and_fault_cells() {
-        let report = sample_report();
-        let kind = RunKind::Policy {
-            app: PerfApp::Tasks,
-            policy: SchedPolicy::Lff,
-            cpus: 4,
-            scale: Scale::Small,
-        };
-        let wire = encode(&RunOutput::Report(report.clone()));
-        let back = decode(&kind, &wire).expect("report round trip");
-        assert_eq!(encode(&back), wire);
+    /// Elements (rows, or bytes of a policy name) a decoded value holds
+    /// room for.
+    fn reserved(out: &RunOutput) -> usize {
+        match out {
+            RunOutput::Points(rows) => rows.capacity(),
+            RunOutput::GeometryPoints(rows) => rows.capacity(),
+            RunOutput::Trace(trace) => trace.samples.capacity(),
+            RunOutput::Report(r) => r.policy.capacity(),
+            RunOutput::FaultCell(cell) => cell.report.policy.capacity(),
+            RunOutput::ChaosCell(cell) => cell.report.policy.capacity(),
+            RunOutput::Invalidation { .. } => 0,
+        }
+    }
 
-        let cell = FaultCell {
-            report,
-            probe: PredictionProbe { sum_abs_err: 1.25, sum_observed: 2.5, samples: 3 },
-            recovered: true,
-        };
-        let kind = RunKind::Fault {
-            policy: SchedPolicy::Lff,
-            scenario: FaultScenario::Window,
-            scale: Scale::Small,
-        };
-        let wire = encode(&RunOutput::FaultCell(cell));
-        let back = decode(&kind, &wire).expect("fault round trip");
-        assert_eq!(encode(&back), wire);
+    proptest::proptest! {
+        /// The whole decoder, all seven arms: a payload that was cut
+        /// short, had a token replaced, had its leading count multiplied
+        /// or was spliced into another decodes to nothing or to a value
+        /// that round-trips, holding no more room than the payload has
+        /// bytes. It never panics: a multiplied count that sized an
+        /// allocation would, with a capacity overflow.
+        #[test]
+        fn damaged_payloads_decode_to_nothing_or_to_a_round_trip(
+            values in (proptest::collection::vec(0u64..=u64::MAX, 1..40), 0usize..6),
+            arms in (0usize..7, 0usize..7),
+            damage in 0u8..5,
+            at in (0usize..=usize::MAX, 0usize..=usize::MAX),
+            factor in 2u64..=u64::MAX,
+        ) {
+            let outs = one_of_each(&values.0, values.1);
+            let (kind, wire) = (outs[arms.0].0, encode(&outs[arms.0].1));
+            let other = encode(&outs[arms.1].1);
+            // Payloads are ASCII, so every byte offset is a boundary.
+            let cut = at.0 % (wire.len() + 1);
+            let tokens: Vec<&str> = wire.split_inclusive([' ', '\n']).collect();
+            let retoken = |i: usize, new: &str| {
+                let end = tokens[i].trim_end_matches([' ', '\n']).len();
+                let mut parts = tokens.clone();
+                let patched = format!("{new}{}", &tokens[i][end..]);
+                parts[i] = &patched;
+                parts.concat()
+            };
+            let payload = match damage {
+                0 => wire.clone(),
+                1 => wire[..cut].to_string(),
+                2 => retoken(at.0 % tokens.len(), ["", "x", "-1", "1e3", "zz zz"][at.1 % 5]),
+                // The leading count is the last token of the first line.
+                3 => {
+                    let i = wire.lines().next().map_or(0, |l| l.split(' ').count() - 1);
+                    let count: u128 = tokens[i].trim_end().parse().unwrap_or(1);
+                    retoken(i, &(count.max(1) * u128::from(factor)).to_string())
+                }
+                _ => format!("{}{}", &wire[..cut], &other[at.1 % (other.len() + 1)..]),
+            };
+            match decode(&kind, &payload) {
+                None => prop_assert!(damage != 0, "an undamaged payload must decode"),
+                Some(back) => {
+                    prop_assert!(reserved(&back) <= payload.len(), "{payload:?}");
+                    let again = encode(&back);
+                    prop_assert_eq!(decode(&kind, &again).map(|b| encode(&b)), Some(again));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1207,20 +1110,10 @@ mod tests {
         assert!(decode(&kind, "trace 1\n1 2 0 0\n").is_none());
         assert!(decode(&kind, "").is_none());
         // A count read from disk never sizes an allocation.
-        let geometry = RunKind::Geometry(GeometryExperiment {
-            monitored: Monitored::Walker { s0: 0.0 },
-            sets: 8192,
-            ways: 1,
-            page_bytes: 8192,
-            total_misses: 100,
-            sample_every: 50,
-            seed: 1,
-        });
-        let monitor =
-            RunKind::Monitor { app: App::Merge, placement: Placement::BinHopping, seed: 1 };
-        for (kind, tag) in [(kind, "points"), (geometry, "gpoints"), (monitor, "trace")] {
-            assert!(decode(&kind, &format!("{tag} {}\n", u64::MAX)).is_none(), "{tag}");
-            assert!(decode(&kind, &format!("{tag} {}\n0 0 0 0\n", u64::MAX)).is_none(), "{tag}");
+        let row_formats = one_of_each(&[0], 0);
+        for ((kind, _), tag) in row_formats.iter().zip(["points", "gpoints", "trace"]) {
+            assert!(decode(kind, &format!("{tag} {}\n", u64::MAX)).is_none(), "{tag}");
+            assert!(decode(kind, &format!("{tag} {}\n0 0 0 0\n", u64::MAX)).is_none(), "{tag}");
         }
     }
 
@@ -1308,23 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trips_chaos_cells() {
-        let cell = experiments::ChaosCell {
-            report: sample_report(),
-            probe: PredictionProbe { sum_abs_err: 3.5, sum_observed: 7.25, samples: 4 },
-            poisoned: 2,
-        };
-        let kind = RunKind::Chaos {
-            policy: SchedPolicy::Crt,
-            scenario: ChaosScenario::AbortLocked,
-            scale: Scale::Small,
-        };
-        let wire = encode(&RunOutput::ChaosCell(cell));
-        let back = decode(&kind, &wire).expect("chaos round trip");
-        assert_eq!(encode(&back), wire);
-    }
-
-    #[test]
     fn corrupted_entry_is_quarantined_then_recomputed() {
         let dir = std::env::temp_dir().join(format!("repro-quarantine-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1374,20 +1250,21 @@ mod tests {
     }
 
     #[test]
-    fn wire_2_cost_entry_is_a_clean_miss_not_a_quarantine() {
-        let dir = std::env::temp_dir().join(format!("repro-wire2-{}", std::process::id()));
+    fn another_builds_entry_is_a_clean_miss_not_a_quarantine() {
+        let dir = std::env::temp_dir().join(format!("repro-stamp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir cache");
         let cache = DiskCache { dir: dir.clone() };
-        let kind = RunKind::UpdateCost { policy: PolicyKind::Lff, case: CostCase::Blocking };
+        let kind = RunKind::Invalidation { written_lines: 4 };
         let key = cache_key(&kind);
-        // What the previous build stored: its own key, and a payload
-        // that still carries the ns/update reading.
-        let old_key = key.replace(&format!("wire {WIRE_FORMAT}"), "wire 2");
+        // What an earlier build stored: the same descriptor and wire
+        // format under its own stamp, with a result this build would not
+        // compute.
+        let old_key = stamped_key("1.1", &kind);
         assert_ne!(old_key, key);
-        let payload = format!("cost 5 2 {}\n", enc_f64(12.75));
+        let payload = encode(&RunOutput::Invalidation { observed: 1, predicted: 2 });
         let entry = format!("{old_key}\nsha256 {}\n{payload}", digest::hex(payload.as_bytes()));
-        // Under its own file name, and under the new key's (where only
+        // Under its own file name, and under this build's (where only
         // an FNV collision could put it): the header decides either way.
         for path in [cache.entry_path(&old_key), cache.entry_path(&key)] {
             std::fs::write(&path, &entry).expect("plant old entry");
@@ -1421,7 +1298,7 @@ mod tests {
         drop(held);
 
         // The same guard through a real descriptor, with time to finish.
-        let kind = RunKind::UpdateCost { policy: PolicyKind::Lff, case: CostCase::Blocking };
+        let kind = RunKind::Invalidation { written_lines: 0 };
         let patient = GuardPolicy { timeout: Some(Duration::from_secs(600)), ..guard };
         let out = execute_guarded(&kind, &patient).expect("watched run reports its result");
         assert_eq!(encode(&out), encode(&execute(&kind).expect("plain run")));

@@ -16,16 +16,17 @@ use crate::args::{Args, Scale};
 use crate::chaos::ChaosScenario;
 use crate::error::ReproError;
 use crate::faults::FaultScenario;
-use crate::runner::{Placement, RunKind, RunRequest};
+use crate::runner::{RunKind, RunRequest};
 use crate::suite::ResultSet;
 use crate::table::Table;
 use active_threads::SchedPolicy;
+use locality_sim::PagePlacement;
 use locality_workloads::App;
 
 const THRESHOLDS: [u64; 5] = [1, 8, 64, 256, 1024];
 const PLACEMENT_APPS: [App; 2] = [App::Typechecker, App::Raytrace];
-const PLACEMENTS: [Placement; 3] =
-    [Placement::BinHopping, Placement::PageColoring, Placement::Arbitrary];
+const PLACEMENTS: [PagePlacement; 3] =
+    [PagePlacement::BinHopping, PagePlacement::PageColoring, PagePlacement::arbitrary()];
 const INVALIDATION_WRITES: [u64; 4] = [0, 1024, 2048, 4096];
 /// The inference-ablation configurations: `(label, policy, annotate,
 /// infer)`.
@@ -133,7 +134,7 @@ pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
     for app in PLACEMENT_APPS {
         for placement in PLACEMENTS {
             reqs.push(RunRequest::new(
-                format!("ablation:placement/{}/{}", app.name(), placement.to_sim().name()),
+                format!("ablation:placement/{}/{}", app.name(), placement.name()),
                 RunKind::PlacementProbe { app, placement },
             ));
         }
@@ -226,7 +227,7 @@ fn emit_placement(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
             let r = results.report(&RunKind::PlacementProbe { app, placement })?;
             t.row(&[
                 app.name().to_string(),
-                placement.to_sim().name().to_string(),
+                placement.name().to_string(),
                 r.total_l2_misses.to_string(),
             ])?;
         }

@@ -82,15 +82,15 @@ impl Figure {
         Figure::Ablation,
     ];
 
-    /// The figure's run descriptors. Static tables need none.
+    /// The figure's run descriptors: its simulated machine and engine
+    /// runs. Tables 1–4 have none.
     ///
     /// # Errors
     ///
     /// Returns [`ReproError::Usage`] for an invalid `--fault` value.
     pub fn requests(&self, args: &Args) -> Result<Vec<RunRequest>, ReproError> {
         Ok(match self {
-            Figure::Table1 | Figure::Table2 | Figure::Table4 => Vec::new(),
-            Figure::Table3 => table3::requests(),
+            Figure::Table1 | Figure::Table2 | Figure::Table3 | Figure::Table4 => Vec::new(),
             Figure::Fig4 => fig4::requests(args.scale),
             Figure::Fig5 => monitor_figs::fig5_requests(),
             Figure::Fig6 => monitor_figs::fig6_requests(),
@@ -113,7 +113,7 @@ impl Figure {
         match self {
             Figure::Table1 => static_tables::emit_table1(args),
             Figure::Table2 => static_tables::emit_table2(args),
-            Figure::Table3 => table3::emit(args, results),
+            Figure::Table3 => table3::emit(args),
             Figure::Table4 => static_tables::emit_table4(args),
             Figure::Fig4 => fig4::emit(args, results),
             Figure::Fig5 => monitor_figs::fig5_emit(args, results),
@@ -231,18 +231,6 @@ impl ResultSet {
     pub fn invalidation(&self, kind: &RunKind) -> Result<(u64, u64), ReproError> {
         match self.get(kind)? {
             RunOutput::Invalidation { observed, predicted } => Ok((*observed, *predicted)),
-            _ => Err(Self::mismatch(kind)),
-        }
-    }
-
-    /// The `(flops, lookups)` of a [`RunKind::UpdateCost`] descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReproError::MissingResult`] if absent or mistyped.
-    pub fn update_cost(&self, kind: &RunKind) -> Result<(u64, u64), ReproError> {
-        match self.get(kind)? {
-            RunOutput::UpdateCost { flops, lookups } => Ok((*flops, *lookups)),
             _ => Err(Self::mismatch(kind)),
         }
     }

@@ -5,18 +5,19 @@
 use crate::args::Args;
 use crate::error::ReproError;
 use crate::monitor::{mpi_series, MonitorTrace};
-use crate::runner::{Placement, RunKind, RunRequest};
+use crate::runner::{RunKind, RunRequest};
 use crate::suite::ResultSet;
 use crate::table::Table;
+use locality_sim::PagePlacement;
 use locality_workloads::App;
 
-fn kind(app: App, placement: Placement) -> RunKind {
+fn kind(app: App, placement: PagePlacement) -> RunKind {
     RunKind::Monitor { app, placement, seed: app.default_seed() }
 }
 
-fn monitor_request(figure: &str, app: App, placement: Placement) -> RunRequest {
+fn monitor_request(figure: &str, app: App, placement: PagePlacement) -> RunRequest {
     let suffix = match placement {
-        Placement::Arbitrary => "/naive",
+        PagePlacement::Arbitrary { .. } => "/naive",
         _ => "",
     };
     RunRequest::new(format!("{figure}:{}{suffix}", app.name()), kind(app, placement))
@@ -26,7 +27,7 @@ fn monitor_request(figure: &str, app: App, placement: Placement) -> RunRequest {
 fn both_vm_requests(figure: &str, apps: &[App]) -> Vec<RunRequest> {
     apps.iter()
         .flat_map(|&app| {
-            [Placement::BinHopping, Placement::Arbitrary]
+            [PagePlacement::BinHopping, PagePlacement::arbitrary()]
                 .map(|placement| monitor_request(figure, app, placement))
         })
         .collect()
@@ -65,8 +66,8 @@ pub(super) fn fig5_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
         ],
     );
     for app in App::FIG5 {
-        let trace = results.trace(&kind(app, Placement::BinHopping))?;
-        let naive = results.trace(&kind(app, Placement::Arbitrary))?;
+        let trace = results.trace(&kind(app, PagePlacement::BinHopping))?;
+        let naive = results.trace(&kind(app, PagePlacement::arbitrary()))?;
         let mut t = Table::new("", &["misses", "instructions", "observed", "predicted"]);
         for s in &trace.samples {
             t.row(&[
@@ -108,7 +109,7 @@ pub(super) fn fig6_requests() -> Vec<RunRequest> {
     App::FIG5
         .iter()
         .chain(App::FIG7.iter())
-        .map(|&app| monitor_request("fig6", app, Placement::BinHopping))
+        .map(|&app| monitor_request("fig6", app, PagePlacement::BinHopping))
         .collect()
 }
 
@@ -118,7 +119,7 @@ pub(super) fn fig6_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
         &["app", "peak mpi", "final-quarter mpi", "burst ratio"],
     );
     for app in App::FIG5.iter().chain(App::FIG7.iter()) {
-        let trace = results.trace(&kind(*app, Placement::BinHopping))?;
+        let trace = results.trace(&kind(*app, PagePlacement::BinHopping))?;
         let series = mpi_series(trace);
         let mut t = Table::new("", &["instructions", "mpi"]);
         for (instr, mpi) in &series {
@@ -167,8 +168,8 @@ pub(super) fn fig7_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
         ],
     );
     for app in App::FIG7 {
-        let trace = results.trace(&kind(app, Placement::BinHopping))?;
-        let naive = results.trace(&kind(app, Placement::Arbitrary))?;
+        let trace = results.trace(&kind(app, PagePlacement::BinHopping))?;
+        let naive = results.trace(&kind(app, PagePlacement::arbitrary()))?;
         let mut t = Table::new("", &["misses", "observed", "predicted"]);
         for s in &trace.samples {
             t.row(&[

@@ -1,40 +1,24 @@
 //! Table 3: the costs of priority updates, in floating-point operations
 //! and table lookups per thread, for LFF and CRT across the three thread
-//! classes. The counts are deterministic; what an update costs the host
-//! is the benchmark's `core.prio_update_ns.*` probes.
+//! classes. The counts are deterministic and a cell is a handful of
+//! arithmetic on one table, so the rows are computed where they are
+//! printed, not sent through the runner; what an update costs the host is
+//! the benchmark's `core.prio_update_ns.*` probes.
 
 use crate::args::Args;
 use crate::error::ReproError;
-use crate::experiments::CostCase;
-use crate::runner::{RunKind, RunRequest};
-use crate::suite::ResultSet;
+use crate::experiments::{update_cost_cell, CostCase};
 use crate::table::Table;
 use locality_core::PolicyKind;
 
-const POLICIES: [PolicyKind; 2] = [PolicyKind::Lff, PolicyKind::Crt];
-
-pub(super) fn requests() -> Vec<RunRequest> {
-    POLICIES
-        .iter()
-        .flat_map(|&policy| {
-            CostCase::ALL.map(|case| {
-                RunRequest::new(
-                    format!("table3:{}/{}", policy.name(), case.name()),
-                    RunKind::UpdateCost { policy, case },
-                )
-            })
-        })
-        .collect()
-}
-
-pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
+pub(super) fn emit(args: &Args) -> Result<(), ReproError> {
     let mut t = Table::new(
         "Table 3 — costs of priority updates (per thread, at a context switch)",
         &["policy", "thread class", "fp ops", "table lookups"],
     );
-    for policy in POLICIES {
+    for policy in [PolicyKind::Lff, PolicyKind::Crt] {
         for case in CostCase::ALL {
-            let (flops, lookups) = results.update_cost(&RunKind::UpdateCost { policy, case })?;
+            let (flops, lookups) = update_cost_cell(policy, case);
             t.row(&[
                 policy.name().to_uppercase(),
                 case.name().to_string(),

@@ -1,7 +1,9 @@
 //! The `repro trace` driver: run a monitored application with the
 //! locality-trace sink installed, export the event stream (JSONL and
-//! Chrome `trace_event`), and write the aggregated trace metrics as CSV
-//! through the shared runner cache.
+//! Chrome `trace_event`), and write the aggregated trace metrics as CSV.
+//! Each app runs once and nothing is cached: the metrics row, the
+//! histograms and the exported records all come from that one run, so
+//! they describe the same events by construction.
 //!
 //! The protocol is the Figure 5/6/7 monitor protocol (`--workload` picks
 //! the app, Ultra-1, bin-hopping VM) with the scheduling policy opened
@@ -15,16 +17,15 @@
 //! * `trace_<app>.chrome.json` — Chrome `trace_event` document (opens in
 //!   Perfetto / `chrome://tracing`), one track per CPU and per thread;
 //! * a row in `trace_metrics.csv` plus per-app histogram CSVs
-//!   (`trace_hist_<app>.csv`), both served from the runner cache.
+//!   (`trace_hist_<app>.csv`).
 //!
 //! Requires a build with the `trace` cargo feature; without it the
-//! driver exits with a usage error *before* touching the runner, so a
-//! feature-less build can never poison the cache with empty summaries.
+//! driver exits with a usage error before running anything.
 
 use crate::args::{keyword, keyword_or_all, Args, Scale};
 use crate::error::ReproError;
 use crate::monitor::{monitored_engine, sample_footprints};
-use crate::runner::{in_parallel, RunKind, RunOutput, RunRequest, Runner};
+use crate::runner::in_parallel;
 use crate::table::Table;
 use active_threads::SchedPolicy;
 use locality_sim::PagePlacement;
@@ -71,18 +72,6 @@ pub struct TracedRun {
     pub summary: TraceSummary,
 }
 
-fn feature_gate() -> Result<(), ReproError> {
-    if locality_trace::ENABLED {
-        Ok(())
-    } else {
-        Err(ReproError::Usage(
-            "this build carries no trace instrumentation; \
-             rebuild with `cargo build --release --features trace`"
-                .to_string(),
-        ))
-    }
-}
-
 /// Runs `app`'s monitored work thread (Ultra-1, bin-hopping VM, the
 /// fig5 protocol) with a trace sink installed and returns the records
 /// and aggregated summary.
@@ -90,11 +79,15 @@ fn feature_gate() -> Result<(), ReproError> {
 /// # Errors
 ///
 /// Returns [`ReproError::Usage`] when the build lacks the `trace`
-/// feature — raised *before* any run, so a feature-less build cannot
-/// write empty summaries into a cache shared with instrumented builds —
-/// or the engine's error if the run cannot complete.
+/// feature, or the engine's error if the run cannot complete.
 pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun, ReproError> {
-    feature_gate()?;
+    if !locality_trace::ENABLED {
+        return Err(ReproError::Usage(
+            "this build carries no trace instrumentation; \
+             rebuild with `cargo build --release --features trace`"
+                .to_string(),
+        ));
+    }
     let (mut engine, tid) = monitored_engine(app, PagePlacement::bin_hopping(), policy, seed)?;
     // Observed vs predicted footprint of the monitored thread at each of
     // its context switches, exactly the fig5 measurement, as
@@ -120,30 +113,8 @@ pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun,
     Ok(TracedRun { app, records: sink.records(), summary: sink.summary(Some(tid.0)) })
 }
 
-fn metrics_requests(apps: &[App], policy: SchedPolicy) -> Vec<RunRequest> {
-    apps.iter()
-        .map(|&app| {
-            RunRequest::new(
-                format!("trace:{}/{}", app.name(), policy.name()),
-                RunKind::TraceMetrics { app, policy, seed: app.default_seed() },
-            )
-        })
-        .collect()
-}
-
-fn summary_of(out: &RunOutput) -> Result<TraceSummary, ReproError> {
-    match out {
-        RunOutput::TraceSummary(s) => Ok(**s),
-        other => Err(ReproError::MissingResult(format!("expected trace summary, got {other:?}"))),
-    }
-}
-
-/// The metrics table: one row per traced app.
-fn metrics_table(
-    apps: &[App],
-    policy: SchedPolicy,
-    summaries: &[TraceSummary],
-) -> Result<Table, ReproError> {
+/// The metrics table: one row per traced run.
+fn metrics_table(policy: SchedPolicy, runs: &[TracedRun]) -> Result<Table, ReproError> {
     let mut t = Table::new(
         "trace metrics — monitored work thread, Ultra-1, bin-hopping VM",
         &[
@@ -159,7 +130,7 @@ fn metrics_table(
             "rel err samples",
         ],
     );
-    for (app, s) in apps.iter().zip(summaries) {
+    for TracedRun { app, summary: s, .. } in runs {
         t.row(&[
             app.name().to_string(),
             policy.name().to_string(),
@@ -199,20 +170,7 @@ fn hist_table(app: App, s: &TraceSummary) -> Result<Table, ReproError> {
     Ok(t)
 }
 
-/// Records the traced runs for the export files, in app order,
-/// parallelized across `jobs` threads (each run's sink is thread-local,
-/// so runs never share trace state).
-fn export_runs(
-    apps: &[App],
-    policy: SchedPolicy,
-    jobs: usize,
-) -> Result<Vec<TracedRun>, ReproError> {
-    in_parallel(jobs, apps, |&app| traced_run(app, policy, app.default_seed()))
-        .into_iter()
-        .collect()
-}
-
-/// The full `trace` driver: run, export, write CSVs.
+/// The full `trace` driver: run each app once, export, write CSVs.
 ///
 /// # Errors
 ///
@@ -222,26 +180,22 @@ fn export_runs(
 pub fn run_trace(args: &Args) -> Result<(), ReproError> {
     let policy = policy_from_args(args)?;
     let apps = apps_from_args(args)?;
-    feature_gate()?;
 
-    // Aggregated metrics through the shared runner (cached, ordered).
-    let runner = Runner::from_args(args);
-    let outs = runner.run_all(&metrics_requests(&apps, policy))?;
-    let summaries: Vec<TraceSummary> = outs.iter().map(summary_of).collect::<Result<_, _>>()?;
+    // In app order, whatever `--jobs` is (each run's sink is
+    // thread-local, so runs never share trace state): every file below
+    // is byte-identical across invocations and `--jobs` values.
+    let runs: Vec<TracedRun> =
+        in_parallel(args.jobs, &apps, |&app| traced_run(app, policy, app.default_seed()))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
 
-    let metrics = metrics_table(&apps, policy, &summaries)?;
+    let metrics = metrics_table(policy, &runs)?;
     metrics.print();
     metrics.write_csv(&args.csv_path("trace_metrics.csv")?)?;
-    for (app, s) in apps.iter().zip(&summaries) {
-        hist_table(*app, s)?
-            .write_csv(&args.csv_path(&format!("trace_hist_{}.csv", app.name()))?)?;
-    }
-
-    // Event-stream exports: always recorded fresh (too large to cache),
-    // byte-identical across invocations and `--jobs` values.
-    let runs = export_runs(&apps, policy, args.jobs)?;
     for run in &runs {
         let name = run.app.name();
+        hist_table(run.app, &run.summary)?
+            .write_csv(&args.csv_path(&format!("trace_hist_{name}.csv"))?)?;
         std::fs::write(
             args.csv_path(&format!("trace_{name}.jsonl"))?,
             locality_trace::export::to_jsonl(&run.records),
@@ -258,7 +212,6 @@ pub fn run_trace(args: &Args) -> Result<(), ReproError> {
             run.summary.dropped
         );
     }
-    runner.summary()?.print();
     Ok(())
 }
 
@@ -343,6 +296,38 @@ mod tests {
             assert_eq!(a.summary, b.summary);
             assert_eq!(to_jsonl(&a.records), to_jsonl(&b.records));
             assert_eq!(to_chrome(&a.records), to_chrome(&b.records));
+        }
+
+        #[test]
+        fn run_trace_writes_one_uncached_runs_records_and_their_summary() {
+            let out = std::env::temp_dir().join(format!("repro-trace-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&out);
+            let args = Args { out: out.clone(), jobs: 1, ..args_with(None, None, Scale::Small) };
+            run_trace(&args).unwrap();
+            assert!(!out.join(".cache").exists(), "nothing of a trace is cached");
+
+            // The very records exported, through a sink of their own:
+            // its summary is what the two CSVs must say.
+            let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
+            let read = |name: &str| std::fs::read_to_string(out.join(name)).unwrap();
+            assert_eq!(read("trace_merge.jsonl"), to_jsonl(&run.records));
+            let mut sink = locality_trace::TraceSink::new(locality_trace::sink::DEFAULT_CAPACITY);
+            let mut monitored = None;
+            for r in &run.records {
+                if let locality_trace::TraceEvent::PredictionSample { tid, .. } = r.event {
+                    monitored = Some(tid);
+                }
+                sink.set_clock(r.clock);
+                sink.record(r.event);
+            }
+            let summary = sink.summary(monitored);
+            assert!(summary.rel_err_samples > 0 && summary.dropped == 0, "{summary:?}");
+            let replayed = [TracedRun { app: App::Merge, records: Vec::new(), summary }];
+            let metrics = metrics_table(SchedPolicy::Lff, &replayed).unwrap();
+            assert_eq!(read("trace_metrics.csv"), metrics.to_csv());
+            let hist = hist_table(App::Merge, &summary).unwrap();
+            assert_eq!(read("trace_hist_merge.csv"), hist.to_csv());
+            let _ = std::fs::remove_dir_all(&out);
         }
 
         #[test]

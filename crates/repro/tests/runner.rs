@@ -79,3 +79,47 @@ fn second_invocation_is_fully_cached() {
     assert_eq!(third.fresh_runs, first.fresh_runs);
     let _ = std::fs::remove_dir_all(&out);
 }
+
+/// `repro fig4 --scale small` by `bin` into `out`: `(fresh, cached)` as
+/// the runner's summary line reports them.
+fn fig4_runs(bin: &Path, out: &Path) -> (usize, usize) {
+    let output = std::process::Command::new(bin)
+        .args(["fig4", "--scale", "small", "--jobs", "2", "--out"])
+        .arg(out)
+        .output()
+        .expect("spawn repro fig4");
+    assert!(output.status.success(), "repro fig4 exited with {}", output.status);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let line = stdout.lines().find(|l| l.contains("runner — ")).expect("runner summary line");
+    let count = |word: &str| {
+        let before = line.split(word).next().expect("split yields a first piece");
+        before.rsplit([' ', ',']).find(|t| !t.is_empty()).and_then(|n| n.parse().ok())
+    };
+    (count(" fresh").expect("fresh count"), count(" cached").expect("cached count"))
+}
+
+/// The stale-cache reproduction: a cache written by one build must not be
+/// served by a later one. All a binary observes of its build is its own
+/// file's length and modification time, so the same bytes under a later
+/// mtime stand in for the rebuild.
+#[test]
+fn a_later_build_is_not_served_an_earlier_builds_cache() {
+    let bin = Path::new(env!("CARGO_BIN_EXE_repro"));
+    let out = tmp_out("rebuilt");
+    std::fs::create_dir_all(&out).expect("mkdir out");
+    let rebuilt = out.join("repro-rebuilt");
+    std::fs::copy(bin, &rebuilt).expect("copy repro");
+    let built = std::fs::metadata(bin).and_then(|m| m.modified()).expect("mtime of repro");
+    std::fs::File::options()
+        .write(true)
+        .open(&rebuilt)
+        .and_then(|f| f.set_modified(built + std::time::Duration::from_secs(1)))
+        .expect("date the copy a second later");
+
+    let (fresh, cached) = fig4_runs(bin, &out);
+    assert!(fresh > 0 && cached == 0, "first build: {fresh} fresh, {cached} cached");
+    assert_eq!(fig4_runs(bin, &out), (0, fresh), "the same build reads its own entries");
+    assert_eq!(fig4_runs(&rebuilt, &out), (fresh, 0), "a later build must recompute them all");
+    assert_eq!(fig4_runs(&rebuilt, &out), (0, fresh), "and then reads its own");
+    let _ = std::fs::remove_dir_all(&out);
+}

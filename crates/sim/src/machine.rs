@@ -110,8 +110,7 @@ impl Machine {
         }
         let cpus = (0..config.cpus).map(|_| CpuCache::new(&config.hierarchy)).collect();
         let tlbs = (0..config.cpus).map(|_| Tlb::new(config.tlb)).collect();
-        let page_table =
-            PageTable::new(config.page_bytes, config.l2_page_bins(), config.placement.clone());
+        let page_table = PageTable::new(config.page_bytes, config.l2_page_bins(), config.placement);
         Ok(Machine {
             tlbs,
             tlb_vpn: vec![u64::MAX; config.cpus],

@@ -20,7 +20,7 @@ use crate::addr::{PAddr, VAddr};
 const UNMAPPED: u64 = u64::MAX;
 
 /// A page-placement policy (chooses the cache bin of each new frame).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePlacement {
     /// Pseudo-random bin per fault (xorshift over the given seed).
     Arbitrary {
@@ -36,7 +36,7 @@ pub enum PagePlacement {
 
 impl PagePlacement {
     /// The default-seeded arbitrary policy.
-    pub fn arbitrary() -> Self {
+    pub const fn arbitrary() -> Self {
         PagePlacement::Arbitrary { seed: 0x9e3779b97f4a7c15 }
     }
 

@@ -44,7 +44,7 @@
 //! [`locality_core::sanitizer`]); the scheduler folds those samples into
 //! a machine-wide EWMA. When that estimate stays below
 //! `DEGRADE_LOW` (0.5) for
-//! [`LocalityConfig::hysteresis_intervals`] consecutive intervals, the
+//! `HYSTERESIS_INTERVALS` (4) consecutive intervals, the
 //! scheduler enters [`SchedMode::Degraded`]: priorities computed from
 //! counter data are no longer trusted for dispatch. In that mode picks
 //! use *annotations only* — the `at_share` dependents of the processor's
@@ -76,6 +76,12 @@ const DEGRADE_LOW: f64 = 0.5;
 /// Return to [`SchedMode::Normal`] when the confidence EWMA stays above
 /// this value (kept above `DEGRADE_LOW` for hysteresis).
 const RECOVER_HIGH: f64 = 0.8;
+/// Consecutive intervals the EWMA must sit beyond a threshold before the
+/// mode flips (streak hysteresis against flapping).
+const HYSTERESIS_INTERVALS: u64 = 4;
+/// The processor's heap is swept for under-threshold entries every this
+/// many context switches.
+const SWEEP_INTERVAL: u64 = 64;
 
 /// A lazily-deleted FIFO is swept when it grows past
 /// `2 * ready_members + COMPACT_SLACK` entries.
@@ -101,26 +107,12 @@ pub struct LocalityConfig {
     pub use_annotations: bool,
     /// Heap-eviction threshold in expected lines.
     pub threshold_lines: f64,
-    /// Sweep the processor's heap for under-threshold entries every this
-    /// many context switches.
-    pub sweep_interval: u64,
-    /// Consecutive intervals the EWMA must sit beyond a threshold before
-    /// the mode flips (streak hysteresis against flapping).
-    pub hysteresis_intervals: u64,
 }
 
 impl LocalityConfig {
-    /// Default parameters for a policy: annotations on, 8-line threshold,
-    /// sweep every 64 switches, degrade below 0.5 / recover above 0.8
-    /// confidence with a 4-interval streak requirement.
+    /// Default parameters for a policy: annotations on, 8-line threshold.
     pub fn new(policy: PolicyKind) -> Self {
-        LocalityConfig {
-            policy,
-            use_annotations: true,
-            threshold_lines: 8.0,
-            sweep_interval: 64,
-            hysteresis_intervals: 4,
-        }
+        LocalityConfig { policy, use_annotations: true, threshold_lines: 8.0 }
     }
 }
 
@@ -419,7 +411,7 @@ impl LocalityScheduler {
                 self.high_streak = 0;
                 if self.conf < DEGRADE_LOW {
                     self.low_streak += 1;
-                    if self.low_streak >= self.config.hysteresis_intervals {
+                    if self.low_streak >= HYSTERESIS_INTERVALS {
                         self.mode = SchedMode::Degraded;
                         self.low_streak = 0;
                         emit_with(|| TraceEvent::ModeTransition {
@@ -436,7 +428,7 @@ impl LocalityScheduler {
                 self.low_streak = 0;
                 if self.conf > RECOVER_HIGH {
                     self.high_streak += 1;
-                    if self.high_streak >= self.config.hysteresis_intervals {
+                    if self.high_streak >= HYSTERESIS_INTERVALS {
                         self.mode = SchedMode::Normal;
                         self.high_streak = 0;
                         for p in &mut self.preferred {
@@ -556,9 +548,7 @@ impl Scheduler for LocalityScheduler {
         }
         self.updates = updates;
         self.interval_ends += 1;
-        if self.config.sweep_interval > 0
-            && self.interval_ends.is_multiple_of(self.config.sweep_interval)
-        {
+        if self.interval_ends.is_multiple_of(SWEEP_INTERVAL) {
             self.sweep(cpu);
         }
         self.note_confidence(cpu, interval.confidence);
@@ -866,15 +856,19 @@ mod tests {
     #[test]
     fn sweep_bounds_heap_size() {
         let mut s = LocalityScheduler::new(
-            LocalityConfig {
-                threshold_lines: 100.0,
-                sweep_interval: 1,
-                ..LocalityConfig::new(PolicyKind::Lff)
-            },
+            LocalityConfig { threshold_lines: 100.0, ..LocalityConfig::new(PolicyKind::Lff) },
             1024,
             1,
         )
         .unwrap();
+        // The sweep comes with every SWEEP_INTERVAL-th interval end: one
+        // more thread spends all but eleven of them on nothing, so that
+        // its trashing interval below is the one that sweeps.
+        s.on_spawn(t(99));
+        s.remove_everywhere(t(99));
+        for _ in 0..SWEEP_INTERVAL - 11 {
+            run_interval(&mut s, 0, t(99), 0);
+        }
         // Ten warm-ish threads in the heap.
         for i in 0..10u64 {
             let tid = t(i);
@@ -885,11 +879,8 @@ mod tests {
         }
         let before = s.heap_len(0);
         assert!(before > 0);
-        // A long cache-trashing interval by one more thread decays all of
-        // them; the sweep (interval=1) must demote the under-threshold
-        // ones right away.
-        s.on_spawn(t(99));
-        s.remove_everywhere(t(99));
+        // A long cache-trashing interval decays all of them; the sweep
+        // must demote the under-threshold ones right away.
         run_interval(&mut s, 0, t(99), 20_000);
         assert_eq!(s.heap_len(0), 0, "sweep must evict all decayed entries");
         assert_eq!(s.ready_count(), 10, "demoted threads remain runnable");
@@ -909,14 +900,10 @@ mod tests {
         assert_eq!(s.pick(0), Some(t(2)), "most recently blocked has ratio 0");
     }
 
-    /// A scheduler with tight hysteresis for the degradation tests.
+    /// An LFF scheduler for the degradation tests.
     fn degradable(use_annotations: bool, cpus: usize) -> LocalityScheduler {
         LocalityScheduler::new(
-            LocalityConfig {
-                use_annotations,
-                hysteresis_intervals: 2,
-                ..LocalityConfig::new(PolicyKind::Lff)
-            },
+            LocalityConfig { use_annotations, ..LocalityConfig::new(PolicyKind::Lff) },
             1024,
             cpus,
         )
