@@ -250,6 +250,10 @@ rm -rf "$INVARIANT_OUT"
 # all 10 974 samples of the sixteen monitored cells. #[ignore]d in the
 # default suite (two minutes unoptimised); seconds in release.
 cargo test --release --test footprint_tracking -- --ignored
+# barnes replays step 0's walks in later steps: at default parameters the
+# replaying run must equal, in report, reference trace and checksum bits,
+# one that recomputes every step (#[ignore]d in the default suite).
+cargo test --release -p locality-workloads --lib barnes -- --ignored
 
 # Observability layer (locality-trace): the workspace must stay green
 # with the trace feature on (its tests pin the hot path's events per

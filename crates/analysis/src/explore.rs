@@ -862,6 +862,7 @@ pub fn single_schedule_race_pairs(workload: McWorkload) -> BTreeSet<(u64, u64)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn cfg(max: usize) -> ExploreConfig {
         ExploreConfig { max_schedules: max, ..ExploreConfig::default() }
@@ -963,6 +964,82 @@ mod tests {
             "{CE_HEADER}\nworkload bogus 1\nviolation race\nschedule 1\n"
         ))
         .is_err());
+    }
+
+    proptest::proptest! {
+        /// The counterexample decoder, on the files all four workloads
+        /// write: one cut short at any byte, with a token replaced, a
+        /// line duplicated or dropped, or a count at `u32::MAX` or
+        /// `u64::MAX` parses to an error or to a value that re-serializes
+        /// and parses back to itself. It never panics.
+        #[test]
+        fn damaged_counterexamples_parse_to_an_error_or_a_round_trip(
+            which in (0usize..4, 0usize..4, 0u32..=u32::MAX),
+            schedule in proptest::collection::vec(0u64..=u64::MAX, 0..12),
+            damage in 0u8..6,
+            at in (0usize..=usize::MAX, 0usize..=usize::MAX),
+        ) {
+            let workloads = [
+                McWorkload::Clean { rounds: which.2 },
+                McWorkload::Racy { rounds: which.2 },
+                McWorkload::Deadlock,
+                McWorkload::LostWakeup,
+            ];
+            let kinds = [
+                ViolationKind::Race,
+                ViolationKind::Deadlock,
+                ViolationKind::CondvarStall,
+                ViolationKind::Invariant,
+            ];
+            let detail = "t1 blocked on mutex 0; t2 blocked".to_string();
+            let v = McViolation { kind: kinds[which.1], detail, schedule };
+            let text = serialize_counterexample(workloads[which.0], &v);
+            let mut lines: Vec<&str> = text.lines().collect();
+            let tokens: Vec<&str> = text.split_inclusive([' ', ',', '\n']).collect();
+            let retoken = |i: usize, new: &str| {
+                let end = tokens[i].trim_end_matches([' ', ',', '\n']).len();
+                let mut parts = tokens.clone();
+                let patched = format!("{new}{}", &tokens[i][end..]);
+                parts[i] = &patched;
+                parts.concat()
+            };
+            let counts = ["4294967295", "4294967296", "18446744073709551615", "18446744073709551616"];
+            let line = at.0 % lines.len();
+            let damaged = match damage {
+                0 => text.clone(),
+                // The text is ASCII, so every byte offset is a boundary.
+                1 => text[..at.0 % (text.len() + 1)].to_string(),
+                2 => {
+                    let new = ["", "x", "-1", "0", ",", "race", "clean", "workload"][at.1 % 8];
+                    retoken(at.0 % tokens.len(), new)
+                }
+                3 => {
+                    lines.insert(line, lines[line]);
+                    lines.join("\n")
+                }
+                4 => {
+                    lines.remove(line);
+                    lines.join("\n")
+                }
+                _ => retoken(at.0 % tokens.len(), counts[at.1 % 4]),
+            };
+            match parse_counterexample(&damaged) {
+                Err(_) => prop_assert!(damage != 0, "an undamaged file must parse"),
+                Ok(ce) => {
+                    if damage == 0 {
+                        let want = (workloads[which.0], v.kind, &v.schedule, &v.detail);
+                        prop_assert_eq!((ce.workload, ce.kind, &ce.schedule, &ce.detail), want);
+                    }
+                    let again = McViolation {
+                        kind: ce.kind,
+                        detail: ce.detail.clone(),
+                        schedule: ce.schedule.clone(),
+                    };
+                    let again = serialize_counterexample(ce.workload, &again);
+                    prop_assert_eq!(parse_counterexample(&again), Ok(ce));
+                }
+            }
+        }
     }
 
     #[test]
