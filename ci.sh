@@ -142,42 +142,41 @@ cmp "$GEOM_A/geometry.csv" "$GEOM_B/geometry.csv"
 # Geometries no run can build (over the capacity cap, a line count that
 # wraps, a one-line cache) are a usage error, not an abort or a panic.
 # So is a page smaller than a cache line, which used to alias lines and,
-# at one byte, to walk forever: hence the timeout.
-for bad in "--geometry 1099511627776x4" "--geometry 4611686018427387904x4" "--geometry 1x1" \
-    "--page-size 1" "--page-size 32"; do
+# at one byte, to walk forever: hence the timeout. So are --fault and
+# --chaos anywhere but `repro ablation`, which table1 used to ignore and
+# `all` used to answer with a different artifact set.
+for bad in "geometry --geometry 1099511627776x4" "geometry --geometry 4611686018427387904x4" \
+    "geometry --geometry 1x1" "geometry --page-size 1" "geometry --page-size 32" \
+    "table1 --fault bogus" "all --chaos churn"; do
     status=0
-    # $bad is left unquoted: it is a flag and its value.
-    timeout 20 cargo run --release -p locality-repro --bin repro -- geometry \
-        --scale small $bad --out "$GEOM_A" 2>/dev/null || status=$?
+    # $bad is left unquoted: it is a subcommand, a flag and its value.
+    timeout 20 cargo run --release -p locality-repro --bin repro -- $bad \
+        --scale small --out "$GEOM_A" 2>/dev/null || status=$?
     if [ "$status" -ne 2 ]; then
-        echo "repro geometry $bad exited $status, not 2" >&2
+        echo "repro $bad exited $status, not 2" >&2
         exit 1
     fi
 done
 rm -rf "$GEOM_A" "$GEOM_B"
 
-# Thread-lifecycle chaos: every fault scenario must complete without
-# panic across all three policies (FCFS/LFF/CRT) and emit the churn
-# ablation table. Chaos cells never contaminate the golden artifacts —
-# the table only exists when --chaos is passed.
-CHAOS_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro -- ablation \
-    --scale small --chaos all --out "$CHAOS_OUT"
-test -s "$CHAOS_OUT/ablation_chaos.csv"
-rm -rf "$CHAOS_OUT"
-
-# Counter faults: every scenario must run through the sanitizer and the
-# degraded mode to a finished table, byte-identical across --jobs values
-# like every other runner artifact.
-FAULT_A=$(mktemp -d)
-FAULT_B=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro -- ablation \
-    --scale small --fault all --jobs 1 --out "$FAULT_A"
-cargo run --release -p locality-repro --bin repro -- ablation \
-    --scale small --fault all --jobs 4 --out "$FAULT_B"
-test -s "$FAULT_A/ablation_faults.csv"
-cmp "$FAULT_A/ablation_faults.csv" "$FAULT_B/ablation_faults.csv"
-rm -rf "$FAULT_A" "$FAULT_B"
+# The robustness tables (repro ablation --fault/--chaos; they exist only
+# when a flag asks for them): every counter-fault scenario must run
+# through the sanitizer and the degraded mode, and every lifecycle-chaos
+# scenario must complete under FCFS, LFF and CRT, to tables that are
+# byte-identical across --jobs values and to results/golden_robustness.sha256
+# at both scales.
+ROBUST_GOLDEN="$PWD/results/golden_robustness.sha256"
+for jobs in 1 4; do
+    ROBUST_OUT=$(mktemp -d)
+    for scale in small paper; do
+        for table in --fault --chaos; do
+            cargo run --release -p locality-repro --bin repro -- ablation \
+                --scale "$scale" "$table" all --jobs "$jobs" --out "$ROBUST_OUT/$scale"
+        done
+    done
+    (cd "$ROBUST_OUT" && sha256sum -c "$ROBUST_GOLDEN")
+    rm -rf "$ROBUST_OUT"
+done
 
 # Crash safety: a `repro all` SIGKILLed mid-run must, on rerun, resume
 # from the on-disk cache to artifacts byte-identical to an

@@ -20,9 +20,7 @@ pub(crate) const FLAGS_HELP: &str = "flags:
   --fault SCENARIO     ablation only: run the counter-fault robustness
                        table for one scenario, or 'all'
   --chaos SCENARIO     ablation only: run the thread-lifecycle chaos
-                       table for one scenario (abort-running,
-                       abort-locked, spawn-fail, abort-idle, churn), or
-                       'all'
+                       table for one scenario, or 'all'
   --workload NAME      analyze: which fixture workload to analyze
                        (clean, racy, or all; default: all)
                        modelcheck: which fixture workload to explore
@@ -66,11 +64,12 @@ pub struct Args {
     /// Output directory for CSV files.
     pub out: PathBuf,
     /// Counter-fault scenario keyword (`--fault <scenario>|all`), used
-    /// by `repro ablation`'s robustness runs.
+    /// by `repro ablation`'s robustness table; looked up in the
+    /// [scenario table](crate::scenario) there.
     pub fault: Option<String>,
     /// Thread-lifecycle chaos scenario keyword (`--chaos
-    /// <scenario>|all`), used by `repro ablation`'s chaos table;
-    /// validated in [`ChaosScenario::parse`](crate::ChaosScenario).
+    /// <scenario>|all`), used by `repro ablation`'s chaos table; looked
+    /// up in the [scenario table](crate::scenario) there.
     pub chaos: Option<String>,
     /// Workload keyword (`--workload NAME|all`), used by `repro
     /// analyze` (clean/racy fixtures) and `repro trace` (monitored
@@ -213,9 +212,8 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `--scale paper|small`, `--out DIR`, `--jobs N`,
-    /// `--no-cache`, and `--fault` from an iterator of arguments (the
-    /// program name must already be consumed). `--help`/`-h` yields
+    /// Parses the flags of [`FLAGS_HELP`] from an iterator of arguments
+    /// (the program name must already be consumed). `--help`/`-h` yields
     /// [`Parsed::Help`] rather than an error.
     ///
     /// # Errors
@@ -309,6 +307,8 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Ablation;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         match Args::parse(args.iter().map(|s| s.to_string()))? {
@@ -345,18 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_scenario() {
-        let a = parse(&["--fault", "wraparound"]).unwrap();
+    fn scenario_keywords() {
+        assert_eq!((parse(&[]).unwrap().fault, parse(&[]).unwrap().chaos), (None, None));
+        let a = parse(&["--fault", "wraparound", "--chaos", "abort-locked"]).unwrap();
         assert_eq!(a.fault.as_deref(), Some("wraparound"));
-        assert!(parse(&["--fault"]).is_err());
-    }
-
-    #[test]
-    fn chaos_scenario() {
-        assert_eq!(parse(&[]).unwrap().chaos, None);
-        let a = parse(&["--chaos", "abort-locked"]).unwrap();
         assert_eq!(a.chaos.as_deref(), Some("abort-locked"));
-        assert!(parse(&["--chaos"]).is_err());
+        assert!(parse(&["--fault"]).is_err() && parse(&["--chaos"]).is_err());
     }
 
     #[test]
@@ -469,6 +463,88 @@ mod tests {
     fn help_is_not_an_error() {
         assert!(matches!(Args::parse(["-h".to_string()]), Ok(Parsed::Help)));
         assert!(matches!(Args::parse(["--help".to_string()]), Ok(Parsed::Help)));
+    }
+
+    proptest::proptest! {
+        /// Token sequences drawn from the flag vocabulary, the scenario
+        /// table's keywords, `all`, boundary integers and arbitrary
+        /// strings parse to arguments, to help or to a message, never to
+        /// a panic; an accepted `--fault`/`--chaos` value names its rows
+        /// of the table or is a usage error.
+        #[test]
+        fn token_sequences_parse_to_args_help_or_a_message(
+            sequences in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        0usize..=usize::MAX,
+                        0usize..=usize::MAX,
+                        proptest::collection::vec(0u32..0x11_0000, 0..4),
+                    ),
+                    0..8,
+                ),
+                32,
+            ),
+        ) {
+            let flags: Vec<&str> = FLAGS_HELP
+                .split(|c: char| c.is_whitespace() || c == ',')
+                .filter(|word| word.starts_with('-'))
+                .collect();
+            let mut values: Vec<String> =
+                crate::scenario::SCENARIOS.iter().map(|s| s.name.to_string()).collect();
+            values.extend(
+                ["all", "paper", "small", "lff", "", "0", "1", "-1", "64", "1x1", "1024x8"]
+                    .map(str::to_string),
+            );
+            values.extend(
+                [u64::MAX.to_string(), format!("{}0", u64::MAX), format!("{}x4", 1u64 << 62)],
+            );
+            for pairs in &sequences {
+                // Each pair is a flag, a value, both or neither; the first
+                // value past the vocabulary is an arbitrary string.
+                let mut argv: Vec<String> = Vec::new();
+                for (flag, value, chars) in pairs {
+                    argv.extend(flags.get(flag % (flags.len() + 1)).map(|f| f.to_string()));
+                    let value = value % (values.len() + 2);
+                    match values.get(value) {
+                        Some(word) => argv.push(word.clone()),
+                        None if value == values.len() => {
+                            argv.push(chars.iter().filter_map(|&c| char::from_u32(c)).collect());
+                        }
+                        None => {}
+                    }
+                }
+                check_parse(&argv)?;
+            }
+        }
+    }
+
+    /// [`token_sequences_parse_to_args_help_or_a_message`] for one
+    /// argument list.
+    fn check_parse(argv: &[String]) -> Result<(), String> {
+        let args = match Args::parse(argv.to_vec()) {
+            Ok(Parsed::Run(args)) => args,
+            Ok(Parsed::Help) => return Ok(()),
+            Err(msg) => {
+                prop_assert!(!msg.is_empty(), "{argv:?}");
+                return Ok(());
+            }
+        };
+        for (ablation, value) in [(Ablation::Faults, &args.fault), (Ablation::Chaos, &args.chaos)] {
+            let Some(value) = value else { continue };
+            match ablation.parse(value) {
+                Ok(rows) if value == "all" => prop_assert_eq!(rows, ablation.rows()),
+                Ok(rows) => {
+                    prop_assert!(rows.len() == 1 && rows[0].name == value, "{argv:?}");
+                    prop_assert_eq!(rows[0].ablation(), ablation);
+                }
+                Err(ReproError::Usage(_)) => prop_assert!(
+                    value != "all" && ablation.rows().iter().all(|s| s.name != value),
+                    "{argv:?}"
+                ),
+                Err(e) => prop_assert!(false, "{argv:?}: {e}"),
+            }
+        }
+        Ok(())
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! nothing here may touch shared mutable state.
 
 use crate::args::Scale;
-use crate::chaos::{ChaosScenario, CHAOS_SEED};
 use crate::error::ReproError;
-use crate::faults::FaultScenario;
 use crate::monitor::{monitored_engine, sample_footprints, Sampled};
 use active_threads::sched::LocalityConfig;
-use active_threads::{Engine, EngineConfig, InferenceConfig, RunReport, SchedPolicy};
+use active_threads::{ChaosConfig, Engine, EngineConfig, InferenceConfig, RunReport, SchedPolicy};
 use locality_core::{FootprintEntry, ModelParams, PolicyKind, PrioritySchemes, ThreadId};
-use locality_sim::{AccessKind, Machine, MachineConfig, PagePlacement};
+use locality_sim::{AccessKind, FaultConfig, Machine, MachineConfig, PagePlacement};
 use locality_workloads::{tasks, App};
 
 /// One heap-eviction-threshold sweep cell (tasks, 1 cpu, LFF).
@@ -258,17 +256,24 @@ impl PredictionProbe {
     }
 }
 
-/// Installs the sampling hook accumulating a [`PredictionProbe`] over
-/// every context switch the policy has a prediction for (none under
+/// A robustness cell's engine on the 4-cpu Enterprise 5000, with `chaos`
+/// installed and the sampling hook accumulating a [`PredictionProbe`]
+/// over every context switch the policy has a prediction for (none under
 /// FCFS).
-fn probe_predictions(engine: &mut Engine) -> Sampled<PredictionProbe> {
-    sample_footprints(engine, None, |p: &mut PredictionProbe, _, _, observed, predicted| {
-        let Some(predicted) = predicted else { return };
-        let observed = observed as f64;
-        p.sum_abs_err += (predicted - observed).abs();
-        p.sum_observed += observed;
-        p.samples += 1;
-    })
+fn probed_engine(
+    policy: SchedPolicy,
+    chaos: Option<ChaosConfig>,
+) -> Result<(Engine, Sampled<PredictionProbe>), ReproError> {
+    let config = EngineConfig { chaos, ..EngineConfig::default() };
+    let mut engine = Engine::new(MachineConfig::enterprise5000(4), policy, config)?;
+    let probe =
+        sample_footprints(&mut engine, None, |p: &mut PredictionProbe, _, _, seen, pred| {
+            let Some(predicted) = pred else { return };
+            p.sum_abs_err += (predicted - seen as f64).abs();
+            p.sum_observed += seen as f64;
+            p.samples += 1;
+        });
+    Ok((engine, probe))
 }
 
 /// The result of one fault-scenario run.
@@ -283,15 +288,15 @@ pub struct FaultCell {
     pub recovered: bool,
 }
 
-/// One fault-scenario run: the overlapped-tasks workload on 4 cpus
-/// under `policy` with `scenario`'s counter fault installed.
+/// One counter-fault run: the overlapped-tasks workload on 4 cpus under
+/// `policy` with `fault` installed on the PIC reads.
 ///
 /// # Errors
 ///
 /// Returns [`ReproError::Runtime`] if the run cannot survive the fault.
 pub fn fault_cell(
     policy: SchedPolicy,
-    scenario: FaultScenario,
+    fault: Option<FaultConfig>,
     scale: Scale,
 ) -> Result<FaultCell, ReproError> {
     let params = match scale {
@@ -302,12 +307,10 @@ pub fn fault_cell(
             tasks::TasksParams { tasks: 64, footprint_lines: 100, periods: 10, overlap: 0.5 }
         }
     };
-    let mut engine =
-        Engine::new(MachineConfig::enterprise5000(4), policy, EngineConfig::default())?;
-    if let Some(config) = scenario.config(0xFA11) {
-        engine.machine_mut().install_fault(config);
+    let (mut engine, probe) = probed_engine(policy, None)?;
+    if let Some(fault) = fault {
+        engine.machine_mut().install_fault(fault);
     }
-    let probe = probe_predictions(&mut engine);
     tasks::spawn_parallel(&mut engine, &params);
     let report = engine.run()?;
     let recovered = report.degraded_intervals > 0 && !engine.scheduler().is_degraded();
@@ -400,16 +403,16 @@ pub struct ChaosCell {
     pub poisoned: u64,
 }
 
-/// One chaos-scenario run: the overlapped-tasks workload plus the
+/// One lifecycle-chaos run: the overlapped-tasks workload plus the
 /// mutex-disciplined [`lockstep`] workload on 4 cpus under `policy`,
-/// with `scenario`'s lifecycle fault injector installed.
+/// with `chaos` installed in the engine.
 ///
 /// # Errors
 ///
 /// Returns [`ReproError::Runtime`] if the run cannot survive the chaos.
 pub fn chaos_cell(
     policy: SchedPolicy,
-    scenario: ChaosScenario,
+    chaos: Option<ChaosConfig>,
     scale: Scale,
 ) -> Result<ChaosCell, ReproError> {
     let tasks_params = match scale {
@@ -424,9 +427,7 @@ pub fn chaos_cell(
         Scale::Paper => lockstep::Params { threads: 64, mutexes: 8, region_lines: 64, periods: 20 },
         Scale::Small => lockstep::Params { threads: 16, mutexes: 4, region_lines: 64, periods: 8 },
     };
-    let config = EngineConfig { chaos: scenario.config(CHAOS_SEED), ..EngineConfig::default() };
-    let mut engine = Engine::new(MachineConfig::enterprise5000(4), policy, config)?;
-    let probe = probe_predictions(&mut engine);
+    let (mut engine, probe) = probed_engine(policy, chaos)?;
     tasks::spawn_parallel(&mut engine, &tasks_params);
     lockstep::spawn(&mut engine, &lock_params);
     let report = engine.run()?;
@@ -486,6 +487,7 @@ pub fn update_cost_cell(policy: PolicyKind, case: CostCase) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Ablation, Injector};
 
     #[test]
     fn invalidation_shrinks_observed_only() {
@@ -503,9 +505,16 @@ mod tests {
         }
     }
 
+    fn chaos(name: &str) -> Option<ChaosConfig> {
+        match Ablation::Chaos.parse(name).unwrap()[0].injector {
+            Injector::Lifecycle(chaos) => chaos,
+            Injector::Counter(_) => unreachable!(),
+        }
+    }
+
     #[test]
     fn chaos_cell_recovers_lock_holders() {
-        let cell = chaos_cell(SchedPolicy::Fcfs, ChaosScenario::AbortLocked, Scale::Small).unwrap();
+        let cell = chaos_cell(SchedPolicy::Fcfs, chaos("abort-locked"), Scale::Small).unwrap();
         assert!(cell.report.threads_aborted > 0, "the scenario must kill lock holders");
         assert!(cell.poisoned > 0, "lock-holder deaths must poison mutexes");
         assert!(cell.report.threads_completed > 0, "survivors must still finish");
@@ -513,8 +522,8 @@ mod tests {
 
     #[test]
     fn chaos_cells_are_deterministic() {
-        let a = chaos_cell(SchedPolicy::Lff, ChaosScenario::Churn, Scale::Small).unwrap();
-        let b = chaos_cell(SchedPolicy::Lff, ChaosScenario::Churn, Scale::Small).unwrap();
+        let a = chaos_cell(SchedPolicy::Lff, chaos("churn"), Scale::Small).unwrap();
+        let b = chaos_cell(SchedPolicy::Lff, chaos("churn"), Scale::Small).unwrap();
         assert_eq!(a.report.threads_aborted, b.report.threads_aborted);
         assert_eq!(a.report.total_l2_misses, b.report.total_l2_misses);
         assert_eq!(a.poisoned, b.poisoned);

@@ -17,7 +17,7 @@
 //! | `fig7` | Figure 7 — overestimated footprints (typechecker, raytrace) |
 //! | `fig8` | Figure 8 — locality scheduling on the 1-cpu Ultra-1 |
 //! | `fig9` | Figure 9 — locality scheduling on the 8-cpu Enterprise 5000 |
-//! | `ablation` | §5 extras: annotation ablation, threshold sweep, page placement, invalidation effects; `--fault <scenario>` runs the counter-fault robustness table, `--chaos <scenario>\|all` the thread-lifecycle chaos table |
+//! | `ablation` | §5 extras: annotation ablation, threshold sweep, page placement, invalidation effects; `--fault <scenario>\|all` runs only the counter-fault robustness table, `--chaos <scenario>\|all` only the thread-lifecycle chaos table (keywords: [`scenario::SCENARIOS`]) |
 //! | `geometry` | model vs simulator across L2 geometries of equal capacity (`--geometry SxW`, `--page-size BYTES`; not part of `all`) |
 //! | `all` | `table1`–`table5`, `fig4`–`fig9` and `ablation` through one shared runner (cross-figure runs execute once) |
 //! | `analyze` | race detection, lock-order cycles, and annotation lints over the deterministic racy/clean fixture pair (exit 1 on confirmed races; `--workload clean\|racy\|all`) |
@@ -54,24 +54,21 @@
 
 pub mod analyze;
 pub mod args;
-pub mod chaos;
 pub mod digest;
 pub mod error;
 pub mod experiments;
-pub mod faults;
 pub mod geometry;
 pub mod microbench;
 pub mod modelcheck;
 pub mod monitor;
 pub mod perf;
 pub mod runner;
+pub mod scenario;
 pub mod suite;
 pub mod table;
 pub mod trace;
 
 pub use args::{Args, Scale};
-pub use chaos::ChaosScenario;
 pub use error::ReproError;
-pub use faults::FaultScenario;
 pub use runner::{RunKind, RunOutput, RunRequest, Runner};
 pub use table::Table;

@@ -33,15 +33,14 @@
 //! landed, and the reassembled artifacts are byte-identical.
 
 use crate::args::{Args, Scale};
-use crate::chaos::ChaosScenario;
 use crate::digest;
 use crate::error::ReproError;
 use crate::experiments::{self, ChaosCell, FaultCell, PredictionProbe};
-use crate::faults::FaultScenario;
 use crate::geometry::{self, GeometryExperiment, GeometryPoint};
 use crate::microbench::{self, WalkExperiment, WalkPoint};
 use crate::monitor::{self, MonitorTrace, Sample};
 use crate::perf::{self, PerfApp};
+use crate::scenario::{Injector, Scenario};
 use crate::table::{Table, TableError};
 use active_threads::{RunReport, SchedPolicy};
 use locality_sim::PagePlacement;
@@ -115,21 +114,13 @@ pub enum RunKind {
         /// Workload scale.
         scale: Scale,
     },
-    /// A counter-fault robustness cell (ablation 6).
-    Fault {
+    /// A robustness cell: a counter-fault (ablation 6) or lifecycle-chaos
+    /// (ablation 7) row of the [scenario table](crate::scenario).
+    Robustness {
         /// The scheduling policy.
         policy: SchedPolicy,
-        /// The injected fault scenario.
-        scenario: FaultScenario,
-        /// Workload scale.
-        scale: Scale,
-    },
-    /// A thread-lifecycle chaos cell (ablation 7, `--chaos`).
-    Chaos {
-        /// The scheduling policy.
-        policy: SchedPolicy,
-        /// The injected lifecycle-fault scenario.
-        scenario: ChaosScenario,
+        /// The row, whose injector the run installs.
+        scenario: Scenario,
         /// Workload scale.
         scale: Scale,
     },
@@ -249,12 +240,14 @@ pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
         RunKind::Pipeline { policy, annotate, infer, scale } => {
             Ok(RunOutput::Report(experiments::pipeline_cell(policy, annotate, infer, scale)?))
         }
-        RunKind::Fault { policy, scenario, scale } => {
-            Ok(RunOutput::FaultCell(experiments::fault_cell(policy, scenario, scale)?))
-        }
-        RunKind::Chaos { policy, scenario, scale } => {
-            Ok(RunOutput::ChaosCell(experiments::chaos_cell(policy, scenario, scale)?))
-        }
+        RunKind::Robustness { policy, scenario, scale } => match scenario.injector {
+            Injector::Counter(f) => {
+                experiments::fault_cell(policy, f, scale).map(RunOutput::FaultCell)
+            }
+            Injector::Lifecycle(c) => {
+                experiments::chaos_cell(policy, c, scale).map(RunOutput::ChaosCell)
+            }
+        },
     }
 }
 
@@ -433,19 +426,18 @@ fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
         | RunKind::Threshold { .. }
         | RunKind::PlacementProbe { .. }
         | RunKind::Pipeline { .. } => Some(RunOutput::Report(decode_report(&mut lines)?)),
-        RunKind::Fault { .. } => {
-            let mut it = lines.next()?.strip_prefix("fault ")?.split(' ');
-            let recovered = it.next()? == "1";
+        RunKind::Robustness { scenario, .. } => {
+            let counter = matches!(scenario.injector, Injector::Counter(_));
+            let tag = if counter { "fault " } else { "chaos " };
+            let mut it = lines.next()?.strip_prefix(tag)?.split(' ');
+            let first = it.next()?;
             let probe = dec_probe(&mut it)?;
             let report = decode_report(&mut lines)?;
-            Some(RunOutput::FaultCell(FaultCell { report, probe, recovered }))
-        }
-        RunKind::Chaos { .. } => {
-            let mut it = lines.next()?.strip_prefix("chaos ")?.split(' ');
-            let poisoned = it.next()?.parse().ok()?;
-            let probe = dec_probe(&mut it)?;
-            let report = decode_report(&mut lines)?;
-            Some(RunOutput::ChaosCell(ChaosCell { report, probe, poisoned }))
+            Some(if counter {
+                RunOutput::FaultCell(FaultCell { report, probe, recovered: first == "1" })
+            } else {
+                RunOutput::ChaosCell(ChaosCell { report, probe, poisoned: first.parse().ok()? })
+            })
         }
         RunKind::Invalidation { .. } => {
             let mut it = lines.next()?.strip_prefix("inval ")?.split(' ');
@@ -877,6 +869,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::microbench::Monitored;
+    use crate::scenario::Ablation;
     use proptest::{prop_assert, prop_assert_eq};
 
     fn walk_req(seed: u64) -> RunRequest {
@@ -1003,7 +996,11 @@ mod tests {
                 RunOutput::Report(d.report()),
             ),
             (
-                RunKind::Fault { policy, scenario: FaultScenario::Window, scale },
+                RunKind::Robustness {
+                    policy,
+                    scenario: Ablation::Faults.parse("window").unwrap()[0],
+                    scale,
+                },
                 RunOutput::FaultCell(FaultCell {
                     report: d.report(),
                     probe: d.probe(),
@@ -1011,7 +1008,11 @@ mod tests {
                 }),
             ),
             (
-                RunKind::Chaos { policy, scenario: ChaosScenario::AbortLocked, scale },
+                RunKind::Robustness {
+                    policy,
+                    scenario: Ablation::Chaos.parse("abort-locked").unwrap()[0],
+                    scale,
+                },
                 RunOutput::ChaosCell(ChaosCell {
                     report: d.report(),
                     probe: d.probe(),

@@ -13,10 +13,9 @@
 //!    for every thread, and keep footprint predictions sane.
 
 use crate::args::{Args, Scale};
-use crate::chaos::ChaosScenario;
 use crate::error::ReproError;
-use crate::faults::FaultScenario;
 use crate::runner::{RunKind, RunRequest};
+use crate::scenario::{Ablation, Scenario};
 use crate::suite::ResultSet;
 use crate::table::Table;
 use active_threads::SchedPolicy;
@@ -46,79 +45,65 @@ fn pipeline_kind(policy: SchedPolicy, annotate: bool, infer: bool, scale: Scale)
     RunKind::Pipeline { policy, annotate, infer, scale }
 }
 
-fn fault_kind(policy: SchedPolicy, scenario: FaultScenario, scale: Scale) -> RunKind {
-    RunKind::Fault { policy, scenario, scale }
-}
-
-fn chaos_kind(policy: SchedPolicy, scenario: ChaosScenario, scale: Scale) -> RunKind {
-    RunKind::Chaos { policy, scenario, scale }
-}
-
 /// The chaos table's policies: the three the paper compares.
 const CHAOS_POLICIES: [SchedPolicy; 3] = [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt];
 
-/// Which tables an invocation regenerates.
-enum Selection {
-    /// Ablations 1–5 (neither flag).
-    Ablations,
-    /// Only the counter-fault table, for these `--fault` scenarios.
-    Faults(Vec<FaultScenario>),
-    /// Only the chaos table, for the clean baseline followed by these
-    /// `--chaos` scenarios.
-    Chaos(Vec<ChaosScenario>),
+/// The robustness table `--fault` or `--chaos` asks for, if either: its
+/// ablation and rows, the chaos table's clean baseline always first. Each
+/// flag runs *only* its own table, so naming both is a usage error rather
+/// than one silently winning.
+fn selection(args: &Args) -> Result<Option<(Ablation, Vec<Scenario>)>, ReproError> {
+    let (ablation, value) = match (&args.fault, &args.chaos) {
+        (None, None) => return Ok(None),
+        (Some(value), None) => (Ablation::Faults, value),
+        (None, Some(value)) => (Ablation::Chaos, value),
+        (Some(_), Some(_)) => {
+            return Err(ReproError::Usage(
+                "--fault and --chaos each run only their own table; pass one of them".to_string(),
+            ))
+        }
+    };
+    let mut rows = ablation.parse(value)?;
+    if ablation == Ablation::Chaos {
+        rows.retain(|s| *s != ablation.baseline());
+        rows.insert(0, ablation.baseline());
+    }
+    Ok(Some((ablation, rows)))
 }
 
-/// Parses `--fault` and `--chaos`. Each runs *only* its own table, so
-/// naming both is a usage error rather than one silently winning.
-fn selection(args: &Args) -> Result<Selection, ReproError> {
-    match (&args.fault, &args.chaos) {
-        (None, None) => Ok(Selection::Ablations),
-        (Some(value), None) => FaultScenario::parse(value).map(Selection::Faults),
-        (None, Some(value)) => {
-            let mut list = vec![ChaosScenario::Clean];
-            list.extend(
-                ChaosScenario::parse(value)?.into_iter().filter(|s| *s != ChaosScenario::Clean),
-            );
-            Ok(Selection::Chaos(list))
+/// A robustness descriptor of `args`' scale.
+fn robustness(args: &Args, policy: SchedPolicy, scenario: Scenario) -> RunKind {
+    RunKind::Robustness { policy, scenario, scale: args.scale }
+}
+
+/// The descriptors behind a robustness table: each chaos row under every
+/// policy; each fault row under LFF, after the clean FCFS and LFF
+/// baselines.
+fn robustness_requests(args: &Args, ablation: Ablation, rows: &[Scenario]) -> Vec<RunRequest> {
+    let cells: Vec<(SchedPolicy, Scenario)> = match ablation {
+        Ablation::Chaos => {
+            rows.iter().flat_map(|&row| CHAOS_POLICIES.map(|policy| (policy, row))).collect()
         }
-        (Some(_), Some(_)) => Err(ReproError::Usage(
-            "--fault and --chaos each run only their own table; pass one of them".to_string(),
-        )),
-    }
+        Ablation::Faults => [SchedPolicy::Fcfs, SchedPolicy::Lff]
+            .map(|policy| (policy, ablation.baseline()))
+            .into_iter()
+            .chain(rows.iter().map(|&row| (SchedPolicy::Lff, row)))
+            .collect(),
+    };
+    cells
+        .into_iter()
+        .map(|(policy, scenario)| {
+            RunRequest::new(
+                format!("{}:{}/{}", ablation.flag(), policy.name(), scenario.name),
+                robustness(args, policy, scenario),
+            )
+        })
+        .collect()
 }
 
 pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
-    let which = selection(args)?;
-    if let Selection::Chaos(scenarios) = which {
-        let mut reqs = Vec::new();
-        for &scenario in &scenarios {
-            for policy in CHAOS_POLICIES {
-                reqs.push(RunRequest::new(
-                    format!("chaos:{}/{}", policy.name(), scenario.name()),
-                    chaos_kind(policy, scenario, args.scale),
-                ));
-            }
-        }
-        return Ok(reqs);
-    }
-    if let Selection::Faults(scenarios) = which {
-        let mut reqs = vec![
-            RunRequest::new(
-                "faults:fcfs/clean",
-                fault_kind(SchedPolicy::Fcfs, FaultScenario::Clean, args.scale),
-            ),
-            RunRequest::new(
-                "faults:lff/clean",
-                fault_kind(SchedPolicy::Lff, FaultScenario::Clean, args.scale),
-            ),
-        ];
-        reqs.extend(scenarios.into_iter().map(|scenario| {
-            RunRequest::new(
-                format!("faults:lff/{}", scenario.name()),
-                fault_kind(SchedPolicy::Lff, scenario, args.scale),
-            )
-        }));
-        return Ok(reqs);
+    if let Some((ablation, rows)) = selection(args)? {
+        return Ok(robustness_requests(args, ablation, &rows));
     }
     let mut reqs = Vec::new();
     for kind in annotation_kinds(args.scale) {
@@ -156,9 +141,9 @@ pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
 
 pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     match selection(args)? {
-        Selection::Chaos(scenarios) => return emit_chaos(args, results, &scenarios),
-        Selection::Faults(scenarios) => return emit_faults(args, results, &scenarios),
-        Selection::Ablations => {}
+        Some((Ablation::Faults, rows)) => return emit_faults(args, results, &rows),
+        Some((Ablation::Chaos, rows)) => return emit_chaos(args, results, &rows),
+        None => {}
     }
     emit_annotations(args, results)?;
     emit_threshold(args, results)?;
@@ -304,11 +289,7 @@ fn ratio(misses: u64, base: u64) -> f64 {
     }
 }
 
-fn emit_faults(
-    args: &Args,
-    results: &ResultSet,
-    scenarios: &[FaultScenario],
-) -> Result<(), ReproError> {
+fn emit_faults(args: &Args, results: &ResultSet, rows: &[Scenario]) -> Result<(), ReproError> {
     let mut t = Table::new(
         "Ablation 6 — counter faults vs sanitizer + graceful degradation (tasks, 4 cpus, LFF)",
         &[
@@ -324,15 +305,14 @@ fn emit_faults(
             "recovered",
         ],
     );
-    let fcfs =
-        results.fault_cell(&fault_kind(SchedPolicy::Fcfs, FaultScenario::Clean, args.scale))?;
-    let clean =
-        results.fault_cell(&fault_kind(SchedPolicy::Lff, FaultScenario::Clean, args.scale))?;
-    for &scenario in scenarios {
-        let cell = results.fault_cell(&fault_kind(SchedPolicy::Lff, scenario, args.scale))?;
+    let baseline = Ablation::Faults.baseline();
+    let fcfs = results.fault_cell(&robustness(args, SchedPolicy::Fcfs, baseline))?;
+    let clean = results.fault_cell(&robustness(args, SchedPolicy::Lff, baseline))?;
+    for &scenario in rows {
+        let cell = results.fault_cell(&robustness(args, SchedPolicy::Lff, scenario))?;
         let r = &cell.report;
         t.row(&[
-            scenario.name().to_string(),
+            scenario.name.to_string(),
             r.total_l2_misses.to_string(),
             format!("{:.4}", r.miss_ratio()),
             format!("{:.2}x", ratio(r.total_l2_misses, clean.report.total_l2_misses)),
@@ -372,11 +352,7 @@ fn emit_faults(
     Ok(())
 }
 
-fn emit_chaos(
-    args: &Args,
-    results: &ResultSet,
-    scenarios: &[ChaosScenario],
-) -> Result<(), ReproError> {
+fn emit_chaos(args: &Args, results: &ResultSet, rows: &[Scenario]) -> Result<(), ReproError> {
     let mut t = Table::new(
         "Ablation 7 — thread-lifecycle chaos (tasks + lock-stepped workers, 4 cpus)",
         &[
@@ -392,14 +368,14 @@ fn emit_chaos(
             "pred err (rel)",
         ],
     );
-    for &scenario in scenarios {
+    for &scenario in rows {
         for policy in CHAOS_POLICIES {
-            let cell = results.chaos_cell(&chaos_kind(policy, scenario, args.scale))?;
+            let cell = results.chaos_cell(&robustness(args, policy, scenario))?;
             let clean =
-                results.chaos_cell(&chaos_kind(policy, ChaosScenario::Clean, args.scale))?;
+                results.chaos_cell(&robustness(args, policy, Ablation::Chaos.baseline()))?;
             let r = &cell.report;
             t.row(&[
-                scenario.name().to_string(),
+                scenario.name.to_string(),
                 policy.name().to_string(),
                 r.threads_aborted.to_string(),
                 r.threads_completed.to_string(),

@@ -58,7 +58,7 @@ pub enum Figure {
     Fig9,
     /// Table 5 — CRT relative to FCFS.
     Table5,
-    /// §5/§3 ablations (or the `--fault` robustness table).
+    /// §5/§3 ablations (or the `--fault`/`--chaos` robustness table).
     Ablation,
     /// Geometry validation — model vs simulator across L2 geometries
     /// (`repro geometry`; not part of `repro all`).
@@ -87,7 +87,8 @@ impl Figure {
     ///
     /// # Errors
     ///
-    /// Returns [`ReproError::Usage`] for an invalid `--fault` value.
+    /// Returns [`ReproError::Usage`] for an invalid `--fault` or
+    /// `--chaos` value.
     pub fn requests(&self, args: &Args) -> Result<Vec<RunRequest>, ReproError> {
         Ok(match self {
             Figure::Table1 | Figure::Table2 | Figure::Table3 | Figure::Table4 => Vec::new(),
@@ -198,7 +199,8 @@ impl ResultSet {
         }
     }
 
-    /// The cell a [`RunKind::Fault`] descriptor produced.
+    /// The cell a counter-fault [`RunKind::Robustness`] descriptor
+    /// produced.
     ///
     /// # Errors
     ///
@@ -210,7 +212,8 @@ impl ResultSet {
         }
     }
 
-    /// The cell a [`RunKind::Chaos`] descriptor produced.
+    /// The cell a lifecycle-chaos [`RunKind::Robustness`] descriptor
+    /// produced.
     ///
     /// # Errors
     ///
@@ -332,6 +335,12 @@ impl Subcommand {
     /// Runs the subcommand; `Ok(true)` means it found what it looks for
     /// (a race, a violation) and the process should exit 1.
     fn run(&self, args: &Args) -> Result<bool, ReproError> {
+        if (args.fault.is_some() || args.chaos.is_some()) && self.name != "ablation" {
+            return Err(ReproError::Usage(format!(
+                "--fault and --chaos select a robustness table of 'repro ablation', not of 'repro {}'",
+                self.name
+            )));
+        }
         match self.target {
             Target::Figures(figures) => run_figures(args, figures).map(|_| false),
             Target::Analyze => analyze::run_analyze(args),
@@ -391,5 +400,28 @@ pub fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn robustness_flags_are_a_usage_error_outside_ablation() {
+        let out = std::env::temp_dir().join(format!("repro-flags-unit-{}", std::process::id()));
+        for sub in SUBCOMMANDS.iter().filter(|sub| sub.name != "ablation") {
+            for (fault, chaos) in [(Some("bogus"), None), (None, Some("churn"))] {
+                let args = Args {
+                    out: out.clone(),
+                    fault: fault.map(str::to_string),
+                    chaos: chaos.map(str::to_string),
+                    ..Args::default()
+                };
+                let err = sub.run(&args).unwrap_err();
+                assert!(matches!(err, ReproError::Usage(_)), "repro {}: {err}", sub.name);
+            }
+        }
+        assert!(!out.exists(), "a rejected subcommand wrote its output");
     }
 }

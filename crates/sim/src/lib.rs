@@ -76,7 +76,7 @@ pub use cml::{Cml, CmlEntry};
 pub use config::{CacheLatencies, HierarchyConfig, MachineConfig};
 pub use counters::Pic;
 pub use error::SimError;
-pub use faults::{FaultConfig, FaultInjector, FaultKind, FaultWindow};
+pub use faults::{FaultConfig, FaultKind, FaultWindow};
 pub use footprint::FootprintScratch;
 pub use machine::{AccessKind, Machine};
 pub use paging::PagePlacement;

@@ -57,46 +57,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Scenario: abort running threads mid-interval (~1/64 per batch).
-    pub fn abort_running(seed: u64) -> Self {
-        ChaosConfig { seed, abort_running_per_64k: 1024, ..ChaosConfig::default() }
-    }
-
-    /// Scenario: abort running threads only while they hold a mutex —
-    /// every kill poisons and orphans a lock (~1/32 per eligible batch).
-    pub fn abort_locked(seed: u64) -> Self {
-        ChaosConfig {
-            seed,
-            abort_running_per_64k: 2048,
-            only_lock_holders: true,
-            ..ChaosConfig::default()
-        }
-    }
-
-    /// Scenario: spawns fail (~1/16 per admission); the stillborn thread
-    /// is joinable but never runs.
-    pub fn spawn_fail(seed: u64) -> Self {
-        ChaosConfig { seed, spawn_fail_per_64k: 4096, ..ChaosConfig::default() }
-    }
-
-    /// Scenario: kill idle (ready/sleeping/blocked) threads, abandoning
-    /// whatever shared regions and queue entries they left behind.
-    pub fn abort_idle(seed: u64) -> Self {
-        ChaosConfig { seed, abort_idle_per_64k: 512, ..ChaosConfig::default() }
-    }
-
-    /// Scenario: everything at once — hostile churn across the whole
-    /// thread lifecycle.
-    pub fn churn(seed: u64) -> Self {
-        ChaosConfig {
-            seed,
-            abort_running_per_64k: 512,
-            spawn_fail_per_64k: 2048,
-            abort_idle_per_64k: 256,
-            ..ChaosConfig::default()
-        }
-    }
-
     /// Whether any fault kind can fire at all.
     pub fn is_active(&self) -> bool {
         self.max_faults > 0
@@ -164,29 +124,15 @@ mod tests {
     }
 
     #[test]
-    fn scenario_constructors_are_active() {
-        for cfg in [
-            ChaosConfig::abort_running(1),
-            ChaosConfig::abort_locked(1),
-            ChaosConfig::spawn_fail(1),
-            ChaosConfig::abort_idle(1),
-            ChaosConfig::churn(1),
-        ] {
-            assert!(cfg.is_active());
-        }
-        assert!(ChaosConfig::abort_locked(1).only_lock_holders);
-    }
-
-    #[test]
     fn stream_is_deterministic() {
-        let cfg = ChaosConfig::churn(42);
+        let cfg = ChaosConfig { seed: 42, ..ChaosConfig::default() };
         let mut a = ChaosState::new(&cfg);
         let mut b = ChaosState::new(&cfg);
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
         // Different seeds diverge.
-        let mut c = ChaosState::new(&ChaosConfig::churn(43));
+        let mut c = ChaosState::new(&ChaosConfig { seed: 43, ..ChaosConfig::default() });
         let same = (0..64).filter(|_| a.next_u64() == c.next_u64()).count();
         assert!(same < 8, "seeds 42 and 43 produced near-identical streams");
     }

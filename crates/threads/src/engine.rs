@@ -1760,7 +1760,11 @@ mod tests {
     #[test]
     fn chaos_abort_running_completes_across_policies() {
         for policy in [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt] {
-            let mut e = chaos_engine(4, policy, ChaosConfig::abort_running(7));
+            let mut e = chaos_engine(
+                4,
+                policy,
+                ChaosConfig { seed: 7, abort_running_per_64k: 1024, ..ChaosConfig::default() },
+            );
             for _ in 0..16 {
                 e.spawn(Box::new(Walker::new(64 * 1024, 20)));
             }
@@ -1777,7 +1781,14 @@ mod tests {
     #[test]
     fn chaos_runs_are_deterministic() {
         let run = || {
-            let mut e = chaos_engine(4, SchedPolicy::Lff, ChaosConfig::churn(99));
+            let churn = ChaosConfig {
+                seed: 99,
+                abort_running_per_64k: 512,
+                spawn_fail_per_64k: 2048,
+                abort_idle_per_64k: 256,
+                ..ChaosConfig::default()
+            };
+            let mut e = chaos_engine(4, SchedPolicy::Lff, churn);
             for _ in 0..12 {
                 e.spawn(Box::new(Walker::new(64 * 1024, 15)));
             }
@@ -1847,7 +1858,8 @@ mod tests {
 
     #[test]
     fn chaos_idle_kills_leave_consistent_queues() {
-        let mut e = chaos_engine(2, SchedPolicy::Crt, ChaosConfig::abort_idle(11));
+        let idle = ChaosConfig { seed: 11, abort_idle_per_64k: 512, ..ChaosConfig::default() };
+        let mut e = chaos_engine(2, SchedPolicy::Crt, idle);
         for _ in 0..10 {
             e.spawn(Box::new(Walker::new(32 * 1024, 25)));
         }

@@ -100,8 +100,15 @@ fn tracked_equals_scan_at_every_sample_of_the_monitored_cells() {
 /// invalidated): every switching thread, every switch.
 #[test]
 fn tracked_equals_scan_under_chaos_churn() {
+    let churn = ChaosConfig {
+        seed: 7,
+        abort_running_per_64k: 512,
+        spawn_fail_per_64k: 2048,
+        abort_idle_per_64k: 256,
+        ..ChaosConfig::default()
+    };
     for policy in [SchedPolicy::Fcfs, SchedPolicy::Lff] {
-        let config = EngineConfig { chaos: Some(ChaosConfig::churn(7)), ..EngineConfig::default() };
+        let config = EngineConfig { chaos: Some(churn), ..EngineConfig::default() };
         let mut engine = Engine::new(MachineConfig::enterprise5000(4), policy, config).unwrap();
         let samples = CrossCheck::install(&mut engine, None);
         let params =
