@@ -249,10 +249,14 @@ rm -rf "$INVARIANT_OUT"
 # all 10 974 samples of the sixteen monitored cells. #[ignore]d in the
 # default suite (two minutes unoptimised); seconds in release.
 cargo test --release --test footprint_tracking -- --ignored
-# barnes replays step 0's walks in later steps: at default parameters the
-# replaying run must equal, in report, reference trace and checksum bits,
-# one that recomputes every step (#[ignore]d in the default suite).
-cargo test --release -p locality-workloads --lib barnes -- --ignored
+# The workloads' default-parameter checks, #[ignore]d in the default
+# suite: barnes replays step 0's walks in later steps, and the replaying
+# run must equal, in report, reference trace and checksum bits, one that
+# recomputes every step; photo's 2048x2048 filter must equal its direct
+# definition and its pinned checksum; tsp must evaluate its pinned tree,
+# tours and best tour on one cpu and on eight. No CSV prints photo's
+# pixels or tsp's tours.
+cargo test --release -p locality-workloads --lib -- --ignored
 
 # Observability layer (locality-trace): the workspace must stay green
 # with the trace feature on (its tests pin the hot path's events per

@@ -159,13 +159,19 @@ impl CpuCache {
     }
 
     /// Invalidates the L1 lines covered by an evicted/invalidated L2 line.
+    /// An L1 that holds nothing is skipped: invalidating it would change
+    /// nothing, LRU state included. No workload fetches, so their runs
+    /// skip the L1-I at every eviction.
     #[inline(never)]
     fn enforce_inclusion(&mut self, pline2: u64) {
         let sublines = 1u64 << (self.l2_shift - self.l1_shift);
         let first = pline2 << (self.l2_shift - self.l1_shift);
-        for pl1 in first..first + sublines {
-            self.l1d.invalidate(pl1);
-            self.l1i.invalidate(pl1);
+        for l1 in [&mut self.l1d, &mut self.l1i] {
+            if l1.resident_lines() > 0 {
+                for pl1 in first..first + sublines {
+                    l1.invalidate(pl1);
+                }
+            }
         }
     }
 

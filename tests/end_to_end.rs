@@ -1,9 +1,9 @@
 //! Integration tests spanning all crates through the facade.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use thread_locality::core::{CpuId, FootprintModel, ModelParams};
-use thread_locality::sim::{AccessKind, Machine, MachineConfig};
+use thread_locality::sim::{AccessKind, Machine, MachineConfig, PagePlacement, VAddr};
 use thread_locality::threads::{
     BatchCtx, Control, Engine, EngineConfig, EngineHook, Program, SchedPolicy, SwitchEvent,
     ThreadId,
@@ -235,4 +235,66 @@ fn runtime_inference_discovers_sharing() {
         with.total_l2_misses,
         without.total_l2_misses
     );
+}
+
+/// A thread whose every batch is one call of the closure.
+struct Batches<F>(F);
+
+impl<F: FnMut(&mut BatchCtx<'_>) -> Control> Program for Batches<F> {
+    fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
+        (self.0)(ctx)
+    }
+}
+
+/// Fetches `va` and says whether the L1-I hit.
+fn fetch(ctx: &mut BatchCtx<'_>, va: VAddr) -> bool {
+    let misses = |ctx: &BatchCtx<'_>| ctx.machine().cpu_stats(ctx.cpu()).l1i_misses;
+    let before = misses(ctx);
+    ctx.fetch(va);
+    misses(ctx) == before
+}
+
+#[test]
+fn fetched_lines_obey_inclusion() {
+    // No workload fetches, so only this test fills an L1-I. Lines `x` and
+    // `y` are fetched twice (miss, then hit), `x` is purged from the
+    // filling cpu's E-cache, then both are fetched again on that cpu: `x`
+    // must be gone from its L1-I and `y` still there. Two threads spin
+    // through the stages, so whichever lands on the cpu a stage needs
+    // runs it.
+    let run = |config: MachineConfig, remote: bool, purge: fn(&mut BatchCtx<'_>, VAddr)| {
+        let mut engine = Engine::new(config, SchedPolicy::Fcfs, EngineConfig::default()).unwrap();
+        let x = engine.machine_mut().alloc(1 << 20, 1 << 19);
+        let y = x.offset(4096);
+        // Stage 0 fills, 1 purges, 2 fetches again; `filler` is the cpu
+        // that filled.
+        let (stage, filler) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let hits = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let (stage, filler, hits) = (stage.clone(), filler.clone(), hits.clone());
+            engine.spawn(Box::new(Batches(move |ctx: &mut BatchCtx<'_>| {
+                let on_filler = ctx.cpu() == filler.get();
+                match stage.get() {
+                    0 => {
+                        filler.set(ctx.cpu());
+                        hits.borrow_mut().extend([x, y, x, y].map(|va| fetch(ctx, va)));
+                    }
+                    1 if on_filler != remote => purge(ctx, x),
+                    2 if on_filler => hits.borrow_mut().extend([x, y].map(|va| fetch(ctx, va))),
+                    3 => return Control::Exit,
+                    _ => return Control::Yield,
+                }
+                stage.set(stage.get() + 1);
+                Control::Yield
+            })));
+        }
+        engine.run().unwrap();
+        assert_eq!(*hits.borrow(), [false, false, true, true, false, true]);
+    };
+    // An E-cache eviction: under page coloring, `x` and `x + 512 KiB`
+    // share a line of the Ultra-1's direct-mapped 512 KiB E-cache.
+    let ultra1 = MachineConfig::ultra1().with_placement(PagePlacement::PageColoring);
+    run(ultra1, false, |ctx, x| ctx.read(x.offset(1 << 19)));
+    // A write from the other cpu invalidates the filler's copy.
+    run(MachineConfig::enterprise5000(2), true, |ctx, x| ctx.write(x));
 }
