@@ -26,6 +26,26 @@ if [ "$lines" -lt "$((budget - 25))" ]; then
     exit 1
 fi
 
+# Unsafe code (DESIGN.md §10): the crates hold one block of it, the call
+# into the SHA-extension compression in crates/repro/src/digest.rs made
+# after run-time feature detection. locality-repro denies unsafe_code
+# (with one #[allow]) and documents the block; every other crate forbids it.
+unsafe_sites=$(grep -rnw --include='*.rs' unsafe crates || true)
+case "$(printf '%s\n' "$unsafe_sites" | grep -c .) $unsafe_sites" in
+'1 crates/repro/src/digest.rs:'*'return unsafe { shani::compress_blocks('*) ;;
+*)
+    echo "unsafe in crates/ other than the SHA dispatch in crates/repro/src/digest.rs:" >&2
+    printf '%s\n' "$unsafe_sites" >&2
+    exit 1
+    ;;
+esac
+for lib in crates/*/src/lib.rs; do
+    if [ "$lib" != crates/repro/src/lib.rs ] && ! grep -qx '#!\[forbid(unsafe_code)\]' "$lib"; then
+        echo "$lib lost #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+
 # SharingGraph::compact/is_compact are empty shells kept for the frozen
 # benchmark alone (crates/core/src/graph.rs): nothing else may call them.
 if grep -rnE --include='*.rs' '\.(is_)?compact\(\)' crates tests examples; then

@@ -2,6 +2,10 @@
 //! cache entries and to verify CSV artifacts against the committed
 //! golden hashes — the same digests `sha256sum` produces, so CI and the
 //! kill-and-resume integration test agree byte-for-byte.
+//!
+//! Whole blocks go to the x86-64 SHA extensions when the running CPU has
+//! them (detected at run time) and to the portable [`compress`] on every
+//! other CPU; the portable code is also the tests' oracle.
 
 /// Per-round constants: the first 32 bits of the fractional parts of
 /// the cube roots of the first 64 primes.
@@ -57,17 +61,11 @@ impl Sha256 {
             if self.buf_len < 64 {
                 return;
             }
-            let block = self.buf;
-            self.compress(&block);
+            compress_blocks(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let tail = chunks.remainder();
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        compress_blocks(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -75,11 +73,13 @@ impl Sha256 {
     /// Finishes the message and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, then zeros until 8 bytes short of a block boundary, then
+        // the bit length: at most 64 + 8 bytes.
+        let zeros_end = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
+        let mut padding = [0u8; 72];
+        padding[0] = 0x80;
+        padding[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..zeros_end + 8]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -87,54 +87,175 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+/// Compresses `blocks`, a whole number of 64-byte blocks, into `state`.
+#[allow(unsafe_code)]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: `detected` has just confirmed at run time that this CPU
+        // has every feature `shani::compress_blocks` is compiled for.
+        return unsafe { shani::compress_blocks(state, blocks) };
     }
+    for block in blocks.chunks_exact(64) {
+        compress(state, block);
+    }
+}
+
+/// The sixteen big-endian message words of a 64-byte block.
+fn message_words(block: &[u8]) -> [u32; 16] {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    w
+}
+
+/// The portable compression function: one 64-byte block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    w[..16].copy_from_slice(&message_words(block));
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions. The state
+/// travels as two vectors, lanes `[f, e, b, a]` and `[h, g, d, c]`
+/// (lowest first), which is the order `sha256rnds2` works in.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{message_words, K};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Whether this CPU has every feature [`compress_blocks`] needs.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// `x[0..4]` as one vector, `x[0]` in the lowest lane.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn lanes(x: &[u32]) -> __m128i {
+        _mm_set_epi32(x[3] as i32, x[2] as i32, x[1] as i32, x[0] as i32)
+    }
+
+    /// [`super::compress_blocks`] on the SHA extensions. Code compiled
+    /// without these features may call it only once [`detected`] holds.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = *state;
+        let mut abef = lanes(&[f, e, b, a]);
+        let mut cdgh = lanes(&[h, g, d, c]);
+        for block in blocks.chunks_exact(64) {
+            let m = message_words(block);
+            // The next sixteen schedule words, four to a vector.
+            let mut w = [lanes(&m[0..4]), lanes(&m[4..8]), lanes(&m[8..12]), lanes(&m[12..16])];
+            let (abef0, cdgh0) = (abef, cdgh);
+            // Four rounds a step. The last four steps also schedule words
+            // past round 63, which go unused.
+            for k in K.chunks_exact(4) {
+                let wk = _mm_add_epi32(w[0], lanes(k));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+                let sigma0 = _mm_sha256msg1_epu32(w[0], w[1]);
+                let next = _mm_add_epi32(sigma0, _mm_alignr_epi8::<4>(w[3], w[2]));
+                w = [w[1], w[2], w[3], _mm_sha256msg2_epu32(next, w[3])];
+            }
+            abef = _mm_add_epi32(abef, abef0);
+            cdgh = _mm_add_epi32(cdgh, cdgh0);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|lane| lane as u32);
+    }
+}
+
+/// The SHA-256 of `data`.
+pub fn sha256(data: &[u8]) -> [u8; 32] {
+    let mut hasher = Sha256::new();
+    hasher.update(data);
+    hasher.finalize()
 }
 
 /// The lowercase-hex SHA-256 of `data` (what `sha256sum` prints).
 pub fn hex(data: &[u8]) -> String {
-    let mut hasher = Sha256::new();
-    hasher.update(data);
-    let mut out = String::with_capacity(64);
-    for byte in hasher.finalize() {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
+    sha256(data).iter().map(|byte| format!("{byte:02x}")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hexed(digest: [u8; 32]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// SHA-256 built from the portable compression function alone: the
+    /// padded message, block by block.
+    fn portable(data: &[u8]) -> [u8; 32] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(64) {
+            compress(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn fips_vectors() {
@@ -156,9 +277,7 @@ mod tests {
             for piece in data.chunks(chunk) {
                 h.update(piece);
             }
-            let digest = h.finalize();
-            let hexed: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(hexed, one_shot, "chunk size {chunk}");
+            assert_eq!(hexed(h.finalize()), one_shot, "chunk size {chunk}");
         }
     }
 
@@ -170,7 +289,50 @@ mod tests {
         for _ in 0..1000 {
             h.update(&block);
         }
-        let hexed: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hexed, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+        assert_eq!(
+            hexed(h.finalize()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    /// The dispatching compression (the SHA extensions, where this CPU
+    /// has them) equals the portable one, from the initial state and from
+    /// a state that is not it.
+    #[test]
+    fn compress_blocks_equals_portable_compress() {
+        for blocks in [0usize, 1, 2, 7, 300] {
+            let data = pseudo_random(64 * blocks, blocks as u64);
+            for start in [H0, [0, 1, u32::MAX, 0x8000_0000, 7, 0xdead_beef, 42, 1 << 31]] {
+                let mut fast = start;
+                compress_blocks(&mut fast, &data);
+                let mut slow = start;
+                for block in data.chunks_exact(64) {
+                    compress(&mut slow, block);
+                }
+                assert_eq!(fast, slow, "{blocks} blocks from {start:x?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Any data, fed through `update` in any chunk sizes, digests to
+        /// what the portable code computes from the whole message.
+        #[test]
+        fn chunked_updates_equal_the_portable_digest(
+            len in 0usize..1500,
+            seed in 0u64..=u64::MAX,
+            chunks in proptest::collection::vec(1usize..200, 1..12),
+        ) {
+            let data = pseudo_random(len, seed);
+            let mut h = Sha256::new();
+            h.update(&[]);
+            let (mut at, mut i) = (0, 0);
+            while at < data.len() {
+                let end = (at + chunks[i % chunks.len()]).min(data.len());
+                h.update(&data[at..end]);
+                (at, i) = (end, i + 1);
+            }
+            proptest::prop_assert_eq!(h.finalize(), portable(&data));
+        }
     }
 }

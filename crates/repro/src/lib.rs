@@ -45,7 +45,9 @@
 //! isolation boundary with a seeded watchdog — a killed `repro all`
 //! resumes from its per-run cache to byte-identical artifacts.
 
-#![forbid(unsafe_code)]
+// One call site may allow `unsafe_code`: the SHA-extension dispatch in
+// `digest`, after run-time feature detection.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 // The harness must degrade gracefully, not panic: outside tests, every
 // fallible site either propagates a typed `ReproError` or carries a

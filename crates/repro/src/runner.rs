@@ -260,20 +260,8 @@ fn enc_f64(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-fn dec_f64(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
 fn enc_probe(p: &PredictionProbe) -> String {
     format!("{} {} {}", enc_f64(p.sum_abs_err), enc_f64(p.sum_observed), p.samples)
-}
-
-fn dec_probe<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<PredictionProbe> {
-    Some(PredictionProbe {
-        sum_abs_err: dec_f64(it.next()?)?,
-        sum_observed: dec_f64(it.next()?)?,
-        samples: it.next()?.parse().ok()?,
-    })
 }
 
 fn encode_report(out: &mut String, r: &RunReport) {
@@ -294,32 +282,6 @@ fn encode_report(out: &mut String, r: &RunReport) {
         r.degraded_intervals,
         r.corrected_intervals
     ));
-}
-
-fn decode_report<'a, I: Iterator<Item = &'a str>>(lines: &mut I) -> Option<RunReport> {
-    let policy = lines.next()?.strip_prefix("report ")?.to_string();
-    let nums: Vec<u64> = lines.next()?.split(' ').map(str::parse).collect::<Result<_, _>>().ok()?;
-    if nums.len() != 13 {
-        return None;
-    }
-    Some(RunReport {
-        policy,
-        cpus: usize::try_from(nums[0]).ok()?,
-        total_cycles: nums[1],
-        total_l2_misses: nums[2],
-        total_l2_refs: nums[3],
-        total_instructions: nums[4],
-        context_switches: nums[5],
-        threads_completed: nums[6],
-        threads_aborted: nums[7],
-        steals: nums[8],
-        priority_flops: (nums[9], nums[10]),
-        degraded_intervals: nums[11],
-        corrected_intervals: nums[12],
-        // Per-processor breakdowns are not cached; no figure consumes
-        // them and they would dominate the entry size.
-        per_cpu: Vec::new(),
-    })
 }
 
 /// Serializes a run result for the disk cache.
@@ -377,76 +339,181 @@ fn encode(out: &RunOutput) -> String {
     s
 }
 
-/// Decodes a `<tag><count>` line followed by `count` space-separated
-/// rows. The count comes from disk, so it only bounds the loop: the
-/// vector grows row by row and a count the payload cannot back runs out
-/// of lines (an undecodable entry) instead of reserving memory for it.
-fn decode_rows<'a, T>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    tag: &str,
-    row: impl Fn(&mut std::str::Split<'a, char>) -> Option<T>,
-) -> Option<Vec<T>> {
-    let n: usize = lines.next()?.strip_prefix(tag)?.parse().ok()?;
-    (0..n).map(|_| row(&mut lines.next()?.split(' '))).collect()
+/// The value of one lowercase hex digit.
+fn nibble(b: u8) -> Option<u8> {
+    match b {
+        b'0'..=b'9' => Some(b - b'0'),
+        b'a'..=b'f' => Some(b - b'a' + 10),
+        _ => None,
+    }
+}
+
+/// The 32 bytes that [`digest::hex`]'s 64 digits spell.
+fn unhex(hex: &[u8]) -> Option<[u8; 32]> {
+    if hex.len() != 64 {
+        return None;
+    }
+    let mut out = [0u8; 32];
+    for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+        *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    }
+    Some(out)
+}
+
+/// A cursor over a cache entry that accepts only what [`encode`] and
+/// [`DiskCache::store`] write: a decimal field is ASCII digits, a float
+/// is exactly the 16 lowercase hex digits of [`enc_f64`], and every
+/// field ends in the one separator its place in the line calls for.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// Consumes `lit`, which must come next.
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit.as_bytes())?;
+        Some(())
+    }
+
+    /// The bytes up to the next `end`, which is consumed too.
+    fn until(&mut self, end: u8) -> Option<&'a [u8]> {
+        let at = self.0.iter().position(|&b| b == end)?;
+        let field = &self.0[..at];
+        self.0 = &self.0[at + 1..];
+        Some(field)
+    }
+
+    /// A decimal `u64` ended by `end`.
+    fn int(&mut self, end: u8) -> Option<u64> {
+        let digits = self.until(end)?;
+        if digits.is_empty() {
+            return None;
+        }
+        digits.iter().try_fold(0u64, |v, &b| {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return None;
+            }
+            v.checked_mul(10)?.checked_add(u64::from(digit))
+        })
+    }
+
+    /// An [`enc_f64`] float ended by `end`.
+    fn float(&mut self, end: u8) -> Option<f64> {
+        let (digits, rest) = self.0.split_first_chunk::<16>()?;
+        let (&sep, rest) = rest.split_first()?;
+        let mut bits = 0u64;
+        for &b in digits {
+            bits = bits << 4 | u64::from(nibble(b)?);
+        }
+        self.0 = rest;
+        (sep == end).then_some(f64::from_bits(bits))
+    }
+
+    /// A `<tag><count>` line followed by `count` rows. The count comes
+    /// from disk, so it only bounds the loop: the vector grows row by row
+    /// and a count the payload cannot back runs out of rows (an
+    /// undecodable entry) instead of reserving memory for it.
+    fn rows<T>(&mut self, tag: &str, row: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.lit(tag)?;
+        let n = self.int(b'\n')?;
+        (0..n).map(|_| row(self)).collect()
+    }
+
+    fn probe(&mut self) -> Option<PredictionProbe> {
+        Some(PredictionProbe {
+            sum_abs_err: self.float(b' ')?,
+            sum_observed: self.float(b' ')?,
+            samples: self.int(b'\n')?,
+        })
+    }
+
+    fn report(&mut self) -> Option<RunReport> {
+        self.lit("report ")?;
+        let policy = std::str::from_utf8(self.until(b'\n')?).ok()?.to_string();
+        let mut nums = [0u64; 13];
+        for (i, n) in nums.iter_mut().enumerate() {
+            *n = self.int(if i == 12 { b'\n' } else { b' ' })?;
+        }
+        Some(RunReport {
+            policy,
+            cpus: usize::try_from(nums[0]).ok()?,
+            total_cycles: nums[1],
+            total_l2_misses: nums[2],
+            total_l2_refs: nums[3],
+            total_instructions: nums[4],
+            context_switches: nums[5],
+            threads_completed: nums[6],
+            threads_aborted: nums[7],
+            steals: nums[8],
+            priority_flops: (nums[9], nums[10]),
+            degraded_intervals: nums[11],
+            corrected_intervals: nums[12],
+            // Per-processor breakdowns are not cached; no figure consumes
+            // them and they would dominate the entry size.
+            per_cpu: Vec::new(),
+        })
+    }
 }
 
 /// Deserializes a cached payload, using the descriptor for context
 /// (e.g. the static app name of a trace). `None` means the entry is
 /// unreadable and the run is simply repeated.
 fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
-    let mut lines = payload.lines();
-    match kind {
-        RunKind::Walk(_) => decode_rows(&mut lines, "points ", |it| {
+    let c = &mut Cursor(payload.as_bytes());
+    let out = match kind {
+        RunKind::Walk(_) => RunOutput::Points(c.rows("points ", |r| {
             Some(WalkPoint {
-                misses: it.next()?.parse().ok()?,
-                observed: dec_f64(it.next()?)?,
-                predicted: dec_f64(it.next()?)?,
+                misses: r.int(b' ')?,
+                observed: r.float(b' ')?,
+                predicted: r.float(b'\n')?,
             })
-        })
-        .map(RunOutput::Points),
-        RunKind::Geometry(_) => decode_rows(&mut lines, "gpoints ", |it| {
+        })?),
+        RunKind::Geometry(_) => RunOutput::GeometryPoints(c.rows("gpoints ", |r| {
             Some(GeometryPoint {
-                misses: it.next()?.parse().ok()?,
-                observed: dec_f64(it.next()?)?,
-                closed_form: dec_f64(it.next()?)?,
-                per_set: dec_f64(it.next()?)?,
+                misses: r.int(b' ')?,
+                observed: r.float(b' ')?,
+                closed_form: r.float(b' ')?,
+                per_set: r.float(b'\n')?,
             })
-        })
-        .map(RunOutput::GeometryPoints),
-        RunKind::Monitor { app, .. } => decode_rows(&mut lines, "trace ", |it| {
-            Some(Sample {
-                misses: it.next()?.parse().ok()?,
-                instructions: it.next()?.parse().ok()?,
-                observed: dec_f64(it.next()?)?,
-                predicted: dec_f64(it.next()?)?,
-            })
-        })
-        .map(|samples| RunOutput::Trace(MonitorTrace { app: app.name(), samples })),
+        })?),
+        RunKind::Monitor { app, .. } => {
+            let samples = c.rows("trace ", |r| {
+                Some(Sample {
+                    misses: r.int(b' ')?,
+                    instructions: r.int(b' ')?,
+                    observed: r.float(b' ')?,
+                    predicted: r.float(b'\n')?,
+                })
+            })?;
+            RunOutput::Trace(MonitorTrace { app: app.name(), samples })
+        }
         RunKind::Policy { .. }
         | RunKind::Threshold { .. }
         | RunKind::PlacementProbe { .. }
-        | RunKind::Pipeline { .. } => Some(RunOutput::Report(decode_report(&mut lines)?)),
-        RunKind::Robustness { scenario, .. } => {
-            let counter = matches!(scenario.injector, Injector::Counter(_));
-            let tag = if counter { "fault " } else { "chaos " };
-            let mut it = lines.next()?.strip_prefix(tag)?.split(' ');
-            let first = it.next()?;
-            let probe = dec_probe(&mut it)?;
-            let report = decode_report(&mut lines)?;
-            Some(if counter {
-                RunOutput::FaultCell(FaultCell { report, probe, recovered: first == "1" })
-            } else {
-                RunOutput::ChaosCell(ChaosCell { report, probe, poisoned: first.parse().ok()? })
-            })
-        }
+        | RunKind::Pipeline { .. } => RunOutput::Report(c.report()?),
+        RunKind::Robustness { scenario, .. } => match scenario.injector {
+            Injector::Counter(_) => {
+                c.lit("fault ")?;
+                let recovered = match c.int(b' ')? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                };
+                let probe = c.probe()?;
+                RunOutput::FaultCell(FaultCell { recovered, probe, report: c.report()? })
+            }
+            Injector::Lifecycle(_) => {
+                c.lit("chaos ")?;
+                let poisoned = c.int(b' ')?;
+                let probe = c.probe()?;
+                RunOutput::ChaosCell(ChaosCell { poisoned, probe, report: c.report()? })
+            }
+        },
         RunKind::Invalidation { .. } => {
-            let mut it = lines.next()?.strip_prefix("inval ")?.split(' ');
-            Some(RunOutput::Invalidation {
-                observed: it.next()?.parse().ok()?,
-                predicted: it.next()?.parse().ok()?,
-            })
+            c.lit("inval ")?;
+            RunOutput::Invalidation { observed: c.int(b' ')?, predicted: c.int(b'\n')? }
         }
-    }
+    };
+    c.0.is_empty().then_some(out)
 }
 
 // ---------------------------------------------------------------------
@@ -472,14 +539,12 @@ impl DiskCache {
 
     /// Loads a cached result. `Ok(None)` is a clean miss (no entry, or
     /// an FNV key collision); [`ReproError::CorruptCache`] means the
-    /// entry existed but failed its checksum or decode — it has been
-    /// quarantined (renamed to `.quarantine`) so the recomputed result
-    /// can land fresh, and the caller recomputes after logging.
+    /// entry existed but could not be read or failed its checksum or
+    /// decode — it has been quarantined (renamed to `.quarantine`) so the
+    /// recomputed result can land fresh, and the caller recomputes after
+    /// logging.
     fn load(&self, key: &str, kind: &RunKind) -> Result<Option<RunOutput>, ReproError> {
         let path = self.entry_path(key);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Ok(None);
-        };
         let corrupt = |what: &str| {
             let quarantined = path.with_extension("quarantine");
             // Best effort: if the rename fails, the fresh store below
@@ -487,22 +552,28 @@ impl DiskCache {
             let _ = std::fs::rename(&path, &quarantined);
             ReproError::CorruptCache { quarantined, what: what.to_string() }
         };
-        let Some((first, rest)) = text.split_once('\n') else {
+        let entry = match std::fs::read(&path) {
+            Ok(entry) => entry,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(corrupt(&format!("unreadable entry ({e})"))),
+        };
+        let mut c = Cursor(&entry);
+        let Some(first) = c.until(b'\n') else {
             return Err(corrupt("truncated header"));
         };
-        if first != key {
+        if first != key.as_bytes() {
             return Ok(None);
         }
-        let Some((sum_line, payload)) = rest.split_once('\n') else {
+        let Some(sum_line) = c.until(b'\n') else {
             return Err(corrupt("missing checksum line"));
         };
-        let Some(expected) = sum_line.strip_prefix("sha256 ") else {
+        let Some(expected) = sum_line.strip_prefix(b"sha256 ").and_then(unhex) else {
             return Err(corrupt("malformed checksum line"));
         };
-        if digest::hex(payload.as_bytes()) != expected {
+        if digest::sha256(c.0) != expected {
             return Err(corrupt("payload checksum mismatch"));
         }
-        match decode(kind, payload) {
+        match std::str::from_utf8(c.0).ok().and_then(|payload| decode(kind, payload)) {
             Some(out) => Ok(Some(out)),
             None => Err(corrupt("undecodable payload")),
         }
@@ -1116,6 +1187,28 @@ mod tests {
             assert!(decode(kind, &format!("{tag} {}\n", u64::MAX)).is_none(), "{tag}");
             assert!(decode(kind, &format!("{tag} {}\n0 0 0 0\n", u64::MAX)).is_none(), "{tag}");
         }
+        // A field decodes only in the form `encode` writes it: the string
+        // parsers before the byte cursor accepted the first three rows.
+        let one = enc_f64(1.0);
+        let row = |line: &str| decode(&kind, &format!("points 1\n{line}\n"));
+        assert!(row(&format!("7 {one} {one}")).is_some(), "the canonical row decodes");
+        for (bad, why) in [
+            (format!("+7 {one} {one}"), "signed decimal"),
+            (format!("7 {} {one}", one.to_uppercase()), "uppercase hex"),
+            (format!("7 {} {one}", &one[1..]), "15 hex digits"),
+            (format!("7 0{one} {one}"), "17 hex digits"),
+            (format!("7 {one}"), "missing field"),
+            (format!("7 {one} {one} {one}"), "extra field"),
+            (format!("18446744073709551616 {one} {one}"), "decimal past u64::MAX"),
+        ] {
+            assert!(row(&bad).is_none(), "{why}: {bad:?}");
+        }
+        assert!(decode(&kind, "points +1\n").is_none(), "signed count");
+        let inval = RunKind::Invalidation { written_lines: 4 };
+        assert!(decode(&inval, "inval 1 2\n").is_some());
+        assert!(decode(&inval, "inval +1 2\n").is_none(), "signed decimal");
+        assert!(decode(&inval, "inval 1 2 3\n").is_none(), "extra field");
+        assert!(decode(&inval, "inval 1 2\ninval 1 2\n").is_none(), "trailing bytes");
     }
 
     #[test]
@@ -1217,17 +1310,26 @@ mod tests {
         let cache = DiskCache { dir: cache_dir.clone() };
         let key = cache_key(&reqs[0].kind);
         let path = cache.entry_path(&key);
-        // Two ways to damage the entry: flip payload bytes behind the
-        // checksum's back, or — under a valid checksum — claim a row
-        // count no payload could back. The count must bound a loop, not
-        // size an allocation: a capacity-overflow panic here would be
-        // outside the run guard and take the whole suite down.
-        let mut flipped = std::fs::read_to_string(&path).expect("entry exists");
+        // Three ways to damage the entry: flip payload bytes behind the
+        // checksum's back, into other text or into a byte that is not
+        // UTF-8, or — under a valid checksum — claim a row count no
+        // payload could back. The count must bound a loop, not size an
+        // allocation: a capacity-overflow panic here would be outside the
+        // run guard and take the whole suite down.
+        let stored = std::fs::read(&path).expect("entry exists");
+        let mut flipped = stored.clone();
         flipped.truncate(flipped.len() - 8);
-        flipped.push_str("garbage\n");
+        flipped.extend_from_slice(b"garbage\n");
+        let mut not_utf8 = stored;
+        let at = not_utf8.len() - 2;
+        not_utf8[at] = 0xff;
         let payload = format!("points {}\n", u64::MAX);
         let overcounted = format!("{key}\nsha256 {}\n{payload}", digest::hex(payload.as_bytes()));
-        for (entry, reason) in [(flipped, "checksum"), (overcounted, "undecodable")] {
+        for (entry, reason) in [
+            (flipped, "checksum"),
+            (not_utf8, "checksum"),
+            (overcounted.into_bytes(), "undecodable"),
+        ] {
             let _ = std::fs::remove_file(path.with_extension("quarantine"));
             std::fs::write(&path, entry).expect("rewrite entry");
             let err = cache.load(&key, &reqs[0].kind).expect_err("damaged entry must not load");

@@ -18,7 +18,7 @@
 //! accesses, compute, spawns, and annotations through [`BatchCtx`], and
 //! then returns a [`Control`] describing how the batch ends (block on a
 //! sync object, yield, sleep, exit). Blocking therefore never has to
-//! unwind a call stack — no unsafe context switching — while the
+//! unwind a call stack — no stack switching in assembly — while the
 //! scheduler-visible behaviour (counters read at context switches,
 //! per-processor run queues, priority updates) is exactly the paper's.
 //!
