@@ -26,6 +26,22 @@ if [ "$lines" -lt "$((budget - 25))" ]; then
     exit 1
 fi
 
+# Doc budget (ROADMAP item 10): results/doc_budget holds a byte ceiling
+# per document, held both ways like the line budget. Over it fails; more
+# than 2 KB under it fails too, until the PR that cut the text lowers it.
+while read -r doc ceiling; do
+    bytes=$(wc -c <"$doc")
+    if [ "$bytes" -gt "$ceiling" ]; then
+        echo "$doc holds $bytes bytes, results/doc_budget allows $ceiling" >&2
+        exit 1
+    fi
+    if [ "$bytes" -lt "$((ceiling - 2048))" ]; then
+        echo "$doc holds $bytes bytes, more than 2 KB under results/doc_budget" \
+            "($ceiling): lower its ceiling to $bytes" >&2
+        exit 1
+    fi
+done <results/doc_budget
+
 # Unsafe code (DESIGN.md §10): the crates hold one block of it, the call
 # into the SHA-extension compression in crates/repro/src/digest.rs made
 # after run-time feature detection. locality-repro denies unsafe_code

@@ -5,9 +5,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ModelError {
-    /// The cache size in lines must be at least 2 for `k = (N-1)/N` to be a
-    /// meaningful decay factor.
-    CacheTooSmall {
+    /// The cache size in lines was outside `2..=ModelParams::MAX_LINES`:
+    /// `k = (N-1)/N` needs at least 2 lines to be a meaningful decay
+    /// factor, and the priority tables hold one entry per line.
+    CacheOutOfRange {
         /// The rejected number of lines.
         lines: usize,
     },
@@ -22,13 +23,6 @@ pub enum ModelError {
     NonFiniteSharingCoefficient {
         /// The rejected coefficient.
         q: f64,
-    },
-    /// A footprint was negative, not finite, or exceeded the cache size.
-    InvalidFootprint {
-        /// The rejected footprint in lines.
-        footprint: f64,
-        /// The cache size in lines.
-        lines: usize,
     },
     /// A fill fraction passed to
     /// [`FootprintModel::misses_to_fill`](crate::FootprintModel::misses_to_fill)
@@ -57,17 +51,16 @@ pub enum ModelError {
 impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ModelError::CacheTooSmall { lines } => {
-                write!(f, "cache of {lines} lines is too small for the model (need >= 2)")
+            ModelError::CacheOutOfRange { lines } => {
+                let size = if *lines < 2 { "small" } else { "large" };
+                let max = crate::ModelParams::MAX_LINES;
+                write!(f, "cache of {lines} lines is too {size} for the model (need 2..={max})")
             }
             ModelError::InvalidSharingCoefficient { q } => {
                 write!(f, "sharing coefficient {q} is outside [0, 1]")
             }
             ModelError::NonFiniteSharingCoefficient { q } => {
                 write!(f, "sharing coefficient {q} is not a finite number")
-            }
-            ModelError::InvalidFootprint { footprint, lines } => {
-                write!(f, "footprint {footprint} is invalid for a cache of {lines} lines")
             }
             ModelError::NonFiniteFillFraction { frac } => {
                 write!(f, "fill fraction {frac} is not a number")
@@ -90,14 +83,14 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = ModelError::CacheTooSmall { lines: 1 };
-        assert!(e.to_string().contains("1 lines"));
+        let e = ModelError::CacheOutOfRange { lines: 1 };
+        assert!(e.to_string().contains("1 lines is too small"));
+        let e = ModelError::CacheOutOfRange { lines: usize::MAX };
+        assert!(e.to_string().contains("too large"));
         let e = ModelError::InvalidSharingCoefficient { q: 1.5 };
         assert!(e.to_string().contains("1.5"));
         let e = ModelError::NonFiniteSharingCoefficient { q: f64::NAN };
         assert!(e.to_string().contains("not a finite"));
-        let e = ModelError::InvalidFootprint { footprint: -3.0, lines: 8192 };
-        assert!(e.to_string().contains("-3"));
         let e = ModelError::NonFiniteFillFraction { frac: f64::NAN };
         assert!(e.to_string().contains("not a number"));
         let e = ModelError::SelfSharing { thread: 4 };

@@ -183,11 +183,6 @@ impl LocalityEstimator {
         }
     }
 
-    /// The model parameters in use.
-    pub fn params(&self) -> ModelParams {
-        self.schemes.params()
-    }
-
     /// The priority-update engine (exposes the flop counter for Table 3).
     pub fn schemes(&self) -> &PrioritySchemes {
         &self.schemes
@@ -262,20 +257,10 @@ impl LocalityEstimator {
                 shadow.entry(dep).or_insert(0.0);
             }
             for (&x, f) in shadow.iter_mut() {
-                if x == tid {
-                    // Case 1: the blocker grows toward N.
-                    *f = nn - (nn - *f) * kn;
-                } else {
-                    let q = graph.weight(tid, x);
-                    if q > 0.0 {
-                        // Case 3: dependents grow toward q·N.
-                        let target = q * nn;
-                        *f = target - (target - *f) * kn;
-                    } else {
-                        // Case 2: independent threads decay by kⁿ.
-                        *f *= kn;
-                    }
-                }
+                // Cases 1, 3 and 2 at once: the blocker moves toward N
+                // (q = 1), a dependent toward qN, everyone else toward 0.
+                let q = if x == tid { 1.0 } else { graph.weight(tid, x) };
+                *f = crate::footprint::toward(q * nn, *f, kn);
             }
         }
 
@@ -320,10 +305,8 @@ impl LocalityEstimator {
     /// the feature is to fail loudly in CI.
     #[cfg(feature = "invariant-checks")]
     fn verify_invariants(&mut self, cpu: CpuId, blocker: ThreadId) {
-        use crate::priority::PolicyKind;
         let nn = self.schemes.params().n();
         let m_now = self.misses[cpu.0];
-        let tables = self.schemes.tables();
         let tracked = self.tracked_on(cpu);
         assert_eq!(
             tracked,
@@ -359,14 +342,7 @@ impl LocalityEstimator {
             // log table (~1/F per lookup). Entries decayed below two lines
             // hit the log-table clamp and are excluded.
             if lazy >= 2.0 {
-                let reconstructed = match self.schemes.policy() {
-                    PolicyKind::Lff => tables.log_footprint(lazy) - m_now as f64 * tables.log_k(),
-                    PolicyKind::Crt => {
-                        tables.log_footprint(lazy)
-                            - tables.log_footprint(entry.e_f_last_run)
-                            - m_now as f64 * tables.log_k()
-                    }
-                };
+                let reconstructed = self.schemes.priority(lazy, entry.e_f_last_run, m_now);
                 let tol = 2.5 / lazy + 1e-6;
                 assert!(
                     (entry.prio - reconstructed).abs() <= tol,
@@ -502,7 +478,7 @@ mod tests {
         assert_eq!(ups.len(), 1);
         assert_eq!(ups[0].thread, t(1));
         let f = est.expected_footprint(CpuId(0), t(1));
-        let expect = 1024.0 * (1.0 - est.params().k_pow(500));
+        let expect = 1024.0 * (1.0 - est.schemes().params().k_pow(500));
         assert!((f - expect).abs() < 1e-9);
         assert_eq!(est.misses(CpuId(0)), 500);
     }
@@ -522,7 +498,8 @@ mod tests {
         assert_eq!(est.priority(CpuId(0), t(1)), p1);
         // ...but its *footprint* decayed.
         let f1 = est.expected_footprint(CpuId(0), t(1));
-        let expect = 1024.0 * (1.0 - est.params().k_pow(500)) * est.params().k_pow(300);
+        let expect =
+            1024.0 * (1.0 - est.schemes().params().k_pow(500)) * est.schemes().params().k_pow(300);
         assert!((f1 - expect).abs() < 1e-9);
     }
 
@@ -540,8 +517,8 @@ mod tests {
         assert_eq!(ups[2].thread, t(3));
         let f2 = est.expected_footprint(CpuId(0), t(2));
         let f3 = est.expected_footprint(CpuId(0), t(3));
-        let e2 = 512.0 * (1.0 - est.params().k_pow(1000));
-        let e3 = 256.0 * (1.0 - est.params().k_pow(1000));
+        let e2 = 512.0 * (1.0 - est.schemes().params().k_pow(1000));
+        let e3 = 256.0 * (1.0 - est.schemes().params().k_pow(1000));
         assert!((f2 - e2).abs() < 1e-9);
         assert!((f3 - e3).abs() < 1e-9);
         assert!(f2 > f3);

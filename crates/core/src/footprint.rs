@@ -7,8 +7,17 @@
 //! over the `N` cache lines (paper §2.1), so a single miss leaves any given
 //! line untouched with probability `k = (N−1)/N`.
 
-use crate::params::check_coefficient;
 use crate::{ModelError, ModelParams};
+
+/// `target − (target − s)·kn`: footprint `s` after misses that leave any
+/// one line untouched with probability `kn = kⁿ`, moved toward `target`
+/// (`N` for the blocker, `qN` for a dependent, `0` for an independent
+/// thread, where it is `s·kn` bit for bit). The one statement of the
+/// paper's closed forms; every caller keeps its own `n = 0` policy.
+#[inline(always)]
+pub(crate) fn toward(target: f64, s: f64, kn: f64) -> f64 {
+    target - (target - s) * kn
+}
 
 /// The analytical shared-state cache model.
 ///
@@ -53,8 +62,7 @@ impl FootprintModel {
         if n == 0 {
             return s;
         }
-        let nn = self.params.n();
-        nn - (nn - s) * self.params.k_pow(n)
+        toward(self.params.n(), s, self.params.k_pow(n))
     }
 
     /// Case 2 — a thread **independent of A** (no sharing edge from A).
@@ -80,20 +88,7 @@ impl FootprintModel {
         if n == 0 {
             return s;
         }
-        let target = q * self.params.n();
-        target - (target - s) * self.params.k_pow(n)
-    }
-
-    /// Validated variant of [`expected_dependent`](Self::expected_dependent).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `q` is outside `[0, 1]` or `s` is outside
-    /// `[0, N]`.
-    pub fn try_expected_dependent(&self, q: f64, s: f64, n: u64) -> Result<f64, ModelError> {
-        check_coefficient(q)?;
-        self.params.check_footprint(s)?;
-        Ok(self.expected_dependent(q, s, n))
+        toward(q * self.params.n(), s, self.params.k_pow(n))
     }
 
     /// The **cache-reload ratio** `R = (E[F₀] − E[F]) / E[F₀]` used by the
@@ -119,9 +114,6 @@ impl FootprintModel {
     /// # Errors
     ///
     /// Returns [`ModelError::NonFiniteFillFraction`] when `frac` is NaN.
-    /// (The previous unchecked version computed `NaN.ceil() as u64`,
-    /// which silently saturates to 0 — a corrupted fraction looked like
-    /// an instantly-full cache.)
     pub fn misses_to_fill(&self, frac: f64) -> Result<u64, ModelError> {
         if frac.is_nan() {
             return Err(ModelError::NonFiniteFillFraction { frac });
@@ -240,15 +232,6 @@ mod tests {
             below = nb;
             above = na;
         }
-    }
-
-    #[test]
-    fn try_expected_dependent_validates() {
-        let m = model(100);
-        assert!(m.try_expected_dependent(0.5, 50.0, 10).is_ok());
-        assert!(m.try_expected_dependent(1.5, 50.0, 10).is_err());
-        assert!(m.try_expected_dependent(0.5, 101.0, 10).is_err());
-        assert!(m.try_expected_dependent(-0.1, 50.0, 10).is_err());
     }
 
     #[test]

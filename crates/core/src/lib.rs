@@ -23,17 +23,19 @@
 //! * **independent thread B**: `E[F_B] = S_B·kⁿ`
 //! * **dependent thread C** (edge `(A → C, q)`): `E[F_C] = qN − (qN − S_C)·kⁿ`
 //!
-//! where `S_x` is the footprint at the start of the interval. The dependent
-//! case is derived from a birth–death Markov chain (paper appendix); the
-//! [`markov`] module implements that chain exactly and serves as a test
-//! oracle for the closed forms.
+//! where `S_x` is the footprint at the start of the interval. All three are
+//! `target − (target − S)·kⁿ` with target `N`, `qN` or `0`, written once in
+//! `footprint::toward`. The dependent case is derived from a birth–death
+//! Markov chain (paper appendix); [`markov`] implements that chain exactly
+//! and serves as a test oracle for the closed forms.
 //!
 //! On top of the model, [`priority`] and [`estimator`] implement the paper's
 //! two practical scheduling policies — **LFF** (largest footprint first) and
 //! **CRT** (smallest cache-reload ratio) — using the log-space priority
-//! transformation that makes priority updates of *independent* threads
-//! entirely free: only the blocking thread and its `out-degree` dependents
-//! are touched at a context switch.
+//! (`PrioritySchemes::priority`) that makes priority updates of
+//! *independent* threads entirely free: only the blocking thread and its
+//! `out-degree` dependents are touched at a context switch. [`tables`]
+//! holds the `kⁿ` and `log F` values every update reads.
 //!
 //! ## Quick example
 //!

@@ -13,11 +13,12 @@
 //!
 //! Iterating the full distribution vector is `O(n·N)` — far too slow for a
 //! context switch, which is why the paper derives the closed form
-//! `E[F_C] = qN − (qN − S_C)·kⁿ`. This module exists to *prove* that the
-//! closed form equals the exact chain expectation (see the property tests
-//! and `tests/model_oracle.rs`), and to let users explore full
-//! distributions, not just means.
+//! `E[F_C] = qN − (qN − S_C)·kⁿ`. This module owns the chain: it exists to
+//! *prove* that the closed form equals the exact chain expectation (see the
+//! tests here and in `tests/model_properties.rs`), and to let users
+//! explore full distributions, not just means.
 
+use crate::footprint::toward;
 use crate::params::check_coefficient;
 use crate::{ModelError, ModelParams};
 
@@ -40,11 +41,6 @@ impl DependentChain {
         Ok(DependentChain { params, q })
     }
 
-    /// The sharing coefficient `q`.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
     /// Transition probabilities out of state `i`:
     /// `(down, stay, up)` = `(P[i→i−1], P[i→i], P[i→i+1])`.
     ///
@@ -60,26 +56,8 @@ impl DependentChain {
         (down, 1.0 - up - down, up)
     }
 
-    /// Applies one miss-transition to a distribution vector in place.
-    ///
-    /// `dist[i]` is the probability of C holding `i` lines;
-    /// `dist.len()` must be `N + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dist.len() != N + 1`.
-    pub fn step(&self, dist: &mut Vec<f64>) {
-        let n = self.params.lines();
-        assert_eq!(dist.len(), n + 1, "distribution must have N+1 entries");
-        let mut next = vec![0.0; n + 1];
-        self.step_into(dist, &mut next);
-        *dist = next;
-    }
-
-    /// One transition from `src` into the zeroed buffer `dst` — the
-    /// allocation-free core of [`step`](Self::step). Both the per-call
-    /// allocating form and the double-buffered iteration below perform
-    /// exactly these additions in this order, so they are bit-identical.
+    /// One miss-transition from the distribution `src` (`src[i]` is the
+    /// probability of C holding `i` lines) into the zeroed buffer `dst`.
     fn step_into(&self, src: &[f64], dst: &mut [f64]) {
         let n = src.len() - 1;
         for (i, &p) in src.iter().enumerate() {
@@ -98,8 +76,7 @@ impl DependentChain {
     }
 
     /// The full distribution after `n` misses, starting from exactly `s0`
-    /// lines cached. Iterates with two reused buffers instead of one
-    /// allocation per step; the arithmetic is unchanged.
+    /// lines cached, iterated with two reused buffers.
     ///
     /// # Panics
     ///
@@ -222,28 +199,13 @@ impl ChainTransientTable {
                 a + s0 * b
             }
             Err(_) => {
-                // Past the table: E(n_max + m) = qN + (E(n_max) − qN)·kᵐ.
+                // Past the table: E(n_max + m) = qN − (qN − E(n_max))·kᵐ.
                 let last = self.grid.len() - 1;
                 let e_last = self.a[last] + s0 * self.b[last];
-                let target = self.q * self.params.n();
-                target + (e_last - target) * self.params.k_pow(n - self.grid[last])
+                let km = self.params.k_pow(n - self.grid[last]);
+                toward(self.q * self.params.n(), e_last, km)
             }
         }
-    }
-
-    /// The sharing coefficient the table was built for.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Largest tabulated miss count.
-    pub fn n_max(&self) -> u64 {
-        *self.grid.last().unwrap_or(&0)
-    }
-
-    /// Number of grid points.
-    pub fn grid_len(&self) -> usize {
-        self.grid.len()
     }
 }
 
@@ -398,21 +360,6 @@ mod tests {
         let (e0, e32, e64) =
             (t.expected_after(0.0, 50), t.expected_after(32.0, 50), t.expected_after(64.0, 50));
         assert!((e32 - (e0 + e64) / 2.0).abs() < 1e-9);
-        assert_eq!(t.n_max(), 128);
-        assert!(t.grid_len() > 16);
-        assert!((t.q() - 0.3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn double_buffered_iteration_matches_per_step_allocation() {
-        // distribution_after must be bit-identical to naive repeated step.
-        let c = chain(48, 0.37);
-        let mut naive = vec![0.0; 49];
-        naive[20] = 1.0;
-        for _ in 0..200 {
-            c.step(&mut naive);
-        }
-        assert_eq!(c.distribution_after(20, 200), naive);
     }
 
     #[test]
@@ -421,8 +368,7 @@ mod tests {
         // q(N-E)/N - (1-q)E/N = q - E/N, i.e. E' = E*k + q.
         let c = chain(64, 0.25);
         let d0 = c.distribution_after(30, 0);
-        let mut d1 = d0.clone();
-        c.step(&mut d1);
+        let d1 = c.distribution_after(30, 1);
         let e0 = expectation(&d0);
         let e1 = expectation(&d1);
         assert!((e1 - (e0 * (63.0 / 64.0) + 0.25)).abs() < 1e-12);

@@ -22,14 +22,21 @@ pub struct ModelParams {
 }
 
 impl ModelParams {
+    /// The largest cache the model describes, in lines (64 MiB of 64-byte
+    /// lines). The priority tables hold one `log F` per line, so an
+    /// unbounded `N` is an allocation the process cannot survive; the
+    /// simulator's `CacheGeometry::MAX_LINES` is this constant.
+    pub const MAX_LINES: usize = 1 << 20;
+
     /// Creates model parameters for a direct-mapped cache of `lines` lines.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::CacheTooSmall`] if `lines < 2`.
+    /// Returns [`ModelError::CacheOutOfRange`] unless
+    /// `2 ≤ lines ≤` [`MAX_LINES`](Self::MAX_LINES).
     pub fn new(lines: usize) -> Result<Self, ModelError> {
-        if lines < 2 {
-            return Err(ModelError::CacheTooSmall { lines });
+        if !(2..=Self::MAX_LINES).contains(&lines) {
+            return Err(ModelError::CacheOutOfRange { lines });
         }
         let n = lines as f64;
         let k = (n - 1.0) / n;
@@ -65,19 +72,6 @@ impl ModelParams {
     pub fn k_pow(&self, n: u64) -> f64 {
         (self.log_k * n as f64).exp()
     }
-
-    /// Validates a footprint value against the cache size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidFootprint`] unless
-    /// `0 ≤ footprint ≤ N` and the value is finite.
-    pub fn check_footprint(&self, footprint: f64) -> Result<(), ModelError> {
-        if !footprint.is_finite() || footprint < 0.0 || footprint > self.n() {
-            return Err(ModelError::InvalidFootprint { footprint, lines: self.lines });
-        }
-        Ok(())
-    }
 }
 
 /// Validates a sharing coefficient.
@@ -102,10 +96,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_rejects_tiny_caches() {
-        assert_eq!(ModelParams::new(0), Err(ModelError::CacheTooSmall { lines: 0 }));
-        assert_eq!(ModelParams::new(1), Err(ModelError::CacheTooSmall { lines: 1 }));
+    fn new_rejects_caches_out_of_range() {
+        for lines in [0, 1, ModelParams::MAX_LINES + 1, usize::MAX] {
+            assert_eq!(ModelParams::new(lines), Err(ModelError::CacheOutOfRange { lines }));
+        }
         assert!(ModelParams::new(2).is_ok());
+        assert!(ModelParams::new(ModelParams::MAX_LINES).is_ok());
     }
 
     #[test]
@@ -141,18 +137,6 @@ mod tests {
             naive *= p.k();
             assert!((p.k_pow(n) - naive).abs() < 1e-12, "mismatch at n={n}");
         }
-    }
-
-    #[test]
-    fn footprint_validation() {
-        let p = ModelParams::new(100).unwrap();
-        assert!(p.check_footprint(0.0).is_ok());
-        assert!(p.check_footprint(100.0).is_ok());
-        assert!(p.check_footprint(50.5).is_ok());
-        assert!(p.check_footprint(-0.1).is_err());
-        assert!(p.check_footprint(100.1).is_err());
-        assert!(p.check_footprint(f64::NAN).is_err());
-        assert!(p.check_footprint(f64::INFINITY).is_err());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! threads exactly as the raw model would.
 
 use crate::flops::FlopCounter;
+use crate::footprint::toward;
 use crate::tables::PrecomputedTables;
 use crate::{ModelParams, ThreadId};
 
@@ -108,11 +109,6 @@ impl PrioritySchemes {
         }
     }
 
-    /// The policy this engine updates priorities for.
-    pub fn policy(&self) -> PolicyKind {
-        self.policy
-    }
-
     /// The model parameters in use.
     pub fn params(&self) -> ModelParams {
         self.tables.params()
@@ -141,8 +137,24 @@ impl PrioritySchemes {
     /// The thread's expected footprint (lines) at miss count `m_now`.
     ///
     /// Pure decay since the entry's last update: `e_f · k^(m_now − m_upd)`.
+    #[inline(always)]
     pub fn expected_footprint(&self, entry: &FootprintEntry, m_now: u64) -> f64 {
         entry.e_f * self.tables.k_pow(m_now.saturating_sub(entry.m_at_update))
+    }
+
+    /// The policy's log-space priority of footprint `e` at miss count `m`
+    /// (module docs): LFF `log E − m·log k`, CRT `log E − log E_last −
+    /// m·log k` with `e_last` the footprint of the thread's last run here.
+    /// Pure; callers count the lookups and flops it costs.
+    #[inline(always)]
+    pub(crate) fn priority(&self, e: f64, e_last: f64, m: u64) -> f64 {
+        let log_e = self.tables.log_footprint(e);
+        match self.policy {
+            PolicyKind::Lff => log_e - m as f64 * self.tables.log_k(),
+            PolicyKind::Crt => {
+                log_e - self.tables.log_footprint(e_last) - m as f64 * self.tables.log_k()
+            }
+        }
     }
 
     /// Called when the thread is dispatched on the processor at miss count
@@ -162,26 +174,25 @@ impl PrioritySchemes {
     /// Returns the new priority. Cost: a few flops + table lookups,
     /// recorded in the [`FlopCounter`].
     pub fn on_block_self(&self, entry: &mut FootprintEntry, n: u64, m_new: u64) -> f64 {
-        let nn = self.params().n();
-        let s = entry.e_f; // set at dispatch; nothing else ran on this cpu since
+        // S is e_f as set at dispatch; nothing else ran on this cpu since.
         let kn = self.tables.k_pow(n);
         self.counter.add_lookups(1);
-        let e_new = nn - (nn - s) * kn;
+        let e_new = toward(self.params().n(), entry.e_f, kn);
         self.counter.add_flops(3); // sub, mul, sub
         entry.e_f = e_new;
         entry.m_at_update = m_new;
         entry.e_f_last_run = e_new; // it just ran: nothing left to reload (R = 0)
         let prio = match self.policy {
             PolicyKind::Lff => {
-                let log_e = self.tables.log_footprint(e_new);
                 self.counter.add_lookups(1);
                 self.counter.add_flops(2); // mul, sub
-                log_e - m_new as f64 * self.tables.log_k()
+                self.priority(e_new, e_new, m_new)
             }
             PolicyKind::Crt => {
-                // log(E) − log(E_last) cancels exactly: p = −m·log k.
+                // log(E) − log(E_last) cancels exactly: p = −m·log k, the
+                // cold priority.
                 self.counter.add_flops(1); // mul (−log k precomputed)
-                -(m_new as f64) * self.tables.log_k()
+                self.cold_priority(m_new)
             }
         };
         entry.prio = prio;
@@ -195,32 +206,24 @@ impl PrioritySchemes {
     /// Returns the new priority.
     pub fn on_dependent(&self, entry: &mut FootprintEntry, q: f64, n: u64, m_t0: u64) -> f64 {
         // Decay the stored footprint to the interval start to get S_C.
-        let s_c = entry.e_f * self.tables.k_pow(m_t0.saturating_sub(entry.m_at_update));
+        let s_c = self.expected_footprint(entry, m_t0);
         self.counter.add_flops(1);
         self.counter.add_lookups(1);
-        let target = q * self.params().n();
         let kn = self.tables.k_pow(n);
         self.counter.add_lookups(1);
-        let e_new = target - (target - s_c) * kn;
+        let e_new = toward(q * self.params().n(), s_c, kn);
         self.counter.add_flops(4); // mul(q·N), sub, mul, sub
         let m_new = m_t0 + n;
         entry.e_f = e_new;
         entry.m_at_update = m_new;
-        let prio = match self.policy {
-            PolicyKind::Lff => {
-                let log_e = self.tables.log_footprint(e_new);
-                self.counter.add_lookups(1);
-                self.counter.add_flops(2);
-                log_e - m_new as f64 * self.tables.log_k()
-            }
-            PolicyKind::Crt => {
-                let log_e = self.tables.log_footprint(e_new);
-                let log_last = self.tables.log_footprint(entry.e_f_last_run);
-                self.counter.add_lookups(2);
-                self.counter.add_flops(3); // sub, mul, sub
-                log_e - log_last - m_new as f64 * self.tables.log_k()
-            }
+        // LFF: one log lookup, mul, sub; CRT: two lookups, sub, mul, sub.
+        let (lookups, flops) = match self.policy {
+            PolicyKind::Lff => (1, 2),
+            PolicyKind::Crt => (2, 3),
         };
+        self.counter.add_lookups(lookups);
+        self.counter.add_flops(flops);
+        let prio = self.priority(e_new, entry.e_f_last_run, m_new);
         entry.prio = prio;
         prio
     }
@@ -253,7 +256,7 @@ mod tests {
         let f_now = s.expected_footprint(&e, m_now);
         // Reconstruct priority from the decayed footprint at m_now; it must
         // equal the stored (never-updated) priority up to table rounding.
-        let reconstructed = s.tables().log_footprint(f_now) - m_now as f64 * s.tables().log_k();
+        let reconstructed = s.priority(f_now, e.e_f_last_run, m_now);
         // Tolerance: both sides round footprints to whole lines before the
         // log lookup, contributing up to ~1/(2·F) of relative error each.
         assert!((p0 - reconstructed).abs() < 2e-2, "{p0} vs {reconstructed}");

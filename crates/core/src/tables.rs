@@ -101,11 +101,6 @@ impl PrecomputedTables {
     pub fn log_k(&self) -> f64 {
         self.params.log_k()
     }
-
-    /// Memory consumed by the tables, in bytes (for reporting).
-    pub fn table_bytes(&self) -> usize {
-        (self.logs.len() + self.kpow.len()) * std::mem::size_of::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -164,6 +159,5 @@ mod tests {
         // A scheduling interval of 100k misses is still resolved exactly.
         assert!(t.k_pow(100_000) > 0.0);
         assert!((t.k_pow(100_000) - params.k_pow(100_000)).abs() < 1e-12);
-        assert!(t.table_bytes() > 8192 * 8);
     }
 }

@@ -91,7 +91,7 @@ const WALKER_LINES: u64 = 8192 * 64;
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::CacheTooSmall`] for a cache of fewer than two
+/// Returns [`ModelError::CacheOutOfRange`] for a cache of fewer than two
 /// lines (a valid machine description, but not one the model covers).
 pub(crate) fn closed_form(
     monitored: Monitored,

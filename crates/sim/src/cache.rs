@@ -24,10 +24,11 @@ pub struct CacheGeometry {
 
 impl CacheGeometry {
     /// The largest cache a geometry may describe, in lines (64 MiB of
-    /// 64-byte lines, 128 E-caches). The tag store is allocated up front
-    /// at 16 bytes a line per processor, so an uncapped `sets × ways` from
-    /// a command line is an allocation failure — an abort, not an error.
-    pub const MAX_LINES: u64 = 1 << 20;
+    /// 64-byte lines, 128 E-caches): the footprint model's own cap,
+    /// `ModelParams::MAX_LINES`. The tag store is allocated up front at
+    /// 16 bytes a line per processor, so an uncapped `sets × ways` from a
+    /// command line is an allocation failure — an abort, not an error.
+    pub const MAX_LINES: u64 = locality_core::ModelParams::MAX_LINES as u64;
 
     /// Creates and validates a geometry.
     ///

@@ -23,6 +23,14 @@ pub struct CacheLatencies {
     pub l2_miss_remote: u64,
 }
 
+impl CacheLatencies {
+    /// The largest cost, in cycles, of any one latency and of the TLB's
+    /// `walk_cycles` (three orders of magnitude past a real memory). At
+    /// that cost a `u64` cycle count still takes 2⁴⁴ accesses to wrap; an
+    /// unbounded one overflows on the first access that pays it.
+    pub const MAX_CYCLES: u64 = 1 << 20;
+}
+
 /// Geometries of the three caches of one processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
@@ -145,7 +153,9 @@ impl MachineConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoCpus`] or [`SimError::BadGeometry`].
+    /// Returns [`SimError::NoCpus`], [`SimError::BadGeometry`] or
+    /// [`SimError::BadLatency`] (a latency or the TLB walk over
+    /// [`CacheLatencies::MAX_CYCLES`]).
     pub fn validate(&self) -> Result<(), SimError> {
         if self.cpus == 0 {
             return Err(SimError::NoCpus);
@@ -170,6 +180,14 @@ impl MachineConfig {
             });
         }
         self.tlb.validate()?;
+        let l = self.latencies;
+        let names = ["l1_hit", "l2_hit", "l2_miss", "l2_miss_remote", "tlb walk_cycles"];
+        let costs = [l.l1_hit, l.l2_hit, l.l2_miss, l.l2_miss_remote, self.tlb.walk_cycles];
+        if let Some((&name, &cycles)) =
+            names.iter().zip(&costs).find(|&(_, &c)| c > CacheLatencies::MAX_CYCLES)
+        {
+            return Err(SimError::BadLatency { name, cycles });
+        }
         Ok(())
     }
 
@@ -234,6 +252,20 @@ mod tests {
         let mut c = MachineConfig::ultra1();
         c.tlb.ways = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_latencies() {
+        // Unbounded, either overflows a cycle count on the first access
+        // that pays it.
+        let mut c = MachineConfig::ultra1();
+        c.latencies.l2_miss = u64::MAX;
+        assert!(matches!(c.validate(), Err(SimError::BadLatency { name: "l2_miss", .. })));
+        let mut c = MachineConfig::ultra1();
+        c.tlb.walk_cycles = u64::MAX;
+        assert!(matches!(c.validate(), Err(SimError::BadLatency { name: "tlb walk_cycles", .. })));
+        c.tlb.walk_cycles = CacheLatencies::MAX_CYCLES;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

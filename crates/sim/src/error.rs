@@ -13,6 +13,14 @@ pub enum SimError {
     },
     /// The machine was configured with zero processors.
     NoCpus,
+    /// A latency or the TLB walk cost was over
+    /// [`CacheLatencies::MAX_CYCLES`](crate::config::CacheLatencies::MAX_CYCLES).
+    BadLatency {
+        /// The configuration field.
+        name: &'static str,
+        /// The rejected cost in cycles.
+        cycles: u64,
+    },
     /// A processor index was out of range.
     BadCpu {
         /// The rejected index.
@@ -36,6 +44,10 @@ impl fmt::Display for SimError {
         match self {
             SimError::BadGeometry { reason } => write!(f, "invalid cache geometry: {reason}"),
             SimError::NoCpus => write!(f, "machine must have at least one processor"),
+            SimError::BadLatency { name, cycles } => {
+                let max = crate::config::CacheLatencies::MAX_CYCLES;
+                write!(f, "latency {name} = {cycles} cycles is over the cap of {max}")
+            }
             SimError::BadCpu { cpu, cpus } => {
                 write!(f, "processor index {cpu} out of range (machine has {cpus})")
             }
@@ -55,6 +67,8 @@ mod tests {
     #[test]
     fn display() {
         assert!(SimError::NoCpus.to_string().contains("at least one"));
+        let e = SimError::BadLatency { name: "l2_miss", cycles: 7 << 20 };
+        assert!(e.to_string().contains("l2_miss = 7340032 cycles"));
         assert!(SimError::BadCpu { cpu: 9, cpus: 8 }.to_string().contains('9'));
         assert!(SimError::CounterTrap { cpu: 3 }.to_string().contains("trapped on cpu 3"));
         let e = SimError::BadGeometry { reason: "line of 0 bytes".into() };

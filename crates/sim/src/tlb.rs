@@ -53,8 +53,8 @@ impl TlbConfig {
 
     /// Validates the geometry: sets and ways must be non-zero powers of
     /// two and `sets × ways` at most [`MAX_ENTRIES`](Self::MAX_ENTRIES),
-    /// so [`entries`](Self::entries) cannot wrap on a validated value
-    /// (the walk latency is unconstrained).
+    /// so [`entries`](Self::entries) cannot wrap on a validated value.
+    /// `MachineConfig::validate` bounds the walk latency with the others.
     ///
     /// # Errors
     ///

@@ -181,10 +181,11 @@ impl LocalityScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidMachine`] if `l2_lines < 2`,
-    /// `cpus == 0`, or `cpus > 64` (the heap-membership bitmask is a
-    /// `u64`). These used to be an `assert!` and an `.expect()`; a bad
-    /// machine description now reaches the caller as a typed error.
+    /// Returns [`RuntimeError::InvalidMachine`] if `l2_lines` is outside
+    /// `2..=ModelParams::MAX_LINES`, `cpus == 0`, or `cpus > 64` (the
+    /// heap-membership bitmask is a `u64`). These used to be an
+    /// `assert!` and an `.expect()`; a bad machine description now
+    /// reaches the caller as a typed error.
     pub fn new(config: LocalityConfig, l2_lines: usize, cpus: usize) -> Result<Self, RuntimeError> {
         if cpus == 0 || cpus > 64 {
             return Err(RuntimeError::InvalidMachine {

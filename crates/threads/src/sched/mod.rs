@@ -198,6 +198,14 @@ mod tests {
             build(SchedPolicy::Lff, 8192, 65),
             Err(crate::RuntimeError::InvalidMachine { .. })
         ));
+        // An E-cache too large for the model's `log F` table is rejected
+        // too: sizing that table would overflow.
+        for lines in [usize::MAX, (1 << 20) + 1] {
+            assert!(matches!(
+                LocalityScheduler::new(LocalityConfig::new(PolicyKind::Lff), lines, 1),
+                Err(crate::RuntimeError::InvalidMachine { .. })
+            ));
+        }
         // FCFS has no model: any machine is fine.
         assert!(build(SchedPolicy::Fcfs, 1, 2).is_ok());
     }

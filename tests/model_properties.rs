@@ -190,4 +190,35 @@ proptest! {
         prop_assert!((got - want).abs() < 1e-12,
             "entries={entries} n={n}: table {got} vs formula {want}");
     }
+
+    /// The scheduler's arithmetic is the closed forms' own: wherever the
+    /// eager kⁿ prefix answers (`1 ≤ n < 4096`, filled with
+    /// `ModelParams::k_pow`), the footprint `on_block_self` and
+    /// `on_dependent` leave equals `expected_blocking` and
+    /// `expected_dependent` from the decayed start, bit for bit, under
+    /// either policy.
+    #[test]
+    fn scheduler_updates_equal_the_closed_forms(
+        lines in 2usize..=16_384,
+        policy in prop_oneof![Just(PolicyKind::Lff), Just(PolicyKind::Crt)],
+        s_frac in 0.0f64..=1.0,
+        q in 0.0f64..=1.0,
+        n in 1u64..4_096,
+        gap in 0u64..4_096,
+    ) {
+        let params = ModelParams::new(lines).unwrap();
+        let schemes = PrioritySchemes::new(policy, params);
+        let model = FootprintModel::new(params);
+        let s = s_frac * params.n();
+        let start = FootprintEntry { e_f: s, e_f_last_run: s, ..FootprintEntry::cold() };
+
+        let mut blocker = start;
+        schemes.on_block_self(&mut blocker, n, n);
+        prop_assert_eq!(blocker.e_f.to_bits(), model.expected_blocking(s, n).to_bits());
+
+        let mut dependent = start;
+        schemes.on_dependent(&mut dependent, q, n, gap);
+        let s_c = model.expected_independent(s, gap);
+        prop_assert_eq!(dependent.e_f.to_bits(), model.expected_dependent(q, s_c, n).to_bits());
+    }
 }

@@ -1,12 +1,16 @@
 //! Property-based tests of the machine substrate: the cache against a
 //! naive reference model, regions against a brute-force byte map (and
-//! their per-thread index against the whole-map scans it replaced), and
-//! the priority heap against a sorted list.
+//! their per-thread index against the whole-map scans it replaced), the
+//! configuration validators against arbitrary fields, and the priority
+//! heap against a sorted list.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use thread_locality::core::{ThreadId, ThreadSlots};
-use thread_locality::sim::{Cache, CacheGeometry, RegionTable, Tlb, TlbConfig, VAddr};
+use thread_locality::sim::{
+    AccessKind, Cache, CacheGeometry, CacheLatencies, Machine, MachineConfig, PagePlacement,
+    RegionTable, Tlb, TlbConfig, VAddr,
+};
 use thread_locality::threads::heap::PrioHeap;
 
 /// A naive direct-mapped cache reference: one slot per set.
@@ -126,7 +130,98 @@ fn region_op() -> impl Strategy<Value = RegionOp> {
     ]
 }
 
+/// A configuration field value for the validator fuzz: zero, powers of
+/// two, their non-power neighbours, powers past every cap, a latency just
+/// past its cap and values at `u64::MAX`.
+fn config_value() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        (0u32..=16).prop_map(|p| 1u64 << p),
+        (1u32..=16).prop_map(|p| (1u64 << p) + 1),
+        (17u32..64).prop_map(|p| 1u64 << p),
+        Just(CacheLatencies::MAX_CYCLES + 1),
+        (0u64..3).prop_map(|d| u64::MAX - d),
+    ]
+}
+
+/// The `i`-th of a configuration's seventeen integer fields.
+fn config_field(c: &mut MachineConfig, i: usize) -> &mut u64 {
+    let (h, l, t) = (&mut c.hierarchy, &mut c.latencies, &mut c.tlb);
+    [
+        &mut h.l1i.sets,
+        &mut h.l1i.ways,
+        &mut h.l1i.line,
+        &mut h.l1d.sets,
+        &mut h.l1d.ways,
+        &mut h.l1d.line,
+        &mut h.l2.sets,
+        &mut h.l2.ways,
+        &mut h.l2.line,
+        &mut l.l1_hit,
+        &mut l.l2_hit,
+        &mut l.l2_miss,
+        &mut l.l2_miss_remote,
+        &mut c.page_bytes,
+        &mut t.sets,
+        &mut t.ways,
+        &mut t.walk_cycles,
+    ]
+    .into_iter()
+    .nth(i)
+    .expect("seventeen fields")
+}
+
 proptest! {
+    /// Whatever the fields, the validators answer with a typed error or
+    /// `Ok` — they never panic — and every configuration they accept
+    /// builds a `Machine` that runs scalar accesses and reference runs of
+    /// every kind on every processor without a panic or an overflow.
+    #[test]
+    fn validated_configs_run(
+        cpus in 0usize..=8,
+        edits in proptest::collection::vec((0usize..17, config_value()), 0..4),
+        placement in prop_oneof![
+            Just(PagePlacement::BinHopping),
+            Just(PagePlacement::PageColoring),
+            Just(PagePlacement::arbitrary()),
+        ],
+    ) {
+        let mut config = MachineConfig::enterprise5000(cpus)
+            .with_placement(placement)
+            .with_tlb(TlbConfig { sets: 16, ways: 4, walk_cycles: 30 });
+        for (field, value) in edits {
+            *config_field(&mut config, field) = value;
+        }
+        let h = config.hierarchy;
+        for g in [h.l1i, h.l1d, h.l2] {
+            if let Ok(g) = CacheGeometry::new(g.sets, g.ways, g.line) {
+                prop_assert_eq!(g.size_bytes(), g.lines() * g.line);
+            }
+        }
+        if config.tlb.validate().is_ok() {
+            let mut tlb = Tlb::new(config.tlb);
+            prop_assert!(!tlb.probe(7));
+            tlb.insert(7);
+            prop_assert!(tlb.probe(7));
+        }
+        let valid = config.validate();
+        let built = Machine::try_new(config.clone());
+        prop_assert_eq!(valid.is_ok(), built.is_ok(), "{:?} {:?}", valid, built.as_ref().err());
+        if let Ok(mut m) = built {
+            let base = m.alloc(4096, 64);
+            for cpu in 0..cpus {
+                for (i, kind) in [AccessKind::Read, AccessKind::Write, AccessKind::Fetch]
+                    .into_iter()
+                    .enumerate()
+                {
+                    m.access(cpu, base.offset(i as u64 * 8), kind);
+                    m.access_run(cpu, base.offset(1024), 8 << i, 64, kind);
+                }
+                prop_assert_eq!(m.cpu_stats(cpu).instructions, 3 * (1 + 64));
+            }
+        }
+    }
+
     /// The set-associative cache with one way behaves exactly like the
     /// naive direct-mapped reference.
     #[test]
