@@ -308,4 +308,23 @@ test -s "$TRACE_OUT/trace_merge.jsonl"
 test -s "$TRACE_OUT/trace_metrics.csv"
 # Metrics and exports come from one run each; nothing of it is cached.
 test ! -e "$TRACE_OUT/.cache"
+
+# The outputs no figure hash covers: the analyzer's findings over both
+# fixtures, the model checker's table and its three counterexamples, and
+# the traced run above are held byte for byte to
+# results/golden_analysis.sha256. Both drivers exit 1 on the racy,
+# deadlock and lost-wakeup fixtures they are meant to flag, and print the
+# same with or without the trace feature (this build saves a rebuild).
+for run in "analyze --scale small --workload all" modelcheck; do
+    status=0
+    # $run is left unquoted: it is a subcommand and its flags.
+    cargo run --release -p locality-repro --features trace --bin repro -- $run \
+        --out "$TRACE_OUT" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "repro $run exited $status, not 1" >&2
+        exit 1
+    fi
+done
+ANALYSIS_GOLDEN="$PWD/results/golden_analysis.sha256"
+(cd "$TRACE_OUT" && sha256sum -c "$ANALYSIS_GOLDEN")
 rm -rf "$TRACE_OUT"

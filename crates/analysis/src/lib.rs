@@ -54,7 +54,7 @@ pub use explore::{
 };
 pub use hb::HbClocks;
 pub use lint::{lint_annotations, ObservedSharing};
-pub use lockorder::{LockOrderGraph, WitnessEdge};
+pub use lockorder::{LockCycle, LockOrderGraph, WitnessEdge};
 pub use race::{AccessInfo, Race, RaceDetector};
 pub use report::{AnalysisReport, Finding, Severity};
 pub use vclock::VClock;

@@ -3,9 +3,9 @@
 //!
 //! The lints consume the raw [`ObsEvent::AtShare`] stream (not the
 //! post-run [`SharingGraph`], which the engine prunes as threads exit)
-//! plus per-thread observed footprints reconstructed from access spans.
-//! "Observed sharing" between two threads is the byte overlap of their
-//! merged access-interval sets; "annotation drift" is a mismatch in either
+//! plus per-thread observed footprints: every access span registered in a
+//! [`RegionTable`]. "Observed sharing" between two threads is the table's
+//! byte overlap of their states; "annotation drift" is a mismatch in either
 //! direction — substantial observed sharing with no annotation, or an
 //! annotation whose pair never shared a byte.
 //!
@@ -15,6 +15,7 @@
 use crate::report::{Finding, Severity};
 use active_threads::{ObsEvent, ObsLog};
 use locality_core::ThreadId;
+use locality_sim::RegionTable;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Minimum shared bytes before a missing annotation is reported.
@@ -23,64 +24,13 @@ const DRIFT_MIN_BYTES: u64 = 1024;
 /// annotation is reported.
 const DRIFT_MIN_FRACTION: f64 = 0.25;
 
-/// Per-thread observed state: merged, disjoint, sorted access intervals.
-#[derive(Debug, Default)]
-struct Footprint {
-    /// Half-open `[start, end)` intervals, sorted and non-overlapping.
-    intervals: Vec<(u64, u64)>,
-}
-
-impl Footprint {
-    fn add(&mut self, start: u64, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        self.intervals.push((start, start + bytes));
-    }
-
-    fn normalize(&mut self) {
-        self.intervals.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.intervals.len());
-        for &(s, e) in &self.intervals {
-            match merged.last_mut() {
-                Some((_, le)) if s <= *le => *le = (*le).max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.intervals = merged;
-    }
-
-    fn bytes(&self) -> u64 {
-        self.intervals.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    fn shared_bytes(&self, other: &Footprint) -> u64 {
-        let mut total = 0;
-        let (mut i, mut j) = (0, 0);
-        while i < self.intervals.len() && j < other.intervals.len() {
-            let (a0, a1) = self.intervals[i];
-            let (b0, b1) = other.intervals[j];
-            let lo = a0.max(b0);
-            let hi = a1.min(b1);
-            if lo < hi {
-                total += hi - lo;
-            }
-            if a1 <= b1 {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        total
-    }
-}
-
 /// Observed sharing reconstructed from a log: threads, footprints, and
 /// the effective (last-writer-wins) annotation set.
 #[derive(Debug, Default)]
 pub struct ObservedSharing {
     threads: BTreeSet<ThreadId>,
-    footprints: BTreeMap<ThreadId, Footprint>,
+    /// Every access span, registered as its thread's state.
+    footprints: RegionTable,
     /// Every raw annotation in log order: `(src, dst, q, accepted)`.
     annotations: Vec<(ThreadId, ThreadId, f64, bool)>,
 }
@@ -95,7 +45,7 @@ impl ObservedSharing {
                     obs.threads.insert(child);
                 }
                 ObsEvent::Access { tid, start, bytes, .. } => {
-                    obs.footprints.entry(tid).or_default().add(start.0, bytes);
+                    obs.footprints.register(tid, start, bytes);
                 }
                 ObsEvent::AtShare { src, dst, q, accepted } => {
                     obs.annotations.push((src, dst, q, accepted));
@@ -103,23 +53,17 @@ impl ObservedSharing {
                 _ => {}
             }
         }
-        for fp in obs.footprints.values_mut() {
-            fp.normalize();
-        }
         obs
     }
 
     /// Bytes two threads both touched.
     pub fn shared_bytes(&self, a: ThreadId, b: ThreadId) -> u64 {
-        match (self.footprints.get(&a), self.footprints.get(&b)) {
-            (Some(fa), Some(fb)) => fa.shared_bytes(fb),
-            _ => 0,
-        }
+        self.footprints.shared_bytes(a, b)
     }
 
     /// Total bytes a thread touched.
     pub fn state_bytes(&self, t: ThreadId) -> u64 {
-        self.footprints.get(&t).map_or(0, Footprint::bytes)
+        self.footprints.state_bytes(t)
     }
 
     /// The effective annotation edges after replaying the log:
@@ -356,5 +300,18 @@ mod tests {
         access(&mut log, 2, 1 << 20, 65536);
         let cs = codes(&lint_annotations(&log));
         assert!(!cs.contains(&"drift-missing"), "{cs:?}");
+    }
+
+    #[test]
+    fn spans_past_the_top_of_the_address_space_stop_there() {
+        let mut log = ObsLog::new();
+        spawn(&mut log, None, 1);
+        spawn(&mut log, Some(1), 2);
+        access(&mut log, 1, u64::MAX - 10, 100);
+        log.record(ObsEvent::Exit { tid: t(1) });
+        access(&mut log, 2, u64::MAX - 10, 100);
+        let obs = ObservedSharing::from_log(&log);
+        assert_eq!((obs.state_bytes(t(1)), obs.shared_bytes(t(1), t(2))), (10, 10));
+        assert!(lint_annotations(&log).is_empty());
     }
 }

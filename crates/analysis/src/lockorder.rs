@@ -5,9 +5,8 @@
 //! exhibited it. A cycle in this graph means two executions could
 //! acquire the same locks in opposite orders — a potential deadlock even
 //! if this particular run completed. [`cycles`](LockOrderGraph::cycles)
-//! reports the conflicting lock sets; [`cycle_witnesses`](LockOrderGraph::cycle_witnesses)
-//! additionally produces, per cycle, a *minimal* edge path with the
-//! acquiring thread of every edge — the concrete evidence `repro
+//! reports each conflicting lock set together with a *minimal* edge path
+//! with the acquiring thread of every edge — the concrete evidence `repro
 //! analyze` prints.
 
 use active_threads::MutexId;
@@ -30,6 +29,17 @@ impl std::fmt::Display for WitnessEdge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} took m{} while holding m{}", self.tid, self.inner.0, self.outer.0)
     }
+}
+
+/// A set of locks that can be acquired in conflicting orders, with the
+/// concrete evidence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LockCycle {
+    /// The component's mutexes, sorted.
+    pub locks: Vec<MutexId>,
+    /// A minimal witness: the shortest edge path from the smallest mutex
+    /// back to itself.
+    pub witness: Vec<WitnessEdge>,
 }
 
 /// Directed graph over mutexes, edges meaning "acquired before", each
@@ -141,88 +151,70 @@ impl LockOrderGraph {
 
     /// Strongly-connected components with more than one mutex (or a
     /// self-loop): each is a set of locks that can be acquired in
-    /// conflicting orders. Components are returned sorted, deterministic.
-    pub fn cycles(&self) -> Vec<Vec<MutexId>> {
+    /// conflicting orders, returned with its witness, sorted by lock set.
+    pub fn cycles(&self) -> Vec<LockCycle> {
         let (nodes, adj) = self.adjacency();
-        let mut cycles: Vec<Vec<MutexId>> = Vec::new();
-        for comp in Self::sccs(&nodes, &adj) {
-            let self_loop = comp.len() == 1 && adj[comp[0]].contains(&comp[0]);
-            if comp.len() > 1 || self_loop {
-                let mut ms: Vec<MutexId> = comp.into_iter().map(|i| nodes[i]).collect();
-                ms.sort_unstable_by_key(|m| m.0);
-                cycles.push(ms);
+        let mut cycles: Vec<LockCycle> = Vec::new();
+        for mut comp in Self::sccs(&nodes, &adj) {
+            if comp.len() == 1 && !adj[comp[0]].contains(&comp[0]) {
+                continue;
             }
+            // Node indices follow mutex order, so sorted indices give the
+            // sorted lock set and put the smallest mutex first.
+            comp.sort_unstable();
+            let locks = comp.iter().map(|&i| nodes[i]).collect();
+            cycles.push(LockCycle { locks, witness: self.witness(&nodes, &adj, &comp) });
         }
-        cycles.sort();
+        cycles.sort_by(|a, b| a.locks.cmp(&b.locks));
         cycles
     }
 
-    /// A minimal concrete witness per cycle: the shortest edge path from
-    /// the component's smallest mutex back to itself, each edge labelled
-    /// with the thread that first exhibited it. Same order as
-    /// [`cycles`](Self::cycles).
-    pub fn cycle_witnesses(&self) -> Vec<Vec<WitnessEdge>> {
-        let (nodes, adj) = self.adjacency();
-        let mut comps: Vec<Vec<usize>> = Self::sccs(&nodes, &adj)
-            .into_iter()
-            .filter(|c| c.len() > 1 || (c.len() == 1 && adj[c[0]].contains(&c[0])))
-            .collect();
-        for c in &mut comps {
-            c.sort_unstable();
-        }
-        comps.sort();
+    /// The shortest edge path from a sorted component's smallest mutex
+    /// back to itself, each edge labelled with the thread that first
+    /// exhibited it.
+    fn witness(&self, nodes: &[MutexId], adj: &[Vec<usize>], comp: &[usize]) -> Vec<WitnessEdge> {
         let witness_of = |outer: usize, inner: usize| -> WitnessEdge {
             let tid = self.edges[&nodes[outer]][&nodes[inner]];
             WitnessEdge { outer: nodes[outer], inner: nodes[inner], tid }
         };
-        let mut out = Vec::with_capacity(comps.len());
-        for comp in comps {
-            let in_comp = {
-                let mut v = vec![false; nodes.len()];
-                for &i in &comp {
-                    v[i] = true;
-                }
-                v
-            };
-            let start = comp[0];
-            if adj[start].contains(&start) {
-                out.push(vec![witness_of(start, start)]);
-                continue;
-            }
-            // BFS within the component for the shortest path start → …
-            // → u with an edge u → start closing the cycle.
-            let mut parent = vec![usize::MAX; nodes.len()];
-            let mut dist = vec![usize::MAX; nodes.len()];
-            dist[start] = 0;
-            let mut queue = VecDeque::from([start]);
-            while let Some(v) = queue.pop_front() {
-                for &w in &adj[v] {
-                    if in_comp[w] && dist[w] == usize::MAX {
-                        dist[w] = dist[v] + 1;
-                        parent[w] = v;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            let closer = comp
-                .iter()
-                .copied()
-                .filter(|&u| u != start && dist[u] != usize::MAX && adj[u].contains(&start))
-                .min_by_key(|&u| (dist[u], nodes[u].0));
-            let Some(closer) = closer else {
-                // Unreachable for a genuine SCC; skip defensively.
-                continue;
-            };
-            let mut rev = vec![witness_of(closer, start)];
-            let mut cur = closer;
-            while cur != start {
-                rev.push(witness_of(parent[cur], cur));
-                cur = parent[cur];
-            }
-            rev.reverse();
-            out.push(rev);
+        let start = comp[0];
+        if adj[start].contains(&start) {
+            return vec![witness_of(start, start)];
         }
-        out
+        let mut in_comp = vec![false; nodes.len()];
+        for &i in comp {
+            in_comp[i] = true;
+        }
+        // BFS within the component for the shortest path start → … → u
+        // with an edge u → start closing the cycle.
+        let mut parent = vec![usize::MAX; nodes.len()];
+        let mut dist = vec![usize::MAX; nodes.len()];
+        dist[start] = 0;
+        let mut queue = VecDeque::from([start]);
+        while let Some(v) = queue.pop_front() {
+            for &w in &adj[v] {
+                if in_comp[w] && dist[w] == usize::MAX {
+                    dist[w] = dist[v] + 1;
+                    parent[w] = v;
+                    queue.push_back(w);
+                }
+            }
+        }
+        let closer = comp
+            .iter()
+            .copied()
+            .filter(|&u| u != start && dist[u] != usize::MAX && adj[u].contains(&start))
+            .min_by_key(|&u| (dist[u], nodes[u].0));
+        // Every member of a genuine SCC reaches `start`, so one closes it.
+        let Some(closer) = closer else { return Vec::new() };
+        let mut rev = vec![witness_of(closer, start)];
+        let mut cur = closer;
+        while cur != start {
+            rev.push(witness_of(parent[cur], cur));
+            cur = parent[cur];
+        }
+        rev.reverse();
+        rev
     }
 }
 
@@ -238,6 +230,14 @@ mod tests {
         ThreadId(i)
     }
 
+    fn locks(g: &LockOrderGraph) -> Vec<Vec<MutexId>> {
+        g.cycles().into_iter().map(|c| c.locks).collect()
+    }
+
+    fn witnesses(g: &LockOrderGraph) -> Vec<Vec<WitnessEdge>> {
+        g.cycles().into_iter().map(|c| c.witness).collect()
+    }
+
     #[test]
     fn acyclic_graph_has_no_cycles() {
         let mut g = LockOrderGraph::new();
@@ -245,7 +245,6 @@ mod tests {
         g.add_edge(m(1), m(2), t(1));
         g.add_edge(m(0), m(2), t(2));
         assert!(g.cycles().is_empty());
-        assert!(g.cycle_witnesses().is_empty());
         assert_eq!(g.edge_count(), 3);
     }
 
@@ -254,7 +253,7 @@ mod tests {
         let mut g = LockOrderGraph::new();
         g.add_edge(m(0), m(1), t(1));
         g.add_edge(m(1), m(0), t(2));
-        assert_eq!(g.cycles(), vec![vec![m(0), m(1)]]);
+        assert_eq!(locks(&g), vec![vec![m(0), m(1)]]);
     }
 
     #[test]
@@ -264,7 +263,7 @@ mod tests {
         g.add_edge(m(1), m(2), t(2));
         g.add_edge(m(2), m(0), t(3));
         g.add_edge(m(5), m(6), t(1)); // unrelated acyclic part
-        assert_eq!(g.cycles(), vec![vec![m(0), m(1), m(2)]]);
+        assert_eq!(locks(&g), vec![vec![m(0), m(1), m(2)]]);
     }
 
     #[test]
@@ -274,7 +273,7 @@ mod tests {
         g.add_edge(m(0), m(1), t(9));
         g.add_edge(m(1), m(0), t(2));
         assert_eq!(g.edge_count(), 2);
-        let w = g.cycle_witnesses();
+        let w = witnesses(&g);
         assert_eq!(
             w,
             vec![vec![
@@ -294,7 +293,7 @@ mod tests {
         g.add_edge(m(2), m(3), t(2));
         g.add_edge(m(3), m(0), t(2));
         g.add_edge(m(1), m(0), t(3));
-        let w = g.cycle_witnesses();
+        let w = witnesses(&g);
         assert_eq!(w.len(), 1);
         assert_eq!(
             w[0],
@@ -309,11 +308,8 @@ mod tests {
     fn self_loop_witnessed_as_single_edge() {
         let mut g = LockOrderGraph::new();
         g.add_edge(m(4), m(4), t(7));
-        assert_eq!(g.cycles(), vec![vec![m(4)]]);
-        assert_eq!(
-            g.cycle_witnesses(),
-            vec![vec![WitnessEdge { outer: m(4), inner: m(4), tid: t(7) }]]
-        );
+        assert_eq!(locks(&g), vec![vec![m(4)]]);
+        assert_eq!(witnesses(&g), vec![vec![WitnessEdge { outer: m(4), inner: m(4), tid: t(7) }]]);
     }
 
     #[test]
@@ -322,7 +318,7 @@ mod tests {
         g.add_edge(m(0), m(1), t(1));
         g.add_edge(m(1), m(2), t(2));
         g.add_edge(m(2), m(0), t(3));
-        let w = g.cycle_witnesses();
+        let w = witnesses(&g);
         assert_eq!(w.len(), 1);
         let path = &w[0];
         for pair in path.windows(2) {

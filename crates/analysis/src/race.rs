@@ -18,9 +18,8 @@
 use crate::hb::HbClocks;
 use crate::lockorder::LockOrderGraph;
 use crate::vclock::VClock;
-use active_threads::{MutexId, ObsEvent, ObsLog};
+use active_threads::{AccessSpan, MutexId, ObsEvent, ObsLog};
 use locality_core::ThreadId;
-use locality_sim::VAddr;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One side of a race: an access span with the clock it executed under.
@@ -28,21 +27,18 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct AccessInfo {
     /// The accessing thread.
     pub tid: ThreadId,
-    /// First byte of the span.
-    pub start: VAddr,
-    /// Length of the span in bytes.
-    pub bytes: u64,
-    /// True for stores.
-    pub write: bool,
+    /// The bytes touched and whether they were stored to.
+    pub span: AccessSpan,
     /// The thread's vector clock at the access.
     pub clock: VClock,
 }
 
-impl AccessInfo {
-    fn overlaps(&self, other: &AccessInfo) -> bool {
-        let (a0, a1) = (self.start.0, self.start.0 + self.bytes);
-        let (b0, b1) = (other.start.0, other.start.0 + other.bytes);
-        a0 < b1 && b0 < a1
+impl std::fmt::Display for AccessInfo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let AccessSpan { start, bytes, write } = self.span;
+        let kind = if write { "write" } else { "read" };
+        let end = start.0.saturating_add(bytes);
+        write!(f, "{} {kind} of [{:#x}, {end:#x}) @ {}", self.tid, start.0, self.clock)
     }
 }
 
@@ -57,21 +53,7 @@ pub struct Race {
 
 impl std::fmt::Display for Race {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = |w: bool| if w { "write" } else { "read" };
-        write!(
-            f,
-            "{} {} of [{:#x}, {:#x}) @ {} is concurrent with {} {} of [{:#x}, {:#x}) @ {}",
-            self.first.tid,
-            kind(self.first.write),
-            self.first.start.0,
-            self.first.start.0 + self.first.bytes,
-            self.first.clock,
-            self.second.tid,
-            kind(self.second.write),
-            self.second.start.0,
-            self.second.start.0 + self.second.bytes,
-            self.second.clock,
-        )
+        write!(f, "{} is concurrent with {}", self.first, self.second)
     }
 }
 
@@ -130,7 +112,7 @@ impl RaceDetector {
             }
             ObsEvent::Access { tid, start, bytes, write } => {
                 let clock = self.hb.clock_mut(tid).clone();
-                let cur = AccessInfo { tid, start, bytes, write, clock };
+                let cur = AccessInfo { tid, span: AccessSpan { start, bytes, write }, clock };
                 self.check_race(&cur);
                 self.history.push(cur);
             }
@@ -143,7 +125,7 @@ impl RaceDetector {
             return;
         }
         for rec in &self.history {
-            if rec.tid == cur.tid || !(rec.write || cur.write) || !rec.overlaps(cur) {
+            if rec.tid == cur.tid || !rec.span.conflicts(&cur.span) {
                 continue;
             }
             // `rec` happened-before `cur` iff `cur`'s clock already covers
@@ -166,6 +148,7 @@ impl RaceDetector {
 mod tests {
     use super::*;
     use active_threads::SemId;
+    use locality_sim::VAddr;
 
     fn t(i: u64) -> ThreadId {
         ThreadId(i)
@@ -332,7 +315,21 @@ mod tests {
         log.record(ObsEvent::MutexRelease { tid: t(1), mutex: a });
         log.record(ObsEvent::MutexAcquire { tid: t(1), mutex: b });
         log.record(ObsEvent::MutexAcquire { tid: t(1), mutex: a });
+        let cycles = RaceDetector::run(&log).lock_order().cycles();
+        assert_eq!((cycles.len(), &cycles[0].locks), (1, &vec![a, b]));
+    }
+
+    #[test]
+    fn spans_past_the_top_of_the_address_space_stop_there() {
+        let mut log = ObsLog::new();
+        log.record(ObsEvent::Spawn { parent: None, child: t(1) });
+        log.record(ObsEvent::Spawn { parent: Some(t(1)), child: t(2) });
+        log.record(ObsEvent::Spawn { parent: Some(t(1)), child: t(3) });
+        log.record(access(2, u64::MAX - 10, 100, true));
+        log.record(access(3, u64::MAX - 10, 100, true));
         let d = RaceDetector::run(&log);
-        assert_eq!(d.lock_order().cycles(), vec![vec![a, b]]);
+        assert_eq!(d.races().len(), 1);
+        let text = d.races()[0].to_string();
+        assert!(text.contains("[0xfffffffffffffff5, 0xffffffffffffffff)"), "{text}");
     }
 }

@@ -1,6 +1,6 @@
 //! Analysis findings, severities, and the combined report.
 
-use crate::lockorder::{LockOrderGraph, WitnessEdge};
+use crate::lockorder::{LockCycle, LockOrderGraph, WitnessEdge};
 use crate::race::Race;
 
 /// How serious a finding is. Only [`Severity::Error`] affects exit codes.
@@ -66,8 +66,8 @@ impl AnalysisReport {
         for race in &races {
             findings.push(Finding::new(Severity::Error, "data-race", race.to_string()));
         }
-        for (cycle, witness) in lock_order.cycles().iter().zip(lock_order.cycle_witnesses()) {
-            let locks: Vec<String> = cycle.iter().map(|m| format!("m{}", m.0)).collect();
+        for LockCycle { locks, witness } in lock_order.cycles() {
+            let locks: Vec<String> = locks.iter().map(|m| format!("m{}", m.0)).collect();
             let steps: Vec<String> = witness.iter().map(WitnessEdge::to_string).collect();
             findings.push(Finding::new(
                 Severity::Warning,

@@ -16,7 +16,7 @@ use crate::error::ReproError;
 use crate::table::{f, Table};
 use locality_analyze::explore::{
     explore, parse_counterexample, replay_counterexample, serialize_counterexample, ExploreConfig,
-    McWorkload, ViolationKind,
+    ExploreSummary, McWorkload, ViolationKind,
 };
 
 /// Default per-execution decision bound (`--depth-bound`).
@@ -26,40 +26,6 @@ pub const DEFAULT_DEPTH_BOUND: u64 = 64;
 /// enumeration.
 pub const DEFAULT_MAX_SCHEDULES: u64 = 20_000;
 
-/// The aggregated result of exploring one (workload, mode) cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct McCell {
-    /// Terminal schedules explored.
-    pub schedules: u64,
-    /// Sleep-set-pruned executions.
-    pub pruned: u64,
-    /// Depth-bound truncations.
-    pub truncated: u64,
-    /// Whether `--max-schedules` cut exploration short.
-    pub capped: bool,
-    /// Longest schedule (decisions).
-    pub max_depth: u64,
-    /// Distinct race violations (0 or 1).
-    pub races: u64,
-    /// Distinct deadlock violations (0 or 1).
-    pub deadlocks: u64,
-    /// Distinct condvar-stall violations (0 or 1).
-    pub stalls: u64,
-    /// Distinct scheduler-invariant violations (0 or 1; only nonzero
-    /// under the `invariant-checks` feature).
-    pub invariants: u64,
-    /// The serialized counterexample of the first (most severe)
-    /// violation, if any.
-    pub counterexample: Option<String>,
-}
-
-impl McCell {
-    /// Total distinct violations.
-    pub fn violations(&self) -> u64 {
-        self.races + self.deadlocks + self.stalls + self.invariants
-    }
-}
-
 /// Explores one (workload, mode) cell.
 pub fn modelcheck_cell(
     workload: McWorkload,
@@ -67,26 +33,14 @@ pub fn modelcheck_cell(
     depth_bound: u64,
     max_schedules: u64,
     preempt_bound: Option<u64>,
-) -> McCell {
+) -> ExploreSummary {
     let cfg = ExploreConfig {
         depth_bound: usize::try_from(depth_bound).unwrap_or(usize::MAX),
         max_schedules: usize::try_from(max_schedules).unwrap_or(usize::MAX),
         preempt_bound: preempt_bound.map(|b| usize::try_from(b).unwrap_or(usize::MAX)),
         naive,
     };
-    let summary = explore(workload, &cfg);
-    McCell {
-        schedules: summary.schedules,
-        pruned: summary.pruned,
-        truncated: summary.truncated,
-        capped: summary.capped,
-        max_depth: summary.max_depth,
-        races: summary.count_of(ViolationKind::Race),
-        deadlocks: summary.count_of(ViolationKind::Deadlock),
-        stalls: summary.count_of(ViolationKind::CondvarStall),
-        invariants: summary.count_of(ViolationKind::Invariant),
-        counterexample: summary.violations.first().map(|v| serialize_counterexample(workload, v)),
-    }
+    explore(workload, &cfg)
 }
 
 /// Which fixture workloads to model-check.
@@ -134,9 +88,9 @@ pub struct McRow {
     /// The explored workload.
     pub workload: McWorkload,
     /// The DPOR exploration.
-    pub dpor: McCell,
+    pub dpor: ExploreSummary,
     /// The naive full enumeration (the reduction baseline).
-    pub naive: McCell,
+    pub naive: ExploreSummary,
 }
 
 /// Explores the selected workloads, DPOR then naive, and returns the
@@ -191,7 +145,7 @@ pub fn modelcheck_table(rows: &[McRow]) -> Result<Table, ReproError> {
         } else {
             "-".to_string()
         };
-        let ce = if row.dpor.counterexample.is_some() {
+        let ce = if !row.dpor.violations.is_empty() {
             format!("counterexample_{}.txt", row.workload.name())
         } else {
             "-".to_string()
@@ -205,22 +159,23 @@ pub fn modelcheck_table(rows: &[McRow]) -> Result<Table, ReproError> {
             row.dpor.truncated.to_string(),
             if row.dpor.capped { "yes" } else { "no" }.to_string(),
             row.dpor.max_depth.to_string(),
-            row.dpor.races.to_string(),
-            row.dpor.deadlocks.to_string(),
-            row.dpor.stalls.to_string(),
-            row.dpor.invariants.to_string(),
+            row.dpor.count_of(ViolationKind::Race).to_string(),
+            row.dpor.count_of(ViolationKind::Deadlock).to_string(),
+            row.dpor.count_of(ViolationKind::CondvarStall).to_string(),
+            row.dpor.count_of(ViolationKind::Invariant).to_string(),
             ce,
         ])?;
     }
     Ok(table)
 }
 
-/// Writes each violating workload's counterexample next to the CSV.
+/// Writes each violating workload's counterexample next to the CSV: the
+/// first (most severe) violation of its DPOR exploration.
 fn write_counterexamples(args: &Args, rows: &[McRow]) -> Result<(), ReproError> {
     for row in rows {
-        if let Some(text) = &row.dpor.counterexample {
+        if let Some(v) = row.dpor.violations.first() {
             let path = args.csv_path(&format!("counterexample_{}.txt", row.workload.name()))?;
-            std::fs::write(&path, text)?;
+            std::fs::write(&path, serialize_counterexample(row.workload, v))?;
             println!("counterexample written to {}", path.display());
         }
     }
@@ -278,7 +233,7 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
 
     let mut any = false;
     for row in rows {
-        let v = row.dpor.violations();
+        let v = row.dpor.violations.len();
         let exhaustive = if row.dpor.capped { "capped" } else { "exhaustive" };
         println!(
             "{}: {} schedule(s) ({exhaustive}; naive {}), {} violation(s) -> {}",
@@ -318,7 +273,7 @@ mod tests {
     fn clean_cell_is_quiet_and_dpor_reduces() {
         let dpor = modelcheck_cell(McWorkload::Clean { rounds: 1 }, false, 64, 20_000, None);
         let naive = modelcheck_cell(McWorkload::Clean { rounds: 1 }, true, 64, 20_000, None);
-        assert_eq!(dpor.violations(), 0);
+        assert!(dpor.violations.is_empty(), "{:?}", dpor.violations);
         assert!(!dpor.capped, "clean DPOR exploration must be exhaustive");
         assert!(!naive.capped, "clean naive exploration must be exhaustive");
         assert!(
@@ -327,7 +282,6 @@ mod tests {
             naive.schedules,
             dpor.schedules
         );
-        assert!(dpor.counterexample.is_none());
     }
 
     #[test]
@@ -338,12 +292,12 @@ mod tests {
             (McWorkload::LostWakeup, "condvar-stall"),
         ] {
             let cell = modelcheck_cell(workload, false, 64, 20_000, None);
-            assert!(cell.violations() > 0, "{}", workload.name());
-            let text = cell.counterexample.as_deref().unwrap_or_else(|| {
-                panic!("{} cell should carry a counterexample", workload.name())
-            });
+            let Some(first) = cell.violations.first() else {
+                panic!("{} cell should carry a violation", workload.name())
+            };
+            let text = serialize_counterexample(workload, first);
             assert!(text.contains(&format!("violation {check}")), "{text}");
-            let ce = parse_counterexample(text).expect("parse");
+            let ce = parse_counterexample(&text).expect("parse");
             replay_counterexample(&ce).expect("replay reproduces");
         }
     }

@@ -29,7 +29,7 @@ use crate::runner::in_parallel;
 use crate::table::Table;
 use active_threads::SchedPolicy;
 use locality_sim::PagePlacement;
-use locality_trace::{Histogram, Record, TraceSummary, HIST_BUCKETS};
+use locality_trace::{Histogram, Record, TraceAggregate, HIST_BUCKETS};
 use locality_workloads::App;
 
 /// Parses the `--policy` keyword (default `lff`, the paper's monitored
@@ -61,7 +61,7 @@ pub fn apps_from_args(args: &Args) -> Result<Vec<App>, ReproError> {
 }
 
 /// One completed traced run: the retained event records plus the online
-/// aggregate, summarized for the monitored work thread.
+/// aggregate and the monitored work thread it reports on.
 #[derive(Debug)]
 pub struct TracedRun {
     /// The traced application.
@@ -69,12 +69,16 @@ pub struct TracedRun {
     /// Retained event records, oldest first.
     pub records: Vec<Record>,
     /// The aggregated metrics (exact even if `records` wrapped).
-    pub summary: TraceSummary,
+    pub aggregate: TraceAggregate,
+    /// Event records lost to ring wrap-around.
+    pub dropped: u64,
+    /// The monitored work thread, whose relative error is reported.
+    pub tid: u64,
 }
 
 /// Runs `app`'s monitored work thread (Ultra-1, bin-hopping VM, the
 /// fig5 protocol) with a trace sink installed and returns the records
-/// and aggregated summary.
+/// and the aggregate.
 ///
 /// # Errors
 ///
@@ -110,7 +114,13 @@ pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun,
     };
     run?;
     sampler.finish()?;
-    Ok(TracedRun { app, records: sink.records(), summary: sink.summary(Some(tid.0)) })
+    Ok(TracedRun {
+        app,
+        records: sink.records(),
+        aggregate: sink.aggregate().clone(),
+        dropped: sink.dropped(),
+        tid: tid.0,
+    })
 }
 
 /// The metrics table: one row per traced run.
@@ -130,18 +140,18 @@ fn metrics_table(policy: SchedPolicy, runs: &[TracedRun]) -> Result<Table, Repro
             "rel err samples",
         ],
     );
-    for TracedRun { app, summary: s, .. } in runs {
+    for TracedRun { app, aggregate: a, dropped, tid, .. } in runs {
         t.row(&[
             app.name().to_string(),
             policy.name().to_string(),
-            s.events.to_string(),
-            s.intervals.to_string(),
-            s.dropped.to_string(),
-            s.mode_transitions.to_string(),
-            format!("{:.3}", s.abs_err_mean),
-            s.abs_err_samples.to_string(),
-            format!("{:+.6}", s.rel_err_mean),
-            s.rel_err_samples.to_string(),
+            a.events.to_string(),
+            a.intervals.to_string(),
+            dropped.to_string(),
+            a.mode_transitions.to_string(),
+            format!("{:.3}", a.mean_abs_error()),
+            a.abs_samples().to_string(),
+            format!("{:+.6}", a.mean_rel_error(*tid)),
+            a.rel_samples(*tid).to_string(),
         ])?;
     }
     Ok(t)
@@ -149,13 +159,14 @@ fn metrics_table(policy: SchedPolicy, runs: &[TracedRun]) -> Result<Table, Repro
 
 /// One app's histogram table: bucket lower bounds against the four
 /// aggregated distributions.
-fn hist_table(app: App, s: &TraceSummary) -> Result<Table, ReproError> {
+fn hist_table(app: App, a: &TraceAggregate) -> Result<Table, ReproError> {
     let mut t = Table::new(
         &format!("trace histograms: {}", app.name()),
         &["bucket floor", "interval misses", "ready depth", "update fanout", "abs err (lines)"],
     );
+    let hists = [&a.miss_hist, &a.depth_hist, &a.fanout_hist, &a.abs_err_hist];
     for i in 0..HIST_BUCKETS {
-        let row = [s.miss_hist[i], s.depth_hist[i], s.fanout_hist[i], s.abs_err_hist[i]];
+        let row = hists.map(|h| h.buckets()[i]);
         if row.iter().all(|&c| c == 0) {
             continue;
         }
@@ -194,7 +205,7 @@ pub fn run_trace(args: &Args) -> Result<(), ReproError> {
     metrics.write_csv(&args.csv_path("trace_metrics.csv")?)?;
     for run in &runs {
         let name = run.app.name();
-        hist_table(run.app, &run.summary)?
+        hist_table(run.app, &run.aggregate)?
             .write_csv(&args.csv_path(&format!("trace_hist_{name}.csv"))?)?;
         std::fs::write(
             args.csv_path(&format!("trace_{name}.jsonl"))?,
@@ -207,9 +218,9 @@ pub fn run_trace(args: &Args) -> Result<(), ReproError> {
         println!(
             "{name}: {} events recorded ({} retained, {} dropped) -> trace_{name}.jsonl, \
              trace_{name}.chrome.json",
-            run.summary.events,
+            run.aggregate.events,
             run.records.len(),
-            run.summary.dropped
+            run.dropped
         );
     }
     Ok(())
@@ -292,14 +303,14 @@ mod tests {
             let seed = App::Merge.default_seed();
             let a = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
             let b = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
-            assert!(a.summary.events > 0);
-            assert_eq!(a.summary, b.summary);
+            assert!(a.aggregate.events > 0);
+            assert_eq!((&a.aggregate, a.dropped), (&b.aggregate, b.dropped));
             assert_eq!(to_jsonl(&a.records), to_jsonl(&b.records));
             assert_eq!(to_chrome(&a.records), to_chrome(&b.records));
         }
 
         #[test]
-        fn run_trace_writes_one_uncached_runs_records_and_their_summary() {
+        fn run_trace_writes_one_uncached_runs_records_and_their_aggregate() {
             let out = std::env::temp_dir().join(format!("repro-trace-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&out);
             let args = Args { out: out.clone(), jobs: 1, ..args_with(None, None, Scale::Small) };
@@ -307,7 +318,7 @@ mod tests {
             assert!(!out.join(".cache").exists(), "nothing of a trace is cached");
 
             // The very records exported, through a sink of their own:
-            // its summary is what the two CSVs must say.
+            // its aggregate is what the two CSVs must say.
             let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
             let read = |name: &str| std::fs::read_to_string(out.join(name)).unwrap();
             assert_eq!(read("trace_merge.jsonl"), to_jsonl(&run.records));
@@ -320,12 +331,14 @@ mod tests {
                 sink.set_clock(r.clock);
                 sink.record(r.event);
             }
-            let summary = sink.summary(monitored);
-            assert!(summary.rel_err_samples > 0 && summary.dropped == 0, "{summary:?}");
-            let replayed = [TracedRun { app: App::Merge, records: Vec::new(), summary }];
+            let tid = monitored.expect("the run samples its monitored thread");
+            let aggregate = sink.aggregate().clone();
+            assert!(aggregate.rel_samples(tid) > 0 && sink.dropped() == 0, "{aggregate:?}");
+            let hist = hist_table(App::Merge, &aggregate).unwrap();
+            let replayed =
+                [TracedRun { app: App::Merge, records: Vec::new(), aggregate, dropped: 0, tid }];
             let metrics = metrics_table(SchedPolicy::Lff, &replayed).unwrap();
             assert_eq!(read("trace_metrics.csv"), metrics.to_csv());
-            let hist = hist_table(App::Merge, &summary).unwrap();
             assert_eq!(read("trace_hist_merge.csv"), hist.to_csv());
             let _ = std::fs::remove_dir_all(&out);
         }
@@ -343,11 +356,11 @@ mod tests {
                 seed,
             )
             .unwrap();
-            assert!(run.summary.rel_err_samples > 0, "no qualifying prediction samples");
+            let rel = run.aggregate.mean_rel_error(run.tid);
+            assert!(run.aggregate.rel_samples(run.tid) > 0, "no qualifying prediction samples");
             assert!(
-                (run.summary.rel_err_mean - monitor.mean_rel_error()).abs() < 1e-9,
-                "trace {} vs fig5 {}",
-                run.summary.rel_err_mean,
+                (rel - monitor.mean_rel_error()).abs() < 1e-9,
+                "trace {rel} vs fig5 {}",
                 monitor.mean_rel_error()
             );
         }
@@ -378,7 +391,7 @@ mod tests {
             // none per reference. An emission point that fires per
             // probe or per reference multiplies this integer.
             let sink = merge_with_sink();
-            let (events, intervals) = (sink.events_emitted(), sink.summary(None).intervals);
+            let (events, intervals) = (sink.events_emitted(), sink.aggregate().intervals);
             assert!(intervals > 0, "the run recorded no intervals");
             assert!(events > 0, "the instrumented run recorded no events");
             assert!(

@@ -560,7 +560,6 @@ impl Engine {
                 tid,
                 op: control,
                 accesses: accesses.unwrap_or_default(),
-                spawned: spawns.iter().map(|s| s.tid).collect(),
                 obs_range: (obs_start, obs_start),
             };
             self.sched.on_schedule_point(&point);
@@ -877,30 +876,47 @@ impl Engine {
         self.live -= 1;
         self.completed += 1;
         self.note(ObsEvent::Exit { tid });
-        let waiters = {
-            let tcb = self.tcb_mut(tid)?;
-            std::mem::take(&mut tcb.join_waiters)
-        };
+        self.wake_joiners(tid)?;
+        self.release_thread(tid, false);
+        Ok(())
+    }
+
+    /// Wakes every thread joined on `tid`: joins on an aborted thread
+    /// complete like joins on an exited one.
+    fn wake_joiners(&mut self, tid: ThreadId) -> Result<(), RuntimeError> {
+        let waiters = std::mem::take(&mut self.tcb_mut(tid)?.join_waiters);
         for w in waiters {
             self.note(ObsEvent::JoinWake { waiter: w, target: tid });
             self.make_ready(w)?;
         }
+        Ok(())
+    }
+
+    /// The pruning chain of an exited or aborted thread: annotation graph,
+    /// scheduler run-queues (`on_abort` prunes ready structures the exit
+    /// path could assume empty), machine owner directory and counter
+    /// slots, sanitizer history, inference state. The slot is then free
+    /// to recycle, so stale handles never resolve, and the TCB moves to
+    /// the retired table: joins on a dead thread and post-run counter
+    /// queries keep working without pinning slab capacity.
+    fn release_thread(&mut self, tid: ThreadId, aborted: bool) {
         self.graph.remove_thread(tid);
-        self.sched.on_exit(tid);
+        if aborted {
+            self.sched.on_abort(tid);
+        } else {
+            self.sched.on_exit(tid);
+        }
         self.machine.retire_thread(tid);
         self.sanitizer.forget(tid);
         if let Some(inference) = &mut self.inference {
             inference.forget(tid);
         }
-        // Release the slot so it can recycle, moving the TCB to the
-        // retired table: joins on an exited thread and post-run counter
-        // queries keep working without pinning slab capacity.
         if let Some(slot) = self.slots.release(tid) {
             if let Some(tcb) = self.tcbs[slot.index()].take() {
+                debug_assert!(!aborted || tcb.state == ThreadState::Aborted);
                 self.retired.insert(tid, tcb);
             }
         }
-        Ok(())
     }
 
     /// Chaos decision point for the thread that just finished a batch on
@@ -980,15 +996,7 @@ impl Engine {
         self.aborted += 1;
         self.note(ObsEvent::Abort { tid });
         emit_with(|| TraceEvent::ThreadAbort { tid: tid.0 });
-        // Joins on an aborted thread complete like joins on an exited one.
-        let waiters = {
-            let tcb = self.tcb_mut(tid)?;
-            std::mem::take(&mut tcb.join_waiters)
-        };
-        for w in waiters {
-            self.note(ObsEvent::JoinWake { waiter: w, target: tid });
-            self.make_ready(w)?;
-        }
+        self.wake_joiners(tid)?;
         // Orphaned-lock reclamation: every mutex the dead thread owned is
         // poisoned, then released on its behalf (FIFO handoff to the next
         // waiter). The release/acquire events are emitted exactly as for
@@ -1034,25 +1042,7 @@ impl Engine {
         for t in self.tcbs.iter_mut().flatten() {
             t.join_waiters.retain(|&w| w != tid);
         }
-        // The same pruning chain as a clean exit: annotation graph,
-        // scheduler run-queues (on_abort prunes ready structures the exit
-        // path could assume empty), machine owner directory + counter
-        // slots, sanitizer history, inference state — all through the
-        // slot-recycling path, so the slot is free to recycle and stale
-        // handles never resolve.
-        self.graph.remove_thread(tid);
-        self.sched.on_abort(tid);
-        self.machine.retire_thread(tid);
-        self.sanitizer.forget(tid);
-        if let Some(inference) = &mut self.inference {
-            inference.forget(tid);
-        }
-        if let Some(slot) = self.slots.release(tid) {
-            if let Some(tcb) = self.tcbs[slot.index()].take() {
-                debug_assert_eq!(tcb.state, ThreadState::Aborted);
-                self.retired.insert(tid, tcb);
-            }
-        }
+        self.release_thread(tid, true);
         Ok(true)
     }
 

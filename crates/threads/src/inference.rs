@@ -9,9 +9,9 @@
 //!
 //! The engine drains each processor's [CML](locality_sim::cml) at every
 //! context switch: the virtual pages the interval's thread missed on.
-//! From the accumulated page sets it maintains, incrementally, the
-//! page-granular overlap between every pair of threads and derives
-//! approximate sharing coefficients
+//! The accumulated page sets live in a
+//! [`RegionTable`](locality_sim::RegionTable), the same table that
+//! states exact sharing, which derives approximate coefficients
 //! `q̂_ab = |pages_a ∩ pages_b| / |pages_a|` — the same quantity a
 //! perfectly annotated program states exactly, discovered instead from
 //! miss history. Edges are written into the ordinary
@@ -27,7 +27,8 @@
 
 use locality_core::ThreadId;
 use locality_sim::cml::CmlEntry;
-use std::collections::{BTreeMap, BTreeSet};
+use locality_sim::{RegionTable, VAddr};
+use std::collections::BTreeSet;
 
 /// CML slots per processor.
 pub(crate) const CML_ENTRIES: usize = 128;
@@ -58,24 +59,15 @@ pub struct InferredEdge {
     pub q: f64,
 }
 
-fn pair_key(a: ThreadId, b: ThreadId) -> (ThreadId, ThreadId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// The incremental page-overlap tracker.
+/// The incremental page-overlap tracker. Each thread's missed pages are
+/// its state in a [`RegionTable`] whose addresses are page numbers, one
+/// byte per page, so the table's byte counts are page counts and its
+/// coefficient is `q̂`. A page number is at most 2⁵⁸ (pages are at least
+/// 64 bytes), far below the table's saturation at `u64::MAX`.
 #[derive(Debug, Default)]
 pub struct SharingInference {
     config: InferenceConfig,
-    /// Which threads have missed on each page.
-    page_threads: BTreeMap<u64, Vec<ThreadId>>,
-    /// Which pages each thread has missed on.
-    thread_pages: BTreeMap<ThreadId, BTreeSet<u64>>,
-    /// Shared-page counts per unordered thread pair.
-    pair_shared: BTreeMap<(ThreadId, ThreadId), u64>,
+    pages: RegionTable,
 }
 
 impl SharingInference {
@@ -94,70 +86,48 @@ impl SharingInference {
     pub fn note_interval(&mut self, tid: ThreadId, drained: &[CmlEntry]) -> Vec<InferredEdge> {
         let mut touched: BTreeSet<ThreadId> = BTreeSet::new();
         for entry in drained {
-            let pages = self.thread_pages.entry(tid).or_default();
-            if pages.contains(&entry.vpn) {
+            let page = VAddr(entry.vpn);
+            if self.pages.covers(tid, page, 1) {
                 continue;
             }
-            if pages.len() >= self.config.max_pages_per_thread {
+            if self.tracked_pages(tid) >= self.config.max_pages_per_thread as u64 {
                 break; // page set capped
             }
-            pages.insert(entry.vpn);
-            let owners = self.page_threads.entry(entry.vpn).or_default();
-            for &other in owners.iter() {
-                *self.pair_shared.entry(pair_key(tid, other)).or_insert(0) += 1;
-                touched.insert(other);
-            }
-            owners.push(tid);
+            // Whoever missed here first now shares the page with `tid`.
+            touched.extend(self.pages.owners_of(page));
+            self.pages.register(tid, page, 1);
         }
         let mut edges = Vec::with_capacity(2 * touched.len());
         for other in touched {
-            let shared = self.shared_pages(tid, other);
-            if shared < self.config.min_shared_pages {
+            if self.shared_pages(tid, other) < self.config.min_shared_pages {
                 continue;
             }
-            if let Some(q) = self.coefficient(tid, other) {
-                edges.push(InferredEdge { src: tid, dst: other, q });
-            }
-            if let Some(q) = self.coefficient(other, tid) {
-                edges.push(InferredEdge { src: other, dst: tid, q });
-            }
+            edges.push(InferredEdge { src: tid, dst: other, q: self.coefficient(tid, other) });
+            edges.push(InferredEdge { src: other, dst: tid, q: self.coefficient(other, tid) });
         }
         edges
     }
 
     /// Shared-page count of a pair.
     pub fn shared_pages(&self, a: ThreadId, b: ThreadId) -> u64 {
-        self.pair_shared.get(&pair_key(a, b)).copied().unwrap_or(0)
+        self.pages.shared_bytes(a, b)
     }
 
-    /// The inferred coefficient `q̂_ab = |a ∩ b| / |a|` (None if `a` has
-    /// no tracked pages).
-    pub fn coefficient(&self, a: ThreadId, b: ThreadId) -> Option<f64> {
-        let pages_a = self.thread_pages.get(&a)?.len();
-        if pages_a == 0 {
-            return None;
-        }
-        Some((self.shared_pages(a, b) as f64 / pages_a as f64).clamp(0.0, 1.0))
+    /// The inferred coefficient `q̂_ab = |a ∩ b| / |a|` (0 if `a` has no
+    /// tracked pages).
+    pub fn coefficient(&self, a: ThreadId, b: ThreadId) -> f64 {
+        self.pages.coefficient(a, b)
     }
 
     /// Pages tracked for a thread.
-    pub fn tracked_pages(&self, tid: ThreadId) -> usize {
-        self.thread_pages.get(&tid).map_or(0, BTreeSet::len)
+    pub fn tracked_pages(&self, tid: ThreadId) -> u64 {
+        self.pages.state_bytes(tid)
     }
 
-    /// Forgets a thread (exit): removes its pages and pair counts.
+    /// Forgets a thread (exit): removes its pages, and with them its
+    /// share of every pair.
     pub fn forget(&mut self, tid: ThreadId) {
-        if let Some(pages) = self.thread_pages.remove(&tid) {
-            for vpn in pages {
-                if let Some(owners) = self.page_threads.get_mut(&vpn) {
-                    owners.retain(|&t| t != tid);
-                    if owners.is_empty() {
-                        self.page_threads.remove(&vpn);
-                    }
-                }
-            }
-        }
-        self.pair_shared.retain(|&(a, b), _| a != tid && b != tid);
+        self.pages.remove_thread(tid);
     }
 }
 
@@ -179,7 +149,7 @@ mod tests {
         assert!(inf.note_interval(t(1), &entries(&[1, 2, 3])).is_empty());
         assert!(inf.note_interval(t(2), &entries(&[4, 5])).is_empty());
         assert_eq!(inf.shared_pages(t(1), t(2)), 0);
-        assert_eq!(inf.coefficient(t(1), t(2)), Some(0.0));
+        assert_eq!(inf.coefficient(t(1), t(2)), 0.0);
     }
 
     #[test]

@@ -157,15 +157,16 @@ impl ObsLog {
     /// same access kind are coalesced when they overlap or touch — a loop
     /// of sequential touches collapses to one span. No other event can
     /// sit between the two, so the thread's happens-before frontier is
-    /// identical for both and the merge loses nothing.
+    /// identical for both and the merge loses nothing. A span that would
+    /// run past the end of the address space stops there.
     pub fn record(&mut self, ev: ObsEvent) {
         if let ObsEvent::Access { tid, start, bytes, write } = &ev {
             if let Some(ObsEvent::Access { tid: lt, start: ls, bytes: lb, write: lw }) =
                 self.events.last_mut()
             {
                 if lt == tid && lw == write {
-                    let (a0, a1) = (ls.0, ls.0 + *lb);
-                    let (b0, b1) = (start.0, start.0 + *bytes);
+                    let (a0, a1) = (ls.0, ls.0.saturating_add(*lb));
+                    let (b0, b1) = (start.0, start.0.saturating_add(*bytes));
                     if b0 <= a1 && a0 <= b1 {
                         let lo = a0.min(b0);
                         *ls = VAddr(lo);
@@ -229,5 +230,13 @@ mod tests {
         log.record(ObsEvent::MutexAcquire { tid: ThreadId(1), mutex: MutexId(0) });
         log.record(access(1, 64, 64, false));
         assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn spans_past_the_top_of_the_address_space_stop_there() {
+        let mut log = ObsLog::new();
+        log.record(access(1, u64::MAX - 10, 100, true));
+        log.record(access(1, u64::MAX - 10, 100, true));
+        assert_eq!(log.events(), [access(1, u64::MAX - 10, 10, true)]);
     }
 }

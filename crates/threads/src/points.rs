@@ -5,8 +5,8 @@
 //! [`Control`] — into a scheduling decision point: the running thread is
 //! forcibly preempted after each batch, so the scheduler's `pick` is
 //! consulted before every visible operation. Each executed batch is
-//! recorded as a [`SchedulePoint`] carrying the operation, the memory
-//! spans the batch touched, and any threads it spawned. A model checker
+//! recorded as a [`SchedulePoint`] carrying the operation and the memory
+//! spans the batch touched. A model checker
 //! (see `locality-analyze`) drives the engine down chosen interleavings
 //! by injecting a scripted scheduler and reads the recorded points back
 //! to compute happens-before and dependence between steps.
@@ -57,7 +57,7 @@ fn sync_objects(op: Control) -> [Option<(u8, usize)>; 2] {
 }
 
 /// One executed decision point: thread `tid` ran one batch that touched
-/// `accesses`, spawned `spawned`, and ended with `op`.
+/// `accesses` and ended with `op`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulePoint {
     /// The thread that executed the batch.
@@ -67,8 +67,6 @@ pub struct SchedulePoint {
     pub op: Control,
     /// Exact memory spans touched by the batch (in access order).
     pub accesses: Vec<AccessSpan>,
-    /// Children spawned during the batch (ready once it ends).
-    pub spawned: Vec<ThreadId>,
     /// The half-open range of [`ObsLog`](crate::ObsLog) event indices
     /// this step produced (batch events plus everything its visible
     /// operation emitted — hand-offs, wakes, exits). `(0, 0)` when
@@ -144,7 +142,7 @@ mod tests {
     }
 
     fn point(tid: u64, op: Control, accesses: Vec<AccessSpan>) -> SchedulePoint {
-        SchedulePoint { tid: ThreadId(tid), op, accesses, spawned: Vec::new(), obs_range: (0, 0) }
+        SchedulePoint { tid: ThreadId(tid), op, accesses, obs_range: (0, 0) }
     }
 
     #[test]

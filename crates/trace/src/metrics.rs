@@ -157,59 +157,10 @@ impl TraceAggregate {
         self.rel_err.get(&tid).map_or(0, |&(_, n)| n)
     }
 
-    /// Flattens into a [`TraceSummary`]. `monitored` picks the thread
-    /// whose relative error is reported; `None` pools every thread.
-    pub fn summary(&self, monitored: Option<u64>, dropped: u64) -> TraceSummary {
-        let (rel_sum, rel_n) = match monitored {
-            Some(tid) => self.rel_err.get(&tid).copied().unwrap_or((0.0, 0)),
-            None => self.rel_err.values().fold((0.0, 0), |(s, n), &(es, en)| (s + es, n + en)),
-        };
-        TraceSummary {
-            events: self.events,
-            intervals: self.intervals,
-            dropped,
-            mode_transitions: self.mode_transitions,
-            miss_hist: *self.miss_hist.buckets(),
-            depth_hist: *self.depth_hist.buckets(),
-            fanout_hist: *self.fanout_hist.buckets(),
-            abs_err_hist: *self.abs_err_hist.buckets(),
-            abs_err_mean: self.mean_abs_error(),
-            abs_err_samples: self.abs_err_n,
-            rel_err_mean: if rel_n > 0 { rel_sum / rel_n as f64 } else { 0.0 },
-            rel_err_samples: rel_n,
-        }
+    /// Absolute-error samples recorded, over every thread.
+    pub fn abs_samples(&self) -> u64 {
+        self.abs_err_n
     }
-}
-
-/// A flat, plain-data snapshot of a run's aggregated trace metrics —
-/// what the `repro trace` binary caches and writes to CSV.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSummary {
-    /// Total events emitted.
-    pub events: u64,
-    /// Scheduling intervals completed.
-    pub intervals: u64,
-    /// Event records lost to ring wrap-around (metrics are unaffected).
-    pub dropped: u64,
-    /// Degradation-mode flips.
-    pub mode_transitions: u64,
-    /// Per-interval miss-count histogram (power-of-two buckets).
-    pub miss_hist: [u64; HIST_BUCKETS],
-    /// Ready-queue-depth-at-dispatch histogram.
-    pub depth_hist: [u64; HIST_BUCKETS],
-    /// Priority-update fan-out histogram.
-    pub fanout_hist: [u64; HIST_BUCKETS],
-    /// Footprint-prediction absolute-error histogram (lines).
-    pub abs_err_hist: [u64; HIST_BUCKETS],
-    /// Mean absolute prediction error in lines.
-    pub abs_err_mean: f64,
-    /// Prediction samples behind `abs_err_mean`.
-    pub abs_err_samples: u64,
-    /// Mean signed relative prediction error of the monitored thread
-    /// (observed ≥ 64 lines), as in Figure 5's summary.
-    pub rel_err_mean: f64,
-    /// Samples behind `rel_err_mean`.
-    pub rel_err_samples: u64,
 }
 
 #[cfg(test)]
@@ -274,11 +225,6 @@ mod tests {
         assert_eq!(a.mean_rel_error(8), 0.0);
         // The absolute mean sees all three samples: (10 + 20 + 89) / 3.
         assert!((a.mean_abs_error() - 119.0 / 3.0).abs() < 1e-12);
-        let s = a.summary(Some(7), 4);
-        assert_eq!(s.dropped, 4);
-        assert_eq!(s.rel_err_samples, 2);
-        assert!((s.rel_err_mean - 0.1).abs() < 1e-12);
-        let pooled = a.summary(None, 0);
-        assert_eq!(pooled.rel_err_samples, 2);
+        assert_eq!(a.abs_samples(), 3);
     }
 }

@@ -112,13 +112,6 @@ impl TraceSink {
     pub fn aggregate(&self) -> &TraceAggregate {
         &self.agg
     }
-
-    /// The aggregate folded into a flat summary (see
-    /// [`TraceAggregate::summary`]); `monitored` selects the thread whose
-    /// relative prediction error is reported.
-    pub fn summary(&self, monitored: Option<u64>) -> crate::metrics::TraceSummary {
-        self.agg.summary(monitored, self.dropped)
-    }
 }
 
 thread_local! {
@@ -221,7 +214,6 @@ mod tests {
         assert_eq!(sink.dropped(), 8);
         // The aggregate still saw every event, wrapped or not.
         assert_eq!(sink.aggregate().intervals, 10);
-        assert_eq!(sink.summary(None).dropped, 8);
     }
 
     #[test]
