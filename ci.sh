@@ -261,6 +261,18 @@ if cargo run --release -p locality-repro --bin repro -- modelcheck \
     echo "modelcheck replay failed to reproduce the deadlock" >&2
     exit 1
 fi
+# A counterexample asking for more worker rounds than the parser allows
+# is malformed (exit 2), not a replay quadratic in the rounds: hence the
+# timeout.
+sed 's/^workload racy 1$/workload racy 4294967295/' "$MC_OUT/counterexample_racy.txt" \
+    >"$MC_OUT/counterexample_rounds.txt"
+status=0
+timeout 20 cargo run --release -p locality-repro --bin repro -- modelcheck \
+    --replay "$MC_OUT/counterexample_rounds.txt" 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "repro modelcheck --replay of racy 4294967295 exited $status, not 2" >&2
+    exit 1
+fi
 rm -rf "$MC_OUT"
 
 # Differential invariant checks: build the feature once and run it over

@@ -41,6 +41,11 @@ use std::rc::Rc;
 // ---------------------------------------------------------------------
 // Workloads.
 
+/// The most worker rounds a counterexample may ask `clean` or `racy` to
+/// replay. The explorer writes only 1, and the race detector's cost grows
+/// with the square of the rounds: this many replay in about 10 ms.
+const MAX_ROUNDS: u32 = 1_000;
+
 /// The small workload configurations the model checker explores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum McWorkload {
@@ -565,10 +570,17 @@ pub fn parse_counterexample(text: &str) -> Result<Counterexample, String> {
                 .ok_or("workload line missing rounds")?
                 .parse()
                 .map_err(|e| format!("bad rounds: {e}"))?;
-            workload = Some(
-                McWorkload::from_name(name, rounds)
-                    .ok_or_else(|| format!("unknown workload `{name}`"))?,
-            );
+            let w = McWorkload::from_name(name, rounds)
+                .ok_or_else(|| format!("unknown workload `{name}`"))?;
+            // The fixed-shape fixtures take no rounds, and serialize 1.
+            let max = match w {
+                McWorkload::Clean { .. } | McWorkload::Racy { .. } => MAX_ROUNDS,
+                McWorkload::Deadlock | McWorkload::LostWakeup => 1,
+            };
+            if !(1..=max).contains(&rounds) {
+                return Err(format!("rounds {rounds} of `{name}` outside 1..={max}"));
+            }
+            workload = Some(w);
         } else if let Some(rest) = line.strip_prefix("violation ") {
             kind = Some(
                 ViolationKind::from_str_opt(rest.trim())
@@ -964,6 +976,17 @@ mod tests {
             "{CE_HEADER}\nworkload bogus 1\nviolation race\nschedule 1\n"
         ))
         .is_err());
+        // Rounds the explorer never writes: zero (once replayed as one
+        // round), past MAX_ROUNDS (a replay quadratic in them), and any
+        // but 1 for the fixtures without rounds.
+        for workload in
+            ["clean 0", "racy 0", "racy 1001", "racy 4294967295", "deadlock 2", "lostwake 0"]
+        {
+            let text = format!("{CE_HEADER}\nworkload {workload}\nviolation race\nschedule 1\n");
+            assert!(parse_counterexample(&text).is_err(), "{workload}");
+        }
+        let text = format!("{CE_HEADER}\nworkload racy {MAX_ROUNDS}\nviolation race\nschedule 1\n");
+        assert!(parse_counterexample(&text).is_ok());
     }
 
     proptest::proptest! {
@@ -974,7 +997,7 @@ mod tests {
         /// and parses back to itself. It never panics.
         #[test]
         fn damaged_counterexamples_parse_to_an_error_or_a_round_trip(
-            which in (0usize..4, 0usize..4, 0u32..=u32::MAX),
+            which in (0usize..4, 0usize..4, 1u32..=MAX_ROUNDS),
             schedule in proptest::collection::vec(0u64..=u64::MAX, 0..12),
             damage in 0u8..6,
             at in (0usize..=usize::MAX, 0usize..=usize::MAX),

@@ -23,6 +23,9 @@ pub enum ReproError {
     /// A command-line value was invalid (exit status 2, like the arg
     /// parser's own errors).
     Usage(String),
+    /// A model-checker counterexample replayed without reproducing its
+    /// violation (the schedule diverged, or ran clean).
+    NotReproduced(String),
     /// A disk-cache entry failed its checksum or decode. The entry has
     /// been quarantined (renamed aside) and the run is recomputed; the
     /// error is surfaced for logging, never fatal to a suite.
@@ -56,6 +59,9 @@ impl std::fmt::Display for ReproError {
                 write!(f, "runner produced no result for descriptor {key}")
             }
             ReproError::Usage(msg) => write!(f, "{msg}"),
+            ReproError::NotReproduced(msg) => {
+                write!(f, "counterexample did not reproduce its violation: {msg}")
+            }
             ReproError::CorruptCache { quarantined, what } => {
                 write!(f, "corrupt cache entry ({what}); quarantined at {}", quarantined.display())
             }
@@ -76,6 +82,7 @@ impl std::error::Error for ReproError {
             ReproError::Io(e) => Some(e),
             ReproError::MissingResult(_)
             | ReproError::Usage(_)
+            | ReproError::NotReproduced(_)
             | ReproError::CorruptCache { .. }
             | ReproError::RunPanicked { .. }
             | ReproError::RunTimedOut { .. } => None,

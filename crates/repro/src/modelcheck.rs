@@ -188,7 +188,7 @@ fn write_counterexamples(args: &Args, rows: &[McRow]) -> Result<(), ReproError> 
 /// # Errors
 ///
 /// [`ReproError::Usage`] when the file cannot be read or is malformed;
-/// [`ReproError::MissingResult`] when the schedule no longer reproduces
+/// [`ReproError::NotReproduced`] when the schedule no longer reproduces
 /// the recorded violation.
 pub fn run_replay(path: &std::path::Path) -> Result<(), ReproError> {
     let text = std::fs::read_to_string(path).map_err(|e| {
@@ -198,7 +198,7 @@ pub fn run_replay(path: &std::path::Path) -> Result<(), ReproError> {
         ReproError::Usage(format!("malformed counterexample {}: {e}", path.display()))
     })?;
     let v = replay_counterexample(&ce)
-        .map_err(|e| ReproError::MissingResult(format!("replay of {}: {e}", path.display())))?;
+        .map_err(|e| ReproError::NotReproduced(format!("{}: {e}", path.display())))?;
     println!(
         "replayed {} on workload {}: violation reproduced",
         v.kind.as_str(),

@@ -80,6 +80,17 @@ fn deadlock_counterexample_round_trips_through_replay() {
     let text = stdout(&replay);
     assert!(text.contains("replayed deadlock on workload deadlock"), "{text}");
     assert!(text.contains("violation reproduced"), "{text}");
+
+    // A schedule naming a thread that never exists does not reproduce:
+    // still exit 1, and the error says so.
+    let ce = std::fs::read_to_string(&ce_path).expect("read counterexample");
+    let schedule = ce.lines().find(|l| l.starts_with("schedule ")).expect("schedule line");
+    let diverging = out_dir.join("diverging.txt");
+    std::fs::write(&diverging, ce.replace(schedule, "schedule 9")).expect("write copy");
+    let replay = run(&["--replay", diverging.to_str().unwrap()]);
+    assert_eq!(replay.status.code(), Some(1), "stdout: {}", stdout(&replay));
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert!(stderr.contains("did not reproduce its violation"), "{stderr}");
 }
 
 #[test]

@@ -27,11 +27,6 @@ impl VAddr {
         self.0 / page_bytes
     }
 
-    /// The offset within the page.
-    pub fn page_offset(self, page_bytes: u64) -> u64 {
-        self.0 % page_bytes
-    }
-
     /// The byte range `[self, self + len)`.
     pub fn range(self, len: u64) -> Range<u64> {
         self.0..self.0 + len
@@ -84,7 +79,6 @@ mod tests {
         let a = VAddr(0x2000);
         assert_eq!(a.offset(0x10), VAddr(0x2010));
         assert_eq!(a.page(0x2000), 1);
-        assert_eq!(a.offset(0x10).page_offset(0x2000), 0x10);
         assert_eq!(a.range(4), 0x2000..0x2004);
     }
 

@@ -42,31 +42,6 @@ impl CacheGeometry {
         Ok(geom)
     }
 
-    /// Creates a geometry from a total capacity, the historical
-    /// `(size, line, ways)` parameterization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadGeometry`] if any parameter is zero or not a
-    /// power of two, or if `size < line × ways` (less than one set).
-    pub fn from_capacity(size_bytes: u64, line_bytes: u64, ways: u64) -> Result<Self, SimError> {
-        for (name, v) in [("size", size_bytes), ("line", line_bytes), ("ways", ways)] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(SimError::BadGeometry {
-                    reason: format!("{name} = {v} must be a non-zero power of two"),
-                });
-            }
-        }
-        let Some(set_bytes) = line_bytes.checked_mul(ways).filter(|&b| b <= size_bytes) else {
-            return Err(SimError::BadGeometry {
-                reason: format!(
-                    "size {size_bytes} smaller than one set ({ways} ways of {line_bytes} bytes)"
-                ),
-            });
-        };
-        CacheGeometry::new(size_bytes / set_bytes, ways, line_bytes)
-    }
-
     /// Validates the geometry: all three parameters must be non-zero
     /// powers of two, `sets × ways` at most [`MAX_LINES`](Self::MAX_LINES),
     /// and the capacity in bytes representable — so [`lines`](Self::lines)
@@ -376,19 +351,6 @@ mod tests {
         assert!(CacheGeometry::new(max / 2, 4, 64).is_err());
         assert!(CacheGeometry::new(1 << 62, 4, 64).is_err());
         assert!(CacheGeometry::new(max, 1, 1 << 44).is_err());
-    }
-
-    #[test]
-    fn geometry_from_capacity() {
-        let g = CacheGeometry::from_capacity(512 * 1024, 64, 1).unwrap();
-        assert_eq!(g, CacheGeometry { sets: 8192, ways: 1, line: 64 });
-        assert_eq!(g.size_bytes(), 512 * 1024);
-        let g = CacheGeometry::from_capacity(16 * 1024, 32, 2).unwrap();
-        assert_eq!(g, CacheGeometry { sets: 256, ways: 2, line: 32 });
-        assert!(CacheGeometry::from_capacity(64, 64, 2).is_err(), "one set needs 128B");
-        assert!(CacheGeometry::from_capacity(0, 64, 1).is_err());
-        assert!(CacheGeometry::from_capacity(1000, 64, 1).is_err(), "non power of two");
-        assert!(CacheGeometry::from_capacity(1 << 63, 1 << 63, 2).is_err(), "set size wraps");
     }
 
     #[test]

@@ -3,24 +3,16 @@
 //! The UltraSPARC exposes two 32-bit Performance Instrumentation Counters
 //! configured through the Performance Control Register (PCR); with the
 //! user-access bit set, a runtime can read them without a system call
-//! (paper §2.2). The paper's runtime configures them to count **E-cache
-//! references** and **E-cache hits** and reads both at every context
-//! switch; the difference is the miss count `n` fed to the cache model.
+//! (paper §2.2). The paper's runtime programs them once, to count
+//! **E-cache references** and **E-cache hits** with user access on, and
+//! reads both at every context switch; the difference is the miss count
+//! `n` fed to the cache model.
 //!
-//! [`Pic`] models exactly that: two counters, an event selection, a cheap
+//! [`Pic`] models exactly that fixed configuration: two counters, a cheap
 //! read, and an interval-delta helper. Overflow wraps at 32 bits like the
-//! hardware (callers that read every context switch never notice).
-
-/// Events a counter can be configured to count (subset relevant here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PicEvent {
-    /// E-cache (L2) references.
-    EcacheRefs,
-    /// E-cache (L2) hits.
-    EcacheHits,
-    /// Cycle count (used by the high-resolution timer experiments).
-    Cycles,
-}
+//! hardware (callers that read every context switch never notice). A read
+//! that traps is not a PIC state: it is an injected
+//! [`TrapOnRead`](crate::faults::FaultKind::TrapOnRead) fault.
 
 /// The per-processor performance-counter block.
 ///
@@ -38,16 +30,12 @@ pub enum PicEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pic {
+    /// PIC0: E-cache references.
     pic0: u32,
+    /// PIC1: E-cache hits.
     pic1: u32,
-    event0: PicEvent,
-    event1: PicEvent,
     /// Snapshot of (pic0, pic1) at the last `take_interval`.
     snap: (u32, u32),
-    /// Whether user-level access is enabled (PCR.UT/ST bits). Reads with
-    /// user access disabled model a trap and are surfaced to the caller as
-    /// a higher cost; the values are returned either way.
-    user_access: bool,
 }
 
 impl Default for Pic {
@@ -71,43 +59,12 @@ impl Pic {
     /// Creates a PIC block configured the way the paper's runtime uses it:
     /// PIC0 = E-cache references, PIC1 = E-cache hits, user access on.
     pub fn new() -> Self {
-        Pic {
-            pic0: 0,
-            pic1: 0,
-            event0: PicEvent::EcacheRefs,
-            event1: PicEvent::EcacheHits,
-            snap: (0, 0),
-            user_access: true,
-        }
-    }
-
-    /// Reconfigures the events (writing the PCR). Clears both counters,
-    /// like reprogramming the PCR does in practice.
-    pub fn configure(&mut self, event0: PicEvent, event1: PicEvent, user_access: bool) {
-        self.event0 = event0;
-        self.event1 = event1;
-        self.user_access = user_access;
-        self.pic0 = 0;
-        self.pic1 = 0;
-        self.snap = (0, 0);
-    }
-
-    /// The configured events.
-    pub fn events(&self) -> (PicEvent, PicEvent) {
-        (self.event0, self.event1)
-    }
-
-    /// Whether user-level reads are enabled.
-    pub fn user_access(&self) -> bool {
-        self.user_access
+        Pic { pic0: 0, pic1: 0, snap: (0, 0) }
     }
 
     /// Records one E-cache access (called by the cache hierarchy).
     pub fn record_l2(&mut self, hit: bool) {
-        self.bump(PicEvent::EcacheRefs);
-        if hit {
-            self.bump(PicEvent::EcacheHits);
-        }
+        self.record_l2_bulk(1, u64::from(hit));
     }
 
     /// Records `refs` E-cache accesses of which `hits` hit, in one shot.
@@ -116,23 +73,10 @@ impl Pic {
     /// `hits` of them hitting: the counters are pure wrapping sums, so a
     /// bulk add lands on exactly the same register values.
     pub fn record_l2_bulk(&mut self, refs: u64, hits: u64) {
-        self.bump_by(PicEvent::EcacheRefs, refs);
-        self.bump_by(PicEvent::EcacheHits, hits);
-    }
-
-    fn bump(&mut self, ev: PicEvent) {
-        self.bump_by(ev, 1);
-    }
-
-    fn bump_by(&mut self, ev: PicEvent, n: u64) {
         // `n as u32` is `n mod 2³²` — the same value `n` wrapping
-        // single-increments leave behind.
-        if self.event0 == ev {
-            self.pic0 = self.pic0.wrapping_add(n as u32);
-        }
-        if self.event1 == ev {
-            self.pic1 = self.pic1.wrapping_add(n as u32);
-        }
+        // single-increments leave behind, for `n` = `refs` and `hits`.
+        self.pic0 = self.pic0.wrapping_add(refs as u32);
+        self.pic1 = self.pic1.wrapping_add(hits as u32);
     }
 
     /// Raw register values `(PIC0, PIC1)`.
@@ -140,12 +84,12 @@ impl Pic {
         (self.pic0, self.pic1)
     }
 
-    /// Cumulative E-cache references (assuming the default configuration).
+    /// Cumulative E-cache references.
     pub fn refs(&self) -> u64 {
         self.pic0 as u64
     }
 
-    /// Cumulative E-cache hits (assuming the default configuration).
+    /// Cumulative E-cache hits.
     pub fn hits(&self) -> u64 {
         self.pic1 as u64
     }
@@ -174,8 +118,6 @@ mod tests {
     #[test]
     fn default_configuration() {
         let pic = Pic::new();
-        assert_eq!(pic.events(), (PicEvent::EcacheRefs, PicEvent::EcacheHits));
-        assert!(pic.user_access());
         assert_eq!(pic.read_raw(), (0, 0));
     }
 
@@ -232,8 +174,8 @@ mod tests {
 
     #[test]
     fn hits_register_wraps_alone() {
-        // Only pic1 crosses the boundary (possible after a PCR rewrite
-        // left the registers at different counts): the delta for pic1
+        // Only pic1 crosses the boundary (hits trail references, so the
+        // registers sit at different counts): the delta for pic1
         // must still come out right, and misses must not underflow.
         let mut pic = Pic::new();
         pic.pic1 = u32::MAX;
@@ -246,16 +188,5 @@ mod tests {
         assert_eq!(d.misses, 0);
         // Next interval starts clean from the post-wrap snapshot.
         assert_eq!(pic.take_interval(), PicDelta::default());
-    }
-
-    #[test]
-    fn reconfigure_clears() {
-        let mut pic = Pic::new();
-        pic.record_l2(true);
-        pic.configure(PicEvent::Cycles, PicEvent::EcacheHits, false);
-        assert_eq!(pic.read_raw(), (0, 0));
-        assert!(!pic.user_access());
-        pic.record_l2(true); // hits still counted on pic1
-        assert_eq!(pic.read_raw().1, 1);
     }
 }

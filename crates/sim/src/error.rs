@@ -28,10 +28,10 @@ pub enum SimError {
         /// The number of processors configured.
         cpus: usize,
     },
-    /// A performance-counter read trapped: the PCR user-access bit is
-    /// cleared (a user-level `rd %pic` faults into the kernel) or an
-    /// injected [`TrapOnRead`](crate::faults::FaultKind::TrapOnRead)
-    /// fault is live. The interval is *not* reset — counts keep
+    /// A performance-counter read trapped: an injected
+    /// [`TrapOnRead`](crate::faults::FaultKind::TrapOnRead) fault is live,
+    /// modelling a user-level `rd %pic` that faults into the kernel. The
+    /// interval is *not* reset — counts keep
     /// accumulating until a read succeeds.
     CounterTrap {
         /// The processor whose read trapped.

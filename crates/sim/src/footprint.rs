@@ -95,12 +95,6 @@ impl FootprintScratch {
         }
     }
 
-    /// Number of threads with at least one resident line in the most
-    /// recent scan.
-    pub fn thread_count(&self) -> usize {
-        self.touched.len()
-    }
-
     /// The `(thread, lines)` pairs of the most recent scan, sorted by
     /// thread id (control path: collects and sorts).
     pub fn to_sorted(&self) -> Vec<(ThreadId, u64)> {
@@ -296,13 +290,13 @@ mod tests {
         assert_eq!(s.lines(t(1)), 2);
         assert_eq!(s.lines(t(2)), 1);
         assert_eq!(s.lines(t(3)), 0);
-        assert_eq!(s.thread_count(), 2);
+        assert_eq!(s.to_sorted(), [(t(1), 2), (t(2), 1)]);
         // A new scan fully forgets the previous one.
         s.begin();
         s.tally(&[t(3)]);
         assert_eq!(s.lines(t(1)), 0);
         assert_eq!(s.lines(t(3)), 1);
-        assert_eq!(s.thread_count(), 1);
+        assert_eq!(s.to_sorted(), [(t(3), 1)]);
     }
 
     #[test]

@@ -66,11 +66,6 @@ pub mod tlb;
 pub mod trace;
 
 pub use addr::{PAddr, VAddr};
-
-/// Spelled-out alias of [`VAddr`].
-pub type VirtualAddress = VAddr;
-/// Spelled-out alias of [`PAddr`].
-pub type PhysicalAddress = PAddr;
 pub use cache::{Cache, CacheGeometry};
 pub use cml::{Cml, CmlEntry};
 pub use config::{CacheLatencies, HierarchyConfig, MachineConfig};

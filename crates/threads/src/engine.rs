@@ -49,9 +49,6 @@ const MAX_STEPS: u64 = 2_000_000_000;
 /// Engine tunables; the default is every option off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Optional preemption time slice in cycles (None = run to block,
-    /// the common fine-grained-threads configuration).
-    pub time_slice: Option<u64>,
     /// Optional runtime sharing inference (the paper's §7 future work):
     /// drain a per-processor Cache Miss Lookaside buffer at each context
     /// switch and write inferred `at_share` edges into the graph.
@@ -110,7 +107,7 @@ pub struct Engine {
     /// The thread table: a slot-indexed TCB slab arena.
     tcbs: Vec<Option<Tcb>>,
     /// Exited threads, moved out of the slab so their slot can recycle
-    /// while joins and post-run counter queries keep working.
+    /// while joins on them keep working.
     retired: HashMap<ThreadId, Tcb>,
     sync: SyncTables,
     graph: SharingGraph,
@@ -118,7 +115,6 @@ pub struct Engine {
     /// The thread on each processor with its slot, resolved once at
     /// dispatch: stepping it and switching it out index the slab.
     current: Vec<Option<(ThreadId, SlotId)>>,
-    run_start: Vec<u64>,
     /// `(wake time, thread, its slot)`. The slot rides along so a wake-up
     /// needs no lookup; a sleeper killed meanwhile leaves an entry whose
     /// slot is no longer live (released, or rebound under a younger
@@ -204,7 +200,6 @@ impl Engine {
             graph: SharingGraph::new(),
             clocks: vec![0; cpus],
             current: vec![None; cpus],
-            run_start: vec![0; cpus],
             sleepers: BinaryHeap::new(),
             sanitizer: CounterSanitizer::new(SanitizerConfig::default()),
             chaos: config.chaos.filter(ChaosConfig::is_active).map(|cfg| ChaosState::new(&cfg)),
@@ -474,7 +469,6 @@ impl Engine {
         debug_assert_eq!(tcb.state, ThreadState::Ready);
         tcb.state = ThreadState::Running;
         self.current[cpu] = Some((tid, slot));
-        self.run_start[cpu] = self.clocks[cpu];
         self.machine.set_running(cpu, Some(tid));
         self.sched.on_dispatch(cpu, tid);
         emit_with(|| TraceEvent::IntervalBegin {
@@ -530,9 +524,7 @@ impl Engine {
     fn step_thread(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
         let obs_start = self.obs.as_ref().map_or(0, ObsLog::len);
         let mut program = {
-            let tcb = self.tcb_at(tid, slot)?;
-            tcb.batches += 1;
-            tcb.program.take().ok_or_else(|| RuntimeError::Internal {
+            self.tcb_at(tid, slot)?.program.take().ok_or_else(|| RuntimeError::Internal {
                 what: format!("{tid} stepped while its program was checked out"),
             })?
         };
@@ -580,14 +572,6 @@ impl Engine {
             let obs_end = self.obs.as_ref().map_or(0, ObsLog::len);
             if let Some(point) = self.points.last_mut() {
                 point.obs_range.1 = obs_end;
-            }
-        }
-        // Time-slice preemption applies only if the thread kept running.
-        if let Some(slice) = self.config.time_slice {
-            if self.current[cpu] == Some((tid, slot))
-                && self.clocks[cpu] - self.run_start[cpu] >= slice
-            {
-                self.switch_out(cpu, tid, slot, SwitchReason::Preempted)?;
             }
         }
         // Controlled scheduling: every visible operation is a decision
@@ -781,10 +765,9 @@ impl Engine {
         set_clock(self.clocks[cpu]);
         // Read and reset the counters, then sanitize the raw deltas: the
         // scheduler's model never sees wrapped, inconsistent, or absurd
-        // values. A trapped read (user access disabled, or an injected
-        // trap fault) yields an empty interval with reduced confidence —
-        // the PICs keep accumulating and the next clean read absorbs the
-        // whole span.
+        // values. A trapped read (an injected trap fault) yields an empty
+        // interval with reduced confidence — the PICs keep accumulating
+        // and the next clean read absorbs the whole span.
         let delta = match self.machine.pic_take_interval(cpu) {
             Ok(raw) => self.sanitizer.sanitize(tid, raw.refs, raw.hits, raw.misses),
             Err(SimError::CounterTrap { .. }) => {
@@ -810,7 +793,6 @@ impl Engine {
         self.switches += 1;
         {
             let tcb = self.tcb_at(tid, slot)?;
-            tcb.switches += 1;
             match reason {
                 SwitchReason::Exited => tcb.state = ThreadState::Exited,
                 SwitchReason::Aborted => tcb.state = ThreadState::Aborted,
@@ -897,8 +879,8 @@ impl Engine {
     /// path could assume empty), machine owner directory and counter
     /// slots, sanitizer history, inference state. The slot is then free
     /// to recycle, so stale handles never resolve, and the TCB moves to
-    /// the retired table: joins on a dead thread and post-run counter
-    /// queries keep working without pinning slab capacity.
+    /// the retired table: joins on a dead thread keep working without
+    /// pinning slab capacity.
     fn release_thread(&mut self, tid: ThreadId, aborted: bool) {
         self.graph.remove_thread(tid);
         if aborted {
@@ -1113,15 +1095,6 @@ impl Engine {
     pub fn threads_aborted(&self) -> u64 {
         self.aborted
     }
-
-    /// Per-thread runtime counters `(switches, batches)`.
-    pub fn thread_counters(&self, tid: ThreadId) -> Option<(u64, u64)> {
-        self.slots
-            .lookup(tid)
-            .and_then(|slot| self.tcbs[slot.index()].as_ref())
-            .or_else(|| self.retired.get(&tid))
-            .map(|t| (t.switches, t.batches))
-    }
 }
 
 #[cfg(test)]
@@ -1173,16 +1146,14 @@ mod tests {
     #[test]
     fn single_thread_runs_to_completion() {
         let mut e = engine(SchedPolicy::Fcfs);
-        let tid = e.spawn(Box::new(Walker::new(4096, 3)));
+        e.spawn(Box::new(Walker::new(4096, 3)));
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 1);
         assert_eq!(report.policy, "fcfs");
         // 64 compulsory misses, then cache hits.
         assert_eq!(report.total_l2_misses, 64);
         assert!(report.total_cycles > 0);
-        let (switches, batches) = e.thread_counters(tid).unwrap();
-        assert_eq!(batches, 3);
-        assert_eq!(switches, 3); // 2 yields + exit
+        assert_eq!(report.context_switches, 3); // 2 yields + exit
     }
 
     #[test]
@@ -1591,35 +1562,6 @@ mod tests {
         // The first interval carried the compulsory misses.
         assert_eq!(events[0].delta.misses, 64);
         assert_eq!(events.last().unwrap().reason, SwitchReason::Exited);
-    }
-
-    #[test]
-    fn preemption_time_slice() {
-        // A thread that never blocks (SemPost always continues): only the
-        // time slice can switch it out.
-        struct Hog2 {
-            s: SemId,
-            batches: u32,
-        }
-        impl Program for Hog2 {
-            fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
-                ctx.compute(1000);
-                self.batches -= 1;
-                if self.batches == 0 {
-                    return Control::Exit;
-                }
-                Control::SemPost(self.s)
-            }
-        }
-
-        let config = EngineConfig { time_slice: Some(2500), ..EngineConfig::default() };
-        let mut e = Engine::new(MachineConfig::ultra1(), SchedPolicy::Fcfs, config).unwrap();
-        let s = e.sync_tables_mut().create_semaphore(0);
-        e.spawn(Box::new(Hog2 { s, batches: 10 }));
-        let report = e.run().unwrap();
-        // 10 batches à 1000 cycles with a 2500-cycle slice: at least 3
-        // preemptions (plus the exit switch).
-        assert!(report.context_switches >= 4, "switches = {}", report.context_switches);
     }
 
     #[test]

@@ -45,24 +45,6 @@ pub enum Control {
     Exit,
 }
 
-impl Control {
-    /// Whether this control can let the thread continue on the same
-    /// processor without a context switch (subject to contention).
-    pub fn may_continue(&self) -> bool {
-        matches!(
-            self,
-            Control::Unlock(_)
-                | Control::SemPost(_)
-                | Control::CondSignal(_)
-                | Control::CondBroadcast(_)
-                | Control::Lock(_)
-                | Control::SemWait(_)
-                | Control::BarrierWait(_)
-                | Control::Join(_)
-        )
-    }
-}
-
 /// A thread body: a resumable program executed batch by batch.
 ///
 /// Implementations are plain state machines; see the crate-level example
@@ -278,21 +260,5 @@ impl<'a> BatchCtx<'a> {
     /// region table when building annotations).
     pub fn machine(&self) -> &Machine {
         self.machine
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn may_continue_classification() {
-        assert!(Control::Unlock(MutexId(0)).may_continue());
-        assert!(Control::SemPost(SemId(0)).may_continue());
-        assert!(Control::Lock(MutexId(0)).may_continue());
-        assert!(Control::Join(ThreadId(1)).may_continue());
-        assert!(!Control::Yield.may_continue());
-        assert!(!Control::Sleep(5).may_continue());
-        assert!(!Control::Exit.may_continue());
     }
 }

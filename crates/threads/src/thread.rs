@@ -31,10 +31,6 @@ pub struct Tcb {
     pub program: Option<Box<dyn Program>>,
     /// Threads waiting to join this one.
     pub join_waiters: Vec<ThreadId>,
-    /// Context switches this thread has gone through.
-    pub switches: u64,
-    /// Batches executed.
-    pub batches: u64,
     /// Short program name (kept after exit for reports).
     pub name: String,
 }
@@ -45,8 +41,6 @@ impl std::fmt::Debug for Tcb {
             .field("id", &self.id)
             .field("state", &self.state)
             .field("name", &self.name)
-            .field("switches", &self.switches)
-            .field("batches", &self.batches)
             .finish_non_exhaustive()
     }
 }
@@ -60,8 +54,6 @@ impl Tcb {
             state: ThreadState::Ready,
             program: Some(program),
             join_waiters: Vec::new(),
-            switches: 0,
-            batches: 0,
             name,
         }
     }

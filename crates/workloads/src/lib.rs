@@ -5,7 +5,6 @@
 //!
 //! | workload | paper role | here |
 //! |---|---|---|
-//! | `walk` | random memory walk microbenchmark (Fig. 4) | [`walk`] |
 //! | `tasks` | Squillante–Lazowska disjoint-footprint benchmark (§5) | [`tasks`] |
 //! | `merge` | parallel mergesort, 100k elements, ~1000 leaf threads (§3.3, §5) | [`merge`] |
 //! | `photo` | softening filter over an RGB pixmap, thread per row (§3.3, §5) | [`photo`] |
@@ -41,7 +40,6 @@ pub mod raytrace;
 pub mod tasks;
 pub mod tsp;
 pub mod typechecker;
-pub mod walk;
 
 /// The eight applications of the paper's simulation study (§3.3), in the
 /// order they appear in our Figure 5/6/7 reproductions.

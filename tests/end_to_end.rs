@@ -1,5 +1,7 @@
 //! Integration tests spanning all crates through the facade.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use thread_locality::core::{CpuId, FootprintModel, ModelParams};
@@ -8,7 +10,7 @@ use thread_locality::threads::{
     BatchCtx, Control, Engine, EngineConfig, EngineHook, Program, SchedPolicy, SwitchEvent,
     ThreadId,
 };
-use thread_locality::workloads::{merge, tasks, walk};
+use thread_locality::workloads::{merge, tasks};
 
 #[test]
 fn machine_footprint_matches_model_for_random_walk() {
@@ -38,6 +40,33 @@ fn machine_footprint_matches_model_for_random_walk() {
     let predicted = model.expected_blocking(0.0, misses);
     let err = (observed - predicted).abs() / predicted;
     assert!(err < 0.04, "observed {observed} predicted {predicted:.0} err {err:.3}");
+}
+
+/// Reads uniformly random lines of an 8 MiB region, 512 a batch, until
+/// `left` reads are done. The region is many times the 512 KiB E-cache, so
+/// misses land uniformly over the sets: the stream the model assumes.
+struct RandomWalk {
+    region: Option<VAddr>,
+    left: u64,
+    rng: StdRng,
+}
+
+impl Program for RandomWalk {
+    fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
+        const BYTES: u64 = 8 << 20;
+        let region = *self.region.get_or_insert_with(|| ctx.alloc(BYTES, 64));
+        ctx.register_region(region, BYTES);
+        let n = self.left.min(512);
+        for _ in 0..n {
+            ctx.read(region.offset(self.rng.gen_range(0..BYTES / 64) * 64));
+        }
+        self.left -= n;
+        if self.left == 0 {
+            Control::Exit
+        } else {
+            Control::Yield
+        }
+    }
 }
 
 #[test]
@@ -71,8 +100,8 @@ fn estimator_tracks_ground_truth_through_the_runtime() {
     }
     let mut engine =
         Engine::new(MachineConfig::ultra1(), SchedPolicy::Lff, EngineConfig::default()).unwrap();
-    let params = walk::WalkParams { total_accesses: 30_000, ..walk::WalkParams::default() };
-    let tid = walk::spawn_single(&mut engine, &params);
+    let walk = RandomWalk { region: None, left: 30_000, rng: StdRng::seed_from_u64(42) };
+    let tid = engine.spawn(Box::new(walk));
     let worst = Rc::new(RefCell::new(0.0f64));
     engine.add_hook(Box::new(Check { tid, worst: worst.clone() }));
     engine.run().unwrap();

@@ -37,8 +37,10 @@ struct ScanTable {
 }
 
 impl ScanTable {
+    /// Clamped at `u64::MAX` like `RegionTable::register`: the last byte
+    /// of the address space is never registered.
     fn register(&mut self, tid: ThreadId, start: u64, bytes: u64) {
-        for b in start..start + bytes {
+        for b in start..start.saturating_add(bytes) {
             self.owners.entry(b).or_default().insert(tid);
         }
     }
@@ -93,16 +95,32 @@ enum RegionOp {
 }
 
 impl RegionOp {
+    /// The same step with `base` added to its start, saturating at
+    /// `u64::MAX`.
+    fn shifted(self, base: u64) -> RegionOp {
+        match self {
+            RegionOp::Register { tid, start, bytes, twice } => {
+                RegionOp::Register { tid, start: base.saturating_add(start), bytes, twice }
+            }
+            RegionOp::Rows { tid, start, row, count, ascending } => {
+                RegionOp::Rows { tid, start: base.saturating_add(start), row, count, ascending }
+            }
+            RegionOp::Remove { tid } => RegionOp::Remove { tid },
+        }
+    }
+
     /// `(start, len)` probes on the edges of what the step registered:
     /// the whole range, a byte more at either end, the byte after it, its
     /// last byte, nothing at all, and the seam between its first two rows.
     fn edge_probes(&self) -> Vec<(u64, u64)> {
         let (start, len, seam) = match *self {
             RegionOp::Register { start, bytes, .. } => (start, bytes, start),
-            RegionOp::Rows { start, row, count, .. } => (start, row * count, start + row - 1),
+            RegionOp::Rows { start, row, count, .. } => {
+                (start, row * count, start.saturating_add(row - 1))
+            }
             RegionOp::Remove { .. } => return Vec::new(),
         };
-        let end = start + len;
+        let end = start.saturating_add(len);
         vec![
             (start, len),
             (start, len + 1),
@@ -116,6 +134,13 @@ impl RegionOp {
 }
 
 const REGION_THREADS: u64 = 5;
+
+/// The base added to every start of the region tests: the bottom of the
+/// address space, near its top (probes run past `u64::MAX`), or so near
+/// it that registrations run past it as well.
+fn region_base() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), Just(u64::MAX - 400), Just(u64::MAX - 256)]
+}
 
 fn region_op() -> impl Strategy<Value = RegionOp> {
     let tid = 0..REGION_THREADS;
@@ -405,16 +430,17 @@ proptest! {
     /// RegionTable agrees with a brute-force byte→owners map.
     #[test]
     fn regions_match_bruteforce(
+        base in region_base(),
         regions in proptest::collection::vec((0u64..8, 0u64..200, 1u64..60), 1..25),
         queries in proptest::collection::vec(0u64..300, 1..40),
     ) {
         let mut table = RegionTable::new();
         let mut brute = ScanTable::default();
         for &(tid, start, len) in &regions {
-            table.register(ThreadId(tid), VAddr(start), len);
-            brute.register(ThreadId(tid), start, len);
+            table.register(ThreadId(tid), VAddr(base.saturating_add(start)), len);
+            brute.register(ThreadId(tid), base.saturating_add(start), len);
         }
-        for &q in &queries {
+        for q in queries.iter().map(|&q| base.saturating_add(q)) {
             let expected: Vec<ThreadId> =
                 brute.owners.get(&q).map(|o| o.iter().copied().collect()).unwrap_or_default();
             prop_assert_eq!(table.owners_of(VAddr(q)), &expected[..], "owners at byte {}", q);
@@ -483,15 +509,22 @@ proptest! {
     /// random probes and for probes on the edges of every range any
     /// thread has registered so far (whole, a byte over at either end,
     /// ending or starting exactly on the boundary, empty, straddling two
-    /// rows that were registered one at a time).
+    /// rows that were registered one at a time), and `owners_in_range_into`
+    /// to the union of the oracle's owners over each probe. Every start
+    /// is offset by a base that may put the table at the top of the
+    /// address space, where ranges are clamped at `u64::MAX`.
     #[test]
     fn region_index_matches_whole_map_scans(
+        base in region_base(),
         ops in proptest::collection::vec(region_op(), 1..30),
         random_probes in proptest::collection::vec((0u64..340, 0u64..70), 1..12),
     ) {
         let mut table = RegionTable::new();
         let mut oracle = ScanTable::default();
-        let mut probes = random_probes;
+        let mut probes: Vec<(u64, u64)> =
+            random_probes.iter().map(|&(start, len)| (base.saturating_add(start), len)).collect();
+        let ops: Vec<RegionOp> = ops.into_iter().map(|op| op.shifted(base)).collect();
+        let mut owners = Vec::new();
         for op in &ops {
             probes.extend(op.edge_probes());
             match *op {
@@ -504,7 +537,7 @@ proptest! {
                 RegionOp::Rows { tid, start, row, count, ascending } => {
                     for i in 0..count {
                         let k = if ascending { i } else { count - 1 - i };
-                        table.register(ThreadId(tid), VAddr(start + k * row), row);
+                        table.register(ThreadId(tid), VAddr(start.saturating_add(k * row)), row);
                     }
                     oracle.register(ThreadId(tid), start, row * count);
                 }
@@ -514,21 +547,34 @@ proptest! {
                     prop_assert!(table.ranges_of(ThreadId(tid)).is_empty(), "{:?} left a range", op);
                 }
             }
-            for b in 0..340 {
+            for b in (0..340).map(|b| base.saturating_add(b)) {
                 let expected: Vec<ThreadId> =
                     oracle.owners.get(&b).map(|o| o.iter().copied().collect()).unwrap_or_default();
                 prop_assert_eq!(table.owners_of(VAddr(b)), &expected[..], "byte {} after {:?}", b, op);
             }
             prop_assert_eq!(table.segment_count(), oracle.maximal_runs(), "unmerged after {:?}", op);
+            for &(start, len) in &probes {
+                table.owners_in_range_into(VAddr(start), len, &mut owners);
+                let expected: BTreeSet<ThreadId> = oracle
+                    .owners
+                    .range(start..start.saturating_add(len))
+                    .flat_map(|(_, o)| o.iter().copied())
+                    .collect();
+                prop_assert_eq!(
+                    &owners, &expected.into_iter().collect::<Vec<_>>(),
+                    "owners_in_range_into({}, {}) after {:?}", start, len, op
+                );
+            }
             for a in (0..REGION_THREADS).map(ThreadId) {
                 let owns = |b: u64| oracle.owners.get(&b).is_some_and(|o| o.contains(&a));
                 for &(start, len) in &probes {
+                    let bytes = start..start.saturating_add(len);
                     prop_assert_eq!(
-                        table.covers(a, VAddr(start), len), (start..start + len).all(owns),
+                        table.covers(a, VAddr(start), len), bytes.clone().all(owns),
                         "covers({}, {}, {}) after {:?}", a, start, len, op
                     );
                     prop_assert_eq!(
-                        table.range_touches(a, VAddr(start), len), (start..start + len).any(owns),
+                        table.range_touches(a, VAddr(start), len), bytes.clone().any(owns),
                         "range_touches({}, {}, {}) after {:?}", a, start, len, op
                     );
                 }
