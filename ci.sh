@@ -4,8 +4,8 @@ set -eux
 
 cargo build --release
 cargo test -q --workspace
-# locality-repro's unit tests once more in release: a watchdog test that
-# raced a real cell passed in debug and failed there alone.
+# locality-repro's unit tests once more in release: the only run of them
+# without debug assertions or overflow checks.
 cargo test -q --release --offline -p locality-repro --lib
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -143,9 +143,10 @@ done
 # Smoke the full repro suite through the parallel cached runner, then
 # hold every artifact to the committed golden hashes: the small-scale
 # CSVs are byte-identical across machines, --jobs values, and the
-# dense-slot refactors (results/golden_small.sha256).
+# dense-slot refactors (results/golden_small.sha256). Runs are not timed
+# out inside the runner, so the timeout bounds a hung descriptor here.
 SMOKE_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro -- all \
+timeout 60 cargo run --release -p locality-repro --bin repro -- all \
     --scale small --jobs 2 --out "$SMOKE_OUT"
 GOLDEN="$PWD/results/golden_small.sha256"
 (cd "$SMOKE_OUT" && sha256sum -c "$GOLDEN")

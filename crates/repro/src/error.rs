@@ -36,15 +36,11 @@ pub enum ReproError {
         what: String,
     },
     /// A run descriptor panicked inside its isolation boundary
-    /// (`catch_unwind`); the payload's message is preserved.
+    /// (`catch_unwind`); the payload's message is preserved, after the
+    /// request's label when the runner knows it.
     RunPanicked {
         /// The panic message.
         what: String,
-    },
-    /// A run exceeded the watchdog timeout and was abandoned.
-    RunTimedOut {
-        /// The timeout that expired.
-        after: std::time::Duration,
     },
 }
 
@@ -66,9 +62,6 @@ impl std::fmt::Display for ReproError {
                 write!(f, "corrupt cache entry ({what}); quarantined at {}", quarantined.display())
             }
             ReproError::RunPanicked { what } => write!(f, "run panicked: {what}"),
-            ReproError::RunTimedOut { after } => {
-                write!(f, "run exceeded the {:.1}s watchdog timeout", after.as_secs_f64())
-            }
         }
     }
 }
@@ -84,8 +77,7 @@ impl std::error::Error for ReproError {
             | ReproError::Usage(_)
             | ReproError::NotReproduced(_)
             | ReproError::CorruptCache { .. }
-            | ReproError::RunPanicked { .. }
-            | ReproError::RunTimedOut { .. } => None,
+            | ReproError::RunPanicked { .. } => None,
         }
     }
 }

@@ -41,9 +41,9 @@
 //!
 //! The pipeline is crash-safe: cache entries are checksummed and written
 //! atomically (corrupt entries are quarantined and recomputed), CSVs are
-//! written via temp-file + rename, and every run executes behind a panic
-//! isolation boundary with a seeded watchdog — a killed `repro all`
-//! resumes from its per-run cache to byte-identical artifacts.
+//! written via temp-file + rename, and a panicking run fails the suite by
+//! name without taking its siblings down — a killed `repro all` resumes
+//! from its per-run cache to byte-identical artifacts.
 
 // One call site may allow `unsafe_code`: the SHA-extension dispatch in
 // `digest`, after run-time feature detection.

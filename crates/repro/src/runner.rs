@@ -25,12 +25,14 @@
 //! its payload: a truncated or bit-rotted entry is quarantined (renamed
 //! aside) and recomputed instead of misparsing or panicking.
 //!
-//! Runs execute behind a guard ([`GuardPolicy`]): panics are caught per
-//! descriptor (`catch_unwind`), a watchdog times out hung runs, and
-//! both are retried with bounded backoff before the typed error
-//! surfaces. Combined with the cache, this makes `repro all` resumable:
-//! a killed invocation re-runs only the descriptors whose entries never
-//! landed, and the reassembled artifacts are byte-identical.
+//! Each descriptor runs on a worker of `in_parallel`, which catches a
+//! panic per item: that is a run's one isolation boundary. A panicking
+//! descriptor fails the suite with [`ReproError::RunPanicked`], naming
+//! its request, while its siblings still run. A run is deterministic, so
+//! a panic is reported, never re-run, and no run is timed out. Combined
+//! with the cache, this makes `repro all` resumable: a killed invocation
+//! re-runs only the descriptors whose entries never landed, and the
+//! reassembled artifacts are byte-identical.
 
 use crate::args::{Args, Scale};
 use crate::digest;
@@ -129,7 +131,7 @@ pub enum RunKind {
 /// A labelled run descriptor.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
-    /// Human-readable label for the stats summary.
+    /// Human-readable label for the stats summary and a panic's error.
     pub label: String,
     /// The run itself.
     pub kind: RunKind,
@@ -594,32 +596,11 @@ impl DiskCache {
     }
 }
 
-// ---------------------------------------------------------------------
-// Guarded execution: panic isolation, watchdog, bounded retry.
-
-/// Per-run isolation policy: how panics, hangs, and flaky failures are
-/// contained so one bad descriptor cannot tear down a whole suite.
-#[derive(Debug, Clone)]
-pub struct GuardPolicy {
-    /// Watchdog timeout per attempt. `None` disables the watchdog and
-    /// runs the descriptor on the calling worker thread (panic
-    /// isolation still applies).
-    pub timeout: Option<Duration>,
-    /// Additional attempts after a panicked or timed-out run.
-    pub retries: u32,
-    /// Base backoff between attempts (scaled by the attempt number).
-    pub backoff: Duration,
-}
-
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            timeout: Some(Duration::from_secs(600)),
-            retries: 1,
-            backoff: Duration::from_millis(50),
-        }
-    }
-}
+/// Kept, with no settings, for callers that still build a
+/// [`RunnerConfig`] with one: a run is deterministic and needs no guard
+/// beyond the worker pool's per-item panic catch.
+#[derive(Debug, Clone, Default)]
+pub struct GuardPolicy {}
 
 /// Renders a panic payload the way the default hook would.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -630,78 +611,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// Runs one descriptor with panics converted to
-/// [`ReproError::RunPanicked`]. Every run builds its state privately,
-/// so unwinding cannot leave shared state torn (`AssertUnwindSafe` is
-/// sound here).
-fn execute_isolated(kind: &RunKind) -> Result<RunOutput, ReproError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(kind))) {
-        Ok(res) => res,
-        Err(payload) => Err(ReproError::RunPanicked { what: panic_message(payload.as_ref()) }),
-    }
-}
-
-/// Runs `f` on a watchdog thread; a run that outlives `timeout` is
-/// abandoned (Rust threads cannot be killed — it finishes in the
-/// background) and reported as [`ReproError::RunTimedOut`].
-fn watched<R: Send + 'static>(
-    timeout: Duration,
-    f: impl FnOnce() -> Result<R, ReproError> + Send + 'static,
-) -> Result<R, ReproError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(res) => res,
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            Err(ReproError::RunTimedOut { after: timeout })
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            Err(ReproError::RunPanicked { what: "worker vanished before reporting".to_string() })
-        }
-    }
-}
-
-/// Calls `attempt` until it returns something other than a panic or a
-/// timeout, or `guard`'s retry budget is spent, with linear backoff
-/// between attempts.
-fn retried<R>(
-    guard: &GuardPolicy,
-    mut attempt: impl FnMut() -> Result<R, ReproError>,
-) -> Result<R, ReproError> {
-    let mut tries = 0u32;
-    loop {
-        match attempt() {
-            Err(e @ (ReproError::RunPanicked { .. } | ReproError::RunTimedOut { .. }))
-                if tries < guard.retries =>
-            {
-                tries += 1;
-                eprintln!("[guard] {e}; retrying ({tries}/{})", guard.retries);
-                std::thread::sleep(guard.backoff * tries);
-            }
-            other => return other,
-        }
-    }
-}
-
-/// Executes one descriptor under `guard`: panic isolation, watchdog
-/// timeout, and bounded retry with linear backoff. Only panics and
-/// timeouts are retried — typed engine/model errors are deterministic
-/// and surface immediately.
-///
-/// # Errors
-///
-/// Propagates the underlying error, or [`ReproError::RunPanicked`] /
-/// [`ReproError::RunTimedOut`] once the retry budget is spent.
-pub fn execute_guarded(kind: &RunKind, guard: &GuardPolicy) -> Result<RunOutput, ReproError> {
-    let kind = *kind;
-    retried(guard, || match guard.timeout {
-        Some(timeout) => watched(timeout, move || execute_isolated(&kind)),
-        None => execute_isolated(&kind),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -771,7 +680,7 @@ pub struct RunnerConfig {
     pub jobs: usize,
     /// Cache directory; `None` disables the cache.
     pub cache_dir: Option<PathBuf>,
-    /// Panic/timeout isolation policy for individual runs.
+    /// Has no settings; see [`GuardPolicy`].
     pub guard: GuardPolicy,
 }
 
@@ -779,7 +688,6 @@ pub struct RunnerConfig {
 pub struct Runner {
     jobs: usize,
     cache: Option<DiskCache>,
-    guard: GuardPolicy,
     stats: Mutex<Vec<RunStat>>,
 }
 
@@ -792,7 +700,6 @@ impl Runner {
                 .cache_dir
                 .filter(|_| build_stamp().is_some())
                 .map(|dir| DiskCache { dir }),
-            guard: config.guard,
             stats: Mutex::new(Vec::new()),
         }
     }
@@ -813,7 +720,8 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Returns the first failing run's error (first in request order).
+    /// Returns the first failing run's error (first in request order). A
+    /// [`ReproError::RunPanicked`] names the request whose run panicked.
     pub fn run_all(&self, reqs: &[RunRequest]) -> Result<Vec<RunOutput>, ReproError> {
         let keys: Vec<String> = reqs.iter().map(|r| cache_key(&r.kind)).collect();
         // One slot per distinct descriptor, first occurrence wins.
@@ -828,6 +736,13 @@ impl Runner {
         let done: Vec<RunOutput> =
             in_parallel(self.jobs, &unique, |&i| self.run_one(&reqs[i], &keys[i]))
                 .into_iter()
+                .zip(&unique)
+                .map(|(res, &i)| match res {
+                    Err(ReproError::RunPanicked { what }) => {
+                        Err(ReproError::RunPanicked { what: format!("{}: {what}", reqs[i].label) })
+                    }
+                    res => res,
+                })
                 .collect::<Result<_, _>>()?;
         Ok(keys.iter().map(|key| done[first_of[key.as_str()]].clone()).collect())
     }
@@ -850,7 +765,7 @@ impl Runner {
             }
         }
         let start = Instant::now();
-        let out = execute_guarded(&req.kind, &self.guard)?;
+        let out = execute(&req.kind)?;
         let wall = start.elapsed();
         if let Some(cache) = &self.cache {
             // A failing cache write must not kill the suite; the result
@@ -1295,6 +1210,25 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_descriptor_fails_the_suite_by_name() {
+        // 8192 lines over 3 ways is no power-of-two set count: the walk
+        // unwraps `Machine::try_new` on it and panics, every time.
+        let bad = RunRequest::new(
+            "walk-3way",
+            RunKind::Walk(WalkExperiment {
+                associativity: 3,
+                ..WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 2_000, 500, 1)
+            }),
+        );
+        let runner =
+            Runner::new(RunnerConfig { jobs: 2, cache_dir: None, guard: GuardPolicy::default() });
+        let err = runner.run_all(&[walk_req(1), bad.clone(), walk_req(2)]).unwrap_err();
+        let ReproError::RunPanicked { what } = &err else { panic!("expected a panic: {err:?}") };
+        assert!(what.starts_with(&bad.label), "{what}");
+        assert_eq!(runner.fresh_runs(), 2, "its siblings still run");
+    }
+
+    #[test]
     fn corrupted_entry_is_quarantined_then_recomputed() {
         let dir = std::env::temp_dir().join(format!("repro-quarantine-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1314,8 +1248,8 @@ mod tests {
         // checksum's back, into other text or into a byte that is not
         // UTF-8, or — under a valid checksum — claim a row count no
         // payload could back. The count must bound a loop, not size an
-        // allocation: a capacity-overflow panic here would be outside the
-        // run guard and take the whole suite down.
+        // allocation: a capacity-overflow panic here would fail the suite
+        // instead of recomputing one entry.
         let stored = std::fs::read(&path).expect("entry exists");
         let mut flipped = stored.clone();
         flipped.truncate(flipped.len() - 8);
@@ -1376,35 +1310,6 @@ mod tests {
             assert!(!path.with_extension("quarantine").exists(), "not treated as corrupt");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn guard_times_out_and_retries_then_reports() {
-        let timeout = Duration::from_millis(1);
-        let guard = GuardPolicy { timeout: Some(timeout), retries: 1, backoff: Duration::ZERO };
-        // Each attempt blocks on a lock this test holds until it has its
-        // verdict, so neither can report before its watchdog fires: the
-        // outcome does not depend on how fast anything runs.
-        let gate = std::sync::Arc::new(Mutex::new(()));
-        let held = gate.lock().expect("fresh lock");
-        let mut attempts = 0;
-        let res = retried(&guard, || {
-            attempts += 1;
-            let gate = std::sync::Arc::clone(&gate);
-            watched(timeout, move || {
-                drop(gate.lock());
-                Ok(())
-            })
-        });
-        assert!(matches!(res, Err(ReproError::RunTimedOut { .. })), "got {res:?}");
-        assert_eq!(attempts, 2, "one retry, then the report");
-        drop(held);
-
-        // The same guard through a real descriptor, with time to finish.
-        let kind = RunKind::Invalidation { written_lines: 0 };
-        let patient = GuardPolicy { timeout: Some(Duration::from_secs(600)), ..guard };
-        let out = execute_guarded(&kind, &patient).expect("watched run reports its result");
-        assert_eq!(encode(&out), encode(&execute(&kind).expect("plain run")));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn bad_flags_exit_two_with_usage_on_stderr() {
 
     // Powers of two no run can build (a tag store the allocator aborts
     // on, a line count that wraps to 0, a one-line cache the model does
-    // not cover) are refused up front, not panicked on and retried.
+    // not cover) are refused up front, not panicked on.
     for (geometry, reason) in [
         ("1099511627776x4", "over the cap"),
         ("4611686018427387904x4", "over the cap"),
