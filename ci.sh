@@ -298,6 +298,11 @@ rm -rf "$INVARIANT_OUT"
 # all 10 974 samples of the sixteen monitored cells. #[ignore]d in the
 # default suite (two minutes unoptimised); seconds in release.
 cargo test --release --test footprint_tracking -- --ignored
+# The whole-machine reference (tests/ref_machine): every workload's trace
+# replayed into RefMachine on the three E-cache geometries, clean and
+# under every --chaos scenario. #[ignore]d in the default suite, which
+# keeps two workloads of it; seconds in release.
+cargo test --release --test run_equivalence -- --ignored
 # The workloads' default-parameter checks, #[ignore]d in the default
 # suite: barnes replays step 0's walks in later steps, and the replaying
 # run must equal, in report, reference trace and checksum bits, one that

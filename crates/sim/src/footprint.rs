@@ -140,8 +140,8 @@ impl FootprintScratch {
     }
 }
 
-/// One residency change of a physical E-cache line, logged by the run
-/// access path and applied after the run (see
+/// One residency change of a physical E-cache line, logged by the access
+/// element and applied after the access or run (see
 /// [`FootprintTracker::apply_logged`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LineChange {
@@ -166,9 +166,7 @@ pub(crate) struct FootprintTracker {
     counts: Vec<u64>,
     /// Reused owner list of the line being credited or debited.
     owners: Vec<ThreadId>,
-    /// Changes logged by the current [`access_run`], in order.
-    ///
-    /// [`access_run`]: crate::machine::Machine::access_run
+    /// Changes logged by the current access or run, in order.
     log: Vec<LineChange>,
 }
 
@@ -240,16 +238,16 @@ impl FootprintTracker {
         self.owners = owners;
     }
 
-    /// The run path's change log (filled inside the element loop).
+    /// The change log the access element fills.
     pub fn log_mut(&mut self) -> &mut Vec<LineChange> {
         &mut self.log
     }
 
-    /// Applies, in order, the changes a run logged. Deferring them to
-    /// the end of the run is sound because nothing the counters depend
-    /// on besides residency can change inside one: regions are only
-    /// registered and dropped between batches, and a frame, once mapped,
-    /// keeps its page.
+    /// Applies, in order, the changes an access or run logged. Deferring
+    /// them to the end of a run is sound because nothing the counters
+    /// depend on besides residency can change inside one: regions are
+    /// only registered and dropped between batches, and a frame, once
+    /// mapped, keeps its page.
     pub fn apply_logged(&mut self, regions: &RegionTable, page_table: &PageTable, line_bytes: u64) {
         for i in 0..self.log.len() {
             self.line_changed(regions, page_table, line_bytes, self.log[i]);

@@ -112,16 +112,8 @@ impl CpuCache {
 
     #[inline(always)]
     fn read_like(&mut self, pline1: u64, pline2: u64, fetch: bool) -> AccessOutcome {
-        // Fused L1 probe-plus-fill (read allocate; a displaced L1 line is
-        // clean under write-through and simply dropped). Filling before
-        // the L2 step is equivalent to the textbook fill-after order: the
-        // only L1 work the L2 step can do is inclusion-invalidation of
-        // the *evicted* L2 line's sublines, which never cover this line —
-        // and if the displaced L1 line is among them, both orders leave
-        // the set holding exactly the new line.
         let l1 = if fetch { &mut self.l1i } else { &mut self.l1d };
-        let (l1_hit, _) = l1.probe_or_fill(pline1, false);
-        if l1_hit {
+        if l1.probe(pline1) {
             return AccessOutcome {
                 l1_hit: true,
                 l2_ref: false,
@@ -137,6 +129,13 @@ impl CpuCache {
             }
             change = L2Change { filled: Some(pline2), evicted };
         }
+        // The L1 read-allocates (a displaced L1 line is clean under
+        // write-through and simply dropped) after the E-cache step, whose
+        // inclusion purge may free a way of this line's set: filling first
+        // would displace a line instead in the 2-way L1-I. The fused fill,
+        // whose probe misses, keeps a direct-mapped fill inline.
+        let l1 = if fetch { &mut self.l1i } else { &mut self.l1d };
+        l1.probe_or_fill(pline1, false);
         AccessOutcome { l1_hit: false, l2_ref: true, l2_hit, change }
     }
 
@@ -262,6 +261,19 @@ mod tests {
         let o = c.access(0x5000, HierAccess::Read);
         assert!(!o.l1_hit, "inclusion must purge the L1 copy");
         assert!(!o.l2_hit);
+    }
+
+    #[test]
+    fn inclusion_purge_frees_an_l1i_way_before_the_fill() {
+        // 0x2000 and 0 share an L1-I set (two ways); 512 KiB displaces 0
+        // from the direct-mapped E-cache and so from the L1-I, and then
+        // takes the freed way: 0x2000, the older line, stays.
+        let mut c = cpu();
+        for pa in [0x2000, 0, 512 * 1024] {
+            assert!(!c.access(pa, HierAccess::Fetch).l1_hit);
+        }
+        assert!(c.access(0x2000, HierAccess::Fetch).l1_hit);
+        assert!(!c.access(0, HierAccess::Fetch).l1_hit);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::addr::{PAddr, VAddr};
 use crate::alloc::SimAllocator;
 use crate::cml::{Cml, CmlEntry};
-use crate::config::MachineConfig;
+use crate::config::{CacheLatencies, MachineConfig};
 use crate::counters::{Pic, PicDelta};
 use crate::error::SimError;
 use crate::faults::{FaultConfig, FaultInjector};
@@ -40,6 +40,28 @@ impl From<AccessKind> for HierAccess {
             AccessKind::Fetch => HierAccess::Fetch,
         }
     }
+}
+
+/// Expands `$body` once per access kind with `$kind` bound to that kind,
+/// so the [`element`] inlined into each copy is compiled for one kind and
+/// keeps only that kind's steps: both drivers dispatch on the kind once.
+macro_rules! per_kind {
+    ($value:expr, |$kind:ident| $body:expr) => {
+        match $value {
+            AccessKind::Read => {
+                let $kind = AccessKind::Read;
+                $body
+            }
+            AccessKind::Write => {
+                let $kind = AccessKind::Write;
+                $body
+            }
+            AccessKind::Fetch => {
+                let $kind = AccessKind::Fetch;
+                $body
+            }
+        }
+    };
 }
 
 /// The simulated multiprocessor.
@@ -86,11 +108,12 @@ pub struct Machine {
     l2_shift: u32,
     /// Per-processor TLBs (see [`crate::tlb`]).
     tlbs: Vec<Tlb>,
-    /// Per-processor µ-translation cache: the last VPN translated
-    /// (`u64::MAX` = none) and its frame base. Both the scalar and the
-    /// run access paths consult it, so TLB probes fire exactly on page
-    /// transitions in either path and a mixed scalar/run access history
-    /// stays byte-identical (counters included) to the all-scalar one.
+    /// Per-processor µ-translation cache: the page of the processor's
+    /// last reference (`u64::MAX` = none since a flush) and its frame
+    /// base. Both drivers resume from it, so the TLB is probed exactly
+    /// when a processor's page changes, whichever driver issued the
+    /// reference — the rule `RefMachine` in `tests/` states as a per-cpu
+    /// "last page".
     tlb_vpn: Vec<u64>,
     tlb_frame: Vec<u64>,
     /// Incremental footprint counters (None until
@@ -177,20 +200,6 @@ impl Machine {
             }
         }
         self.tracker = Some(tracker);
-    }
-
-    /// Tells the tracker, if on, that `pline` became resident on
-    /// (`gained`) or left `cpu`.
-    #[inline]
-    fn note_line(&mut self, cpu: usize, pline: u64, gained: bool) {
-        if let Some(tracker) = &mut self.tracker {
-            tracker.line_changed(
-                &self.regions,
-                &self.page_table,
-                self.config.hierarchy.l2.line,
-                LineChange { cpu: cpu as u32, pline, gained },
-            );
-        }
     }
 
     /// Drains `cpu`'s CML (empty if no device is attached).
@@ -339,7 +348,7 @@ impl Machine {
     /// when the accessed page changes; repeated accesses within a page
     /// are translation-free, matching the run path.
     #[inline]
-    fn translate_cached(&mut self, cpu: usize, va: VAddr) -> (u64, u64) {
+    fn translate_cached(&mut self, cpu: usize, va: VAddr) -> (PAddr, u64) {
         let page_shift = self.page_table.page_shift();
         let vpn = va.0 >> page_shift;
         let mut walk = 0;
@@ -355,10 +364,15 @@ impl Machine {
             self.tlb_vpn[cpu] = vpn;
             self.tlb_frame[cpu] = self.page_table.frame_of(vpn) << page_shift;
         }
-        (self.tlb_frame[cpu] | (va.0 & self.page_table.page_mask()), walk)
+        (PAddr(self.tlb_frame[cpu] | (va.0 & self.page_table.page_mask())), walk)
     }
 
     /// Performs one memory access on `cpu` and returns its cost in cycles.
+    ///
+    /// The reference goes through the element body every element of
+    /// [`access_run`](Self::access_run) goes through; what this driver
+    /// keeps of its own is the one reference's translation, PIC update
+    /// and statistics.
     ///
     /// # Panics
     ///
@@ -368,72 +382,35 @@ impl Machine {
             tracer.record(cpu, kind, va);
         }
         let (pa, walk_cycles) = self.translate_cached(cpu, va);
-        let pline2 = pa >> self.l2_shift;
-
-        // Other holders decide the E5000's 50-vs-80-cycle split, so only
-        // an E-cache miss reads the directory — after the probe and before
-        // the fill below, which is equivalent to before both for the
-        // reason `run_element` in `access_run` gives.
-        let me = 1u64 << cpu;
-        let outcome = self.cpus[cpu].access(pa, kind.into());
-        let remote = outcome.l2_ref && !outcome.l2_hit && (self.directory_mask(pline2) & !me) != 0;
-
-        // Directory maintenance for this processor's fill/eviction.
-        if let Some(ev) = outcome.change.evicted {
-            self.directory_clear(ev.pline, cpu);
-            self.note_line(cpu, ev.pline, false);
-        }
-        if let Some(fill) = outcome.change.filled {
-            self.directory_set(fill, me);
-            self.note_line(cpu, fill, true);
-        }
-
-        // Write-invalidate coherence: a store purges every other copy.
-        if kind == AccessKind::Write {
-            let holders = self.directory_mask(pline2) & !me;
-            if holders != 0 {
-                for other in 0..self.cpu_count() {
-                    if holders & (1 << other) != 0 {
-                        self.cpus[other].invalidate_line(pline2);
-                        self.cpu_stats[other].invalidations += 1;
-                        self.directory_clear(pline2, other);
-                        self.note_line(other, pline2, false);
-                    }
-                }
+        let on =
+            Issue { cpu, kind, l2_shift: self.l2_shift, page_shift: self.page_table.page_shift() };
+        let Machine {
+            cpus, page_table, directory, cml, cpu_stats, tracker, regions, config, ..
+        } = self;
+        let (outcome, remote) = per_kind!(kind, |kind| {
+            let on = Issue { kind, ..on };
+            element(cpus, cpu_stats, directory, cml, tracker, on, va, pa)
+        });
+        // Only an E-cache reference changes residency or counts in the PIC.
+        if outcome.l2_ref {
+            cpus[cpu].pic_mut().record_l2(outcome.l2_hit);
+            if let Some(tracker) = tracker {
+                tracker.apply_logged(regions, page_table, config.hierarchy.l2.line);
             }
         }
+        let cycles = walk_cycles + latency(&config.latencies, &outcome, remote);
 
-        // Cycle cost (the page-table walk, if any, rides on top; it is
-        // zero under the default TLB configuration).
-        let lat = self.config.latencies;
-        let cycles = walk_cycles
-            + if outcome.l1_hit {
-                lat.l1_hit
-            } else if outcome.l2_hit {
-                lat.l2_hit
-            } else if remote {
-                lat.l2_miss_remote
-            } else {
-                lat.l2_miss
-            };
-
-        // Statistics.
-        let cs = &mut self.cpu_stats[cpu];
+        let cs = &mut cpu_stats[cpu];
         cs.instructions += 1;
         cs.mem_cycles += cycles;
-        match kind {
-            AccessKind::Fetch => {
-                cs.l1i_refs += 1;
-                if !outcome.l1_hit {
-                    cs.l1i_misses += 1;
-                }
-            }
-            _ => {
-                cs.l1d_refs += 1;
-                if !outcome.l1_hit {
-                    cs.l1d_misses += 1;
-                }
-            }
+        let (refs, misses) = if kind == AccessKind::Fetch {
+            (&mut cs.l1i_refs, &mut cs.l1i_misses)
+        } else {
+            (&mut cs.l1d_refs, &mut cs.l1d_misses)
+        };
+        *refs += 1;
+        if !outcome.l1_hit {
+            *misses += 1;
         }
         if outcome.l2_ref {
             cs.l2_refs += 1;
@@ -441,14 +418,7 @@ impl Machine {
                 cs.l2_hits += 1;
             } else {
                 cs.l2_misses += 1;
-                if remote {
-                    cs.l2_misses_remote += 1;
-                }
-            }
-        }
-        if outcome.l2_ref && !outcome.l2_hit {
-            if let Some(devices) = &mut self.cml {
-                devices[cpu].record(va.0 >> self.page_table.page_shift());
+                cs.l2_misses_remote += u64::from(remote);
             }
         }
         cycles
@@ -459,15 +429,16 @@ impl Machine {
     /// total cost in cycles.
     ///
     /// Observationally **byte-identical** to the equivalent per-address
-    /// loop of [`access`](Self::access): every element still probes the
-    /// cache tags in order (so LRU state, evictions, coherence, the CML,
-    /// and the trace evolve exactly as in the scalar path), but the run
-    /// pays for its bookkeeping once — page translation is cached per
-    /// page the run touches, PIC updates are batched into a single
-    /// [`Pic::record_l2_bulk`](crate::Pic) call, and the per-cpu
-    /// statistics are accumulated in registers and flushed once at the
-    /// end. A whole-line run (`stride` = L2 line size) therefore costs
-    /// exactly one tag probe per line plus O(1) overhead.
+    /// loop of [`access`](Self::access): both run every element through
+    /// the same body (the tag probe in order, so LRU state, evictions,
+    /// coherence, the CML and the trace evolve exactly as in the scalar
+    /// path), but the run pays for its bookkeeping once — page
+    /// translation is cached per page the run touches, PIC updates are
+    /// batched into a single [`Pic::record_l2_bulk`](crate::Pic) call,
+    /// and the per-cpu statistics are accumulated in registers and
+    /// flushed once at the end. A whole-line run (`stride` = L2 line
+    /// size) therefore costs exactly one tag probe per line plus O(1)
+    /// overhead.
     ///
     /// # Panics
     ///
@@ -489,15 +460,13 @@ impl Machine {
             }
         }
         let lat = self.config.latencies;
-        let hier: HierAccess = kind.into();
-        let is_write = kind == AccessKind::Write;
-        let me = 1u64 << cpu;
         let page_shift = self.page_table.page_shift();
         let page_mask = self.page_table.page_mask();
-        let l2_shift = self.l2_shift;
+        let on = Issue { cpu, kind, l2_shift: self.l2_shift, page_shift };
 
-        // Split borrows: the element loop touches the caches, directory,
-        // translation, CML, and (on invalidations) other cpus' stats.
+        // Split borrows: the elements touch the caches, directory, CML,
+        // footprint log and (on invalidations) other cpus' stats;
+        // translation is the driver's.
         let Machine {
             cpus,
             page_table,
@@ -511,13 +480,8 @@ impl Machine {
             regions,
             ..
         } = self;
-        let cpu_count = cpus.len();
-        let mut cml_dev = cml.as_mut().map(|devices| &mut devices[cpu]);
         let tlb = &mut tlbs[cpu];
         let walk_cost = tlb.walk_cycles();
-        // Residency changes are logged here and applied to the footprint
-        // tracker once, after the element loop.
-        let mut log = tracker.as_mut().map(FootprintTracker::log_mut);
 
         let mut cycles_total = 0u64;
         let mut l1_misses = 0u64;
@@ -527,153 +491,42 @@ impl Machine {
         let mut tlb_hits = 0u64;
         let mut tlb_misses = 0u64;
 
-        // One probe-plus-bookkeeping step, shared by the read and write
-        // loops below. Inlined so the per-element state stays in
-        // registers; the directory is only consulted on an L2 miss
-        // (remote-miss classification) — reading it *after* the probe is
-        // equivalent to reading it before, because the access itself
-        // cannot change `pline2`'s holders: the eviction touches the
-        // *displaced* line, and the fill (which adds this cpu) is applied
-        // after the read.
-        #[inline(always)]
-        fn run_element(
-            cache: &mut CpuCache,
-            directory: &mut Vec<u64>,
-            pa: u64,
-            l2_shift: u32,
-            hier: HierAccess,
-            me: u64,
-            log: Option<&mut Vec<LineChange>>,
-        ) -> (AccessOutcome, bool) {
-            let pline2 = pa >> l2_shift;
-            let outcome = cache.access_quiet(pa, hier);
-            let remote = outcome.l2_ref
-                && !outcome.l2_hit
-                && (directory.get(pline2 as usize).copied().unwrap_or(0) & !me) != 0;
-            if let Some(ev) = outcome.change.evicted {
-                if let Some(mask) = directory.get_mut(ev.pline as usize) {
-                    *mask &= !me;
-                }
-            }
-            if let Some(fill) = outcome.change.filled {
-                let index = fill as usize;
-                if index >= directory.len() {
-                    directory.resize(index + 1, 0);
-                }
-                directory[index] |= me;
-            }
-            if let Some(log) = log {
-                // Eviction before fill, as the scalar path applies them.
-                let cpu = me.trailing_zeros();
-                if let Some(ev) = outcome.change.evicted {
-                    log.push(LineChange { cpu, pline: ev.pline, gained: false });
-                }
-                if let Some(pline) = outcome.change.filled {
-                    log.push(LineChange { cpu, pline, gained: true });
-                }
-            }
-            (outcome, remote)
-        }
-
         // One translation per page transition, continuing from wherever
         // the previous access (scalar or run) left the µ-cache.
         let mut cur_vpn = tlb_vpn[cpu];
         let mut frame_base = tlb_frame[cpu];
-        macro_rules! element_loop {
-            (|$va:ident, $pa:ident| $probe:expr) => {
-                for i in 0..count {
-                    let $va = base.0 + i * stride;
-                    let vpn = $va >> page_shift;
-                    if vpn != cur_vpn {
-                        if tlb.probe(vpn) {
-                            tlb_hits += 1;
-                        } else {
-                            tlb_misses += 1;
-                            cycles_total += walk_cost;
-                            tlb.insert(vpn);
-                        }
-                        frame_base = page_table.frame_of(vpn) << page_shift;
-                        cur_vpn = vpn;
-                    }
-                    let $pa = frame_base | ($va & page_mask);
-                    let (outcome, remote) = $probe;
-                    cycles_total += if outcome.l1_hit {
-                        lat.l1_hit
-                    } else if outcome.l2_hit {
-                        lat.l2_hit
-                    } else if remote {
-                        lat.l2_miss_remote
+        per_kind!(kind, |kind| {
+            let on = Issue { kind, ..on };
+            for i in 0..count {
+                let va = base.0 + i * stride;
+                let vpn = va >> page_shift;
+                if vpn != cur_vpn {
+                    if tlb.probe(vpn) {
+                        tlb_hits += 1;
                     } else {
-                        lat.l2_miss
-                    };
-                    if !outcome.l1_hit {
-                        l1_misses += 1;
+                        tlb_misses += 1;
+                        cycles_total += walk_cost;
+                        tlb.insert(vpn);
                     }
-                    if outcome.l2_ref {
-                        l2_refs += 1;
-                        if outcome.l2_hit {
-                            l2_hits += 1;
-                        } else {
-                            if remote {
-                                l2_misses_remote += 1;
-                            }
-                            if let Some(dev) = cml_dev.as_mut() {
-                                dev.record($va >> page_shift);
-                            }
-                        }
-                    }
+                    frame_base = page_table.frame_of(vpn) << page_shift;
+                    cur_vpn = vpn;
                 }
-            };
-        }
-        if is_write {
-            element_loop!(|va, pa| {
-                let out = run_element(
-                    &mut cpus[cpu],
-                    directory,
-                    pa,
-                    l2_shift,
-                    hier,
-                    me,
-                    log.as_deref_mut(),
-                );
-                let pline2 = pa >> l2_shift;
-                let holders = directory.get(pline2 as usize).copied().unwrap_or(0) & !me;
-                if holders != 0 {
-                    for other in 0..cpu_count {
-                        if holders & (1 << other) != 0 {
-                            cpus[other].invalidate_line(pline2);
-                            cpu_stats[other].invalidations += 1;
-                            if let Some(mask) = directory.get_mut(pline2 as usize) {
-                                *mask &= !(1u64 << other);
-                            }
-                            if let Some(log) = log.as_deref_mut() {
-                                log.push(LineChange {
-                                    cpu: other as u32,
-                                    pline: pline2,
-                                    gained: false,
-                                });
-                            }
-                        }
-                    }
+                let pa = PAddr(frame_base | (va & page_mask));
+                let (outcome, remote) =
+                    element(cpus, cpu_stats, directory, cml, tracker, on, VAddr(va), pa);
+                cycles_total += latency(&lat, &outcome, remote);
+                l1_misses += u64::from(!outcome.l1_hit);
+                if outcome.l2_ref {
+                    l2_refs += 1;
+                    l2_hits += u64::from(outcome.l2_hit);
+                    l2_misses_remote += u64::from(remote);
                 }
-                out
-            });
-        } else {
-            // Reads never invalidate other cpus, so the cache borrow can
-            // be hoisted out of the loop (no per-element slice index).
-            let cache = &mut cpus[cpu];
-            element_loop!(|va, pa| run_element(
-                cache,
-                directory,
-                pa,
-                l2_shift,
-                hier,
-                me,
-                log.as_deref_mut()
-            ));
-        }
+            }
+        });
+        // Residency changes were logged by the elements; the footprint
+        // tracker takes them once, after the run.
         if let Some(tracker) = tracker {
-            tracker.apply_logged(regions, page_table, 1 << l2_shift);
+            tracker.apply_logged(regions, page_table, 1 << on.l2_shift);
         }
 
         // The next access on this cpu resumes from this run's last page.
@@ -682,7 +535,6 @@ impl Machine {
 
         // PIC and statistics updated once per run.
         cpus[cpu].pic_mut().record_l2_bulk(l2_refs, l2_hits);
-        let l2_misses = l2_refs - l2_hits;
         let cs = &mut cpu_stats[cpu];
         cs.instructions += count;
         cs.mem_cycles += cycles_total;
@@ -698,31 +550,9 @@ impl Machine {
         }
         cs.l2_refs += l2_refs;
         cs.l2_hits += l2_hits;
-        cs.l2_misses += l2_misses;
+        cs.l2_misses += l2_refs - l2_hits;
         cs.l2_misses_remote += l2_misses_remote;
         cycles_total
-    }
-
-    /// Holder mask of a physical line (0 = not cached anywhere).
-    #[inline]
-    fn directory_mask(&self, pline: u64) -> u64 {
-        self.directory.get(pline as usize).copied().unwrap_or(0)
-    }
-
-    /// ORs `bits` into a line's holder mask, growing the table on the
-    /// first fill past its end.
-    fn directory_set(&mut self, pline: u64, bits: u64) {
-        let index = pline as usize;
-        if index >= self.directory.len() {
-            self.directory.resize(index + 1, 0);
-        }
-        self.directory[index] |= bits;
-    }
-
-    fn directory_clear(&mut self, pline: u64, cpu: usize) {
-        if let Some(mask) = self.directory.get_mut(pline as usize) {
-            *mask &= !(1u64 << cpu);
-        }
     }
 
     /// Records `n` non-memory instructions (compute) on `cpu`, attributed
@@ -894,7 +724,7 @@ impl Machine {
     pub fn flush_cpu(&mut self, cpu: usize) {
         let resident: Vec<u64> = self.cpus[cpu].l2().iter_resident().collect();
         for pl in resident {
-            self.directory_clear(pl, cpu);
+            self.directory[pl as usize] &= !(1u64 << cpu);
         }
         if let Some(tracker) = &mut self.tracker {
             tracker.clear_cpu(cpu);
@@ -910,11 +740,100 @@ impl Machine {
     }
 }
 
+/// The fixed part of one access or run: the processor that issues it,
+/// its kind, and `log2` of the E-cache line and page sizes.
+#[derive(Clone, Copy)]
+struct Issue {
+    cpu: usize,
+    kind: AccessKind,
+    l2_shift: u32,
+    page_shift: u32,
+}
+
+/// One element of [`Machine::access`] and of [`Machine::access_run`]:
+/// the tag probe, the holder directory, write-invalidation of the other
+/// copies, the footprint log and the CML. Returns the outcome and
+/// whether an E-cache miss was remote. Translation, the cycle sum, the
+/// PIC and the statistics belong to the drivers, which keep them per
+/// reference (scalar) or per run.
+///
+/// The directory is read on a miss *after* the probe, which is
+/// equivalent to reading it before: the access cannot change this line's
+/// holders until the fill below — its eviction touches the *displaced*
+/// line. A store reads it again after the fill to purge the others.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn element(
+    cpus: &mut [CpuCache],
+    cpu_stats: &mut [CpuStats],
+    directory: &mut Vec<u64>,
+    cml: &mut Option<Vec<Cml>>,
+    tracker: &mut Option<FootprintTracker>,
+    on: Issue,
+    va: VAddr,
+    pa: PAddr,
+) -> (AccessOutcome, bool) {
+    let (cpu, me) = (on.cpu as u32, 1u64 << on.cpu);
+    let mut log = |change: LineChange| {
+        if let Some(tracker) = tracker {
+            tracker.log_mut().push(change);
+        }
+    };
+    let outcome = cpus[on.cpu].access_quiet(pa.0, on.kind.into());
+    let pline2 = pa.0 >> on.l2_shift;
+    let miss = outcome.l2_ref && !outcome.l2_hit;
+    let remote = miss && (directory.get(pline2 as usize).copied().unwrap_or(0) & !me) != 0;
+    if let Some(ev) = outcome.change.evicted {
+        if let Some(mask) = directory.get_mut(ev.pline as usize) {
+            *mask &= !me;
+        }
+        log(LineChange { cpu, pline: ev.pline, gained: false });
+    }
+    if let Some(fill) = outcome.change.filled {
+        let index = fill as usize;
+        if index >= directory.len() {
+            directory.resize(index + 1, 0);
+        }
+        directory[index] |= me;
+        log(LineChange { cpu, pline: fill, gained: true });
+    }
+    if on.kind == AccessKind::Write {
+        let mut holders = directory.get(pline2 as usize).copied().unwrap_or(0) & !me;
+        while holders != 0 {
+            let other = holders.trailing_zeros() as usize;
+            holders &= holders - 1;
+            cpus[other].invalidate_line(pline2);
+            cpu_stats[other].invalidations += 1;
+            directory[pline2 as usize] &= !(1u64 << other);
+            log(LineChange { cpu: other as u32, pline: pline2, gained: false });
+        }
+    }
+    if let Some(devices) = cml.as_mut().filter(|_| miss) {
+        devices[on.cpu].record(va.0 >> on.page_shift);
+    }
+    (outcome, remote)
+}
+
+/// The cycles one element costs, before any page-table walk.
+#[inline(always)]
+fn latency(lat: &CacheLatencies, outcome: &AccessOutcome, remote: bool) -> u64 {
+    if outcome.l1_hit {
+        lat.l1_hit
+    } else if outcome.l2_hit {
+        lat.l2_hit
+    } else if remote {
+        lat.l2_miss_remote
+    } else {
+        lat.l2_miss
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheGeometry;
     use crate::config::MachineConfig;
+    use crate::paging::PagePlacement;
     use crate::tlb::TlbConfig;
 
     fn t(i: u64) -> ThreadId {
@@ -1046,24 +965,23 @@ mod tests {
 
     #[test]
     fn capacity_eviction_updates_directory() {
-        // Two lines that conflict in the direct-mapped L2: after the
-        // second fill, the first is no longer charged as remote elsewhere.
-        let mut m = Machine::try_new(MachineConfig::enterprise5000(2)).unwrap();
-        let a = m.alloc(64, 64);
-        let b = VAddr(a.0 + 512 * 1024); // same L2 index after translation?
-                                         // Use page-coloring to be sure of conflict: translate both and
-                                         // check; with bin hopping the pages land in different bins, so
-                                         // instead just verify directory consistency via re-reads.
+        // Under page coloring `a` and `a + 512 KiB` share a set of the
+        // direct-mapped 512 KiB E-cache, so cpu 0 reading `b` evicts `a`:
+        // the directory and the tracked footprint must both let it go.
+        let config = MachineConfig::enterprise5000(2).with_placement(PagePlacement::PageColoring);
+        let mut m = Machine::try_new(config).unwrap();
+        m.track_footprints();
+        let a = m.alloc(1 << 20, 1 << 19);
+        let b = a.offset(512 * 1024);
+        m.register_region(t(1), a, 64);
         m.access(0, a, AccessKind::Read);
+        assert_eq!(m.l2_footprint_lines(0, t(1)), 1);
         m.access(0, b, AccessKind::Read);
-        // Whatever happened, a read from cpu1 of `a` is remote only if
-        // cpu0 still holds it.
-        let holds = {
-            let pa = m.page_table.translate_existing(a).unwrap();
-            m.cpus[0].l2_contains(pa.0 / 64)
-        };
-        let c = m.access(1, a, AccessKind::Read);
-        assert_eq!(c == 80, holds, "remote charge must match directory truth");
+        let set = |va| (m.page_table.translate_existing(va).unwrap().0 >> m.l2_shift) % 8192;
+        assert_eq!(set(a), set(b), "one direct-mapped set");
+        assert_eq!(m.l2_footprint_lines(0, t(1)), 0, "the eviction left the footprint");
+        assert_eq!(m.access(1, a, AccessKind::Read), 50, "a local miss: cpu 0 holds no copy");
+        assert_eq!(m.cpu_stats(1).l2_misses_remote, 0);
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! all`), run in process without the cache, must hash to
 //! `results/golden_small.sha256` and to the `small/` rows of
 //! `results/golden_robustness.sha256`. A mismatch names the file, the
-//! figure that wrote it and the run descriptors behind it.
+//! figure that wrote it and the run descriptors behind it. So must the
+//! analyzer's and the model checker's outputs, to the rows of
+//! `results/golden_analysis.sha256` that need no cargo feature.
 
+use locality_repro::analyze::run_analyze;
 use locality_repro::digest;
+use locality_repro::modelcheck::run_modelcheck;
 use locality_repro::suite::{run_figures, Figure};
 use locality_repro::{Args, Scale};
 use std::path::{Path, PathBuf};
@@ -114,4 +118,42 @@ fn small_scale_artifacts_match_the_golden_hashes() {
         "artifacts differ from the golden hashes:\n{}",
         failures.join("\n")
     );
+}
+
+/// `repro analyze --scale small --workload all` and `repro modelcheck`,
+/// in process: the findings table, the model checker's table and its
+/// three counterexamples. The `trace_*` rows of the same file need
+/// `--features trace`, so `ci.sh` checks those.
+#[test]
+fn analysis_outputs_match_the_golden_hashes() {
+    let dir = std::env::temp_dir().join(format!("golden-analysis-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let small = Args {
+        scale: Scale::Small,
+        out: dir.clone(),
+        workload: Some("all".into()),
+        ..Args::default()
+    };
+    assert!(run_analyze(&small).unwrap(), "the racy fixture has a confirmed race");
+    let all = Args { out: dir.clone(), ..Args::default() };
+    assert!(run_modelcheck(&all).unwrap(), "three fixtures violate their invariants");
+
+    let rows: Vec<(String, String)> = golden("golden_analysis.sha256", "")
+        .into_iter()
+        .filter(|(_, name)| !name.starts_with("trace_"))
+        .collect();
+    let failures: Vec<String> = rows
+        .iter()
+        .filter_map(|(want, name)| match std::fs::read(dir.join(name)) {
+            Err(e) => Some(format!("{name}: not written ({e})")),
+            Ok(bytes) if digest::hex(&bytes) != *want => Some(format!(
+                "{name}: sha256 {}, golden_analysis.sha256 has {want}",
+                digest::hex(&bytes)
+            )),
+            Ok(_) => None,
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(rows.len(), 5, "analyze.csv, modelcheck.csv and three counterexamples");
+    assert!(failures.is_empty(), "analysis outputs differ:\n{}", failures.join("\n"));
 }

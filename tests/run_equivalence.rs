@@ -1,5 +1,6 @@
-//! Property-based equivalence of the batched reference-run path against
-//! the scalar per-address loop it replaces.
+//! Property-based equivalence of the batched reference-run path, the
+//! scalar per-address loop, and `RefMachine`, the reference they are both
+//! held to.
 //!
 //! `Machine::access_run` (and the `BatchCtx` run helpers built on it)
 //! promise to be observationally **byte-identical** to issuing each
@@ -7,15 +8,43 @@
 //! entry, and observation-log event must come out the same. These tests
 //! drive both paths over machines warmed into identical states —
 //! including cross-processor sharing so the remote-miss and
-//! write-invalidate cases fire — and diff every observable surface.
+//! write-invalidate cases fire — and diff every observable surface, with
+//! a `RefMachine` driven the same way as the third party. Every
+//! workload's recorded reference trace is replayed into a `RefMachine`
+//! too, on three E-cache geometries.
 
+mod ref_machine;
+
+use locality_repro::scenario::{Ablation, Injector};
 use proptest::prelude::*;
+use ref_machine::RefMachine;
 use thread_locality::core::ThreadId;
-use thread_locality::sim::{AccessKind, CacheGeometry, Machine, MachineConfig, TlbConfig, VAddr};
+use thread_locality::sim::{
+    AccessKind, CacheGeometry, CmlEntry, CpuStats, Machine, MachineConfig, ThreadStats, TlbConfig,
+    VAddr,
+};
 use thread_locality::threads::sched::FcfsScheduler;
-use thread_locality::threads::{BatchCtx, ChaosConfig, Control, Engine, EngineConfig, Program};
+use thread_locality::threads::{
+    BatchCtx, ChaosConfig, Control, Engine, EngineConfig, Program, SchedPolicy,
+};
+use thread_locality::workloads::{
+    barnes, fmm, merge, ocean, photo, raytrace, tasks, tsp, typechecker, App,
+};
 
 const ARENA: u64 = 64 * 1024;
+
+/// The E-cache geometries of the replays: the Ultra-1's direct-mapped
+/// `8192x1`, a 4-way `2048x4`, and the fully associative `1x8192`, whose
+/// `RefMachine` set is one LRU stack over the whole cache.
+const GEOMETRIES: [CacheGeometry; 3] = [
+    CacheGeometry { sets: 8192, ways: 1, line: 64 },
+    CacheGeometry { sets: 2048, ways: 4, line: 64 },
+    CacheGeometry { sets: 1, ways: 8192, line: 64 },
+];
+
+/// A TLB small enough for the replays to overflow and evict from, with
+/// walks that cost cycles, so its hit and LRU order show in every count.
+const SMALL_TLB: TlbConfig = TlbConfig { sets: 4, ways: 2, walk_cycles: 30 };
 
 fn kind_of(sel: u8) -> AccessKind {
     match sel % 3 {
@@ -25,33 +54,14 @@ fn kind_of(sel: u8) -> AccessKind {
     }
 }
 
-/// Builds a machine with an arena allocated and a warm-up access pattern
-/// applied: thread B on cpu 1 touches a prefix of the arena (with some
-/// writes), so the directory has remote holders and dirty lines before
-/// the compared operation runs on cpu 0.
-fn warmed_machine(prelude: &[(u16, u8)]) -> (Machine, VAddr) {
-    let mut m = Machine::try_new(MachineConfig::enterprise5000(2)).expect("valid config");
-    m.enable_cml(64);
-    let arena = m.alloc(ARENA, 64);
-    let b = ThreadId(2);
-    m.register_region(b, arena, ARENA);
-    m.set_running(1, Some(b));
-    for &(off, write) in prelude {
-        let kind = if write == 1 { AccessKind::Write } else { AccessKind::Read };
-        m.access(1, arena.offset(u64::from(off) % ARENA), kind);
-    }
-    m.set_running(1, None);
-    (m, arena)
-}
-
 /// Every externally observable surface of a machine, for diffing.
 #[derive(Debug, PartialEq)]
 struct Observed {
     cycles: u64,
-    cpu0: thread_locality::sim::CpuStats,
-    cpu1: thread_locality::sim::CpuStats,
-    stats_a: thread_locality::sim::ThreadStats,
-    stats_b: thread_locality::sim::ThreadStats,
+    cpu0: CpuStats,
+    cpu1: CpuStats,
+    stats_a: ThreadStats,
+    stats_b: ThreadStats,
     pic0: (u32, u32),
     pic1: (u32, u32),
     resident0: u64,
@@ -60,38 +70,112 @@ struct Observed {
     footprints1: Vec<(ThreadId, u64)>,
     total_misses: u64,
     page_faults: u64,
-    cml0: Vec<thread_locality::sim::CmlEntry>,
-    cml1: Vec<thread_locality::sim::CmlEntry>,
+    cml0: Vec<CmlEntry>,
+    cml1: Vec<CmlEntry>,
 }
 
-fn observe(m: &mut Machine, cycles: u64) -> Observed {
-    Observed {
-        cycles,
-        cpu0: m.cpu_stats(0),
-        cpu1: m.cpu_stats(1),
-        stats_a: m.thread_stats(ThreadId(1)),
-        stats_b: m.thread_stats(ThreadId(2)),
-        pic0: m.pic(0).read_raw(),
-        pic1: m.pic(1).read_raw(),
-        resident0: m.l2_resident_lines(0),
-        resident1: m.l2_resident_lines(1),
-        footprints0: m.l2_footprints(0).into_iter().collect(),
-        footprints1: m.l2_footprints(1).into_iter().collect(),
-        total_misses: m.total_l2_misses(),
-        page_faults: m.page_faults(),
-        cml0: m.cml_drain(0),
-        cml1: m.cml_drain(1),
+/// What the script below asks of a machine, answered alike by `Machine`
+/// and `RefMachine`.
+trait Driven {
+    fn set_running(&mut self, cpu: usize, tid: Option<ThreadId>);
+    fn access(&mut self, cpu: usize, va: VAddr, kind: AccessKind) -> u64;
+    fn observe(&mut self, cycles: u64) -> Observed;
+}
+
+impl Driven for Machine {
+    fn set_running(&mut self, cpu: usize, tid: Option<ThreadId>) {
+        Machine::set_running(self, cpu, tid);
+    }
+    fn access(&mut self, cpu: usize, va: VAddr, kind: AccessKind) -> u64 {
+        Machine::access(self, cpu, va, kind)
+    }
+    fn observe(&mut self, cycles: u64) -> Observed {
+        Observed {
+            cycles,
+            cpu0: self.cpu_stats(0),
+            cpu1: self.cpu_stats(1),
+            stats_a: self.thread_stats(ThreadId(1)),
+            stats_b: self.thread_stats(ThreadId(2)),
+            pic0: self.pic(0).read_raw(),
+            pic1: self.pic(1).read_raw(),
+            resident0: self.l2_resident_lines(0),
+            resident1: self.l2_resident_lines(1),
+            footprints0: self.l2_footprints(0).into_iter().collect(),
+            footprints1: self.l2_footprints(1).into_iter().collect(),
+            total_misses: self.total_l2_misses(),
+            page_faults: self.page_faults(),
+            cml0: self.cml_drain(0),
+            cml1: self.cml_drain(1),
+        }
+    }
+}
+
+impl Driven for RefMachine {
+    fn set_running(&mut self, cpu: usize, tid: Option<ThreadId>) {
+        RefMachine::set_running(self, cpu, tid);
+    }
+    fn access(&mut self, cpu: usize, va: VAddr, kind: AccessKind) -> u64 {
+        RefMachine::access(self, cpu, va, kind)
+    }
+    fn observe(&mut self, cycles: u64) -> Observed {
+        Observed {
+            cycles,
+            cpu0: self.cpu_stats(0),
+            cpu1: self.cpu_stats(1),
+            stats_a: self.thread_stats(ThreadId(1)),
+            stats_b: self.thread_stats(ThreadId(2)),
+            pic0: self.pic_raw(0),
+            pic1: self.pic_raw(1),
+            resident0: self.l2_resident_lines(0),
+            resident1: self.l2_resident_lines(1),
+            footprints0: self.l2_footprints(0),
+            footprints1: self.l2_footprints(1),
+            total_misses: self.cpu_stats(0).l2_misses + self.cpu_stats(1).l2_misses,
+            page_faults: self.page_faults(),
+            cml0: self.cml_drain(0),
+            cml1: self.cml_drain(1),
+        }
+    }
+}
+
+/// The warm-up: thread B on cpu 1 touches lines all over the arena (with
+/// some writes), so the directory has remote holders and dirty lines
+/// before the compared operation runs on cpu 0.
+fn warm_up(m: &mut impl Driven, arena: VAddr, prelude: &[(u16, u8)]) {
+    m.set_running(1, Some(ThreadId(2)));
+    for &(line, write) in prelude {
+        let kind = if write == 1 { AccessKind::Write } else { AccessKind::Read };
+        m.access(1, arena.offset(u64::from(line) * 64 % ARENA), kind);
+    }
+    m.set_running(1, None);
+}
+
+/// The epilogue: writes from the other processor that collide with the
+/// accessed range surface any divergence in directory or cache internals
+/// as a stats difference, and cpu 0 then repeats its accesses, so a copy
+/// the writes should have purged from an L1 shows up as a hit.
+fn epilogue(m: &mut impl Driven, base: VAddr, stride: u64, count: u64, kind: AccessKind) {
+    m.set_running(0, None);
+    m.set_running(1, Some(ThreadId(2)));
+    for i in 0..16u64 {
+        m.access(1, base.offset((i * 64) % ARENA), AccessKind::Write);
+    }
+    m.set_running(1, None);
+    for i in 0..count {
+        m.access(0, base.offset(i * stride), kind);
     }
 }
 
 proptest! {
     /// `access_run` leaves the machine in exactly the state the scalar
-    /// loop does — counters, stats, PICs, footprints, CML — for
-    /// arbitrary strides (including 0 and page-crossing), counts
-    /// (including 0), kinds, and warm-up sharing patterns; and the two
-    /// machines stay indistinguishable under a follow-up write storm
-    /// from the other processor (identical internal cache/directory
-    /// state, not just identical summaries).
+    /// loop does, and both leave it in the state `RefMachine` reaches —
+    /// counters, stats, PICs, footprints, CML — for arbitrary strides
+    /// (including 0 and page-crossing), counts (including 0), kinds,
+    /// warm-up sharing patterns, the three E-cache geometries and a TLB
+    /// that evicts; and the three stay indistinguishable under a
+    /// follow-up write storm from the other processor and a repeat of
+    /// the accesses (identical internal cache/directory state, not just
+    /// identical summaries).
     #[test]
     fn run_matches_scalar_loop(
         prelude in proptest::collection::vec((0u16..1024, 0u8..2), 0..64),
@@ -100,37 +184,173 @@ proptest! {
                               Just(4096), Just(8192), 0u64..512],
         count in 0u64..96,
         kind_sel in 0u8..3,
+        geometry in 0usize..3,
+        small_tlb in 0u8..2,
     ) {
         let kind = kind_of(kind_sel);
         let a = ThreadId(1);
-        let (mut m1, arena1) = warmed_machine(&prelude);
-        let (mut m2, arena2) = warmed_machine(&prelude);
-        prop_assert_eq!(arena1, arena2, "allocation is deterministic");
-        let base = arena1.offset(base_off);
+        let tlb = if small_tlb == 1 { TlbConfig { sets: 2, ways: 2, walk_cycles: 30 } }
+                  else { TlbConfig::default() };
+        let config = MachineConfig::enterprise5000(2)
+            .with_l2_geometry(GEOMETRIES[geometry])
+            .with_tlb(tlb);
+        let machine = || {
+            let mut m = Machine::try_new(config.clone()).expect("valid config");
+            m.enable_cml(64);
+            let arena = m.alloc(ARENA, 64);
+            m.register_region(ThreadId(2), arena, ARENA);
+            warm_up(&mut m, arena, &prelude);
+            (m, arena)
+        };
+        let (mut m1, arena) = machine();
+        let (mut m2, arena2) = machine();
+        prop_assert_eq!(arena, arena2, "allocation is deterministic");
+        let mut r = RefMachine::new(config.clone());
+        r.enable_cml(64);
+        r.register_region(ThreadId(2), arena, ARENA);
+        warm_up(&mut r, arena, &prelude);
+        let base = arena.offset(base_off);
 
         m1.set_running(0, Some(a));
-        m2.set_running(0, Some(a));
         let run_cycles = m1.access_run(0, base, stride, count, kind);
-        let mut loop_cycles = 0;
+        let (mut loop_cycles, mut ref_cycles) = (0, 0);
+        m2.set_running(0, Some(a));
+        r.set_running(0, Some(a));
         for i in 0..count {
             loop_cycles += m2.access(0, base.offset(i * stride), kind);
+            ref_cycles += r.access(0, base.offset(i * stride), kind);
         }
+        epilogue(&mut m1, base, stride, count, kind);
+        epilogue(&mut m2, base, stride, count, kind);
+        epilogue(&mut r, base, stride, count, kind);
 
-        // Epilogue from the other processor: writes that collide with the
-        // accessed range surface any divergence in directory or cache
-        // internals as a stats difference.
-        for m in [&mut m1, &mut m2] {
-            m.set_running(0, None);
-            m.set_running(1, Some(ThreadId(2)));
-            for i in 0..16u64 {
-                m.access(1, base.offset((i * 64) % ARENA), AccessKind::Write);
+        let o1 = m1.observe(run_cycles);
+        let o2 = m2.observe(loop_cycles);
+        let o3 = r.observe(ref_cycles);
+        prop_assert_eq!(&o1, &o2);
+        prop_assert_eq!(&o1, &o3);
+    }
+}
+
+/// A workload of the replays: its name and how it spawns.
+type Workload = (&'static str, fn(&mut Engine));
+
+/// The four parallel workloads and the five single-threaded apps not among
+/// them, at their small parameters.
+const WORKLOADS: [Workload; 9] = [
+    ("tasks", |e| {
+        tasks::spawn_parallel(e, &tasks::TasksParams::small());
+    }),
+    ("merge", |e| {
+        merge::spawn_parallel(e, &merge::MergeParams::small());
+    }),
+    ("photo", |e| {
+        photo::spawn_parallel(e, &photo::PhotoParams::small());
+    }),
+    ("tsp", |e| {
+        tsp::spawn_parallel(e, &tsp::TspParams::small());
+    }),
+    ("barnes", |e| {
+        barnes::spawn_single(e, &barnes::BarnesParams::small());
+    }),
+    ("fmm", |e| {
+        fmm::spawn_single(e, &fmm::FmmParams::small());
+    }),
+    ("ocean", |e| {
+        ocean::spawn_single(e, &ocean::OceanParams::small());
+    }),
+    ("raytrace", |e| {
+        raytrace::spawn_single(e, &raytrace::RaytraceParams::small());
+    }),
+    ("typechecker", |e| {
+        typechecker::spawn_single(e, &typechecker::TypecheckerParams::small());
+    }),
+];
+
+/// Workloads that outgrow the E-cache of each processor, so replacement
+/// order decides the counts: tasks over 51 200 lines, and the two
+/// Figure 7 apps at their default parameters, whose misses differ on
+/// each geometry and whose small TLBs miss hundreds of thousands of times.
+const EVICTING: [Workload; 3] = [
+    ("tasks, 51 200 lines", |e| {
+        let params =
+            tasks::TasksParams { tasks: 64, footprint_lines: 800, periods: 2, overlap: 0.25 };
+        tasks::spawn_parallel(e, &params);
+    }),
+    ("typechecker, default", |e| {
+        App::Typechecker.spawn_single_seeded(e, App::Typechecker.default_seed());
+    }),
+    ("raytrace, default", |e| {
+        App::Raytrace.spawn_single_seeded(e, App::Raytrace.default_seed());
+    }),
+];
+
+/// Runs a workload on four processors with the trace on from the first
+/// reference, replays the trace into a `RefMachine`, and asserts every
+/// per-processor memory counter, both raw PIC registers and the page
+/// faults equal. The engine never flushes a processor, so the trace is
+/// the whole memory history.
+fn replay_matches(workload: Workload, geometry: CacheGeometry, chaos: Option<ChaosConfig>) {
+    let (name, spawn) = workload;
+    let config = MachineConfig::enterprise5000(4).with_l2_geometry(geometry).with_tlb(SMALL_TLB);
+    let engine_config = EngineConfig { chaos, ..EngineConfig::default() };
+    let mut engine = Engine::new(config.clone(), SchedPolicy::Lff, engine_config).unwrap();
+    engine.machine_mut().start_tracing();
+    spawn(&mut engine);
+    // Chaos may leave a workload deadlocked (a killed thread held what
+    // the others wait for); the references issued up to then still are
+    // the machine's whole history.
+    if let Err(error) = engine.run() {
+        assert!(chaos.is_some(), "{name} failed clean: {error}");
+    }
+    let m = engine.machine_mut();
+    let trace = m.take_trace().expect("tracing was on");
+    let mut r = RefMachine::new(config);
+    for rec in trace.iter() {
+        r.access(usize::from(rec.cpu), rec.addr, rec.kind);
+    }
+    // Compute instructions never reach the machine's reference path.
+    let memory = |s: CpuStats| CpuStats { instructions: 0, ..s };
+    let cell = format!("{name} on {}x{}, chaos {chaos:?}", geometry.sets, geometry.ways);
+    for cpu in 0..4 {
+        assert_eq!(memory(m.cpu_stats(cpu)), memory(r.cpu_stats(cpu)), "{cell}: cpu{cpu}");
+        assert_eq!(m.pic(cpu).read_raw(), r.pic_raw(cpu), "{cell}: cpu{cpu} PIC");
+    }
+    assert_eq!(m.page_faults(), r.page_faults(), "{cell}: page faults");
+}
+
+/// Tier-1's share of the replay matrix: two workloads, one that shares
+/// and writes and one that only reads, on every geometry, clean.
+#[test]
+fn workload_traces_replay_into_the_reference() {
+    for geometry in GEOMETRIES {
+        replay_matches(WORKLOADS[0], geometry, None);
+        replay_matches(WORKLOADS[1], geometry, None);
+    }
+}
+
+/// The whole replay matrix: every workload on every geometry, clean and
+/// under each `--chaos` scenario's injector, and the evicting workloads
+/// on every geometry, clean. Minutes in a debug build, so `ci.sh` runs it
+/// in release (`cargo test --release --test run_equivalence --
+/// --ignored`).
+#[test]
+#[ignore = "minutes unoptimised; ci.sh runs it in release"]
+fn every_workload_trace_replays_into_the_reference() {
+    for row in Ablation::Chaos.rows() {
+        let Injector::Lifecycle(chaos) = row.injector else {
+            unreachable!("a --chaos row installs a lifecycle injector")
+        };
+        for workload in WORKLOADS {
+            for geometry in GEOMETRIES {
+                replay_matches(workload, geometry, chaos);
             }
-            m.set_running(1, None);
         }
-
-        let o1 = observe(&mut m1, run_cycles);
-        let o2 = observe(&mut m2, loop_cycles);
-        prop_assert_eq!(o1, o2);
+    }
+    for workload in EVICTING {
+        for geometry in GEOMETRIES {
+            replay_matches(workload, geometry, None);
+        }
     }
 }
 
