@@ -1,17 +1,21 @@
 #!/bin/sh
 # The project's definition of green. Runs offline; no network access.
+# Bare `cargo test -q` runs every test of every workspace member, the
+# small-scale goldens among them, in a debug build. Each step here is not
+# a test (fmt, clippy, the budgets and greps) or needs what that run does
+# not have: a release build, a cargo feature, the paper scale, another
+# --jobs value, or the benchmark package.
 set -eux
 
-cargo build --release
-cargo test -q --workspace
-# locality-repro's unit tests once more in release: the only run of them
-# without debug assertions or overflow checks.
-cargo test -q --release --offline -p locality-repro --lib
+# The whole suite once more in release, the #[ignore]d tests with it:
+# the only run without debug assertions or overflow checks, and the one
+# that reaches the tests that take minutes unoptimised.
+cargo test -q --release --workspace -- --include-ignored
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Line budget (ROADMAP item 5): the crates may not outgrow the committed
-# ceiling, so growth is a reviewed edit of results/line_budget. Nor may
+# Line budget: the crates may not outgrow the ceiling committed in
+# results/line_budget, so growth is a reviewed edit of that file. Nor may
 # they sit more than 25 lines under it: a PR that deletes code lowers the
 # file too, so the slack is banked instead of left for the next PR.
 lines=$(find crates -name '*.rs' | xargs cat | wc -l)
@@ -26,9 +30,9 @@ if [ "$lines" -lt "$((budget - 25))" ]; then
     exit 1
 fi
 
-# Doc budget (ROADMAP item 10): results/doc_budget holds a byte ceiling
-# per document, held both ways like the line budget. Over it fails; more
-# than 2 KB under it fails too, until the PR that cut the text lowers it.
+# Doc budget: results/doc_budget holds a byte ceiling per document, held
+# both ways like the line budget. Over it fails; more than 2 KB under it
+# fails too, until the PR that cut the text lowers it.
 while read -r doc ceiling; do
     bytes=$(wc -c <"$doc")
     if [ "$bytes" -gt "$ceiling" ]; then
@@ -110,8 +114,8 @@ hold_to_golden() {
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 # clone_on_copy is allowed for one line of the frozen package:
 # benchmark/src/layers.rs clones a PagePlacement, which is Copy since the
-# runner's mirror of it went. The next [benchmark] PR drops the clone and
-# this allowance (ROADMAP item 1c).
+# runner's mirror of it went. The next change to benchmark/ drops the
+# clone and this allowance.
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings \
     -A clippy::clone_on_copy
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
@@ -140,24 +144,13 @@ for workload in policy_paper mem_direct mem_assoc sched_switch; do
         threads.corrected_intervals core.flops_per_switch core.lookups_per_switch
 done
 
-# Smoke the full repro suite through the parallel cached runner, then
-# hold every artifact to the committed golden hashes: the small-scale
-# CSVs are byte-identical across machines, --jobs values, and the
-# dense-slot refactors (results/golden_small.sha256). Runs are not timed
-# out inside the runner, so the timeout bounds a hung descriptor here.
-SMOKE_OUT=$(mktemp -d)
-timeout 60 cargo run --release -p locality-repro --bin repro -- all \
-    --scale small --jobs 2 --out "$SMOKE_OUT"
-GOLDEN="$PWD/results/golden_small.sha256"
-(cd "$SMOKE_OUT" && sha256sum -c "$GOLDEN")
-rm -rf "$SMOKE_OUT"
-
-# The same at paper scale (results/golden_paper.sha256, the hashes of the
-# committed results/*.csv): photo's 2048 row threads, tsp's 977 and the
-# full-length walks run nowhere else in CI, so a change to a workload or
-# to the runner cannot move a number EXPERIMENTS.md quotes unseen. The
-# timeout is the guard on what it costs: seconds, since the region table
-# answers the annotations from a per-thread index (DESIGN.md §9.5).
+# Every artifact at paper scale, held to results/golden_paper.sha256,
+# the hashes of the committed results/*.csv: photo's 2048 row threads,
+# tsp's 977 and the full-length walks run nowhere else, so a change to a
+# workload or to the runner cannot move a number EXPERIMENTS.md quotes
+# unseen. Runs are not timed out inside the runner, so the timeout bounds
+# a hung descriptor here, and what it costs: seconds, since the region
+# table answers the annotations from a per-thread index (DESIGN.md §9.5).
 PAPER_OUT=$(mktemp -d)
 timeout 120 cargo run --release -p locality-repro --bin repro -- all \
     --scale paper --jobs 2 --out "$PAPER_OUT"
@@ -166,115 +159,33 @@ GOLDEN_PAPER="$PWD/results/golden_paper.sha256"
 rm -rf "$PAPER_OUT"
 
 # Geometry validation: the model-vs-simulator sweep across L2
-# geometries must run at small scale, and its CSV must be byte-identical
-# across --jobs values (the runner's determinism contract extends to the
-# new RunKind).
-GEOM_A=$(mktemp -d)
-GEOM_B=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro -- geometry \
-    --scale small --jobs 1 --out "$GEOM_A"
-cargo run --release -p locality-repro --bin repro -- geometry \
-    --scale small --jobs 4 --out "$GEOM_B"
-cmp "$GEOM_A/geometry.csv" "$GEOM_B/geometry.csv"
-# Geometries no run can build (over the capacity cap, a line count that
-# wraps, a one-line cache) are a usage error, not an abort or a panic.
-# So is a page smaller than a cache line, which used to alias lines and,
-# at one byte, to walk forever: hence the timeout. So are --fault and
-# --chaos anywhere but `repro ablation`, which table1 used to ignore and
-# `all` used to answer with a different artifact set.
-for bad in "geometry --geometry 1099511627776x4" "geometry --geometry 4611686018427387904x4" \
-    "geometry --geometry 1x1" "geometry --page-size 1" "geometry --page-size 32" \
-    "table1 --fault bogus" "all --chaos churn"; do
-    status=0
-    # $bad is left unquoted: it is a subcommand, a flag and its value.
-    timeout 20 cargo run --release -p locality-repro --bin repro -- $bad \
-        --scale small --out "$GEOM_A" 2>/dev/null || status=$?
-    if [ "$status" -ne 2 ]; then
-        echo "repro $bad exited $status, not 2" >&2
-        exit 1
-    fi
+# geometries (not part of `repro all`) must write the same geometry.csv,
+# results/golden_geometry.sha256, at every --jobs value.
+GEOMETRY_GOLDEN="$PWD/results/golden_geometry.sha256"
+for jobs in 1 4; do
+    GEOMETRY_OUT=$(mktemp -d)
+    cargo run --release -p locality-repro --bin repro -- geometry \
+        --scale small --jobs "$jobs" --out "$GEOMETRY_OUT"
+    (cd "$GEOMETRY_OUT" && sha256sum -c "$GEOMETRY_GOLDEN")
+    rm -rf "$GEOMETRY_OUT"
 done
-rm -rf "$GEOM_A" "$GEOM_B"
 
-# The robustness tables (repro ablation --fault/--chaos; they exist only
-# when a flag asks for them): every counter-fault scenario must run
-# through the sanitizer and the degraded mode, and every lifecycle-chaos
-# scenario must complete under FCFS, LFF and CRT, to tables that are
-# byte-identical across --jobs values and to results/golden_robustness.sha256
-# at both scales.
+# The robustness tables at paper scale (repro ablation --fault/--chaos;
+# they exist only when a flag asks for them): every counter-fault
+# scenario must run through the sanitizer and the degraded mode, and
+# every lifecycle-chaos scenario must complete under FCFS, LFF and CRT, to
+# the paper/ rows of results/golden_robustness.sha256 at every --jobs
+# value.
 ROBUST_GOLDEN="$PWD/results/golden_robustness.sha256"
 for jobs in 1 4; do
     ROBUST_OUT=$(mktemp -d)
-    for scale in small paper; do
-        for table in --fault --chaos; do
-            cargo run --release -p locality-repro --bin repro -- ablation \
-                --scale "$scale" "$table" all --jobs "$jobs" --out "$ROBUST_OUT/$scale"
-        done
+    for table in --fault --chaos; do
+        cargo run --release -p locality-repro --bin repro -- ablation \
+            --scale paper "$table" all --jobs "$jobs" --out "$ROBUST_OUT/paper"
     done
-    (cd "$ROBUST_OUT" && sha256sum -c "$ROBUST_GOLDEN")
+    (cd "$ROBUST_OUT" && grep '  paper/' "$ROBUST_GOLDEN" | sha256sum -c)
     rm -rf "$ROBUST_OUT"
 done
-
-# Crash safety: a `repro all` SIGKILLed mid-run must, on rerun, resume
-# from the on-disk cache to artifacts byte-identical to an
-# uninterrupted run (and to the committed golden hashes). The test is
-# #[ignore]d in the default suite because it runs the full small suite
-# three times; release mode keeps that under half a minute.
-cargo test --release -p locality-repro --test kill_resume -- --ignored
-# Stale cache: the same out dir read by a binary with a later build
-# stamp (a re-dated copy of this one) must recompute every entry.
-cargo test --release -p locality-repro --test runner a_later_build
-
-# Analyzer: the clean fixture must pass, the racy fixture must be flagged
-# (nonzero exit with a confirmed race).
-ANALYZE_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro -- analyze \
-    --scale small --workload clean --out "$ANALYZE_OUT"
-if cargo run --release -p locality-repro --bin repro -- analyze \
-    --scale small --workload racy --out "$ANALYZE_OUT"; then
-    echo "analyze failed to flag the racy workload" >&2
-    exit 1
-fi
-rm -rf "$ANALYZE_OUT"
-
-# Model checker: the clean fixture must explore to quiescence with no
-# violations, the racy and deadlock fixtures must each be flagged
-# (nonzero exit with a counterexample on disk), and a written
-# counterexample must round-trip through --replay to the same violation
-# (replay reproducing a violation also exits nonzero).
-MC_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --bin repro -- modelcheck \
-    --workload clean --out "$MC_OUT"
-if cargo run --release -p locality-repro --bin repro -- modelcheck \
-    --workload racy --out "$MC_OUT"; then
-    echo "modelcheck failed to flag the racy workload" >&2
-    exit 1
-fi
-if cargo run --release -p locality-repro --bin repro -- modelcheck \
-    --workload deadlock --out "$MC_OUT"; then
-    echo "modelcheck failed to flag the deadlock workload" >&2
-    exit 1
-fi
-test -s "$MC_OUT/counterexample_racy.txt"
-test -s "$MC_OUT/counterexample_deadlock.txt"
-if cargo run --release -p locality-repro --bin repro -- modelcheck \
-    --replay "$MC_OUT/counterexample_deadlock.txt"; then
-    echo "modelcheck replay failed to reproduce the deadlock" >&2
-    exit 1
-fi
-# A counterexample asking for more worker rounds than the parser allows
-# is malformed (exit 2), not a replay quadratic in the rounds: hence the
-# timeout.
-sed 's/^workload racy 1$/workload racy 4294967295/' "$MC_OUT/counterexample_racy.txt" \
-    >"$MC_OUT/counterexample_rounds.txt"
-status=0
-timeout 20 cargo run --release -p locality-repro --bin repro -- modelcheck \
-    --replay "$MC_OUT/counterexample_rounds.txt" 2>/dev/null || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "repro modelcheck --replay of racy 4294967295 exited $status, not 2" >&2
-    exit 1
-fi
-rm -rf "$MC_OUT"
 
 # Differential invariant checks: build the feature once and run it over
 # the fig5 and fig7 monitored traces (a fresh out dir defeats the cache
@@ -293,24 +204,6 @@ for fig in fig5 fig7 fig9; do
         --scale small --jobs 2 --out "$INVARIANT_OUT"
 done
 rm -rf "$INVARIANT_OUT"
-
-# The same tracked == scanned cross-check from outside the crates, at
-# all 10 974 samples of the sixteen monitored cells. #[ignore]d in the
-# default suite (two minutes unoptimised); seconds in release.
-cargo test --release --test footprint_tracking -- --ignored
-# The whole-machine reference (tests/ref_machine): every workload's trace
-# replayed into RefMachine on the three E-cache geometries, clean and
-# under every --chaos scenario. #[ignore]d in the default suite, which
-# keeps two workloads of it; seconds in release.
-cargo test --release --test run_equivalence -- --ignored
-# The workloads' default-parameter checks, #[ignore]d in the default
-# suite: barnes replays step 0's walks in later steps, and the replaying
-# run must equal, in report, reference trace and checksum bits, one that
-# recomputes every step; photo's 2048x2048 filter must equal its direct
-# definition and its pinned checksum; tsp must evaluate its pinned tree,
-# tours and best tour on one cpu and on eight. No CSV prints photo's
-# pixels or tsp's tours.
-cargo test --release -p locality-workloads --lib -- --ignored
 
 # Observability layer (locality-trace): the workspace must stay green
 # with the trace feature on (its tests pin the hot path's events per

@@ -6,8 +6,8 @@ use locality_core::ModelParams;
 use locality_sim::{CacheGeometry, MachineConfig};
 use std::path::PathBuf;
 
-/// The flags half of the `--help` text; every subcommand accepts the
-/// same flat set. [`suite`](crate::suite) prints its name table above it.
+/// The flags half of the `--help` text, below [`suite`](crate::suite)'s
+/// name table, which lists who reads each flag past the first four.
 pub(crate) const FLAGS_HELP: &str = "flags:
   --scale paper|small  workload scale (default: paper)
   --out DIR            output directory for CSV files (default: results)
@@ -213,14 +213,15 @@ impl Default for Args {
 
 impl Args {
     /// Parses the flags of [`FLAGS_HELP`] from an iterator of arguments
-    /// (the program name must already be consumed). `--help`/`-h` yields
-    /// [`Parsed::Help`] rather than an error.
+    /// (the program name must already be consumed) for a subcommand that
+    /// reads the flags `reads` besides the four every subcommand accepts.
+    /// `--help`/`-h` yields [`Parsed::Help`] rather than an error.
     ///
     /// # Errors
     ///
-    /// Returns a message suitable for printing on unknown or malformed
-    /// arguments.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, String> {
+    /// Returns a message suitable for printing on unknown, unread or
+    /// malformed arguments.
+    pub fn parse(args: impl IntoIterator<Item = String>, reads: &[&str]) -> Result<Parsed, String> {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -287,6 +288,11 @@ impl Args {
                 "--help" | "-h" => return Ok(Parsed::Help),
                 other => return Err(format!("unknown argument '{other}'")),
             }
+            if !["--scale", "--out", "--jobs", "--no-cache"].contains(&arg.as_str())
+                && !reads.contains(&arg.as_str())
+            {
+                return Err(format!("this subcommand does not read {arg}"));
+            }
         }
         Ok(Parsed::Run(Box::new(out)))
     }
@@ -310,8 +316,14 @@ mod tests {
     use crate::scenario::Ablation;
     use proptest::{prop_assert, prop_assert_eq};
 
+    /// Every flag of [`FLAGS_HELP`].
+    fn flags() -> Vec<&'static str> {
+        let words = FLAGS_HELP.split(|c: char| c.is_whitespace() || c == ',');
+        words.filter(|word| word.starts_with('-')).collect()
+    }
+
     fn parse(args: &[&str]) -> Result<Args, String> {
-        match Args::parse(args.iter().map(|s| s.to_string()))? {
+        match Args::parse(args.iter().map(|s| s.to_string()), &flags())? {
             Parsed::Run(a) => Ok(*a),
             Parsed::Help => Err("help requested".to_string()),
         }
@@ -461,8 +473,8 @@ mod tests {
 
     #[test]
     fn help_is_not_an_error() {
-        assert!(matches!(Args::parse(["-h".to_string()]), Ok(Parsed::Help)));
-        assert!(matches!(Args::parse(["--help".to_string()]), Ok(Parsed::Help)));
+        assert!(matches!(Args::parse(["-h".to_string()], &[]), Ok(Parsed::Help)));
+        assert!(matches!(Args::parse(["--help".to_string()], &[]), Ok(Parsed::Help)));
     }
 
     proptest::proptest! {
@@ -485,10 +497,7 @@ mod tests {
                 32,
             ),
         ) {
-            let flags: Vec<&str> = FLAGS_HELP
-                .split(|c: char| c.is_whitespace() || c == ',')
-                .filter(|word| word.starts_with('-'))
-                .collect();
+            let flags = flags();
             let mut values: Vec<String> =
                 crate::scenario::SCENARIOS.iter().map(|s| s.name.to_string()).collect();
             values.extend(
@@ -521,7 +530,7 @@ mod tests {
     /// [`token_sequences_parse_to_args_help_or_a_message`] for one
     /// argument list.
     fn check_parse(argv: &[String]) -> Result<(), String> {
-        let args = match Args::parse(argv.to_vec()) {
+        let args = match Args::parse(argv.to_vec(), &flags()) {
             Ok(Parsed::Run(args)) => args,
             Ok(Parsed::Help) => return Ok(()),
             Err(msg) => {

@@ -295,14 +295,17 @@ pub struct Subcommand {
     /// What it regenerates or checks, for `--help`.
     pub about: &'static str,
     target: Target,
+    /// The flags it reads besides `--scale`, `--out`, `--jobs` and
+    /// `--no-cache`, which every subcommand accepts.
+    reads: &'static [&'static str],
 }
 
 const fn sub(name: &'static str, target: Target, about: &'static str) -> Subcommand {
-    Subcommand { name, about, target }
+    Subcommand { name, about, target, reads: &[] }
 }
 
 /// Every `repro` subcommand: the one name table behind dispatch,
-/// `--help`, and the unknown-subcommand message.
+/// `--help`, the unknown-subcommand message and the flags each reads.
 pub const SUBCOMMANDS: [Subcommand; 17] = [
     sub("table1", Target::Figures(&[Figure::Table1]), "Table 1: simulated UltraSPARC-1 hierarchy"),
     sub("table2", Target::Figures(&[Figure::Table2]), "Table 2: simulated workloads"),
@@ -319,28 +322,31 @@ pub const SUBCOMMANDS: [Subcommand; 17] = [
         "ablation",
         Target::Figures(&[Figure::Ablation]),
         "ablations; --fault or --chaos runs only that robustness table",
-    ),
+    )
+    .reads(&["--fault", "--chaos"]),
     sub(
         "geometry",
         Target::Figures(&[Figure::Geometry]),
         "model vs simulator across L2 geometries (not part of 'all')",
-    ),
+    )
+    .reads(&["--geometry", "--page-size"]),
     sub("all", Target::Figures(&Figure::ALL), "table1-5, fig4-9 and ablation through one runner"),
-    sub("analyze", Target::Analyze, "race, lock-order and annotation checks (exit 1 on a race)"),
-    sub("modelcheck", Target::Modelcheck, "DPOR schedule exploration (exit 1 on a violation)"),
-    sub("trace", Target::Trace, "event-stream exports of a monitored app (needs --features trace)"),
+    sub("analyze", Target::Analyze, "race, lock-order and annotation checks (exit 1 on a race)")
+        .reads(&["--workload"]),
+    sub("modelcheck", Target::Modelcheck, "DPOR schedule exploration (exit 1 on a violation)")
+        .reads(&["--workload", "--depth-bound", "--max-schedules", "--preempt-bound", "--replay"]),
+    sub("trace", Target::Trace, "event-stream exports of a monitored app (needs --features trace)")
+        .reads(&["--workload", "--policy"]),
 ];
 
 impl Subcommand {
+    const fn reads(self, reads: &'static [&'static str]) -> Subcommand {
+        Subcommand { reads, ..self }
+    }
+
     /// Runs the subcommand; `Ok(true)` means it found what it looks for
     /// (a race, a violation) and the process should exit 1.
     fn run(&self, args: &Args) -> Result<bool, ReproError> {
-        if (args.fault.is_some() || args.chaos.is_some()) && self.name != "ablation" {
-            return Err(ReproError::Usage(format!(
-                "--fault and --chaos select a robustness table of 'repro ablation', not of 'repro {}'",
-                self.name
-            )));
-        }
         match self.target {
             Target::Figures(figures) => run_figures(args, figures).map(|_| false),
             Target::Analyze => analyze::run_analyze(args),
@@ -384,7 +390,7 @@ pub fn main() -> ExitCode {
     let Some(sub) = SUBCOMMANDS.iter().find(|sub| sub.name == name) else {
         return usage_error(&format!("unknown subcommand '{name}'"));
     };
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(argv, sub.reads) {
         Ok(Parsed::Run(args)) => args,
         Ok(Parsed::Help) => return help(),
         Err(msg) => return usage_error(&msg),
@@ -407,21 +413,19 @@ pub fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// Every flag on every subcommand that does not read it, the
+    /// `--fault`/`--chaos` robustness flags among them, is refused before
+    /// the subcommand runs; one that it reads parses.
     #[test]
     fn robustness_flags_are_a_usage_error_outside_ablation() {
-        let out = std::env::temp_dir().join(format!("repro-flags-unit-{}", std::process::id()));
-        for sub in SUBCOMMANDS.iter().filter(|sub| sub.name != "ablation") {
-            for (fault, chaos) in [(Some("bogus"), None), (None, Some("churn"))] {
-                let args = Args {
-                    out: out.clone(),
-                    fault: fault.map(str::to_string),
-                    chaos: chaos.map(str::to_string),
-                    ..Args::default()
-                };
-                let err = sub.run(&args).unwrap_err();
-                assert!(matches!(err, ReproError::Usage(_)), "repro {}: {err}", sub.name);
+        let flags = "--fault bogus --chaos churn --workload racy --policy crt --depth-bound 3 \
+            --max-schedules 5 --preempt-bound 2 --replay ce.txt --geometry 1024x8 --page-size 4096";
+        let flags: Vec<&str> = flags.split_whitespace().collect();
+        for sub in &SUBCOMMANDS {
+            for pair in flags.chunks(2) {
+                let parsed = Args::parse(pair.iter().map(|s| s.to_string()), sub.reads);
+                assert_eq!(parsed.is_ok(), sub.reads.contains(&pair[0]), "{} {pair:?}", sub.name);
             }
         }
-        assert!(!out.exists(), "a rejected subcommand wrote its output");
     }
 }

@@ -8,11 +8,7 @@
 //!
 //! The test runs the real binary three times (reference, killed, resume),
 //! which takes minutes in a debug build, so it is `#[ignore]`d here and
-//! executed in release mode by `ci.sh`:
-//!
-//! ```sh
-//! cargo test --release -p locality-repro --test kill_resume -- --ignored
-//! ```
+//! runs in `ci.sh`'s release suite, which includes the ignored tests.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -86,7 +86,7 @@ fn tracked_equals_scan_on_the_light_monitored_cells() {
 
 /// Every sample of every monitored fig5–7 cell: all eight work threads,
 /// both placements. Two minutes in a debug build, so `ci.sh` runs it in
-/// release (`cargo test --release --test footprint_tracking -- --ignored`).
+/// its release suite, which includes the ignored tests.
 #[test]
 #[ignore = "minutes unoptimised; ci.sh runs it in release"]
 fn tracked_equals_scan_at_every_sample_of_the_monitored_cells() {

@@ -287,9 +287,9 @@ const EVICTING: [Workload; 3] = [
 
 /// Runs a workload on four processors with the trace on from the first
 /// reference, replays the trace into a `RefMachine`, and asserts every
-/// per-processor memory counter, both raw PIC registers and the page
-/// faults equal. The engine never flushes a processor, so the trace is
-/// the whole memory history.
+/// per-processor memory counter, the resident E-cache lines, both raw
+/// PIC registers and the page faults equal. The engine never flushes a
+/// processor, so the trace is the whole memory history.
 fn replay_matches(workload: Workload, geometry: CacheGeometry, chaos: Option<ChaosConfig>) {
     let (name, spawn) = workload;
     let config = MachineConfig::enterprise5000(4).with_l2_geometry(geometry).with_tlb(SMALL_TLB);
@@ -314,6 +314,7 @@ fn replay_matches(workload: Workload, geometry: CacheGeometry, chaos: Option<Cha
     let cell = format!("{name} on {}x{}, chaos {chaos:?}", geometry.sets, geometry.ways);
     for cpu in 0..4 {
         assert_eq!(memory(m.cpu_stats(cpu)), memory(r.cpu_stats(cpu)), "{cell}: cpu{cpu}");
+        assert_eq!(m.l2_resident_lines(cpu), r.l2_resident_lines(cpu), "{cell}: cpu{cpu} L2");
         assert_eq!(m.pic(cpu).read_raw(), r.pic_raw(cpu), "{cell}: cpu{cpu} PIC");
     }
     assert_eq!(m.page_faults(), r.page_faults(), "{cell}: page faults");
@@ -332,8 +333,7 @@ fn workload_traces_replay_into_the_reference() {
 /// The whole replay matrix: every workload on every geometry, clean and
 /// under each `--chaos` scenario's injector, and the evicting workloads
 /// on every geometry, clean. Minutes in a debug build, so `ci.sh` runs it
-/// in release (`cargo test --release --test run_equivalence --
-/// --ignored`).
+/// in its release suite, which includes the ignored tests.
 #[test]
 #[ignore = "minutes unoptimised; ci.sh runs it in release"]
 fn every_workload_trace_replays_into_the_reference() {
