@@ -73,7 +73,7 @@ pub use counters::Pic;
 pub use error::SimError;
 pub use faults::{FaultConfig, FaultKind, FaultWindow};
 pub use footprint::FootprintScratch;
-pub use machine::{AccessKind, Machine};
+pub use machine::{AccessKind, Machine, BATCH_REFS};
 pub use paging::PagePlacement;
 pub use regions::RegionTable;
 pub use stats::{CpuStats, ThreadStats};

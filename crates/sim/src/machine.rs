@@ -21,6 +21,11 @@ use std::collections::{BTreeMap, HashMap};
 /// `running_slot` sentinel: no thread attributed on this processor.
 const IDLE_SLOT: u32 = u32::MAX;
 
+/// How many references a caller that buffers them hands
+/// [`Machine::access_batch`] at once, at most: 16 KiB of buffer, enough
+/// to spread a pass's set-up and settling over a thousand references.
+pub const BATCH_REFS: usize = 1024;
+
 /// The kind of a memory access issued by a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -43,8 +48,9 @@ impl From<AccessKind> for HierAccess {
 }
 
 /// Expands `$body` once per access kind with `$kind` bound to that kind,
-/// so the [`element`] inlined into each copy is compiled for one kind and
-/// keeps only that kind's steps: both drivers dispatch on the kind once.
+/// so the [`Pass::element`] inlined into each copy is compiled for one
+/// kind and keeps only that kind's steps: a run dispatches on its kind
+/// once, a batch once per reference.
 macro_rules! per_kind {
     ($value:expr, |$kind:ident| $body:expr) => {
         match $value {
@@ -110,10 +116,10 @@ pub struct Machine {
     tlbs: Vec<Tlb>,
     /// Per-processor µ-translation cache: the page of the processor's
     /// last reference (`u64::MAX` = none since a flush) and its frame
-    /// base. Both drivers resume from it, so the TLB is probed exactly
-    /// when a processor's page changes, whichever driver issued the
-    /// reference — the rule `RefMachine` in `tests/` states as a per-cpu
-    /// "last page".
+    /// base. Every [`Pass`] resumes from it, so the TLB is probed exactly
+    /// when a processor's page changes, whether a batch or a run issued
+    /// the reference — the rule `RefMachine` in `tests/` states as a
+    /// per-cpu "last page".
     tlb_vpn: Vec<u64>,
     tlb_frame: Vec<u64>,
     /// Incremental footprint counters (None until
@@ -342,86 +348,40 @@ impl Machine {
         self.settled[cpu] = now;
     }
 
-    /// Translates `va` on `cpu` through the µ-translation cache and the
-    /// TLB. Returns the physical address and the page-table-walk cycles
-    /// charged (non-zero only on a TLB miss). The TLB is probed exactly
-    /// when the accessed page changes; repeated accesses within a page
-    /// are translation-free, matching the run path.
-    #[inline]
-    fn translate_cached(&mut self, cpu: usize, va: VAddr) -> (PAddr, u64) {
-        let page_shift = self.page_table.page_shift();
-        let vpn = va.0 >> page_shift;
-        let mut walk = 0;
-        if self.tlb_vpn[cpu] != vpn {
-            if self.tlbs[cpu].probe(vpn) {
-                self.cpu_stats[cpu].tlb_hits += 1;
-            } else {
-                walk = self.tlbs[cpu].walk_cycles();
-                self.cpu_stats[cpu].tlb_misses += 1;
-                self.cpu_stats[cpu].tlb_walk_cycles += walk;
-                self.tlbs[cpu].insert(vpn);
-            }
-            self.tlb_vpn[cpu] = vpn;
-            self.tlb_frame[cpu] = self.page_table.frame_of(vpn) << page_shift;
-        }
-        (PAddr(self.tlb_frame[cpu] | (va.0 & self.page_table.page_mask())), walk)
-    }
-
-    /// Performs one memory access on `cpu` and returns its cost in cycles.
-    ///
-    /// The reference goes through the element body every element of
-    /// [`access_run`](Self::access_run) goes through; what this driver
-    /// keeps of its own is the one reference's translation, PIC update
-    /// and statistics.
+    /// Performs one memory access on `cpu` and returns its cost in cycles:
+    /// a one-element [`access_batch`](Self::access_batch).
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
     pub fn access(&mut self, cpu: usize, va: VAddr, kind: AccessKind) -> u64 {
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(cpu, kind, va);
-        }
-        let (pa, walk_cycles) = self.translate_cached(cpu, va);
-        let on =
-            Issue { cpu, kind, l2_shift: self.l2_shift, page_shift: self.page_table.page_shift() };
-        let Machine {
-            cpus, page_table, directory, cml, cpu_stats, tracker, regions, config, ..
-        } = self;
-        let (outcome, remote) = per_kind!(kind, |kind| {
-            let on = Issue { kind, ..on };
-            element(cpus, cpu_stats, directory, cml, tracker, on, va, pa)
-        });
-        // Only an E-cache reference changes residency or counts in the PIC.
-        if outcome.l2_ref {
-            cpus[cpu].pic_mut().record_l2(outcome.l2_hit);
-            if let Some(tracker) = tracker {
-                tracker.apply_logged(regions, page_table, config.hierarchy.l2.line);
-            }
-        }
-        let cycles = walk_cycles + latency(&config.latencies, &outcome, remote);
+        self.access_batch(cpu, &[(va, kind)])
+    }
 
-        let cs = &mut cpu_stats[cpu];
-        cs.instructions += 1;
-        cs.mem_cycles += cycles;
-        let (refs, misses) = if kind == AccessKind::Fetch {
-            (&mut cs.l1i_refs, &mut cs.l1i_misses)
-        } else {
-            (&mut cs.l1d_refs, &mut cs.l1d_misses)
-        };
-        *refs += 1;
-        if !outcome.l1_hit {
-            *misses += 1;
-        }
-        if outcome.l2_ref {
-            cs.l2_refs += 1;
-            if outcome.l2_hit {
-                cs.l2_hits += 1;
-            } else {
-                cs.l2_misses += 1;
-                cs.l2_misses_remote += u64::from(remote);
+    /// Performs `refs` on `cpu`, in order, and returns their total cost
+    /// in cycles — how a thread's single references reach the machine.
+    ///
+    /// Observationally **byte-identical** to issuing each reference
+    /// through its own call: every element goes through the body each
+    /// element of [`access_run`](Self::access_run) goes through, so LRU
+    /// state, evictions, coherence, the CML and the trace evolve as they
+    /// would one call at a time, while translation, the PIC, the
+    /// statistics and the footprint log are settled once per batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu` is out of range.
+    pub fn access_batch(&mut self, cpu: usize, refs: &[(VAddr, AccessKind)]) -> u64 {
+        if let Some(tracer) = &mut self.tracer {
+            for &(va, kind) in refs {
+                tracer.record(cpu, kind, va);
             }
         }
-        cycles
+        let mut pass = Pass::begin(self, cpu);
+        for &(va, kind) in refs {
+            per_kind!(kind, |kind| pass.step(kind, va.0));
+        }
+        pass.finish()
     }
 
     /// Performs a reference **run** — `count` accesses at `base`,
@@ -429,16 +389,11 @@ impl Machine {
     /// total cost in cycles.
     ///
     /// Observationally **byte-identical** to the equivalent per-address
-    /// loop of [`access`](Self::access): both run every element through
-    /// the same body (the tag probe in order, so LRU state, evictions,
-    /// coherence, the CML and the trace evolve exactly as in the scalar
-    /// path), but the run pays for its bookkeeping once — page
-    /// translation is cached per page the run touches, PIC updates are
-    /// batched into a single [`Pic::record_l2_bulk`](crate::Pic) call,
-    /// and the per-cpu statistics are accumulated in registers and
-    /// flushed once at the end. A whole-line run (`stride` = L2 line
-    /// size) therefore costs exactly one tag probe per line plus O(1)
-    /// overhead.
+    /// loop of [`access`](Self::access): the same pass as
+    /// [`access_batch`](Self::access_batch), over addresses it generates
+    /// instead of reads, with the kind dispatched once per run. A
+    /// whole-line run (`stride` = L2 line size) therefore costs exactly
+    /// one tag probe per line plus O(1) overhead.
     ///
     /// # Panics
     ///
@@ -451,108 +406,18 @@ impl Machine {
         count: u64,
         kind: AccessKind,
     ) -> u64 {
-        if count == 0 {
-            return 0;
-        }
         if let Some(tracer) = &mut self.tracer {
             for i in 0..count {
                 tracer.record(cpu, kind, base.offset(i * stride));
             }
         }
-        let lat = self.config.latencies;
-        let page_shift = self.page_table.page_shift();
-        let page_mask = self.page_table.page_mask();
-        let on = Issue { cpu, kind, l2_shift: self.l2_shift, page_shift };
-
-        // Split borrows: the elements touch the caches, directory, CML,
-        // footprint log and (on invalidations) other cpus' stats;
-        // translation is the driver's.
-        let Machine {
-            cpus,
-            page_table,
-            directory,
-            cml,
-            cpu_stats,
-            tlbs,
-            tlb_vpn,
-            tlb_frame,
-            tracker,
-            regions,
-            ..
-        } = self;
-        let tlb = &mut tlbs[cpu];
-        let walk_cost = tlb.walk_cycles();
-
-        let mut cycles_total = 0u64;
-        let mut l1_misses = 0u64;
-        let mut l2_refs = 0u64;
-        let mut l2_hits = 0u64;
-        let mut l2_misses_remote = 0u64;
-        let mut tlb_hits = 0u64;
-        let mut tlb_misses = 0u64;
-
-        // One translation per page transition, continuing from wherever
-        // the previous access (scalar or run) left the µ-cache.
-        let mut cur_vpn = tlb_vpn[cpu];
-        let mut frame_base = tlb_frame[cpu];
+        let mut pass = Pass::begin(self, cpu);
         per_kind!(kind, |kind| {
-            let on = Issue { kind, ..on };
             for i in 0..count {
-                let va = base.0 + i * stride;
-                let vpn = va >> page_shift;
-                if vpn != cur_vpn {
-                    if tlb.probe(vpn) {
-                        tlb_hits += 1;
-                    } else {
-                        tlb_misses += 1;
-                        cycles_total += walk_cost;
-                        tlb.insert(vpn);
-                    }
-                    frame_base = page_table.frame_of(vpn) << page_shift;
-                    cur_vpn = vpn;
-                }
-                let pa = PAddr(frame_base | (va & page_mask));
-                let (outcome, remote) =
-                    element(cpus, cpu_stats, directory, cml, tracker, on, VAddr(va), pa);
-                cycles_total += latency(&lat, &outcome, remote);
-                l1_misses += u64::from(!outcome.l1_hit);
-                if outcome.l2_ref {
-                    l2_refs += 1;
-                    l2_hits += u64::from(outcome.l2_hit);
-                    l2_misses_remote += u64::from(remote);
-                }
+                pass.step(kind, base.0 + i * stride);
             }
         });
-        // Residency changes were logged by the elements; the footprint
-        // tracker takes them once, after the run.
-        if let Some(tracker) = tracker {
-            tracker.apply_logged(regions, page_table, 1 << on.l2_shift);
-        }
-
-        // The next access on this cpu resumes from this run's last page.
-        tlb_vpn[cpu] = cur_vpn;
-        tlb_frame[cpu] = frame_base;
-
-        // PIC and statistics updated once per run.
-        cpus[cpu].pic_mut().record_l2_bulk(l2_refs, l2_hits);
-        let cs = &mut cpu_stats[cpu];
-        cs.instructions += count;
-        cs.mem_cycles += cycles_total;
-        cs.tlb_hits += tlb_hits;
-        cs.tlb_misses += tlb_misses;
-        cs.tlb_walk_cycles += tlb_misses * walk_cost;
-        if kind == AccessKind::Fetch {
-            cs.l1i_refs += count;
-            cs.l1i_misses += l1_misses;
-        } else {
-            cs.l1d_refs += count;
-            cs.l1d_misses += l1_misses;
-        }
-        cs.l2_refs += l2_refs;
-        cs.l2_hits += l2_hits;
-        cs.l2_misses += l2_refs - l2_hits;
-        cs.l2_misses_remote += l2_misses_remote;
-        cycles_total
+        pass.finish()
     }
 
     /// Records `n` non-memory instructions (compute) on `cpu`, attributed
@@ -740,78 +605,188 @@ impl Machine {
     }
 }
 
-/// The fixed part of one access or run: the processor that issues it,
-/// its kind, and `log2` of the E-cache line and page sizes.
-#[derive(Clone, Copy)]
-struct Issue {
+/// One pass of [`Machine::access_batch`] or [`Machine::access_run`] over
+/// one processor's references: the split borrows its elements touch, the
+/// processor's µ-translation cursor, and the counts it adds to the PIC
+/// and the statistics once, in [`finish`](Self::finish).
+struct Pass<'m> {
+    cpus: &'m mut [CpuCache],
+    cpu_stats: &'m mut [CpuStats],
+    directory: &'m mut Vec<u64>,
+    cml: &'m mut Option<Vec<Cml>>,
+    tracker: &'m mut Option<FootprintTracker>,
+    regions: &'m RegionTable,
+    page_table: &'m mut PageTable,
+    tlb: &'m mut Tlb,
+    tlb_vpn: &'m mut u64,
+    tlb_frame: &'m mut u64,
+    lat: CacheLatencies,
     cpu: usize,
-    kind: AccessKind,
+    /// `log2` of the E-cache line and page sizes.
     l2_shift: u32,
     page_shift: u32,
+    page_mask: u64,
+    walk_cost: u64,
+    /// The µ-translation cursor: the page of the last element and its
+    /// frame base, written back by `finish`.
+    vpn: u64,
+    frame_base: u64,
+    cycles: u64,
+    /// `(refs, misses)` of the L1-I and the L1-D.
+    l1i: (u64, u64),
+    l1d: (u64, u64),
+    l2_refs: u64,
+    l2_hits: u64,
+    l2_misses_remote: u64,
+    tlb_hits: u64,
+    tlb_misses: u64,
 }
 
-/// One element of [`Machine::access`] and of [`Machine::access_run`]:
-/// the tag probe, the holder directory, write-invalidation of the other
-/// copies, the footprint log and the CML. Returns the outcome and
-/// whether an E-cache miss was remote. Translation, the cycle sum, the
-/// PIC and the statistics belong to the drivers, which keep them per
-/// reference (scalar) or per run.
-///
-/// The directory is read on a miss *after* the probe, which is
-/// equivalent to reading it before: the access cannot change this line's
-/// holders until the fill below — its eviction touches the *displaced*
-/// line. A store reads it again after the fill to purge the others.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn element(
-    cpus: &mut [CpuCache],
-    cpu_stats: &mut [CpuStats],
-    directory: &mut Vec<u64>,
-    cml: &mut Option<Vec<Cml>>,
-    tracker: &mut Option<FootprintTracker>,
-    on: Issue,
-    va: VAddr,
-    pa: PAddr,
-) -> (AccessOutcome, bool) {
-    let (cpu, me) = (on.cpu as u32, 1u64 << on.cpu);
-    let mut log = |change: LineChange| {
-        if let Some(tracker) = tracker {
-            tracker.log_mut().push(change);
-        }
-    };
-    let outcome = cpus[on.cpu].access_quiet(pa.0, on.kind.into());
-    let pline2 = pa.0 >> on.l2_shift;
-    let miss = outcome.l2_ref && !outcome.l2_hit;
-    let remote = miss && (directory.get(pline2 as usize).copied().unwrap_or(0) & !me) != 0;
-    if let Some(ev) = outcome.change.evicted {
-        if let Some(mask) = directory.get_mut(ev.pline as usize) {
-            *mask &= !me;
-        }
-        log(LineChange { cpu, pline: ev.pline, gained: false });
-    }
-    if let Some(fill) = outcome.change.filled {
-        let index = fill as usize;
-        if index >= directory.len() {
-            directory.resize(index + 1, 0);
-        }
-        directory[index] |= me;
-        log(LineChange { cpu, pline: fill, gained: true });
-    }
-    if on.kind == AccessKind::Write {
-        let mut holders = directory.get(pline2 as usize).copied().unwrap_or(0) & !me;
-        while holders != 0 {
-            let other = holders.trailing_zeros() as usize;
-            holders &= holders - 1;
-            cpus[other].invalidate_line(pline2);
-            cpu_stats[other].invalidations += 1;
-            directory[pline2 as usize] &= !(1u64 << other);
-            log(LineChange { cpu: other as u32, pline: pline2, gained: false });
+impl<'m> Pass<'m> {
+    #[inline(always)]
+    fn begin(m: &'m mut Machine, cpu: usize) -> Self {
+        let tlb = &mut m.tlbs[cpu];
+        Pass {
+            lat: m.config.latencies,
+            cpu,
+            l2_shift: m.l2_shift,
+            page_shift: m.page_table.page_shift(),
+            page_mask: m.page_table.page_mask(),
+            walk_cost: tlb.walk_cycles(),
+            vpn: m.tlb_vpn[cpu],
+            frame_base: m.tlb_frame[cpu],
+            cpus: &mut m.cpus,
+            cpu_stats: &mut m.cpu_stats,
+            directory: &mut m.directory,
+            cml: &mut m.cml,
+            tracker: &mut m.tracker,
+            regions: &m.regions,
+            page_table: &mut m.page_table,
+            tlb,
+            tlb_vpn: &mut m.tlb_vpn[cpu],
+            tlb_frame: &mut m.tlb_frame[cpu],
+            cycles: 0,
+            l1i: (0, 0),
+            l1d: (0, 0),
+            l2_refs: 0,
+            l2_hits: 0,
+            l2_misses_remote: 0,
+            tlb_hits: 0,
+            tlb_misses: 0,
         }
     }
-    if let Some(devices) = cml.as_mut().filter(|_| miss) {
-        devices[on.cpu].record(va.0 >> on.page_shift);
+
+    /// One reference: translated only when its page differs from the
+    /// last one's, so the TLB is probed exactly on a page change, then
+    /// run through [`element`](Self::element) and counted.
+    #[inline(always)]
+    fn step(&mut self, kind: AccessKind, va: u64) {
+        let vpn = va >> self.page_shift;
+        if vpn != self.vpn {
+            if self.tlb.probe(vpn) {
+                self.tlb_hits += 1;
+            } else {
+                self.tlb_misses += 1;
+                self.cycles += self.walk_cost;
+                self.tlb.insert(vpn);
+            }
+            self.frame_base = self.page_table.frame_of(vpn) << self.page_shift;
+            self.vpn = vpn;
+        }
+        let pa = self.frame_base | (va & self.page_mask);
+        let (outcome, remote) = self.element(kind, vpn, pa);
+        self.cycles += latency(&self.lat, &outcome, remote);
+        let l1 = if kind == AccessKind::Fetch { &mut self.l1i } else { &mut self.l1d };
+        l1.0 += 1;
+        l1.1 += u64::from(!outcome.l1_hit);
+        if outcome.l2_ref {
+            self.l2_refs += 1;
+            self.l2_hits += u64::from(outcome.l2_hit);
+            self.l2_misses_remote += u64::from(remote);
+        }
     }
-    (outcome, remote)
+
+    /// One element: the tag probe, the holder directory,
+    /// write-invalidation of the other copies, the footprint log and the
+    /// CML. Returns the outcome and whether an E-cache miss was remote.
+    ///
+    /// The directory is read on a miss *after* the probe, which is
+    /// equivalent to reading it before: the access cannot change this
+    /// line's holders until the fill below — its eviction touches the
+    /// *displaced* line. A store reads it again after the fill to purge
+    /// the others.
+    #[inline(always)]
+    fn element(&mut self, kind: AccessKind, vpn: u64, pa: u64) -> (AccessOutcome, bool) {
+        let (cpu, me) = (self.cpu as u32, 1u64 << self.cpu);
+        let directory = &mut *self.directory;
+        let mut log = |change: LineChange| {
+            if let Some(tracker) = self.tracker {
+                tracker.log_mut().push(change);
+            }
+        };
+        let outcome = self.cpus[self.cpu].access_quiet(pa, kind.into());
+        let pline2 = pa >> self.l2_shift;
+        let miss = outcome.l2_ref && !outcome.l2_hit;
+        let remote = miss && (directory.get(pline2 as usize).copied().unwrap_or(0) & !me) != 0;
+        if let Some(ev) = outcome.change.evicted {
+            if let Some(mask) = directory.get_mut(ev.pline as usize) {
+                *mask &= !me;
+            }
+            log(LineChange { cpu, pline: ev.pline, gained: false });
+        }
+        if let Some(fill) = outcome.change.filled {
+            let index = fill as usize;
+            if index >= directory.len() {
+                directory.resize(index + 1, 0);
+            }
+            directory[index] |= me;
+            log(LineChange { cpu, pline: fill, gained: true });
+        }
+        if kind == AccessKind::Write {
+            let mut holders = directory.get(pline2 as usize).copied().unwrap_or(0) & !me;
+            while holders != 0 {
+                let other = holders.trailing_zeros() as usize;
+                holders &= holders - 1;
+                self.cpus[other].invalidate_line(pline2);
+                self.cpu_stats[other].invalidations += 1;
+                directory[pline2 as usize] &= !(1u64 << other);
+                log(LineChange { cpu: other as u32, pline: pline2, gained: false });
+            }
+        }
+        if let Some(devices) = self.cml.as_mut().filter(|_| miss) {
+            devices[self.cpu].record(vpn);
+        }
+        (outcome, remote)
+    }
+
+    /// Settles the pass: the footprint tracker takes the residency
+    /// changes the elements logged, the next reference on this processor
+    /// resumes from the last page, and the PIC and statistics take the
+    /// pass's counts. Returns its cycles.
+    #[inline(always)]
+    fn finish(self) -> u64 {
+        if let Some(tracker) = self.tracker {
+            tracker.apply_logged(self.regions, self.page_table, 1 << self.l2_shift);
+        }
+        *self.tlb_vpn = self.vpn;
+        *self.tlb_frame = self.frame_base;
+        self.cpus[self.cpu].pic_mut().record_l2_bulk(self.l2_refs, self.l2_hits);
+        let cs = &mut self.cpu_stats[self.cpu];
+        cs.instructions += self.l1i.0 + self.l1d.0;
+        cs.mem_cycles += self.cycles;
+        cs.tlb_hits += self.tlb_hits;
+        cs.tlb_misses += self.tlb_misses;
+        cs.tlb_walk_cycles += self.tlb_misses * self.walk_cost;
+        cs.l1i_refs += self.l1i.0;
+        cs.l1i_misses += self.l1i.1;
+        cs.l1d_refs += self.l1d.0;
+        cs.l1d_misses += self.l1d.1;
+        cs.l2_refs += self.l2_refs;
+        cs.l2_hits += self.l2_hits;
+        cs.l2_misses += self.l2_refs - self.l2_hits;
+        cs.l2_misses_remote += self.l2_misses_remote;
+        self.cycles
+    }
 }
 
 /// The cycles one element costs, before any page-table walk.
@@ -1216,6 +1191,28 @@ mod tests {
         assert_eq!(probe(&r, 151, 151), (false, true));
         assert_eq!(probe(&r, 151, 1), (false, false));
         assert_eq!(probe(&r, 1, 1), (true, true));
+    }
+
+    /// A reference far above the allocator's addresses maps its page
+    /// sparsely instead of growing the flat table to reach it.
+    #[test]
+    fn high_virtual_addresses_map_sparsely() {
+        let mut m = Machine::try_new(MachineConfig::ultra1()).unwrap();
+        let low = m.alloc(64, 64);
+        let (high, top) = (VAddr(1 << 40), VAddr(u64::MAX - 63));
+        for va in [low, high, top, high.offset(8), top.offset(8)] {
+            m.access(0, va, AccessKind::Write);
+        }
+        assert_eq!(m.page_faults(), 3, "one frame per distinct page");
+        let pt = &m.page_table;
+        let pa = |va| pt.translate_existing(va).expect("touched");
+        assert_eq!(pa(high.offset(8)).0, pa(high).0 + 8, "equal pages, equal frames");
+        let frames = [low, high, top].map(|va| pa(va).0 >> pt.page_shift());
+        assert!(frames[0] != frames[1] && frames[1] != frames[2] && frames[0] != frames[2]);
+        for va in [low, high, top, top.offset(63)] {
+            assert_eq!(pt.reverse(pa(va)), Some(va));
+        }
+        assert_eq!(pt.translate_existing(VAddr(1 << 41)), None);
     }
 
     #[test]

@@ -15,9 +15,15 @@
 //!   land in different bins.
 
 use crate::addr::{PAddr, VAddr};
+use std::collections::HashMap;
 
 /// Sentinel for "no mapping" in the flat translation tables.
 const UNMAPPED: u64 = u64::MAX;
+
+/// Virtual pages below this number are mapped in the flat table (8 MiB
+/// of it at most); higher ones, which a dense table would have to grow
+/// to reach, sparsely.
+const DENSE_VPNS: u64 = 1 << 20;
 
 /// A page-placement policy (chooses the cache bin of each new frame).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +76,14 @@ pub struct PageTable {
     /// `bins − 1` (bin counts are powers of two).
     bin_mask: u64,
     policy: PagePlacement,
-    /// Flat `vpn -> frame` table ([`UNMAPPED`] = never touched). The
-    /// simulated allocator hands out dense low virtual addresses, so a
-    /// plain `Vec` keeps translation — which sits on the per-access hot
-    /// path — a single bounds-checked load instead of a hash probe.
+    /// Flat `vpn -> frame` table for pages below [`DENSE_VPNS`]
+    /// ([`UNMAPPED`] = never touched). The simulated allocator hands out
+    /// dense low virtual addresses, so a plain `Vec` keeps translation —
+    /// which sits on the per-access hot path — a single bounds-checked
+    /// load instead of a hash probe.
     vpn_to_frame: Vec<u64>,
+    /// The pages at and above [`DENSE_VPNS`] that were touched.
+    high_vpns: HashMap<u64, u64>,
     /// Flat inverse table, same representation.
     frame_to_vpn: Vec<u64>,
     /// Next frame index within each bin (frames are `bin + bins * i`).
@@ -115,6 +124,7 @@ impl PageTable {
             bin_mask: bins - 1,
             policy,
             vpn_to_frame: Vec::new(),
+            high_vpns: HashMap::new(),
             frame_to_vpn: Vec::new(),
             bin_fill: vec![0; bins as usize],
             next_bin: 0,
@@ -170,17 +180,29 @@ impl PageTable {
     /// The frame holding virtual page `vpn`, faulting it in if needed.
     /// The run-access path caches the result per page so a whole run pays
     /// one translation per page it touches.
-    #[inline]
+    #[inline(always)]
     pub fn frame_of(&mut self, vpn: u64) -> u64 {
         match self.vpn_to_frame.get(vpn as usize) {
             Some(&f) if f != UNMAPPED => f,
-            _ => {
-                let f = self.allocate_frame(vpn);
-                Self::set(&mut self.vpn_to_frame, vpn, f);
-                Self::set(&mut self.frame_to_vpn, f, vpn);
-                f
-            }
+            _ => self.fault(vpn),
         }
+    }
+
+    /// [`frame_of`](Self::frame_of) off the flat table: a first touch,
+    /// or a page above it, which the simulated allocator never hands out.
+    #[inline(never)]
+    fn fault(&mut self, vpn: u64) -> u64 {
+        if let Some(&f) = self.high_vpns.get(&vpn) {
+            return f;
+        }
+        let f = self.allocate_frame(vpn);
+        if vpn < DENSE_VPNS {
+            Self::set(&mut self.vpn_to_frame, vpn, f);
+        } else {
+            self.high_vpns.insert(vpn, f);
+        }
+        Self::set(&mut self.frame_to_vpn, f, vpn);
+        f
     }
 
     /// `log2(page_bytes)` (pages are powers of two).
@@ -213,8 +235,12 @@ impl PageTable {
     /// Translates without faulting; `None` if the page was never touched.
     pub fn translate_existing(&self, va: VAddr) -> Option<PAddr> {
         let vpn = va.0 >> self.page_shift;
-        Self::get(&self.vpn_to_frame, vpn)
-            .map(|f| PAddr((f << self.page_shift) | (va.0 & self.page_mask)))
+        let frame = if vpn < DENSE_VPNS {
+            Self::get(&self.vpn_to_frame, vpn)
+        } else {
+            self.high_vpns.get(&vpn).copied()
+        };
+        frame.map(|f| PAddr((f << self.page_shift) | (va.0 & self.page_mask)))
     }
 
     /// Inverse translation of a physical address (for footprint ground

@@ -11,7 +11,7 @@
 //! Traces are compact in-memory streams.
 
 use crate::addr::VAddr;
-use crate::machine::{AccessKind, Machine};
+use crate::machine::{AccessKind, Machine, BATCH_REFS};
 
 /// One recorded reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,11 +59,18 @@ impl Trace {
 
     /// Replays the trace against a machine, returning the total cycles
     /// charged. The machine's own statistics and counters accumulate as
-    /// if the original program had run.
+    /// if the original program had run. Each stretch of one processor's
+    /// records is resolved [`BATCH_REFS`] at a time by
+    /// [`Machine::access_batch`], the path a thread's references take.
     pub fn replay(&self, machine: &mut Machine) -> u64 {
+        let mut batch = Vec::with_capacity(BATCH_REFS);
         let mut cycles = 0;
-        for r in &self.records {
-            cycles += machine.access(r.cpu as usize, r.addr, r.kind);
+        for stretch in self.records.chunk_by(|a, b| a.cpu == b.cpu) {
+            for chunk in stretch.chunks(BATCH_REFS) {
+                batch.clear();
+                batch.extend(chunk.iter().map(|r| (r.addr, r.kind)));
+                cycles += machine.access_batch(usize::from(chunk[0].cpu), &batch);
+            }
         }
         cycles
     }

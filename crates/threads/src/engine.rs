@@ -30,7 +30,7 @@ use locality_core::{
     CounterSanitizer, SanitizedInterval, SanitizerConfig, SharingGraph, SlotId, ThreadId,
     ThreadSlots,
 };
-use locality_sim::{CacheGeometry, Machine, MachineConfig, SimError, TlbConfig};
+use locality_sim::{AccessKind, CacheGeometry, Machine, MachineConfig, SimError, TlbConfig, VAddr};
 use locality_trace::{emit_with, set_clock, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -100,6 +100,9 @@ impl EngineConfig {
 /// workload (DESIGN.md §9.3), so there is no static-dispatch fork.
 pub struct Engine {
     machine: Machine,
+    /// The buffer each batch's single references wait in, lent to its
+    /// [`BatchCtx`] and empty between batches.
+    pending: Vec<(VAddr, AccessKind)>,
     config: EngineConfig,
     sched: Box<dyn Scheduler>,
     /// Dense slot registry over live threads (slots recycle at exit).
@@ -191,6 +194,7 @@ impl Engine {
         Ok(Engine {
             inference,
             machine,
+            pending: Vec::new(),
             config,
             sched,
             slots: ThreadSlots::new(),
@@ -530,6 +534,7 @@ impl Engine {
         };
         let mut ctx = BatchCtx {
             machine: &mut self.machine,
+            pending: &mut self.pending,
             sync: &mut self.sync,
             graph: &mut self.graph,
             cpu,
@@ -541,6 +546,7 @@ impl Engine {
             accesses: self.config.schedule_points.then(Vec::new),
         };
         let control = program.next_batch(&mut ctx);
+        ctx.flush();
         let cycles = ctx.cycles;
         let accesses = ctx.accesses.take();
         let spawns = std::mem::take(&mut ctx.spawns);
@@ -1102,7 +1108,7 @@ mod tests {
     use super::*;
     use crate::events::EngineView;
     use crate::sync::{CondId, SemId};
-    use locality_sim::VAddr;
+    use locality_sim::BATCH_REFS;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1154,6 +1160,85 @@ mod tests {
         assert_eq!(report.total_l2_misses, 64);
         assert!(report.total_cycles > 0);
         assert_eq!(report.context_switches, 3); // 2 yields + exit
+    }
+
+    /// Each point that must see a batch's buffered single references
+    /// resolved — a run, `machine()`, `batch_cycles()`, a registration
+    /// for the thread or for another, a full buffer and the batch's end —
+    /// leaves none pending, in program order. The machine is read
+    /// through the field, past `machine()`'s own flush.
+    #[test]
+    fn buffered_references_resolve_at_every_flush_point() {
+        fn resolved(ctx: &BatchCtx<'_>) -> u64 {
+            let stats = ctx.machine.cpu_stats(ctx.cpu);
+            stats.l1d_refs + stats.l1i_refs
+        }
+        struct Flusher {
+            buf: Option<VAddr>,
+        }
+        impl Program for Flusher {
+            fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
+                if self.buf.is_some() {
+                    assert_eq!(resolved(ctx), 3 * 6 + 2 + BATCH_REFS as u64 + 2, "batch end");
+                    return Control::Exit;
+                }
+                let buf = *self.buf.insert(ctx.alloc(1 << 20, 64));
+                let mut issued = 0;
+                let mut singles = |ctx: &mut BatchCtx<'_>, n: u64| {
+                    for _ in 0..n {
+                        let va = buf.offset(issued * 64);
+                        match issued % 3 {
+                            0 => ctx.read(va),
+                            1 => ctx.write(va),
+                            _ => ctx.fetch(va),
+                        }
+                        issued += 1;
+                    }
+                    issued
+                };
+                let mut runs = 0;
+                for point in [
+                    "machine",
+                    "batch_cycles",
+                    "register_region",
+                    "register_region_for",
+                    "read_range",
+                    "write_run_points",
+                ] {
+                    let issued = singles(ctx, 3);
+                    match point {
+                        "machine" => {
+                            let _ = ctx.machine();
+                        }
+                        "batch_cycles" => {
+                            let _ = ctx.batch_cycles();
+                        }
+                        "register_region" => ctx.register_region(buf, 64),
+                        "register_region_for" => ctx.register_region_for(ThreadId(99), buf, 64),
+                        "read_range" => ctx.read_range(buf, 64, 64),
+                        _ => ctx.write_run_points(buf, 64, 1),
+                    }
+                    runs += u64::from(matches!(point, "read_range" | "write_run_points"));
+                    assert_eq!(resolved(ctx), issued + runs, "{point}");
+                }
+                let issued = singles(ctx, BATCH_REFS as u64);
+                assert_eq!(resolved(ctx), issued + runs, "a full buffer");
+                singles(ctx, 2);
+                Control::Yield
+            }
+        }
+        let mut e = engine(SchedPolicy::Fcfs);
+        e.machine_mut().start_tracing();
+        e.spawn(Box::new(Flusher { buf: None }));
+        e.run().unwrap();
+        // In program order: each run's one line 0 after the singles
+        // issued before it.
+        let trace = e.machine_mut().take_trace().unwrap();
+        let base = trace.iter().next().unwrap().addr.0;
+        let lines: Vec<u64> = trace.iter().map(|r| (r.addr.0 - base) / 64).collect();
+        let mut want: Vec<u64> = (0..15).chain([0]).chain(15..18).chain([0]).collect();
+        want.extend(18..18 + BATCH_REFS as u64 + 2);
+        assert_eq!(lines, want);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::observe::{ObsEvent, ObsLog};
 use crate::points::AccessSpan;
 use crate::sync::{BarrierId, CondId, MutexId, SemId, SyncTables};
 use locality_core::{ModelError, SharingGraph, ThreadId};
-use locality_sim::{AccessKind, Machine, VAddr};
+use locality_sim::{AccessKind, Machine, VAddr, BATCH_REFS};
 
 /// How a batch ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,11 +74,18 @@ impl std::fmt::Debug for PendingSpawn {
 
 /// The capability handle a [`Program`] uses during one batch.
 ///
-/// All accesses run against the simulated machine immediately and their
-/// cycle costs accumulate in [`batch_cycles`](Self::batch_cycles).
+/// Single references are buffered and reach the simulated machine in
+/// program order, one [`Machine::access_batch`] per [`BATCH_REFS`] of
+/// them or fewer: at the latest when the buffer fills or the batch ends,
+/// and always before anything that depends on the machine's state or
+/// changes what it attributes: a run, [`machine`](Self::machine),
+/// [`batch_cycles`](Self::batch_cycles) and region registration. Their
+/// cycle costs accumulate in `batch_cycles`.
 #[derive(Debug)]
 pub struct BatchCtx<'a> {
     pub(crate) machine: &'a mut Machine,
+    /// The single references not yet resolved (lent by the engine).
+    pub(crate) pending: &'a mut Vec<(VAddr, AccessKind)>,
     pub(crate) sync: &'a mut SyncTables,
     pub(crate) graph: &'a mut SharingGraph,
     pub(crate) cpu: usize,
@@ -105,8 +112,36 @@ impl<'a> BatchCtx<'a> {
     }
 
     /// Cycles consumed by this batch so far.
-    pub fn batch_cycles(&self) -> u64 {
+    pub fn batch_cycles(&mut self) -> u64 {
+        self.flush();
         self.cycles
+    }
+
+    /// Resolves the buffered single references.
+    #[inline(always)]
+    pub(crate) fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            self.resolve_pending();
+        }
+    }
+
+    #[inline(never)]
+    fn resolve_pending(&mut self) {
+        self.cycles += self.machine.access_batch(self.cpu, self.pending);
+        self.pending.clear();
+    }
+
+    /// Resolves a run after the single references issued before it.
+    fn run(&mut self, base: VAddr, stride: u64, count: u64, kind: AccessKind) {
+        self.flush();
+        self.cycles += self.machine.access_run(self.cpu, base, stride, count, kind);
+    }
+
+    fn push(&mut self, va: VAddr, kind: AccessKind) {
+        self.pending.push((va, kind));
+        if self.pending.len() == BATCH_REFS {
+            self.flush();
+        }
     }
 
     /// Records a data-access span in the observation log, if enabled.
@@ -124,18 +159,18 @@ impl<'a> BatchCtx<'a> {
     /// Loads one word at `va`.
     pub fn read(&mut self, va: VAddr) {
         self.note_access(va, 1, false);
-        self.cycles += self.machine.access(self.cpu, va, AccessKind::Read);
+        self.push(va, AccessKind::Read);
     }
 
     /// Stores one word at `va`.
     pub fn write(&mut self, va: VAddr) {
         self.note_access(va, 1, true);
-        self.cycles += self.machine.access(self.cpu, va, AccessKind::Write);
+        self.push(va, AccessKind::Write);
     }
 
     /// Fetches an instruction at `va` (through the L1-I).
     pub fn fetch(&mut self, va: VAddr) {
-        self.cycles += self.machine.access(self.cpu, va, AccessKind::Fetch);
+        self.push(va, AccessKind::Fetch);
     }
 
     /// Loads `count` addresses `base, base+stride, …` as one reference
@@ -152,7 +187,7 @@ impl<'a> BatchCtx<'a> {
         for i in 0..count {
             self.note_access(base.offset(i * stride), 1, false);
         }
-        self.cycles += self.machine.access_run(self.cpu, base, stride, count, AccessKind::Read);
+        self.run(base, stride, count, AccessKind::Read);
     }
 
     /// The store twin of [`read_run_points`](Self::read_run_points).
@@ -160,7 +195,7 @@ impl<'a> BatchCtx<'a> {
         for i in 0..count {
             self.note_access(base.offset(i * stride), 1, true);
         }
-        self.cycles += self.machine.access_run(self.cpu, base, stride, count, AccessKind::Write);
+        self.run(base, stride, count, AccessKind::Write);
     }
 
     /// Loads every `stride`-th byte of `[start, start+bytes)`.
@@ -168,7 +203,7 @@ impl<'a> BatchCtx<'a> {
         self.note_access(start, bytes, false);
         let stride = stride.max(1);
         let count = bytes.div_ceil(stride);
-        self.cycles += self.machine.access_run(self.cpu, start, stride, count, AccessKind::Read);
+        self.run(start, stride, count, AccessKind::Read);
     }
 
     /// Stores every `stride`-th byte of `[start, start+bytes)`.
@@ -176,7 +211,7 @@ impl<'a> BatchCtx<'a> {
         self.note_access(start, bytes, true);
         let stride = stride.max(1);
         let count = bytes.div_ceil(stride);
-        self.cycles += self.machine.access_run(self.cpu, start, stride, count, AccessKind::Write);
+        self.run(start, stride, count, AccessKind::Write);
     }
 
     /// Executes `instructions` non-memory instructions (1 cycle each).
@@ -198,12 +233,14 @@ impl<'a> BatchCtx<'a> {
     /// Registers `[start, start+bytes)` as part of the calling thread's
     /// state (footprint ground truth).
     pub fn register_region(&mut self, start: VAddr, bytes: u64) {
+        self.flush();
         self.machine.register_region(self.tid, start, bytes);
     }
 
     /// Registers a region as part of *another* thread's state (used right
     /// after spawning a child whose state the parent carved out).
     pub fn register_region_for(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
+        self.flush();
         self.machine.register_region(tid, start, bytes);
     }
 
@@ -258,7 +295,8 @@ impl<'a> BatchCtx<'a> {
 
     /// Read-only view of the machine (e.g. for exact coefficients from the
     /// region table when building annotations).
-    pub fn machine(&self) -> &Machine {
+    pub fn machine(&mut self) -> &Machine {
+        self.flush();
         self.machine
     }
 }

@@ -277,7 +277,10 @@ impl<F: FnMut(&mut BatchCtx<'_>) -> Control> Program for Batches<F> {
 
 /// Fetches `va` and says whether the L1-I hit.
 fn fetch(ctx: &mut BatchCtx<'_>, va: VAddr) -> bool {
-    let misses = |ctx: &BatchCtx<'_>| ctx.machine().cpu_stats(ctx.cpu()).l1i_misses;
+    let misses = |ctx: &mut BatchCtx<'_>| {
+        let cpu = ctx.cpu();
+        ctx.machine().cpu_stats(cpu).l1i_misses
+    };
     let before = misses(ctx);
     ctx.fetch(va);
     misses(ctx) == before

@@ -1,17 +1,17 @@
-//! Property-based equivalence of the batched reference-run path, the
-//! scalar per-address loop, and `RefMachine`, the reference they are both
+//! Property-based equivalence of the reference-run path, the batch path,
+//! the per-address loop, and `RefMachine`, the reference they are all
 //! held to.
 //!
-//! `Machine::access_run` (and the `BatchCtx` run helpers built on it)
-//! promise to be observationally **byte-identical** to issuing each
-//! access separately: every counter, statistic, directory bit, CML
-//! entry, and observation-log event must come out the same. These tests
-//! drive both paths over machines warmed into identical states —
-//! including cross-processor sharing so the remote-miss and
-//! write-invalidate cases fire — and diff every observable surface, with
-//! a `RefMachine` driven the same way as the third party. Every
-//! workload's recorded reference trace is replayed into a `RefMachine`
-//! too, on three E-cache geometries.
+//! `Machine::access_run` and `Machine::access_batch` (and the `BatchCtx`
+//! helpers built on them) promise to be observationally
+//! **byte-identical** to issuing each access separately: every counter,
+//! statistic, directory bit, CML entry, and observation-log event must
+//! come out the same. These tests drive the paths over machines warmed
+//! into identical states — including cross-processor sharing so the
+//! remote-miss and write-invalidate cases fire — and diff every
+//! observable surface, with a `RefMachine` driven the same way as the
+//! last party. Every workload's recorded reference trace is replayed
+//! into a `RefMachine` too, on three E-cache geometries.
 
 mod ref_machine;
 
@@ -167,18 +167,22 @@ fn epilogue(m: &mut impl Driven, base: VAddr, stride: u64, count: u64, kind: Acc
 }
 
 proptest! {
-    /// `access_run` leaves the machine in exactly the state the scalar
-    /// loop does, and both leave it in the state `RefMachine` reaches —
+    /// A run followed by a list of mixed-kind references leaves the
+    /// machine in exactly the same state whether the run goes through
+    /// `access_run` and the list through `access_batch`, both go through
+    /// one `access_batch`, or every reference through its own `access`,
+    /// and all three leave it in the state `RefMachine` reaches —
     /// counters, stats, PICs, footprints, CML — for arbitrary strides
     /// (including 0 and page-crossing), counts (including 0), kinds,
     /// warm-up sharing patterns, the three E-cache geometries and a TLB
-    /// that evicts; and the three stay indistinguishable under a
+    /// that evicts; and the four stay indistinguishable under a
     /// follow-up write storm from the other processor and a repeat of
-    /// the accesses (identical internal cache/directory state, not just
+    /// the run (identical internal cache/directory state, not just
     /// identical summaries).
     #[test]
     fn run_matches_scalar_loop(
         prelude in proptest::collection::vec((0u16..1024, 0u8..2), 0..64),
+        singles in proptest::collection::vec((0u64..ARENA, 0u8..3), 0..48),
         base_off in 0u64..8192,
         stride in prop_oneof![Just(0u64), Just(1), Just(63), Just(64), Just(65),
                               Just(4096), Just(8192), 0u64..512],
@@ -204,31 +208,41 @@ proptest! {
         };
         let (mut m1, arena) = machine();
         let (mut m2, arena2) = machine();
+        let (mut m3, _) = machine();
         prop_assert_eq!(arena, arena2, "allocation is deterministic");
         let mut r = RefMachine::new(config.clone());
         r.enable_cml(64);
         r.register_region(ThreadId(2), arena, ARENA);
         warm_up(&mut r, arena, &prelude);
         let base = arena.offset(base_off);
+        let run = (0..count).map(|i| (base.offset(i * stride), kind));
+        let singles: Vec<_> =
+            singles.iter().map(|&(off, sel)| (arena.offset(off), kind_of(sel))).collect();
+        let refs: Vec<_> = run.chain(singles.iter().copied()).collect();
 
         m1.set_running(0, Some(a));
-        let run_cycles = m1.access_run(0, base, stride, count, kind);
+        let run_cycles = m1.access_run(0, base, stride, count, kind) + m1.access_batch(0, &singles);
+        m3.set_running(0, Some(a));
+        let batch_cycles = m3.access_batch(0, &refs);
         let (mut loop_cycles, mut ref_cycles) = (0, 0);
         m2.set_running(0, Some(a));
         r.set_running(0, Some(a));
-        for i in 0..count {
-            loop_cycles += m2.access(0, base.offset(i * stride), kind);
-            ref_cycles += r.access(0, base.offset(i * stride), kind);
+        for &(va, kind) in &refs {
+            loop_cycles += m2.access(0, va, kind);
+            ref_cycles += r.access(0, va, kind);
         }
         epilogue(&mut m1, base, stride, count, kind);
         epilogue(&mut m2, base, stride, count, kind);
+        epilogue(&mut m3, base, stride, count, kind);
         epilogue(&mut r, base, stride, count, kind);
 
         let o1 = m1.observe(run_cycles);
         let o2 = m2.observe(loop_cycles);
-        let o3 = r.observe(ref_cycles);
+        let o3 = m3.observe(batch_cycles);
+        let o4 = r.observe(ref_cycles);
         prop_assert_eq!(&o1, &o2);
         prop_assert_eq!(&o1, &o3);
+        prop_assert_eq!(&o1, &o4);
     }
 }
 
@@ -285,17 +299,19 @@ const EVICTING: [Workload; 3] = [
     }),
 ];
 
-/// Runs a workload on four processors with the trace on from the first
-/// reference, replays the trace into a `RefMachine`, and asserts every
-/// per-processor memory counter, the resident E-cache lines, both raw
-/// PIC registers and the page faults equal. The engine never flushes a
-/// processor, so the trace is the whole memory history.
+/// Runs a workload on four processors with the trace and a CML on from
+/// the first reference, replays the trace into a `RefMachine` with the
+/// same CML, and asserts every per-processor memory counter, the
+/// resident E-cache lines, both raw PIC registers, the CML entries and
+/// the page faults equal. The engine never flushes a processor, so the
+/// trace is the whole memory history.
 fn replay_matches(workload: Workload, geometry: CacheGeometry, chaos: Option<ChaosConfig>) {
     let (name, spawn) = workload;
     let config = MachineConfig::enterprise5000(4).with_l2_geometry(geometry).with_tlb(SMALL_TLB);
     let engine_config = EngineConfig { chaos, ..EngineConfig::default() };
     let mut engine = Engine::new(config.clone(), SchedPolicy::Lff, engine_config).unwrap();
     engine.machine_mut().start_tracing();
+    engine.machine_mut().enable_cml(64);
     spawn(&mut engine);
     // Chaos may leave a workload deadlocked (a killed thread held what
     // the others wait for); the references issued up to then still are
@@ -306,6 +322,7 @@ fn replay_matches(workload: Workload, geometry: CacheGeometry, chaos: Option<Cha
     let m = engine.machine_mut();
     let trace = m.take_trace().expect("tracing was on");
     let mut r = RefMachine::new(config);
+    r.enable_cml(64);
     for rec in trace.iter() {
         r.access(usize::from(rec.cpu), rec.addr, rec.kind);
     }
@@ -316,6 +333,7 @@ fn replay_matches(workload: Workload, geometry: CacheGeometry, chaos: Option<Cha
         assert_eq!(memory(m.cpu_stats(cpu)), memory(r.cpu_stats(cpu)), "{cell}: cpu{cpu}");
         assert_eq!(m.l2_resident_lines(cpu), r.l2_resident_lines(cpu), "{cell}: cpu{cpu} L2");
         assert_eq!(m.pic(cpu).read_raw(), r.pic_raw(cpu), "{cell}: cpu{cpu} PIC");
+        assert_eq!(m.cml_drain(cpu), r.cml_drain(cpu), "{cell}: cpu{cpu} CML");
     }
     assert_eq!(m.page_faults(), r.page_faults(), "{cell}: page faults");
 }
