@@ -187,24 +187,6 @@ for jobs in 1 4; do
     rm -rf "$ROBUST_OUT"
 done
 
-# Differential invariant checks: build the feature once and run it over
-# the fig5 and fig7 monitored traces (a fresh out dir defeats the cache
-# so the checked runs actually execute). Besides the scheduler's shadow
-# recompute, the monitor hook of this build scans the E-cache at every
-# sample and fails the run if the tracked footprint differs — all eight
-# apps, typechecker and raytrace (the two the model gets wrong) included.
-# Those cells never recycle a thread slot; fig9's merge and tsp cells
-# spawn and exit threads while they run, so the shadow recompute there
-# also sees estimator rows that were rebound to a younger thread.
-INVARIANT_OUT=$(mktemp -d)
-cargo clippy --workspace --all-targets --features invariant-checks -- -D warnings
-cargo build --release -p locality-repro --features invariant-checks
-for fig in fig5 fig7 fig9; do
-    cargo run --release -p locality-repro --features invariant-checks --bin repro -- "$fig" \
-        --scale small --jobs 2 --out "$INVARIANT_OUT"
-done
-rm -rf "$INVARIANT_OUT"
-
 # Observability layer (locality-trace): the workspace must stay green
 # with the trace feature on (its tests pin the hot path's events per
 # interval; the default build's prove the emission points compile out),

@@ -19,8 +19,8 @@
 //! (the same detector the single-schedule `repro analyze` uses, §7 of
 //! DESIGN.md), global deadlocks (classified by the engine's
 //! blocked-state introspection into lock-cycle deadlocks and condvar
-//! stalls / lost wakeups), and — under the `invariant-checks` feature —
-//! scheduler bookkeeping invariants. A violation is emitted as a
+//! stalls / lost wakeups), and the exploring scheduler's own
+//! bookkeeping invariants. A violation is emitted as a
 //! replayable counterexample: a serialized schedule string that
 //! [`replay_counterexample`] deterministically re-executes to the same
 //! violation.
@@ -359,12 +359,6 @@ pub fn run_schedule(
         Err(e) => Outcome::EngineError(e.to_string()),
     };
     let decisions = sched_log.decisions;
-    debug_assert!(
-        matches!(outcome, Outcome::EngineError(_)) || decisions.len() == points.len(),
-        "one decision per executed step ({} vs {})",
-        decisions.len(),
-        points.len(),
-    );
     let clocks = step_clocks(&log, &points);
     let races = RaceDetector::run(&log).races().to_vec();
     Execution { decisions, points, clocks, races, outcome }
@@ -411,7 +405,7 @@ pub enum ViolationKind {
     /// A global deadlock with a thread parked on a condition variable —
     /// a lost wakeup.
     CondvarStall,
-    /// A scheduler bookkeeping invariant failed (`invariant-checks`).
+    /// The exploring scheduler's own bookkeeping is inconsistent.
     Invariant,
 }
 
@@ -477,7 +471,6 @@ pub fn violations_of(exec: &Execution) -> Vec<McViolation> {
             schedule: schedule.clone(),
         });
     }
-    #[cfg(feature = "invariant-checks")]
     if let Some(what) = scheduler_invariant_failure(exec) {
         out.push(McViolation { kind: ViolationKind::Invariant, detail: what, schedule });
     }
@@ -485,11 +478,10 @@ pub fn violations_of(exec: &Execution) -> Vec<McViolation> {
 }
 
 /// Differential checks over the exploring scheduler's own bookkeeping,
-/// re-validated per explored schedule when `invariant-checks` is on:
+/// re-validated per explored schedule (O(decisions)):
 /// every choice came from its enabled set and was not asleep, enabled
 /// sets are sorted and duplicate-free, and each decision maps to
 /// exactly one executed step by the same thread.
-#[cfg(feature = "invariant-checks")]
 fn scheduler_invariant_failure(exec: &Execution) -> Option<String> {
     if !matches!(exec.outcome, Outcome::EngineError(_)) && exec.decisions.len() != exec.points.len()
     {
@@ -887,6 +879,33 @@ mod tests {
         assert!(exec.races.is_empty());
         assert_eq!(exec.decisions.len(), exec.points.len());
         assert_eq!(exec.clocks.len(), exec.points.len());
+    }
+
+    #[test]
+    fn scheduler_invariant_check_flags_each_broken_rule() {
+        let exec = || run_schedule(McWorkload::Clean { rounds: 1 }, &[], &[], 64);
+        assert_eq!(scheduler_invariant_failure(&exec()), None);
+        let rules = [
+            "decision/step mismatch",
+            "outside its enabled set",
+            "sleeping thread",
+            "unsorted or duplicated",
+            "but step 0 ran",
+        ];
+        for (rule, want) in rules.into_iter().enumerate() {
+            let mut e = exec();
+            let chosen = e.decisions[0].chosen;
+            match rule {
+                0 => drop(e.decisions.pop()),
+                1 => e.decisions[0].chosen = ThreadId(999),
+                2 => e.decisions[0].slept = vec![chosen],
+                3 => e.decisions[0].enabled.push(chosen),
+                _ => e.points[0].tid = ThreadId(999),
+            }
+            let what = scheduler_invariant_failure(&e).unwrap_or_default();
+            assert!(what.contains(want), "expected `{want}`, got `{what}`");
+            assert!(violations_of(&e).iter().any(|v| v.kind == ViolationKind::Invariant));
+        }
     }
 
     #[test]

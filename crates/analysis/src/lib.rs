@@ -31,10 +31,9 @@
 //! lost-wakeup fixtures the model checker explores.
 //!
 //! The scheduler invariant checker (the third leg of the analysis layer)
-//! lives in `locality-core` behind the `invariant-checks` cargo feature,
-//! because it must observe the estimator's internal state on every
-//! context switch; enabling this crate's `invariant-checks` feature
-//! forwards to it.
+//! lives in `locality-core`'s estimator, because it must observe the
+//! estimator's internal state on every context switch; every debug build
+//! runs it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -154,10 +154,11 @@ pub struct LocalityEstimator {
     /// The buffer [`on_interval_end`](Self::on_interval_end) hands out.
     updates: Vec<PriorityUpdate>,
     /// Per processor, eagerly-recomputed footprints (naive `O(threads)`
-    /// per switch), maintained purely to cross-check the incremental path.
-    #[cfg(feature = "invariant-checks")]
+    /// per switch), maintained purely to cross-check the incremental path
+    /// in debug builds; release builds compile none of it.
+    #[cfg(debug_assertions)]
     shadow: Vec<std::collections::BTreeMap<ThreadId, f64>>,
-    #[cfg(feature = "invariant-checks")]
+    #[cfg(debug_assertions)]
     checks: u64,
 }
 
@@ -176,9 +177,9 @@ impl LocalityEstimator {
             slots: ThreadSlots::new(),
             rows: Rows { cpus: config.cpus, masks: Vec::new(), entries: Vec::new() },
             updates: Vec::new(),
-            #[cfg(feature = "invariant-checks")]
+            #[cfg(debug_assertions)]
             shadow: vec![Default::default(); config.cpus],
-            #[cfg(feature = "invariant-checks")]
+            #[cfg(debug_assertions)]
             checks: 0,
         }
     }
@@ -218,7 +219,7 @@ impl LocalityEstimator {
         let m_now = self.misses[cpu.0];
         let slot = self.intern(tid);
         self.schemes.on_dispatch(self.rows.get_or_cold(slot, cpu), m_now);
-        #[cfg(feature = "invariant-checks")]
+        #[cfg(debug_assertions)]
         self.shadow[cpu.0].entry(tid).or_insert(0.0);
     }
 
@@ -233,9 +234,16 @@ impl LocalityEstimator {
     /// thread first, dependents after in thread-id order, in a buffer
     /// that is reused: the slice holds until the next call.
     ///
+    /// The caller must have dispatched `tid` on `cpu` with
+    /// [`on_dispatch`](Self::on_dispatch) and ended no other interval on
+    /// `cpu` since, as the engine does: case 1 starts from the footprint
+    /// snapshotted at that dispatch.
+    ///
     /// # Panics
     ///
-    /// Panics if `cpu` is out of range.
+    /// Panics if `cpu` is out of range, and in a debug build if the
+    /// incremental footprints or priorities diverge from the naive
+    /// recompute.
     pub fn on_interval_end(
         &mut self,
         cpu: CpuId,
@@ -247,7 +255,7 @@ impl LocalityEstimator {
         // tracked thread gets the exact case-1/2/3 formula applied eagerly;
         // the incremental path below touches only the blocker and its
         // dependents. `verify_invariants` compares the two afterwards.
-        #[cfg(feature = "invariant-checks")]
+        #[cfg(debug_assertions)]
         {
             let nn = self.schemes.params().n();
             let kn = self.schemes.tables().k_pow(n);
@@ -280,7 +288,7 @@ impl LocalityEstimator {
         self.schemes.on_independent(); // case 2: all other threads, zero work
 
         self.misses[cpu.0] = m_new;
-        #[cfg(feature = "invariant-checks")]
+        #[cfg(debug_assertions)]
         self.verify_invariants(cpu, tid);
         locality_trace::emit_with(|| locality_trace::TraceEvent::PriorityUpdates {
             tid: tid.0,
@@ -301,9 +309,9 @@ impl LocalityEstimator {
     ///
     /// # Panics
     ///
-    /// Panics with a diagnostic message on any divergence — the point of
-    /// the feature is to fail loudly in CI.
-    #[cfg(feature = "invariant-checks")]
+    /// Panics with a diagnostic message on any divergence, so that every
+    /// engine run of a debug-build test checks the incremental path.
+    #[cfg(debug_assertions)]
     fn verify_invariants(&mut self, cpu: CpuId, blocker: ThreadId) {
         let nn = self.schemes.params().n();
         let m_now = self.misses[cpu.0];
@@ -311,14 +319,14 @@ impl LocalityEstimator {
         assert_eq!(
             tracked,
             self.shadow[cpu.0].len(),
-            "invariant-checks: cpu{} tracks {tracked} threads, the shadow {}",
+            "shadow check: cpu{} tracks {tracked} threads, the shadow {}",
             cpu.0,
             self.shadow[cpu.0].len()
         );
         for (&x, &naive) in &self.shadow[cpu.0] {
             let entry =
                 self.slots.lookup(x).and_then(|slot| self.rows.get(slot, cpu)).unwrap_or_else(
-                    || panic!("invariant-checks: {x} in cpu{}'s shadow but not tracked", cpu.0),
+                    || panic!("shadow check: {x} in cpu{}'s shadow but not tracked", cpu.0),
                 );
             let lazy = self.schemes.expected_footprint(entry, m_now);
             // The lazy path composes decays in one k^(Δm) jump (clamped to
@@ -327,13 +335,13 @@ impl LocalityEstimator {
             let tol = 1e-7 * nn + 1e-9 * lazy.abs().max(naive.abs());
             assert!(
                 (lazy - naive).abs() <= tol,
-                "invariant-checks: cpu{} {x} after {blocker} blocked at m={m_now}: \
+                "shadow check: cpu{} {x} after {blocker} blocked at m={m_now}: \
                  incremental footprint {lazy} != naive recompute {naive} (tol {tol})",
                 cpu.0
             );
             assert!(
                 (-1e-9..=nn * (1.0 + 1e-9)).contains(&lazy),
-                "invariant-checks: cpu{} {x}: E[F] = {lazy} outside [0, N={nn}]",
+                "shadow check: cpu{} {x}: E[F] = {lazy} outside [0, N={nn}]",
                 cpu.0
             );
             // Log-space priority consistency: reconstruct the priority from
@@ -346,7 +354,7 @@ impl LocalityEstimator {
                 let tol = 2.5 / lazy + 1e-6;
                 assert!(
                     (entry.prio - reconstructed).abs() <= tol,
-                    "invariant-checks: cpu{} {x}: stored priority {} inconsistent with \
+                    "shadow check: cpu{} {x}: stored priority {} inconsistent with \
                      footprint {lazy} at m={m_now} (reconstructed {reconstructed}, tol {tol})",
                     cpu.0,
                     entry.prio
@@ -357,8 +365,8 @@ impl LocalityEstimator {
     }
 
     /// Number of context switches the differential invariant checker has
-    /// verified so far.
-    #[cfg(feature = "invariant-checks")]
+    /// verified so far (debug builds only).
+    #[cfg(debug_assertions)]
     pub fn invariant_checks(&self) -> u64 {
         self.checks
     }
@@ -393,7 +401,7 @@ impl LocalityEstimator {
 
     /// Drops `tid` everywhere (thread exit) and frees its slot.
     pub fn remove_thread(&mut self, tid: ThreadId) {
-        #[cfg(feature = "invariant-checks")]
+        #[cfg(debug_assertions)]
         for cpu in cpus_in(self.slots.lookup(tid).map_or(0, |slot| self.rows.mask(slot))) {
             self.shadow[cpu.0].remove(&tid);
         }
@@ -614,7 +622,7 @@ mod tests {
         assert_eq!(prio_order, foot_order);
     }
 
-    #[cfg(feature = "invariant-checks")]
+    #[cfg(debug_assertions)]
     #[test]
     fn differential_checker_runs_and_passes() {
         // Mixed blockers, dependents, cpus, and interval sizes: the naive

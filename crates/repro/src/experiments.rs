@@ -6,12 +6,14 @@
 
 use crate::args::Scale;
 use crate::error::ReproError;
-use crate::monitor::{monitored_engine, sample_footprints, Sampled};
+use crate::monitor::{monitored_engine, sample_footprints};
 use active_threads::sched::LocalityConfig;
 use active_threads::{ChaosConfig, Engine, EngineConfig, InferenceConfig, RunReport, SchedPolicy};
 use locality_core::{FootprintEntry, ModelParams, PolicyKind, PrioritySchemes, ThreadId};
 use locality_sim::{AccessKind, FaultConfig, Machine, MachineConfig, PagePlacement};
 use locality_workloads::{tasks, App};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One heap-eviction-threshold sweep cell (tasks, 1 cpu, LFF).
 ///
@@ -263,7 +265,7 @@ impl PredictionProbe {
 fn probed_engine(
     policy: SchedPolicy,
     chaos: Option<ChaosConfig>,
-) -> Result<(Engine, Sampled<PredictionProbe>), ReproError> {
+) -> Result<(Engine, Rc<RefCell<PredictionProbe>>), ReproError> {
     let config = EngineConfig { chaos, ..EngineConfig::default() };
     let mut engine = Engine::new(MachineConfig::enterprise5000(4), policy, config)?;
     let probe =
@@ -314,7 +316,7 @@ pub fn fault_cell(
     tasks::spawn_parallel(&mut engine, &params);
     let report = engine.run()?;
     let recovered = report.degraded_intervals > 0 && !engine.scheduler().is_degraded();
-    Ok(FaultCell { report, probe: probe.finish()?, recovered })
+    Ok(FaultCell { report, probe: probe.take(), recovered })
 }
 
 /// A mutex-disciplined workload for the chaos ablation: each worker
@@ -432,7 +434,7 @@ pub fn chaos_cell(
     lockstep::spawn(&mut engine, &lock_params);
     let report = engine.run()?;
     let poisoned = engine.sync_tables().poisoned_mutexes() as u64;
-    Ok(ChaosCell { report, probe: probe.finish()?, poisoned })
+    Ok(ChaosCell { report, probe: probe.take(), poisoned })
 }
 
 /// The three thread classes of Table 3's priority-update cost model.

@@ -234,18 +234,37 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
     let mut any = false;
     for row in rows {
         let v = row.dpor.violations.len();
-        let exhaustive = if row.dpor.capped { "capped" } else { "exhaustive" };
+        let gaps = incompleteness(&row.dpor, args.preempt_bound);
+        let (scope, verdict) = match (v, gaps.is_empty()) {
+            (1.., _) => ("", "FAIL".to_string()),
+            (0, true) => ("", "ok".to_string()),
+            (0, false) => ("not ", format!("incomplete: {}", gaps.join(", "))),
+        };
         println!(
-            "{}: {} schedule(s) ({exhaustive}; naive {}), {} violation(s) -> {}",
+            "{}: {} schedule(s) ({scope}exhaustive; naive {}), {v} violation(s) -> {verdict}",
             row.workload.name(),
             row.dpor.schedules,
             row.naive.schedules,
-            v,
-            if v > 0 { "FAIL" } else { "ok" }
         );
         any |= v > 0;
     }
     Ok(any)
+}
+
+/// Why an exploration did not cover every schedule, one phrase per
+/// cause; empty when it did. A run with gaps that finds nothing proves
+/// nothing, so it is reported `incomplete`, never `ok`.
+fn incompleteness(dpor: &ExploreSummary, preempt_bound: Option<u64>) -> Vec<String> {
+    let (cut, diverged) = (dpor.truncated, dpor.diverged);
+    [
+        dpor.capped.then(|| "capped by --max-schedules".to_string()),
+        (cut > 0).then(|| format!("{cut} execution(s) cut by --depth-bound")),
+        (diverged > 0).then(|| format!("{diverged} execution(s) diverged")),
+        preempt_bound.map(|k| format!("at most {k} preemption(s) by --preempt-bound")),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //!
 //! * the **observed** footprint — resident E-cache lines belonging to the
 //!   thread's registered state (the simulator-only ground truth, read
-//!   from the machine's incrementally tracked counters; the
-//!   `invariant-checks` build also runs the full E-cache scan at every
-//!   sample and fails the run if the two ever differ);
+//!   from the machine's incrementally tracked counters, which
+//!   `tests/footprint_tracking.rs` holds to the full E-cache scan at
+//!   every sample);
 //! * the **predicted** footprint — the LFF estimator's expected value,
 //!   driven purely by the performance counters (and annotations, were
 //!   there any);
@@ -80,25 +80,9 @@ impl MonitorTrace {
     }
 }
 
-/// The caller's handle to an installed [sampling hook](sample_footprints):
-/// the accumulator and, in the `invariant-checks` build, the first
-/// tracker/scan disagreement.
-pub(crate) struct Sampled<T>(Rc<RefCell<(T, Option<String>)>>);
-
-impl<T: Default> Sampled<T> {
-    /// Takes the accumulator out, or the recorded disagreement as a
-    /// typed error: a wrong footprint must never reach a CSV.
-    pub(crate) fn finish(self) -> Result<T, RuntimeError> {
-        match self.0.take() {
-            (_, Some(what)) => Err(RuntimeError::Internal { what }),
-            (state, None) => Ok(state),
-        }
-    }
-}
-
 struct FootprintSampler<T, F> {
     only: Option<ThreadId>,
-    log: Rc<RefCell<(T, Option<String>)>>,
+    log: Rc<RefCell<T>>,
     on_sample: F,
 }
 
@@ -112,41 +96,29 @@ where
         }
         let observed = view.machine.l2_footprint_lines(ev.cpu, ev.tid);
         let predicted = view.sched.expected_footprint(ev.cpu, ev.tid);
-        let mut log = self.log.borrow_mut();
-        #[cfg(feature = "invariant-checks")]
-        {
-            let scanned = view.machine.l2_footprints(ev.cpu).get(&ev.tid).copied().unwrap_or(0);
-            if scanned != observed && log.1.is_none() {
-                log.1 = Some(format!(
-                    "invariant-checks: tracked footprint of {} on cpu{} is {observed} lines, \
-                     the E-cache scan counts {scanned} (switch {})",
-                    ev.tid, ev.cpu, ev.switch_index
-                ));
-            }
-        }
-        (self.on_sample)(&mut log.0, ev, view, observed, predicted);
+        (self.on_sample)(&mut self.log.borrow_mut(), ev, view, observed, predicted);
     }
 }
 
 /// Installs the one footprint-sampling hook: at every context switch
 /// (of `only`, when given) `on_sample` gets the accumulator, the event,
 /// the view, the leaving thread's ground-truth footprint in lines and
-/// the scheduler's prediction (`None` under FCFS).
+/// the scheduler's prediction (`None` under FCFS). Returns the
+/// accumulator, which the caller takes after the run.
 ///
 /// Installing switches the machine's footprint tracking on, so a sample
 /// is one counter read instead of an E-cache scan — at the price of a
 /// region lookup per E-cache fill and eviction, which is why runs that
-/// sample nothing never pay it. The `invariant-checks` build also scans
-/// at every sample and fails the run if the two ever differ.
+/// sample nothing never pay it.
 pub(crate) fn sample_footprints<T: Default + 'static>(
     engine: &mut Engine,
     only: Option<ThreadId>,
     on_sample: impl FnMut(&mut T, &SwitchEvent, &EngineView<'_>, u64, Option<f64>) + 'static,
-) -> Sampled<T> {
+) -> Rc<RefCell<T>> {
     engine.machine_mut().track_footprints();
     let log = Rc::new(RefCell::default());
     engine.add_hook(Box::new(FootprintSampler { only, log: log.clone(), on_sample }));
-    Sampled(log)
+    log
 }
 
 /// The Figure 5/6/7 set-up: a single simulated UltraSPARC-1 with the
@@ -166,7 +138,7 @@ pub(crate) fn monitored_engine(
 
 /// Samples `tid` at each of its context switches into a [`Sample`]
 /// series (cumulative misses, instructions, observed vs predicted).
-fn monitor_thread(engine: &mut Engine, tid: ThreadId) -> Sampled<Vec<Sample>> {
+fn monitor_thread(engine: &mut Engine, tid: ThreadId) -> Rc<RefCell<Vec<Sample>>> {
     let mut misses = 0;
     sample_footprints(engine, Some(tid), move |samples: &mut Vec<Sample>, ev, view, lines, exp| {
         misses += ev.delta.misses;
@@ -204,7 +176,7 @@ pub fn monitor_app_seeded(
     let (mut engine, tid) = monitored_engine(app, placement, SchedPolicy::Lff, seed)?;
     let out = monitor_thread(&mut engine, tid);
     engine.run()?;
-    Ok(MonitorTrace { app: app.name(), samples: out.finish()? })
+    Ok(MonitorTrace { app: app.name(), samples: out.take() })
 }
 
 /// MPI (misses per 1000 instructions) series derived from a trace, as
@@ -271,22 +243,11 @@ mod tests {
         );
         let out = monitor_thread(&mut engine, tid);
         engine.run().unwrap();
-        let samples = out.finish().unwrap();
+        let samples = out.take();
         assert!(samples.len() > 3);
         // Footprints grow from cold.
         assert!(samples.last().unwrap().observed > samples[0].observed);
         // Predictions are live.
         assert!(samples.last().unwrap().predicted > 0.0);
-    }
-
-    #[test]
-    fn footprint_mismatch_is_a_typed_error() {
-        let sampled = |log| Sampled(Rc::new(RefCell::new(log)));
-        let samples = vec![Sample { misses: 1, instructions: 1, observed: 1.0, predicted: 1.0 }];
-        match sampled((samples, Some("tracked 1, scanned 2".to_string()))).finish() {
-            Err(RuntimeError::Internal { what }) => assert!(what.contains("scanned 2")),
-            other => panic!("expected an internal error, got {other:?}"),
-        }
-        assert!(sampled((Vec::<Sample>::new(), None)).finish().unwrap().is_empty());
     }
 }

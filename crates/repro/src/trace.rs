@@ -99,7 +99,7 @@ pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun,
     // an emission point inside the engine: keeping the ground-truth
     // counters current costs a region lookup per E-cache fill and
     // eviction, which plainly-traced engine runs must not pay.
-    let sampler = sample_footprints(&mut engine, Some(tid), |(): &mut (), ev, _, lines, exp| {
+    sample_footprints(&mut engine, Some(tid), |(): &mut (), ev, _, lines, exp| {
         locality_trace::emit_with(|| locality_trace::TraceEvent::PredictionSample {
             cpu: ev.cpu as u32,
             tid: ev.tid.0,
@@ -113,7 +113,6 @@ pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun,
         return Err(ReproError::MissingResult("trace sink installed above".to_string()));
     };
     run?;
-    sampler.finish()?;
     Ok(TracedRun {
         app,
         records: sink.records(),

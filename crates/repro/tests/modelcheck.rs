@@ -48,10 +48,28 @@ fn clean_workload_explores_exhaustively_and_exits_zero() {
     let out = run(&["--workload", "clean", "--out", out_dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = stdout(&out);
-    assert!(text.contains("exhaustive"), "{text}");
+    assert!(text.contains("(exhaustive;"), "{text}");
     assert!(text.contains("0 violation(s) -> ok"), "{text}");
     assert!(out_dir.join("modelcheck.csv").is_file());
     assert!(!out_dir.join("counterexample_clean.txt").exists());
+}
+
+#[test]
+fn a_bounded_exploration_that_finds_nothing_is_incomplete_not_ok() {
+    // At depth 1 the racy fixture's race is never reached: no violation,
+    // and no proof either. Exit 0, but the line says why it is no proof.
+    for (workload, bound, cause) in [
+        ("racy", "--depth-bound", "1 execution(s) cut by --depth-bound"),
+        ("clean", "--max-schedules", "capped by --max-schedules"),
+    ] {
+        let out_dir = tmp_out(&format!("bound-{workload}"));
+        let out = run(&["--workload", workload, bound, "1", "--out", out_dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
+        let text = stdout(&out);
+        assert!(text.contains("(not exhaustive;"), "{text}");
+        assert!(text.contains(&format!("0 violation(s) -> incomplete: {cause}")), "{text}");
+        assert!(!text.contains("-> ok"), "{text}");
+    }
 }
 
 #[test]

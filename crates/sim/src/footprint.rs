@@ -7,9 +7,8 @@
 //!   [`FootprintScratch`]): walk every resident line, translate it back
 //!   to its virtual address and ask the region table who owns it. One
 //!   walk is 8192 reverse translations and B-tree probes, so it is the
-//!   slow, obviously-right **oracle** — what tests, the
-//!   `invariant-checks` build and one-off queries call — and far too
-//!   heavy to repeat at every context switch.
+//!   slow, obviously-right **oracle** — what tests and one-off queries
+//!   call — and far too heavy to repeat at every context switch.
 //! * **The tracker** ([`FootprintTracker`], switched on by
 //!   [`Machine::track_footprints`]): per-cpu, per-thread counters kept
 //!   current *as residency changes* — the way the paper's Shade-based

@@ -21,7 +21,9 @@ pub enum SwitchReason {
     Sleeping,
     /// The thread exited.
     Exited,
-    /// The thread exhausted its time slice.
+    /// Controlled scheduling (`EngineConfig::schedule_points`) took the
+    /// processor back after a visible operation the thread could have
+    /// continued past; it is still ready. No other mode preempts.
     Preempted,
     /// The thread was killed mid-interval by lifecycle fault injection
     /// (the chaos layer); its final partial interval is still read and

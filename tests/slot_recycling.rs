@@ -345,6 +345,12 @@ proptest! {
     /// the thread has no row, are likewise the ones a loop over every
     /// cpu of the reference finds, for a threshold cold rows pass (0),
     /// one they do not (8) and one nothing passes (NaN).
+    ///
+    /// The sequences keep the engine's protocol, which the estimator's
+    /// debug-build shadow recompute holds it to: a dispatch puts a thread
+    /// that runs nowhere onto an idle cpu, an interval ends only for the
+    /// thread running on that cpu and leaves it idle, and only a thread
+    /// that runs nowhere exits.
     #[test]
     fn estimator_rows_die_with_the_thread(
         steps in proptest::collection::vec((0u8..10, 0u64..u64::MAX, 0u64..3000), 1..160),
@@ -357,13 +363,16 @@ proptest! {
         let mut reference = KeyedEstimator::new(policy, params, cpus);
         let mut live: Vec<ThreadId> = Vec::new();
         let mut seen: Vec<ThreadId> = Vec::new();
+        let mut running: Vec<Option<ThreadId>> = vec![None; cpus];
         for &(op, pick, n) in &steps {
             let cpu = (pick >> 8) as usize % cpus;
-            let who = live.get((pick >> 16) as usize % live.len().max(1)).copied();
-            match (op, who) {
-                // Spawn (always, while nothing is live): ids are never
-                // reused, slots are.
-                (0..=1, _) | (_, None) => {
+            let idle: Vec<ThreadId> =
+                live.iter().copied().filter(|&t| !running.contains(&Some(t))).collect();
+            let who = idle.get((pick >> 16) as usize % idle.len().max(1)).copied();
+            match (op, running[cpu], who) {
+                // Spawn (also when no thread is free for the step): ids
+                // are never reused, slots are.
+                (0..=1, ..) | (2..=7, None, None) | (8.., _, None) => {
                     let tid = ThreadId(seen.len() as u64 + 1);
                     live.push(tid);
                     seen.push(tid);
@@ -376,15 +385,17 @@ proptest! {
                         );
                     }
                 }
-                (2..=3, Some(tid)) => {
+                (2..=7, None, Some(tid)) => {
                     est.on_dispatch(CpuId(cpu), tid);
                     reference.on_dispatch(cpu, tid);
+                    running[cpu] = Some(tid);
                 }
-                (4..=7, Some(tid)) => {
+                (2..=7, Some(tid), _) => {
                     // Half the interval ends fan out to up to two
                     // dependents, which need not have run anywhere yet.
+                    running[cpu] = None;
                     let mut graph = SharingGraph::new();
-                    if op >= 6 {
+                    if op >= 5 {
                         for (k, &dep) in live.iter().filter(|&&t| t != tid).take(2).enumerate() {
                             graph.set(tid, dep, 0.25 + 0.5 * k as f64).unwrap();
                         }
@@ -397,7 +408,7 @@ proptest! {
                         prop_assert_eq!(g.prio.to_bits(), w.prio.to_bits());
                     }
                 }
-                (_, Some(tid)) => {
+                (8.., _, Some(tid)) => {
                     est.remove_thread(tid);
                     reference.retire(tid);
                     live.retain(|&t| t != tid);
