@@ -3,8 +3,8 @@
 # Bare `cargo test -q` runs every test of every workspace member, the
 # small-scale goldens among them, in a debug build. Each step here is not
 # a test (fmt, clippy, the budgets and greps) or needs what that run does
-# not have: a release build, a cargo feature, the paper scale, another
-# --jobs value, or the benchmark package.
+# not have: a release build, the paper scale, another --jobs value, or
+# the benchmark package.
 set -eux
 
 # The whole suite once more in release, the #[ignore]d tests with it:
@@ -186,38 +186,3 @@ for jobs in 1 4; do
     (cd "$ROBUST_OUT" && grep '  paper/' "$ROBUST_GOLDEN" | sha256sum -c)
     rm -rf "$ROBUST_OUT"
 done
-
-# Observability layer (locality-trace): the workspace must stay green
-# with the trace feature on (its tests pin the hot path's events per
-# interval; the default build's prove the emission points compile out),
-# and a small traced run must export cleanly.
-cargo test -q --workspace --features trace
-cargo clippy --workspace --all-targets --features trace -- -D warnings
-TRACE_OUT=$(mktemp -d)
-cargo run --release -p locality-repro --features trace --bin repro -- trace \
-    --scale small --jobs 2 --out "$TRACE_OUT"
-test -s "$TRACE_OUT/trace_merge.chrome.json"
-test -s "$TRACE_OUT/trace_merge.jsonl"
-test -s "$TRACE_OUT/trace_metrics.csv"
-# Metrics and exports come from one run each; nothing of it is cached.
-test ! -e "$TRACE_OUT/.cache"
-
-# The outputs no figure hash covers: the analyzer's findings over both
-# fixtures, the model checker's table and its three counterexamples, and
-# the traced run above are held byte for byte to
-# results/golden_analysis.sha256. Both drivers exit 1 on the racy,
-# deadlock and lost-wakeup fixtures they are meant to flag, and print the
-# same with or without the trace feature (this build saves a rebuild).
-for run in "analyze --scale small --workload all" modelcheck; do
-    status=0
-    # $run is left unquoted: it is a subcommand and its flags.
-    cargo run --release -p locality-repro --features trace --bin repro -- $run \
-        --out "$TRACE_OUT" || status=$?
-    if [ "$status" -ne 1 ]; then
-        echo "repro $run exited $status, not 1" >&2
-        exit 1
-    fi
-done
-ANALYSIS_GOLDEN="$PWD/results/golden_analysis.sha256"
-(cd "$TRACE_OUT" && sha256sum -c "$ANALYSIS_GOLDEN")
-rm -rf "$TRACE_OUT"

@@ -22,7 +22,7 @@
 //! | `all` | `table1`–`table5`, `fig4`–`fig9` and `ablation` through one shared runner (cross-figure runs execute once) |
 //! | `analyze` | race detection, lock-order cycles, and annotation lints over the deterministic racy/clean fixture pair (exit 1 on confirmed races; `--workload clean\|racy\|all`) |
 //! | `modelcheck` | stateless model checking: exhaustive DPOR schedule exploration of the fixture workloads, with replayable counterexamples (exit 1 on violations; `--workload clean\|racy\|deadlock\|lostwake\|all`, `--replay FILE`) |
-//! | `trace` | locality-trace observability: JSONL + Chrome `trace_event` exports and aggregated trace-metrics CSVs for a monitored app (`--workload APP\|all`, `--policy fcfs\|lff\|crt`; needs the `trace` feature) |
+//! | `trace` | locality-trace observability: JSONL + Chrome `trace_event` exports and aggregated trace-metrics CSVs for a monitored app (`--workload APP\|all`, `--policy fcfs\|lff\|crt`) |
 //!
 //! Every subcommand prints aligned text tables and writes CSV files under
 //! `results/` (change with `--out DIR`). `--scale small` runs scaled-down

@@ -335,7 +335,7 @@ pub const SUBCOMMANDS: [Subcommand; 17] = [
         .reads(&["--workload"]),
     sub("modelcheck", Target::Modelcheck, "DPOR schedule exploration (exit 1 on a violation)")
         .reads(&["--workload", "--depth-bound", "--max-schedules", "--preempt-bound", "--replay"]),
-    sub("trace", Target::Trace, "event-stream exports of a monitored app (needs --features trace)")
+    sub("trace", Target::Trace, "event-stream exports of a monitored app")
         .reads(&["--workload", "--policy"]),
 ];
 

@@ -18,9 +18,6 @@
 //!   Perfetto / `chrome://tracing`), one track per CPU and per thread;
 //! * a row in `trace_metrics.csv` plus per-app histogram CSVs
 //!   (`trace_hist_<app>.csv`).
-//!
-//! Requires a build with the `trace` cargo feature; without it the
-//! driver exits with a usage error before running anything.
 
 use crate::args::{keyword, keyword_or_all, Args, Scale};
 use crate::error::ReproError;
@@ -82,16 +79,8 @@ pub struct TracedRun {
 ///
 /// # Errors
 ///
-/// Returns [`ReproError::Usage`] when the build lacks the `trace`
-/// feature, or the engine's error if the run cannot complete.
+/// Returns the engine's error if the run cannot complete.
 pub fn traced_run(app: App, policy: SchedPolicy, seed: u64) -> Result<TracedRun, ReproError> {
-    if !locality_trace::ENABLED {
-        return Err(ReproError::Usage(
-            "this build carries no trace instrumentation; \
-             rebuild with `cargo build --release --features trace`"
-                .to_string(),
-        ));
-    }
     let (mut engine, tid) = monitored_engine(app, PagePlacement::bin_hopping(), policy, seed)?;
     // Observed vs predicted footprint of the monitored thread at each of
     // its context switches, exactly the fig5 measurement, as
@@ -185,8 +174,7 @@ fn hist_table(app: App, a: &TraceAggregate) -> Result<Table, ReproError> {
 /// # Errors
 ///
 /// Returns [`ReproError::Usage`] for a bad `--policy`/`--workload`
-/// value or a build without the `trace` feature, or the first
-/// run/output error.
+/// value, or the first run/output error.
 pub fn run_trace(args: &Args) -> Result<(), ReproError> {
     let policy = policy_from_args(args)?;
     let apps = apps_from_args(args)?;
@@ -228,6 +216,7 @@ pub fn run_trace(args: &Args) -> Result<(), ReproError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locality_trace::export::{to_chrome, to_jsonl};
 
     fn args_with(workload: Option<&str>, policy: Option<&str>, scale: Scale) -> Args {
         Args {
@@ -257,10 +246,99 @@ mod tests {
         assert!(matches!(apps(Some("doom"), Scale::Paper), Err(ReproError::Usage(_))));
     }
 
-    /// The seeded merge worker under LFF with a sink installed and no
-    /// footprint sampler: what the emission points inside the
-    /// engine, the scheduler and the simulator record on their own.
-    fn merge_with_sink() -> locality_trace::TraceSink {
+    #[test]
+    fn seeded_runs_export_byte_identical_traces() {
+        let seed = App::Merge.default_seed();
+        let a = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
+        let b = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
+        assert!(a.aggregate.events > 0);
+        assert_eq!((&a.aggregate, a.dropped), (&b.aggregate, b.dropped));
+        assert_eq!(to_jsonl(&a.records), to_jsonl(&b.records));
+        assert_eq!(to_chrome(&a.records), to_chrome(&b.records));
+    }
+
+    #[test]
+    fn run_trace_writes_one_uncached_runs_records_and_their_aggregate() {
+        let out = std::env::temp_dir().join(format!("repro-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let args = Args { out: out.clone(), jobs: 1, ..args_with(None, None, Scale::Small) };
+        run_trace(&args).unwrap();
+        assert!(!out.join(".cache").exists(), "nothing of a trace is cached");
+
+        // The very records exported, through a sink of their own:
+        // its aggregate is what the two CSVs must say.
+        let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
+        let read = |name: &str| std::fs::read_to_string(out.join(name)).unwrap();
+        assert_eq!(read("trace_merge.jsonl"), to_jsonl(&run.records));
+        let mut sink = locality_trace::TraceSink::new(locality_trace::sink::DEFAULT_CAPACITY);
+        let mut monitored = None;
+        for r in &run.records {
+            if let locality_trace::TraceEvent::PredictionSample { tid, .. } = r.event {
+                monitored = Some(tid);
+            }
+            sink.set_clock(r.clock);
+            sink.record(r.event);
+        }
+        let tid = monitored.expect("the run samples its monitored thread");
+        let aggregate = sink.aggregate().clone();
+        assert!(aggregate.rel_samples(tid) > 0 && sink.dropped() == 0, "{aggregate:?}");
+        let hist = hist_table(App::Merge, &aggregate).unwrap();
+        let replayed =
+            [TracedRun { app: App::Merge, records: Vec::new(), aggregate, dropped: 0, tid }];
+        let metrics = metrics_table(SchedPolicy::Lff, &replayed).unwrap();
+        assert_eq!(read("trace_metrics.csv"), metrics.to_csv());
+        assert_eq!(read("trace_hist_merge.csv"), hist.to_csv());
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn trace_rel_error_matches_fig5_statistic() {
+        // The aggregate's relative-error statistic must agree with
+        // the MonitorTrace statistic the fig5 summary reports, for
+        // the same (app, placement, seed) under LFF.
+        let seed = App::Merge.default_seed();
+        let run = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
+        let monitor = crate::monitor::monitor_app_seeded(
+            App::Merge,
+            locality_sim::PagePlacement::bin_hopping(),
+            seed,
+        )
+        .unwrap();
+        let rel = run.aggregate.mean_rel_error(run.tid);
+        assert!(run.aggregate.rel_samples(run.tid) > 0, "no qualifying prediction samples");
+        assert!(
+            (rel - monitor.mean_rel_error()).abs() < 1e-9,
+            "trace {rel} vs fig5 {}",
+            monitor.mean_rel_error()
+        );
+    }
+
+    #[test]
+    fn traced_run_records_the_full_event_palette() {
+        let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
+        let kinds: std::collections::BTreeSet<&str> =
+            run.records.iter().map(|r| r.event.kind()).collect();
+        for kind in ["interval-begin", "interval-end", "dispatch", "pic-read", "prediction-sample"]
+        {
+            assert!(kinds.contains(kind), "missing {kind} in {kinds:?}");
+        }
+        // Clocks are monotone per record order up to same-cycle
+        // batches on one CPU (single-cpu protocol).
+        let mut prev = 0;
+        for r in &run.records {
+            assert!(r.clock >= prev, "clock went backwards");
+            prev = r.clock;
+        }
+    }
+
+    #[test]
+    fn hot_path_events_per_interval_stay_within_budget() {
+        // The tracing budget as a work counter: this run emits 3904
+        // events over 488 intervals, eight a scheduling interval and
+        // none per reference. An emission point that fires per
+        // probe or per reference multiplies this integer. No footprint
+        // sampler: what the emission points inside the engine, the
+        // scheduler and the simulator record on their own.
         let (mut engine, _) = monitored_engine(
             App::Merge,
             PagePlacement::bin_hopping(),
@@ -272,141 +350,22 @@ mod tests {
         let run = engine.run();
         let sink = locality_trace::take().expect("sink installed above");
         run.unwrap();
-        sink
+        let (events, intervals) = (sink.events_emitted(), sink.aggregate().intervals);
+        assert!(intervals > 0, "the run recorded no intervals");
+        assert!(events > 0, "the instrumented run recorded no events");
+        assert!(
+            events <= 8 * intervals,
+            "{events} events over {intervals} intervals exceeds 8 per interval"
+        );
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn featureless_build_emits_nothing_into_an_installed_sink() {
-        // The compile-out proof: the emission points are gone, so the
-        // run is the un-instrumented hot path.
-        assert_eq!(merge_with_sink().events_emitted(), 0);
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn featureless_build_refuses_to_run() {
-        let err = traced_run(App::Merge, SchedPolicy::Lff, 1).unwrap_err();
-        assert!(matches!(err, ReproError::Usage(_)), "{err:?}");
-        let err = run_trace(&args_with(None, None, Scale::Small)).unwrap_err();
-        assert!(matches!(err, ReproError::Usage(_)), "{err:?}");
-    }
-
-    #[cfg(feature = "trace")]
-    mod traced {
-        use super::*;
-        use locality_trace::export::{to_chrome, to_jsonl};
-
-        #[test]
-        fn seeded_runs_export_byte_identical_traces() {
-            let seed = App::Merge.default_seed();
-            let a = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
-            let b = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
-            assert!(a.aggregate.events > 0);
-            assert_eq!((&a.aggregate, a.dropped), (&b.aggregate, b.dropped));
-            assert_eq!(to_jsonl(&a.records), to_jsonl(&b.records));
-            assert_eq!(to_chrome(&a.records), to_chrome(&b.records));
-        }
-
-        #[test]
-        fn run_trace_writes_one_uncached_runs_records_and_their_aggregate() {
-            let out = std::env::temp_dir().join(format!("repro-trace-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&out);
-            let args = Args { out: out.clone(), jobs: 1, ..args_with(None, None, Scale::Small) };
-            run_trace(&args).unwrap();
-            assert!(!out.join(".cache").exists(), "nothing of a trace is cached");
-
-            // The very records exported, through a sink of their own:
-            // its aggregate is what the two CSVs must say.
-            let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
-            let read = |name: &str| std::fs::read_to_string(out.join(name)).unwrap();
-            assert_eq!(read("trace_merge.jsonl"), to_jsonl(&run.records));
-            let mut sink = locality_trace::TraceSink::new(locality_trace::sink::DEFAULT_CAPACITY);
-            let mut monitored = None;
-            for r in &run.records {
-                if let locality_trace::TraceEvent::PredictionSample { tid, .. } = r.event {
-                    monitored = Some(tid);
-                }
-                sink.set_clock(r.clock);
-                sink.record(r.event);
-            }
-            let tid = monitored.expect("the run samples its monitored thread");
-            let aggregate = sink.aggregate().clone();
-            assert!(aggregate.rel_samples(tid) > 0 && sink.dropped() == 0, "{aggregate:?}");
-            let hist = hist_table(App::Merge, &aggregate).unwrap();
-            let replayed =
-                [TracedRun { app: App::Merge, records: Vec::new(), aggregate, dropped: 0, tid }];
-            let metrics = metrics_table(SchedPolicy::Lff, &replayed).unwrap();
-            assert_eq!(read("trace_metrics.csv"), metrics.to_csv());
-            assert_eq!(read("trace_hist_merge.csv"), hist.to_csv());
-            let _ = std::fs::remove_dir_all(&out);
-        }
-
-        #[test]
-        fn trace_rel_error_matches_fig5_statistic() {
-            // The aggregate's relative-error statistic must agree with
-            // the MonitorTrace statistic the fig5 summary reports, for
-            // the same (app, placement, seed) under LFF.
-            let seed = App::Merge.default_seed();
-            let run = traced_run(App::Merge, SchedPolicy::Lff, seed).unwrap();
-            let monitor = crate::monitor::monitor_app_seeded(
-                App::Merge,
-                locality_sim::PagePlacement::bin_hopping(),
-                seed,
-            )
-            .unwrap();
-            let rel = run.aggregate.mean_rel_error(run.tid);
-            assert!(run.aggregate.rel_samples(run.tid) > 0, "no qualifying prediction samples");
-            assert!(
-                (rel - monitor.mean_rel_error()).abs() < 1e-9,
-                "trace {rel} vs fig5 {}",
-                monitor.mean_rel_error()
-            );
-        }
-
-        #[test]
-        fn traced_run_records_the_full_event_palette() {
-            let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
-            let kinds: std::collections::BTreeSet<&str> =
-                run.records.iter().map(|r| r.event.kind()).collect();
-            for kind in
-                ["interval-begin", "interval-end", "dispatch", "pic-read", "prediction-sample"]
-            {
-                assert!(kinds.contains(kind), "missing {kind} in {kinds:?}");
-            }
-            // Clocks are monotone per record order up to same-cycle
-            // batches on one CPU (single-cpu protocol).
-            let mut prev = 0;
-            for r in &run.records {
-                assert!(r.clock >= prev, "clock went backwards");
-                prev = r.clock;
-            }
-        }
-
-        #[test]
-        fn hot_path_events_per_interval_stay_within_budget() {
-            // The tracing budget as a work counter: this run emits 3904
-            // events over 488 intervals, eight a scheduling interval and
-            // none per reference. An emission point that fires per
-            // probe or per reference multiplies this integer.
-            let sink = merge_with_sink();
-            let (events, intervals) = (sink.events_emitted(), sink.aggregate().intervals);
-            assert!(intervals > 0, "the run recorded no intervals");
-            assert!(events > 0, "the instrumented run recorded no events");
-            assert!(
-                events <= 8 * intervals,
-                "{events} events over {intervals} intervals exceeds 8 per interval"
-            );
-        }
-
-        #[test]
-        fn chrome_export_is_valid_enough_for_viewers() {
-            let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
-            let text = to_chrome(&run.records);
-            assert!(text.starts_with("{\"traceEvents\":["));
-            assert!(text.trim_end().ends_with("]}"));
-            assert_eq!(text.matches('{').count(), text.matches('}').count());
-            assert!(text.contains("\"ph\":\"X\""));
-        }
+    fn chrome_export_is_valid_enough_for_viewers() {
+        let run = traced_run(App::Merge, SchedPolicy::Lff, App::Merge.default_seed()).unwrap();
+        let text = to_chrome(&run.records);
+        assert!(text.starts_with("{\"traceEvents\":["));
+        assert!(text.trim_end().ends_with("]}"));
+        assert_eq!(text.matches('{').count(), text.matches('}').count());
+        assert!(text.contains("\"ph\":\"X\""));
     }
 }

@@ -454,7 +454,7 @@ impl LocalityScheduler {
         while let Some(tid) = self.preferred[cpu].pop_front() {
             if let Some(slot) = self.slots.lookup(tid).filter(|&slot| self.is_ready(slot)) {
                 self.remove_slot(slot);
-                self.trace_dispatch(cpu, tid, || f64::NAN, f64::NAN);
+                self.trace_dispatch(cpu, tid, || (f64::NAN, f64::NAN));
                 return Some(tid);
             }
         }
@@ -465,7 +465,7 @@ impl LocalityScheduler {
                 let slot = self.states[i].as_ref().expect("live entry has state").slot;
                 self.arrival.pop_front();
                 self.remove_slot(slot);
-                self.trace_dispatch(cpu, tid, || f64::NAN, f64::NAN);
+                self.trace_dispatch(cpu, tid, || (f64::NAN, f64::NAN));
                 return Some(tid);
             }
             // Lazily-deleted entry: discard and keep looking.
@@ -474,22 +474,20 @@ impl LocalityScheduler {
         None
     }
 
-    /// Emits the dispatch trace point (compiled out without `trace`,
-    /// and `priority` with it: a pick from the global queue would
-    /// otherwise ask the estimator for a number nobody reads).
-    fn trace_dispatch(
-        &self,
-        cpu: usize,
-        tid: ThreadId,
-        priority: impl FnOnce() -> f64,
-        margin: f64,
-    ) {
-        emit_with(|| TraceEvent::Dispatch {
-            cpu: cpu as u32,
-            tid: tid.0,
-            priority: priority(),
-            margin,
-            degraded: self.mode == SchedMode::Degraded,
+    /// Emits the dispatch trace point. `values` gives the chosen
+    /// thread's priority and its margin over the runner-up, and runs only
+    /// when a sink is installed: a pick from the global queue would
+    /// otherwise ask the estimator for a number nobody reads.
+    fn trace_dispatch(&self, cpu: usize, tid: ThreadId, values: impl FnOnce() -> (f64, f64)) {
+        emit_with(|| {
+            let (priority, margin) = values();
+            TraceEvent::Dispatch {
+                cpu: cpu as u32,
+                tid: tid.0,
+                priority,
+                margin,
+                degraded: self.mode == SchedMode::Degraded,
+            }
         });
     }
 }
@@ -592,8 +590,9 @@ impl Scheduler for LocalityScheduler {
             self.remove_slot(slot);
             // Margin over the runner-up still queued on this cpu (NaN
             // when the heap emptied).
-            let margin = self.heaps[cpu].peek_max().map_or(f64::NAN, |(_, _, p)| prio - p);
-            self.trace_dispatch(cpu, tid, || prio, margin);
+            self.trace_dispatch(cpu, tid, || {
+                (prio, self.heaps[cpu].peek_max().map_or(f64::NAN, |(_, _, p)| prio - p))
+            });
             return Some(tid);
         }
         // Global queue of footprint-less threads, skipping (and thereby
@@ -606,7 +605,7 @@ impl Scheduler for LocalityScheduler {
             }
             let slot = self.states[i].as_ref().expect("live entry has state").slot;
             self.remove_slot(slot);
-            self.trace_dispatch(cpu, tid, || self.est.priority(CpuId(cpu), tid), f64::NAN);
+            self.trace_dispatch(cpu, tid, || (self.est.priority(CpuId(cpu), tid), f64::NAN));
             return Some(tid);
         }
         // Steal the lowest-priority thread from the fullest neighbour.
@@ -616,7 +615,7 @@ impl Scheduler for LocalityScheduler {
         let (tid, slot, prio) = self.heaps[victim_cpu].min_entry()?;
         self.remove_slot(slot);
         self.steals += 1;
-        self.trace_dispatch(cpu, tid, || prio, f64::NAN);
+        self.trace_dispatch(cpu, tid, || (prio, f64::NAN));
         Some(tid)
     }
 

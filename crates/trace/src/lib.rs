@@ -7,15 +7,19 @@
 //! exporters to JSONL and the Chrome `trace_event` format (opens in
 //! Perfetto / `chrome://tracing`).
 //!
-//! ## Zero cost when disabled
+//! ## One load when disabled
 //!
 //! Every hot-path emission goes through [`emit_with`], which takes a
-//! closure producing the event. The `trace` cargo feature is resolved in
-//! *this* crate, so with the feature off (the default) [`emit_with`] is
-//! an empty `#[inline(always)]` function: the closure is never
-//! evaluated, no thread-local is touched, and the instrumented crates
-//! compile to exactly their un-instrumented code. [`ENABLED`] tells
-//! callers at runtime which build they are in.
+//! closure producing the event. With no sink installed on the thread it
+//! costs one thread-local load of a `bool`, set by [`install`] and
+//! cleared by [`take`]; the closure is never evaluated and the sink's
+//! `RefCell` is reached only through a `#[cold]` helper. The engine has
+//! about 8 emission points per scheduling interval and none per
+//! reference. On `sched_switch`, the benchmark's switch-bound workload
+//! (10 alternating 15 s pairs on a shared 2-core Xeon VM, against a build
+//! that compiled the emission points out), the median was 232.2 host ns
+//! a switch on both sides and the median pair ratio +1.0 %, inside the
+//! runs' own spread.
 //!
 //! ## No allocation on the hot path
 //!
@@ -45,4 +49,4 @@ pub mod sink;
 
 pub use event::TraceEvent;
 pub use metrics::{Histogram, TraceAggregate, HIST_BUCKETS};
-pub use sink::{emit_with, install, set_clock, take, Record, TraceSink, ENABLED};
+pub use sink::{emit_with, install, set_clock, take, Record, TraceSink};

@@ -7,12 +7,7 @@
 
 use crate::event::TraceEvent;
 use crate::metrics::TraceAggregate;
-use std::cell::RefCell;
-
-/// Whether this build carries the hot-path emission points (the `trace`
-/// cargo feature). When `false`, [`emit_with`] and [`set_clock`] are
-/// empty inline functions and an installed sink records nothing.
-pub const ENABLED: bool = cfg!(feature = "trace");
+use std::cell::{Cell, RefCell};
 
 /// Default ring capacity: large enough that a fig5-scale monitored run
 /// keeps every event, small enough to stay cheap (~24 MB of records).
@@ -116,58 +111,64 @@ impl TraceSink {
 
 thread_local! {
     static SINK: RefCell<Option<TraceSink>> = const { RefCell::new(None) };
+    /// Whether `SINK` holds a sink: the one load an emission point pays
+    /// when none does. A `Cell<bool>` has no destructor, so reading it is
+    /// a plain thread-local load.
+    static ON: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs a fresh sink with the given ring capacity on this thread,
-/// replacing (and discarding) any previous one. Available in both
-/// feature modes so drivers keep one code path; without the `trace`
-/// feature the installed sink simply stays empty.
+/// replacing (and discarding) any previous one.
 pub fn install(capacity: usize) {
     SINK.with(|s| *s.borrow_mut() = Some(TraceSink::new(capacity)));
+    ON.set(true);
 }
 
 /// Removes and returns this thread's sink, stopping collection.
 pub fn take() -> Option<TraceSink> {
+    ON.set(false);
     SINK.with(|s| s.borrow_mut().take())
 }
 
 /// Records the event produced by `f` into this thread's sink, if one is
-/// installed. With the `trace` feature off this compiles to nothing and
-/// `f` is never evaluated.
-#[cfg(feature = "trace")]
-#[inline]
+/// installed. Without a sink this is one thread-local load and `f` is
+/// never evaluated.
+#[inline(always)]
 pub fn emit_with<F: FnOnce() -> TraceEvent>(f: F) {
+    if ON.get() {
+        record_with(f);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn record_with<F: FnOnce() -> TraceEvent>(f: F) {
+    let event = f();
     SINK.with(|s| {
         if let Some(sink) = s.borrow_mut().as_mut() {
-            sink.record(f());
+            sink.record(event);
         }
     });
 }
 
-/// Records the event produced by `f` into this thread's sink, if one is
-/// installed. With the `trace` feature off this compiles to nothing and
-/// `f` is never evaluated.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn emit_with<F: FnOnce() -> TraceEvent>(_f: F) {}
-
 /// Sets the simulated clock stamped onto subsequent records of this
-/// thread's sink. Compiles to nothing with the `trace` feature off.
-#[cfg(feature = "trace")]
-#[inline]
+/// thread's sink. Without a sink this is one thread-local load.
+#[inline(always)]
 pub fn set_clock(clock: u64) {
+    if ON.get() {
+        set_clock_cold(clock);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn set_clock_cold(clock: u64) {
     SINK.with(|s| {
         if let Some(sink) = s.borrow_mut().as_mut() {
             sink.set_clock(clock);
         }
     });
 }
-
-/// Sets the simulated clock stamped onto subsequent records of this
-/// thread's sink. Compiles to nothing with the `trace` feature off.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn set_clock(_clock: u64) {}
 
 #[cfg(test)]
 mod tests {
@@ -231,18 +232,23 @@ mod tests {
         emit_with(|| ev(3));
         let sink = take().expect("sink was installed");
         assert!(take().is_none(), "take removes the sink");
-        if ENABLED {
-            assert_eq!(sink.events_emitted(), 1);
-        } else {
-            assert_eq!(sink.events_emitted(), 0, "disabled build must record nothing");
-        }
+        assert_eq!(sink.events_emitted(), 1);
     }
 
     #[test]
     fn emit_without_sink_is_a_no_op() {
         let _ = take();
-        emit_with(|| ev(1));
+        emit_with(|| unreachable!("no sink is installed"));
         set_clock(7);
         assert!(take().is_none());
+        install(16);
+        assert!(take().is_some());
+        emit_with(|| unreachable!("the sink was taken"));
+        install(16);
+        set_clock(4);
+        emit_with(|| ev(2));
+        let sink = take().expect("installed again");
+        let (events, clock) = (sink.events_emitted(), sink.records()[0].clock);
+        assert_eq!((events, clock), (1, 4), "install after take records again");
     }
 }

@@ -4,13 +4,14 @@
 //! `results/golden_small.sha256` and to the `small/` rows of
 //! `results/golden_robustness.sha256`. A mismatch names the file, the
 //! figure that wrote it and the run descriptors behind it. So must the
-//! analyzer's and the model checker's outputs, to the rows of
-//! `results/golden_analysis.sha256` that need no cargo feature.
+//! analyzer's, the model checker's and the small traced run's outputs,
+//! to `results/golden_analysis.sha256`.
 
 use locality_repro::analyze::run_analyze;
 use locality_repro::digest;
 use locality_repro::modelcheck::run_modelcheck;
 use locality_repro::suite::{run_figures, Figure};
+use locality_repro::trace::run_trace;
 use locality_repro::{Args, Scale};
 use std::path::{Path, PathBuf};
 
@@ -120,10 +121,10 @@ fn small_scale_artifacts_match_the_golden_hashes() {
     );
 }
 
-/// `repro analyze --scale small --workload all` and `repro modelcheck`,
-/// in process: the findings table, the model checker's table and its
-/// three counterexamples. The `trace_*` rows of the same file need
-/// `--features trace`, so `ci.sh` checks those.
+/// `repro analyze --scale small --workload all`, `repro modelcheck` and
+/// `repro trace --scale small`, in process: the findings table, the
+/// model checker's table and its three counterexamples, and the traced
+/// merge run's metrics, histograms and two exports.
 #[test]
 fn analysis_outputs_match_the_golden_hashes() {
     let dir = std::env::temp_dir().join(format!("golden-analysis-{}", std::process::id()));
@@ -137,11 +138,9 @@ fn analysis_outputs_match_the_golden_hashes() {
     assert!(run_analyze(&small).unwrap(), "the racy fixture has a confirmed race");
     let all = Args { out: dir.clone(), ..Args::default() };
     assert!(run_modelcheck(&all).unwrap(), "three fixtures violate their invariants");
+    run_trace(&Args { scale: Scale::Small, out: dir.clone(), ..Args::default() }).unwrap();
 
-    let rows: Vec<(String, String)> = golden("golden_analysis.sha256", "")
-        .into_iter()
-        .filter(|(_, name)| !name.starts_with("trace_"))
-        .collect();
+    let rows = golden("golden_analysis.sha256", "");
     let failures: Vec<String> = rows
         .iter()
         .filter_map(|(want, name)| match std::fs::read(dir.join(name)) {
@@ -154,6 +153,6 @@ fn analysis_outputs_match_the_golden_hashes() {
         })
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(rows.len(), 5, "analyze.csv, modelcheck.csv and three counterexamples");
+    assert_eq!(rows.len(), 9, "analyze, modelcheck, three counterexamples and four trace files");
     assert!(failures.is_empty(), "analysis outputs differ:\n{}", failures.join("\n"));
 }
