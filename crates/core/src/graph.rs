@@ -19,6 +19,7 @@
 //! rebuild first, and an exiting thread costs its own degree.
 
 use crate::params::check_coefficient;
+use crate::slots::ThreadSlots;
 use crate::{ModelError, ThreadId};
 use std::collections::BTreeMap;
 
@@ -28,12 +29,15 @@ use std::collections::BTreeMap;
 /// There is one adjacency: a source's out-edges are a `Vec` sorted by
 /// destination, so the row the per-switch `O(out-degree)` priority update
 /// walks is already a contiguous slice and every read sees the latest
-/// write. Sources are keyed by an ordered map and rows are sorted, so
-/// iteration order (and therefore every simulated schedule that consults
-/// the graph) is deterministic. A reverse index of sources per destination
-/// lets an exiting thread edit only the rows that name it. A row that
-/// empties is removed, so two graphs holding the same edges are `==`
-/// whatever their histories.
+/// write. A source finds its row through [`ThreadSlots`], the id→slot
+/// index the estimator and the machine use, so the lookup is `O(1)`
+/// where a map would descend. Rows are sorted and [`edges`](Self::edges)
+/// lists sources in id order, so iteration order (and therefore every
+/// simulated schedule that consults the graph) is deterministic. A
+/// reverse index of sources per destination lets an exiting thread edit
+/// only the rows that name it. A row that empties releases its slot, and
+/// `==` compares the edges alone, so two graphs holding the same edges
+/// are equal whatever their histories.
 ///
 /// ```
 /// use locality_core::{SharingGraph, ThreadId};
@@ -47,28 +51,22 @@ use std::collections::BTreeMap;
 /// assert_eq!(g.out_degree(left), 1);
 /// # Ok::<(), locality_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct SharingGraph {
-    /// Out-edges: each source's `(dst, q)` row, sorted by destination.
-    out: BTreeMap<ThreadId, Vec<(ThreadId, f64)>>,
+    /// The sources that have a row, each bound to the slot its row sits
+    /// at.
+    sources: ThreadSlots,
+    /// Out-edges by source slot: each `(dst, q)` row sorted by
+    /// destination, empty at a free slot.
+    rows: Vec<Vec<(ThreadId, f64)>>,
     /// Reverse index: each destination's sources, sorted.
     into: BTreeMap<ThreadId, Vec<ThreadId>>,
 }
 
-/// Removes `t`'s entry from row `key` of `map`, and the row with it when
-/// that was its last entry.
-fn unlink<E>(
-    map: &mut BTreeMap<ThreadId, Vec<E>>,
-    key: ThreadId,
-    t: ThreadId,
-    id: impl FnMut(&E) -> ThreadId,
-) -> Option<E> {
-    let row = map.get_mut(&key)?;
-    let entry = row.remove(row.binary_search_by_key(&t, id).ok()?);
-    if row.is_empty() {
-        map.remove(&key);
+impl PartialEq for SharingGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges().eq(other.edges())
     }
-    Some(entry)
 }
 
 impl SharingGraph {
@@ -98,7 +96,11 @@ impl SharingGraph {
             self.remove_edge(src, dst);
             return Ok(());
         }
-        let row = self.out.entry(src).or_default();
+        let i = self.sources.bind(src).index();
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, Vec::new);
+        }
+        let row = &mut self.rows[i];
         match row.binary_search_by_key(&dst, |e| e.0) {
             Ok(i) => row[i].1 = q,
             Err(i) => {
@@ -112,8 +114,19 @@ impl SharingGraph {
 
     /// Removes the edge `(src → dst)`; returns its previous weight, if any.
     pub fn remove_edge(&mut self, src: ThreadId, dst: ThreadId) -> Option<f64> {
-        let (_, q) = unlink(&mut self.out, src, dst, |e| e.0)?;
-        unlink(&mut self.into, dst, src, |&s| s);
+        let q = self.unlink_dst(src, dst)?;
+        unlink_src(&mut self.into, dst, src);
+        Some(q)
+    }
+
+    /// Removes `dst` from `src`'s row, and the row with it when that was
+    /// its last entry; returns the edge's weight.
+    fn unlink_dst(&mut self, src: ThreadId, dst: ThreadId) -> Option<f64> {
+        let row = &mut self.rows[self.sources.lookup(src)?.index()];
+        let (_, q) = row.remove(row.binary_search_by_key(&dst, |e| e.0).ok()?);
+        if row.is_empty() {
+            self.sources.release(src);
+        }
         Some(q)
     }
 
@@ -127,7 +140,7 @@ impl SharingGraph {
     }
 
     fn row(&self, src: ThreadId) -> &[(ThreadId, f64)] {
-        self.out.get(&src).map_or(&[], Vec::as_slice)
+        self.sources.lookup(src).map_or(&[], |slot| &self.rows[slot.index()])
     }
 
     /// Threads whose cached state depends on `src` — the destinations of
@@ -163,28 +176,46 @@ impl SharingGraph {
 
     /// Total number of edges with non-zero coefficients.
     pub fn edge_count(&self) -> usize {
-        self.out.values().map(Vec::len).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// True if the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
+        self.sources.live() == 0
     }
 
     /// Removes every edge incident to `t` (called when the thread exits):
     /// its own two rows, and its entry in each row they name.
     pub fn remove_thread(&mut self, t: ThreadId) {
-        for (dst, _) in self.out.remove(&t).unwrap_or_default() {
-            unlink(&mut self.into, dst, t, |&s| s);
+        if let Some(slot) = self.sources.release(t) {
+            for (dst, _) in std::mem::take(&mut self.rows[slot.index()]) {
+                unlink_src(&mut self.into, dst, t);
+            }
         }
         for src in self.into.remove(&t).unwrap_or_default() {
-            unlink(&mut self.out, src, t, |e| e.0);
+            self.unlink_dst(src, t);
         }
     }
 
-    /// All edges `(src, dst, q)` in deterministic order.
+    /// All edges `(src, dst, q)`, sources in id order and each row in
+    /// destination order. Off the switch path: the sources are sorted
+    /// per call.
     pub fn edges(&self) -> impl Iterator<Item = (ThreadId, ThreadId, f64)> + '_ {
-        self.out.iter().flat_map(|(&src, row)| row.iter().map(move |&(dst, q)| (src, dst, q)))
+        let mut sources: Vec<_> = self.sources.iter_live().collect();
+        sources.sort_unstable_by_key(|&(_, src)| src);
+        sources.into_iter().flat_map(move |(slot, src)| {
+            self.rows[slot.index()].iter().map(move |&(dst, q)| (src, dst, q))
+        })
+    }
+}
+
+/// Removes `src` from `dst`'s reverse-index entry, and the entry with it
+/// when that was its last source.
+fn unlink_src(into: &mut BTreeMap<ThreadId, Vec<ThreadId>>, dst: ThreadId, src: ThreadId) {
+    let Some(srcs) = into.get_mut(&dst) else { return };
+    srcs.retain(|&s| s != src);
+    if srcs.is_empty() {
+        into.remove(&dst);
     }
 }
 

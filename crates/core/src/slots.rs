@@ -24,9 +24,9 @@
 //! dispatch (the slot then rides in `current` and in the sleeper heap),
 //! the scheduler in `on_ready` and `on_dispatch`, the estimator in each
 //! by-`ThreadId` call, the sanitizer in `sanitize`, the machine in
-//! `set_running`, plus one each in scheduler and estimator per
-//! annotation dependent of the thread that blocked. Past that one step
-//! everything is an index.
+//! `set_running`, the sharing graph in each row read, plus one each in
+//! scheduler and estimator per annotation dependent of the thread that
+//! blocked. Past that one step everything is an index.
 //!
 //! Slots are recycled when threads exit, which is exactly why the
 //! handle is *generational*: a [`SlotId`] pairs the index with the

@@ -455,48 +455,56 @@ impl Machine {
     /// interval is **not** reset: counts keep accumulating and are
     /// reported whole by the next successful read, like a runtime that
     /// skips a failed sample and catches up at the next switch.
+    #[inline]
     pub fn pic_take_interval(&mut self, cpu: usize) -> Result<PicDelta, SimError> {
         if cpu >= self.cpu_count() {
             return Err(SimError::BadCpu { cpu, cpus: self.cpu_count() });
         }
-        let result = self.pic_take_interval_inner(cpu);
-        match &result {
-            Ok(delta) => {
-                let (refs, hits, misses) = (delta.refs, delta.hits, delta.misses);
-                locality_trace::emit_with(|| locality_trace::TraceEvent::PicRead {
-                    cpu: cpu as u32,
-                    refs,
-                    hits,
-                    misses,
-                    trapped: false,
-                });
-            }
-            Err(SimError::CounterTrap { .. }) => {
-                locality_trace::emit_with(|| locality_trace::TraceEvent::PicRead {
-                    cpu: cpu as u32,
-                    refs: 0,
-                    hits: 0,
-                    misses: 0,
-                    trapped: true,
-                });
-            }
-            Err(_) => {}
-        }
-        result
+        self.pic_read(cpu).ok_or(SimError::CounterTrap { cpu })
     }
 
-    fn pic_take_interval_inner(&mut self, cpu: usize) -> Result<PicDelta, SimError> {
-        let Some(inj) = &mut self.faults else {
-            return Ok(self.cpus[cpu].pic_mut().take_interval());
+    /// Starts a fresh counter interval on `cpu`, discarding what the
+    /// PICs hold: [`pic_take_interval`](Self::pic_take_interval) without
+    /// a result, for the dispatch path, which reads nothing. It draws
+    /// from the fault injector and traces the read the same way, so a
+    /// trapped restart leaves the interval accumulating.
+    ///
+    /// # Panics
+    ///
+    /// If `cpu` is out of range.
+    #[inline]
+    pub fn pic_restart_interval(&mut self, cpu: usize) {
+        self.pic_read(cpu);
+    }
+
+    /// The read both of the above make: reads and resets `cpu`'s
+    /// interval through any installed injector, traces it, and returns
+    /// `None` when the read traps. Inlined into both: returned out of
+    /// line, the 32-byte result stalls its caller on store forwarding.
+    #[inline(always)]
+    fn pic_read(&mut self, cpu: usize) -> Option<PicDelta> {
+        let pic = self.cpus[cpu].pic_mut();
+        let delta = match &mut self.faults {
+            Some(inj) => {
+                if !inj.begin_read() {
+                    Some(pic.take_interval())
+                } else if inj.traps() {
+                    None
+                } else {
+                    Some(inj.perturb(pic.take_interval()))
+                }
+            }
+            None => Some(pic.take_interval()),
         };
-        if !inj.begin_read() {
-            return Ok(self.cpus[cpu].pic_mut().take_interval());
-        }
-        if inj.traps() {
-            return Err(SimError::CounterTrap { cpu });
-        }
-        let truth = self.cpus[cpu].pic_mut().take_interval();
-        Ok(inj.perturb(truth))
+        let PicDelta { refs, hits, misses } = delta.unwrap_or_default();
+        locality_trace::emit_with(|| locality_trace::TraceEvent::PicRead {
+            cpu: cpu as u32,
+            refs,
+            hits,
+            misses,
+            trapped: delta.is_none(),
+        });
+        delta
     }
 
     /// Cumulative statistics of `cpu`.

@@ -484,7 +484,7 @@ impl Engine {
         // Start the counter interval cleanly at dispatch. A trapping read
         // cannot reset the PICs; the stale span is absorbed by the
         // sanitizer when the interval ends.
-        let _ = self.machine.pic_take_interval(cpu);
+        self.machine.pic_restart_interval(cpu);
         Ok(true)
     }
 

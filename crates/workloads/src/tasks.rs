@@ -46,11 +46,26 @@ struct Task {
     region: VAddr,
     bytes: u64,
     periods_left: u32,
+    /// Whether the region is registered: the first period does it, and
+    /// it stays the same region until the task exits.
+    registered: bool,
+}
+
+impl Task {
+    fn new(region: VAddr, bytes: u64, periods: u32) -> Box<Self> {
+        Box::new(Task { region, bytes, periods_left: periods, registered: false })
+    }
 }
 
 impl Program for Task {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
-        ctx.register_region(self.region, self.bytes);
+        if self.periods_left == 0 {
+            return Control::Exit;
+        }
+        if !self.registered {
+            ctx.register_region(self.region, self.bytes);
+            self.registered = true;
+        }
         ctx.read_range(self.region, self.bytes, LINE);
         // A little computation per line, like a real periodic task.
         ctx.compute(self.bytes / LINE * 4);
@@ -83,7 +98,7 @@ pub fn spawn_parallel(engine: &mut Engine, params: &TasksParams) -> Vec<ThreadId
     if overlap == 0.0 {
         for _ in 0..params.tasks {
             let region = engine.machine_mut().alloc(bytes, LINE);
-            tids.push(engine.spawn(Box::new(Task { region, bytes, periods_left: params.periods })));
+            tids.push(engine.spawn(Task::new(region, bytes, params.periods)));
         }
         return tids;
     }
@@ -95,7 +110,7 @@ pub fn spawn_parallel(engine: &mut Engine, params: &TasksParams) -> Vec<ThreadId
     let arena = engine.machine_mut().alloc(arena_bytes, LINE);
     for i in 0..params.tasks {
         let region = arena.offset(i as u64 * stride_lines * LINE);
-        let tid = engine.spawn(Box::new(Task { region, bytes, periods_left: params.periods }));
+        let tid = engine.spawn(Task::new(region, bytes, params.periods));
         engine.machine_mut().register_region(tid, region, bytes);
         tids.push(tid);
     }
@@ -173,6 +188,18 @@ mod tests {
         let params = TasksParams { tasks: 8, footprint_lines: 64, periods: 2, overlap: 0.5 };
         assert_eq!(spawn_parallel(&mut e, &params).len(), 8);
         assert_eq!(e.run().unwrap().threads_completed, 8);
+    }
+
+    #[test]
+    fn tasks_without_periods_exit_at_once() {
+        // `periods_left -= 1` ran before the exit test: a subtraction
+        // overflow in a debug build, 2^32 - 1 periods in release.
+        for overlap in [0.0, 0.25] {
+            let params = TasksParams { tasks: 4, footprint_lines: 8, periods: 0, overlap };
+            let report = run(SchedPolicy::Lff, &params);
+            assert_eq!(report.threads_completed, 4);
+            assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0), "{overlap}");
+        }
     }
 
     #[test]

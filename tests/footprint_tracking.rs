@@ -94,6 +94,24 @@ fn tracked_equals_scan_at_every_sample_of_the_monitored_cells() {
     assert_eq!(total, 10_974, "the monitored cells' sample count moved");
 }
 
+/// Tasks register their region once, in their first period, and their
+/// states overflow the E-cache: on one processor and on eight, disjoint
+/// and overlapped, every switching thread's tracked count equals the scan
+/// at every switch.
+#[test]
+fn tracked_equals_scan_for_tasks_that_register_once() {
+    for (cpus, overlap) in [(1, 0.0), (1, 0.25), (8, 0.0), (8, 0.25)] {
+        let machine =
+            if cpus == 1 { MachineConfig::ultra1() } else { MachineConfig::enterprise5000(cpus) };
+        let mut engine = Engine::new(machine, SchedPolicy::Lff, EngineConfig::default()).unwrap();
+        let samples = CrossCheck::install(&mut engine, None);
+        let params = tasks::TasksParams { tasks: 128, footprint_lines: 100, periods: 4, overlap };
+        tasks::spawn_parallel(&mut engine, &params);
+        engine.run().unwrap();
+        assert_eq!(*samples.borrow(), 128 * 4, "{cpus} cpus, overlap {overlap}");
+    }
+}
+
 /// Hostile thread churn on four processors — running and idle threads
 /// aborted, stillborn spawns, slots recycled — over state that overlaps
 /// (tasks, read-shared) and is written (mergesort, so remote copies are

@@ -14,28 +14,38 @@ enum Op {
     RemoveThread { t: u64 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let tid = 0u64..8;
+/// The universe of most tests: ids the engine itself hands out.
+const NARROW: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+/// Ids on both sides of `ThreadSlots`' direct-table bound (2²⁰), through
+/// which the graph finds a source's row: below it a table indexed by the
+/// id, at or above it an ordered map.
+const WIDE: [u64; 8] =
+    [1, 2, (1 << 20) - 2, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 1 << 40, u64::MAX];
+
+fn op_strategy(ids: &'static [u64; 8]) -> impl Strategy<Value = Op> {
+    let tid = move || (0usize..8).prop_map(move |i| ids[i]);
     prop_oneof![
         // Mostly valid coefficients, occasionally invalid or zero, so the
         // sequences exercise rejection and edge removal too.
-        4 => (tid.clone(), 0u64..8, prop_oneof![
+        4 => (tid(), tid(), prop_oneof![
             5 => 0.0f64..=1.0,
             1 => Just(0.0f64),
             1 => Just(1.5f64),
             1 => Just(f64::NAN),
         ])
             .prop_map(|(src, dst, q)| Op::Set { src, dst, q }),
-        1 => (tid.clone(), 0u64..8).prop_map(|(src, dst)| Op::RemoveEdge { src, dst }),
-        1 => tid.prop_map(|t| Op::RemoveThread { t }),
+        1 => (tid(), tid()).prop_map(|(src, dst)| Op::RemoveEdge { src, dst }),
+        1 => tid().prop_map(|t| Op::RemoveThread { t }),
     ]
 }
 
 /// Applies ops to both the graph and a plain `(src, dst) → q` mirror.
 /// Reads are interleaved with the writes: after each op, every thread's
 /// `dependents_of` must be the mirror's row and its `dependencies_of` the
-/// mirror's column, as exact sequences in thread-id order.
-fn apply(ops: &[Op]) -> (SharingGraph, BTreeMap<(u64, u64), f64>) {
+/// mirror's column, as exact sequences in thread-id order, and `edges()`
+/// the mirror's entries in their order.
+fn apply(ops: &[Op], ids: &[u64; 8]) -> (SharingGraph, BTreeMap<(u64, u64), f64>) {
     let mut g = SharingGraph::new();
     let mut mirror = BTreeMap::new();
     for op in ops {
@@ -61,7 +71,7 @@ fn apply(ops: &[Op]) -> (SharingGraph, BTreeMap<(u64, u64), f64>) {
                 mirror.retain(|&(s, d), _| s != t && d != t);
             }
         }
-        for t in 0..8u64 {
+        for &t in ids {
             let row: Vec<_> = g.dependents_of(ThreadId(t)).collect();
             let want: Vec<_> =
                 mirror.iter().filter(|(e, _)| e.0 == t).map(|(e, &q)| (ThreadId(e.1), q)).collect();
@@ -71,6 +81,9 @@ fn apply(ops: &[Op]) -> (SharingGraph, BTreeMap<(u64, u64), f64>) {
                 mirror.iter().filter(|(e, _)| e.1 == t).map(|(e, &q)| (ThreadId(e.0), q)).collect();
             assert_eq!(column, want, "column of t{t} after {op:?}");
         }
+        let listed: Vec<_> = g.edges().map(|(s, d, q)| ((s.0, d.0), q)).collect();
+        let want: Vec<_> = mirror.iter().map(|(&e, &q)| (e, q)).collect();
+        assert_eq!(listed, want, "edges() after {op:?}");
     }
     (g, mirror)
 }
@@ -80,8 +93,8 @@ proptest! {
     /// same edge set via `edges()`, same weights via `weight()`, same
     /// degrees (`apply` has already held every row and column to it).
     #[test]
-    fn graph_matches_mirror(ops in proptest::collection::vec(op_strategy(), 0..64)) {
-        let (g, mirror) = apply(&ops);
+    fn graph_matches_mirror(ops in proptest::collection::vec(op_strategy(&NARROW), 0..64)) {
+        let (g, mirror) = apply(&ops, &NARROW);
 
         // edges() round-trips through weight() and matches the mirror.
         let listed: BTreeMap<(u64, u64), f64> =
@@ -104,9 +117,9 @@ proptest! {
     /// one built from nothing but those edges.
     #[test]
     fn equal_edge_sets_are_equal_graphs(
-        history in proptest::collection::vec(op_strategy(), 0..64),
+        history in proptest::collection::vec(op_strategy(&NARROW), 0..64),
     ) {
-        let (g, mirror) = apply(&history);
+        let (g, mirror) = apply(&history, &NARROW);
         let mut fresh = SharingGraph::new();
         for (&(s, d), &q) in mirror.iter().rev() {
             fresh.set(ThreadId(s), ThreadId(d), q).unwrap();
@@ -118,10 +131,10 @@ proptest! {
     /// never disturbs edges between other threads.
     #[test]
     fn remove_thread_removes_all_incident_edges(
-        ops in proptest::collection::vec(op_strategy(), 0..48),
+        ops in proptest::collection::vec(op_strategy(&NARROW), 0..48),
         victim in 0u64..8,
     ) {
-        let (mut g, mirror) = apply(&ops);
+        let (mut g, mirror) = apply(&ops, &NARROW);
         g.remove_thread(ThreadId(victim));
 
         let v = ThreadId(victim);
@@ -136,5 +149,43 @@ proptest! {
         let listed: BTreeMap<(u64, u64), f64> =
             g.edges().map(|(s, d, q)| ((s.0, d.0), q)).collect();
         prop_assert_eq!(listed, expected);
+    }
+
+    /// The same across the direct-table bound, where sources are released
+    /// and bound again as their rows empty and refill: `apply` holds every
+    /// row, column and `edges()` order to the model after each operation;
+    /// here `weight` and `out_degree` of every pair, and `==` with graphs
+    /// that reach the same edges in other orders, but not with one that
+    /// differs in one weight.
+    #[test]
+    fn rows_match_the_model_across_the_direct_table_bound(
+        ops in proptest::collection::vec(op_strategy(&WIDE), 0..96),
+        rotate in 0usize..64,
+    ) {
+        let (g, mirror) = apply(&ops, &WIDE);
+        for &s in &WIDE {
+            let degree = mirror.keys().filter(|e| e.0 == s).count();
+            prop_assert_eq!(g.out_degree(ThreadId(s)), degree);
+            for &d in &WIDE {
+                let want = mirror.get(&(s, d)).copied().unwrap_or(0.0);
+                prop_assert_eq!(g.weight(ThreadId(s), ThreadId(d)), want);
+            }
+        }
+        let mut edges: Vec<_> = mirror.iter().map(|(&e, &q)| (e, q)).collect();
+        if !edges.is_empty() {
+            let mid = rotate % edges.len();
+            edges.rotate_left(mid);
+        }
+        let (mut forward, mut backward) = (SharingGraph::new(), SharingGraph::new());
+        for (&((s, d), q), &((rs, rd), rq)) in edges.iter().zip(edges.iter().rev()) {
+            forward.set(ThreadId(s), ThreadId(d), q).unwrap();
+            backward.set(ThreadId(rs), ThreadId(rd), rq).unwrap();
+        }
+        prop_assert_eq!(&forward, &g);
+        prop_assert_eq!(&backward, &g);
+        if let Some(&((s, d), q)) = edges.first() {
+            forward.set(ThreadId(s), ThreadId(d), q / 2.0).unwrap();
+            prop_assert!(forward != g, "a changed weight must make the graphs differ");
+        }
     }
 }
