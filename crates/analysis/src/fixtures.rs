@@ -86,14 +86,6 @@ impl Program for Worker {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        if self.mutex.is_some() {
-            "clean-worker"
-        } else {
-            "racy-worker"
-        }
-    }
 }
 
 struct Parent {
@@ -142,14 +134,6 @@ impl Program for Parent {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        if self.clean {
-            "clean-parent"
-        } else {
-            "racy-parent"
-        }
-    }
 }
 
 fn parent(clean: bool, rounds: u32) -> Box<dyn Program> {
@@ -186,10 +170,6 @@ impl Program for LockPair {
             _ => Control::Exit,
         }
     }
-
-    fn name(&self) -> &str {
-        "lock-pair"
-    }
 }
 
 /// Deferred constructor for [`JoinTwo`]'s child pair.
@@ -220,10 +200,6 @@ impl Program for JoinTwo {
             }
             _ => Control::Exit,
         }
-    }
-
-    fn name(&self) -> &str {
-        "join-two"
     }
 }
 
@@ -267,10 +243,6 @@ impl Program for CondWaiter {
             _ => Control::Exit,
         }
     }
-
-    fn name(&self) -> &str {
-        "cond-waiter"
-    }
 }
 
 /// The one-shot signaler of [`lost_wakeup_workload`].
@@ -287,10 +259,6 @@ impl Program for CondSignaler {
             0 => Control::CondSignal(self.cond),
             _ => Control::Exit,
         }
-    }
-
-    fn name(&self) -> &str {
-        "cond-signaler"
     }
 }
 

@@ -139,7 +139,7 @@ pub fn run_analyze(args: &Args) -> Result<bool, ReproError> {
     for wa in &analyses {
         let races = wa.report.races.len();
         let warnings = wa.report.at_severity(Severity::Warning).count();
-        println!(
+        say!(
             "{}: {} race(s), {} warning(s) -> {}",
             wa.name,
             races,

@@ -122,9 +122,6 @@ mod pipeline {
                 }
             }
         }
-        fn name(&self) -> &str {
-            "producer"
-        }
     }
 
     struct Consumer {
@@ -154,9 +151,6 @@ mod pipeline {
                     Control::SemPost(self.empty)
                 }
             }
-        }
-        fn name(&self) -> &str {
-            "consumer"
         }
     }
 
@@ -368,9 +362,6 @@ mod lockstep {
                     Control::Yield
                 }
             }
-        }
-        fn name(&self) -> &str {
-            "lockstep"
         }
     }
 

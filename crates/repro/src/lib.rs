@@ -54,6 +54,14 @@
 // targeted `#[allow]` with an infallibility argument.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+/// `println!` through [`table::say`]: a failed write is recorded, not a
+/// panic.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        $crate::table::say(format_args!($($arg)*))
+    };
+}
+
 pub mod analyze;
 pub mod args;
 pub mod digest;

@@ -176,7 +176,7 @@ fn write_counterexamples(args: &Args, rows: &[McRow]) -> Result<(), ReproError> 
         if let Some(v) = row.dpor.violations.first() {
             let path = args.csv_path(&format!("counterexample_{}.txt", row.workload.name()))?;
             std::fs::write(&path, serialize_counterexample(row.workload, v))?;
-            println!("counterexample written to {}", path.display());
+            say!("counterexample written to {}", path.display());
         }
     }
     Ok(())
@@ -199,13 +199,9 @@ pub fn run_replay(path: &std::path::Path) -> Result<(), ReproError> {
     })?;
     let v = replay_counterexample(&ce)
         .map_err(|e| ReproError::NotReproduced(format!("{}: {e}", path.display())))?;
-    println!(
-        "replayed {} on workload {}: violation reproduced",
-        v.kind.as_str(),
-        ce.workload.name()
-    );
-    println!("  schedule: {}", v.schedule.iter().map(u64::to_string).collect::<Vec<_>>().join(","));
-    println!("  {}", v.detail);
+    say!("replayed {} on workload {}: violation reproduced", v.kind.as_str(), ce.workload.name());
+    say!("  schedule: {}", v.schedule.iter().map(u64::to_string).collect::<Vec<_>>().join(","));
+    say!("  {}", v.detail);
     Ok(())
 }
 
@@ -240,7 +236,7 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
             (0, true) => ("", "ok".to_string()),
             (0, false) => ("not ", format!("incomplete: {}", gaps.join(", "))),
         };
-        println!(
+        say!(
             "{}: {} schedule(s) ({scope}exhaustive; naive {}), {v} violation(s) -> {verdict}",
             row.workload.name(),
             row.dpor.schedules,

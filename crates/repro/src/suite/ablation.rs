@@ -176,7 +176,7 @@ fn emit_annotations(args: &Args, results: &ResultSet) -> Result<(), ReproError> 
     let full_speed = lff.speedup_over(fcfs) - 1.0;
     let part_speed = noann.speedup_over(fcfs) - 1.0;
     if full_elim > 0.0 && full_speed > 0.0 {
-        println!(
+        say!(
             "without annotations, LFF achieves {:.0}% of the full miss elimination and {:.0}% of the speedup\n\
              (paper: 41% and 53%).\n",
             100.0 * part_elim / full_elim,
@@ -218,7 +218,7 @@ fn emit_placement(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
         }
     }
     t.print();
-    println!(
+    say!(
         "careful placement (bin hopping / coloring, per Kessler & Hill) avoids a share of\n\
          the conflict misses that arbitrary placement incurs; capacity-bound streaming\n\
          apps (e.g. ocean) are insensitive to placement.\n"
@@ -243,7 +243,7 @@ fn emit_invalidation(args: &Args, results: &ResultSet) -> Result<(), ReproError>
         ])?;
     }
     t.print();
-    println!("cross-processor writes shrink real footprints while the counter-driven model sees nothing (paper §3.4).\n");
+    say!("cross-processor writes shrink real footprints while the counter-driven model sees nothing (paper §3.4).\n");
     t.write_csv(&args.csv_path("ablation_invalidation.csv")?)?;
     Ok(())
 }
@@ -270,7 +270,7 @@ fn emit_inference(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     let hand = eliminated[1];
     let auto = eliminated[2];
     if hand > 0.0 {
-        println!(
+        say!(
             "CML-driven inference recovers {:.0}% of the hand-annotated miss elimination\n\
              with zero programmer effort (the paper's §7 conjecture, demonstrated).\n",
             100.0 * auto / hand
@@ -343,7 +343,7 @@ fn emit_faults(args: &Args, results: &ResultSet, rows: &[Scenario]) -> Result<()
         "-".to_string(),
     ])?;
     t.print();
-    println!(
+    say!(
         "the sanitizer bounds what the model sees, so faulted LFF degrades toward — never\n\
          far past — the FCFS miss rate; the 'window' scenario shows the scheduler entering\n\
          degraded mode under sustained traps and recovering once reads come back clean.\n"
@@ -389,7 +389,7 @@ fn emit_chaos(args: &Args, results: &ResultSet, rows: &[Scenario]) -> Result<(),
         }
     }
     t.print();
-    println!(
+    say!(
         "every scenario must finish without a panic: aborted threads leave the run queue,\n\
          the sharing graph, and the owner directory; locks orphaned by a dying holder are\n\
          poisoned, reclaimed, and handed to the next waiter. The footprint-prediction\n\

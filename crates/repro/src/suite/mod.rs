@@ -370,14 +370,27 @@ fn usage() -> String {
 /// The `repro` binary's `main`: `repro <subcommand> [flags]`. Exit 0 on
 /// success (and for `--help`, printed to stdout), 1 on a run error or
 /// when `analyze`/`modelcheck` found a violation, 2 on usage errors
-/// (no or unknown subcommand, bad flags), with the reason on stderr.
+/// (no or unknown subcommand, bad flags), with the reason on stderr. A
+/// failed write to standard output stops nothing, but the exit is then
+/// 1 with one `error:` line naming it.
 pub fn main() -> ExitCode {
+    let code = dispatch();
+    match crate::table::stdout_error() {
+        Some(e) => {
+            eprintln!("error: cannot write to standard output: {e}");
+            ExitCode::from(1)
+        }
+        None => code,
+    }
+}
+
+fn dispatch() -> ExitCode {
     let usage_error = |msg: &str| {
         eprintln!("{msg}\n{}", usage());
         ExitCode::from(2)
     };
     let help = || {
-        println!("{}", usage());
+        say!("{}", usage());
         ExitCode::SUCCESS
     };
     let mut argv = std::env::args().skip(1);

@@ -95,7 +95,7 @@ pub(super) fn fig5_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
         print_thinned("fig5", app, trace)?;
     }
     summary.print();
-    println!(
+    say!(
         "the model's only inputs are miss counts; on the idealized bin-hopping VM, a\n\
          clustered (streaming) app claims a fresh set with every miss, so predictions\n\
          run slightly LOW; on a naive VM, placements collide and repeated misses stop\n\
@@ -143,7 +143,7 @@ pub(super) fn fig6_emit(args: &Args, results: &ResultSet) -> Result<(), ReproErr
         ])?;
     }
     summary.print();
-    println!(
+    say!(
         "unblocking threads show a burst of reload-transient misses followed by a\n\
          steadier phase (burst ratio = peak / final-quarter MPI)."
     );

@@ -53,7 +53,7 @@ pub(super) fn emit_table1(args: &Args) -> Result<(), ReproError> {
         "-".into(),
     ])?;
     t.print();
-    println!("E-cache lines N = {}", ultra.l2_lines());
+    say!("E-cache lines N = {}", ultra.l2_lines());
     t.write_csv(&args.csv_path("table1.csv")?)?;
     Ok(())
 }

@@ -28,7 +28,7 @@ pub(super) fn emit(args: &Args) -> Result<(), ReproError> {
         }
     }
     t.print();
-    println!(
+    say!(
         "independent threads cost zero operations by construction (the paper's key property);\n\
          blocking-thread CRT updates need fewer fp ops than LFF (no log lookup), as in the paper."
     );

@@ -1,7 +1,29 @@
-//! Aligned text tables and CSV output.
+//! Aligned text tables and CSV output, and the one path to standard
+//! output.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+/// The first error writing standard output, if any.
+static STDOUT_ERROR: OnceLock<std::io::Error> = OnceLock::new();
+
+/// Writes one line to standard output. Every line `repro` prints comes
+/// through here (the `say!` macro): a failed write, from a closed pipe
+/// or a full disk, is recorded instead of panicking as `println!` does,
+/// so it stops neither the run nor its CSVs, and `main` reports it once
+/// at exit ([`stdout_error`]).
+pub(crate) fn say(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        let _ = STDOUT_ERROR.set(e);
+    }
+}
+
+/// The first error [`say`] met, if any.
+pub(crate) fn stdout_error() -> Option<&'static std::io::Error> {
+    STDOUT_ERROR.get()
+}
 
 /// Errors from building or writing a [`Table`].
 #[derive(Debug)]
@@ -135,7 +157,7 @@ impl Table {
 
     /// Prints the table to stdout.
     pub fn print(&self) {
-        println!("{}", self.render());
+        say!("{}", self.render());
     }
 
     /// CSV form (header + rows), quoted per RFC 4180: fields containing
@@ -170,7 +192,7 @@ impl Table {
         let tmp = path.with_extension(format!("csv.tmp{}", std::process::id()));
         std::fs::write(&tmp, self.to_csv()).map_err(io_err)?;
         std::fs::rename(&tmp, path).map_err(io_err)?;
-        println!("[csv] {}", path.display());
+        say!("[csv] {}", path.display());
         Ok(())
     }
 }

@@ -202,7 +202,7 @@ pub fn run_trace(args: &Args) -> Result<(), ReproError> {
             args.csv_path(&format!("trace_{name}.chrome.json"))?,
             locality_trace::export::to_chrome(&run.records),
         )?;
-        println!(
+        say!(
             "{name}: {} events recorded ({} retained, {} dropped) -> trace_{name}.jsonl, \
              trace_{name}.chrome.json",
             run.aggregate.events,

@@ -33,7 +33,7 @@ use locality_core::{
 use locality_sim::{AccessKind, CacheGeometry, Machine, MachineConfig, SimError, TlbConfig, VAddr};
 use locality_trace::{emit_with, set_clock, TraceEvent};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Base context-switch cost in cycles (paper: "a basic context switch
 /// cost on the order of 100 instructions").
@@ -107,11 +107,10 @@ pub struct Engine {
     sched: Box<dyn Scheduler>,
     /// Dense slot registry over live threads (slots recycle at exit).
     slots: ThreadSlots,
-    /// The thread table: a slot-indexed TCB slab arena.
+    /// The thread table: a slot-indexed TCB slab arena. A thread holds
+    /// its slot from admission to release, and ids are handed out once,
+    /// in order, so an id below `next_tid` without a slot is retired.
     tcbs: Vec<Option<Tcb>>,
-    /// Exited threads, moved out of the slab so their slot can recycle
-    /// while joins on them keep working.
-    retired: HashMap<ThreadId, Tcb>,
     sync: SyncTables,
     graph: SharingGraph,
     clocks: Vec<u64>,
@@ -199,7 +198,6 @@ impl Engine {
             sched,
             slots: ThreadSlots::new(),
             tcbs: Vec::new(),
-            retired: HashMap::new(),
             sync: SyncTables::new(),
             graph: SharingGraph::new(),
             clocks: vec![0; cpus],
@@ -253,7 +251,7 @@ impl Engine {
         dst: ThreadId,
         q: f64,
     ) -> Result<(), locality_core::ModelError> {
-        if self.retired.contains_key(&src) || self.retired.contains_key(&dst) {
+        if self.is_retired(src) || self.is_retired(dst) {
             return Ok(());
         }
         self.graph.set(src, dst, q)
@@ -268,6 +266,12 @@ impl Engine {
     /// traps); zero on a clean machine.
     pub fn corrected_intervals(&self) -> u64 {
         self.corrected_intervals
+    }
+
+    /// Whether `tid` was admitted (or stillborn) and has since exited or
+    /// been aborted.
+    fn is_retired(&self, tid: ThreadId) -> bool {
+        (1..self.next_tid).contains(&tid.0) && self.slots.lookup(tid).is_none()
     }
 
     /// Resolves a live thread to its slot, surfacing a typed error
@@ -340,18 +344,14 @@ impl Engine {
             if st.faults() < cfg.max_faults && st.roll(cfg.spawn_fail_per_64k) {
                 // Spawn failure: the thread is stillborn. It never binds
                 // a slot, never runs a batch, and never reaches the
-                // scheduler — but it is joinable (aborted threads land in
-                // the retired table like exited ones).
+                // scheduler — but it is joinable, as retired threads are.
                 st.note_fault();
-                let mut tcb = Tcb::new(spawn.tid, spawn.program);
-                tcb.state = ThreadState::Aborted;
                 self.aborted += 1;
                 self.note(ObsEvent::Abort { tid: spawn.tid });
                 emit_with(|| TraceEvent::ThreadAbort { tid: spawn.tid.0 });
                 // The parent may have annotated the child between spawn
                 // and admission; those edges die with the stillbirth.
                 self.graph.remove_thread(spawn.tid);
-                self.retired.insert(spawn.tid, tcb);
                 return;
             }
         }
@@ -692,20 +692,15 @@ impl Engine {
                 self.continue_running(cpu);
             }
             Control::Join(target) => {
-                let exited = {
-                    let live =
-                        self.slots.lookup(target).and_then(|slot| self.tcbs[slot.index()].as_mut());
-                    match live {
-                        Some(t) if t.exited() => true,
-                        Some(t) => {
-                            t.join_waiters.push(tid);
-                            false
-                        }
-                        // Exited threads leave the slab so their slot can
-                        // recycle; joins on them complete immediately.
-                        None if self.retired.contains_key(&target) => true,
-                        None => return Err(RuntimeError::UnknownThread { thread: target }),
+                // A thread leaves the slab in the call that ends it, so a
+                // join finds it live or retired, never exited in place.
+                let exited = match self.slots.lookup(target) {
+                    Some(target_slot) => {
+                        self.tcb_at(target, target_slot)?.join_waiters.push(tid);
+                        false
                     }
+                    None if self.is_retired(target) => true,
+                    None => return Err(RuntimeError::UnknownThread { thread: target }),
                 };
                 if exited {
                     self.note(ObsEvent::JoinWake { waiter: tid, target });
@@ -799,10 +794,8 @@ impl Engine {
         self.switches += 1;
         {
             let tcb = self.tcb_at(tid, slot)?;
-            match reason {
-                SwitchReason::Exited => tcb.state = ThreadState::Exited,
-                SwitchReason::Aborted => tcb.state = ThreadState::Aborted,
-                _ => {}
+            if reason == SwitchReason::Aborted {
+                tcb.state = ThreadState::Aborted;
             }
         }
         // Model updates: case 1 for the blocker, case 3 for dependents.
@@ -884,9 +877,9 @@ impl Engine {
     /// scheduler run-queues (`on_abort` prunes ready structures the exit
     /// path could assume empty), machine owner directory and counter
     /// slots, sanitizer history, inference state. The slot is then free
-    /// to recycle, so stale handles never resolve, and the TCB moves to
-    /// the retired table: joins on a dead thread keep working without
-    /// pinning slab capacity.
+    /// to recycle, so stale handles never resolve, and the TCB (program
+    /// included) is dropped: joins on a dead thread keep working through
+    /// [`is_retired`](Self::is_retired) without pinning anything.
     fn release_thread(&mut self, tid: ThreadId, aborted: bool) {
         self.graph.remove_thread(tid);
         if aborted {
@@ -900,10 +893,8 @@ impl Engine {
             inference.forget(tid);
         }
         if let Some(slot) = self.slots.release(tid) {
-            if let Some(tcb) = self.tcbs[slot.index()].take() {
-                debug_assert!(!aborted || tcb.state == ThreadState::Aborted);
-                self.retired.insert(tid, tcb);
-            }
+            let tcb = self.tcbs[slot.index()].take();
+            debug_assert!(!aborted || tcb.is_none_or(|t| t.state == ThreadState::Aborted));
         }
     }
 
@@ -1144,9 +1135,6 @@ mod tests {
                 Control::Yield
             }
         }
-        fn name(&self) -> &str {
-            "walker"
-        }
     }
 
     #[test]
@@ -1331,6 +1319,32 @@ mod tests {
         let mut e = engine(SchedPolicy::Fcfs);
         e.spawn(Box::new(P { phase: 0, child: None }));
         assert_eq!(e.run().unwrap().threads_completed, 2);
+    }
+
+    #[test]
+    fn a_finished_threads_program_is_freed_at_exit() {
+        struct Holder {
+            _held: Rc<()>,
+        }
+        impl Program for Holder {
+            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
+                Control::Exit
+            }
+        }
+        let held = Rc::new(());
+        let mut e = engine(SchedPolicy::Lff);
+        let done = e.spawn(Box::new(Holder { _held: Rc::clone(&held) }));
+        let other = e.spawn(Box::new(Walker::new(64, 1)));
+        assert_eq!(Rc::strong_count(&held), 2);
+        assert_eq!(e.run().unwrap().threads_completed, 2);
+        assert_eq!(Rc::strong_count(&held), 1, "the engine still holds an exited program");
+        // An annotation naming a retired thread is dropped; one naming
+        // an id not handed out yet is kept.
+        e.annotate(done, other, 0.5).unwrap();
+        e.annotate(other, done, 0.5).unwrap();
+        assert!(e.graph().is_empty());
+        e.annotate(ThreadId(3), ThreadId(4), 0.5).unwrap();
+        assert_eq!(e.graph().edge_count(), 1);
     }
 
     #[test]
@@ -1763,9 +1777,6 @@ mod tests {
                     }
                 }
             }
-        }
-        fn name(&self) -> &str {
-            "locker"
         }
     }
 

@@ -52,11 +52,6 @@ pub enum Control {
 pub trait Program {
     /// Performs the next batch of work and says how it ends.
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control;
-
-    /// A short name for diagnostics.
-    fn name(&self) -> &str {
-        "program"
-    }
 }
 
 /// A spawned child: its assigned id and its program, queued for the

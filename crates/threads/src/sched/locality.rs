@@ -19,10 +19,10 @@
 //!
 //! The scheduler interns every spawned thread into a dense slot via its
 //! own [`ThreadSlots`] registry (released at exit, recycled with a fresh
-//! generation). All per-thread dispatch state — ready flag, heap
-//! membership bitmask, queue epochs — lives in one slot-indexed
-//! `Vec<Option<SlotState>>`, and the per-processor heaps are
-//! slot-indexed too, so everything past the single `ThreadId → slot`
+//! generation). Per-thread dispatch state (the thread and its heap
+//! membership bitmask) lives in one slot-indexed
+//! `Vec<Option<SlotState>>`, and the per-processor heaps and both FIFOs
+//! are slot-indexed too, so everything past the single `ThreadId → slot`
 //! lookup at each entry point is plain vector indexing. The estimator
 //! keeps a registry of its own behind the same by-`ThreadId` interface,
 //! and a thread that becomes ready asks it once which heaps it belongs
@@ -30,12 +30,13 @@
 //! where the thread has state, unless cold threads qualify too). The
 //! vectors a context switch fills (the estimator's updates, a sweep's
 //! demotions, the degraded-mode preference list) are reused. The global and
-//! arrival FIFOs use **lazy deletion**: dequeuing from the middle just
-//! flips the slot's flag (bumping an epoch on re-enqueue defeats ABA),
-//! and stale entries are skipped at pop time or swept out when a queue
-//! grows past twice its live population. Ties and orderings are always
-//! [`ThreadId`]-based — never slot-based, which is recycling-dependent —
-//! so the dispatch sequence is identical to an eagerly-maintained queue.
+//! arrival FIFOs are one slot-linked queue type: a thread joins at the
+//! back and leaves, from anywhere, in O(1) the moment it stops belonging,
+//! so each queue holds exactly its members. A thread is ready while it
+//! is in the arrival queue, and footprint-less while it is in the global
+//! one. Ties and orderings are always [`ThreadId`]-based — never
+//! slot-based, which is recycling-dependent — and queue order is join
+//! order, so the dispatch sequence does not depend on slot recycling.
 //!
 //! ## Graceful degradation
 //!
@@ -83,10 +84,6 @@ const HYSTERESIS_INTERVALS: u64 = 4;
 /// many context switches.
 const SWEEP_INTERVAL: u64 = 64;
 
-/// A lazily-deleted FIFO is swept when it grows past
-/// `2 * ready_members + COMPACT_SLACK` entries.
-const COMPACT_SLACK: usize = 32;
-
 /// Whether the scheduler currently trusts counter-derived priorities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
@@ -118,18 +115,78 @@ impl LocalityConfig {
 
 /// Per-slot dispatch state. A ready thread is in exactly one of two
 /// places: at least one per-processor heap (`heap_mask != 0`) or the
-/// global FIFO (`in_global`). The epochs validate lazily-deleted FIFO
-/// entries: an entry is live only while the slot's flag is set *and* the
-/// epoch recorded at enqueue time still matches (a re-enqueue bumps it).
+/// global FIFO.
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
+    tid: ThreadId,
     slot: SlotId,
-    ready: bool,
-    in_global: bool,
     /// Bitmask of per-processor heaps holding this thread.
     heap_mask: u64,
-    global_epoch: u64,
-    arrival_epoch: u64,
+}
+
+/// The end of a [`SlotFifo`] chain.
+const NIL: u32 = u32::MAX;
+
+/// A FIFO of slot indices, linked through the slots: `push_back`,
+/// `front`, `contains` and removal from anywhere are all O(1).
+#[derive(Debug)]
+struct SlotFifo {
+    /// Slot index → `(prev, next)` while the slot is queued.
+    links: Vec<Option<(u32, u32)>>,
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl SlotFifo {
+    fn new() -> Self {
+        SlotFifo { links: Vec::new(), head: NIL, tail: NIL, len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        matches!(self.links.get(i), Some(Some(_)))
+    }
+
+    fn front(&self) -> Option<usize> {
+        (self.head != NIL).then_some(self.head as usize)
+    }
+
+    fn link(&mut self, i: u32) -> &mut (u32, u32) {
+        self.links[i as usize].as_mut().expect("linked slot is queued")
+    }
+
+    fn push_back(&mut self, i: usize) {
+        debug_assert!(!self.contains(i), "slot {i} queued twice");
+        if i >= self.links.len() {
+            self.links.resize(i + 1, None);
+        }
+        self.links[i] = Some((self.tail, NIL));
+        match self.tail {
+            NIL => self.head = i as u32,
+            tail => self.link(tail).1 = i as u32,
+        }
+        self.tail = i as u32;
+        self.len += 1;
+    }
+
+    /// Takes slot `i` out of the queue, if it is queued.
+    fn remove(&mut self, i: usize) {
+        let Some(Some((prev, next))) = self.links.get(i).copied() else { return };
+        self.links[i] = None;
+        match prev {
+            NIL => self.head = next,
+            prev => self.link(prev).1 = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.link(next).0 = prev,
+        }
+        self.len -= 1;
+    }
 }
 
 /// LFF/CRT scheduler over per-processor priority heaps, keyed by the
@@ -145,14 +202,15 @@ pub struct LocalityScheduler {
     /// Slot-indexed dispatch state (`None` = slot free or never used).
     states: Vec<Option<SlotState>>,
     heaps: Vec<PrioHeap>,
-    /// Footprint-less ready threads, FIFO with lazy deletion:
-    /// `(tid, slot index, global_epoch at enqueue)`.
-    global: VecDeque<(ThreadId, u32, u64)>,
-    /// All ready threads in arrival order (the degraded-mode FIFO), with
-    /// the same lazy-deletion scheme keyed on `arrival_epoch`.
-    arrival: VecDeque<(ThreadId, u32, u64)>,
+    /// Footprint-less ready threads (in no heap), in the order they
+    /// became so.
+    global: SlotFifo,
+    /// All ready threads in arrival order (the degraded-mode FIFO).
+    arrival: SlotFifo,
     /// Per-cpu annotation dependents of the cpu's last blocker, by
-    /// descending share weight (degraded-mode preference list).
+    /// descending share weight (degraded-mode preference list). Lazy on
+    /// purpose: an entry that is not ready when reached is dropped, but
+    /// a dependent that became ready again meanwhile is still preferred.
     preferred: Vec<VecDeque<ThreadId>>,
     empty_graph: SharingGraph,
     /// Scratch reused across calls, so a context switch allocates
@@ -163,10 +221,6 @@ pub struct LocalityScheduler {
     demoted: Vec<(ThreadId, SlotId)>,
     by_weight: Vec<(ThreadId, f64)>,
     mode: SchedMode,
-    /// Monotonic enqueue counter feeding both FIFO epochs.
-    epoch: u64,
-    /// Number of ready threads (each is in heaps XOR the global FIFO).
-    ready_members: usize,
     conf: f64,
     low_streak: u64,
     high_streak: u64,
@@ -200,16 +254,14 @@ impl LocalityScheduler {
             slots: ThreadSlots::new(),
             states: Vec::new(),
             heaps: (0..cpus).map(|_| PrioHeap::new()).collect(),
-            global: VecDeque::new(),
-            arrival: VecDeque::new(),
+            global: SlotFifo::new(),
+            arrival: SlotFifo::new(),
             preferred: (0..cpus).map(|_| VecDeque::new()).collect(),
             empty_graph: SharingGraph::new(),
             updates: Vec::new(),
             demoted: Vec::new(),
             by_weight: Vec::new(),
             mode: SchedMode::Normal,
-            epoch: 0,
-            ready_members: 0,
             conf: 1.0,
             low_streak: 0,
             high_streak: 0,
@@ -250,19 +302,12 @@ impl LocalityScheduler {
         if i >= self.states.len() {
             self.states.resize(i + 1, None);
         }
-        self.states[i] = Some(SlotState {
-            slot,
-            ready: false,
-            in_global: false,
-            heap_mask: 0,
-            global_epoch: 0,
-            arrival_epoch: 0,
-        });
+        self.states[i] = Some(SlotState { tid, slot, heap_mask: 0 });
         slot
     }
 
     fn is_ready(&self, slot: SlotId) -> bool {
-        self.states[slot.index()].as_ref().is_some_and(|st| st.ready)
+        self.arrival.contains(slot.index())
     }
 
     fn enqueue_ready(&mut self, tid: ThreadId, slot: SlotId) {
@@ -274,107 +319,55 @@ impl LocalityScheduler {
             mask |= 1 << cpu.0;
         });
         let i = slot.index();
-        self.epoch += 1;
-        let arrival_epoch = self.epoch;
-        self.arrival.push_back((tid, i as u32, arrival_epoch));
-        let in_global = mask == 0;
-        let global_epoch = if in_global {
-            self.epoch += 1;
-            self.global.push_back((tid, i as u32, self.epoch));
-            self.epoch
-        } else {
-            0
-        };
-        let st = self.states[i].as_mut().expect("bound slot has state");
-        st.ready = true;
-        st.heap_mask = mask;
-        st.in_global = in_global;
-        st.arrival_epoch = arrival_epoch;
-        st.global_epoch = global_epoch;
-        self.ready_members += 1;
-        self.maybe_compact();
+        self.arrival.push_back(i);
+        if mask == 0 {
+            self.global.push_back(i);
+        }
+        self.states[i].as_mut().expect("bound slot has state").heap_mask = mask;
     }
 
-    /// Removes a slot's thread from every ready structure: heaps
-    /// eagerly, the FIFOs lazily (their entries die with the flags).
+    /// Removes a slot's thread from every ready structure.
     fn remove_slot(&mut self, slot: SlotId) {
         let i = slot.index();
-        let mask;
-        {
-            let Some(st) = self.states[i].as_mut() else { return };
-            mask = st.heap_mask;
-            st.heap_mask = 0;
-            st.in_global = false;
-            if st.ready {
-                st.ready = false;
-                self.ready_members -= 1;
-            }
-        }
-        if mask != 0 {
-            for cpu in 0..self.heaps.len() {
-                if mask & (1 << cpu) != 0 {
-                    self.heaps[cpu].remove(slot);
-                }
+        let Some(st) = self.states[i].as_mut() else { return };
+        let mask = std::mem::take(&mut st.heap_mask);
+        self.arrival.remove(i);
+        self.global.remove(i);
+        for cpu in 0..self.heaps.len() {
+            if mask & (1 << cpu) != 0 {
+                self.heaps[cpu].remove(slot);
             }
         }
     }
 
-    /// Sweeps stale lazily-deleted entries out of a FIFO once it grows
-    /// past twice its live population (amortized O(1) per enqueue; order
-    /// of live entries is preserved).
-    fn maybe_compact(&mut self) {
-        let cap = 2 * self.ready_members + COMPACT_SLACK;
-        if self.arrival.len() > cap {
-            let states = &self.states;
-            self.arrival.retain(|&(_, idx, ep)| {
-                matches!(states.get(idx as usize), Some(Some(st)) if st.ready && st.arrival_epoch == ep)
-            });
-        }
-        if self.global.len() > cap {
-            let states = &self.states;
-            self.global.retain(|&(_, idx, ep)| {
-                matches!(states.get(idx as usize), Some(Some(st)) if st.in_global && st.global_epoch == ep)
-            });
-        }
-    }
-
-    /// Moves a slot's thread to the global FIFO (it is in no heap).
-    fn push_global(&mut self, tid: ThreadId, i: usize) {
-        self.epoch += 1;
-        let ep = self.epoch;
-        if let Some(st) = self.states[i].as_mut() {
-            st.in_global = true;
-            st.global_epoch = ep;
-        }
-        self.global.push_back((tid, i as u32, ep));
+    /// Takes the ready thread at the front of a FIFO off every ready
+    /// structure.
+    fn take_front(&mut self, front: usize) -> ThreadId {
+        let st = self.states[front].expect("queued slot has state");
+        self.remove_slot(st.slot);
+        st.tid
     }
 
     /// Demotes a ready thread out of `cpu`'s heap; if it is then in no
     /// heap, it joins the global queue.
-    fn demote(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) {
+    fn demote(&mut self, cpu: usize, slot: SlotId) {
         let i = slot.index();
         let Some(st) = self.states[i].as_mut() else { return };
         if st.heap_mask & (1 << cpu) == 0 {
             return;
         }
         st.heap_mask &= !(1 << cpu);
-        let now_heapless = st.heap_mask == 0;
-        self.heaps[cpu].remove(slot);
-        if now_heapless {
-            self.push_global(tid, i);
-            self.maybe_compact();
+        if st.heap_mask == 0 {
+            self.global.push_back(i);
         }
+        self.heaps[cpu].remove(slot);
     }
 
     /// Promotes a ready thread into `cpu`'s heap with the given priority.
     fn promote(&mut self, cpu: usize, tid: ThreadId, slot: SlotId, prio: f64) {
         let i = slot.index();
         let Some(st) = self.states[i].as_mut() else { return };
-        if !st.ready {
-            return;
-        }
-        // Leaving the global FIFO is lazy: the entry dies with the flag.
-        st.in_global = false;
+        self.global.remove(i);
         if st.heap_mask & (1 << cpu) == 0 {
             st.heap_mask |= 1 << cpu;
             self.heaps[cpu].push(tid, slot, prio);
@@ -395,8 +388,8 @@ impl LocalityScheduler {
                 .map(|(tid, slot, _)| (tid, slot)),
         );
         demoted.sort_unstable_by_key(|&(tid, _)| tid);
-        for &(tid, slot) in &demoted {
-            self.demote(cpu, tid, slot);
+        for &(_, slot) in &demoted {
+            self.demote(cpu, slot);
         }
         self.demoted = demoted;
     }
@@ -458,20 +451,9 @@ impl LocalityScheduler {
                 return Some(tid);
             }
         }
-        while let Some(&(tid, idx, ep)) = self.arrival.front() {
-            let i = idx as usize;
-            let live = matches!(&self.states[i], Some(st) if st.ready && st.arrival_epoch == ep);
-            if live {
-                let slot = self.states[i].as_ref().expect("live entry has state").slot;
-                self.arrival.pop_front();
-                self.remove_slot(slot);
-                self.trace_dispatch(cpu, tid, || (f64::NAN, f64::NAN));
-                return Some(tid);
-            }
-            // Lazily-deleted entry: discard and keep looking.
-            self.arrival.pop_front();
-        }
-        None
+        let tid = self.take_front(self.arrival.front()?);
+        self.trace_dispatch(cpu, tid, || (f64::NAN, f64::NAN));
+        Some(tid)
     }
 
     /// Emits the dispatch trace point. `values` gives the chosen
@@ -536,13 +518,13 @@ impl Scheduler for LocalityScheduler {
                 continue;
             }
             let Some(slot) = self.slots.lookup(u.thread) else { continue };
-            if !self.states[slot.index()].as_ref().is_some_and(|st| st.ready) {
+            if !self.is_ready(slot) {
                 continue;
             }
             if self.est.expected_footprint(CpuId(cpu), u.thread) >= self.config.threshold_lines {
                 self.promote(cpu, u.thread, slot, u.prio);
             } else {
-                self.demote(cpu, u.thread, slot);
+                self.demote(cpu, slot);
             }
         }
         self.updates = updates;
@@ -576,14 +558,13 @@ impl Scheduler for LocalityScheduler {
         // threshold since they were queued.
         while let Some((tid, slot, prio)) = self.heaps[cpu].pop_max() {
             let i = slot.index();
-            if let Some(st) = self.states[i].as_mut() {
-                st.heap_mask &= !(1 << cpu);
-            }
+            let st = self.states[i].as_mut().expect("heaped slot has state");
+            st.heap_mask &= !(1 << cpu);
+            let heapless = st.heap_mask == 0;
             if self.est.expected_footprint(CpuId(cpu), tid) < self.config.threshold_lines {
-                // Decayed: push to wherever it still belongs.
-                let mask = self.states[i].as_ref().map_or(0, |st| st.heap_mask);
-                if mask == 0 {
-                    self.push_global(tid, i);
+                // Decayed: it stays wherever else it still belongs.
+                if heapless {
+                    self.global.push_back(i);
                 }
                 continue;
             }
@@ -595,16 +576,9 @@ impl Scheduler for LocalityScheduler {
             });
             return Some(tid);
         }
-        // Global queue of footprint-less threads, skipping (and thereby
-        // reclaiming) lazily-deleted entries.
-        while let Some((tid, idx, ep)) = self.global.pop_front() {
-            let i = idx as usize;
-            let live = matches!(&self.states[i], Some(st) if st.in_global && st.global_epoch == ep);
-            if !live {
-                continue;
-            }
-            let slot = self.states[i].as_ref().expect("live entry has state").slot;
-            self.remove_slot(slot);
+        // Global queue of footprint-less threads.
+        if let Some(front) = self.global.front() {
+            let tid = self.take_front(front);
             self.trace_dispatch(cpu, tid, || (self.est.priority(CpuId(cpu), tid), f64::NAN));
             return Some(tid);
         }
@@ -632,7 +606,7 @@ impl Scheduler for LocalityScheduler {
     }
 
     fn ready_count(&self) -> usize {
-        self.ready_members
+        self.arrival.len()
     }
 
     fn steals(&self) -> u64 {
@@ -1018,7 +992,7 @@ mod tests {
     #[test]
     fn slot_recycling_keeps_queues_clean() {
         // Spawn→exit→spawn reusing the slot: the recycled slot must not
-        // inherit ready state or resurrect lazily-deleted FIFO entries.
+        // inherit ready state or queue membership.
         let mut s = sched(1);
         s.on_spawn(t(1));
         s.on_exit(t(1));
@@ -1027,28 +1001,5 @@ mod tests {
         assert_eq!(s.ready_count(), 1);
         assert_eq!(s.pick(0), Some(t(2)), "only the new binding is dispatchable");
         assert_eq!(s.pick(0), None, "the stale t1 entry must stay dead");
-    }
-
-    #[test]
-    fn lazy_queues_stay_bounded() {
-        // Repeated ready/dispatch cycles leave stale FIFO entries behind;
-        // compaction must keep the queues proportional to the live set.
-        let mut s = sched(1);
-        s.on_spawn(t(1));
-        assert_eq!(s.pick(0), Some(t(1)));
-        for _ in 0..10_000 {
-            s.on_ready(t(1));
-            assert_eq!(s.pick(0), Some(t(1)));
-        }
-        assert!(
-            s.arrival.len() <= 2 * s.ready_members + COMPACT_SLACK + 1,
-            "arrival FIFO grew unboundedly: {}",
-            s.arrival.len()
-        );
-        assert!(
-            s.global.len() <= 2 * s.ready_members + COMPACT_SLACK + 1,
-            "global FIFO grew unboundedly: {}",
-            s.global.len()
-        );
     }
 }

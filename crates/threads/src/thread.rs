@@ -14,10 +14,7 @@ pub enum ThreadState {
     Blocked,
     /// Sleeping until a wake-up time.
     Sleeping,
-    /// Finished.
-    Exited,
-    /// Killed by fault injection before it could exit cleanly (or
-    /// stillborn on spawn failure); joinable like an exited thread.
+    /// Killed by fault injection before it could exit cleanly.
     Aborted,
 }
 
@@ -31,8 +28,6 @@ pub struct Tcb {
     pub program: Option<Box<dyn Program>>,
     /// Threads waiting to join this one.
     pub join_waiters: Vec<ThreadId>,
-    /// Short program name (kept after exit for reports).
-    pub name: String,
 }
 
 impl std::fmt::Debug for Tcb {
@@ -40,7 +35,6 @@ impl std::fmt::Debug for Tcb {
         f.debug_struct("Tcb")
             .field("id", &self.id)
             .field("state", &self.state)
-            .field("name", &self.name)
             .finish_non_exhaustive()
     }
 }
@@ -48,19 +42,7 @@ impl std::fmt::Debug for Tcb {
 impl Tcb {
     /// Creates a ready TCB around a program.
     pub fn new(id: ThreadId, program: Box<dyn Program>) -> Self {
-        let name = program.name().to_string();
-        Tcb {
-            id,
-            state: ThreadState::Ready,
-            program: Some(program),
-            join_waiters: Vec::new(),
-            name,
-        }
-    }
-
-    /// Whether the thread has exited.
-    pub fn exited(&self) -> bool {
-        self.state == ThreadState::Exited
+        Tcb { id, state: ThreadState::Ready, program: Some(program), join_waiters: Vec::new() }
     }
 }
 
@@ -74,9 +56,6 @@ mod tests {
         fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
             Control::Exit
         }
-        fn name(&self) -> &str {
-            "nop"
-        }
     }
 
     #[test]
@@ -84,10 +63,8 @@ mod tests {
         let tcb = Tcb::new(ThreadId(3), Box::new(Nop));
         assert_eq!(tcb.id, ThreadId(3));
         assert_eq!(tcb.state, ThreadState::Ready);
-        assert_eq!(tcb.name, "nop");
-        assert!(!tcb.exited());
         assert!(tcb.program.is_some());
-        let dbg = format!("{tcb:?}");
-        assert!(dbg.contains("nop"));
+        assert!(tcb.join_waiters.is_empty());
+        assert_eq!(format!("{tcb:?}"), "Tcb { id: ThreadId(3), state: Ready, .. }");
     }
 }

@@ -416,10 +416,6 @@ impl Program for BarnesWorker {
         }
         Control::Yield
     }
-
-    fn name(&self) -> &str {
-        "barnes"
-    }
 }
 
 /// Spawns the monitored single work thread.
@@ -502,10 +498,6 @@ mod tests {
                 worker.walks = Walks::default();
             }
             worker.next_batch(ctx)
-        }
-
-        fn name(&self) -> &str {
-            "barnes"
         }
     }
 

@@ -418,10 +418,6 @@ impl Program for FmmWorker {
         }
         Control::Yield
     }
-
-    fn name(&self) -> &str {
-        "fmm"
-    }
 }
 
 /// Spawns the monitored single work thread.

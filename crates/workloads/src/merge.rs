@@ -223,10 +223,6 @@ impl Program for MergeThread {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "merge"
-    }
 }
 
 /// Builds the shared array and spawns the root thread.
@@ -330,10 +326,6 @@ impl Program for MergeWorker {
             }
         }
         Control::Yield
-    }
-
-    fn name(&self) -> &str {
-        "merge-worker"
     }
 }
 

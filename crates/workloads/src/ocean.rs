@@ -138,10 +138,6 @@ impl Program for OceanWorker {
         }
         Control::Yield
     }
-
-    fn name(&self) -> &str {
-        "ocean"
-    }
 }
 
 /// Spawns the monitored single work thread.

@@ -269,10 +269,6 @@ impl Program for RowThread {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "photo-row"
-    }
 }
 
 /// Registers the ground-truth state regions of row thread `y`.
@@ -368,10 +364,6 @@ impl Program for PhotoWorker {
         ctx.write_range(self.shared.row_addr(self.shared.out_base, y), row_bytes, LINE);
         ctx.compute((p.width as u64) * 3 * 7);
         Control::Yield
-    }
-
-    fn name(&self) -> &str {
-        "photo-worker"
     }
 }
 

@@ -230,10 +230,6 @@ impl Program for RayWorker {
         }
         Control::Yield
     }
-
-    fn name(&self) -> &str {
-        "raytrace"
-    }
 }
 
 /// Spawns the monitored single work thread.

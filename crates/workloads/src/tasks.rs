@@ -77,10 +77,6 @@ impl Program for Task {
             Control::Sleep(ctx.batch_cycles())
         }
     }
-
-    fn name(&self) -> &str {
-        "task"
-    }
 }
 
 /// Allocates per-task state (disjoint, or overlapped per

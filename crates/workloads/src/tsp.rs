@@ -385,10 +385,6 @@ impl Program for TspTask {
             Phase::Done => Control::Exit,
         }
     }
-
-    fn name(&self) -> &str {
-        "tsp"
-    }
 }
 
 /// Sets up the instance and spawns the root task.
@@ -458,10 +454,6 @@ impl Program for TspWorker {
             self.task.depth += 1;
         }
         Control::Yield
-    }
-
-    fn name(&self) -> &str {
-        "tsp-worker"
     }
 }
 

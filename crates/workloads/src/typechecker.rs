@@ -199,10 +199,6 @@ impl Program for TypecheckerWorker {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "typechecker"
-    }
 }
 
 /// Spawns the monitored single work thread.

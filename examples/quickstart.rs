@@ -32,10 +32,6 @@ impl Program for PeriodicTask {
             Control::Sleep(ctx.batch_cycles())
         }
     }
-
-    fn name(&self) -> &str {
-        "periodic-task"
-    }
 }
 
 fn run(policy: SchedPolicy) -> thread_locality::threads::RunReport {

@@ -416,9 +416,6 @@ impl Program for Toucher {
             Control::Sleep(ctx.batch_cycles())
         }
     }
-    fn name(&self) -> &str {
-        "toucher"
-    }
 }
 
 fn run_engine(

@@ -484,10 +484,6 @@ impl Program for Locker {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "locker"
-    }
 }
 
 const SPAWNED: u64 = 8;
