@@ -11,6 +11,11 @@ set -eux
 # the only run without debug assertions or overflow checks, and the one
 # that reaches the tests that take minutes unoptimised.
 cargo test -q --release --workspace -- --include-ignored
+# The examples assert what they print (photo_pipeline: all four policies
+# produce the same checksummed image) and no test runs them: ~1.3 s.
+for example in quickstart mergesort_locality photo_pipeline model_explorer; do
+    cargo run -q --release --example "$example"
+done
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -792,12 +792,6 @@ impl Engine {
         }
         self.clocks[cpu] += SWITCH_COST_CYCLES + PIC_READ_CYCLES;
         self.switches += 1;
-        {
-            let tcb = self.tcb_at(tid, slot)?;
-            if reason == SwitchReason::Aborted {
-                tcb.state = ThreadState::Aborted;
-            }
-        }
         // Model updates: case 1 for the blocker, case 3 for dependents.
         self.sched.on_interval_end(cpu, tid, delta, &self.graph);
         // Trace the finished interval *after* the model updates — the
@@ -893,8 +887,7 @@ impl Engine {
             inference.forget(tid);
         }
         if let Some(slot) = self.slots.release(tid) {
-            let tcb = self.tcbs[slot.index()].take();
-            debug_assert!(!aborted || tcb.is_none_or(|t| t.state == ThreadState::Aborted));
+            self.tcbs[slot.index()] = None;
         }
     }
 
@@ -958,18 +951,16 @@ impl Engine {
             victims[st.pick(victims.len())]
         };
         set_clock(self.clocks[cpu]);
-        self.tcb_mut(victim)?.state = ThreadState::Aborted;
         self.abort_thread(victim)?;
         Ok(())
     }
 
     /// Tears a dead thread out of every runtime structure. The victim
-    /// must already be off every processor (`current`), with its TCB
-    /// state set to [`ThreadState::Aborted`]. This is the hostile twin of
-    /// [`finish_thread`](Self::finish_thread): same pruning chain, plus
-    /// orphaned-lock reclamation, waiter-queue purging, and barrier
-    /// membership shrinking — the recovery invariants §10 of DESIGN.md
-    /// documents.
+    /// must already be off every processor (`current`). This is the
+    /// hostile twin of [`finish_thread`](Self::finish_thread): same
+    /// pruning chain, plus orphaned-lock reclamation, waiter-queue
+    /// purging, and barrier membership shrinking — the recovery
+    /// invariants §10 of DESIGN.md documents.
     fn abort_thread(&mut self, tid: ThreadId) -> Result<bool, RuntimeError> {
         self.live -= 1;
         self.aborted += 1;

@@ -14,8 +14,6 @@ pub enum ThreadState {
     Blocked,
     /// Sleeping until a wake-up time.
     Sleeping,
-    /// Killed by fault injection before it could exit cleanly.
-    Aborted,
 }
 
 /// A thread control block.

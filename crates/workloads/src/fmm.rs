@@ -329,7 +329,7 @@ impl Program for FmmWorker {
             ctx.register_region(self.scene.cells_base, cells_bytes);
             ctx.register_region(self.scene.particles_base, parts_bytes);
         }
-        let budget = self.params.cells_per_batch;
+        let budget = self.params.cells_per_batch.max(1);
         let mut done = 0;
         while done < budget {
             match self.pass {
@@ -490,5 +490,15 @@ mod tests {
             e.run().unwrap()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn zero_cells_per_batch_is_one() {
+        let run = |cells_per_batch| {
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
+            spawn_single(&mut e, &FmmParams { cells_per_batch, ..FmmParams::small() });
+            e.run().unwrap()
+        };
+        assert_eq!(run(0), run(1));
     }
 }

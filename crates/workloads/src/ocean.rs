@@ -68,7 +68,7 @@ impl OceanGrid {
         let g = self.grid.borrow();
         let n = self.side;
         let mut sum = 0.0;
-        for i in 1..n - 1 {
+        for i in 1..n.saturating_sub(1) {
             for j in 1..n - 1 {
                 let r =
                     g[(i - 1) * n + j] + g[(i + 1) * n + j] + g[i * n + j - 1] + g[i * n + j + 1]
@@ -116,11 +116,15 @@ impl OceanWorker {
 impl Program for OceanWorker {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
         let n = self.grid.side;
+        if n < 3 {
+            // No interior row to relax.
+            return Control::Exit;
+        }
         if self.sweep == 0 && self.color == 0 && self.row <= 1 {
             ctx.register_region(self.grid.base, (n * n * 8) as u64);
             self.row = 1;
         }
-        for _ in 0..self.params.rows_per_batch {
+        for _ in 0..self.params.rows_per_batch.max(1) {
             if self.row >= n - 1 {
                 self.row = 1;
                 if self.color == 0 {
@@ -188,5 +192,24 @@ mod tests {
             e.run().unwrap()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn zero_rows_per_batch_is_one() {
+        let run = |rows_per_batch| {
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
+            spawn_single(&mut e, &OceanParams { rows_per_batch, ..OceanParams::small() });
+            e.run().unwrap()
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    #[test]
+    fn zero_side_exits_at_once() {
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
+        spawn_single(&mut e, &OceanParams { side: 0, ..OceanParams::small() });
+        let report = e.run().unwrap();
+        assert_eq!(report.threads_completed, 1);
+        assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));
     }
 }

@@ -6,10 +6,14 @@
 //!
 //! The filter is a separable softening blend,
 //! `out = (1−α)·in + α·vblur(hblur(in))`, with a *causal* vertical
-//! window (rows `y−2r..y`), computed for real (checksummed in tests).
-//! Both blurs add whole byte rows, a tap or a window row at a time, and
-//! divide by multiplying with a reciprocal. Each row thread runs in
-//! several scheduling intervals:
+//! window (rows `y−2r..y`), computed for real. Both blurs add whole byte
+//! rows, a tap or a window row at a time, and divide by multiplying with
+//! a reciprocal. The host keeps rows, not pixmaps: an input row is drawn
+//! from the seeded stream at its H pass and dropped at its V pass, a
+//! blur row is dropped after the last V pass whose window holds it, and
+//! an output row is folded into its checksum as it is blended. The
+//! simulated addresses still model all three whole images. Each row
+//! thread runs in several scheduling intervals:
 //!
 //! 1. **H pass** — read its input row, horizontal box blur into its temp
 //!    row, then post its row semaphore (once per dependent row below);
@@ -86,15 +90,51 @@ fn divide(out: &mut [u8], sums: &[u32], d: usize) {
     }
 }
 
-/// The image buffers shared by all row threads.
+/// `acc·131 + byte` over `bytes`, from 0: the image checksum's fold. Four
+/// lanes take every fourth byte, `131⁴` a step, and are joined at the end.
+fn fold131(bytes: &[u8]) -> u64 {
+    const STEP: u64 = 131 * 131 * 131 * 131;
+    let chunks = bytes.chunks_exact(4);
+    let tail = chunks.remainder();
+    let mut lanes = [0u64; 4];
+    for chunk in chunks {
+        for (lane, &b) in lanes.iter_mut().zip(chunk) {
+            *lane = lane.wrapping_mul(STEP).wrapping_add(u64::from(b));
+        }
+    }
+    let head = lanes.iter().fold(0u64, |acc, &lane| acc.wrapping_mul(131).wrapping_add(lane));
+    tail.iter().fold(head, |acc, &b| acc.wrapping_mul(131).wrapping_add(u64::from(b)))
+}
+
+/// One row's host state, each part live only while a pass still reads it.
+#[derive(Debug, Default)]
+struct RowSlot {
+    /// The input row: drawn at the row's H pass, dropped at its V pass.
+    input: Option<Vec<u8>>,
+    /// The horizontal-blur row: from its H pass to its last reader.
+    temp: Option<Vec<u8>>,
+    /// V passes still to read `temp`.
+    readers: usize,
+    /// [`fold131`] of the output row (0 until its V pass).
+    checksum: u64,
+}
+
+/// What tests read back: every output row, and the most input and blur
+/// rows ever live at once.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Record {
+    output: Vec<Vec<u8>>,
+    peak_live: (usize, usize),
+}
+
+/// The image state shared by all row threads: one slot per row, nothing
+/// the size of the whole image.
 #[derive(Debug)]
 pub struct PhotoShared {
-    /// Input pixels, row-major RGB.
-    pub input: RefCell<Vec<u8>>,
-    /// Horizontal-blur intermediate.
-    pub temp: RefCell<Vec<u8>>,
-    /// Output pixels.
-    pub output: RefCell<Vec<u8>>,
+    rows: RefCell<Vec<RowSlot>>,
+    #[cfg(test)]
+    record: RefCell<Record>,
     /// Simulated address of the input.
     pub in_base: VAddr,
     /// Simulated address of the intermediate.
@@ -106,15 +146,15 @@ pub struct PhotoShared {
 }
 
 impl PhotoShared {
-    /// Builds the synthetic input image.
+    /// The shared state of a synthetic image, before any row is drawn.
     pub fn new(in_base: VAddr, tmp_base: VAddr, out_base: VAddr, params: PhotoParams) -> Rc<Self> {
-        let mut r = rng(params.seed);
-        let n = params.width * params.height * 3;
-        let input: Vec<u8> = (0..n).map(|_| r.gen()).collect();
         Rc::new(PhotoShared {
-            input: RefCell::new(input),
-            temp: RefCell::new(vec![0u8; n]),
-            output: RefCell::new(vec![0u8; n]),
+            rows: RefCell::new((0..params.height).map(|_| RowSlot::default()).collect()),
+            #[cfg(test)]
+            record: RefCell::new(Record {
+                output: vec![Vec::new(); params.height],
+                ..Record::default()
+            }),
             in_base,
             tmp_base,
             out_base,
@@ -126,26 +166,29 @@ impl PhotoShared {
         base.offset(y as u64 * self.params.row_bytes())
     }
 
-    fn row_span(&self, y: usize) -> std::ops::Range<usize> {
-        let n = self.params.width * 3;
-        y * n..(y + 1) * n
+    /// Input row `y`: the next `3W` bytes of the `rng(seed)` stream after
+    /// the `y` rows above it, one draw a byte.
+    fn input_row(&self, y: usize) -> Vec<u8> {
+        let n = self.params.row_bytes();
+        let mut r = rng(self.params.seed);
+        r.advance(y as u64 * n);
+        (0..n).map(|_| r.gen()).collect()
     }
 
-    /// Horizontal box blur of row `y` into the temp buffer (real math):
-    /// the mean of the pixels within `filter_radius` that exist. Each of
-    /// the `2r + 1` taps is one pass adding the byte row, shifted by the
-    /// tap, into one accumulator per byte; the interior pixels, whose
-    /// window is whole, then share one reciprocal.
+    /// Horizontal box blur of row `y` into its temp row (real math): the
+    /// mean of the pixels within `filter_radius` that exist. Each of the
+    /// `2r + 1` taps is one pass adding the byte row, shifted by the tap,
+    /// into one accumulator per byte; the interior pixels, whose window is
+    /// whole, then share one reciprocal. Draws the input row and keeps it
+    /// for the V pass.
     pub fn hblur_row(&self, y: usize) {
         let (w, r) = (self.params.width, self.params.filter_radius);
-        let input = self.input.borrow();
-        let mut temp = self.temp.borrow_mut();
-        let row = &input[self.row_span(y)];
-        let out = &mut temp[self.row_span(y)];
+        let row = self.input_row(y);
+        let mut out = vec![0u8; row.len()];
         let mut sums: Vec<u32> = row.iter().map(|&b| u32::from(b)).collect();
         for d in 1..=r.min(w.saturating_sub(1)) {
             // Pixel `x` gains pixel `x − d`, then pixel `x + d`.
-            for (sum, &b) in sums[d * 3..].iter_mut().zip(row) {
+            for (sum, &b) in sums[d * 3..].iter_mut().zip(&row) {
                 *sum += u32::from(b);
             }
             for (sum, &b) in sums.iter_mut().zip(&row[d * 3..]) {
@@ -160,35 +203,72 @@ impl PhotoShared {
             let taps = (x + r).min(w - 1) + 1 - x.saturating_sub(r);
             divide(&mut out[x * 3..x * 3 + 3], &sums[x * 3..x * 3 + 3], taps);
         }
+        // Row `y` is in the windows of rows `y..=y + 2r` that exist.
+        let readers = (y + 2 * r).min(self.params.height - 1) + 1 - y;
+        self.rows.borrow_mut()[y] =
+            RowSlot { input: Some(row), temp: Some(out), readers, checksum: 0 };
     }
 
     /// Causal vertical blur over the temp rows (window `y−2r..y`) plus
-    /// the softening blend with the original row, into the output buffer.
-    /// The window is summed a row at a time into one accumulator per byte,
-    /// so every buffer is walked along its rows.
+    /// the softening blend with the original row, folded into row `y`'s
+    /// checksum. The window is summed a row at a time into one accumulator
+    /// per byte. Drops the input row and every blur row read for the last
+    /// time.
     pub fn vblend_row(&self, y: usize) {
         let lo = y.saturating_sub(2 * self.params.filter_radius);
-        let input = self.input.borrow();
-        let temp = self.temp.borrow();
-        let mut output = self.output.borrow_mut();
+        #[cfg(test)]
+        self.note_live();
+        let mut rows = self.rows.borrow_mut();
         let mut sums = vec![0u32; self.params.width * 3];
-        for ny in lo..=y {
-            for (sum, &t) in sums.iter_mut().zip(&temp[self.row_span(ny)]) {
+        for slot in &rows[lo..=y] {
+            let temp = slot.temp.as_ref().expect("a window row is blurred before its readers");
+            for (sum, &t) in sums.iter_mut().zip(temp) {
                 *sum += u32::from(t);
             }
         }
-        let out = &mut output[self.row_span(y)];
-        divide(out, &sums, y - lo + 1);
-        for (out, &orig) in out.iter_mut().zip(&input[self.row_span(y)]) {
+        let mut out = vec![0u8; sums.len()];
+        divide(&mut out, &sums, y - lo + 1);
+        let input = rows[y].input.take().expect("a row is drawn at its H pass");
+        for (out, &orig) in out.iter_mut().zip(&input) {
             let v = ((256 - ALPHA_NUM) * u32::from(orig) + ALPHA_NUM * u32::from(*out)) / 256;
             *out = v as u8;
         }
+        rows[y].checksum = fold131(&out);
+        for slot in &mut rows[lo..=y] {
+            slot.readers -= 1;
+            if slot.readers == 0 {
+                slot.temp = None;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.record.borrow_mut().output[y] = out;
+        }
     }
 
-    /// Reference checksum of the whole output.
+    /// Checksum of the whole output, `acc·131 + byte` over its bytes in
+    /// row-major order: the per-row folds chained by `131^(3W)`.
     pub fn output_checksum(&self) -> u64 {
-        let out = self.output.borrow();
-        out.iter().fold(0u64, |acc, &v| acc.wrapping_mul(131).wrapping_add(v as u64))
+        let n = u32::try_from(self.params.row_bytes()).expect("a row under 4 GiB");
+        let shift = 131u64.wrapping_pow(n);
+        self.rows.borrow().iter().fold(0, |acc, s| acc.wrapping_mul(shift).wrapping_add(s.checksum))
+    }
+
+    /// The (input, blur) rows live now.
+    #[cfg(test)]
+    fn live_rows(&self) -> (usize, usize) {
+        let rows = self.rows.borrow();
+        let count = |f: fn(&RowSlot) -> bool| rows.iter().filter(|s| f(s)).count();
+        (count(|s| s.input.is_some()), count(|s| s.temp.is_some()))
+    }
+
+    /// Raises the recorded peak to what is live at a V pass's start: rows
+    /// are only dropped by V passes, so every peak is seen there.
+    #[cfg(test)]
+    fn note_live(&self) {
+        let (input, temp) = self.live_rows();
+        let peak = &mut self.record.borrow_mut().peak_live;
+        *peak = (peak.0.max(input), peak.1.max(temp));
     }
 }
 
@@ -396,6 +476,17 @@ mod tests {
         (e.run().unwrap(), shared)
     }
 
+    /// The whole input image, drawn from the seeded stream in one go.
+    fn input_image(p: &PhotoParams) -> Vec<u8> {
+        let mut r = rng(p.seed);
+        (0..p.row_bytes() * p.height as u64).map(|_| r.gen()).collect()
+    }
+
+    /// The whole output image, as the V passes blended it.
+    fn output_image(shared: &PhotoShared) -> Vec<u8> {
+        shared.record.borrow().output.concat()
+    }
+
     /// The whole image filtered row by row, outside any engine.
     fn filtered(params: PhotoParams) -> Rc<PhotoShared> {
         let shared = PhotoShared::new(VAddr(0x10000), VAddr(0x20000000), VAddr(0x40000000), params);
@@ -408,15 +499,19 @@ mod tests {
         shared
     }
 
+    /// Every schedule filters the same image and leaves no row slot live.
     #[test]
     fn filter_output_is_policy_independent() {
         let params = PhotoParams::small();
-        let sum_fcfs = run(1, SchedPolicy::Fcfs, &params).1.output_checksum();
-        let sum_lff = run(2, SchedPolicy::Lff, &params).1.output_checksum();
-        let sum_crt = run(4, SchedPolicy::Crt, &params).1.output_checksum();
-        assert_eq!(sum_fcfs, sum_lff);
-        assert_eq!(sum_fcfs, sum_crt);
-        assert_ne!(sum_fcfs, 0);
+        let sum = filtered(params).output_checksum();
+        assert_ne!(sum, 0);
+        for cpus in [1, 2, 4, 8] {
+            for policy in [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt] {
+                let (_, shared) = run(cpus, policy, &params);
+                assert_eq!(shared.output_checksum(), sum, "{policy:?} on {cpus} cpus");
+                assert_eq!(shared.live_rows(), (0, 0), "{policy:?} on {cpus} cpus");
+            }
+        }
     }
 
     /// The filter as its definition reads, every tap re-added for every
@@ -475,10 +570,51 @@ mod tests {
         }
         for params in cases {
             let shared = filtered(params);
-            let sum = run(1, SchedPolicy::Fcfs, &params).1.output_checksum();
-            assert_eq!(sum, shared.output_checksum(), "{params:?}");
-            let direct = direct_filter(&params, &shared.input.borrow());
-            assert_eq!(*shared.output.borrow(), direct, "{params:?}");
+            let direct = direct_filter(&params, &input_image(&params));
+            assert_eq!(output_image(&shared), direct, "{params:?}");
+            let ran = run(1, SchedPolicy::Fcfs, &params).1;
+            assert_eq!(output_image(&ran), direct, "{params:?}");
+            assert_eq!(ran.output_checksum(), shared.output_checksum(), "{params:?}");
+        }
+    }
+
+    #[test]
+    fn input_rows_are_the_seeded_stream() {
+        for params in [PhotoParams::small(), PhotoParams { height: 6, ..PhotoParams::default() }] {
+            let shared = PhotoShared::new(VAddr(0), VAddr(0), VAddr(0), params);
+            let rows: Vec<u8> = (0..params.height).flat_map(|y| shared.input_row(y)).collect();
+            assert_eq!(rows, input_image(&params), "{params:?}");
+        }
+    }
+
+    #[test]
+    fn row_checksums_chain_to_the_image_fold() {
+        let fold = |bytes: &[u8]| {
+            bytes.iter().fold(0u64, |acc, &b| acc.wrapping_mul(131).wrapping_add(u64::from(b)))
+        };
+        let bytes: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(97) ^ 0x5a).collect();
+        for n in 0..=bytes.len() {
+            assert_eq!(fold131(&bytes[..n]), fold(&bytes[..n]), "{n} bytes");
+        }
+        for width in [1, 2, 3, 4, 37] {
+            let params = PhotoParams { width, height: 7, ..PhotoParams::small() };
+            let shared = filtered(params);
+            assert_eq!(shared.output_checksum(), fold(&output_image(&shared)), "{params:?}");
+        }
+    }
+
+    #[test]
+    fn monitored_worker_holds_one_window_of_rows() {
+        for r in 0..=3 {
+            let params = PhotoParams { filter_radius: r, ..PhotoParams::small() };
+            let shared =
+                PhotoShared::new(VAddr(0x10000), VAddr(0x20000000), VAddr(0x40000000), params);
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
+            e.spawn(Box::new(PhotoWorker { shared: shared.clone(), next_row: 0, hblurred: 0 }));
+            e.run().unwrap();
+            assert_eq!(shared.record.borrow().peak_live, (1, 2 * r + 1), "radius {r}");
+            assert_eq!(shared.live_rows(), (0, 0), "radius {r}");
+            assert_eq!(output_image(&shared), direct_filter(&params, &input_image(&params)));
         }
     }
 
@@ -517,7 +653,7 @@ mod tests {
         let params = PhotoParams::default();
         let (_, shared) = run(8, SchedPolicy::Lff, &params);
         assert_eq!(shared.output_checksum(), 0x39e3_906e_5685_6d5d);
-        assert_eq!(*shared.output.borrow(), direct_filter(&params, &shared.input.borrow()));
+        assert_eq!(output_image(&shared), direct_filter(&params, &input_image(&params)));
     }
 
     #[test]
@@ -534,8 +670,8 @@ mod tests {
                 })
                 .sum()
         };
-        let tv_in = tv(&shared.input.borrow());
-        let tv_out = tv(&shared.output.borrow());
+        let tv_in = tv(&input_image(&params));
+        let tv_out = tv(&output_image(&shared));
         assert!(tv_out < tv_in / 2, "softening must smooth: {tv_in} -> {tv_out}");
     }
 

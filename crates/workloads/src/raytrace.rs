@@ -110,8 +110,8 @@ pub fn build_scene(engine: &mut Engine, params: &RaytraceParams) -> Rc<Scene> {
         })
         .collect();
     let mut voxels = vec![Vec::new(); n * n * n];
-    for (si, s) in spheres.iter().enumerate() {
-        // Conservative rasterization of each sphere into the grid.
+    // Conservative rasterization of each sphere into the grid, if any.
+    for (si, s) in spheres.iter().enumerate().filter(|_| n > 0) {
         let lo = |c: f64, rad: f64| (((c - rad) * n as f64).floor().max(0.0)) as usize;
         let hi = |c: f64, rad: f64| ((((c + rad) * n as f64).ceil()) as usize).min(n - 1);
         for z in lo(s.center[2], s.radius)..=hi(s.center[2], s.radius) {
@@ -200,6 +200,10 @@ impl Program for RayWorker {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
         let scene = &self.scene;
         let n = scene.grid_side;
+        if n == 0 {
+            // No grid to march.
+            return Control::Exit;
+        }
         if self.next_ray == 0 && self.pass == 0 {
             ctx.register_region(scene.grid_base, (n * n * n) as u64 * LINE);
             ctx.register_region(scene.spheres_base, self.params.spheres as u64 * LINE);
@@ -208,7 +212,7 @@ impl Program for RayWorker {
             ctx.register_region(scene.scratch_base, 8192 * 16);
         }
         let total = self.params.image_side * self.params.image_side;
-        let end = (self.next_ray + self.params.rays_per_batch).min(total);
+        let end = (self.next_ray + self.params.rays_per_batch.max(1)).min(total);
         let mut hits = *scene.hits.borrow();
         for ray in self.next_ray..end {
             let (px, py) = (ray % self.params.image_side, ray / self.params.image_side);
@@ -278,5 +282,24 @@ mod tests {
         let a = run(&RaytraceParams::small());
         let b = run(&RaytraceParams::small());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_rays_per_batch_is_one() {
+        let run = |rays_per_batch| {
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
+            spawn_single(&mut e, &RaytraceParams { rays_per_batch, ..RaytraceParams::small() });
+            e.run().unwrap()
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    #[test]
+    fn zero_grid_side_exits_at_once() {
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
+        spawn_single(&mut e, &RaytraceParams { grid_side: 0, ..RaytraceParams::small() });
+        let report = e.run().unwrap();
+        assert_eq!(report.threads_completed, 1);
+        assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));
     }
 }

@@ -91,8 +91,10 @@ impl TypecheckerData {
             .collect();
         // AST nodes reference types with locality: consecutive nodes tend
         // to use related types (same source file / class).
+        // Every node names a type, so without types there is no AST.
+        let nodes = if params.types == 0 { 0 } else { params.ast_nodes };
         let mut cur_ty = 0u32;
-        let ast: Vec<AstNode> = (0..params.ast_nodes)
+        let ast: Vec<AstNode> = (0..nodes)
             .map(|_| {
                 if r.gen_bool(0.02) {
                     cur_ty = r.gen_range(0..params.types) as u32;
@@ -151,6 +153,9 @@ pub struct TypecheckerWorker {
 
 impl Program for TypecheckerWorker {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
+        if self.params.types == 0 {
+            return Control::Exit;
+        }
         match self.phase {
             Phase::ResolveGraph { next } => {
                 if next == 0 {
@@ -176,7 +181,7 @@ impl Program for TypecheckerWorker {
                 Control::Yield
             }
             Phase::CheckAst { next } => {
-                let end = (next + self.params.nodes_per_batch).min(self.params.ast_nodes);
+                let end = (next + self.params.nodes_per_batch.max(1)).min(self.params.ast_nodes);
                 let mut ok = self.data.conformances.get();
                 for i in next..end {
                     // Creation-order traversal: long sequential runs.
@@ -274,5 +279,27 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(run(&TypecheckerParams::small()), run(&TypecheckerParams::small()));
+    }
+
+    #[test]
+    fn zero_nodes_per_batch_is_one() {
+        let run = |nodes_per_batch| {
+            let mut e = ultra1_engine(SchedPolicy::Fcfs);
+            spawn_single(
+                &mut e,
+                &TypecheckerParams { nodes_per_batch, ..TypecheckerParams::small() },
+            );
+            e.run().unwrap()
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    #[test]
+    fn zero_types_exits_at_once() {
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
+        spawn_single(&mut e, &TypecheckerParams { types: 0, ..TypecheckerParams::small() });
+        let report = e.run().unwrap();
+        assert_eq!(report.threads_completed, 1);
+        assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));
     }
 }
