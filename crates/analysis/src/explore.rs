@@ -17,9 +17,9 @@
 //!
 //! Every explored schedule is checked for happens-before data races
 //! (the same detector the single-schedule `repro analyze` uses, §7 of
-//! DESIGN.md), global deadlocks (classified by the engine's
-//! blocked-state introspection into lock-cycle deadlocks and condvar
-//! stalls / lost wakeups), and the exploring scheduler's own
+//! DESIGN.md), global deadlocks (classified by the waits
+//! [`RuntimeError::Deadlock`] names into lock-cycle deadlocks and
+//! condvar stalls / lost wakeups), and the exploring scheduler's own
 //! bookkeeping invariants. A violation is emitted as a
 //! replayable counterexample: a serialized schedule string that
 //! [`replay_counterexample`] deterministically re-executes to the same
@@ -302,7 +302,7 @@ pub enum Outcome {
     Completed,
     /// Global deadlock: all live threads blocked, with what each was
     /// blocked on.
-    Deadlocked(Vec<(ThreadId, Option<BlockedOn>)>),
+    Deadlocked(Vec<(ThreadId, BlockedOn)>),
     /// Cut off by the depth bound (not a violation).
     Truncated,
     /// Stopped by the sleep set (redundant continuation; not a
@@ -355,7 +355,7 @@ pub fn run_schedule(
         Err(RuntimeError::Deadlock { .. }) if sched_log.hit_bound => Outcome::Truncated,
         Err(RuntimeError::Deadlock { .. }) if sched_log.sleep_blocked => Outcome::SleepBlocked,
         Err(RuntimeError::Deadlock { .. }) if sched_log.diverged => Outcome::Diverged,
-        Err(RuntimeError::Deadlock { .. }) => Outcome::Deadlocked(engine.blocked_threads()),
+        Err(RuntimeError::Deadlock { blocked }) => Outcome::Deadlocked(blocked),
         Err(e) => Outcome::EngineError(e.to_string()),
     };
     let decisions = sched_log.decisions;
@@ -456,13 +456,10 @@ pub fn violations_of(exec: &Execution) -> Vec<McViolation> {
         });
     }
     if let Outcome::Deadlocked(blocked) = &exec.outcome {
-        let stall = blocked.iter().any(|(_, b)| matches!(b, Some(BlockedOn::Cond(_))));
+        let stall = blocked.iter().any(|(_, on)| matches!(on, BlockedOn::Cond(_)));
         let detail = blocked
             .iter()
-            .map(|(tid, on)| match on {
-                Some(on) => format!("{tid} blocked on {on}"),
-                None => format!("{tid} blocked"),
-            })
+            .map(|(tid, on)| format!("{tid} blocked on {on}"))
             .collect::<Vec<_>>()
             .join("; ");
         out.push(McViolation {

@@ -18,12 +18,12 @@
 //!   out-of-range coefficients, dangling endpoints, per-source out-weight
 //!   sums above 1, and annotation drift in both directions.
 //!
-//! * **Stateless model checking** ([`explore`]) — exhaustive schedule
-//!   exploration of the small fixture workloads with dynamic
-//!   partial-order reduction and sleep sets, driven through the engine's
-//!   controlled-scheduling mode; every explored schedule is checked for
-//!   races, deadlocks, and condvar stalls, and violations are emitted as
-//!   replayable counterexamples.
+//! * **Stateless model checking** ([`explore`](mod@explore)) —
+//!   exhaustive schedule exploration of the small fixture workloads with
+//!   dynamic partial-order reduction and sleep sets, driven through the
+//!   engine's controlled-scheduling mode; every explored schedule is
+//!   checked for races, deadlocks, and condvar stalls, and violations are
+//!   emitted as replayable counterexamples.
 //!
 //! [`analyze_log`] runs everything and assembles an [`AnalysisReport`];
 //! [`fixtures`] provides the deterministic racy/clean workload pair used

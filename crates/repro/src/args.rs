@@ -212,7 +212,7 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses the flags of [`FLAGS_HELP`] from an iterator of arguments
+    /// Parses the flags of `FLAGS_HELP` from an iterator of arguments
     /// (the program name must already be consumed) for a subcommand that
     /// reads the flags `reads` besides the four every subcommand accepts.
     /// `--help`/`-h` yields [`Parsed::Help`] rather than an error.

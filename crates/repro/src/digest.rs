@@ -4,7 +4,7 @@
 //! kill-and-resume integration test agree byte-for-byte.
 //!
 //! Whole blocks go to the x86-64 SHA extensions when the running CPU has
-//! them (detected at run time) and to the portable [`compress`] on every
+//! them (detected at run time) and to the portable `compress` on every
 //! other CPU; the portable code is also the tests' oracle.
 
 /// Per-round constants: the first 32 bits of the fractional parts of

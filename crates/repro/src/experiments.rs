@@ -8,7 +8,7 @@ use crate::args::Scale;
 use crate::error::ReproError;
 use crate::monitor::{monitored_engine, sample_footprints};
 use active_threads::sched::LocalityConfig;
-use active_threads::{ChaosConfig, Engine, EngineConfig, InferenceConfig, RunReport, SchedPolicy};
+use active_threads::{ChaosConfig, Engine, EngineConfig, RunReport, SchedPolicy};
 use locality_core::{FootprintEntry, ModelParams, PolicyKind, PrioritySchemes, ThreadId};
 use locality_sim::{AccessKind, FaultConfig, Machine, MachineConfig, PagePlacement};
 use locality_workloads::{tasks, App};
@@ -210,10 +210,7 @@ pub fn pipeline_cell(
         Scale::Paper => pipeline::Params { pairs: 128, buffer_lines: 100, periods: 40 },
         Scale::Small => pipeline::Params { pairs: 32, buffer_lines: 100, periods: 10 },
     };
-    let config = EngineConfig {
-        infer_sharing: infer.then(InferenceConfig::default),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { infer_sharing: infer, ..EngineConfig::default() };
     let mut engine = Engine::new(MachineConfig::enterprise5000(8), policy, config)?;
     pipeline::spawn(&mut engine, &params, annotate)?;
     Ok(engine.run()?)
@@ -397,7 +394,7 @@ pub struct ChaosCell {
 }
 
 /// One lifecycle-chaos run: the overlapped-tasks workload plus the
-/// mutex-disciplined [`lockstep`] workload on 4 cpus under `policy`,
+/// mutex-disciplined `lockstep` workload on 4 cpus under `policy`,
 /// with `chaos` installed in the engine.
 ///
 /// # Errors

@@ -65,7 +65,7 @@ impl GeometryExperiment {
     }
 }
 
-/// Runs one cell: the [walk](microbench::walk) on a single-processor
+/// Runs one cell: the walk (`microbench::walk`) on a single-processor
 /// UltraSPARC-1 with the cell's L2 geometry and page size substituted
 /// in, predicted by the closed forms and by the per-set model.
 ///

@@ -87,28 +87,30 @@ fn racy_workload_is_flagged_and_exits_one() {
 
 #[test]
 fn deadlock_counterexample_round_trips_through_replay() {
-    let out_dir = tmp_out("replay");
-    let out = run(&["--workload", "deadlock", "--out", out_dir.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    for (workload, kind) in [("deadlock", "deadlock"), ("lostwake", "condvar-stall")] {
+        let out_dir = tmp_out(&format!("replay-{workload}"));
+        let out = run(&["--workload", workload, "--out", out_dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
 
-    let ce_path = out_dir.join("counterexample_deadlock.txt");
-    assert!(ce_path.is_file(), "counterexample not written");
-    let replay = run(&["--replay", ce_path.to_str().unwrap()]);
-    assert_eq!(replay.status.code(), Some(1), "stdout: {}", stdout(&replay));
-    let text = stdout(&replay);
-    assert!(text.contains("replayed deadlock on workload deadlock"), "{text}");
-    assert!(text.contains("violation reproduced"), "{text}");
+        let ce_path = out_dir.join(format!("counterexample_{workload}.txt"));
+        assert!(ce_path.is_file(), "counterexample not written");
+        let replay = run(&["--replay", ce_path.to_str().unwrap()]);
+        assert_eq!(replay.status.code(), Some(1), "stdout: {}", stdout(&replay));
+        let text = stdout(&replay);
+        assert!(text.contains(&format!("replayed {kind} on workload {workload}")), "{text}");
+        assert!(text.contains("violation reproduced"), "{text}");
 
-    // A schedule naming a thread that never exists does not reproduce:
-    // still exit 1, and the error says so.
-    let ce = std::fs::read_to_string(&ce_path).expect("read counterexample");
-    let schedule = ce.lines().find(|l| l.starts_with("schedule ")).expect("schedule line");
-    let diverging = out_dir.join("diverging.txt");
-    std::fs::write(&diverging, ce.replace(schedule, "schedule 9")).expect("write copy");
-    let replay = run(&["--replay", diverging.to_str().unwrap()]);
-    assert_eq!(replay.status.code(), Some(1), "stdout: {}", stdout(&replay));
-    let stderr = String::from_utf8_lossy(&replay.stderr);
-    assert!(stderr.contains("did not reproduce its violation"), "{stderr}");
+        // A schedule naming a thread that never exists does not
+        // reproduce: still exit 1, and the error says so.
+        let ce = std::fs::read_to_string(&ce_path).expect("read counterexample");
+        let schedule = ce.lines().find(|l| l.starts_with("schedule ")).expect("schedule line");
+        let diverging = out_dir.join("diverging.txt");
+        std::fs::write(&diverging, ce.replace(schedule, "schedule 9")).expect("write copy");
+        let replay = run(&["--replay", diverging.to_str().unwrap()]);
+        assert_eq!(replay.status.code(), Some(1), "stdout: {}", stdout(&replay));
+        let stderr = String::from_utf8_lossy(&replay.stderr);
+        assert!(stderr.contains("did not reproduce its violation"), "{stderr}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //!   walk is 8192 reverse translations and B-tree probes, so it is the
 //!   slow, obviously-right **oracle** — what tests and one-off queries
 //!   call — and far too heavy to repeat at every context switch.
-//! * **The tracker** ([`FootprintTracker`], switched on by
+//! * **The tracker** (`FootprintTracker`, switched on by
 //!   [`Machine::track_footprints`]): per-cpu, per-thread counters kept
 //!   current *as residency changes* — the way the paper's Shade-based
 //!   simulator follows the reference stream (§3). With it on,

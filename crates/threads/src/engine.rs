@@ -18,14 +18,14 @@
 use crate::chaos::{ChaosConfig, ChaosState, MIN_LIVE};
 use crate::error::RuntimeError;
 use crate::events::{EngineHook, EngineView, SwitchEvent, SwitchReason};
-use crate::inference::{InferenceConfig, SharingInference, CML_ENTRIES};
+use crate::inference::{SharingInference, CML_ENTRIES};
 use crate::observe::{ObsEvent, ObsLog};
-use crate::points::{BlockedOn, SchedulePoint};
+use crate::points::SchedulePoint;
 use crate::program::{BatchCtx, Control, PendingSpawn, Program};
 use crate::report::RunReport;
 use crate::sched::{self, SchedPolicy, Scheduler};
-use crate::sync::{BarrierId, CondId, MutexId, SemId, SyncTables};
-use crate::thread::{Tcb, ThreadState};
+use crate::sync::{MutexId, SyncTables};
+use crate::thread::{BlockedOn, Tcb, ThreadState};
 use locality_core::{
     CounterSanitizer, SanitizedInterval, SanitizerConfig, SharingGraph, SlotId, ThreadId,
     ThreadSlots,
@@ -49,10 +49,10 @@ const MAX_STEPS: u64 = 2_000_000_000;
 /// Engine tunables; the default is every option off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Optional runtime sharing inference (the paper's §7 future work):
-    /// drain a per-processor Cache Miss Lookaside buffer at each context
-    /// switch and write inferred `at_share` edges into the graph.
-    pub infer_sharing: Option<InferenceConfig>,
+    /// Runtime sharing inference (the paper's §7 future work): drain a
+    /// per-processor Cache Miss Lookaside buffer at each context switch
+    /// and write inferred `at_share` edges into the graph.
+    pub infer_sharing: bool,
     /// Optional thread-lifecycle fault injection (the chaos layer):
     /// seeded, deterministic thread aborts, spawn failures, and idle
     /// kills at well-defined points of the engine loop.
@@ -186,9 +186,9 @@ impl Engine {
         let mut machine = Machine::try_new(config.apply_overrides(machine))
             .map_err(|e| RuntimeError::InvalidMachine { what: e.to_string() })?;
         let cpus = machine.cpu_count();
-        let inference = config.infer_sharing.map(|cfg| {
+        let inference = config.infer_sharing.then(|| {
             machine.enable_cml(CML_ENTRIES);
-            SharingInference::new(cfg)
+            SharingInference::default()
         });
         Ok(Engine {
             inference,
@@ -262,12 +262,6 @@ impl Engine {
         self.sched.as_ref()
     }
 
-    /// Counter intervals the sanitizer had to correct so far (plus read
-    /// traps); zero on a clean machine.
-    pub fn corrected_intervals(&self) -> u64 {
-        self.corrected_intervals
-    }
-
     /// Whether `tid` was admitted (or stillborn) and has since exited or
     /// been aborted.
     fn is_retired(&self, tid: ThreadId) -> bool {
@@ -320,13 +314,8 @@ impl Engine {
         self.hooks.push(hook);
     }
 
-    /// Number of context switches so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
     /// The largest processor clock (current makespan).
-    pub fn now(&self) -> u64 {
+    fn now(&self) -> u64 {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
@@ -454,7 +443,7 @@ impl Engine {
     fn make_ready_at(&mut self, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
         let tcb = self.tcb_at(tid, slot)?;
         debug_assert!(
-            matches!(tcb.state, ThreadState::Blocked | ThreadState::Sleeping),
+            matches!(tcb.state, ThreadState::Blocked(_) | ThreadState::Sleeping),
             "{tid} woken in state {:?}",
             tcb.state
         );
@@ -505,14 +494,16 @@ impl Engine {
                 // Nothing running, nothing sleeping; with nothing ready
                 // either, the remaining threads are deadlocked.
                 if self.sched.ready_count() == 0 {
-                    let mut blocked: Vec<ThreadId> = self
+                    let mut blocked: Vec<(ThreadId, BlockedOn)> = self
                         .tcbs
                         .iter()
                         .flatten()
-                        .filter(|t| t.state == ThreadState::Blocked)
-                        .map(|t| t.id)
+                        .filter_map(|t| match t.state {
+                            ThreadState::Blocked(on) => Some((t.id, on)),
+                            _ => None,
+                        })
                         .collect();
-                    blocked.sort_unstable();
+                    blocked.sort_unstable_by_key(|&(tid, _)| tid);
                     return Err(RuntimeError::Deadlock { blocked });
                 }
                 // Ready work exists but this policy could not hand it to
@@ -620,7 +611,7 @@ impl Engine {
                     // a non-recursive pthread mutex. The acquire event is
                     // recorded when the unlock hands the mutex over.
                     mx.waiters.push_back(tid);
-                    self.block(cpu, tid, slot)?;
+                    self.block(cpu, tid, slot, BlockedOn::Mutex(m))?;
                 }
             }
             Control::Unlock(m) => {
@@ -635,7 +626,7 @@ impl Engine {
                     self.continue_running(cpu);
                 } else {
                     sem.waiters.push_back(tid);
-                    self.block(cpu, tid, slot)?;
+                    self.block(cpu, tid, slot, BlockedOn::Sem(s))?;
                 }
             }
             Control::SemPost(s) => {
@@ -667,13 +658,13 @@ impl Engine {
                     }
                     self.continue_running(cpu);
                 } else {
-                    self.block(cpu, tid, slot)?;
+                    self.block(cpu, tid, slot, BlockedOn::Barrier(b))?;
                 }
             }
             Control::CondWait(c, m) => {
                 self.unlock_mutex(m, tid)?;
                 self.sync.cond(c)?.waiters.push_back((tid, m));
-                self.block(cpu, tid, slot)?;
+                self.block(cpu, tid, slot, BlockedOn::Cond(c))?;
             }
             Control::CondSignal(c) => {
                 if let Some((w, m)) = self.sync.cond(c)?.waiters.pop_front() {
@@ -706,7 +697,7 @@ impl Engine {
                     self.note(ObsEvent::JoinWake { waiter: tid, target });
                     self.continue_running(cpu);
                 } else {
-                    self.block(cpu, tid, slot)?;
+                    self.block(cpu, tid, slot, BlockedOn::Join(target))?;
                 }
             }
         }
@@ -731,7 +722,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Hands the mutex to `w` (waking it) or queues it on the mutex.
+    /// Hands the mutex to the signalled condvar waiter `w` (waking it)
+    /// or moves `w` onto the mutex's queue, where it now waits.
     fn grant_or_enqueue_mutex(&mut self, m: MutexId, w: ThreadId) -> Result<(), RuntimeError> {
         let mx = self.sync.mutex(m)?;
         if mx.owner.is_none() {
@@ -740,6 +732,7 @@ impl Engine {
             self.make_ready(w)?;
         } else {
             mx.waiters.push_back(w);
+            self.tcb_mut(w)?.state = ThreadState::Blocked(BlockedOn::Mutex(m));
         }
         Ok(())
     }
@@ -748,11 +741,17 @@ impl Engine {
         self.clocks[cpu] += SYNC_OP_CYCLES;
     }
 
-    fn block(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
+    /// Switches out the running thread `tid`, which waits on `on`.
+    fn block(
+        &mut self,
+        cpu: usize,
+        tid: ThreadId,
+        slot: SlotId,
+        on: BlockedOn,
+    ) -> Result<(), RuntimeError> {
         let tcb = self.tcb_at(tid, slot)?;
-        if tcb.state == ThreadState::Running {
-            tcb.state = ThreadState::Blocked;
-        }
+        debug_assert_eq!(tcb.state, ThreadState::Running, "{tid} blocked off-cpu");
+        tcb.state = ThreadState::Blocked(on);
         self.switch_out(cpu, tid, slot, SwitchReason::Blocked)
     }
 
@@ -918,7 +917,8 @@ impl Engine {
         // sanitized — the scheduler sees a short interval, exactly what a
         // real abort at an arbitrary PC would produce.
         self.switch_out(cpu, tid, slot, SwitchReason::Aborted)?;
-        self.abort_thread(tid)
+        self.abort_thread(tid)?;
+        Ok(true)
     }
 
     /// Chaos decision point for threads that are *not* running: once per
@@ -937,9 +937,7 @@ impl Engine {
             .tcbs
             .iter()
             .flatten()
-            .filter(|t| {
-                matches!(t.state, ThreadState::Ready | ThreadState::Blocked | ThreadState::Sleeping)
-            })
+            .filter(|t| t.state != ThreadState::Running)
             .map(|t| t.id)
             .collect();
         if victims.is_empty() {
@@ -951,21 +949,36 @@ impl Engine {
             victims[st.pick(victims.len())]
         };
         set_clock(self.clocks[cpu]);
-        self.abort_thread(victim)?;
-        Ok(())
+        self.abort_thread(victim)
     }
 
     /// Tears a dead thread out of every runtime structure. The victim
     /// must already be off every processor (`current`). This is the
     /// hostile twin of [`finish_thread`](Self::finish_thread): same
-    /// pruning chain, plus orphaned-lock reclamation, waiter-queue
-    /// purging, and barrier membership shrinking — the recovery
-    /// invariants §10 of DESIGN.md documents.
-    fn abort_thread(&mut self, tid: ThreadId) -> Result<bool, RuntimeError> {
+    /// pruning chain, plus leaving the one queue it waits in,
+    /// orphaned-lock reclamation and barrier membership shrinking — the
+    /// recovery invariants §10 of DESIGN.md documents.
+    fn abort_thread(&mut self, tid: ThreadId) -> Result<(), RuntimeError> {
         self.live -= 1;
         self.aborted += 1;
         self.note(ObsEvent::Abort { tid });
         emit_with(|| TraceEvent::ThreadAbort { tid: tid.0 });
+        // The corpse leaves the queue it waits in before anything below
+        // can wake it: a thread that re-locked its own mutex would
+        // otherwise be handed that mutex back by its own reclamation.
+        let waiting = match self.tcb_mut(tid)?.state {
+            ThreadState::Blocked(on) => Some(on),
+            _ => None,
+        };
+        match waiting {
+            Some(BlockedOn::Mutex(m)) => self.sync.mutex(m)?.waiters.retain(|&w| w != tid),
+            Some(BlockedOn::Sem(s)) => self.sync.sem(s)?.waiters.retain(|&w| w != tid),
+            Some(BlockedOn::Cond(c)) => self.sync.cond(c)?.waiters.retain(|&(w, _)| w != tid),
+            Some(BlockedOn::Join(target)) => {
+                self.tcb_mut(target)?.join_waiters.retain(|&w| w != tid);
+            }
+            Some(BlockedOn::Barrier(_)) | None => {}
+        }
         self.wake_joiners(tid)?;
         // Orphaned-lock reclamation: every mutex the dead thread owned is
         // poisoned, then released on its behalf (FIFO handoff to the next
@@ -978,42 +991,26 @@ impl Engine {
                 self.unlock_mutex(MutexId(i), tid)?;
             }
         }
-        // Purge the corpse from every wait queue: it can never be woken.
-        for m in &mut self.sync.mutexes {
-            m.waiters.retain(|&w| w != tid);
-        }
-        for s in &mut self.sync.sems {
-            s.waiters.retain(|&w| w != tid);
-        }
-        for c in &mut self.sync.conds {
-            c.waiters.retain(|&(w, _)| w != tid);
-        }
         // A dead thread that already arrived at a barrier is no longer a
         // party: shrink the membership so the survivors still release.
         // (A party that dies *before* arriving cannot be distinguished
         // from a non-party; that barrier will deadlock and be reported by
         // the engine's deadlock detection.)
-        for i in 0..self.sync.barriers.len() {
-            let bar = &mut self.sync.barriers[i];
-            if let Some(pos) = bar.waiting.iter().position(|&w| w == tid) {
-                bar.waiting.remove(pos);
-                bar.parties -= 1;
-                if bar.parties > 0 && bar.waiting.len() == bar.parties {
-                    let parties: Vec<ThreadId> = bar.waiting.clone();
-                    let woken: Vec<ThreadId> = bar.waiting.drain(..).collect();
-                    self.note(ObsEvent::BarrierCross { barrier: BarrierId(i), parties });
-                    for w in woken {
-                        self.make_ready(w)?;
-                    }
+        if let Some(BlockedOn::Barrier(b)) = waiting {
+            let bar = self.sync.barrier(b)?;
+            bar.waiting.retain(|&w| w != tid);
+            bar.parties -= 1;
+            if bar.parties > 0 && bar.waiting.len() == bar.parties {
+                let parties: Vec<ThreadId> = bar.waiting.clone();
+                let woken: Vec<ThreadId> = bar.waiting.drain(..).collect();
+                self.note(ObsEvent::BarrierCross { barrier: b, parties });
+                for w in woken {
+                    self.make_ready(w)?;
                 }
             }
         }
-        // It may also be parked in another thread's join list.
-        for t in self.tcbs.iter_mut().flatten() {
-            t.join_waiters.retain(|&w| w != tid);
-        }
         self.release_thread(tid, true);
-        Ok(true)
+        Ok(())
     }
 
     /// The synchronization tables (read-only: poisoning queries, counts).
@@ -1026,70 +1023,13 @@ impl Engine {
     pub fn take_schedule_points(&mut self) -> Vec<SchedulePoint> {
         std::mem::take(&mut self.points)
     }
-
-    /// What a blocked thread is blocked on, found by scanning the sync
-    /// wait queues and join lists (blocked-state introspection for the
-    /// model checker's deadlock classification). `None` for threads that
-    /// are not live or not parked on anything.
-    pub fn blocked_on(&self, tid: ThreadId) -> Option<BlockedOn> {
-        // A condvar waiter that has been signalled moves to its mutex's
-        // waiter queue, so a thread sits in at most one queue; condvars
-        // are scanned first because "still waiting for the signal" is
-        // the classification that distinguishes a lost wakeup.
-        for (i, c) in self.sync.conds.iter().enumerate() {
-            if c.waiters.iter().any(|&(w, _)| w == tid) {
-                return Some(BlockedOn::Cond(CondId(i)));
-            }
-        }
-        for (i, m) in self.sync.mutexes.iter().enumerate() {
-            if m.waiters.contains(&tid) {
-                return Some(BlockedOn::Mutex(MutexId(i)));
-            }
-        }
-        for (i, s) in self.sync.sems.iter().enumerate() {
-            if s.waiters.contains(&tid) {
-                return Some(BlockedOn::Sem(SemId(i)));
-            }
-        }
-        for (i, b) in self.sync.barriers.iter().enumerate() {
-            if b.waiting.contains(&tid) {
-                return Some(BlockedOn::Barrier(BarrierId(i)));
-            }
-        }
-        for t in self.tcbs.iter().flatten() {
-            if t.join_waiters.contains(&tid) {
-                return Some(BlockedOn::Join(t.id));
-            }
-        }
-        None
-    }
-
-    /// Every live thread currently in the `Blocked` state with what it
-    /// is blocked on, sorted by thread id.
-    pub fn blocked_threads(&self) -> Vec<(ThreadId, Option<BlockedOn>)> {
-        let mut blocked: Vec<ThreadId> = self
-            .tcbs
-            .iter()
-            .flatten()
-            .filter(|t| t.state == ThreadState::Blocked)
-            .map(|t| t.id)
-            .collect();
-        blocked.sort_unstable();
-        blocked.into_iter().map(|tid| (tid, self.blocked_on(tid))).collect()
-    }
-
-    /// Threads killed by fault injection so far (including stillborn
-    /// spawns).
-    pub fn threads_aborted(&self) -> u64 {
-        self.aborted
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::EngineView;
-    use crate::sync::{CondId, SemId};
+    use crate::sync::CondId;
     use locality_sim::BATCH_REFS;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1182,7 +1122,7 @@ mod tests {
                     "register_region",
                     "register_region_for",
                     "read_range",
-                    "write_run_points",
+                    "write_range",
                 ] {
                     let issued = singles(ctx, 3);
                     match point {
@@ -1195,9 +1135,9 @@ mod tests {
                         "register_region" => ctx.register_region(buf, 64),
                         "register_region_for" => ctx.register_region_for(ThreadId(99), buf, 64),
                         "read_range" => ctx.read_range(buf, 64, 64),
-                        _ => ctx.write_run_points(buf, 64, 1),
+                        _ => ctx.write_range(buf, 64, 64),
                     }
-                    runs += u64::from(matches!(point, "read_range" | "write_run_points"));
+                    runs += u64::from(matches!(point, "read_range" | "write_range"));
                     assert_eq!(resolved(ctx), issued + runs, "{point}");
                 }
                 let issued = singles(ctx, BATCH_REFS as u64);
@@ -1374,212 +1314,152 @@ mod tests {
 
     #[test]
     fn unlock_not_owner_is_error() {
-        struct Bad;
-        impl Program for Bad {
-            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
-                Control::Unlock(MutexId(0))
-            }
-        }
         let mut e = engine(SchedPolicy::Fcfs);
         e.sync_tables_mut().create_mutex();
-        let tid = e.spawn(Box::new(Bad));
+        let tid = e.spawn(Script::boxed(&[Control::Unlock(MutexId(0))]));
         assert_eq!(e.run(), Err(RuntimeError::NotOwner { thread: tid, mutex: 0 }));
     }
 
     #[test]
     fn semaphore_producer_consumer() {
-        struct Producer {
-            s: SemId,
-            n: u32,
-        }
-        impl Program for Producer {
-            fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
-                ctx.compute(10);
-                if self.n == 0 {
-                    return Control::Exit;
-                }
-                self.n -= 1;
-                Control::SemPost(self.s)
-            }
-        }
-        struct Consumer {
-            s: SemId,
-            n: u32,
-        }
-        impl Program for Consumer {
-            fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
-                ctx.compute(10);
-                if self.n == 0 {
-                    return Control::Exit;
-                }
-                self.n -= 1;
-                Control::SemWait(self.s)
-            }
-        }
         let mut e = engine_smp(2, SchedPolicy::Fcfs);
         let s = e.sync_tables_mut().create_semaphore(0);
-        e.spawn(Box::new(Consumer { s, n: 10 }));
-        e.spawn(Box::new(Producer { s, n: 10 }));
+        e.spawn(Script::boxed(&[Control::SemWait(s); 10]));
+        e.spawn(Script::boxed(&[Control::SemPost(s); 10]));
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 2);
     }
 
     #[test]
     fn barrier_releases_all_parties() {
-        struct Worker {
-            b: crate::sync::BarrierId,
-            phase: u8,
-        }
-        impl Program for Worker {
-            fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
-                ctx.compute(100);
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Control::BarrierWait(self.b)
-                    }
-                    _ => Control::Exit,
-                }
-            }
-        }
         let mut e = engine_smp(4, SchedPolicy::Fcfs);
         let b = e.sync_tables_mut().create_barrier(4);
         for _ in 0..4 {
-            e.spawn(Box::new(Worker { b, phase: 0 }));
+            e.spawn(Script::boxed(&[Control::BarrierWait(b)]));
         }
         assert_eq!(e.run().unwrap().threads_completed, 4);
     }
 
+    /// Locks `m`, waits on `c`, and unlocks the mutex it holds again once
+    /// woken.
+    fn cond_waiter(m: MutexId, c: CondId) -> Box<Script> {
+        Script::boxed(&[Control::Lock(m), Control::CondWait(c, m), Control::Unlock(m)])
+    }
+
     #[test]
     fn condvar_signal_wakes_with_mutex_held() {
-        struct Waiter {
-            m: MutexId,
-            c: CondId,
-            phase: u8,
-        }
-        impl Program for Waiter {
-            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Control::Lock(self.m)
-                    }
-                    1 => {
-                        self.phase = 2;
-                        Control::CondWait(self.c, self.m)
-                    }
-                    2 => {
-                        // Woken: we hold the mutex again.
-                        self.phase = 3;
-                        Control::Unlock(self.m)
-                    }
-                    _ => Control::Exit,
-                }
-            }
-        }
-        struct Signaler {
-            c: CondId,
-            phase: u8,
-        }
-        impl Program for Signaler {
-            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Control::Sleep(10_000) // let the waiter wait first
-                    }
-                    1 => {
-                        self.phase = 2;
-                        Control::CondSignal(self.c)
-                    }
-                    _ => Control::Exit,
-                }
-            }
-        }
         let mut e = engine_smp(2, SchedPolicy::Fcfs);
         let m = e.sync_tables_mut().create_mutex();
         let c = e.sync_tables_mut().create_cond();
-        e.spawn(Box::new(Waiter { m, c, phase: 0 }));
-        e.spawn(Box::new(Signaler { c, phase: 0 }));
+        e.spawn(cond_waiter(m, c));
+        // The sleep lets the waiter wait first.
+        e.spawn(Script::boxed(&[Control::Sleep(10_000), Control::CondSignal(c)]));
         assert_eq!(e.run().unwrap().threads_completed, 2);
     }
 
     #[test]
     fn condvar_broadcast_wakes_everyone() {
-        struct Waiter {
-            m: MutexId,
-            c: CondId,
-            phase: u8,
-        }
-        impl Program for Waiter {
-            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Control::Lock(self.m)
-                    }
-                    1 => {
-                        self.phase = 2;
-                        Control::CondWait(self.c, self.m)
-                    }
-                    2 => {
-                        self.phase = 3;
-                        Control::Unlock(self.m)
-                    }
-                    _ => Control::Exit,
-                }
-            }
-        }
-        struct Caster {
-            c: CondId,
-            phase: u8,
-        }
-        impl Program for Caster {
-            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Control::Sleep(100_000)
-                    }
-                    1 => {
-                        self.phase = 2;
-                        Control::CondBroadcast(self.c)
-                    }
-                    _ => Control::Exit,
-                }
-            }
-        }
         let mut e = engine_smp(2, SchedPolicy::Fcfs);
         let m = e.sync_tables_mut().create_mutex();
         let c = e.sync_tables_mut().create_cond();
         for _ in 0..3 {
-            e.spawn(Box::new(Waiter { m, c, phase: 0 }));
+            e.spawn(cond_waiter(m, c));
         }
-        e.spawn(Box::new(Caster { c, phase: 0 }));
+        e.spawn(Script::boxed(&[Control::Sleep(100_000), Control::CondBroadcast(c)]));
         assert_eq!(e.run().unwrap().threads_completed, 4);
     }
 
     #[test]
     fn deadlock_detected() {
-        struct SelfLock {
-            m: MutexId,
-            phase: u8,
-        }
-        impl Program for SelfLock {
-            fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Control::Lock(self.m)
-                    }
-                    _ => Control::Lock(self.m), // second lock: self-deadlock
-                }
-            }
-        }
         let mut e = engine(SchedPolicy::Fcfs);
         let m = e.sync_tables_mut().create_mutex();
-        let tid = e.spawn(Box::new(SelfLock { m, phase: 0 }));
-        assert_eq!(e.run(), Err(RuntimeError::Deadlock { blocked: vec![tid] }));
+        // The second lock self-deadlocks.
+        let tid = e.spawn(Script::boxed(&[Control::Lock(m), Control::Lock(m)]));
+        let blocked = vec![(tid, BlockedOn::Mutex(m))];
+        assert_eq!(e.run(), Err(RuntimeError::Deadlock { blocked }));
+    }
+
+    /// Runs its controls in order, one a batch, then exits.
+    struct Script(std::collections::VecDeque<Control>);
+    impl Script {
+        fn boxed(controls: &[Control]) -> Box<Self> {
+            Box::new(Script(controls.iter().copied().collect()))
+        }
+    }
+    impl Program for Script {
+        fn next_batch(&mut self, _ctx: &mut BatchCtx<'_>) -> Control {
+            self.0.pop_front().unwrap_or(Control::Exit)
+        }
+    }
+
+    /// Whether any wait queue or join list still names `tid`.
+    fn queued(e: &Engine, tid: ThreadId) -> bool {
+        let sync = &e.sync;
+        sync.mutexes.iter().any(|m| m.waiters.contains(&tid))
+            || sync.sems.iter().any(|s| s.waiters.contains(&tid))
+            || sync.barriers.iter().any(|b| b.waiting.contains(&tid))
+            || sync.conds.iter().any(|c| c.waiters.iter().any(|&(w, _)| w == tid))
+            || e.tcbs.iter().flatten().any(|t| t.join_waiters.contains(&tid))
+    }
+
+    #[test]
+    fn aborting_a_self_relocking_owner_hands_its_mutex_to_the_next_waiter() {
+        let mut e = engine(SchedPolicy::Fcfs);
+        let m = e.sync_tables_mut().create_mutex();
+        let a = e.spawn(Script::boxed(&[Control::Lock(m), Control::Lock(m)]));
+        let b = e.spawn(Script::boxed(&[Control::Lock(m), Control::Unlock(m)]));
+        let blocked = vec![(a, BlockedOn::Mutex(m)), (b, BlockedOn::Mutex(m))];
+        assert_eq!(e.run(), Err(RuntimeError::Deadlock { blocked }));
+        e.abort_thread(a).unwrap();
+        assert_eq!(e.sync.mutexes[m.0].owner, Some(b), "the dead owner got its mutex back");
+        assert!(!queued(&e, a));
+        let report = e.run().expect("the waiter takes the poisoned mutex and finishes");
+        assert_eq!((report.threads_completed, report.threads_aborted), (1, 1));
+        assert!(e.sync_tables().is_poisoned(m));
+    }
+
+    #[test]
+    fn an_abort_leaves_the_one_wait_it_is_in_and_deadlocks_name_each_wait() {
+        let mut e = engine(SchedPolicy::Fcfs);
+        let sync = e.sync_tables_mut();
+        let (m, m2, m3) = (sync.create_mutex(), sync.create_mutex(), sync.create_mutex());
+        let (s, b) = (sync.create_semaphore(0), sync.create_barrier(2));
+        let (c, c2) = (sync.create_cond(), sync.create_cond());
+        let holder = ThreadId(1);
+        let scripts: [&[Control]; 7] = [
+            &[Control::Lock(m), Control::SemWait(s)],
+            &[Control::Lock(m)],
+            &[Control::BarrierWait(b)],
+            &[Control::Lock(m2), Control::CondWait(c, m2)],
+            &[Control::Join(holder)],
+            &[Control::Lock(m3), Control::CondWait(c2, m3)],
+            // Signals while holding m3: its waiter moves onto m3's queue.
+            &[Control::Lock(m3), Control::CondSignal(c2), Control::SemWait(s)],
+        ];
+        for script in scripts {
+            e.spawn(Script::boxed(script));
+        }
+        let mut blocked = vec![
+            (holder, BlockedOn::Sem(s)),
+            (ThreadId(2), BlockedOn::Mutex(m)),
+            (ThreadId(3), BlockedOn::Barrier(b)),
+            (ThreadId(4), BlockedOn::Cond(c)),
+            (ThreadId(5), BlockedOn::Join(holder)),
+            (ThreadId(6), BlockedOn::Mutex(m3)),
+            (ThreadId(7), BlockedOn::Sem(s)),
+        ];
+        assert_eq!(e.run(), Err(RuntimeError::Deadlock { blocked: blocked.clone() }));
+        // Every waiter but the holder, the moved condvar waiter before
+        // the owner of the mutex it moved onto.
+        for victim in [2, 3, 4, 5, 6, 7].map(ThreadId) {
+            assert!(queued(&e, victim), "{victim} waits nowhere before its abort");
+            e.abort_thread(victim).unwrap();
+            assert!(!queued(&e, victim), "a queue still names {victim}");
+            blocked.retain(|&(tid, _)| tid != victim);
+            assert_eq!(e.run(), Err(RuntimeError::Deadlock { blocked: blocked.clone() }));
+        }
+        assert_eq!(e.sync.barriers[b.0].parties, 1, "the dead arrival left the barrier");
+        assert!(e.sync_tables().is_poisoned(m3), "the signaller died holding m3");
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::thread::BlockedOn;
 use locality_core::ThreadId;
 use std::error::Error;
 use std::fmt;
@@ -9,8 +10,8 @@ pub enum RuntimeError {
     /// No thread can make progress: some threads are blocked, none are
     /// ready or sleeping, and no processor is running anything.
     Deadlock {
-        /// The threads still blocked.
-        blocked: Vec<ThreadId>,
+        /// The threads still blocked, by id, each with what it waits for.
+        blocked: Vec<(ThreadId, BlockedOn)>,
     },
     /// A program referred to a thread id the runtime does not know.
     UnknownThread {
@@ -80,7 +81,8 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = RuntimeError::Deadlock { blocked: vec![ThreadId(1), ThreadId(2)] };
+        let blocked = vec![(ThreadId(1), BlockedOn::Join(ThreadId(2))); 2];
+        let e = RuntimeError::Deadlock { blocked };
         assert!(e.to_string().contains("2 thread"));
         assert!(RuntimeError::UnknownThread { thread: ThreadId(7) }.to_string().contains("t7"));
         assert!(RuntimeError::NotOwner { thread: ThreadId(1), mutex: 3 }

@@ -10,7 +10,7 @@
 //! The engine drains each processor's [CML](locality_sim::cml) at every
 //! context switch: the virtual pages the interval's thread missed on.
 //! The accumulated page sets live in a
-//! [`RegionTable`](locality_sim::RegionTable), the same table that
+//! [`RegionTable`], the same table that
 //! states exact sharing, which derives approximate coefficients
 //! `q̂_ab = |pages_a ∩ pages_b| / |pages_a|` — the same quantity a
 //! perfectly annotated program states exactly, discovered instead from
@@ -33,20 +33,8 @@ use std::collections::BTreeSet;
 /// CML slots per processor.
 pub(crate) const CML_ENTRIES: usize = 128;
 
-/// Tunables of the runtime sharing inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InferenceConfig {
-    /// Cap on tracked pages per thread (bounds memory and update cost).
-    pub max_pages_per_thread: usize,
-    /// Minimum shared pages before an edge is emitted (noise floor).
-    pub min_shared_pages: u64,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> Self {
-        InferenceConfig { max_pages_per_thread: 512, min_shared_pages: 1 }
-    }
-}
+/// Cap on tracked pages per thread (bounds memory and update cost).
+pub const MAX_PAGES_PER_THREAD: u64 = 512;
 
 /// An inferred (or updated) sharing edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,21 +54,10 @@ pub struct InferredEdge {
 /// 64 bytes), far below the table's saturation at `u64::MAX`.
 #[derive(Debug, Default)]
 pub struct SharingInference {
-    config: InferenceConfig,
     pages: RegionTable,
 }
 
 impl SharingInference {
-    /// Creates the tracker.
-    pub fn new(config: InferenceConfig) -> Self {
-        SharingInference { config, ..SharingInference::default() }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> InferenceConfig {
-        self.config
-    }
-
     /// Ingests one interval's CML drain for `tid` and returns the edges
     /// whose coefficients changed (both directions per affected pair).
     pub fn note_interval(&mut self, tid: ThreadId, drained: &[CmlEntry]) -> Vec<InferredEdge> {
@@ -90,18 +67,17 @@ impl SharingInference {
             if self.pages.covers(tid, page, 1) {
                 continue;
             }
-            if self.tracked_pages(tid) >= self.config.max_pages_per_thread as u64 {
+            if self.tracked_pages(tid) >= MAX_PAGES_PER_THREAD {
                 break; // page set capped
             }
             // Whoever missed here first now shares the page with `tid`.
             touched.extend(self.pages.owners_of(page));
             self.pages.register(tid, page, 1);
         }
+        // Every thread in `touched` shares at least the page that put it
+        // there, so each pair yields its two edges.
         let mut edges = Vec::with_capacity(2 * touched.len());
         for other in touched {
-            if self.shared_pages(tid, other) < self.config.min_shared_pages {
-                continue;
-            }
             edges.push(InferredEdge { src: tid, dst: other, q: self.coefficient(tid, other) });
             edges.push(InferredEdge { src: other, dst: tid, q: self.coefficient(other, tid) });
         }
@@ -145,7 +121,7 @@ mod tests {
 
     #[test]
     fn disjoint_threads_infer_nothing() {
-        let mut inf = SharingInference::new(InferenceConfig::default());
+        let mut inf = SharingInference::default();
         assert!(inf.note_interval(t(1), &entries(&[1, 2, 3])).is_empty());
         assert!(inf.note_interval(t(2), &entries(&[4, 5])).is_empty());
         assert_eq!(inf.shared_pages(t(1), t(2)), 0);
@@ -154,7 +130,7 @@ mod tests {
 
     #[test]
     fn overlap_yields_both_directions() {
-        let mut inf = SharingInference::new(InferenceConfig::default());
+        let mut inf = SharingInference::default();
         inf.note_interval(t(1), &entries(&[10, 11, 12, 13]));
         let edges = inf.note_interval(t(2), &entries(&[12, 13]));
         // t2 shares both of its pages with t1; t1 shares half.
@@ -167,7 +143,7 @@ mod tests {
 
     #[test]
     fn repeated_drains_are_idempotent() {
-        let mut inf = SharingInference::new(InferenceConfig::default());
+        let mut inf = SharingInference::default();
         inf.note_interval(t(1), &entries(&[7]));
         inf.note_interval(t(2), &entries(&[7]));
         let before = inf.shared_pages(t(1), t(2));
@@ -177,15 +153,15 @@ mod tests {
 
     #[test]
     fn page_cap_bounds_tracking() {
-        let config = InferenceConfig { max_pages_per_thread: 4, ..Default::default() };
-        let mut inf = SharingInference::new(config);
-        inf.note_interval(t(1), &entries(&[1, 2, 3, 4, 5, 6, 7]));
-        assert_eq!(inf.tracked_pages(t(1)), 4);
+        let mut inf = SharingInference::default();
+        let pages: Vec<u64> = (0..MAX_PAGES_PER_THREAD + 3).collect();
+        inf.note_interval(t(1), &entries(&pages));
+        assert_eq!(inf.tracked_pages(t(1)), MAX_PAGES_PER_THREAD);
     }
 
     #[test]
     fn forget_removes_all_traces() {
-        let mut inf = SharingInference::new(InferenceConfig::default());
+        let mut inf = SharingInference::default();
         inf.note_interval(t(1), &entries(&[1, 2]));
         inf.note_interval(t(2), &entries(&[2, 3]));
         inf.forget(t(1));
@@ -194,15 +170,5 @@ mod tests {
         // t2's own pages remain; a third thread can still overlap t2.
         let edges = inf.note_interval(t(3), &entries(&[3]));
         assert!(edges.iter().any(|e| e.src == t(3) && e.dst == t(2) && e.q == 1.0));
-    }
-
-    #[test]
-    fn noise_floor_suppresses_single_page_edges() {
-        let config = InferenceConfig { min_shared_pages: 2, ..Default::default() };
-        let mut inf = SharingInference::new(config);
-        inf.note_interval(t(1), &entries(&[1, 2, 3]));
-        assert!(inf.note_interval(t(2), &entries(&[3])).is_empty(), "below the floor");
-        let edges = inf.note_interval(t(2), &entries(&[2]));
-        assert_eq!(edges.len(), 2, "second shared page crosses the floor");
     }
 }

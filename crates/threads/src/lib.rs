@@ -80,12 +80,13 @@ pub use chaos::ChaosConfig;
 pub use engine::{Engine, EngineConfig};
 pub use error::RuntimeError;
 pub use events::{EngineHook, SwitchEvent, SwitchReason};
-pub use inference::{InferenceConfig, SharingInference};
+pub use inference::SharingInference;
 pub use observe::{ObsEvent, ObsLog};
-pub use points::{AccessSpan, BlockedOn, SchedulePoint};
+pub use points::{AccessSpan, SchedulePoint};
 pub use program::{BatchCtx, Control, Program};
 pub use report::RunReport;
 pub use sched::{SchedPolicy, Scheduler};
 pub use sync::{BarrierId, CondId, MutexId, SemId};
+pub use thread::BlockedOn;
 
 pub use locality_core::{CpuId, PolicyKind, ThreadId};

@@ -20,7 +20,7 @@
 //!   [`JoinWake`](ObsEvent::JoinWake) on it;
 //! * a [`Spawn`](ObsEvent::Spawn) precedes every event of the child;
 //! * a thread's [`Abort`](ObsEvent::Abort) follows every event the
-//!   thread performed itself and precedes every [`JoinWake`] on it and
+//!   thread performed itself and precedes every [`JoinWake`](ObsEvent::JoinWake) on it and
 //!   every [`MutexRelease`](ObsEvent::MutexRelease) reclaiming a lock it
 //!   died holding — so analyses may treat the abort as the dead thread's
 //!   final release point (post-abort reclamation is happens-before

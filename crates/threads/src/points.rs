@@ -12,7 +12,6 @@
 //! to compute happens-before and dependence between steps.
 
 use crate::program::Control;
-use crate::sync::{BarrierId, CondId, MutexId, SemId};
 use locality_core::ThreadId;
 use locality_sim::VAddr;
 
@@ -95,39 +94,10 @@ impl SchedulePoint {
     }
 }
 
-/// Why a blocked thread is blocked — the engine's blocked-state
-/// introspection, used by the model checker to classify a global
-/// deadlock (lock cycle vs. lost wakeup).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockedOn {
-    /// Waiting to acquire a mutex.
-    Mutex(MutexId),
-    /// Waiting on a semaphore.
-    Sem(SemId),
-    /// Waiting at a barrier.
-    Barrier(BarrierId),
-    /// Waiting on a condition variable (a thread stuck here forever is a
-    /// lost wakeup).
-    Cond(CondId),
-    /// Waiting for another thread to exit.
-    Join(ThreadId),
-}
-
-impl std::fmt::Display for BlockedOn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            BlockedOn::Mutex(m) => write!(f, "mutex m{}", m.0),
-            BlockedOn::Sem(s) => write!(f, "semaphore s{}", s.0),
-            BlockedOn::Barrier(b) => write!(f, "barrier b{}", b.0),
-            BlockedOn::Cond(c) => write!(f, "condvar c{}", c.0),
-            BlockedOn::Join(t) => write!(f, "join of {t}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{CondId, MutexId};
 
     fn span(start: u64, bytes: u64, write: bool) -> AccessSpan {
         AccessSpan { start: VAddr(start), bytes, write }

@@ -168,31 +168,6 @@ impl<'a> BatchCtx<'a> {
         self.push(va, AccessKind::Fetch);
     }
 
-    /// Loads `count` addresses `base, base+stride, …` as one reference
-    /// **run**, resolved by the machine in one batched walk
-    /// ([`Machine::access_run`]) instead of `count` separate calls, and
-    /// records one 1-byte span per element — a drop-in replacement for a
-    /// loop of [`read`](Self::read) calls: miss counts, PIC values,
-    /// coherence traffic and cycle costs are identical, and so are the
-    /// observation log and model-checker access spans. (Machine accesses
-    /// emit no observation events, so noting every span up front and
-    /// then resolving the whole run produces the identical event
-    /// sequence.)
-    pub fn read_run_points(&mut self, base: VAddr, stride: u64, count: u64) {
-        for i in 0..count {
-            self.note_access(base.offset(i * stride), 1, false);
-        }
-        self.run(base, stride, count, AccessKind::Read);
-    }
-
-    /// The store twin of [`read_run_points`](Self::read_run_points).
-    pub fn write_run_points(&mut self, base: VAddr, stride: u64, count: u64) {
-        for i in 0..count {
-            self.note_access(base.offset(i * stride), 1, true);
-        }
-        self.run(base, stride, count, AccessKind::Write);
-    }
-
     /// Loads every `stride`-th byte of `[start, start+bytes)`.
     pub fn read_range(&mut self, start: VAddr, bytes: u64, stride: u64) {
         self.note_access(start, bytes, false);

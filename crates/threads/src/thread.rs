@@ -1,6 +1,7 @@
 //! Thread control blocks.
 
 use crate::program::Program;
+use crate::sync::{BarrierId, CondId, MutexId, SemId};
 use locality_core::ThreadId;
 
 /// The lifecycle state of a thread.
@@ -10,10 +11,40 @@ pub enum ThreadState {
     Ready,
     /// Currently executing on a processor.
     Running,
-    /// Blocked on a synchronization object or a join.
-    Blocked,
+    /// Blocked on one synchronization object or one join.
+    Blocked(BlockedOn),
     /// Sleeping until a wake-up time.
     Sleeping,
+}
+
+/// What a blocked thread waits for. The engine writes it when the thread
+/// blocks and when a signalled condvar waiter moves onto its mutex's
+/// queue; an abort reads it to leave that one queue, and a deadlock
+/// reports it (a thread stuck on a condvar is a lost wakeup).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockedOn {
+    /// Waiting to acquire a mutex.
+    Mutex(MutexId),
+    /// Waiting on a semaphore.
+    Sem(SemId),
+    /// Waiting at a barrier.
+    Barrier(BarrierId),
+    /// Waiting on a condition variable.
+    Cond(CondId),
+    /// Waiting for another thread to exit.
+    Join(ThreadId),
+}
+
+impl std::fmt::Display for BlockedOn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            BlockedOn::Mutex(m) => write!(f, "mutex m{}", m.0),
+            BlockedOn::Sem(s) => write!(f, "semaphore s{}", s.0),
+            BlockedOn::Barrier(b) => write!(f, "barrier b{}", b.0),
+            BlockedOn::Cond(c) => write!(f, "condvar c{}", c.0),
+            BlockedOn::Join(t) => write!(f, "join of {t}"),
+        }
+    }
 }
 
 /// A thread control block.

@@ -72,7 +72,7 @@ impl LineToucher {
     /// cannot repeat because the sweep ascends).
     pub fn read_span(&mut self, ctx: &mut BatchCtx<'_>, start: VAddr, bytes: u64) {
         if let Some((first, count, last)) = self.span_lines(start, bytes) {
-            ctx.read_run_points(VAddr(first * LINE), LINE, count);
+            ctx.read_range(VAddr(first * LINE), count * LINE, LINE);
             self.last_line = Some(last);
         }
     }

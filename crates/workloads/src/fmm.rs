@@ -322,6 +322,9 @@ impl FmmWorker {
 
 impl Program for FmmWorker {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
+        if self.iteration >= self.params.iterations {
+            return Control::Exit;
+        }
         let depth = self.scene.depth;
         if self.pass == Pass::P2m && self.cursor == 0 && self.iteration == 0 {
             let cells_bytes = self.scene.cell_count() as u64 * LINE;
@@ -500,5 +503,14 @@ mod tests {
             e.run().unwrap()
         };
         assert_eq!(run(0), run(1));
+    }
+
+    #[test]
+    fn zero_iterations_exits_at_once() {
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
+        spawn_single(&mut e, &FmmParams { iterations: 0, ..FmmParams::small() });
+        let report = e.run().unwrap();
+        assert_eq!(report.threads_completed, 1);
+        assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));
     }
 }

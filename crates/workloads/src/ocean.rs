@@ -116,8 +116,8 @@ impl OceanWorker {
 impl Program for OceanWorker {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
         let n = self.grid.side;
-        if n < 3 {
-            // No interior row to relax.
+        if n < 3 || self.sweep >= self.params.sweeps {
+            // No interior row to relax, or no sweep to run.
             return Control::Exit;
         }
         if self.sweep == 0 && self.color == 0 && self.row <= 1 {
@@ -208,6 +208,15 @@ mod tests {
     fn zero_side_exits_at_once() {
         let mut e = ultra1_engine(SchedPolicy::Fcfs);
         spawn_single(&mut e, &OceanParams { side: 0, ..OceanParams::small() });
+        let report = e.run().unwrap();
+        assert_eq!(report.threads_completed, 1);
+        assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));
+    }
+
+    #[test]
+    fn zero_sweeps_exits_at_once() {
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
+        spawn_single(&mut e, &OceanParams { sweeps: 0, ..OceanParams::small() });
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 1);
         assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));

@@ -200,8 +200,8 @@ impl Program for RayWorker {
     fn next_batch(&mut self, ctx: &mut BatchCtx<'_>) -> Control {
         let scene = &self.scene;
         let n = scene.grid_side;
-        if n == 0 {
-            // No grid to march.
+        if n == 0 || self.pass >= self.params.passes {
+            // No grid to march, or no pass to run.
             return Control::Exit;
         }
         if self.next_ray == 0 && self.pass == 0 {
@@ -298,6 +298,15 @@ mod tests {
     fn zero_grid_side_exits_at_once() {
         let mut e = ultra1_engine(SchedPolicy::Fcfs);
         spawn_single(&mut e, &RaytraceParams { grid_side: 0, ..RaytraceParams::small() });
+        let report = e.run().unwrap();
+        assert_eq!(report.threads_completed, 1);
+        assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));
+    }
+
+    #[test]
+    fn zero_passes_exits_at_once() {
+        let mut e = ultra1_engine(SchedPolicy::Fcfs);
+        spawn_single(&mut e, &RaytraceParams { passes: 0, ..RaytraceParams::small() });
         let report = e.run().unwrap();
         assert_eq!(report.threads_completed, 1);
         assert_eq!((report.total_l2_refs, report.total_instructions), (0, 0));

@@ -224,7 +224,6 @@ fn runtime_inference_discovers_sharing() {
     // Two iterating threads over one buffer, no annotations: with CML
     // inference enabled, the engine must discover the sharing and place
     // them together (fewer misses than without inference).
-    use thread_locality::threads::InferenceConfig;
     struct Pinger {
         buf: thread_locality::sim::VAddr,
         rounds: u32,
@@ -242,10 +241,7 @@ fn runtime_inference_discovers_sharing() {
         }
     }
     let run = |infer: bool| {
-        let config = EngineConfig {
-            infer_sharing: infer.then(InferenceConfig::default),
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig { infer_sharing: infer, ..EngineConfig::default() };
         let mut engine =
             Engine::new(MachineConfig::enterprise5000(2), SchedPolicy::Lff, config).unwrap();
         // Many pairs sharing buffers, interleaved so FIFO separates them.

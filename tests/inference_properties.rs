@@ -8,14 +8,16 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use thread_locality::core::ThreadId;
 use thread_locality::sim::cml::CmlEntry;
-use thread_locality::threads::{InferenceConfig, SharingInference};
+use thread_locality::threads::inference::MAX_PAGES_PER_THREAD;
+use thread_locality::threads::SharingInference;
 
 const THREADS: u64 = 4;
-const PAGES: u64 = 16;
+/// Twice the per-thread cap, so a thread's drains can fill its page set.
+const PAGES: u64 = 2 * MAX_PAGES_PER_THREAD;
 
 /// The oracle: explicit page sets and per-pair counters.
+#[derive(Default)]
 struct PageSets {
-    config: InferenceConfig,
     pages: BTreeMap<ThreadId, BTreeSet<u64>>,
     page_threads: BTreeMap<u64, Vec<ThreadId>>,
     pair_shared: BTreeMap<(ThreadId, ThreadId), u64>,
@@ -26,15 +28,6 @@ fn pair(a: ThreadId, b: ThreadId) -> (ThreadId, ThreadId) {
 }
 
 impl PageSets {
-    fn new(config: InferenceConfig) -> Self {
-        PageSets {
-            config,
-            pages: BTreeMap::new(),
-            page_threads: BTreeMap::new(),
-            pair_shared: BTreeMap::new(),
-        }
-    }
-
     fn note_interval(&mut self, tid: ThreadId, vpns: &[u64]) -> Vec<(ThreadId, ThreadId, f64)> {
         let mut touched = BTreeSet::new();
         for &vpn in vpns {
@@ -42,7 +35,7 @@ impl PageSets {
             if pages.contains(&vpn) {
                 continue;
             }
-            if pages.len() >= self.config.max_pages_per_thread {
+            if pages.len() as u64 >= MAX_PAGES_PER_THREAD {
                 break;
             }
             pages.insert(vpn);
@@ -55,9 +48,6 @@ impl PageSets {
         }
         let mut edges = Vec::new();
         for other in touched {
-            if self.shared(tid, other) < self.config.min_shared_pages {
-                continue;
-            }
             edges.push((tid, other, self.coefficient(tid, other)));
             edges.push((other, tid, self.coefficient(other, tid)));
         }
@@ -93,23 +83,21 @@ impl PageSets {
 }
 
 proptest! {
-    /// Random drains (repeats included) over four threads and sixteen
-    /// pages, with a thread forgotten at random steps: every returned
-    /// edge list equals the oracle's, and after every step so does every
-    /// pair's shared count, every thread's page count and every
-    /// coefficient, bit for bit.
+    /// Random drains (repeats included) over four threads and twice the
+    /// per-thread cap in pages, long enough for a thread's page set to
+    /// reach the cap, with a thread forgotten at random steps: every
+    /// returned edge list equals the oracle's, and after every step so
+    /// does every pair's shared count, every thread's page count and
+    /// every coefficient, bit for bit.
     #[test]
     fn inference_matches_page_set_oracle(
-        cap in 0usize..=8,
-        floor in 1u64..=3,
         steps in proptest::collection::vec(
-            (0u64..THREADS, proptest::collection::vec(0u64..PAGES, 0..12), 0u8..6),
+            (0u64..THREADS, proptest::collection::vec(0u64..PAGES, 0..400), 0u8..6),
             1..40,
         ),
     ) {
-        let config = InferenceConfig { max_pages_per_thread: cap, min_shared_pages: floor };
-        let mut inference = SharingInference::new(config);
-        let mut oracle = PageSets::new(config);
+        let mut inference = SharingInference::default();
+        let mut oracle = PageSets::default();
         for (step, (tid, vpns, forget)) in steps.iter().enumerate() {
             let tid = ThreadId(*tid);
             if *forget == 0 {

@@ -1,8 +1,8 @@
 //! The locality scheduler against `RefScheduler`, its eager O(threads)
 //! transcription (`tests/ref_scheduler/`): identical picks, steals,
 //! ready counts and degraded-mode transitions after every call, over
-//! random sequences that follow the engine's protocol and over two
-//! whole engine runs.
+//! random sequences that follow the engine's protocol and over whole
+//! engine runs, the lifecycle-chaos rows among them.
 
 mod ref_scheduler;
 
@@ -13,8 +13,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use thread_locality::core::{PolicyKind, SanitizedInterval, SharingGraph, ThreadId};
 use thread_locality::sim::{FaultConfig, MachineConfig};
 use thread_locality::threads::sched::LocalityConfig;
-use thread_locality::threads::{Engine, EngineConfig, RunReport, SchedPolicy, Scheduler};
+use thread_locality::threads::{
+    Engine, EngineConfig, RunReport, RuntimeError, SchedPolicy, Scheduler,
+};
+use thread_locality::workloads::merge::{self, MergeParams};
+use thread_locality::workloads::photo::{self, PhotoParams};
 use thread_locality::workloads::tasks::{self, TasksParams};
+use thread_locality::workloads::tsp::{self, TspParams};
 
 /// Confidence samples by regime: the low ones hold the EWMA under the
 /// degrade threshold (0.5), the high ones lift it over the recovery
@@ -142,34 +147,38 @@ proptest! {
 }
 
 /// Runs `spawn`'s workload once under `DiffScheduler` and once under the
-/// plain scheduler, and checks the two runs report the same.
+/// plain scheduler, both with `options`, and checks the two runs end the
+/// same.
 fn diffed_run(
     machine: MachineConfig,
+    policy: PolicyKind,
+    options: EngineConfig,
     fault: Option<FaultConfig>,
     spawn: impl Fn(&mut Engine),
-) -> RunReport {
-    let config = LocalityConfig::new(PolicyKind::Lff);
+) -> Result<RunReport, RuntimeError> {
+    let config = LocalityConfig::new(policy);
     let diff = DiffScheduler::new(config, machine.l2_lines(), machine.cpus);
-    let mut diffed =
-        Engine::with_scheduler(machine.clone(), Box::new(diff), EngineConfig::default()).unwrap();
-    let mut plain = Engine::new(machine, SchedPolicy::Lff, EngineConfig::default()).unwrap();
+    let mut diffed = Engine::with_scheduler(machine.clone(), Box::new(diff), options).unwrap();
+    let mut plain = Engine::new(machine, SchedPolicy::Custom(config), options).unwrap();
     for engine in [&mut diffed, &mut plain] {
         if let Some(fault) = fault {
             engine.machine_mut().install_fault(fault);
         }
         spawn(engine);
     }
-    let report = diffed.run().unwrap();
-    assert_eq!(report, plain.run().unwrap(), "the diffed run reports differently");
-    report
+    let result = diffed.run();
+    assert_eq!(result, plain.run(), "the diffed run ends differently");
+    result
 }
 
 #[test]
 fn the_scheduler_matches_the_reference_on_overlapped_tasks() {
     let params = TasksParams { tasks: 64, footprint_lines: 100, periods: 10, overlap: 0.25 };
-    let report = diffed_run(MachineConfig::enterprise5000(8), None, |e| {
+    let machine = MachineConfig::enterprise5000(8);
+    let report = diffed_run(machine, PolicyKind::Lff, EngineConfig::default(), None, |e| {
         tasks::spawn_parallel(e, &params);
-    });
+    })
+    .unwrap();
     assert!(report.steals > 0, "the cell never stole");
 }
 
@@ -180,8 +189,37 @@ fn the_scheduler_matches_the_reference_through_a_counter_fault() {
     let window = SCENARIOS.iter().find(|s| s.name == "window").unwrap();
     let Injector::Counter(fault) = window.injector else { panic!("{window:?}") };
     let params = TasksParams { tasks: 64, footprint_lines: 100, periods: 10, overlap: 0.5 };
-    let report = diffed_run(MachineConfig::enterprise5000(4), fault, |e| {
+    let machine = MachineConfig::enterprise5000(4);
+    let report = diffed_run(machine, PolicyKind::Lff, EngineConfig::default(), fault, |e| {
         tasks::spawn_parallel(e, &params);
-    });
+    })
+    .unwrap();
     assert!(report.degraded_intervals > 0, "the cell never degraded");
+}
+
+#[test]
+fn the_scheduler_matches_the_reference_under_lifecycle_chaos() {
+    // Aborts reach the blocked: merge's joins, photo's semaphores and
+    // tsp's mutexes, at small scale, under every lifecycle-chaos row. A
+    // photo row whose poster dies leaves its readers deadlocked; both
+    // runs must then report the same waits.
+    let spawns: [fn(&mut Engine); 3] = [
+        |e| drop(merge::spawn_parallel(e, &MergeParams::small())),
+        |e| drop(photo::spawn_parallel(e, &PhotoParams::small())),
+        |e| drop(tsp::spawn_parallel(e, &TspParams::small())),
+    ];
+    let mut aborted = 0;
+    for row in SCENARIOS {
+        let Injector::Lifecycle(Some(chaos)) = row.injector else { continue };
+        let options = EngineConfig { chaos: Some(chaos), ..EngineConfig::default() };
+        for policy in [PolicyKind::Lff, PolicyKind::Crt] {
+            for spawn in spawns {
+                let machine = MachineConfig::enterprise5000(8);
+                if let Ok(report) = diffed_run(machine, policy, options, None, spawn) {
+                    aborted += report.threads_aborted;
+                }
+            }
+        }
+    }
+    assert!(aborted > 0, "no lifecycle row aborted a thread");
 }
