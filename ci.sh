@@ -158,7 +158,8 @@ done
 # workload or to the runner cannot move a number EXPERIMENTS.md quotes
 # unseen. Runs are not timed out inside the runner, so the timeout bounds
 # a hung descriptor here, and what it costs: seconds, since the region
-# table answers the annotations from a per-thread index (DESIGN.md §9.5).
+# table answers the annotations from per-thread range lists and builds its
+# address index only for the cells that scan footprints (DESIGN.md §9.5).
 PAPER_OUT=$(mktemp -d)
 timeout 120 cargo run --release -p locality-repro --bin repro -- all \
     --scale paper --jobs 2 --out "$PAPER_OUT"

@@ -261,14 +261,32 @@ impl Machine {
 
     /// With tracking on, credits `tid` — before the registration lands —
     /// with the resident lines of `[start, start+bytes)` it is about to
-    /// gain: those whose span does not yet touch one of its regions.
+    /// gain: those whose span does not yet touch one of its regions. A
+    /// range of more lines than the E-caches hold together is answered
+    /// from the resident lines instead of line by line, so the cost is
+    /// bounded by the caches, not by the range.
     fn credit_gained_lines(&mut self, tid: ThreadId, start: VAddr, bytes: u64) {
         let Some(tracker) = &mut self.tracker else {
             return;
         };
         let line = self.config.hierarchy.l2.line;
-        for lv in ((start.0 & !(line - 1))..start.0.saturating_add(bytes)).step_by(line as usize) {
-            if self.regions.range_touches(tid, VAddr(lv), line) {
+        let (first, end) = (start.0 & !(line - 1), start.0.saturating_add(bytes));
+        let gains = |lv: u64| !self.regions.range_touches(tid, VAddr(lv), line);
+        if (end - first).div_ceil(line) > (self.config.cpus * self.config.l2_lines()) as u64 {
+            for (cpu, cache) in self.cpus.iter().enumerate() {
+                for pl in cache.l2().iter_resident() {
+                    let Some(va) = self.page_table.reverse(PAddr(pl * line)) else {
+                        continue;
+                    };
+                    if (first..end).contains(&va.0) && gains(va.0) {
+                        tracker.credit(cpu, tid, 1);
+                    }
+                }
+            }
+            return;
+        }
+        for lv in (first..end).step_by(line as usize) {
+            if !gains(lv) {
                 continue;
             }
             let Some(pa) = self.page_table.translate_existing(VAddr(lv)) else {
@@ -1154,6 +1172,54 @@ mod tests {
         assert_eq!(m.l2_footprint_lines(0, t(2)), 0);
         m.flush_cpu(0);
         assert_eq!((m.l2_footprint_lines(0, t(1)), m.l2_footprint_lines(1, t(1))), (0, 4));
+    }
+
+    /// A tracked registration far larger than the caches visits the
+    /// resident lines, not the range: a 2⁴⁰-byte region over a warm
+    /// machine, part of it already the thread's, returns at once and
+    /// credits exactly what the scan sees.
+    #[test]
+    fn huge_tracked_registration_is_bounded_by_the_caches() {
+        let mut m = Machine::try_new(MachineConfig::enterprise5000(2)).unwrap();
+        let a = m.alloc(64 * 64, 64);
+        m.register_region(t(1), a, 64 * 64);
+        for i in 0..64u64 {
+            m.access(i as usize % 2, a.offset(i * 64), AccessKind::Read);
+        }
+        m.track_footprints();
+        m.register_region(t(2), a.offset(8 * 64 + 8), 64);
+        let started = std::time::Instant::now();
+        m.register_region(t(2), a.offset(4 * 64), 1 << 40);
+        assert!(started.elapsed().as_secs_f64() < 0.5, "took {:?}", started.elapsed());
+        for cpu in 0..2 {
+            let scanned = m.l2_footprints(cpu);
+            for tid in [t(1), t(2)] {
+                let lines = scanned.get(&tid).copied().unwrap_or(0);
+                assert_eq!(m.l2_footprint_lines(cpu, tid), lines, "{tid} on cpu{cpu}");
+            }
+        }
+        assert_eq!(m.l2_footprint_lines(0, t(2)) + m.l2_footprint_lines(1, t(2)), 60);
+    }
+
+    /// Nothing a run does without an observer asks an address question,
+    /// so the region table's address view is never built; the first scan
+    /// builds it.
+    #[test]
+    fn an_untracked_machine_never_builds_the_address_view() {
+        let mut m = Machine::try_new(MachineConfig::enterprise5000(2)).unwrap();
+        let a = m.alloc(64 * 16, 64);
+        for tid in 1..=3 {
+            m.register_region(t(tid), a.offset(tid * 128), 64 * 8);
+            m.set_running(tid as usize % 2, Some(t(tid)));
+            m.access_run(tid as usize % 2, a.offset(tid * 128), 64, 8, AccessKind::Write);
+        }
+        m.access_batch(0, &[(a, AccessKind::Read), (a.offset(64), AccessKind::Write)]);
+        assert!(m.l2_footprint_lines(0, t(2)) > 0);
+        assert!(m.regions().coefficient(t(1), t(2)) > 0.0);
+        m.retire_thread(t(1));
+        assert!(!m.regions().is_indexed());
+        assert_eq!(m.l2_footprints(1).get(&t(3)), Some(&m.l2_footprint_lines(1, t(3))));
+        assert!(m.regions().is_indexed());
     }
 
     /// A region whose end would wrap registers up to the last address,

@@ -11,18 +11,19 @@
 //! `q_ab = |state_a ∩ state_b| / |state_a|` that a perfectly annotated
 //! program would pass to `at_share`.
 //!
-//! Internally the table keeps two views of the same registrations
-//! (DESIGN.md §9.5). By address: a map of **disjoint segments**, each
-//! carrying the sorted set of owning threads; registering a range splits
-//! segments as needed and merges contiguous ones whose owners are equal,
-//! so "who owns this byte or line" is a `BTreeMap` probe. By thread: each
-//! thread's state as a sorted list of disjoint, non-abutting ranges — the
-//! union of the segments that list it — so "is this range already mine,
-//! how much state, how much of it shared, and where to find it at exit"
-//! never looks at another thread's segments.
+//! Internally the table keeps each thread's state as a sorted list of
+//! disjoint, non-abutting ranges, so "is this range already mine, how
+//! much state, how much of it shared, and where to find it at exit" never
+//! looks at another thread's state (DESIGN.md §9.5). The address view
+//! that answers "who owns this byte or line" — a map of **disjoint
+//! segments**, each carrying the sorted set of owning threads, contiguous
+//! ones with equal owners merged — is derived from those lists on the
+//! first such question and kept current from then on. Only footprint
+//! ground truth asks it: a run that never does pays for none of it.
 
 use crate::addr::VAddr;
 use locality_core::{ThreadId, ThreadSlots};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,13 +32,17 @@ struct Segment {
     owners: Vec<ThreadId>,
 }
 
+/// The address view: disjoint segments keyed by start address; no
+/// segment abuts one with the same owners.
+type Segments = BTreeMap<u64, Segment>;
+
 /// A table of (possibly shared) thread state regions over virtual
 /// addresses.
 #[derive(Debug, Clone, Default)]
 pub struct RegionTable {
-    /// Disjoint segments keyed by start address; no segment abuts one
-    /// with the same owners.
-    segments: BTreeMap<u64, Segment>,
+    /// The address view, built from `ranges` by the first address
+    /// question and edited with them from then on.
+    index: OnceCell<Segments>,
     /// Dense slots for the threads that have state.
     slots: ThreadSlots,
     /// Slot-indexed: the thread's state as sorted, disjoint, non-abutting
@@ -62,31 +67,12 @@ impl RegionTable {
         if self.covers(tid, start, bytes) {
             return;
         }
-
-        // With a boundary at either end, the segments starting in `[s, e)`
-        // lie wholly inside it: tag each one and fill the gaps between.
-        self.split_at(s);
-        self.split_at(e);
-        let mut cursor = s;
-        while cursor < e {
-            match self.segments.range_mut(cursor..e).next() {
-                Some((&ss, seg)) if ss == cursor => {
-                    if let Err(pos) = seg.owners.binary_search(&tid) {
-                        seg.owners.insert(pos, tid);
-                    }
-                    cursor = seg.end;
-                }
-                next => {
-                    let end = next.map_or(e, |(&ss, _)| ss);
-                    self.segments.insert(cursor, Segment { end, owners: vec![tid] });
-                    cursor = end;
-                }
-            }
+        if let Some(segments) = self.index.get_mut() {
+            tag(segments, tid, s, e);
         }
-        self.coalesce(s, e);
 
-        // The same registration in the per-thread view: an interval union
-        // that swallows every range `[s, e)` overlaps or abuts.
+        // The per-thread view: an interval union that swallows every
+        // range `[s, e)` overlaps or abuts.
         let slot = self.slots.bind(tid).index();
         if slot >= self.ranges.len() {
             self.ranges.resize(slot + 1, Vec::new());
@@ -98,35 +84,29 @@ impl RegionTable {
         list.splice(lo..hi, [merged]);
     }
 
-    /// Cuts the segment that straddles `addr`, if one does, in two there.
-    fn split_at(&mut self, addr: u64) {
-        if let Some((_, seg)) = self.segments.range_mut(..addr).next_back() {
-            if seg.end > addr {
-                let tail = Segment { end: seg.end, owners: seg.owners.clone() };
-                seg.end = addr;
-                self.segments.insert(addr, tail);
-            }
-        }
-    }
-
-    /// Merges every segment that starts in `[s, e]` into the one before
-    /// it when the two abut and list the same owners — the only places a
-    /// change confined to `[s, e)` can have made two neighbours equal.
-    fn coalesce(&mut self, s: u64, e: u64) {
-        let mut at = s;
-        while at <= e {
-            let Some((&start, seg)) = self.segments.range(at..=e).next() else {
-                return;
-            };
-            at = seg.end;
-            let same = |(_, p): &(&u64, &Segment)| p.end == start && p.owners == seg.owners;
-            if let Some((&prev, _)) = self.segments.range(..start).next_back().filter(same) {
-                self.segments.remove(&start);
-                if let Some(prev) = self.segments.get_mut(&prev) {
-                    prev.end = at;
+    /// The address view, built on first use by tagging every live
+    /// thread's ranges in turn: `tag` keeps the segments maximal whatever
+    /// order the ranges come in, exactly as `register` and
+    /// `remove_thread` keep them.
+    fn segments(&self) -> &Segments {
+        self.index.get_or_init(|| {
+            let mut segments = Segments::new();
+            for (slot, tid) in self.slots.iter_live() {
+                for &(s, e) in &self.ranges[slot.index()] {
+                    tag(&mut segments, tid, s, e);
                 }
             }
-        }
+            segments
+        })
+    }
+
+    /// Whether the address view has been built — by the first
+    /// [`owners_of`](Self::owners_of),
+    /// [`owners_in_range_into`](Self::owners_in_range_into) or
+    /// [`segment_count`](Self::segment_count). A test probe.
+    #[doc(hidden)]
+    pub fn is_indexed(&self) -> bool {
+        self.index.get().is_some()
     }
 
     /// `tid`'s state as sorted, disjoint, non-abutting `[start, end)`
@@ -154,7 +134,7 @@ impl RegionTable {
 
     /// The owners of the byte at `addr` (sorted); empty if unregistered.
     pub fn owners_of(&self, addr: VAddr) -> &[ThreadId] {
-        match self.segments.range(..=addr.0).next_back() {
+        match self.segments().range(..=addr.0).next_back() {
             Some((_, seg)) if seg.end > addr.0 => &seg.owners,
             _ => &[],
         }
@@ -182,12 +162,13 @@ impl RegionTable {
                 }
             }
         };
-        if let Some((_, seg)) = self.segments.range(..=s).next_back() {
+        let segments = self.segments();
+        if let Some((_, seg)) = segments.range(..=s).next_back() {
             if seg.end > s {
                 merge(seg);
             }
         }
-        for (_, seg) in self.segments.range(s..e) {
+        for (_, seg) in segments.range(s..e) {
             merge(seg);
         }
     }
@@ -225,33 +206,99 @@ impl RegionTable {
         }
     }
 
-    /// Removes `tid` from all segments (thread exit); segments left
-    /// ownerless are dropped. Only the segments inside `tid`'s own ranges
-    /// are visited: they tile those ranges exactly, and no other lists it.
+    /// Drops `tid`'s state (thread exit). With the address view built,
+    /// only the segments inside `tid`'s own ranges are visited: they tile
+    /// those ranges exactly, and no other lists it.
     pub fn remove_thread(&mut self, tid: ThreadId) {
         let Some(slot) = self.slots.release(tid) else {
             return;
         };
-        let mut empty = Vec::new();
-        for (s, e) in std::mem::take(&mut self.ranges[slot.index()]) {
-            for (&start, seg) in self.segments.range_mut(s..e) {
-                if let Ok(pos) = seg.owners.binary_search(&tid) {
-                    seg.owners.remove(pos);
-                    if seg.owners.is_empty() {
-                        empty.push(start);
-                    }
-                }
+        let list = &mut self.ranges[slot.index()];
+        if let Some(segments) = self.index.get_mut() {
+            for &(s, e) in list.iter() {
+                untag(segments, tid, s, e);
             }
-            for start in empty.drain(..) {
-                self.segments.remove(&start);
-            }
-            self.coalesce(s, e);
         }
+        list.clear();
     }
 
-    /// Number of internal segments (diagnostics).
+    /// Number of address-view segments (diagnostics).
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.segments().len()
+    }
+}
+
+/// Adds `tid` to the owners of every byte of `[s, e)`. With a boundary
+/// at either end, the segments starting in `[s, e)` lie wholly inside
+/// it: tag each one and fill the gaps between.
+fn tag(segments: &mut Segments, tid: ThreadId, s: u64, e: u64) {
+    split_at(segments, s);
+    split_at(segments, e);
+    let mut cursor = s;
+    while cursor < e {
+        match segments.range_mut(cursor..e).next() {
+            Some((&ss, seg)) if ss == cursor => {
+                if let Err(pos) = seg.owners.binary_search(&tid) {
+                    seg.owners.insert(pos, tid);
+                }
+                cursor = seg.end;
+            }
+            next => {
+                let end = next.map_or(e, |(&ss, _)| ss);
+                segments.insert(cursor, Segment { end, owners: vec![tid] });
+                cursor = end;
+            }
+        }
+    }
+    coalesce(segments, s, e);
+}
+
+/// Takes `tid` off the segments inside its range `[s, e)`; segments left
+/// ownerless are dropped.
+fn untag(segments: &mut Segments, tid: ThreadId, s: u64, e: u64) {
+    let mut empty = Vec::new();
+    for (&start, seg) in segments.range_mut(s..e) {
+        if let Ok(pos) = seg.owners.binary_search(&tid) {
+            seg.owners.remove(pos);
+            if seg.owners.is_empty() {
+                empty.push(start);
+            }
+        }
+    }
+    for start in empty {
+        segments.remove(&start);
+    }
+    coalesce(segments, s, e);
+}
+
+/// Cuts the segment that straddles `addr`, if one does, in two there.
+fn split_at(segments: &mut Segments, addr: u64) {
+    if let Some((_, seg)) = segments.range_mut(..addr).next_back() {
+        if seg.end > addr {
+            let tail = Segment { end: seg.end, owners: seg.owners.clone() };
+            seg.end = addr;
+            segments.insert(addr, tail);
+        }
+    }
+}
+
+/// Merges every segment that starts in `[s, e]` into the one before it
+/// when the two abut and list the same owners — the only places a change
+/// confined to `[s, e)` can have made two neighbours equal.
+fn coalesce(segments: &mut Segments, s: u64, e: u64) {
+    let mut at = s;
+    while at <= e {
+        let Some((&start, seg)) = segments.range(at..=e).next() else {
+            return;
+        };
+        at = seg.end;
+        let same = |(_, p): &(&u64, &Segment)| p.end == start && p.owners == seg.owners;
+        if let Some((&prev, _)) = segments.range(..start).next_back().filter(same) {
+            segments.remove(&start);
+            if let Some(prev) = segments.get_mut(&prev) {
+                prev.end = at;
+            }
+        }
     }
 }
 

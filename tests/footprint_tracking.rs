@@ -11,7 +11,7 @@ use thread_locality::core::ThreadId;
 use thread_locality::sim::{FootprintScratch, MachineConfig, PagePlacement};
 use thread_locality::threads::events::EngineView;
 use thread_locality::threads::{
-    ChaosConfig, Engine, EngineConfig, EngineHook, SchedPolicy, SwitchEvent,
+    ChaosConfig, Engine, EngineConfig, EngineHook, SchedPolicy, SwitchEvent, SwitchReason,
 };
 use thread_locality::workloads::{merge, tasks, App};
 
@@ -137,5 +137,102 @@ fn tracked_equals_scan_under_chaos_churn() {
         assert!(report.threads_aborted > 0, "churn must kill something");
         assert!(*samples.borrow() > 300);
         assert!((0..4).any(|cpu| engine.machine().cpu_stats(cpu).invalidations > 0));
+    }
+}
+
+/// Each scan's footprints, sorted by thread.
+type Scans = Rc<RefCell<Vec<Vec<(ThreadId, u64)>>>>;
+
+/// Scans every cpu at every `stride`-th switch once a thread has exited,
+/// recording each scan's footprints; `built_late` asserts that the
+/// untracked machine's address view does not exist before the first
+/// scan builds it.
+struct LateScan {
+    stride: u64,
+    exited: bool,
+    built_late: bool,
+    scratch: FootprintScratch,
+    scans: Scans,
+}
+
+impl EngineHook for LateScan {
+    fn on_context_switch(&mut self, ev: &SwitchEvent, view: &EngineView<'_>) {
+        self.exited |= ev.reason == SwitchReason::Exited;
+        if !self.exited || !ev.switch_index.is_multiple_of(self.stride) {
+            return;
+        }
+        let regions = view.machine.regions();
+        let first = self.scans.borrow().is_empty();
+        if self.built_late {
+            assert_eq!(regions.is_indexed(), !first, "address view at switch {}", ev.switch_index);
+        }
+        for cpu in 0..view.machine.cpu_count() {
+            view.machine.l2_footprints_into(cpu, &mut self.scratch);
+            self.scans.borrow_mut().push(self.scratch.to_sorted());
+        }
+    }
+}
+
+/// The region table's address view built mid-run, after registrations
+/// and exits, answers the footprint scans of an overlapped LFF tasks run
+/// exactly as one kept current by `track_footprints` from the start.
+#[test]
+fn an_address_view_built_mid_run_scans_like_one_tracked_from_the_start() {
+    let run = |tracked: bool| {
+        let mut engine = Engine::new(
+            MachineConfig::enterprise5000(8),
+            SchedPolicy::Lff,
+            EngineConfig::default(),
+        )
+        .unwrap();
+        if tracked {
+            engine.machine_mut().track_footprints();
+            // Built while empty, so every registration edits it.
+            assert_eq!(engine.machine().regions().segment_count(), 0);
+        }
+        let scans = Scans::default();
+        engine.add_hook(Box::new(LateScan {
+            stride: 8,
+            exited: false,
+            built_late: !tracked,
+            scratch: FootprintScratch::new(),
+            scans: scans.clone(),
+        }));
+        let params =
+            tasks::TasksParams { tasks: 128, footprint_lines: 100, periods: 4, overlap: 0.25 };
+        tasks::spawn_parallel(&mut engine, &params);
+        engine.run().unwrap();
+        scans.take()
+    };
+    let late = run(false);
+    assert!(late.len() > 10, "{} scans", late.len());
+    assert_eq!(late, run(true));
+}
+
+/// A run nothing observes asks the region table no address question:
+/// untracked tasks (disjoint and overlapped) and mergesort never build
+/// its address view.
+#[test]
+fn an_untracked_run_never_builds_the_address_view() {
+    // `None` runs mergesort, `Some(overlap)` tasks.
+    for overlap in [Some(0.0), Some(0.25), None] {
+        let mut engine = Engine::new(
+            MachineConfig::enterprise5000(4),
+            SchedPolicy::Lff,
+            EngineConfig::default(),
+        )
+        .unwrap();
+        match overlap {
+            Some(overlap) => {
+                let params =
+                    tasks::TasksParams { tasks: 64, footprint_lines: 50, periods: 3, overlap };
+                tasks::spawn_parallel(&mut engine, &params);
+            }
+            None => {
+                merge::spawn_parallel(&mut engine, &merge::MergeParams::small());
+            }
+        }
+        engine.run().unwrap();
+        assert!(!engine.machine().regions().is_indexed(), "{overlap:?}");
     }
 }

@@ -109,6 +109,37 @@ impl RegionOp {
         }
     }
 
+    /// The step on `table`; rows are registered one at a time.
+    fn apply(&self, table: &mut RegionTable) {
+        match *self {
+            RegionOp::Register { tid, start, bytes, twice } => {
+                for _ in 0..=u8::from(twice) {
+                    table.register(ThreadId(tid), VAddr(start), bytes);
+                }
+            }
+            RegionOp::Rows { tid, start, row, count, ascending } => {
+                for i in 0..count {
+                    let k = if ascending { i } else { count - 1 - i };
+                    table.register(ThreadId(tid), VAddr(start.saturating_add(k * row)), row);
+                }
+            }
+            RegionOp::Remove { tid } => table.remove_thread(ThreadId(tid)),
+        }
+    }
+
+    /// The step on the oracle, its rows as one registration.
+    fn apply_to_oracle(&self, oracle: &mut ScanTable) {
+        match *self {
+            RegionOp::Register { tid, start, bytes, .. } => {
+                oracle.register(ThreadId(tid), start, bytes)
+            }
+            RegionOp::Rows { tid, start, row, count, .. } => {
+                oracle.register(ThreadId(tid), start, row * count);
+            }
+            RegionOp::Remove { tid } => oracle.remove_thread(ThreadId(tid)),
+        }
+    }
+
     /// `(start, len)` probes on the edges of what the step registered:
     /// the whole range, a byte more at either end, the byte after it, its
     /// last byte, nothing at all, and the seam between its first two rows.
@@ -527,25 +558,10 @@ proptest! {
         let mut owners = Vec::new();
         for op in &ops {
             probes.extend(op.edge_probes());
-            match *op {
-                RegionOp::Register { tid, start, bytes, twice } => {
-                    for _ in 0..=u8::from(twice) {
-                        table.register(ThreadId(tid), VAddr(start), bytes);
-                    }
-                    oracle.register(ThreadId(tid), start, bytes);
-                }
-                RegionOp::Rows { tid, start, row, count, ascending } => {
-                    for i in 0..count {
-                        let k = if ascending { i } else { count - 1 - i };
-                        table.register(ThreadId(tid), VAddr(start.saturating_add(k * row)), row);
-                    }
-                    oracle.register(ThreadId(tid), start, row * count);
-                }
-                RegionOp::Remove { tid } => {
-                    table.remove_thread(ThreadId(tid));
-                    oracle.remove_thread(ThreadId(tid));
-                    prop_assert!(table.ranges_of(ThreadId(tid)).is_empty(), "{:?} left a range", op);
-                }
+            op.apply(&mut table);
+            op.apply_to_oracle(&mut oracle);
+            if let RegionOp::Remove { tid } = *op {
+                prop_assert!(table.ranges_of(ThreadId(tid)).is_empty(), "{:?} left a range", op);
             }
             for b in (0..340).map(|b| base.saturating_add(b)) {
                 let expected: Vec<ThreadId> =
@@ -662,6 +678,50 @@ proptest! {
             }
             prop_assert!(heap.check_invariants());
             prop_assert_eq!(heap.len(), reference.len());
+        }
+    }
+
+    /// The address view built from the range lists at any step of a
+    /// random register/row-by-row/remove history equals one kept current
+    /// from the start, after that step and every later one: the owners of
+    /// every byte, `owners_in_range_into` over random and edge probes, and
+    /// `segment_count`, which both hold to the oracle's maximal runs.
+    /// Before its step the late table has built nothing.
+    #[test]
+    fn address_view_built_late_matches_one_kept_from_the_start(
+        base in region_base(),
+        ops in proptest::collection::vec(region_op(), 1..30),
+        build_at in 0usize..30,
+        random_probes in proptest::collection::vec((0u64..340, 0u64..70), 1..12),
+    ) {
+        let (mut early, mut late) = (RegionTable::new(), RegionTable::new());
+        let mut oracle = ScanTable::default();
+        prop_assert_eq!(early.segment_count(), 0);
+        prop_assert!(early.is_indexed());
+        let mut probes: Vec<(u64, u64)> =
+            random_probes.iter().map(|&(start, len)| (base.saturating_add(start), len)).collect();
+        let (mut owners, mut late_owners) = (Vec::new(), Vec::new());
+        for (step, op) in ops.into_iter().map(|op| op.shifted(base)).enumerate() {
+            probes.extend(op.edge_probes());
+            op.apply(&mut early);
+            op.apply(&mut late);
+            op.apply_to_oracle(&mut oracle);
+            if step < build_at {
+                prop_assert!(!late.is_indexed(), "built before step {}", build_at);
+                continue;
+            }
+            prop_assert_eq!(late.segment_count(), oracle.maximal_runs(), "after {:?}", op);
+            prop_assert_eq!(early.segment_count(), oracle.maximal_runs(), "after {:?}", op);
+            for b in (0..340).map(|b| VAddr(base.saturating_add(b))) {
+                prop_assert_eq!(late.owners_of(b), early.owners_of(b), "byte {} after {:?}", b.0, op);
+            }
+            for &(start, len) in &probes {
+                early.owners_in_range_into(VAddr(start), len, &mut owners);
+                late.owners_in_range_into(VAddr(start), len, &mut late_owners);
+                prop_assert_eq!(
+                    &late_owners, &owners, "owners_in_range_into({}, {}) after {:?}", start, len, op
+                );
+            }
         }
     }
 }
