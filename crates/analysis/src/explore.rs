@@ -9,9 +9,11 @@
 //! scripted decision prefix plus a sleep set — and derives new tasks
 //! only at *racing* transitions: pairs of steps that are dependent
 //! (conflicting memory spans, the same sync object, or a join/exit
-//! couple) and concurrent under the happens-before relation computed
-//! from the observation log via [`VClock`]s. Together with sleep sets
-//! this is the classic Flanagan–Godefroid DPOR scheme; a naive mode
+//! couple) and concurrent under the happens-before relation. Both come
+//! from the run's one observation log: each step is its [`Batch`] entry,
+//! and one pass of the race detector's clock rules over the log gives
+//! every step its [`VClock`]. Together with sleep sets this is the
+//! classic Flanagan–Godefroid DPOR scheme; a naive mode
 //! (branch at every enabled alternative) provides the exact
 //! full-enumeration baseline the reduction factor is measured against.
 //!
@@ -30,7 +32,7 @@ use crate::hb::HbClocks;
 use crate::race::RaceDetector;
 use crate::vclock::VClock;
 use active_threads::{
-    BlockedOn, Engine, EngineConfig, ObsLog, Program, RuntimeError, SchedulePoint, Scheduler,
+    Batch, BlockedOn, Engine, EngineConfig, ObsEvent, ObsLog, Program, RuntimeError, Scheduler,
 };
 use locality_core::{SanitizedInterval, SharingGraph, ThreadId};
 use locality_sim::MachineConfig;
@@ -43,7 +45,8 @@ use std::rc::Rc;
 
 /// The most worker rounds a counterexample may ask `clean` or `racy` to
 /// replay. The explorer writes only 1, and the race detector's cost grows
-/// with the square of the rounds: this many replay in about 10 ms.
+/// with the square of the rounds: `repro modelcheck --replay` of a `racy`
+/// counterexample this long takes 20–40 ms (release build, Xeon core).
 const MAX_ROUNDS: u32 = 1_000;
 
 /// The small workload configurations the model checker explores.
@@ -132,7 +135,7 @@ pub struct SleepEntry {
     /// The thread to put to sleep.
     pub tid: ThreadId,
     /// The step the thread performed at `pos` in the explored sibling.
-    pub sig: SchedulePoint,
+    pub sig: Batch,
 }
 
 /// What one execution's scheduler leaves behind. The scheduler runs
@@ -168,8 +171,8 @@ impl ScheduleLog {
 pub struct ExploringScheduler {
     ready: BTreeSet<ThreadId>,
     script: VecDeque<ThreadId>,
-    sleep_init: BTreeMap<usize, Vec<(ThreadId, SchedulePoint)>>,
-    sleep: BTreeMap<ThreadId, SchedulePoint>,
+    sleep_init: BTreeMap<usize, Vec<(ThreadId, Batch)>>,
+    sleep: BTreeMap<ThreadId, Batch>,
     last: Option<ThreadId>,
     depth_bound: usize,
     log: Rc<RefCell<ScheduleLog>>,
@@ -178,7 +181,7 @@ pub struct ExploringScheduler {
 impl ExploringScheduler {
     /// Builds a scheduler for one execution.
     pub fn new(script: &[ThreadId], sleep: &[SleepEntry], depth_bound: usize) -> Self {
-        let mut sleep_init: BTreeMap<usize, Vec<(ThreadId, SchedulePoint)>> = BTreeMap::new();
+        let mut sleep_init: BTreeMap<usize, Vec<(ThreadId, Batch)>> = BTreeMap::new();
         for e in sleep {
             sleep_init.entry(e.pos).or_default().push((e.tid, e.sig.clone()));
         }
@@ -261,10 +264,10 @@ impl Scheduler for ExploringScheduler {
         Some(chosen)
     }
 
-    fn on_schedule_point(&mut self, point: &SchedulePoint) {
+    fn on_batch(&mut self, batch: &Batch) {
         // Sleep-set wake rule: a sleeping thread's pending step becomes
         // worth exploring again once a dependent operation executes.
-        self.sleep.retain(|_, sig| !sig.dependent(point));
+        self.sleep.retain(|_, sig| !sig.dependent(batch));
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
@@ -319,10 +322,10 @@ pub enum Outcome {
 pub struct Execution {
     /// The decisions taken, in order (one per executed step).
     pub decisions: Vec<Decision>,
-    /// The executed steps (one per decision).
-    pub points: Vec<SchedulePoint>,
-    /// Per-step happens-before clocks (snapshot at step start).
-    pub clocks: Vec<VClock>,
+    /// The run's observation log: each step's [`Batch`] and its events.
+    pub log: ObsLog,
+    /// The executed steps (one per decision), each with its clock at start.
+    pub steps: Vec<(Batch, VClock)>,
     /// Data races the happens-before detector found on this schedule.
     pub races: Vec<crate::race::Race>,
     /// How the execution ended.
@@ -347,7 +350,6 @@ pub fn run_schedule(
     engine.enable_observation();
     engine.spawn(workload.program());
     let result = engine.run();
-    let points = engine.take_schedule_points();
     let log = engine.take_observation().unwrap_or_default();
     let sched_log = sched_log.take();
     let outcome = match result {
@@ -359,37 +361,28 @@ pub fn run_schedule(
         Err(e) => Outcome::EngineError(e.to_string()),
     };
     let decisions = sched_log.decisions;
-    let clocks = step_clocks(&log, &points);
+    let steps = step_clocks(&log);
     let races = RaceDetector::run(&log).races().to_vec();
-    Execution { decisions, points, clocks, races, outcome }
+    Execution { decisions, log, steps, races, outcome }
 }
 
-/// Computes each step's happens-before clock by driving the race
-/// detector's clock state ([`HbClocks`]) over the observation log, plus
-/// one tick at the start of every step so each step owns a unique
-/// component value. Step `i` happens-before step `j` iff
-/// `clocks[j].get(tid_i) >= clocks[i].get(tid_i)`.
-fn step_clocks(log: &ObsLog, points: &[SchedulePoint]) -> Vec<VClock> {
-    let events = log.events();
+/// The log's steps, each with its happens-before clock: one pass drives
+/// the race detector's clock state ([`HbClocks`]) over the log and, at
+/// each [`Batch`] entry, ticks its thread's clock — so each step owns a
+/// unique component value — and takes the snapshot. Step `i`
+/// happens-before step `j` iff `clock_j.get(tid_i) >= clock_i.get(tid_i)`.
+fn step_clocks(log: &ObsLog) -> Vec<(Batch, VClock)> {
     let mut hb = HbClocks::default();
-    let mut out = Vec::with_capacity(points.len());
-    let mut pos = 0usize;
-    for point in points {
-        let (lo, hi) = point.obs_range;
-        // Events emitted outside any step (root spawns) come first.
-        for ev in events.iter().take(lo.min(events.len())).skip(pos) {
-            hb.apply(ev);
+    let mut steps = Vec::new();
+    for ev in log.events() {
+        if let ObsEvent::Batch(batch) = ev {
+            let clock = hb.clock_mut(batch.tid);
+            clock.tick(batch.tid);
+            steps.push((batch.clone(), clock.clone()));
         }
-        pos = pos.max(lo.min(events.len()));
-        let tc = hb.clock_mut(point.tid);
-        tc.tick(point.tid);
-        out.push(tc.clone());
-        for ev in events.iter().take(hi.min(events.len())).skip(pos) {
-            hb.apply(ev);
-        }
-        pos = pos.max(hi.min(events.len()));
+        hb.apply(ev);
     }
-    out
+    steps
 }
 
 // ---------------------------------------------------------------------
@@ -480,12 +473,12 @@ pub fn violations_of(exec: &Execution) -> Vec<McViolation> {
 /// sets are sorted and duplicate-free, and each decision maps to
 /// exactly one executed step by the same thread.
 fn scheduler_invariant_failure(exec: &Execution) -> Option<String> {
-    if !matches!(exec.outcome, Outcome::EngineError(_)) && exec.decisions.len() != exec.points.len()
+    if !matches!(exec.outcome, Outcome::EngineError(_)) && exec.decisions.len() != exec.steps.len()
     {
         return Some(format!(
             "decision/step mismatch: {} decisions vs {} steps",
             exec.decisions.len(),
-            exec.points.len()
+            exec.steps.len()
         ));
     }
     for (i, d) in exec.decisions.iter().enumerate() {
@@ -498,7 +491,7 @@ fn scheduler_invariant_failure(exec: &Execution) -> Option<String> {
         if d.enabled.windows(2).any(|w| w[0] >= w[1]) {
             return Some(format!("decision {i} has an unsorted or duplicated enabled set"));
         }
-        if let Some(p) = exec.points.get(i) {
+        if let Some((p, _)) = exec.steps.get(i) {
             if p.tid != d.chosen {
                 return Some(format!("decision {i} chose {} but step {i} ran {}", d.chosen, p.tid));
             }
@@ -724,20 +717,20 @@ fn branch_prefix(
 /// fallback), with the explored choice at `i` moved into the child's
 /// sleep set.
 fn children_dpor(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Task> {
-    let n = exec.points.len().min(exec.decisions.len()).min(exec.clocks.len());
+    let n = exec.steps.len().min(exec.decisions.len());
     let mut out = Vec::new();
     for j in 0..n {
         for i in 0..j {
-            let (pi, pj) = (&exec.points[i], &exec.points[j]);
-            if pi.tid == pj.tid || !pi.dependent(pj) {
+            let ((bi, ci), (bj, cj)) = (&exec.steps[i], &exec.steps[j]);
+            if bi.tid == bj.tid || !bi.dependent(bj) {
                 continue;
             }
-            if exec.clocks[j].get(pi.tid) >= exec.clocks[i].get(pi.tid) {
+            if cj.get(bi.tid) >= ci.get(bi.tid) {
                 continue; // happens-before ordered: not a race
             }
             let di = &exec.decisions[i];
             let candidates: Vec<ThreadId> =
-                if di.enabled.contains(&pj.tid) { vec![pj.tid] } else { di.enabled.clone() };
+                if di.enabled.contains(&bj.tid) { vec![bj.tid] } else { di.enabled.clone() };
             for c in candidates {
                 if c == di.chosen || di.slept.contains(&c) {
                     continue;
@@ -745,7 +738,7 @@ fn children_dpor(task: &Task, exec: &Execution, cfg: &ExploreConfig) -> Vec<Task
                 let Some(prefix) = branch_prefix(exec, i, c, cfg) else { continue };
                 let mut sleep: Vec<SleepEntry> =
                     task.sleep.iter().filter(|e| e.pos <= i).cloned().collect();
-                sleep.push(SleepEntry { pos: i, tid: di.chosen, sig: exec.points[i].clone() });
+                sleep.push(SleepEntry { pos: i, tid: di.chosen, sig: bi.clone() });
                 out.push(Task { prefix, sleep });
             }
         }
@@ -833,40 +826,25 @@ pub fn explore(workload: McWorkload, cfg: &ExploreConfig) -> ExploreSummary {
     summary
 }
 
-/// Racing thread pairs the *single-schedule* detector reports for a
-/// workload under the engine's default (uncontrolled) scheduling — the
-/// cross-validation baseline: every pair it reports must also be
-/// observed in some explored schedule.
-pub fn single_schedule_race_pairs(workload: McWorkload) -> BTreeSet<(u64, u64)> {
-    let mut engine = match Engine::new(
-        MachineConfig::ultra1(),
-        active_threads::SchedPolicy::Fcfs,
-        EngineConfig::default(),
-    ) {
-        Ok(e) => e,
-        Err(_) => return BTreeSet::new(),
-    };
-    engine.enable_observation();
-    engine.spawn(workload.program());
-    let _ = engine.run();
-    let log = engine.take_observation().unwrap_or_default();
-    RaceDetector::run(&log)
-        .races()
-        .iter()
-        .map(|r| {
-            let (a, b) = (r.first.tid.0, r.second.tid.0);
-            (a.min(b), a.max(b))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use active_threads::{ChaosConfig, Control, SchedPolicy};
     use proptest::{prop_assert, prop_assert_eq};
 
     fn cfg(max: usize) -> ExploreConfig {
         ExploreConfig { max_schedules: max, ..ExploreConfig::default() }
+    }
+
+    /// The log of one run of `w` under the engine's default scheduling.
+    fn observed(w: McWorkload, chaos: Option<ChaosConfig>) -> ObsLog {
+        let config = EngineConfig { chaos, ..EngineConfig::default() };
+        let mut engine = Engine::new(MachineConfig::ultra1(), SchedPolicy::Fcfs, config)
+            .expect("ultra1 is valid");
+        engine.enable_observation();
+        engine.spawn(w.program());
+        let _ = engine.run();
+        engine.take_observation().expect("observation enabled")
     }
 
     #[test]
@@ -874,8 +852,83 @@ mod tests {
         let exec = run_schedule(McWorkload::Clean { rounds: 1 }, &[], &[], 64);
         assert_eq!(exec.outcome, Outcome::Completed);
         assert!(exec.races.is_empty());
-        assert_eq!(exec.decisions.len(), exec.points.len());
-        assert_eq!(exec.clocks.len(), exec.points.len());
+        assert_eq!(exec.decisions.len(), exec.steps.len());
+    }
+
+    /// Checks an engine-emitted log against the orderings `observe.rs`
+    /// promises, bar the semaphore one (no fixture has a semaphore), and
+    /// returns how many locks were reclaimed from aborted threads.
+    fn check_orderings(log: &ObsLog) -> Result<usize, String> {
+        let steps = step_clocks(log);
+        // `ended` maps each thread that ended to whether it was aborted.
+        let (mut live, mut ended, mut holders) =
+            (BTreeSet::new(), BTreeMap::new(), BTreeMap::new());
+        let (mut spawner, mut n, mut reclaims) = (BTreeMap::new(), 0usize, 0);
+        for (k, ev) in log.events().iter().enumerate() {
+            let last = n.checked_sub(1).map(|i| &steps[i].0);
+            let kept = match ev {
+                // No batch runs before a dead thread's locks are reclaimed,
+                // and each of a child's follows the batch that spawned it.
+                ObsEvent::Batch(b) => {
+                    n += 1;
+                    let after =
+                        |&(p, i): &(ThreadId, usize)| steps[n - 1].1.get(p) >= steps[i].1.get(p);
+                    let free = !holders.values().any(|t| ended.get(t) == Some(&true));
+                    live.contains(&b.tid) && free && spawner.get(&b.tid).is_none_or(after)
+                }
+                ObsEvent::Spawn { parent, child } => {
+                    spawner.extend(parent.map(|p| (*child, (p, n.wrapping_sub(1)))));
+                    live.insert(*child) && parent.is_none_or(|p| last.is_some_and(|b| b.tid == p))
+                }
+                ObsEvent::Exit { tid } => {
+                    let exiting = last.is_some_and(|b| (b.tid, b.op) == (*tid, Control::Exit));
+                    live.remove(tid) && ended.insert(*tid, false).is_none() && exiting
+                }
+                ObsEvent::Abort { tid } => live.remove(tid) && ended.insert(*tid, true).is_none(),
+                ObsEvent::JoinWake { target, .. } => ended.contains_key(target),
+                ObsEvent::MutexAcquire { tid, mutex } => holders.insert(*mutex, *tid).is_none(),
+                ObsEvent::MutexRelease { tid, mutex } => {
+                    reclaims += usize::from(ended.get(tid) == Some(&true));
+                    holders.remove(mutex) == Some(*tid)
+                }
+                _ => true,
+            };
+            if !kept {
+                return Err(format!("event {k} breaks an ordering: {ev:?}"));
+            }
+        }
+        Ok(reclaims)
+    }
+
+    #[test]
+    fn engine_logs_keep_every_promised_ordering() {
+        // Every schedule of each fixture's tree: naive enumeration.
+        let (clean, racy) = (McWorkload::Clean { rounds: 1 }, McWorkload::Racy { rounds: 1 });
+        for w in [clean, racy, McWorkload::Deadlock, McWorkload::LostWakeup] {
+            let mut tasks = vec![Task { prefix: Vec::new(), sleep: Vec::new() }];
+            while let Some(task) = tasks.pop() {
+                let exec = run_schedule(w, &task.prefix, &[], 64);
+                let kept = check_orderings(&exec.log);
+                kept.unwrap_or_else(|e| panic!("{}: {e} under {:?}", w.name(), exec.decisions));
+                tasks.extend(children_naive(&task, &exec, &ExploreConfig::default()));
+            }
+        }
+        let mut reclaims = 0;
+        let (clean, racy) = (McWorkload::Clean { rounds: 3 }, McWorkload::Racy { rounds: 3 });
+        for (w, seed) in [clean, racy].into_iter().flat_map(|w| (0..8).map(move |seed| (w, seed))) {
+            // Spawns fail, idle threads die and lock holders die mid-run.
+            let chaos = ChaosConfig {
+                seed,
+                abort_running_per_64k: 16_384,
+                only_lock_holders: true,
+                spawn_fail_per_64k: 4_096,
+                abort_idle_per_64k: 4_096,
+                ..ChaosConfig::default()
+            };
+            let kept = check_orderings(&observed(w, Some(chaos)));
+            reclaims += kept.unwrap_or_else(|e| panic!("{} seed {seed}: {e}", w.name()));
+        }
+        assert!(reclaims > 0, "no chaos run reclaimed a lock");
     }
 
     #[test]
@@ -897,7 +950,7 @@ mod tests {
                 1 => e.decisions[0].chosen = ThreadId(999),
                 2 => e.decisions[0].slept = vec![chosen],
                 3 => e.decisions[0].enabled.push(chosen),
-                _ => e.points[0].tid = ThreadId(999),
+                _ => e.steps[0].0.tid = ThreadId(999),
             }
             let what = scheduler_invariant_failure(&e).unwrap_or_default();
             assert!(what.contains(want), "expected `{want}`, got `{what}`");
@@ -1088,7 +1141,12 @@ mod tests {
         for (w, cap) in
             [(McWorkload::Racy { rounds: 1 }, 5_000), (McWorkload::Clean { rounds: 1 }, 50_000)]
         {
-            let single = single_schedule_race_pairs(w);
+            let log = observed(w, None);
+            let single: BTreeSet<(u64, u64)> = RaceDetector::run(&log)
+                .races()
+                .iter()
+                .map(|r| (r.first.tid.0.min(r.second.tid.0), r.first.tid.0.max(r.second.tid.0)))
+                .collect();
             let explored = explore(w, &cfg(cap));
             assert!(
                 single.is_subset(&explored.race_pairs),

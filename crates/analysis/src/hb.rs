@@ -25,8 +25,8 @@ impl HbClocks {
         self.clocks.entry(t).or_default()
     }
 
-    /// Advances the clocks over one logged event. Accesses and
-    /// annotations change no causal frontier and are ignored.
+    /// Advances the clocks over one logged event. Batches and annotations
+    /// change no causal frontier and are ignored.
     pub fn apply(&mut self, ev: &ObsEvent) {
         match *ev {
             ObsEvent::Spawn { parent, child } => {
@@ -106,7 +106,7 @@ impl HbClocks {
                 wc.join(&sc);
                 wc.tick(woken);
             }
-            ObsEvent::Access { .. } | ObsEvent::AtShare { .. } => {}
+            ObsEvent::Batch(_) | ObsEvent::AtShare { .. } => {}
         }
     }
 }

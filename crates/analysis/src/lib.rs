@@ -71,7 +71,7 @@ pub fn analyze_log(log: &ObsLog) -> AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::ObsEvent;
+    use active_threads::{AccessSpan, Batch, Control, ObsEvent};
     use locality_core::ThreadId;
     use locality_sim::VAddr;
 
@@ -81,18 +81,10 @@ mod tests {
         log.record(ObsEvent::Spawn { parent: None, child: ThreadId(1) });
         log.record(ObsEvent::Spawn { parent: Some(ThreadId(1)), child: ThreadId(2) });
         log.record(ObsEvent::Spawn { parent: Some(ThreadId(1)), child: ThreadId(3) });
-        log.record(ObsEvent::Access {
-            tid: ThreadId(2),
-            start: VAddr(0),
-            bytes: 4096,
-            write: true,
-        });
-        log.record(ObsEvent::Access {
-            tid: ThreadId(3),
-            start: VAddr(0),
-            bytes: 4096,
-            write: true,
-        });
+        for tid in [ThreadId(2), ThreadId(3)] {
+            let spans = vec![AccessSpan { start: VAddr(0), bytes: 4096, write: true }];
+            log.record(ObsEvent::Batch(Batch { tid, op: Control::Yield, spans }));
+        }
         log.record(ObsEvent::AtShare {
             src: ThreadId(2),
             dst: ThreadId(2),

@@ -3,11 +3,11 @@
 //!
 //! The lints consume the raw [`ObsEvent::AtShare`] stream (not the
 //! post-run [`SharingGraph`], which the engine prunes as threads exit)
-//! plus per-thread observed footprints: every access span registered in a
-//! [`RegionTable`]. "Observed sharing" between two threads is the table's
-//! byte overlap of their states; "annotation drift" is a mismatch in either
-//! direction — substantial observed sharing with no annotation, or an
-//! annotation whose pair never shared a byte.
+//! plus per-thread observed footprints: every batch's spans, registered
+//! in a [`RegionTable`]. "Observed sharing" between two threads is the
+//! table's byte overlap of their states; "annotation drift" is a mismatch
+//! in either direction — substantial observed sharing with no annotation,
+//! or an annotation whose pair never shared a byte.
 //!
 //! [`ObsEvent::AtShare`]: active_threads::ObsEvent::AtShare
 //! [`SharingGraph`]: locality_core::SharingGraph
@@ -44,8 +44,10 @@ impl ObservedSharing {
                 ObsEvent::Spawn { child, .. } => {
                     obs.threads.insert(child);
                 }
-                ObsEvent::Access { tid, start, bytes, .. } => {
-                    obs.footprints.register(tid, start, bytes);
+                ObsEvent::Batch(ref batch) => {
+                    for span in &batch.spans {
+                        obs.footprints.register(batch.tid, span.start, span.bytes);
+                    }
                 }
                 ObsEvent::AtShare { src, dst, q, accepted } => {
                     obs.annotations.push((src, dst, q, accepted));
@@ -195,6 +197,7 @@ pub fn lint_annotations(log: &ObsLog) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use active_threads::{AccessSpan, Batch, Control};
     use locality_sim::VAddr;
 
     fn t(i: u64) -> ThreadId {
@@ -206,7 +209,8 @@ mod tests {
     }
 
     fn access(log: &mut ObsLog, tid: u64, start: u64, bytes: u64) {
-        log.record(ObsEvent::Access { tid: t(tid), start: VAddr(start), bytes, write: true });
+        let spans = vec![AccessSpan { start: VAddr(start), bytes, write: true }];
+        log.record(ObsEvent::Batch(Batch { tid: t(tid), op: Control::Yield, spans }));
     }
 
     fn share(log: &mut ObsLog, src: u64, dst: u64, q: f64, accepted: bool) {
@@ -227,7 +231,6 @@ mod tests {
         spawn(&mut log, Some(1), 3);
         // t1 and t2 share 4096 bytes with no annotation → drift-missing.
         access(&mut log, 1, 0, 4096);
-        log.record(ObsEvent::Exit { tid: t(1) }); // break coalescing
         access(&mut log, 2, 0, 4096);
         access(&mut log, 3, 65536, 4096); // t3 is fully private
                                           // t2's out-weights sum to 1.3 → out-weight-sum.
@@ -253,7 +256,6 @@ mod tests {
         spawn(&mut log, None, 1);
         spawn(&mut log, Some(1), 2);
         access(&mut log, 1, 0, 4096);
-        log.record(ObsEvent::Exit { tid: t(1) });
         access(&mut log, 2, 0, 4096);
         share(&mut log, 1, 2, 0.9, true);
         share(&mut log, 2, 1, 0.9, true);
@@ -280,7 +282,6 @@ mod tests {
         spawn(&mut log, None, 1);
         spawn(&mut log, Some(1), 2);
         access(&mut log, 1, 0, 65536);
-        log.record(ObsEvent::Exit { tid: t(1) });
         access(&mut log, 2, 1 << 20, 65536);
         share(&mut log, 1, 2, 0.5, true); // would be stale...
         share(&mut log, 1, 2, 0.0, true); // ...but is retracted
@@ -294,7 +295,6 @@ mod tests {
         spawn(&mut log, None, 1);
         spawn(&mut log, Some(1), 2);
         access(&mut log, 1, 0, 65536);
-        log.record(ObsEvent::Exit { tid: t(1) });
         // 512 bytes shared: below DRIFT_MIN_BYTES and the fraction floor.
         access(&mut log, 2, 0, 512);
         access(&mut log, 2, 1 << 20, 65536);
@@ -308,7 +308,6 @@ mod tests {
         spawn(&mut log, None, 1);
         spawn(&mut log, Some(1), 2);
         access(&mut log, 1, u64::MAX - 10, 100);
-        log.record(ObsEvent::Exit { tid: t(1) });
         access(&mut log, 2, u64::MAX - 10, 100);
         let obs = ObservedSharing::from_log(&log);
         assert_eq!((obs.state_bytes(t(1)), obs.shared_bytes(t(1), t(2))), (10, 10));

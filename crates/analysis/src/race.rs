@@ -4,12 +4,13 @@
 //! shared happens-before state ([`HbClocks`]: one [`VClock`] per thread
 //! plus one per synchronization object), and flags
 //! every pair of conflicting access spans (different threads, at least one
-//! write, overlapping byte ranges) whose clocks are concurrent. Because the
-//! engine only changes a thread's causal frontier at synchronization
-//! events — all of which appear in the log — accesses themselves need no
-//! tick: a historical access `r` by thread `t` happens-before the current
-//! access iff the current thread's clock already covers `r`'s own
-//! component, i.e. `cur.get(t) ≥ r.clock.get(t)`.
+//! write, overlapping byte ranges) whose clocks are concurrent. A thread's
+//! causal frontier moves only at synchronization events, each logged after
+//! its batch's entry, so a [`Batch`](active_threads::Batch)'s spans carry
+//! its thread's clock at the entry and need no tick: a historical access
+//! `r` by thread `t` happens-before the current access iff the current
+//! thread's clock already covers `r`'s own component, i.e. `cur.get(t) ≥
+//! r.clock.get(t)`.
 //!
 //! As a byproduct the replay also builds the lock-acquisition-order graph
 //! (edge `a → b` when some thread acquires `b` while holding `a`), whose
@@ -110,11 +111,13 @@ impl RaceDetector {
                     }
                 }
             }
-            ObsEvent::Access { tid, start, bytes, write } => {
-                let clock = self.hb.clock_mut(tid).clone();
-                let cur = AccessInfo { tid, span: AccessSpan { start, bytes, write }, clock };
-                self.check_race(&cur);
-                self.history.push(cur);
+            ObsEvent::Batch(ref batch) => {
+                let clock = self.hb.clock_mut(batch.tid).clone();
+                for &span in &batch.spans {
+                    let cur = AccessInfo { tid: batch.tid, span, clock: clock.clone() };
+                    self.check_race(&cur);
+                    self.history.push(cur);
+                }
             }
             _ => {}
         }
@@ -147,7 +150,7 @@ impl RaceDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use active_threads::SemId;
+    use active_threads::{Batch, Control, SemId};
     use locality_sim::VAddr;
 
     fn t(i: u64) -> ThreadId {
@@ -155,7 +158,8 @@ mod tests {
     }
 
     fn access(tid: u64, start: u64, bytes: u64, write: bool) -> ObsEvent {
-        ObsEvent::Access { tid: t(tid), start: VAddr(start), bytes, write }
+        let spans = vec![AccessSpan { start: VAddr(start), bytes, write }];
+        ObsEvent::Batch(Batch { tid: t(tid), op: Control::Yield, spans })
     }
 
     #[test]
@@ -294,8 +298,6 @@ mod tests {
         log.record(ObsEvent::Spawn { parent: Some(t(1)), child: t(3) });
         for round in 0..10 {
             log.record(access(2, 0, 64, true));
-            // A sync-free event between accesses prevents coalescing from
-            // hiding the repeats.
             log.record(access(3, 0, 64, true));
             log.record(access(2, 4096 + round * 128, 64, true));
             log.record(access(3, 8192 + round * 128, 64, true));

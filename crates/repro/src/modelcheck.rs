@@ -231,10 +231,11 @@ pub fn run_modelcheck(args: &Args) -> Result<bool, ReproError> {
     for row in rows {
         let v = row.dpor.violations.len();
         let gaps = incompleteness(&row.dpor, args.preempt_bound);
-        let (scope, verdict) = match (v, gaps.is_empty()) {
-            (1.., _) => ("", "FAIL".to_string()),
-            (0, true) => ("", "ok".to_string()),
-            (0, false) => ("not ", format!("incomplete: {}", gaps.join(", "))),
+        let scope = if gaps.is_empty() { "" } else { "not " };
+        let verdict = match (v, gaps.is_empty()) {
+            (1.., _) => "FAIL".to_string(),
+            (0, true) => "ok".to_string(),
+            (0, false) => format!("incomplete: {}", gaps.join(", ")),
         };
         say!(
             "{}: {} schedule(s) ({scope}exhaustive; naive {}), {v} violation(s) -> {verdict}",

@@ -83,6 +83,13 @@ fn racy_workload_is_flagged_and_exits_one() {
     let ce = std::fs::read_to_string(out_dir.join("counterexample_racy.txt"))
         .expect("counterexample written");
     assert!(ce.contains("violation race"), "{ce}");
+    // A bound that cut the search fails on what it found, but does not
+    // claim to have seen every schedule.
+    let out =
+        run(&["--workload", "racy", "--preempt-bound", "0", "--out", out_dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    let text = stdout(&out);
+    assert!(text.contains("(not exhaustive;") && text.contains("-> FAIL"), "{text}");
 }
 
 #[test]

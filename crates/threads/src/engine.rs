@@ -20,7 +20,6 @@ use crate::error::RuntimeError;
 use crate::events::{EngineHook, EngineView, SwitchEvent, SwitchReason};
 use crate::inference::{SharingInference, CML_ENTRIES};
 use crate::observe::{ObsEvent, ObsLog};
-use crate::points::SchedulePoint;
 use crate::program::{BatchCtx, Control, PendingSpawn, Program};
 use crate::report::RunReport;
 use crate::sched::{self, SchedPolicy, Scheduler};
@@ -58,10 +57,10 @@ pub struct EngineConfig {
     /// kills at well-defined points of the engine loop.
     pub chaos: Option<ChaosConfig>,
     /// Controlled scheduling for model checking: force a scheduling
-    /// decision at every visible operation (the running thread is
-    /// preempted after every batch) and record each batch as a
-    /// [`SchedulePoint`]. Off for normal runs — the engine then keeps
-    /// its fast continue-without-switch paths.
+    /// decision at every visible operation — the running thread is
+    /// preempted after every batch, so the scheduler picks before each
+    /// one. Off for normal runs — the engine then keeps its fast
+    /// continue-without-switch paths.
     pub schedule_points: bool,
     /// Optional secondary-cache geometry override, applied to the machine
     /// description before construction (`None` = keep the machine's own
@@ -126,7 +125,6 @@ pub struct Engine {
     sanitizer: CounterSanitizer,
     chaos: Option<ChaosState>,
     obs: Option<ObsLog>,
-    points: Vec<SchedulePoint>,
     hooks: Vec<Box<dyn EngineHook>>,
     next_tid: u64,
     live: u64,
@@ -206,7 +204,6 @@ impl Engine {
             sanitizer: CounterSanitizer::new(SanitizerConfig::default()),
             chaos: config.chaos.filter(ChaosConfig::is_active).map(|cfg| ChaosState::new(&cfg)),
             obs: None,
-            points: Vec::new(),
             hooks: Vec::new(),
             next_tid: 1,
             live: 0,
@@ -290,9 +287,10 @@ impl Engine {
         &mut self.sync
     }
 
-    /// Starts recording an [`ObsLog`] of sync operations, access spans,
-    /// spawns/joins/exits, and annotations for offline analysis. Cheap
-    /// no-ops everywhere when not enabled.
+    /// Starts recording an [`ObsLog`] of executed batches (with the spans
+    /// they touched), sync operations, spawns/joins/exits, and annotations
+    /// for offline analysis, and calling [`Scheduler::on_batch`] as each
+    /// batch ends. Cheap no-ops everywhere when not enabled.
     pub fn enable_observation(&mut self) {
         self.obs = Some(ObsLog::new());
     }
@@ -517,12 +515,12 @@ impl Engine {
     }
 
     fn step_thread(&mut self, cpu: usize, tid: ThreadId, slot: SlotId) -> Result<(), RuntimeError> {
-        let obs_start = self.obs.as_ref().map_or(0, ObsLog::len);
         let mut program = {
             self.tcb_at(tid, slot)?.program.take().ok_or_else(|| RuntimeError::Internal {
                 what: format!("{tid} stepped while its program was checked out"),
             })?
         };
+        let entry = self.obs.as_mut().map(|log| log.open_batch(tid));
         let mut ctx = BatchCtx {
             machine: &mut self.machine,
             pending: &mut self.pending,
@@ -533,26 +531,19 @@ impl Engine {
             cycles: 0,
             next_tid: &mut self.next_tid,
             spawns: Vec::new(),
-            obs: self.obs.as_mut(),
-            accesses: self.config.schedule_points.then(Vec::new),
+            obs: self.obs.as_mut().zip(entry),
         };
         let control = program.next_batch(&mut ctx);
         ctx.flush();
         let cycles = ctx.cycles;
-        let accesses = ctx.accesses.take();
         let spawns = std::mem::take(&mut ctx.spawns);
         drop(ctx);
         self.tcb_at(tid, slot)?.program = Some(program);
         self.clocks[cpu] += cycles;
-        if self.config.schedule_points {
-            let point = SchedulePoint {
-                tid,
-                op: control,
-                accesses: accesses.unwrap_or_default(),
-                obs_range: (obs_start, obs_start),
-            };
-            self.sched.on_schedule_point(&point);
-            self.points.push(point);
+        if let (Some(log), Some(at)) = (self.obs.as_mut(), entry) {
+            let batch = log.batch_mut(at);
+            batch.op = control;
+            self.sched.on_batch(batch);
         }
         for spawn in spawns {
             self.admit(spawn);
@@ -565,12 +556,6 @@ impl Engine {
             return Ok(());
         }
         self.handle_control(cpu, tid, slot, control)?;
-        if self.config.schedule_points {
-            let obs_end = self.obs.as_ref().map_or(0, ObsLog::len);
-            if let Some(point) = self.points.last_mut() {
-                point.obs_range.1 = obs_end;
-            }
-        }
         // Controlled scheduling: every visible operation is a decision
         // point, so a thread that would continue on-processor (an
         // uncontended lock, a post, an immediate join) is preempted and
@@ -1016,12 +1001,6 @@ impl Engine {
     /// The synchronization tables (read-only: poisoning queries, counts).
     pub fn sync_tables(&self) -> &SyncTables {
         &self.sync
-    }
-
-    /// Takes the schedule points recorded so far (model checking with
-    /// [`EngineConfig::schedule_points`]; empty otherwise).
-    pub fn take_schedule_points(&mut self) -> Vec<SchedulePoint> {
-        std::mem::take(&mut self.points)
     }
 }
 

@@ -22,7 +22,7 @@ pub enum SwitchReason {
     /// The thread exited.
     Exited,
     /// Controlled scheduling (`EngineConfig::schedule_points`) took the
-    /// processor back after a visible operation the thread could have
+    /// processor back at the end of a batch the thread could have
     /// continued past; it is still ready. No other mode preempts.
     Preempted,
     /// The thread was killed mid-interval by lifecycle fault injection

@@ -69,7 +69,6 @@ pub mod events;
 pub mod heap;
 pub mod inference;
 pub mod observe;
-pub mod points;
 pub mod program;
 pub mod report;
 pub mod sched;
@@ -81,8 +80,7 @@ pub use engine::{Engine, EngineConfig};
 pub use error::RuntimeError;
 pub use events::{EngineHook, SwitchEvent, SwitchReason};
 pub use inference::SharingInference;
-pub use observe::{ObsEvent, ObsLog};
-pub use points::{AccessSpan, SchedulePoint};
+pub use observe::{AccessSpan, Batch, ObsEvent, ObsLog};
 pub use program::{BatchCtx, Control, Program};
 pub use report::RunReport;
 pub use sched::{SchedPolicy, Scheduler};

@@ -1,17 +1,20 @@
 //! Deterministic runtime observation log.
 //!
 //! When observation is enabled ([`Engine::enable_observation`]) the engine
-//! appends one [`ObsEvent`] per synchronization transition, shared-memory
-//! access span, spawn/join/exit, and `at_share` annotation — in engine
+//! appends one [`ObsEvent`] per executed [`Batch`], synchronization
+//! transition, spawn/join/exit and `at_share` annotation — in engine
 //! execution order, which is deterministic for a fixed program and
-//! configuration. The log is the raw input of the offline analyses in the
-//! `locality-analyze` crate (happens-before race detection, lock-order
-//! cycle detection, annotation-consistency lints); keeping it a plain data
-//! structure here avoids a dependency cycle between the runtime and the
-//! analyzer.
+//! configuration. It is the one record every analysis of the
+//! `locality-analyze` crate reads, the model checker's included; keeping
+//! it a plain data structure here avoids a dependency cycle between the
+//! runtime and the analyzer.
 //!
 //! Event ordering guarantees relied on by consumers:
 //!
+//! * a [`Batch`](ObsEvent::Batch) is appended when the batch starts, so it
+//!   precedes every event the batch emits — its [`Spawn`](ObsEvent::Spawn)s
+//!   and [`AtShare`](ObsEvent::AtShare)s and everything its control emits:
+//!   a spawning batch happens-before every batch of the child;
 //! * a [`MutexRelease`](ObsEvent::MutexRelease) precedes the
 //!   [`MutexAcquire`](ObsEvent::MutexAcquire) it hands the mutex to;
 //! * a [`SemPost`](ObsEvent::SemPost) precedes the
@@ -28,6 +31,7 @@
 //!
 //! [`Engine::enable_observation`]: crate::Engine::enable_observation
 
+use crate::program::Control;
 use crate::sync::{BarrierId, CondId, MutexId, SemId};
 use locality_core::ThreadId;
 use locality_sim::VAddr;
@@ -110,19 +114,9 @@ pub enum ObsEvent {
         /// The condition variable.
         cond: CondId,
     },
-    /// `tid` touched every byte range within `[start, start + bytes)`
-    /// (single accesses are 1-byte spans; strided range accesses record
-    /// the covering span).
-    Access {
-        /// The accessing thread.
-        tid: ThreadId,
-        /// First byte of the span.
-        start: VAddr,
-        /// Length of the span in bytes.
-        bytes: u64,
-        /// True for stores, false for loads.
-        write: bool,
-    },
+    /// One executed batch, appended when it starts; its spans fill in as
+    /// it runs and its `op` is set when it ends.
+    Batch(Batch),
     /// `tid` issued `at_share(src, dst, q)`. Recorded even when the graph
     /// rejected the annotation (`accepted = false`), so lints can see raw
     /// coefficient values.
@@ -139,6 +133,95 @@ pub enum ObsEvent {
     },
 }
 
+/// One contiguous memory span touched by a batch: single accesses are
+/// 1-byte spans, a strided range access records its covering span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessSpan {
+    /// First byte of the span.
+    pub start: VAddr,
+    /// Span length in bytes.
+    pub bytes: u64,
+    /// Whether the span was written (true) or only read (false).
+    pub write: bool,
+}
+
+impl AccessSpan {
+    /// One past the last byte, stopping at the top of the address space.
+    fn end(&self) -> u64 {
+        self.start.0.saturating_add(self.bytes)
+    }
+
+    /// Whether two spans overlap and at least one of them writes — the
+    /// data-conflict rule of race detection and of the model checker's
+    /// dependence relation.
+    pub fn conflicts(&self, other: &AccessSpan) -> bool {
+        (self.write || other.write) && self.start.0 < other.end() && other.start.0 < self.end()
+    }
+}
+
+/// One executed batch: thread `tid` touched `spans` (in access order) and
+/// ended with `op`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Batch {
+    /// The thread that executed the batch.
+    pub tid: ThreadId,
+    /// The control the batch ended with.
+    pub op: Control,
+    /// The spans touched, in access order; touching same-kind spans merge.
+    pub spans: Vec<AccessSpan>,
+}
+
+impl Batch {
+    /// Whether two batches are *dependent* — reordering them can change
+    /// the outcome. True when they are by the same thread, touch the same
+    /// sync object, conflict on memory, or couple a `Join` with its
+    /// target's `Exit`.
+    pub fn dependent(&self, other: &Batch) -> bool {
+        let theirs = sync_objects(other.op);
+        self.tid == other.tid
+            || sync_objects(self.op)
+                .iter()
+                .flatten()
+                .any(|a| theirs.iter().flatten().any(|b| a == b))
+            || matches!(self.op, Control::Join(t) if t == other.tid)
+            || matches!(other.op, Control::Join(t) if t == self.tid)
+            || self.spans.iter().any(|a| other.spans.iter().any(|b| a.conflicts(b)))
+    }
+
+    /// Adds a span. One that overlaps or touches the previous span, of
+    /// the same kind, merges into it — a loop of sequential touches
+    /// collapses to one span — and the merge stops at the top of the
+    /// address space. Nothing between two spans of one batch can change
+    /// its thread's causal frontier, so the merge loses nothing.
+    #[inline(never)]
+    pub(crate) fn add(&mut self, span: AccessSpan) {
+        if let Some(last) = self.spans.last_mut() {
+            if last.write == span.write && span.start.0 <= last.end() && last.start.0 <= span.end()
+            {
+                let lo = last.start.0.min(span.start.0);
+                last.bytes = last.end().max(span.end()) - lo;
+                last.start = VAddr(lo);
+                return;
+            }
+        }
+        self.spans.push(span);
+    }
+}
+
+/// The sync objects a batch-ending control touches, as comparable keys;
+/// two operations that share one are dependent. A `CondWait` touches its
+/// condvar and the mutex it atomically releases.
+fn sync_objects(op: Control) -> [Option<(u8, usize)>; 2] {
+    match op {
+        Control::Lock(m) | Control::Unlock(m) => [Some((0, m.0)), None],
+        Control::SemWait(s) | Control::SemPost(s) => [Some((1, s.0)), None],
+        Control::BarrierWait(b) => [Some((2, b.0)), None],
+        Control::CondSignal(c) | Control::CondBroadcast(c) => [Some((3, c.0)), None],
+        Control::CondWait(c, m) => [Some((3, c.0)), Some((0, m.0))],
+        _ => [None, None],
+    }
+}
+
 /// Append-only log of [`ObsEvent`]s in deterministic engine order.
 #[derive(Debug, Default)]
 pub struct ObsLog {
@@ -152,30 +235,7 @@ impl ObsLog {
     }
 
     /// Appends an event.
-    ///
-    /// Immediately-consecutive access spans by the same thread with the
-    /// same access kind are coalesced when they overlap or touch — a loop
-    /// of sequential touches collapses to one span. No other event can
-    /// sit between the two, so the thread's happens-before frontier is
-    /// identical for both and the merge loses nothing. A span that would
-    /// run past the end of the address space stops there.
     pub fn record(&mut self, ev: ObsEvent) {
-        if let ObsEvent::Access { tid, start, bytes, write } = &ev {
-            if let Some(ObsEvent::Access { tid: lt, start: ls, bytes: lb, write: lw }) =
-                self.events.last_mut()
-            {
-                if lt == tid && lw == write {
-                    let (a0, a1) = (ls.0, ls.0.saturating_add(*lb));
-                    let (b0, b1) = (start.0, start.0.saturating_add(*bytes));
-                    if b0 <= a1 && a0 <= b1 {
-                        let lo = a0.min(b0);
-                        *ls = VAddr(lo);
-                        *lb = a1.max(b1) - lo;
-                        return;
-                    }
-                }
-            }
-        }
         self.events.push(ev);
     }
 
@@ -184,59 +244,112 @@ impl ObsLog {
         &self.events
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
+    /// Appends the entry of a batch `tid` starts and returns its index.
+    /// Its `op` is a placeholder until the batch ends.
+    pub(crate) fn open_batch(&mut self, tid: ThreadId) -> usize {
+        self.events.push(ObsEvent::Batch(Batch { tid, op: Control::Yield, spans: Vec::new() }));
+        self.events.len() - 1
     }
 
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// The batch entry at `at`, an index [`open_batch`](Self::open_batch) returned.
+    pub(crate) fn batch_mut(&mut self, at: usize) -> &mut Batch {
+        match self.events.get_mut(at) {
+            Some(ObsEvent::Batch(batch)) => batch,
+            _ => unreachable!("event {at} is not a batch entry"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{CondId, MutexId};
 
-    fn access(tid: u64, start: u64, bytes: u64, write: bool) -> ObsEvent {
-        ObsEvent::Access { tid: ThreadId(tid), start: VAddr(start), bytes, write }
+    fn span(start: u64, bytes: u64, write: bool) -> AccessSpan {
+        AccessSpan { start: VAddr(start), bytes, write }
+    }
+
+    /// Adds each `(tid, spans)` to a batch entry of its own, in order,
+    /// with a spawn after each span (a batch's own events do not stop its
+    /// spans merging), and returns each entry's spans.
+    fn batches(input: &[(u64, &[AccessSpan])]) -> Vec<Vec<AccessSpan>> {
+        let mut log = ObsLog::new();
+        let mut close = |&(tid, spans): &(u64, &[AccessSpan])| {
+            let at = log.open_batch(ThreadId(tid));
+            for &s in spans {
+                log.batch_mut(at).add(s);
+                log.record(ObsEvent::Spawn { parent: Some(ThreadId(tid)), child: ThreadId(9) });
+            }
+            log.batch_mut(at).spans.clone()
+        };
+        input.iter().map(&mut close).collect()
     }
 
     #[test]
     fn coalesces_adjacent_same_kind_accesses() {
-        let mut log = ObsLog::new();
-        log.record(access(1, 0, 64, false));
-        log.record(access(1, 64, 64, false));
-        log.record(access(1, 32, 8, false));
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.events()[0], access(1, 0, 128, false));
+        let one = [span(0, 64, false), span(64, 64, false), span(32, 8, false)];
+        assert_eq!(batches(&[(1, &one)]), [[span(0, 128, false)]]);
     }
 
     #[test]
     fn does_not_coalesce_across_threads_kinds_or_gaps() {
-        let mut log = ObsLog::new();
-        log.record(access(1, 0, 64, false));
-        log.record(access(2, 64, 64, false)); // other thread
-        log.record(access(2, 128, 64, true)); // other kind
-        log.record(access(2, 1024, 64, true)); // gap
-        assert_eq!(log.len(), 4);
+        let second = [span(64, 64, false), span(128, 64, true), span(1024, 64, true)];
+        let got = batches(&[(1, &[span(0, 64, false)]), (2, &second)]);
+        assert_eq!(got, [vec![span(0, 64, false)], second.to_vec()]);
     }
 
     #[test]
     fn intervening_event_blocks_coalescing() {
-        let mut log = ObsLog::new();
-        log.record(access(1, 0, 64, false));
-        log.record(ObsEvent::MutexAcquire { tid: ThreadId(1), mutex: MutexId(0) });
-        log.record(access(1, 64, 64, false));
-        assert_eq!(log.len(), 3);
+        // The next batch's entry blocks it, even for the same thread.
+        let got = batches(&[(1, &[span(0, 64, false)]), (1, &[span(64, 64, false)])]);
+        assert_eq!(got, [[span(0, 64, false)], [span(64, 64, false)]]);
     }
 
     #[test]
     fn spans_past_the_top_of_the_address_space_stop_there() {
-        let mut log = ObsLog::new();
-        log.record(access(1, u64::MAX - 10, 100, true));
-        log.record(access(1, u64::MAX - 10, 100, true));
-        assert_eq!(log.events(), [access(1, u64::MAX - 10, 10, true)]);
+        let top = span(u64::MAX - 10, 100, true);
+        assert_eq!(batches(&[(1, &[top, top])]), [[span(u64::MAX - 10, 10, true)]]);
+    }
+
+    #[test]
+    fn span_conflicts_require_a_write_and_overlap() {
+        assert!(span(0, 64, true).conflicts(&span(32, 64, false)));
+        assert!(span(32, 64, false).conflicts(&span(0, 64, true)));
+        assert!(!span(0, 64, false).conflicts(&span(0, 64, false)));
+        assert!(!span(0, 64, true).conflicts(&span(64, 64, true)));
+    }
+
+    fn batch(tid: u64, op: Control, spans: Vec<AccessSpan>) -> Batch {
+        Batch { tid: ThreadId(tid), op, spans }
+    }
+
+    #[test]
+    fn dependence_same_mutex() {
+        let a = batch(1, Control::Lock(MutexId(0)), vec![]);
+        let b = batch(2, Control::Unlock(MutexId(0)), vec![]);
+        let c = batch(2, Control::Lock(MutexId(1)), vec![]);
+        assert!(a.dependent(&b));
+        assert!(!a.dependent(&c));
+    }
+
+    #[test]
+    fn dependence_cond_wait_touches_its_mutex() {
+        let w = batch(1, Control::CondWait(CondId(0), MutexId(5)), vec![]);
+        let l = batch(2, Control::Lock(MutexId(5)), vec![]);
+        let s = batch(2, Control::CondSignal(CondId(0)), vec![]);
+        assert!(w.dependent(&l));
+        assert!(w.dependent(&s));
+    }
+
+    #[test]
+    fn dependence_join_exit_pair_and_memory_conflicts() {
+        let j = batch(1, Control::Join(ThreadId(2)), vec![]);
+        let e = batch(2, Control::Exit, vec![]);
+        assert!(j.dependent(&e));
+        let r = batch(1, Control::Yield, vec![span(0, 64, false)]);
+        let w = batch(2, Control::Yield, vec![span(0, 8, true)]);
+        let r2 = batch(2, Control::Yield, vec![span(0, 64, false)]);
+        assert!(r.dependent(&w));
+        assert!(!r.dependent(&r2));
     }
 }

@@ -8,8 +8,7 @@
 //! thread continue with its next batch without a context switch, exactly
 //! like a fast user-level thread library.
 
-use crate::observe::{ObsEvent, ObsLog};
-use crate::points::AccessSpan;
+use crate::observe::{AccessSpan, ObsEvent, ObsLog};
 use crate::sync::{BarrierId, CondId, MutexId, SemId, SyncTables};
 use locality_core::{ModelError, SharingGraph, ThreadId};
 use locality_sim::{AccessKind, Machine, VAddr, BATCH_REFS};
@@ -88,11 +87,9 @@ pub struct BatchCtx<'a> {
     pub(crate) cycles: u64,
     pub(crate) next_tid: &'a mut u64,
     pub(crate) spawns: Vec<PendingSpawn>,
-    pub(crate) obs: Option<&'a mut ObsLog>,
-    /// Exact per-batch access spans, collected only under controlled
-    /// scheduling (the `ObsLog` coalesces spans across batches, so the
-    /// model checker needs its own per-batch record).
-    pub(crate) accesses: Option<Vec<AccessSpan>>,
+    /// The observation log, if enabled, and the index of this batch's
+    /// entry in it.
+    pub(crate) obs: Option<(&'a mut ObsLog, usize)>,
 }
 
 impl<'a> BatchCtx<'a> {
@@ -139,15 +136,13 @@ impl<'a> BatchCtx<'a> {
         }
     }
 
-    /// Records a data-access span in the observation log, if enabled.
-    /// Single accesses are 1-byte spans; range accesses record their
-    /// covering span once (not one event per probe).
+    /// Adds a data-access span to this batch's observation entry, if
+    /// observation is enabled. Single accesses are 1-byte spans; range
+    /// accesses add their covering span once (not one per probe).
+    #[inline(always)]
     fn note_access(&mut self, start: VAddr, bytes: u64, write: bool) {
-        if let Some(log) = self.obs.as_deref_mut() {
-            log.record(ObsEvent::Access { tid: self.tid, start, bytes, write });
-        }
-        if let Some(spans) = self.accesses.as_mut() {
-            spans.push(AccessSpan { start, bytes, write });
+        if let Some((log, at)) = &mut self.obs {
+            log.batch_mut(*at).add(AccessSpan { start, bytes, write });
         }
     }
 
@@ -224,7 +219,7 @@ impl<'a> BatchCtx<'a> {
     /// may ignore the error exactly because annotations are hints.
     pub fn at_share(&mut self, src: ThreadId, dst: ThreadId, q: f64) -> Result<(), ModelError> {
         let res = self.graph.set(src, dst, q);
-        if let Some(log) = self.obs.as_deref_mut() {
+        if let Some((log, _)) = &mut self.obs {
             log.record(ObsEvent::AtShare { src, dst, q, accepted: res.is_ok() });
         }
         res
@@ -236,7 +231,7 @@ impl<'a> BatchCtx<'a> {
     pub fn spawn(&mut self, program: Box<dyn Program>) -> ThreadId {
         let tid = ThreadId(*self.next_tid);
         *self.next_tid += 1;
-        if let Some(log) = self.obs.as_deref_mut() {
+        if let Some((log, _)) = &mut self.obs {
             log.record(ObsEvent::Spawn { parent: Some(self.tid), child: tid });
         }
         self.spawns.push(PendingSpawn { tid, program });

@@ -13,7 +13,7 @@ mod locality;
 pub use fcfs::FcfsScheduler;
 pub use locality::{LocalityConfig, LocalityScheduler, SchedMode};
 
-use crate::points::SchedulePoint;
+use crate::observe::Batch;
 use locality_core::{PolicyKind, SanitizedInterval, SharingGraph, ThreadId};
 
 /// The policy selector used when building an [`crate::Engine`].
@@ -88,11 +88,11 @@ pub trait Scheduler {
     /// `tid` exited.
     fn on_exit(&mut self, tid: ThreadId);
 
-    /// A visible operation just executed under controlled scheduling
-    /// ([`crate::EngineConfig::schedule_points`]) — the controlled-
-    /// scheduling hook a model-checking scheduler uses to track sleep
-    /// sets. Never called in normal runs; the default ignores it.
-    fn on_schedule_point(&mut self, _point: &SchedulePoint) {}
+    /// A batch ended and its [`ObsLog`](crate::ObsLog) entry is complete:
+    /// called only under observation, before the batch's spawns are
+    /// admitted and its control takes effect. A model checker's sleep sets
+    /// use it; the default ignores it.
+    fn on_batch(&mut self, _batch: &Batch) {}
 
     /// `tid` was killed by lifecycle fault injection. Unlike
     /// [`on_exit`](Self::on_exit) — where the engine guarantees the
