@@ -54,6 +54,41 @@ while read -r doc ceiling; do
     fi
 done <results/doc_budget
 
+# Doc cross-references: a cut or renumbered DESIGN.md section, or a moved
+# file, must not leave a pointer to nothing. Every "DESIGN.md §N.M"
+# (also "DESIGN §N", "§N of DESIGN.md") in the crates, tests, examples,
+# this script, README.md or EXPERIMENTS.md names a DESIGN.md heading, and
+# every backticked repo path in the three documents exists.
+design_sections=$(sed -n -e 's/^## \([0-9][0-9]*\)\. .*/\1/p' \
+    -e 's/^### \([0-9][0-9]*\.[0-9][0-9]*\) .*/\1/p' DESIGN.md)
+cited_sections=$(grep -rlE 'DESIGN' crates tests examples ci.sh README.md EXPERIMENTS.md |
+    while read -r f; do
+        # Comment markers dropped and lines joined, so a citation that
+        # wraps still reads as one.
+        sed -e 's|^[[:space:]]*//[/!]*[[:space:]]*||' -e 's|^[[:space:]]*#[[:space:]]*||' "$f" |
+            tr '\n' ' '
+        echo
+    done | grep -oE 'DESIGN(\.md)? §[0-9]+(\.[0-9]+)?|§[0-9]+(\.[0-9]+)? of DESIGN' |
+    grep -oE '[0-9]+(\.[0-9]+)?' | sort -u)
+for section in $cited_sections; do
+    if ! printf '%s\n' "$design_sections" | grep -qxF "$section"; then
+        echo "DESIGN.md §$section is cited but DESIGN.md has no such heading:" >&2
+        grep -rnE "DESIGN(\.md)? §$section|§$section of" crates tests examples ci.sh \
+            README.md EXPERIMENTS.md >&2 || true
+        exit 1
+    fi
+done
+for doc in DESIGN.md README.md EXPERIMENTS.md; do
+    # Unquoted on purpose: a glob such as results/*.csv must match a file.
+    for path in $(grep -oE '`(crates|tests|results|examples|benchmark|vendor)/[^` ]*`' "$doc" |
+        tr -d '`'); do
+        if [ ! -e "$path" ]; then
+            echo "$doc names \`$path\`, which does not exist" >&2
+            exit 1
+        fi
+    done
+done
+
 # Unsafe code (DESIGN.md §10): the crates hold one block of it, the call
 # into the SHA-extension compression in crates/repro/src/digest.rs made
 # after run-time feature detection. locality-repro denies unsafe_code

@@ -257,11 +257,14 @@ mod tests {
     fn write_csv_roundtrip() {
         let mut t = Table::new("t", &["x"]);
         t.row_strs(&["1"]).unwrap();
-        let dir = std::env::temp_dir().join("locality-repro-test");
+        let dir =
+            std::env::temp_dir().join(format!("locality-repro-table-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.csv");
         t.write_csv(&p).unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "x\n1\n");
+        let written = std::fs::read_to_string(&p).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(written, "x\n1\n");
     }
 
     #[test]

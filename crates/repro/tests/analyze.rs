@@ -2,7 +2,9 @@
 //! subcommand: exit codes, help/usage behaviour, and verdict determinism
 //! across reruns and `--jobs` values.
 
-use std::path::PathBuf;
+mod common;
+
+use common::TempOut;
 use std::process::{Command, Output};
 
 /// `repro <args>`.
@@ -13,14 +15,6 @@ fn repro(args: &[&str]) -> Output {
 /// `repro analyze <args>`.
 fn run(args: &[&str]) -> Output {
     repro(&[&["analyze"], args].concat())
-}
-
-fn tmp_out(label: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("locality-analyze-test-{}-{label}", std::process::id()));
-    // Stale dirs from a previous crashed run are fine; CSVs are overwritten.
-    std::fs::create_dir_all(&dir).expect("create temp out dir");
-    dir
 }
 
 fn stdout(out: &Output) -> String {
@@ -102,7 +96,7 @@ fn bad_flags_exit_two_with_usage_on_stderr() {
 
 #[test]
 fn clean_workload_exits_zero() {
-    let out_dir = tmp_out("clean");
+    let out_dir = TempOut::new("analyze", "clean");
     let out = run(&["--scale", "small", "--workload", "clean", "--out", out_dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout(&out).contains("clean: 0 race(s)"), "{}", stdout(&out));
@@ -111,7 +105,7 @@ fn clean_workload_exits_zero() {
 
 #[test]
 fn racy_workload_is_flagged_with_both_accesses_and_clocks() {
-    let out_dir = tmp_out("racy");
+    let out_dir = TempOut::new("analyze", "racy");
     let out = run(&["--scale", "small", "--workload", "racy", "--out", out_dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
     let text = stdout(&out);
@@ -127,7 +121,7 @@ fn racy_workload_is_flagged_with_both_accesses_and_clocks() {
 fn verdict_and_csv_stable_across_jobs_and_reruns() {
     let mut csvs = Vec::new();
     for (i, jobs) in ["1", "2", "4", "1"].iter().enumerate() {
-        let out_dir = tmp_out(&format!("determinism-{i}"));
+        let out_dir = TempOut::new("analyze", &format!("determinism-{i}"));
         let out = run(&["--scale", "small", "--jobs", jobs, "--out", out_dir.to_str().unwrap()]);
         // Both workloads run; the racy one drives the nonzero exit.
         assert_eq!(out.status.code(), Some(1), "jobs={jobs}");

@@ -3,7 +3,9 @@
 //! counterexample round-trips through `--replay`, and CSV
 //! determinism across reruns and `--jobs` values.
 
-use std::path::PathBuf;
+mod common;
+
+use common::TempOut;
 use std::process::{Command, Output};
 
 /// `repro modelcheck <args>`.
@@ -13,14 +15,6 @@ fn run(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn repro modelcheck")
-}
-
-fn tmp_out(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("locality-modelcheck-test-{}-{label}", std::process::id()));
-    // Stale dirs from a previous crashed run are fine; CSVs are overwritten.
-    std::fs::create_dir_all(&dir).expect("create temp out dir");
-    dir
 }
 
 fn stdout(out: &Output) -> String {
@@ -44,7 +38,7 @@ fn bad_flags_exit_two_with_usage_on_stderr() {
 
 #[test]
 fn clean_workload_explores_exhaustively_and_exits_zero() {
-    let out_dir = tmp_out("clean");
+    let out_dir = TempOut::new("modelcheck", "clean");
     let out = run(&["--workload", "clean", "--out", out_dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = stdout(&out);
@@ -62,7 +56,7 @@ fn a_bounded_exploration_that_finds_nothing_is_incomplete_not_ok() {
         ("racy", "--depth-bound", "1 execution(s) cut by --depth-bound"),
         ("clean", "--max-schedules", "capped by --max-schedules"),
     ] {
-        let out_dir = tmp_out(&format!("bound-{workload}"));
+        let out_dir = TempOut::new("modelcheck", &format!("bound-{workload}"));
         let out = run(&["--workload", workload, bound, "1", "--out", out_dir.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
         let text = stdout(&out);
@@ -74,7 +68,7 @@ fn a_bounded_exploration_that_finds_nothing_is_incomplete_not_ok() {
 
 #[test]
 fn racy_workload_is_flagged_and_exits_one() {
-    let out_dir = tmp_out("racy");
+    let out_dir = TempOut::new("modelcheck", "racy");
     let out = run(&["--workload", "racy", "--out", out_dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
     let text = stdout(&out);
@@ -95,7 +89,7 @@ fn racy_workload_is_flagged_and_exits_one() {
 #[test]
 fn deadlock_counterexample_round_trips_through_replay() {
     for (workload, kind) in [("deadlock", "deadlock"), ("lostwake", "condvar-stall")] {
-        let out_dir = tmp_out(&format!("replay-{workload}"));
+        let out_dir = TempOut::new("modelcheck", &format!("replay-{workload}"));
         let out = run(&["--workload", workload, "--out", out_dir.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
 
@@ -117,7 +111,8 @@ fn deadlock_counterexample_round_trips_through_replay() {
     }
     // A racy counterexample written when every yield was a decision of
     // its own names a thread per batch, not per step: it fails loudly.
-    let stale = tmp_out("replay-stale").join("counterexample_racy.txt");
+    let stale_dir = TempOut::new("modelcheck", "replay-stale");
+    let stale = stale_dir.join("counterexample_racy.txt");
     let text = "locality-modelcheck counterexample v1\nworkload racy 1\nviolation race\n\
                 schedule 1,2,2,1,3,3,1\ndetail t2 write of [0x10000, 0x13000) @ {t1:2, t2:1} \
                 is concurrent with t3 write of [0x10000, 0x12000) @ {t1:3, t3:1}\n";
@@ -138,7 +133,8 @@ fn assert_replay_diverges(path: &std::path::Path) {
 
 #[test]
 fn missing_replay_file_is_named_and_exits_two() {
-    let missing = tmp_out("missing").join("no-such-counterexample.txt");
+    let dir = TempOut::new("modelcheck", "missing");
+    let missing = dir.join("no-such-counterexample.txt");
     let out = run(&["--replay", missing.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -148,7 +144,7 @@ fn missing_replay_file_is_named_and_exits_two() {
 
 #[test]
 fn malformed_replay_file_exits_two() {
-    let out_dir = tmp_out("malformed");
+    let out_dir = TempOut::new("modelcheck", "malformed");
     let bad = out_dir.join("bogus.txt");
     std::fs::write(&bad, "not a counterexample\n").expect("write junk");
     let out = run(&["--replay", bad.to_str().unwrap()]);
@@ -160,7 +156,7 @@ fn malformed_replay_file_exits_two() {
 fn verdict_and_csv_stable_across_jobs_and_reruns() {
     let mut csvs = Vec::new();
     for (i, jobs) in ["1", "2", "4", "1"].iter().enumerate() {
-        let out_dir = tmp_out(&format!("determinism-{i}"));
+        let out_dir = TempOut::new("modelcheck", &format!("determinism-{i}"));
         let out = run(&["--jobs", jobs, "--out", out_dir.to_str().unwrap()]);
         // All workloads run; the violating fixtures drive the nonzero exit.
         assert_eq!(out.status.code(), Some(1), "jobs={jobs}");

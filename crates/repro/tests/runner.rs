@@ -5,19 +5,15 @@
 //! * **Caching** — a second invocation over the same output directory
 //!   performs zero fresh runs and reproduces the same artifacts exactly.
 
+mod common;
+
+use common::TempOut;
 use locality_repro::args::{Args, Scale};
 use locality_repro::suite::{run_figures, Figure};
 use std::path::{Path, PathBuf};
 
 fn test_args(out: PathBuf, jobs: usize, no_cache: bool) -> Args {
     Args { scale: Scale::Small, out, jobs, no_cache, ..Args::default() }
-}
-
-fn tmp_out(label: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("locality-repro-test-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Every CSV in `dir` (not recursing into `.cache`), sorted by name.
@@ -36,11 +32,11 @@ fn csv_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn parallel_csvs_are_byte_identical_to_serial() {
-    let serial_out = tmp_out("serial");
-    let parallel_out = tmp_out("parallel");
-    run_figures(&test_args(serial_out.clone(), 1, true), &[Figure::Fig4])
+    let serial_out = TempOut::new("runner", "serial");
+    let parallel_out = TempOut::new("runner", "parallel");
+    run_figures(&test_args(serial_out.to_path_buf(), 1, true), &[Figure::Fig4])
         .expect("serial fig4 succeeds");
-    run_figures(&test_args(parallel_out.clone(), 4, true), &[Figure::Fig4])
+    run_figures(&test_args(parallel_out.to_path_buf(), 4, true), &[Figure::Fig4])
         .expect("parallel fig4 succeeds");
 
     let serial = csv_files(&serial_out);
@@ -53,31 +49,28 @@ fn parallel_csvs_are_byte_identical_to_serial() {
     for ((name, serial_bytes), (_, parallel_bytes)) in serial.iter().zip(parallel.iter()) {
         assert_eq!(serial_bytes, parallel_bytes, "{name} must not depend on --jobs");
     }
-    let _ = std::fs::remove_dir_all(&serial_out);
-    let _ = std::fs::remove_dir_all(&parallel_out);
 }
 
 #[test]
 fn second_invocation_is_fully_cached() {
-    let out = tmp_out("cached");
-    let first = run_figures(&test_args(out.clone(), 2, false), &[Figure::Fig4])
+    let out = TempOut::new("runner", "cached");
+    let first = run_figures(&test_args(out.to_path_buf(), 2, false), &[Figure::Fig4])
         .expect("first fig4 succeeds");
     assert!(first.fresh_runs > 0, "first invocation must execute runs");
     assert_eq!(first.cached_runs, 0);
     let first_csvs = csv_files(&out);
 
-    let second = run_figures(&test_args(out.clone(), 2, false), &[Figure::Fig4])
+    let second = run_figures(&test_args(out.to_path_buf(), 2, false), &[Figure::Fig4])
         .expect("second fig4 succeeds");
     assert_eq!(second.fresh_runs, 0, "second invocation must be served from cache");
     assert_eq!(second.cached_runs, first.fresh_runs);
     assert_eq!(first_csvs, csv_files(&out), "cached results reproduce artifacts exactly");
 
     // --no-cache ignores the populated cache.
-    let third = run_figures(&test_args(out.clone(), 2, true), &[Figure::Fig4])
+    let third = run_figures(&test_args(out.to_path_buf(), 2, true), &[Figure::Fig4])
         .expect("no-cache fig4 succeeds");
     assert_eq!(third.cached_runs, 0);
     assert_eq!(third.fresh_runs, first.fresh_runs);
-    let _ = std::fs::remove_dir_all(&out);
 }
 
 /// `repro fig4 --scale small` by `bin` into `out`: `(fresh, cached)` as
@@ -105,8 +98,7 @@ fn fig4_runs(bin: &Path, out: &Path) -> (usize, usize) {
 #[test]
 fn a_later_build_is_not_served_an_earlier_builds_cache() {
     let bin = Path::new(env!("CARGO_BIN_EXE_repro"));
-    let out = tmp_out("rebuilt");
-    std::fs::create_dir_all(&out).expect("mkdir out");
+    let out = TempOut::new("runner", "rebuilt");
     let rebuilt = out.join("repro-rebuilt");
     std::fs::copy(bin, &rebuilt).expect("copy repro");
     let built = std::fs::metadata(bin).and_then(|m| m.modified()).expect("mtime of repro");
@@ -121,5 +113,19 @@ fn a_later_build_is_not_served_an_earlier_builds_cache() {
     assert_eq!(fig4_runs(bin, &out), (0, fresh), "the same build reads its own entries");
     assert_eq!(fig4_runs(&rebuilt, &out), (fresh, 0), "a later build must recompute them all");
     assert_eq!(fig4_runs(&rebuilt, &out), (0, fresh), "and then reads its own");
-    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The guard the tests above write into removes its directory when a
+/// panic unwinds through its scope, as a failing assertion does.
+#[test]
+fn a_temp_out_is_removed_when_a_panic_unwinds_through_it() {
+    let mut dir = PathBuf::new();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let out = TempOut::new("runner", "unwound");
+        std::fs::write(out.join("partial.csv"), "x\n").expect("write into the temp dir");
+        dir = out.to_path_buf();
+        panic!("a failing assertion");
+    }));
+    assert!(caught.is_err());
+    assert!(!dir.as_os_str().is_empty() && !dir.exists(), "{} survived the panic", dir.display());
 }

@@ -2,20 +2,21 @@
 //! panic nor stop the CSVs, and the run exits 1 with one `error:` line
 //! naming standard output.
 
+mod common;
+
+use common::TempOut;
 use std::process::{Command, Stdio};
 
 #[test]
 fn a_closed_stdout_fails_the_run_after_every_csv_is_written() {
     let fig4: Vec<String> = "abcde".chars().map(|c| format!("fig4{c}.csv")).collect();
     for (sub, csvs) in [("table1", vec!["table1.csv".to_string()]), ("fig4", fig4)] {
-        let dir =
-            std::env::temp_dir().join(format!("locality-stdout-test-{}-{sub}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempOut::new("stdout", sub);
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args([sub, "--scale", "small", "--out"])
-            .arg(&dir)
+            .arg(&*dir)
             .stdout(writer)
             .stderr(Stdio::piped())
             .output()
@@ -29,6 +30,5 @@ fn a_closed_stdout_fails_the_run_after_every_csv_is_written() {
         for csv in &csvs {
             assert!(dir.join(csv).is_file(), "{sub}: {csv} missing");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
