@@ -237,19 +237,16 @@ for jobs in 1 4; do
     rm -rf "$GEOMETRY_OUT"
 done
 
-# The robustness tables at paper scale (repro ablation --fault/--chaos;
-# they exist only when a flag asks for them): every counter-fault
-# scenario must run through the sanitizer and the degraded mode, and
-# every lifecycle-chaos scenario must complete under FCFS, LFF and CRT, to
-# the paper/ rows of results/golden_robustness.sha256 at every --jobs
-# value.
+# The robustness tables at paper scale (repro robustness; not part of
+# `repro all`): every counter-fault scenario must run through the
+# sanitizer and the degraded mode, and every lifecycle-chaos scenario
+# must complete under FCFS, LFF and CRT, to the paper/ rows of
+# results/golden_robustness.sha256 at every --jobs value.
 ROBUST_GOLDEN="$PWD/results/golden_robustness.sha256"
 for jobs in 1 4; do
     ROBUST_OUT=$(mktemp -d)
-    for table in --fault --chaos; do
-        cargo run --release -p locality-repro --bin repro -- ablation \
-            --scale paper "$table" all --jobs "$jobs" --out "$ROBUST_OUT/paper"
-    done
+    cargo run --release -p locality-repro --bin repro -- robustness \
+        --scale paper --jobs "$jobs" --out "$ROBUST_OUT/paper"
     (cd "$ROBUST_OUT" && grep '  paper/' "$ROBUST_GOLDEN" | sha256sum -c)
     rm -rf "$ROBUST_OUT"
 done

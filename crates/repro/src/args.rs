@@ -17,10 +17,6 @@ pub(crate) const FLAGS_HELP: &str = "flags:
   --no-cache           ignore and do not write the on-disk result cache
                        (figures only: analyze, modelcheck and trace
                        never cache)
-  --fault SCENARIO     ablation only: run the counter-fault robustness
-                       table for one scenario, or 'all'
-  --chaos SCENARIO     ablation only: run the thread-lifecycle chaos
-                       table for one scenario, or 'all'
   --workload NAME      analyze: which fixture workload to analyze
                        (clean, racy, or all; default: all)
                        modelcheck: which fixture workload to explore
@@ -63,14 +59,6 @@ pub struct Args {
     pub scale: Scale,
     /// Output directory for CSV files.
     pub out: PathBuf,
-    /// Counter-fault scenario keyword (`--fault <scenario>|all`), used
-    /// by `repro ablation`'s robustness table; looked up in the
-    /// [scenario table](crate::scenario) there.
-    pub fault: Option<String>,
-    /// Thread-lifecycle chaos scenario keyword (`--chaos
-    /// <scenario>|all`), used by `repro ablation`'s chaos table; looked
-    /// up in the [scenario table](crate::scenario) there.
-    pub chaos: Option<String>,
     /// Workload keyword (`--workload NAME|all`), used by `repro
     /// analyze` (clean/racy fixtures) and `repro trace` (monitored
     /// app); validated there so bad values surface as usage errors
@@ -137,8 +125,8 @@ pub(crate) fn keyword<T: Copy>(
     })
 }
 
-/// [`keyword`] for a flag whose value picks one scenario of `all` or
-/// every one: the selection, in table order.
+/// [`keyword`] for a flag whose value picks one row of `all` or every
+/// one: the selection, in table order.
 pub(crate) fn keyword_or_all<T: Copy>(
     what: &str,
     value: &str,
@@ -195,8 +183,6 @@ impl Default for Args {
         Args {
             scale: Scale::Paper,
             out: PathBuf::from("results"),
-            fault: None,
-            chaos: None,
             workload: None,
             policy: None,
             jobs: default_jobs(),
@@ -243,14 +229,6 @@ impl Args {
                     };
                 }
                 "--no-cache" => out.no_cache = true,
-                "--fault" => {
-                    let v = it.next().ok_or("--fault needs a scenario name (or 'all')")?;
-                    out.fault = Some(v);
-                }
-                "--chaos" => {
-                    let v = it.next().ok_or("--chaos needs a scenario name (or 'all')")?;
-                    out.chaos = Some(v);
-                }
                 "--workload" => {
                     let v = it.next().ok_or("--workload needs a name (or 'all')")?;
                     out.workload = Some(v);
@@ -313,8 +291,7 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Ablation;
-    use proptest::{prop_assert, prop_assert_eq};
+    use proptest::prop_assert;
 
     /// Every flag of [`FLAGS_HELP`].
     fn flags() -> Vec<&'static str> {
@@ -343,7 +320,6 @@ mod tests {
         let a = parse(&["--scale", "small", "--out", "/tmp/x"]).unwrap();
         assert_eq!(a.scale, Scale::Small);
         assert_eq!(a.out, PathBuf::from("/tmp/x"));
-        assert_eq!(a.fault, None);
     }
 
     #[test]
@@ -354,15 +330,6 @@ mod tests {
         assert!(parse(&["--jobs"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--jobs", "many"]).is_err());
-    }
-
-    #[test]
-    fn scenario_keywords() {
-        assert_eq!((parse(&[]).unwrap().fault, parse(&[]).unwrap().chaos), (None, None));
-        let a = parse(&["--fault", "wraparound", "--chaos", "abort-locked"]).unwrap();
-        assert_eq!(a.fault.as_deref(), Some("wraparound"));
-        assert_eq!(a.chaos.as_deref(), Some("abort-locked"));
-        assert!(parse(&["--fault"]).is_err() && parse(&["--chaos"]).is_err());
     }
 
     #[test]
@@ -478,11 +445,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Token sequences drawn from the flag vocabulary, the scenario
-        /// table's keywords, `all`, boundary integers and arbitrary
-        /// strings parse to arguments, to help or to a message, never to
-        /// a panic; an accepted `--fault`/`--chaos` value names its rows
-        /// of the table or is a usage error.
+        /// Token sequences drawn from the flag vocabulary, keywords,
+        /// boundary integers and arbitrary strings parse to arguments, to
+        /// help or to a message, never to a panic.
         #[test]
         fn token_sequences_parse_to_args_help_or_a_message(
             sequences in proptest::collection::vec(
@@ -499,11 +464,9 @@ mod tests {
         ) {
             let flags = flags();
             let mut values: Vec<String> =
-                crate::scenario::SCENARIOS.iter().map(|s| s.name.to_string()).collect();
-            values.extend(
-                ["all", "paper", "small", "lff", "", "0", "1", "-1", "64", "1x1", "1024x8"]
-                    .map(str::to_string),
-            );
+                ["all", "paper", "small", "lff", "racy", "", "0", "1", "-1", "64", "1x1", "1024x8"]
+                    .map(str::to_string)
+                    .to_vec();
             values.extend(
                 [u64::MAX.to_string(), format!("{}0", u64::MAX), format!("{}x4", 1u64 << 62)],
             );
@@ -522,38 +485,11 @@ mod tests {
                         None => {}
                     }
                 }
-                check_parse(&argv)?;
-            }
-        }
-    }
-
-    /// [`token_sequences_parse_to_args_help_or_a_message`] for one
-    /// argument list.
-    fn check_parse(argv: &[String]) -> Result<(), String> {
-        let args = match Args::parse(argv.to_vec(), &flags()) {
-            Ok(Parsed::Run(args)) => args,
-            Ok(Parsed::Help) => return Ok(()),
-            Err(msg) => {
-                prop_assert!(!msg.is_empty(), "{argv:?}");
-                return Ok(());
-            }
-        };
-        for (ablation, value) in [(Ablation::Faults, &args.fault), (Ablation::Chaos, &args.chaos)] {
-            let Some(value) = value else { continue };
-            match ablation.parse(value) {
-                Ok(rows) if value == "all" => prop_assert_eq!(rows, ablation.rows()),
-                Ok(rows) => {
-                    prop_assert!(rows.len() == 1 && rows[0].name == value, "{argv:?}");
-                    prop_assert_eq!(rows[0].ablation(), ablation);
+                if let Err(msg) = Args::parse(argv.clone(), &flags) {
+                    prop_assert!(!msg.is_empty(), "{argv:?}");
                 }
-                Err(ReproError::Usage(_)) => prop_assert!(
-                    value != "all" && ablation.rows().iter().all(|s| s.name != value),
-                    "{argv:?}"
-                ),
-                Err(e) => prop_assert!(false, "{argv:?}: {e}"),
             }
         }
-        Ok(())
     }
 
     #[test]

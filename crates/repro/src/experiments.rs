@@ -477,7 +477,7 @@ pub fn update_cost_cell(policy: PolicyKind, case: CostCase) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Ablation, Injector};
+    use crate::scenario::{Injector, SCENARIOS};
 
     #[test]
     fn invalidation_shrinks_observed_only() {
@@ -496,7 +496,8 @@ mod tests {
     }
 
     fn chaos(name: &str) -> Option<ChaosConfig> {
-        match Ablation::Chaos.parse(name).unwrap()[0].injector {
+        let row = SCENARIOS.iter().find(|s| s.name == name).unwrap();
+        match row.injector {
             Injector::Lifecycle(chaos) => chaos,
             Injector::Counter(_) => unreachable!(),
         }

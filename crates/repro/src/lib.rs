@@ -17,7 +17,8 @@
 //! | `fig7` | Figure 7 — overestimated footprints (typechecker, raytrace) |
 //! | `fig8` | Figure 8 — locality scheduling on the 1-cpu Ultra-1 |
 //! | `fig9` | Figure 9 — locality scheduling on the 8-cpu Enterprise 5000 |
-//! | `ablation` | §5 extras: annotation ablation, threshold sweep, page placement, invalidation effects; `--fault <scenario>\|all` runs only the counter-fault robustness table, `--chaos <scenario>\|all` only the thread-lifecycle chaos table (keywords: [`scenario::SCENARIOS`]) |
+//! | `ablation` | §5 extras: annotation ablation, threshold sweep, page placement, invalidation effects, runtime sharing inference |
+//! | `robustness` | the counter-fault and thread-lifecycle chaos tables, every row of [`scenario::SCENARIOS`] (not part of `all`) |
 //! | `geometry` | model vs simulator across L2 geometries of equal capacity (`--geometry SxW`, `--page-size BYTES`; not part of `all`) |
 //! | `all` | `table1`–`table5`, `fig4`–`fig9` and `ablation` through one shared runner (cross-figure runs execute once) |
 //! | `analyze` | race detection, lock-order cycles, and annotation lints over the deterministic racy/clean fixture pair (exit 1 on confirmed races; `--workload clean\|racy\|all`) |

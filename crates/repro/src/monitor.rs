@@ -22,6 +22,7 @@ use active_threads::{
     Engine, EngineConfig, EngineHook, RuntimeError, SchedPolicy, SwitchEvent, ThreadId,
 };
 use locality_sim::MachineConfig;
+use locality_trace::REL_ERR_MIN_OBSERVED;
 use locality_workloads::App;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,13 +50,14 @@ pub struct MonitorTrace {
 }
 
 impl MonitorTrace {
-    /// Mean relative prediction error over samples with ≥ 64 observed
-    /// lines (tiny footprints make relative error meaningless).
+    /// Mean relative prediction error over samples with at least
+    /// [`REL_ERR_MIN_OBSERVED`] observed lines, the cut the trace
+    /// metrics apply too.
     pub fn mean_rel_error(&self) -> f64 {
         let pts: Vec<f64> = self
             .samples
             .iter()
-            .filter(|s| s.observed >= 64.0)
+            .filter(|s| s.observed >= REL_ERR_MIN_OBSERVED)
             .map(|s| (s.predicted - s.observed) / s.observed)
             .collect();
         if pts.is_empty() {

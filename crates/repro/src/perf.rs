@@ -34,53 +34,64 @@ impl PerfApp {
         }
     }
 
+    /// The app's workload parameters at `scale` (Table 4's for
+    /// [`Scale::Paper`]): what [`spawn`](PerfApp::spawn) runs and what
+    /// `table4.csv` prints.
+    pub(crate) fn params(&self, scale: Scale) -> PerfParams {
+        let paper = scale == Scale::Paper;
+        match self {
+            PerfApp::Tasks => PerfParams::Tasks(if paper {
+                tasks::TasksParams::default()
+            } else {
+                tasks::TasksParams { tasks: 96, footprint_lines: 100, periods: 12, overlap: 0.0 }
+            }),
+            PerfApp::Merge => PerfParams::Merge(if paper {
+                merge::MergeParams::default()
+            } else {
+                merge::MergeParams { elements: 20_000, cutoff: 100, seed: 12 }
+            }),
+            PerfApp::Photo => PerfParams::Photo(if paper {
+                photo::PhotoParams::default()
+            } else {
+                photo::PhotoParams {
+                    width: 512,
+                    height: 96,
+                    filter_radius: 2,
+                    share_radius: 4,
+                    seed: 5,
+                }
+            }),
+            PerfApp::Tsp => PerfParams::Tsp(if paper {
+                tsp::TspParams::default()
+            } else {
+                tsp::TspParams { cities: 48, thread_budget: 120, max_depth: 10, seed: 3 }
+            }),
+        }
+    }
+
     /// Spawns the app into an engine at the given scale (Table 4
     /// parameters for [`Scale::Paper`]).
     pub fn spawn(&self, engine: &mut Engine, scale: Scale) {
-        match self {
-            PerfApp::Tasks => {
-                let params = match scale {
-                    Scale::Paper => tasks::TasksParams::default(),
-                    Scale::Small => tasks::TasksParams {
-                        tasks: 96,
-                        footprint_lines: 100,
-                        periods: 12,
-                        overlap: 0.0,
-                    },
-                };
-                tasks::spawn_parallel(engine, &params);
-            }
-            PerfApp::Merge => {
-                let params = match scale {
-                    Scale::Paper => merge::MergeParams::default(),
-                    Scale::Small => merge::MergeParams { elements: 20_000, cutoff: 100, seed: 12 },
-                };
-                merge::spawn_parallel(engine, &params);
-            }
-            PerfApp::Photo => {
-                let params = match scale {
-                    Scale::Paper => photo::PhotoParams::default(),
-                    Scale::Small => photo::PhotoParams {
-                        width: 512,
-                        height: 96,
-                        filter_radius: 2,
-                        share_radius: 4,
-                        seed: 5,
-                    },
-                };
-                photo::spawn_parallel(engine, &params);
-            }
-            PerfApp::Tsp => {
-                let params = match scale {
-                    Scale::Paper => tsp::TspParams::default(),
-                    Scale::Small => {
-                        tsp::TspParams { cities: 48, thread_budget: 120, max_depth: 10, seed: 3 }
-                    }
-                };
-                tsp::spawn_parallel(engine, &params);
-            }
+        match self.params(scale) {
+            PerfParams::Tasks(params) => drop(tasks::spawn_parallel(engine, &params)),
+            PerfParams::Merge(params) => drop(merge::spawn_parallel(engine, &params)),
+            PerfParams::Photo(params) => drop(photo::spawn_parallel(engine, &params)),
+            PerfParams::Tsp(params) => drop(tsp::spawn_parallel(engine, &params)),
         }
     }
+}
+
+/// One §5 application's workload parameters, from [`PerfApp::params`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PerfParams {
+    /// [`PerfApp::Tasks`]'s.
+    Tasks(tasks::TasksParams),
+    /// [`PerfApp::Merge`]'s.
+    Merge(merge::MergeParams),
+    /// [`PerfApp::Photo`]'s.
+    Photo(photo::PhotoParams),
+    /// [`PerfApp::Tsp`]'s.
+    Tsp(tsp::TspParams),
 }
 
 /// Runs one `(app, policy, machine)` cell and returns the report.

@@ -984,7 +984,7 @@ mod tests {
             (
                 RunKind::Robustness {
                     policy,
-                    scenario: Ablation::Faults.parse("window").unwrap()[0],
+                    scenario: Ablation::Faults.rows()[7], // window
                     scale,
                 },
                 RunOutput::FaultCell(FaultCell {
@@ -996,7 +996,7 @@ mod tests {
             (
                 RunKind::Robustness {
                     policy,
-                    scenario: Ablation::Chaos.parse("abort-locked").unwrap()[0],
+                    scenario: Ablation::Chaos.rows()[2], // abort-locked
                     scale,
                 },
                 RunOutput::ChaosCell(ChaosCell {

@@ -1,5 +1,6 @@
-//! The robustness ablations' one scenario table: each row is a `--fault`
-//! or `--chaos` keyword and the complete, seeded injector it installs.
+//! The robustness ablations' one scenario table: each row is a name and
+//! the complete, seeded injector it installs. `repro robustness` runs
+//! every row.
 //!
 //! Counter-fault rows (ablation 6) put a [`FaultConfig`] on the simulated
 //! machine's PIC read path (see [`locality_sim::faults`]); the `window`
@@ -11,8 +12,6 @@
 //! finish and account for every thread. Each ablation's `clean` row
 //! installs nothing and is the baseline its table compares against.
 
-use crate::args::keyword_or_all;
-use crate::error::ReproError;
 use active_threads::ChaosConfig;
 use locality_sim::{FaultConfig, FaultKind};
 
@@ -33,10 +32,10 @@ const NO_CHAOS: ChaosConfig = ChaosConfig {
 /// The two robustness ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ablation {
-    /// Ablation 6, `--fault`: counter faults against the sanitizer and
-    /// the degraded mode (LFF, with FCFS as the reference).
+    /// Ablation 6: counter faults against the sanitizer and the degraded
+    /// mode (LFF, with FCFS as the reference).
     Faults,
-    /// Ablation 7, `--chaos`: thread-lifecycle chaos under every policy.
+    /// Ablation 7: thread-lifecycle chaos under every policy.
     Chaos,
 }
 
@@ -53,7 +52,7 @@ pub enum Injector {
 /// One row of [`SCENARIOS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scenario {
-    /// The `--fault`/`--chaos` keyword and report label.
+    /// The report label, unique within the row's ablation.
     pub name: &'static str,
     /// The injector the row's runs install.
     pub injector: Injector,
@@ -127,14 +126,6 @@ impl Scenario {
 }
 
 impl Ablation {
-    /// The flag that selects the ablation's table, without its dashes.
-    pub fn flag(self) -> &'static str {
-        match self {
-            Ablation::Faults => "fault",
-            Ablation::Chaos => "chaos",
-        }
-    }
-
     /// The row that installs nothing.
     pub fn baseline(self) -> Scenario {
         match self {
@@ -143,20 +134,9 @@ impl Ablation {
         }
     }
 
-    /// The ablation's rows, in table order.
+    /// The ablation's rows, in table order, its baseline first.
     pub fn rows(self) -> Vec<Scenario> {
         SCENARIOS.into_iter().filter(|s| s.ablation() == self).collect()
-    }
-
-    /// Looks up a value of the ablation's flag: one of its keywords, or
-    /// `all` for every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReproError::Usage`] listing the valid keywords.
-    pub fn parse(self, value: &str) -> Result<Vec<Scenario>, ReproError> {
-        let what = format!("{} scenario", self.flag());
-        keyword_or_all(&what, value, &self.rows(), |s| s.name)
     }
 }
 
@@ -165,10 +145,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_row_parses_to_itself_and_only_clean_injects_nothing() {
+    fn only_the_clean_rows_inject_nothing() {
         for row in SCENARIOS {
             let ablation = row.ablation();
-            assert_eq!(ablation.parse(row.name).unwrap(), vec![row], "{}", row.name);
             let clean = row.name == "clean";
             assert_eq!(clean, row == ablation.baseline(), "{}", row.name);
             let injects = match row.injector {
@@ -186,13 +165,7 @@ mod tests {
             names(Ablation::Chaos),
             "clean abort-running abort-locked spawn-fail abort-idle churn"
         );
-        for ablation in [Ablation::Faults, Ablation::Chaos] {
-            assert_eq!(ablation.parse("all").unwrap(), ablation.rows());
-            let err = ablation.parse("bogus").unwrap_err().to_string();
-            let want = format!("unknown {} scenario 'bogus' (expected all|clean|", ablation.flag());
-            assert!(err.starts_with(&want), "{err}");
-        }
-        let [window] = Ablation::Faults.parse("window").unwrap()[..] else { panic!() };
+        let window = Ablation::Faults.rows()[7];
         assert!(matches!(window.injector, Injector::Counter(Some(f)) if f.window.is_some()));
     }
 }

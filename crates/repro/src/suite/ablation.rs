@@ -4,18 +4,14 @@
 //! 2. **Threshold sweep** (heap-eviction threshold);
 //! 3. **Page placement** (§3.1);
 //! 4. **Invalidation effects** (§3.4);
-//! 5. **Runtime sharing inference** (§7 future work);
-//! 6. **Counter-fault robustness** (`--fault <scenario>|all` runs *only*
-//!    this table);
-//! 7. **Thread-lifecycle chaos** (`--chaos <scenario>|all` runs *only*
-//!    this table): every policy under seeded thread aborts, deaths while
-//!    holding locks, and spawn failures — the run must complete, account
-//!    for every thread, and keep footprint predictions sane.
+//! 5. **Runtime sharing inference** (§7 future work).
+//!
+//! Ablations 6 and 7, the robustness tables, are `repro robustness`
+//! (`robustness.rs`).
 
 use crate::args::{Args, Scale};
 use crate::error::ReproError;
 use crate::runner::{RunKind, RunRequest};
-use crate::scenario::{Ablation, Scenario};
 use crate::suite::ResultSet;
 use crate::table::Table;
 use active_threads::SchedPolicy;
@@ -45,75 +41,16 @@ fn pipeline_kind(policy: SchedPolicy, annotate: bool, infer: bool, scale: Scale)
     RunKind::Pipeline { policy, annotate, infer, scale }
 }
 
-/// The chaos table's policies: the three the paper compares.
-const CHAOS_POLICIES: [SchedPolicy; 3] = [SchedPolicy::Fcfs, SchedPolicy::Lff, SchedPolicy::Crt];
-
-/// The robustness table `--fault` or `--chaos` asks for, if either: its
-/// ablation and rows, the chaos table's clean baseline always first. Each
-/// flag runs *only* its own table, so naming both is a usage error rather
-/// than one silently winning.
-fn selection(args: &Args) -> Result<Option<(Ablation, Vec<Scenario>)>, ReproError> {
-    let (ablation, value) = match (&args.fault, &args.chaos) {
-        (None, None) => return Ok(None),
-        (Some(value), None) => (Ablation::Faults, value),
-        (None, Some(value)) => (Ablation::Chaos, value),
-        (Some(_), Some(_)) => {
-            return Err(ReproError::Usage(
-                "--fault and --chaos each run only their own table; pass one of them".to_string(),
-            ))
-        }
-    };
-    let mut rows = ablation.parse(value)?;
-    if ablation == Ablation::Chaos {
-        rows.retain(|s| *s != ablation.baseline());
-        rows.insert(0, ablation.baseline());
-    }
-    Ok(Some((ablation, rows)))
-}
-
-/// A robustness descriptor of `args`' scale.
-fn robustness(args: &Args, policy: SchedPolicy, scenario: Scenario) -> RunKind {
-    RunKind::Robustness { policy, scenario, scale: args.scale }
-}
-
-/// The descriptors behind a robustness table: each chaos row under every
-/// policy; each fault row under LFF, after the clean FCFS and LFF
-/// baselines.
-fn robustness_requests(args: &Args, ablation: Ablation, rows: &[Scenario]) -> Vec<RunRequest> {
-    let cells: Vec<(SchedPolicy, Scenario)> = match ablation {
-        Ablation::Chaos => {
-            rows.iter().flat_map(|&row| CHAOS_POLICIES.map(|policy| (policy, row))).collect()
-        }
-        Ablation::Faults => [SchedPolicy::Fcfs, SchedPolicy::Lff]
-            .map(|policy| (policy, ablation.baseline()))
-            .into_iter()
-            .chain(rows.iter().map(|&row| (SchedPolicy::Lff, row)))
-            .collect(),
-    };
-    cells
-        .into_iter()
-        .map(|(policy, scenario)| {
-            RunRequest::new(
-                format!("{}:{}/{}", ablation.flag(), policy.name(), scenario.name),
-                robustness(args, policy, scenario),
-            )
-        })
-        .collect()
-}
-
-pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
-    if let Some((ablation, rows)) = selection(args)? {
-        return Ok(robustness_requests(args, ablation, &rows));
-    }
+pub(super) fn requests(scale: Scale) -> Vec<RunRequest> {
     let mut reqs = Vec::new();
-    for kind in annotation_kinds(args.scale) {
+    for kind in annotation_kinds(scale) {
         let RunKind::Policy { policy, .. } = kind else { unreachable!() };
         reqs.push(RunRequest::new(format!("ablation:photo/{}", policy.name()), kind));
     }
     for threshold in THRESHOLDS {
         reqs.push(RunRequest::new(
             format!("ablation:threshold/{threshold}"),
-            RunKind::Threshold { threshold_lines: threshold, scale: args.scale },
+            RunKind::Threshold { threshold_lines: threshold, scale },
         ));
     }
     for app in PLACEMENT_APPS {
@@ -133,18 +70,13 @@ pub(super) fn requests(args: &Args) -> Result<Vec<RunRequest>, ReproError> {
     for (label, policy, annotate, infer) in PIPELINE_CONFIGS {
         reqs.push(RunRequest::new(
             format!("ablation:inference/{label}"),
-            pipeline_kind(policy, annotate, infer, args.scale),
+            pipeline_kind(policy, annotate, infer, scale),
         ));
     }
-    Ok(reqs)
+    reqs
 }
 
 pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
-    match selection(args)? {
-        Some((Ablation::Faults, rows)) => return emit_faults(args, results, &rows),
-        Some((Ablation::Chaos, rows)) => return emit_chaos(args, results, &rows),
-        None => {}
-    }
     emit_annotations(args, results)?;
     emit_threshold(args, results)?;
     emit_placement(args, results)?;
@@ -277,124 +209,5 @@ fn emit_inference(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
         );
     }
     t.write_csv(&args.csv_path("ablation_inference.csv")?)?;
-    Ok(())
-}
-
-/// `misses / base`, or 0 against an empty baseline.
-fn ratio(misses: u64, base: u64) -> f64 {
-    if base == 0 {
-        0.0
-    } else {
-        misses as f64 / base as f64
-    }
-}
-
-fn emit_faults(args: &Args, results: &ResultSet, rows: &[Scenario]) -> Result<(), ReproError> {
-    let mut t = Table::new(
-        "Ablation 6 — counter faults vs sanitizer + graceful degradation (tasks, 4 cpus, LFF)",
-        &[
-            "scenario",
-            "l2 misses",
-            "miss ratio",
-            "vs clean lff",
-            "vs fcfs",
-            "pred err (lines)",
-            "pred err (rel)",
-            "corrected",
-            "degraded ivals",
-            "recovered",
-        ],
-    );
-    let baseline = Ablation::Faults.baseline();
-    let fcfs = results.fault_cell(&robustness(args, SchedPolicy::Fcfs, baseline))?;
-    let clean = results.fault_cell(&robustness(args, SchedPolicy::Lff, baseline))?;
-    for &scenario in rows {
-        let cell = results.fault_cell(&robustness(args, SchedPolicy::Lff, scenario))?;
-        let r = &cell.report;
-        t.row(&[
-            scenario.name.to_string(),
-            r.total_l2_misses.to_string(),
-            format!("{:.4}", r.miss_ratio()),
-            format!("{:.2}x", ratio(r.total_l2_misses, clean.report.total_l2_misses)),
-            format!("{:.2}x", ratio(r.total_l2_misses, fcfs.report.total_l2_misses)),
-            format!("{:.1}", cell.probe.mean_abs_err()),
-            format!("{:.0}%", 100.0 * cell.probe.relative_err()),
-            r.corrected_intervals.to_string(),
-            r.degraded_intervals.to_string(),
-            if r.degraded_intervals == 0 {
-                "-".to_string()
-            } else if cell.recovered {
-                "yes".to_string()
-            } else {
-                "no".to_string()
-            },
-        ])?;
-    }
-    t.row(&[
-        "fcfs (ref)".to_string(),
-        fcfs.report.total_l2_misses.to_string(),
-        format!("{:.4}", fcfs.report.miss_ratio()),
-        format!("{:.2}x", ratio(fcfs.report.total_l2_misses, clean.report.total_l2_misses)),
-        "1.00x".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "0".to_string(),
-        "0".to_string(),
-        "-".to_string(),
-    ])?;
-    t.print();
-    say!(
-        "the sanitizer bounds what the model sees, so faulted LFF degrades toward — never\n\
-         far past — the FCFS miss rate; the 'window' scenario shows the scheduler entering\n\
-         degraded mode under sustained traps and recovering once reads come back clean.\n"
-    );
-    t.write_csv(&args.csv_path("ablation_faults.csv")?)?;
-    Ok(())
-}
-
-fn emit_chaos(args: &Args, results: &ResultSet, rows: &[Scenario]) -> Result<(), ReproError> {
-    let mut t = Table::new(
-        "Ablation 7 — thread-lifecycle chaos (tasks + lock-stepped workers, 4 cpus)",
-        &[
-            "scenario",
-            "policy",
-            "aborted",
-            "completed",
-            "poisoned locks",
-            "l2 misses",
-            "miss ratio",
-            "vs clean",
-            "pred err (lines)",
-            "pred err (rel)",
-        ],
-    );
-    for &scenario in rows {
-        for policy in CHAOS_POLICIES {
-            let cell = results.chaos_cell(&robustness(args, policy, scenario))?;
-            let clean =
-                results.chaos_cell(&robustness(args, policy, Ablation::Chaos.baseline()))?;
-            let r = &cell.report;
-            t.row(&[
-                scenario.name.to_string(),
-                policy.name().to_string(),
-                r.threads_aborted.to_string(),
-                r.threads_completed.to_string(),
-                cell.poisoned.to_string(),
-                r.total_l2_misses.to_string(),
-                format!("{:.4}", r.miss_ratio()),
-                format!("{:.2}x", ratio(r.total_l2_misses, clean.report.total_l2_misses)),
-                format!("{:.1}", cell.probe.mean_abs_err()),
-                format!("{:.0}%", 100.0 * cell.probe.relative_err()),
-            ])?;
-        }
-    }
-    t.print();
-    say!(
-        "every scenario must finish without a panic: aborted threads leave the run queue,\n\
-         the sharing graph, and the owner directory; locks orphaned by a dying holder are\n\
-         poisoned, reclaimed, and handed to the next waiter. The footprint-prediction\n\
-         error shows how much thread churn costs the model.\n"
-    );
-    t.write_csv(&args.csv_path("ablation_chaos.csv")?)?;
     Ok(())
 }

@@ -18,6 +18,7 @@ mod fig4;
 mod geometry;
 mod monitor_figs;
 mod perf_figs;
+mod robustness;
 mod static_tables;
 mod table3;
 
@@ -58,11 +59,14 @@ pub enum Figure {
     Fig9,
     /// Table 5 — CRT relative to FCFS.
     Table5,
-    /// §5/§3 ablations (or the `--fault`/`--chaos` robustness table).
+    /// §5/§3 ablations.
     Ablation,
     /// Geometry validation — model vs simulator across L2 geometries
     /// (`repro geometry`; not part of `repro all`).
     Geometry,
+    /// The counter-fault and lifecycle-chaos tables, every scenario row
+    /// (`repro robustness`; not part of `repro all`).
+    Robustness,
 }
 
 impl Figure {
@@ -87,8 +91,8 @@ impl Figure {
     ///
     /// # Errors
     ///
-    /// Returns [`ReproError::Usage`] for an invalid `--fault` or
-    /// `--chaos` value.
+    /// None today: every flag a figure reads is checked when it is
+    /// parsed. The `Result` is kept for callers that propagate it.
     pub fn requests(&self, args: &Args) -> Result<Vec<RunRequest>, ReproError> {
         Ok(match self {
             Figure::Table1 | Figure::Table2 | Figure::Table3 | Figure::Table4 => Vec::new(),
@@ -99,8 +103,9 @@ impl Figure {
             Figure::Fig8 => perf_figs::figure_requests(1, args.scale),
             Figure::Fig9 => perf_figs::figure_requests(8, args.scale),
             Figure::Table5 => perf_figs::table5_requests(args.scale),
-            Figure::Ablation => ablation::requests(args)?,
+            Figure::Ablation => ablation::requests(args.scale),
             Figure::Geometry => geometry::requests(args),
+            Figure::Robustness => robustness::requests(args.scale),
         })
     }
 
@@ -125,6 +130,7 @@ impl Figure {
             Figure::Table5 => perf_figs::table5_emit(args, results),
             Figure::Ablation => ablation::emit(args, results),
             Figure::Geometry => geometry::emit(args, results),
+            Figure::Robustness => robustness::emit(args, results),
         }
     }
 }
@@ -306,7 +312,7 @@ const fn sub(name: &'static str, target: Target, about: &'static str) -> Subcomm
 
 /// Every `repro` subcommand: the one name table behind dispatch,
 /// `--help`, the unknown-subcommand message and the flags each reads.
-pub const SUBCOMMANDS: [Subcommand; 17] = [
+pub const SUBCOMMANDS: [Subcommand; 18] = [
     sub("table1", Target::Figures(&[Figure::Table1]), "Table 1: simulated UltraSPARC-1 hierarchy"),
     sub("table2", Target::Figures(&[Figure::Table2]), "Table 2: simulated workloads"),
     sub("table3", Target::Figures(&[Figure::Table3]), "Table 3: costs of priority updates"),
@@ -321,9 +327,13 @@ pub const SUBCOMMANDS: [Subcommand; 17] = [
     sub(
         "ablation",
         Target::Figures(&[Figure::Ablation]),
-        "ablations; --fault or --chaos runs only that robustness table",
-    )
-    .reads(&["--fault", "--chaos"]),
+        "annotation, threshold, placement, invalidation and inference ablations",
+    ),
+    sub(
+        "robustness",
+        Target::Figures(&[Figure::Robustness]),
+        "counter-fault and lifecycle-chaos tables (not part of 'all')",
+    ),
     sub(
         "geometry",
         Target::Figures(&[Figure::Geometry]),
@@ -426,13 +436,12 @@ fn dispatch() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// Every flag on every subcommand that does not read it, the
-    /// `--fault`/`--chaos` robustness flags among them, is refused before
-    /// the subcommand runs; one that it reads parses.
+    /// Every flag on every subcommand that does not read it is refused
+    /// before the subcommand runs; one that it reads parses.
     #[test]
-    fn robustness_flags_are_a_usage_error_outside_ablation() {
-        let flags = "--fault bogus --chaos churn --workload racy --policy crt --depth-bound 3 \
-            --max-schedules 5 --preempt-bound 2 --replay ce.txt --geometry 1024x8 --page-size 4096";
+    fn unread_flags_are_a_usage_error() {
+        let flags = "--workload racy --policy crt --depth-bound 3 --max-schedules 5 \
+            --preempt-bound 2 --replay ce.txt --geometry 1024x8 --page-size 4096";
         let flags: Vec<&str> = flags.split_whitespace().collect();
         for sub in &SUBCOMMANDS {
             for pair in flags.chunks(2) {

@@ -2,9 +2,9 @@
 
 use crate::args::{Args, Scale};
 use crate::error::ReproError;
+use crate::perf::{PerfApp, PerfParams};
 use crate::table::Table;
 use locality_sim::MachineConfig;
-use locality_workloads::{merge, photo, tasks, tsp};
 
 pub(super) fn emit_table1(args: &Args) -> Result<(), ReproError> {
     let mut t = Table::new(
@@ -108,49 +108,59 @@ pub(super) fn emit_table2(args: &Args) -> Result<(), ReproError> {
 pub(super) fn emit_table4(args: &Args) -> Result<(), ReproError> {
     let mut t =
         Table::new("Table 4 — input parameters for application runs", &["app", "parameters"]);
-    match args.scale {
-        Scale::Paper => {
-            let tk = tasks::TasksParams::default();
-            t.row(&[
-                "tasks".into(),
-                format!(
-                    "{} tasks, footprints {} lines each, {} scheduling periods per task",
-                    tk.tasks, tk.footprint_lines, tk.periods
-                ),
-            ])?;
-            let mg = merge::MergeParams::default();
-            t.row(&[
-                "merge".into(),
-                format!(
-                    "{} uniformly distributed elements; insertion sort at tasks of {} or smaller",
-                    mg.elements, mg.cutoff
-                ),
-            ])?;
-            let ph = photo::PhotoParams::default();
-            t.row(&[
-                "photo".into(),
-                format!(
-                    "softening filter over an rgb pixmap of {}x{}; one thread per row ({} threads)",
-                    ph.width, ph.height, ph.height
-                ),
-            ])?;
-            let ts = tsp::TspParams::default();
-            t.row(&[
-                "tsp".into(),
-                format!(
-                    "suboptimal tour for {} cities; execution of {} threads measured",
-                    ts.cities, ts.thread_budget
-                ),
-            ])?;
-        }
-        Scale::Small => {
-            t.row_strs(&["tasks", "96 tasks x 100 lines x 12 periods (smoke scale)"])?;
-            t.row_strs(&["merge", "20,000 elements, cutoff 100 (smoke scale)"])?;
-            t.row_strs(&["photo", "512x96 pixmap, 96 row threads (smoke scale)"])?;
-            t.row_strs(&["tsp", "48 cities, 120 threads (smoke scale)"])?;
-        }
+    for app in PerfApp::ALL {
+        t.row(&[app.name().into(), table4_parameters(app.params(args.scale), args.scale)])?;
     }
     t.print();
     t.write_csv(&args.csv_path("table4.csv")?)?;
     Ok(())
+}
+
+/// Table 4's parameters cell: the paper's wording at paper scale, a short
+/// one at small scale.
+fn table4_parameters(params: PerfParams, scale: Scale) -> String {
+    match (params, scale) {
+        (PerfParams::Tasks(p), Scale::Paper) => format!(
+            "{} tasks, footprints {} lines each, {} scheduling periods per task",
+            p.tasks, p.footprint_lines, p.periods
+        ),
+        (PerfParams::Merge(p), Scale::Paper) => format!(
+            "{} uniformly distributed elements; insertion sort at tasks of {} or smaller",
+            p.elements, p.cutoff
+        ),
+        (PerfParams::Photo(p), Scale::Paper) => format!(
+            "softening filter over an rgb pixmap of {}x{}; one thread per row ({} threads)",
+            p.width, p.height, p.height
+        ),
+        (PerfParams::Tsp(p), Scale::Paper) => format!(
+            "suboptimal tour for {} cities; execution of {} threads measured",
+            p.cities, p.thread_budget
+        ),
+        (PerfParams::Tasks(p), Scale::Small) => format!(
+            "{} tasks x {} lines x {} periods (smoke scale)",
+            p.tasks, p.footprint_lines, p.periods
+        ),
+        (PerfParams::Merge(p), Scale::Small) => {
+            format!("{} elements, cutoff {} (smoke scale)", thousands(p.elements), p.cutoff)
+        }
+        (PerfParams::Photo(p), Scale::Small) => {
+            format!("{}x{} pixmap, {} row threads (smoke scale)", p.width, p.height, p.height)
+        }
+        (PerfParams::Tsp(p), Scale::Small) => {
+            format!("{} cities, {} threads (smoke scale)", p.cities, p.thread_budget)
+        }
+    }
+}
+
+/// `n` with a comma between groups of three digits (`20,000`).
+fn thousands(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, digit) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(digit);
+    }
+    out
 }

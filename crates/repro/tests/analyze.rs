@@ -68,14 +68,17 @@ fn bad_flags_exit_two_with_usage_on_stderr() {
     assert_eq!(bad_workload.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_workload.stderr).contains("unknown workload"));
 
-    // `--fault` and `--chaos` each run only their own table, so the pair
-    // is refused (a bogus value included) instead of one being dropped.
-    for fault in ["trap", "bogus"] {
-        let both = repro(&["ablation", "--scale", "small", "--fault", fault, "--chaos", "churn"]);
-        assert_eq!(both.status.code(), Some(2), "--fault {fault} --chaos churn");
-        assert!(both.stdout.is_empty(), "--fault {fault} --chaos churn ran something");
-        assert!(String::from_utf8_lossy(&both.stderr).contains("--fault and --chaos"));
+    // The robustness tables are `repro robustness`, which takes no
+    // scenario flag; `ablation` refuses one before writing anything.
+    let out_dir = TempOut::new("analyze", "ablation-fault");
+    for flag in ["--fault", "--chaos"] {
+        let out = repro(&["ablation", flag, "all", "--out", out_dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "ablation {flag} all");
+        assert!(out.stdout.is_empty(), "ablation {flag} all ran something");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(&format!("unknown argument '{flag}'")), "{err}");
     }
+    assert!(out_dir.read_dir().unwrap().next().is_none(), "ablation wrote into --out");
 
     // Powers of two no run can build (a tag store the allocator aborts
     // on, a line count that wraps to 0, a one-line cache the model does

@@ -48,5 +48,5 @@ pub mod metrics;
 pub mod sink;
 
 pub use event::TraceEvent;
-pub use metrics::{Histogram, TraceAggregate, HIST_BUCKETS};
+pub use metrics::{Histogram, TraceAggregate, HIST_BUCKETS, REL_ERR_MIN_OBSERVED};
 pub use sink::{emit_with, install, set_clock, take, Record, TraceSink};

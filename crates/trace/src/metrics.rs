@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 pub const HIST_BUCKETS: usize = 32;
 
 /// Observed footprints below this many lines are excluded from the
-/// *relative* prediction-error average — the same cut
-/// `MonitorTrace::mean_rel_error` applies, so the two agree exactly on
-/// the same run.
-const REL_ERR_MIN_OBSERVED: f64 = 64.0;
+/// *relative* prediction-error average (tiny footprints make relative
+/// error meaningless). `MonitorTrace::mean_rel_error` applies the same
+/// cut through this constant, so the two agree exactly on the same run.
+pub const REL_ERR_MIN_OBSERVED: f64 = 64.0;
 
 /// A power-of-two histogram: bucket 0 counts zeros, bucket `i >= 1`
 /// counts values in `[2^(i-1), 2^i)`, with the last bucket absorbing

@@ -1,6 +1,6 @@
 //! The small-scale artifacts, byte for byte: `repro all --scale small`
-//! and the two robustness tables (`repro ablation --fault all`, `--chaos
-//! all`), run in process without the cache, must hash to
+//! and the two robustness tables (`repro robustness --scale small`), run
+//! in process without the cache, must hash to
 //! `results/golden_small.sha256` and to the `small/` rows of
 //! `results/golden_robustness.sha256`. A mismatch names the file, the
 //! figure that wrote it and the run descriptors behind it. So must the
@@ -25,13 +25,10 @@ struct Run {
 impl Run {
     /// Runs `figures` at small scale into `root/sub`, where the golden
     /// file's paths (relative to `root`) expect them.
-    fn new(root: PathBuf, sub: &str, figures: &'static [Figure], fault: bool, chaos: bool) -> Run {
-        let all = |on: bool| on.then(|| "all".to_string());
+    fn new(root: PathBuf, sub: &str, figures: &'static [Figure]) -> Run {
         let args = Args {
             scale: Scale::Small,
             out: root.join(sub),
-            fault: all(fault),
-            chaos: all(chaos),
             jobs: 2,
             no_cache: true,
             ..Args::default()
@@ -40,14 +37,17 @@ impl Run {
         Run { root, args, figures }
     }
 
-    /// The figure that writes `name` (`Fig5` for `fig5_barnes.csv`) and
-    /// its descriptors, narrowed to those named after the file
-    /// (`fig5:barnes/…`) when any are.
+    /// The figure that writes `name` (`Fig5` for `fig5_barnes.csv`, or
+    /// the run's one figure) and its descriptors, narrowed to those named
+    /// after the file (`fig5:barnes/…`) when any are.
     fn written_by(&self, name: &str) -> String {
         let stem = Path::new(name).file_stem().and_then(|s| s.to_str()).unwrap_or(name);
-        let Some(figure) =
-            self.figures.iter().find(|f| stem.starts_with(&format!("{f:?}").to_lowercase()))
-        else {
+        let named =
+            self.figures.iter().find(|f| stem.starts_with(&format!("{f:?}").to_lowercase()));
+        let Some(figure) = named.or(match self.figures {
+            [only] => Some(only),
+            _ => None,
+        }) else {
             return "no figure of this run writes it".to_string();
         };
         let labels: Vec<String> = figure
@@ -85,11 +85,8 @@ fn golden(file: &str, prefix: &str) -> Vec<(String, String)> {
 fn small_scale_artifacts_match_the_golden_hashes() {
     let dir = std::env::temp_dir().join(format!("golden-small-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let suite = [Run::new(dir.join("all"), "", &Figure::ALL, false, false)];
-    let robustness = [
-        Run::new(dir.join("fault"), "small", &[Figure::Ablation], true, false),
-        Run::new(dir.join("chaos"), "small", &[Figure::Ablation], false, true),
-    ];
+    let suite = [Run::new(dir.join("all"), "", &Figure::ALL)];
+    let robustness = [Run::new(dir.join("robustness"), "small", &[Figure::Robustness])];
 
     let mut failures = Vec::new();
     let mut checked = 0;

@@ -349,15 +349,16 @@ fn workload_traces_replay_into_the_reference() {
 }
 
 /// The whole replay matrix: every workload on every geometry, clean and
-/// under each `--chaos` scenario's injector, and the evicting workloads
-/// on every geometry, clean. Minutes in a debug build, so `ci.sh` runs it
-/// in its release suite, which includes the ignored tests.
+/// under each lifecycle-chaos scenario's injector, and the evicting
+/// workloads on every geometry, clean. Minutes in a debug build, so
+/// `ci.sh` runs it in its release suite, which includes the ignored
+/// tests.
 #[test]
 #[ignore = "minutes unoptimised; ci.sh runs it in release"]
 fn every_workload_trace_replays_into_the_reference() {
     for row in Ablation::Chaos.rows() {
         let Injector::Lifecycle(chaos) = row.injector else {
-            unreachable!("a --chaos row installs a lifecycle injector")
+            unreachable!("a chaos row installs a lifecycle injector")
         };
         for workload in WORKLOADS {
             for geometry in GEOMETRIES {

@@ -2,7 +2,7 @@
 //! transcription (`tests/ref_scheduler/`): identical picks, steals,
 //! ready counts and degraded-mode transitions after every call, over
 //! random sequences that follow the engine's protocol and over whole
-//! engine runs, the lifecycle-chaos rows among them.
+//! engine runs, every counter-fault and lifecycle-chaos row among them.
 
 mod ref_scheduler;
 
@@ -184,17 +184,26 @@ fn the_scheduler_matches_the_reference_on_overlapped_tasks() {
 
 #[test]
 fn the_scheduler_matches_the_reference_through_a_counter_fault() {
-    // The ablation's `window` row at small scale: PIC reads trap for the
-    // first 400 reads, so the scheduler degrades, then recovers.
-    let window = SCENARIOS.iter().find(|s| s.name == "window").unwrap();
-    let Injector::Counter(fault) = window.injector else { panic!("{window:?}") };
+    // Every counter-fault row at small scale. `trap` reads fail for the
+    // whole run and `window` for the first 400 reads, so both must
+    // degrade; the clean row must not.
     let params = TasksParams { tasks: 64, footprint_lines: 100, periods: 10, overlap: 0.5 };
-    let machine = MachineConfig::enterprise5000(4);
-    let report = diffed_run(machine, PolicyKind::Lff, EngineConfig::default(), fault, |e| {
-        tasks::spawn_parallel(e, &params);
-    })
-    .unwrap();
-    assert!(report.degraded_intervals > 0, "the cell never degraded");
+    let mut degraded = Vec::new();
+    for row in SCENARIOS {
+        let Injector::Counter(fault) = row.injector else { continue };
+        let machine = MachineConfig::enterprise5000(4);
+        let report = diffed_run(machine, PolicyKind::Lff, EngineConfig::default(), fault, |e| {
+            tasks::spawn_parallel(e, &params);
+        })
+        .unwrap_or_else(|e| panic!("{}: {e}", row.name));
+        if report.degraded_intervals > 0 {
+            degraded.push(row.name);
+        }
+    }
+    for name in ["trap", "window"] {
+        assert!(degraded.contains(&name), "the {name} row never degraded: {degraded:?}");
+    }
+    assert!(!degraded.contains(&"clean"), "the clean row degraded");
 }
 
 #[test]
