@@ -118,8 +118,11 @@ fi
 
 # The cache holds simulated runs only (DESIGN.md §10.2): the three kinds
 # that were cheaper to compute than to load, the runner's mirror of
-# PagePlacement and the explorer's process-global stay deleted.
-if grep -rnE "EXPLORE_JOBS|TraceMetrics|TraceSummary\(|RunKind::UpdateCost|enum Placement" crates/; then
+# PagePlacement and the explorer's process-global stay deleted, and so
+# does the second walk descriptor, whose entries cached the model's
+# predictions beside the observation.
+if grep -rnE "EXPLORE_JOBS|TraceMetrics|TraceSummary\(|RunKind::UpdateCost|enum Placement|\
+RunKind::Geometry|GeometryPoints|GeometryExperiment" crates/; then
     echo "a RunKind is a simulated machine or engine run: see DESIGN.md §10.2" >&2
     exit 1
 fi

@@ -167,7 +167,7 @@ fn parse_geometry(v: &str) -> Result<(u64, u64), String> {
     let (s, w) = v.split_once('x').ok_or_else(bad)?;
     let sets = s.parse::<u64>().map_err(|_| bad())?;
     let ways = w.parse::<u64>().map_err(|_| bad())?;
-    let geometry = CacheGeometry::new(sets, ways, crate::geometry::LINE)
+    let geometry = CacheGeometry::new(sets, ways, crate::microbench::LINE)
         .map_err(|e| format!("--geometry {v}: {e}"))?;
     ModelParams::new(geometry.lines() as usize).map_err(|e| format!("--geometry {v}: {e}"))?;
     Ok((sets, ways))

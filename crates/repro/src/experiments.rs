@@ -504,6 +504,24 @@ mod tests {
     }
 
     #[test]
+    fn a_wrapped_read_is_repaired_and_reads_unlike_a_trap() {
+        // A wrap is rare, so the sanitizer repairs it from the thread's
+        // clean history and the machine keeps trusting its counters;
+        // under `trap` every read fails and the scheduler degrades.
+        let cell = |name: &str| {
+            let row = SCENARIOS.iter().find(|s| s.name == name).unwrap();
+            let Injector::Counter(fault) = row.injector else { unreachable!() };
+            fault_cell(SchedPolicy::Lff, fault, Scale::Small).unwrap().report
+        };
+        let (wrap, trap) = (cell("wraparound"), cell("trap"));
+        assert!(wrap.corrected_intervals > 0, "wrapped reads must be corrected");
+        assert!(wrap.corrected_intervals < trap.corrected_intervals);
+        assert_eq!(wrap.degraded_intervals, 0, "rare wraps must not degrade the machine");
+        assert!(trap.degraded_intervals > 0);
+        assert!(wrap.total_l2_misses < trap.total_l2_misses, "{wrap:?} vs {trap:?}");
+    }
+
+    #[test]
     fn chaos_cell_recovers_lock_holders() {
         let cell = chaos_cell(SchedPolicy::Fcfs, chaos("abort-locked"), Scale::Small).unwrap();
         assert!(cell.report.threads_aborted > 0, "the scenario must kill lock holders");

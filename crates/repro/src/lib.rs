@@ -11,7 +11,7 @@
 //! | `table3` | Table 3 — costs of priority updates |
 //! | `table4` | Table 4 — input parameters for application runs |
 //! | `table5` | Table 5 — CRT relative to FCFS |
-//! | `fig4` | Figure 4 — random-memory-walk model validation (4 panels) |
+//! | `fig4` | Figure 4 — random-memory-walk model validation (panels a–e) |
 //! | `fig5` | Figure 5 — observed vs predicted footprints, 6 applications |
 //! | `fig6` | Figure 6 — E-cache misses per 1000 instructions |
 //! | `fig7` | Figure 7 — overestimated footprints (typechecker, raytrace) |

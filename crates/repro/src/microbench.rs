@@ -1,6 +1,10 @@
 //! The Figure 4 microbenchmark: a random memory walk driven directly
 //! against the simulated machine, with footprints sampled every few
-//! hundred misses and compared to the closed forms.
+//! hundred misses. One descriptor, [`WalkExperiment`], covers every walk:
+//! Figure 4's panels on the paper's direct-mapped E-cache, panel e's
+//! 1/2/4-way caches and `repro geometry`'s sweep (see
+//! [`crate::geometry`]). A run yields the observation only; the emitters
+//! apply the model's predictors to it when they write the tables.
 //!
 //! Panels (paper §3.2):
 //! * **a** — the executing thread's own footprint for several initial
@@ -9,22 +13,22 @@
 //! * **c** — a sleeping *dependent* thread with `q = 0.5` and several
 //!   initial footprints (decays or grows toward `qN`);
 //! * **d** — sleeping dependent threads with several sharing
-//!   coefficients `q`.
+//!   coefficients `q`;
+//! * **e** — the executing thread on 1-, 2- and 4-way LRU E-caches of
+//!   equal capacity (the paper's §2.1 associative claim).
 
 use locality_core::{FootprintModel, ModelError, ModelParams, ThreadId};
-use locality_sim::{AccessKind, Machine, MachineConfig, VAddr};
+use locality_sim::{AccessKind, CacheGeometry, Machine, MachineConfig, VAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One point of a Figure 4 curve.
+/// One observed point of a walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalkPoint {
     /// E-cache misses taken by the walker so far.
     pub misses: u64,
     /// Observed footprint of the monitored thread (lines).
     pub observed: f64,
-    /// Model prediction (lines).
-    pub predicted: f64,
 }
 
 /// Which thread the experiment monitors, and how to predict it.
@@ -50,88 +54,116 @@ pub enum Monitored {
     },
 }
 
-/// Parameters of one microbenchmark run (one curve). A run is fully
-/// described by this value — the walk owns its RNG (seeded from
-/// [`WalkExperiment::seed`]) and its machine, so independent runs share
-/// no mutable state and the experiment runner can execute and cache
-/// them freely.
+/// One walk, fully described: a run builds its own machine (a
+/// single-processor UltraSPARC-1 with this L2 geometry and page size)
+/// and its own RNG (seeded from [`WalkExperiment::seed`]), so
+/// independent runs share no mutable state and the experiment runner can
+/// execute and cache them freely.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalkExperiment {
     /// Who is monitored and how the model predicts it.
     pub monitored: Monitored,
+    /// L2 sets.
+    pub sets: u64,
+    /// L2 ways per set.
+    pub ways: u64,
+    /// Page size in bytes.
+    pub page_bytes: u64,
     /// Total walker misses to accumulate.
     pub total_misses: u64,
     /// Sampling interval in misses.
     pub sample_every: u64,
-    /// E-cache associativity (1 = the paper's direct-mapped case; higher
-    /// values probe the paper's §2.1 claim that the model extends to
-    /// associative caches).
-    pub associativity: u64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl WalkExperiment {
-    /// A direct-mapped experiment (the paper's configuration).
+    /// A walk on the paper's configuration: the UltraSPARC-1's
+    /// direct-mapped 512 KiB E-cache and 8 KiB pages.
     pub fn direct(monitored: Monitored, total_misses: u64, sample_every: u64, seed: u64) -> Self {
-        WalkExperiment { monitored, total_misses, sample_every, associativity: 1, seed }
+        WalkExperiment {
+            monitored,
+            sets: 8192,
+            ways: 1,
+            page_bytes: 8 * 1024,
+            total_misses,
+            sample_every,
+            seed,
+        }
+    }
+
+    /// The machine the walk runs on: a single-processor UltraSPARC-1
+    /// with the L2 geometry (64-byte lines) and page size substituted in.
+    pub fn config(&self) -> MachineConfig {
+        MachineConfig::ultra1()
+            .with_l2_geometry(CacheGeometry { sets: self.sets, ways: self.ways, line: LINE })
+            .with_page_size(self.page_bytes)
+    }
+
+    /// `SxW` display label (e.g. `8192x1`).
+    pub fn geometry_label(&self) -> String {
+        format!("{}x{}", self.sets, self.ways)
     }
 }
 
-const LINE: u64 = 64;
+/// The E-cache line of every walk (the UltraSPARC-1's 64 bytes).
+pub(crate) const LINE: u64 = 64;
 /// The walker's region: 64× the cache, so a walker miss lands on any
 /// given set almost uniformly (sets still holding a sleeper line offer
 /// one extra missing candidate and would otherwise attract misses
 /// disproportionately, decaying sleepers faster than the model says).
 const WALKER_LINES: u64 = 8192 * 64;
 
-/// The paper's closed-form predictor for `monitored` on an E-cache of
-/// `l2_lines` lines: `(initial footprint, walker misses) -> lines`,
-/// clamped to the cache.
+/// A model's predictions along a walk: the anchor (the first point, at
+/// miss 0) is predicted as observed, and each later point by
+/// `predict(s0, misses)` from the anchor's footprint `s0`.
+pub(crate) fn along(points: &[WalkPoint], predict: impl Fn(f64, u64) -> f64) -> Vec<f64> {
+    let s0 = points.first().map_or(0.0, |p| p.observed);
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| if i == 0 { s0 } else { predict(s0, p.misses) })
+        .collect()
+}
+
+/// The paper's closed forms along `exp`'s walk, clamped to the cache.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::CacheOutOfRange`] for a cache of fewer than two
 /// lines (a valid machine description, but not one the model covers).
-pub(crate) fn closed_form(
-    monitored: Monitored,
-    l2_lines: usize,
-) -> Result<impl Fn(f64, u64) -> f64, ModelError> {
-    let model = FootprintModel::new(ModelParams::new(l2_lines)?);
+pub fn closed_form(exp: &WalkExperiment, points: &[WalkPoint]) -> Result<Vec<f64>, ModelError> {
+    let model = FootprintModel::new(ModelParams::new(exp.config().l2_lines())?);
     let n = model.params().n();
-    Ok(move |s0, misses| {
-        match monitored {
+    Ok(along(points, |s0, misses| {
+        match exp.monitored {
             Monitored::Walker { .. } => model.expected_blocking(s0, misses),
             Monitored::Independent { .. } => model.expected_independent(s0, misses),
             Monitored::Dependent { q, .. } => model.expected_dependent(q, s0, misses),
         }
         .clamp(0.0, n)
-    })
+    }))
 }
 
-/// The walk protocol, shared by Figure 4 and `repro geometry`: on a
-/// single processor of `config`, a walker thread reads uniformly random
-/// lines of a region 64× the cache until it has taken `total_misses`
-/// E-cache misses; every `sample_every` misses the monitored thread's
-/// resident footprint is read. Returns the monitored thread's footprint
-/// when the measured walk starts and the `(walker misses, observed
-/// lines)` samples.
+/// Runs one walk: on [`WalkExperiment::config`], a walker thread reads
+/// uniformly random lines of a region 64× the cache until it has taken
+/// `total_misses` E-cache misses; every `sample_every` misses the
+/// monitored thread's resident footprint is read. Returns the anchor
+/// (miss 0, the footprint when the measured walk starts) and then the
+/// samples.
 ///
 /// The monitored sleeper's region overlaps the walker's by exactly the
 /// requested coefficient; initial footprints are established by touching
 /// the appropriate prefix before counters are reset.
-pub(crate) fn walk(
-    config: MachineConfig,
-    monitored: Monitored,
-    total_misses: u64,
-    sample_every: u64,
-    seed: u64,
-) -> (f64, Vec<(u64, f64)>) {
-    // Infallible for every shipped experiment: the geometries are fixed
-    // powers of two of the ultra1 capacity, and `--geometry` /
-    // `--page-size` are validated at the CLI boundary.
-    #[allow(clippy::unwrap_used)]
-    let mut machine = Machine::try_new(config).unwrap();
+///
+/// # Panics
+///
+/// On a geometry or page size no machine accepts. `--geometry` and
+/// `--page-size` are validated at the CLI boundary, and the shipped
+/// walks use powers of two of the UltraSPARC-1's capacity.
+pub fn run(exp: &WalkExperiment) -> Vec<WalkPoint> {
+    #[allow(clippy::expect_used)]
+    let mut machine = Machine::try_new(exp.config()).expect("a walk on a valid machine");
     let walker = ThreadId(1);
     let sleeper = ThreadId(2);
 
@@ -140,7 +172,7 @@ pub(crate) fn walk(
 
     // Sleeper region: a slice of the walker's region covering fraction q
     // of it (dependent), or a disjoint region (independent).
-    let monitored_tid = match monitored {
+    let monitored_tid = match exp.monitored {
         Monitored::Walker { s0 } => {
             // Establish the initial footprint: touch the first s0 lines.
             prefill(&mut machine, walker_region, s0 as u64);
@@ -172,22 +204,23 @@ pub(crate) fn walk(
     // The raw PIC registers are cumulative; measure against a baseline
     // like the runtime's interval reads do.
     let pic_base = machine.pic(0).misses();
-    let s0_observed = machine.l2_footprint_lines(0, monitored_tid) as f64;
+    let observed = machine.l2_footprint_lines(0, monitored_tid) as f64;
+    let mut points = vec![WalkPoint { misses: 0, observed }];
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut samples = Vec::new();
+    let mut rng = StdRng::seed_from_u64(exp.seed);
     let mut misses: u64 = 0;
-    let mut next_sample = sample_every;
-    while misses < total_misses {
+    let mut next_sample = exp.sample_every;
+    while misses < exp.total_misses {
         let line = rng.gen_range(0..WALKER_LINES);
         machine.access(0, walker_region.offset(line * LINE), AccessKind::Read);
         misses = machine.pic(0).misses().wrapping_sub(pic_base);
         if misses >= next_sample {
-            samples.push((misses, machine.l2_footprint_lines(0, monitored_tid) as f64));
-            next_sample += sample_every;
+            let observed = machine.l2_footprint_lines(0, monitored_tid) as f64;
+            points.push(WalkPoint { misses, observed });
+            next_sample += exp.sample_every;
         }
     }
-    (s0_observed, samples)
+    points
 }
 
 /// Touches the first `lines` lines of `region` (sequential prefill: with
@@ -199,36 +232,14 @@ fn prefill(machine: &mut Machine, region: VAddr, lines: u64) {
     }
 }
 
-/// Runs one Figure 4 curve and returns its points: the walk on a
-/// single-processor UltraSPARC-1 whose E-cache keeps its capacity at
-/// the experiment's associativity, predicted by the closed forms.
-///
-/// # Errors
-///
-/// Returns the [`ModelError`] of a cache the closed forms do not cover.
-pub fn run(exp: &WalkExperiment) -> Result<Vec<WalkPoint>, ModelError> {
-    let mut config = MachineConfig::ultra1();
-    let ways = exp.associativity.max(1);
-    let l2 = config.hierarchy.l2;
-    config.hierarchy.l2 = locality_sim::CacheGeometry { sets: l2.lines() / ways, ways, ..l2 };
-    let predict = closed_form(exp.monitored, config.l2_lines())?;
-    let (s0, samples) = walk(config, exp.monitored, exp.total_misses, exp.sample_every, exp.seed);
-    let mut points = vec![WalkPoint { misses: 0, observed: s0, predicted: s0 }];
-    points.extend(samples.into_iter().map(|(misses, observed)| WalkPoint {
-        misses,
-        observed,
-        predicted: predict(s0, misses),
-    }));
-    Ok(points)
-}
-
-/// Maximum relative error of a curve against the model over points whose
-/// observed footprint exceeds `min_lines`.
-pub fn max_rel_error(points: &[WalkPoint], min_lines: f64) -> f64 {
+/// Maximum relative error of `predicted` against a curve over points
+/// whose observed footprint exceeds `min_lines`.
+pub fn max_rel_error(points: &[WalkPoint], predicted: &[f64], min_lines: f64) -> f64 {
     points
         .iter()
-        .filter(|p| p.observed >= min_lines)
-        .map(|p| ((p.predicted - p.observed) / p.observed).abs())
+        .zip(predicted)
+        .filter(|(p, _)| p.observed >= min_lines)
+        .map(|(p, predicted)| ((predicted - p.observed) / p.observed).abs())
         .fold(0.0, f64::max)
 }
 
@@ -236,12 +247,19 @@ pub fn max_rel_error(points: &[WalkPoint], min_lines: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// The walk's points and the closed form's worst relative error over
+    /// points of at least `min_lines`.
+    fn walk(exp: WalkExperiment, min_lines: f64) -> (Vec<WalkPoint>, f64) {
+        let pts = run(&exp);
+        let err = max_rel_error(&pts, &closed_form(&exp, &pts).unwrap(), min_lines);
+        (pts, err)
+    }
+
     #[test]
     fn walker_curve_matches_model() {
-        let pts =
-            run(&WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 20_000, 2_000, 1)).unwrap();
+        let (pts, err) =
+            walk(WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 20_000, 2_000, 1), 256.0);
         assert!(pts.len() >= 10);
-        let err = max_rel_error(&pts, 256.0);
         assert!(err < 0.05, "walker curve error {err:.3}");
         // Monotone growth.
         for w in pts.windows(2) {
@@ -251,36 +269,31 @@ mod tests {
 
     #[test]
     fn walker_with_initial_footprint_starts_there() {
-        let pts = run(&WalkExperiment::direct(Monitored::Walker { s0: 4096.0 }, 5_000, 1_000, 2))
-            .unwrap();
+        let (pts, err) =
+            walk(WalkExperiment::direct(Monitored::Walker { s0: 4096.0 }, 5_000, 1_000, 2), 256.0);
         assert!((pts[0].observed - 4096.0).abs() < 64.0, "start at {}", pts[0].observed);
-        assert!(max_rel_error(&pts, 256.0) < 0.05);
+        assert!(err < 0.05);
     }
 
     #[test]
     fn independent_sleeper_decays() {
-        let pts =
-            run(&WalkExperiment::direct(Monitored::Independent { s0: 4096.0 }, 20_000, 2_000, 3))
-                .unwrap();
+        let exp = WalkExperiment::direct(Monitored::Independent { s0: 4096.0 }, 20_000, 2_000, 3);
+        let (pts, err) = walk(exp, 256.0);
         assert!(pts[0].observed > 3900.0);
         let last = pts.last().unwrap();
         assert!(last.observed < pts[0].observed / 2.0, "must decay: {last:?}");
-        assert!(max_rel_error(&pts, 256.0) < 0.10);
+        assert!(err < 0.10);
     }
 
     #[test]
     fn dependent_grows_toward_qn() {
-        let pts = run(&WalkExperiment::direct(
-            Monitored::Dependent { q: 0.5, s0: 0.0 },
-            30_000,
-            3_000,
-            4,
-        ))
-        .unwrap();
+        let exp =
+            WalkExperiment::direct(Monitored::Dependent { q: 0.5, s0: 0.0 }, 30_000, 3_000, 4);
+        let (pts, err) = walk(exp, 256.0);
         let last = pts.last().unwrap();
         assert!(last.observed > 2500.0, "should approach qN = 4096: {last:?}");
         assert!(last.observed < 4500.0);
-        assert!(max_rel_error(&pts, 256.0) < 0.10);
+        assert!(err < 0.10);
     }
 
     #[test]
@@ -290,8 +303,7 @@ mod tests {
             30_000,
             3_000,
             5,
-        ))
-        .unwrap();
+        ));
         let first = pts[0];
         let last = pts.last().unwrap();
         assert!(first.observed > 4000.0);
@@ -313,16 +325,14 @@ mod assoc_tests {
         // direct-mapped closed form — a bounded, systematic
         // under-prediction that justifies the paper's caveat.
         let mut errs = Vec::new();
-        for assoc in [1u64, 2, 4] {
-            let pts = run(&WalkExperiment {
-                monitored: Monitored::Walker { s0: 0.0 },
-                total_misses: 15_000,
-                sample_every: 3_000,
-                associativity: assoc,
-                seed: 9,
-            })
-            .unwrap();
-            errs.push(max_rel_error(&pts, 512.0));
+        for ways in [1u64, 2, 4] {
+            let exp = WalkExperiment {
+                sets: 8192 / ways,
+                ways,
+                ..WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 15_000, 3_000, 9)
+            };
+            let pts = run(&exp);
+            errs.push(max_rel_error(&pts, &closed_form(&exp, &pts).unwrap(), 512.0));
         }
         assert!(errs[0] < 0.03, "direct-mapped stays exact: {:.3}", errs[0]);
         assert!(errs[1] > errs[0] && errs[2] > errs[0], "LRU must deviate: {errs:?}");

@@ -38,7 +38,6 @@ use crate::args::{Args, Scale};
 use crate::digest;
 use crate::error::ReproError;
 use crate::experiments::{self, ChaosCell, FaultCell, PredictionProbe};
-use crate::geometry::{self, GeometryExperiment, GeometryPoint};
 use crate::microbench::{self, WalkExperiment, WalkPoint};
 use crate::monitor::{self, MonitorTrace, Sample};
 use crate::perf::{self, PerfApp};
@@ -55,17 +54,14 @@ use std::time::{Duration, Instant};
 
 /// Bumped whenever the wire encoding of [`RunOutput`] changes, so stale
 /// cache entries miss instead of misparsing.
-const WIRE_FORMAT: u32 = 3;
+const WIRE_FORMAT: u32 = 4;
 
 /// One independent, explicitly-seeded simulation run. The variant value
 /// fully determines the run's result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RunKind {
-    /// A Figure 4 random-walk curve.
+    /// A random-walk curve: a Figure 4 curve or a `repro geometry` cell.
     Walk(WalkExperiment),
-    /// A geometry-validation curve (`repro geometry`): one workload on
-    /// one cache geometry, predicted by both estimators.
-    Geometry(GeometryExperiment),
     /// A Figure 5/6/7 monitored-application trace.
     Monitor {
         /// The monitored application.
@@ -179,10 +175,8 @@ pub fn cache_key(kind: &RunKind) -> String {
 /// The result of one run.
 #[derive(Debug, Clone)]
 pub enum RunOutput {
-    /// Points of one walk curve.
+    /// The observed points of one walk curve.
     Points(Vec<WalkPoint>),
-    /// Points of one geometry-validation curve.
-    GeometryPoints(Vec<GeometryPoint>),
     /// A monitored-application trace.
     Trace(MonitorTrace),
     /// An engine run report.
@@ -208,7 +202,6 @@ fn sim_misses(out: &RunOutput) -> u64 {
         RunOutput::Report(report) => report.total_l2_misses,
         RunOutput::FaultCell(cell) => cell.report.total_l2_misses,
         RunOutput::ChaosCell(cell) => cell.report.total_l2_misses,
-        RunOutput::GeometryPoints(points) => points.last().map_or(0, |p| p.misses),
         RunOutput::Invalidation { .. } => 0,
     }
 }
@@ -221,8 +214,7 @@ fn sim_misses(out: &RunOutput) -> u64 {
 /// Propagates the underlying engine/model error.
 pub fn execute(kind: &RunKind) -> Result<RunOutput, ReproError> {
     match *kind {
-        RunKind::Walk(exp) => Ok(RunOutput::Points(microbench::run(&exp)?)),
-        RunKind::Geometry(exp) => Ok(RunOutput::GeometryPoints(geometry::run(&exp)?)),
+        RunKind::Walk(exp) => Ok(RunOutput::Points(microbench::run(&exp))),
         RunKind::Monitor { app, placement, seed } => {
             Ok(RunOutput::Trace(monitor::monitor_app_seeded(app, placement, seed)?))
         }
@@ -293,24 +285,7 @@ fn encode(out: &RunOutput) -> String {
         RunOutput::Points(points) => {
             s.push_str(&format!("points {}\n", points.len()));
             for p in points {
-                s.push_str(&format!(
-                    "{} {} {}\n",
-                    p.misses,
-                    enc_f64(p.observed),
-                    enc_f64(p.predicted)
-                ));
-            }
-        }
-        RunOutput::GeometryPoints(points) => {
-            s.push_str(&format!("gpoints {}\n", points.len()));
-            for p in points {
-                s.push_str(&format!(
-                    "{} {} {} {}\n",
-                    p.misses,
-                    enc_f64(p.observed),
-                    enc_f64(p.closed_form),
-                    enc_f64(p.per_set)
-                ));
+                s.push_str(&format!("{} {}\n", p.misses, enc_f64(p.observed)));
             }
         }
         RunOutput::Trace(trace) => {
@@ -463,19 +438,7 @@ fn decode(kind: &RunKind, payload: &str) -> Option<RunOutput> {
     let c = &mut Cursor(payload.as_bytes());
     let out = match kind {
         RunKind::Walk(_) => RunOutput::Points(c.rows("points ", |r| {
-            Some(WalkPoint {
-                misses: r.int(b' ')?,
-                observed: r.float(b' ')?,
-                predicted: r.float(b'\n')?,
-            })
-        })?),
-        RunKind::Geometry(_) => RunOutput::GeometryPoints(c.rows("gpoints ", |r| {
-            Some(GeometryPoint {
-                misses: r.int(b' ')?,
-                observed: r.float(b' ')?,
-                closed_form: r.float(b' ')?,
-                per_set: r.float(b'\n')?,
-            })
+            Some(WalkPoint { misses: r.int(b' ')?, observed: r.float(b'\n')? })
         })?),
         RunKind::Monitor { app, .. } => {
             let samples = c.rows("trace ", |r| {
@@ -922,45 +885,17 @@ mod tests {
         }
     }
 
-    /// One value of each of the seven wire arms under a descriptor that
-    /// decodes it: `rows` rows in the three row formats, every number
-    /// from `nums`.
+    /// One value of each of the six wire arms under a descriptor that
+    /// decodes it: `rows` rows in the two row formats, every number from
+    /// `nums`.
     fn one_of_each(nums: &[u64], rows: usize) -> Vec<(RunKind, RunOutput)> {
         let d = &mut Draw(nums, 0);
         let (policy, scale) = (SchedPolicy::Lff, Scale::Small);
-        let geometry = GeometryExperiment {
-            monitored: Monitored::Walker { s0: 0.0 },
-            sets: 1024,
-            ways: 8,
-            page_bytes: 8192,
-            total_misses: 100,
-            sample_every: 50,
-            seed: 3,
-        };
         vec![
             (
                 walk_req(1).kind,
                 RunOutput::Points(
-                    (0..rows)
-                        .map(|_| WalkPoint {
-                            misses: d.int(),
-                            observed: d.float(),
-                            predicted: d.float(),
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                RunKind::Geometry(geometry),
-                RunOutput::GeometryPoints(
-                    (0..rows)
-                        .map(|_| GeometryPoint {
-                            misses: d.int(),
-                            observed: d.float(),
-                            closed_form: d.float(),
-                            per_set: d.float(),
-                        })
-                        .collect(),
+                    (0..rows).map(|_| WalkPoint { misses: d.int(), observed: d.float() }).collect(),
                 ),
             ),
             (
@@ -1017,7 +952,7 @@ mod tests {
         let nums: Vec<u64> =
             (1..40).chain([f64::MAX, -0.0, 49.7, f64::NAN].map(f64::to_bits)).collect();
         let outs = one_of_each(&nums, 2);
-        assert_eq!(outs.len(), 7);
+        assert_eq!(outs.len(), 6);
         for (kind, out) in &outs {
             let wire = encode(out);
             let back = decode(kind, &wire).expect("round trip");
@@ -1030,7 +965,6 @@ mod tests {
     fn reserved(out: &RunOutput) -> usize {
         match out {
             RunOutput::Points(rows) => rows.capacity(),
-            RunOutput::GeometryPoints(rows) => rows.capacity(),
             RunOutput::Trace(trace) => trace.samples.capacity(),
             RunOutput::Report(r) => r.policy.capacity(),
             RunOutput::FaultCell(cell) => cell.report.policy.capacity(),
@@ -1040,7 +974,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The whole decoder, all seven arms: a payload that was cut
+        /// The whole decoder, all six arms: a payload that was cut
         /// short, had a token replaced, had its leading count multiplied
         /// or was spliced into another decodes to nothing or to a value
         /// that round-trips, holding no more room than the payload has
@@ -1049,7 +983,7 @@ mod tests {
         #[test]
         fn damaged_payloads_decode_to_nothing_or_to_a_round_trip(
             values in (proptest::collection::vec(0u64..=u64::MAX, 1..40), 0usize..6),
-            arms in (0usize..7, 0usize..7),
+            arms in (0usize..6, 0usize..6),
             damage in 0u8..5,
             at in (0usize..=usize::MAX, 0usize..=usize::MAX),
             factor in 2u64..=u64::MAX,
@@ -1098,7 +1032,7 @@ mod tests {
         assert!(decode(&kind, "").is_none());
         // A count read from disk never sizes an allocation.
         let row_formats = one_of_each(&[0], 0);
-        for ((kind, _), tag) in row_formats.iter().zip(["points", "gpoints", "trace"]) {
+        for ((kind, _), tag) in row_formats.iter().zip(["points", "trace"]) {
             assert!(decode(kind, &format!("{tag} {}\n", u64::MAX)).is_none(), "{tag}");
             assert!(decode(kind, &format!("{tag} {}\n0 0 0 0\n", u64::MAX)).is_none(), "{tag}");
         }
@@ -1106,15 +1040,15 @@ mod tests {
         // parsers before the byte cursor accepted the first three rows.
         let one = enc_f64(1.0);
         let row = |line: &str| decode(&kind, &format!("points 1\n{line}\n"));
-        assert!(row(&format!("7 {one} {one}")).is_some(), "the canonical row decodes");
+        assert!(row(&format!("7 {one}")).is_some(), "the canonical row decodes");
         for (bad, why) in [
-            (format!("+7 {one} {one}"), "signed decimal"),
-            (format!("7 {} {one}", one.to_uppercase()), "uppercase hex"),
-            (format!("7 {} {one}", &one[1..]), "15 hex digits"),
-            (format!("7 0{one} {one}"), "17 hex digits"),
-            (format!("7 {one}"), "missing field"),
-            (format!("7 {one} {one} {one}"), "extra field"),
-            (format!("18446744073709551616 {one} {one}"), "decimal past u64::MAX"),
+            (format!("+7 {one}"), "signed decimal"),
+            (format!("7 {}", one.to_uppercase()), "uppercase hex"),
+            (format!("7 {}", &one[1..]), "15 hex digits"),
+            (format!("7 0{one}"), "17 hex digits"),
+            ("7".to_string(), "missing field"),
+            (format!("7 {one} {one}"), "extra field"),
+            (format!("18446744073709551616 {one}"), "decimal past u64::MAX"),
         ] {
             assert!(row(&bad).is_none(), "{why}: {bad:?}");
         }
@@ -1211,12 +1145,13 @@ mod tests {
 
     #[test]
     fn a_panicking_descriptor_fails_the_suite_by_name() {
-        // 8192 lines over 3 ways is no power-of-two set count: the walk
-        // unwraps `Machine::try_new` on it and panics, every time.
+        // 2730 sets is no power of two: the walk unwraps
+        // `Machine::try_new` on it and panics, every time.
         let bad = RunRequest::new(
             "walk-3way",
             RunKind::Walk(WalkExperiment {
-                associativity: 3,
+                sets: 2730,
+                ways: 3,
                 ..WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, 2_000, 500, 1)
             }),
         );

@@ -3,9 +3,14 @@
 //! every row.
 //!
 //! Counter-fault rows (ablation 6) put a [`FaultConfig`] on the simulated
-//! machine's PIC read path (see [`locality_sim::faults`]); the `window`
-//! row traps only for the first 400 reads, so the scheduler must enter
-//! [degraded mode](active_threads::sched::SchedMode) and leave it again.
+//! machine's PIC read path (see [`locality_sim::faults`]). The `window`
+//! row traps only for the first 400 reads (200 interval ends). At
+//! [`Scale::Small`](crate::Scale::Small) its 64 threads take up to 10
+//! traps each, so the scheduler enters
+//! [degraded mode](active_threads::sched::SchedMode) and leaves it again.
+//! At [`Scale::Paper`](crate::Scale::Paper) the traps land once each on
+//! 200 of 256 threads, whose confidence falls only from 1 to 0.75: the
+//! machine-wide EWMA never drops under 0.5 and the row never degrades.
 //! Lifecycle rows (ablation 7) put a [`ChaosConfig`] on the engine (see
 //! [`active_threads::chaos`]): aborts mid-interval, deaths while holding
 //! a lock, spawn failures and idle kills, after which the run must still
@@ -76,7 +81,8 @@ const CLEAN_LIFECYCLE: Scenario = lifecycle("clean", None);
 /// Every scenario of both ablations, each ablation's clean baseline first.
 pub const SCENARIOS: [Scenario; 14] = [
     CLEAN_COUNTERS,
-    // 32-bit register wraparound between interval snapshots.
+    // 32-bit register wraparound between interval snapshots, on one
+    // read in `WRAP_ONE_READ_IN`.
     counter("wraparound", always(FaultKind::Wraparound)),
     // A counter stuck repeating its first observed interval.
     counter("stuck", always(FaultKind::StuckAt)),
@@ -88,7 +94,8 @@ pub const SCENARIOS: [Scenario; 14] = [
     counter("noise", always(FaultKind::Noise { percent: 50 })),
     // Every counter read traps (user access revoked).
     counter("trap", always(FaultKind::TrapOnRead)),
-    // Traps for the first 400 reads, then clean: degradation and recovery.
+    // Traps for the first 400 reads, then clean: degradation and recovery
+    // at small scale.
     counter("window", Some(FaultConfig::windowed(FaultKind::TrapOnRead, FAULT_SEED, 0, 400))),
     CLEAN_LIFECYCLE,
     // Running threads abort mid-interval (~1/64 per batch).

@@ -1,9 +1,11 @@
 //! Figure 4: the random-memory-walk microbenchmark — observed vs
-//! predicted footprints, five panels, one descriptor per curve.
+//! predicted footprints, five panels, one descriptor per curve. The
+//! runner caches each curve's observation; the closed forms are applied
+//! here, as the table is written.
 
 use crate::args::{Args, Scale};
 use crate::error::ReproError;
-use crate::microbench::{max_rel_error, Monitored, WalkExperiment, WalkPoint};
+use crate::microbench::{closed_form, max_rel_error, Monitored, WalkExperiment, WalkPoint};
 use crate::runner::{RunKind, RunRequest};
 use crate::suite::ResultSet;
 use crate::table::Table;
@@ -94,15 +96,13 @@ fn panels(scale: Scale) -> Vec<Panel> {
         title: "Figure 4e (extension) — executing thread footprint vs E-cache associativity",
         curves: [1u64, 2, 4]
             .into_iter()
-            .map(|assoc| {
+            .map(|ways| {
                 (
-                    format!("{assoc}-way"),
+                    format!("{ways}-way"),
                     WalkExperiment {
-                        monitored: Monitored::Walker { s0: 0.0 },
-                        total_misses: total,
-                        sample_every: every,
-                        associativity: assoc,
-                        seed: 15,
+                        sets: 8192 / ways,
+                        ways,
+                        ..WalkExperiment::direct(Monitored::Walker { s0: 0.0 }, total, every, 15)
                     },
                 )
             })
@@ -125,16 +125,16 @@ fn emit_panel(
     args: &Args,
     panel: &str,
     title: &str,
-    curves: &[(String, &[WalkPoint])],
+    curves: &[(String, &[WalkPoint], Vec<f64>)],
 ) -> Result<(), ReproError> {
     let mut t = Table::new(title, &["curve", "misses", "observed", "predicted"]);
-    for (name, pts) in curves {
-        for p in *pts {
+    for (name, pts, predicted) in curves {
+        for (p, predicted) in pts.iter().zip(predicted) {
             t.row(&[
                 name.clone(),
                 p.misses.to_string(),
                 format!("{:.0}", p.observed),
-                format!("{:.0}", p.predicted),
+                format!("{predicted:.0}"),
             ])?;
         }
     }
@@ -143,16 +143,17 @@ fn emit_panel(
     // Print a compact summary per curve instead of every point.
     let mut s =
         Table::new(title, &["curve", "start", "end observed", "end predicted", "max rel err"]);
-    for (name, pts) in curves {
-        let (Some(first), Some(last)) = (pts.first(), pts.last()) else {
+    for (name, pts, predicted) in curves {
+        let (Some(first), Some(last), Some(end)) = (pts.first(), pts.last(), predicted.last())
+        else {
             return Err(ReproError::MissingResult(format!("fig4 curve {name} has no points")));
         };
         s.row(&[
             name.clone(),
             format!("{:.0}", first.observed),
             format!("{:.0}", last.observed),
-            format!("{:.0}", last.predicted),
-            format!("{:.3}", max_rel_error(pts, 256.0)),
+            format!("{end:.0}"),
+            format!("{:.3}", max_rel_error(pts, predicted, 256.0)),
         ])?;
     }
     s.print();
@@ -161,9 +162,10 @@ fn emit_panel(
 
 pub(super) fn emit(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     for panel in panels(args.scale) {
-        let mut curves: Vec<(String, &[WalkPoint])> = Vec::with_capacity(panel.curves.len());
+        let mut curves = Vec::with_capacity(panel.curves.len());
         for (name, exp) in &panel.curves {
-            curves.push((name.clone(), results.points(&RunKind::Walk(*exp))?));
+            let pts = results.points(&RunKind::Walk(*exp))?;
+            curves.push((name.clone(), pts, closed_form(exp, pts)?));
         }
         emit_panel(args, panel.id, panel.title, &curves)?;
     }

@@ -25,7 +25,6 @@ mod table3;
 use crate::args::{Args, Parsed, FLAGS_HELP};
 use crate::error::ReproError;
 use crate::experiments::{ChaosCell, FaultCell};
-use crate::geometry::GeometryPoint;
 use crate::microbench::WalkPoint;
 use crate::monitor::MonitorTrace;
 use crate::runner::{cache_key, RunKind, RunOutput, RunRequest, Runner};
@@ -155,7 +154,7 @@ impl ResultSet {
         ReproError::MissingResult(format!("wrong result variant for {kind:?}"))
     }
 
-    /// The walk curve a [`RunKind::Walk`] descriptor produced.
+    /// The observed walk curve a [`RunKind::Walk`] descriptor produced.
     ///
     /// # Errors
     ///
@@ -163,19 +162,6 @@ impl ResultSet {
     pub fn points(&self, kind: &RunKind) -> Result<&[WalkPoint], ReproError> {
         match self.get(kind)? {
             RunOutput::Points(p) => Ok(p),
-            _ => Err(Self::mismatch(kind)),
-        }
-    }
-
-    /// The validation curve a [`RunKind::Geometry`] descriptor
-    /// produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReproError::MissingResult`] if absent or mistyped.
-    pub fn geometry_points(&self, kind: &RunKind) -> Result<&[GeometryPoint], ReproError> {
-        match self.get(kind)? {
-            RunOutput::GeometryPoints(p) => Ok(p),
             _ => Err(Self::mismatch(kind)),
         }
     }

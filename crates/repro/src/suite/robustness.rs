@@ -112,8 +112,9 @@ fn emit_faults(args: &Args, results: &ResultSet) -> Result<(), ReproError> {
     t.print();
     say!(
         "the sanitizer bounds what the model sees, so faulted LFF degrades toward — never\n\
-         far past — the FCFS miss rate; the 'window' scenario shows the scheduler entering\n\
-         degraded mode under sustained traps and recovering once reads come back clean.\n"
+         far past — the FCFS miss rate; at small scale the 'window' scenario shows the\n\
+         scheduler entering degraded mode under sustained traps and recovering once reads\n\
+         come back clean.\n"
     );
     t.write_csv(&args.csv_path("ablation_faults.csv")?)?;
     Ok(())

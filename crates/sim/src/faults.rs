@@ -26,6 +26,8 @@ pub enum FaultKind {
     /// 32-bit wraparound on a long interval (or a counter reset between
     /// snapshots): the reference register goes "backwards", so the
     /// wrapping 32-bit delta comes out near 2³² — an absurd miss count.
+    /// As on hardware, a wrap is rare: a live read wraps with
+    /// probability 1/[`WRAP_ONE_READ_IN`] and is clean otherwise.
     Wraparound,
     /// The registers freeze: every read while the fault is active
     /// repeats the first delta observed, regardless of real activity.
@@ -54,6 +56,12 @@ pub enum FaultKind {
     /// and the interval is *not* reset — counts keep accumulating.
     TrapOnRead,
 }
+
+/// A live [`FaultKind::Wraparound`] read wraps with probability one in
+/// this many. A register that wrapped on every read would leave the
+/// sanitizer no clean history to repair a wrap from, and would read
+/// exactly like [`FaultKind::TrapOnRead`].
+pub const WRAP_ONE_READ_IN: u64 = 32;
 
 /// Activation window in units of machine-wide counter reads: the fault
 /// is live for reads `start..end` and dormant outside. `None` in
@@ -151,6 +159,9 @@ impl FaultInjector {
     pub(crate) fn perturb(&mut self, truth: PicDelta) -> PicDelta {
         match self.config.kind {
             FaultKind::Wraparound => {
+                if !self.next_u64().is_multiple_of(WRAP_ONE_READ_IN) {
+                    return truth;
+                }
                 // The refs register went backwards by `excess` (reset or
                 // missed 2³² carry); the 32-bit wrapping subtraction then
                 // reports a near-2³² garbage delta. Hits stay sane —
@@ -213,14 +224,37 @@ mod tests {
         assert_ne!(a.perturb(truth()), c.perturb(truth()), "different seed, different stream");
     }
 
+    /// The reads that 400 reads through an always-on wraparound injector
+    /// changed; the rest came back as the truth.
+    fn wrapped_reads(seed: u64) -> Vec<PicDelta> {
+        let mut inj = FaultInjector::new(FaultConfig::always(FaultKind::Wraparound, seed));
+        (0..400)
+            .map(|_| {
+                assert!(inj.begin_read());
+                inj.perturb(truth())
+            })
+            .filter(|&d| d != truth())
+            .collect()
+    }
+
     #[test]
     fn wraparound_reports_absurd_misses() {
-        let mut inj = FaultInjector::new(FaultConfig::always(FaultKind::Wraparound, 1));
-        assert!(inj.begin_read());
-        let d = inj.perturb(truth());
-        assert!(d.refs >= 1 << 31, "refs must look wrapped: {d:?}");
-        assert!(d.misses >= 1 << 31, "misses must be absurd: {d:?}");
-        assert!(d.refs < 1 << 32, "still a 32-bit register delta");
+        let wrapped = wrapped_reads(1);
+        assert!(!wrapped.is_empty());
+        for d in wrapped {
+            assert!(d.refs >= 1 << 31, "refs must look wrapped: {d:?}");
+            assert!(d.misses >= 1 << 31, "misses must be absurd: {d:?}");
+            assert!(d.refs < 1 << 32, "still a 32-bit register delta");
+        }
+    }
+
+    #[test]
+    fn an_always_on_wraparound_wraps_some_reads_but_not_all() {
+        for seed in [1, 2, 0xFA11] {
+            // One read in WRAP_ONE_READ_IN: ~12 of 400.
+            let wrapped = wrapped_reads(seed).len();
+            assert!((3..=30).contains(&wrapped), "seed {seed}: {wrapped} of 400 wrapped");
+        }
     }
 
     #[test]

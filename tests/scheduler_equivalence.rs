@@ -2,11 +2,14 @@
 //! transcription (`tests/ref_scheduler/`): identical picks, steals,
 //! ready counts and degraded-mode transitions after every call, over
 //! random sequences that follow the engine's protocol and over whole
-//! engine runs, every counter-fault and lifecycle-chaos row among them.
+//! engine runs: every §5 application under every locality policy on
+//! both machines, and every counter-fault and lifecycle-chaos row.
 
 mod ref_scheduler;
 
+use locality_repro::perf::PerfApp;
 use locality_repro::scenario::{Injector, SCENARIOS};
+use locality_repro::Scale;
 use proptest::prelude::*;
 use ref_scheduler::DiffScheduler;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -147,16 +150,15 @@ proptest! {
 }
 
 /// Runs `spawn`'s workload once under `DiffScheduler` and once under the
-/// plain scheduler, both with `options`, and checks the two runs end the
-/// same.
+/// plain scheduler, both with `config` and `options`, and checks the two
+/// runs end the same.
 fn diffed_run(
     machine: MachineConfig,
-    policy: PolicyKind,
+    config: LocalityConfig,
     options: EngineConfig,
     fault: Option<FaultConfig>,
     spawn: impl Fn(&mut Engine),
 ) -> Result<RunReport, RuntimeError> {
-    let config = LocalityConfig::new(policy);
     let diff = DiffScheduler::new(config, machine.l2_lines(), machine.cpus);
     let mut diffed = Engine::with_scheduler(machine.clone(), Box::new(diff), options).unwrap();
     let mut plain = Engine::new(machine, SchedPolicy::Custom(config), options).unwrap();
@@ -175,11 +177,39 @@ fn diffed_run(
 fn the_scheduler_matches_the_reference_on_overlapped_tasks() {
     let params = TasksParams { tasks: 64, footprint_lines: 100, periods: 10, overlap: 0.25 };
     let machine = MachineConfig::enterprise5000(8);
-    let report = diffed_run(machine, PolicyKind::Lff, EngineConfig::default(), None, |e| {
+    let report = diffed_run(machine, lff(), EngineConfig::default(), None, |e| {
         tasks::spawn_parallel(e, &params);
     })
     .unwrap();
     assert!(report.steals > 0, "the cell never stole");
+}
+
+fn lff() -> LocalityConfig {
+    LocalityConfig::new(PolicyKind::Lff)
+}
+
+#[test]
+#[ignore = "24 whole-application runs, each twice; ci.sh runs it in release"]
+fn the_scheduler_matches_the_reference_on_every_app_policy_and_machine() {
+    // Every §5 application at small scale, under LFF, CRT and LFF
+    // without annotations, on the 1-cpu Ultra-1 and the 8-cpu E5000.
+    let policies = [
+        lff(),
+        LocalityConfig::new(PolicyKind::Crt),
+        LocalityConfig { use_annotations: false, ..lff() },
+    ];
+    for app in PerfApp::ALL {
+        for config in policies {
+            for machine in [MachineConfig::ultra1(), MachineConfig::enterprise5000(8)] {
+                let cpus = machine.cpus;
+                let report = diffed_run(machine, config, EngineConfig::default(), None, |e| {
+                    app.spawn(e, Scale::Small)
+                })
+                .unwrap_or_else(|e| panic!("{} on {cpus} cpus, {config:?}: {e}", app.name()));
+                assert!(report.threads_completed > 0, "{} on {cpus} cpus", app.name());
+            }
+        }
+    }
 }
 
 #[test]
@@ -192,7 +222,7 @@ fn the_scheduler_matches_the_reference_through_a_counter_fault() {
     for row in SCENARIOS {
         let Injector::Counter(fault) = row.injector else { continue };
         let machine = MachineConfig::enterprise5000(4);
-        let report = diffed_run(machine, PolicyKind::Lff, EngineConfig::default(), fault, |e| {
+        let report = diffed_run(machine, lff(), EngineConfig::default(), fault, |e| {
             tasks::spawn_parallel(e, &params);
         })
         .unwrap_or_else(|e| panic!("{}: {e}", row.name));
@@ -224,7 +254,8 @@ fn the_scheduler_matches_the_reference_under_lifecycle_chaos() {
         for policy in [PolicyKind::Lff, PolicyKind::Crt] {
             for spawn in spawns {
                 let machine = MachineConfig::enterprise5000(8);
-                if let Ok(report) = diffed_run(machine, policy, options, None, spawn) {
+                let config = LocalityConfig::new(policy);
+                if let Ok(report) = diffed_run(machine, config, options, None, spawn) {
                     aborted += report.threads_aborted;
                 }
             }
